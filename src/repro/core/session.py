@@ -53,7 +53,7 @@ from repro.utils.records import RunLog, RunRecord
 
 #: Bump when the snapshot payload layout changes; old snapshots then fail
 #: to restore with a clear :class:`SnapshotError` instead of misbehaving.
-SNAPSHOT_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
 
 #: Leading magic of serialized snapshots (identifies the container format).
 _SNAPSHOT_MAGIC = b"RPSESNAP"
@@ -64,6 +64,76 @@ _RNG_UNSET = object()
 
 class SnapshotError(RuntimeError):
     """A serialized session snapshot failed verification or restore."""
+
+
+def pack_states(states: Sequence[Dict[str, Any]]) -> bytes:
+    """Serialized, checksummed snapshot (magic + SHA-256 + payload).
+
+    One ``pickle.dumps`` over the :meth:`PolicySession.snapshot_state`
+    dicts keeps the objects they share (``policy.space is session.space``,
+    a fleet's one configuration space) shared after unpacking.
+    """
+    payload = pickle.dumps(list(states), protocol=pickle.HIGHEST_PROTOCOL)
+    return _SNAPSHOT_MAGIC + hashlib.sha256(payload).digest() + payload
+
+
+def unpack_states(data: bytes) -> List[Dict[str, Any]]:
+    """Verify and deserialize :func:`pack_states` output.
+
+    Raises :class:`SnapshotError` on a bad magic, a checksum mismatch
+    (truncated or bit-rotted snapshot), an unpicklable payload, or a
+    version mismatch — a damaged snapshot must never restore into a
+    silently wrong session.
+    """
+    header = len(_SNAPSHOT_MAGIC)
+    if data[:header] != _SNAPSHOT_MAGIC:
+        raise SnapshotError("not a session snapshot (bad magic)")
+    digest, payload = data[header:header + 32], data[header + 32:]
+    if hashlib.sha256(payload).digest() != digest:
+        raise SnapshotError(
+            "snapshot checksum mismatch (truncated or corrupted)"
+        )
+    try:
+        states = pickle.loads(payload)
+    except Exception as exc:
+        raise SnapshotError(f"snapshot payload failed to load: {exc}") \
+            from exc
+    if not isinstance(states, list) or any(
+            not isinstance(state, dict)
+            or state.get("version") != SNAPSHOT_FORMAT_VERSION
+            for state in states):
+        raise SnapshotError(f"snapshot is not a list of format version "
+                            f"{SNAPSHOT_FORMAT_VERSION} session states")
+    return states
+
+
+def write_durable(path: Union[str, Path], data: bytes) -> Path:
+    """Atomically publish ``data`` at ``path`` and make it durable.
+
+    The bytes go to a temp file in the target directory, are fsync'd and
+    published with :func:`os.replace`; the directory is fsync'd so the
+    rename survives a crash too.  Readers only see complete files.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}-", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_name, path)
+    except OSError:
+        Path(tmp_name).unlink(missing_ok=True)
+        raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+    return path
 
 
 @dataclass
@@ -399,72 +469,22 @@ class PolicySession:
         }
 
     def snapshot_bytes(self, rng: Any = _RNG_UNSET) -> bytes:
-        """Serialized, checksummed snapshot (magic + SHA-256 + payload).
-
-        One ``pickle.dumps`` over the whole state dict preserves the
-        object-identity invariants restore depends on (``policy.space is
-        session.space``, ``pending.snippet is snippets[pending.index]``).
-        """
-        payload = pickle.dumps(self.snapshot_state(rng),
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        return _SNAPSHOT_MAGIC + hashlib.sha256(payload).digest() + payload
+        """This session's :func:`pack_states` snapshot."""
+        return pack_states([self.snapshot_state(rng)])
 
     def save_snapshot(self, path: Union[str, Path],
                       rng: Any = _RNG_UNSET) -> Path:
-        """Write a durable snapshot to ``path`` (atomic temp + rename).
-
-        Readers only ever see a fully written snapshot: the bytes go to a
-        temp file in the target directory and are published with
-        :func:`os.replace`, so a crash mid-write leaves the previous
-        snapshot intact.
-        """
-        path = Path(path)
-        data = self.snapshot_bytes(rng)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{path.name}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp_name, path)
-        except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
+        """Write a durable snapshot to ``path`` (see :func:`write_durable`)."""
+        return write_durable(path, self.snapshot_bytes(rng))
 
     @staticmethod
     def unpack_snapshot(data: bytes) -> Dict[str, Any]:
-        """Verify and deserialize :meth:`snapshot_bytes` output.
-
-        Raises :class:`SnapshotError` on a bad magic, a checksum mismatch
-        (truncated or bit-rotted snapshot), an unpicklable payload, or a
-        version mismatch — a damaged snapshot must never restore into a
-        silently wrong session.
-        """
-        header = len(_SNAPSHOT_MAGIC)
-        if data[:header] != _SNAPSHOT_MAGIC:
-            raise SnapshotError("not a session snapshot (bad magic)")
-        digest, payload = data[header:header + 32], data[header + 32:]
-        if hashlib.sha256(payload).digest() != digest:
-            raise SnapshotError(
-                "snapshot checksum mismatch (truncated or corrupted)"
-            )
-        try:
-            state = pickle.loads(payload)
-        except Exception as exc:
-            raise SnapshotError(f"snapshot payload failed to load: {exc}") \
-                from exc
-        version = state.get("version") if isinstance(state, dict) else None
-        if version != SNAPSHOT_FORMAT_VERSION:
-            raise SnapshotError(
-                f"snapshot format version {version!r} is not "
-                f"{SNAPSHOT_FORMAT_VERSION}"
-            )
-        return state
+        """The one state of :meth:`snapshot_bytes` output (see
+        :func:`unpack_states`)."""
+        states = unpack_states(data)
+        if len(states) != 1:
+            raise SnapshotError(f"snapshot holds {len(states)} sessions")
+        return states[0]
 
     @classmethod
     def restore(

@@ -118,6 +118,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = ServiceServer(run, host=args.host, port=args.port,
                            step_delay=args.step_delay)
     asyncio.run(server.serve())
+    if server.failure is not None:
+        print(f"error: fleet stepping failed at {server.failure.message}",
+              file=sys.stderr)
+        return 1
     print(f"drained at round {run.rounds} (done={run.done})",
           file=sys.stderr)
     return 0

@@ -97,10 +97,11 @@ class SnapshotRequest(Message):
 class SnapshotManifest(Message):
     """Journal record naming one completed snapshot rotation.
 
-    ``files`` holds ``(device, relative_path, sha256_hex)`` triples; the
-    manifest is appended *after* every snapshot file has been atomically
-    published, so a manifest in the journal is a recovery point whose
-    files either all verify or (bit-rot) fail loudly.
+    ``files`` holds one ``(label, relative_path, sha256_hex)`` entry: the
+    rotation file that holds every session at ``round``.  The manifest is
+    appended (and fsync'd) only *after* that file was durably published,
+    so a manifest in the journal is a recovery point whose file either
+    verifies or (bit-rot) fails loudly.
     """
 
     TYPE_NAME: ClassVar[str] = "snapshot.manifest"
@@ -163,7 +164,7 @@ class FlatlineAlert(Message):
 @_register
 @dataclass(frozen=True)
 class ErrorReport(Message):
-    """A server-side failure surfaced to clients (``GET /report``)."""
+    """A server-side failure surfaced to clients (``GET /status``)."""
 
     TYPE_NAME: ClassVar[str] = "error.report"
     context: str = ""

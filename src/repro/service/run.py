@@ -4,20 +4,22 @@
 with the durability and dispatch semantics of the control-plane service:
 
 * **Journal-before-apply.**  Every accepted dispatch is stamped with the
-  fleet round boundary it will apply at (``apply_round``) and appended to
-  the run journal *before* it mutates anything; every completed fleet
-  round appends a :class:`~repro.service.protocol.StepBoundary` record.
+  fleet round boundary it will apply at (``apply_round``) and appended
+  to the run journal, fsync'd, *before* it mutates anything.  Every
+  completed fleet round appends a :class:`~repro.service.protocol
+  .StepBoundary` record that is flushed but not fsync'd: recovery never
+  reads one, because deterministic replay recomputes every round.
 * **Snapshot rotation.**  Every ``snapshot_every`` rounds (and at round
-  0), every session is written as a durable checksummed snapshot
-  (:meth:`~repro.core.session.PolicySession.save_snapshot`, with
-  engine-resident sessions snapshotted at their sequential-equivalent
-  generator state), and a :class:`~repro.service.protocol
-  .SnapshotManifest` naming the files and their sha256 digests is
-  journaled once all of them are atomically published.
+  0), every session's state (engine-resident sessions at their
+  sequential-equivalent generator state) goes into one checksummed file,
+  ``snapshots/round-NNNNNNNN.snapshot``, published with
+  :func:`~repro.core.session.write_durable`; only then is a
+  :class:`~repro.service.protocol.SnapshotManifest` naming the file and
+  its sha256 journaled.
 * **Recovery invariant.**  ``kill -9`` at any instant, then
   :meth:`ServiceRun.recover`: the fleet is rebuilt deterministically
   from the genesis config, sessions restore from the newest manifest
-  whose files all verify, dispatches that applied before the restore
+  whose file verifies, dispatches that applied before the restore
   point are re-applied (space caps; policy swaps are already inside the
   snapshots) and later ones are replayed at their recorded boundaries —
   so the completed run's per-device logs and energy accounts are
@@ -37,13 +39,14 @@ faults do not re-fire).
 from __future__ import annotations
 
 import dataclasses
-import shutil
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.control.policy import DRMPolicy, GovernorPolicy, StaticPolicy
-from repro.core.session import PolicySession, SnapshotError
+from repro.core.session import (PolicySession, SnapshotError, pack_states,
+                                unpack_states, write_durable)
 from repro.fleet.device import DeviceSpec
 from repro.fleet.faults import FaultPlan, fault_from_dict
 from repro.fleet.supervisor import DeviceHealth, FleetSupervisor
@@ -61,12 +64,12 @@ from repro.service.protocol import (
     DispatchReceipt,
     ErrorReport,
     FlatlineAlert,
-    Message,
     RunGenesis,
     ShutdownNotice,
     SnapshotManifest,
     StepBoundary,
     TelemetryReport,
+    encode_message,
 )
 from repro.soc.configuration import ConfigurationSpace
 from repro.soc.governors import (
@@ -86,6 +89,12 @@ JOURNAL_FILE = "journal.bin"
 
 #: Snapshot rotations kept on disk (older ones are pruned).
 SNAPSHOT_ROTATIONS_KEPT = 2
+
+#: Journal-relative path of the snapshot rotation taken at a round.
+ROTATION_FILE = "snapshots/round-{:08d}.snapshot"
+
+#: Label of the one :class:`SnapshotManifest` entry (the rotation file).
+ROTATION_LABEL = "fleet"
 
 #: Seed-stream key of every generator the service derives per device.
 _SERVICE_STREAM = stable_name_id("service-fleet")
@@ -360,6 +369,7 @@ class ServiceRun:
                   journal_dir=journal_path, snapshot_every=cadence)
         if journal is not None:
             journal.append(RunGenesis(config=genesis))
+            supervised = set(run.supervisor.plan.device_names())
             for device, session in zip(run.devices, run.supervisor.sessions):
                 journal.append(DeviceRegistration(
                     device=device.name,
@@ -367,9 +377,7 @@ class ServiceRun:
                     trace_steps=len(session),
                     scenario=(device.scenario.scenario_name
                               if device.scenario is not None else ""),
-                    supervised=device.name in set(
-                        (run.supervisor.plan.device_names())
-                    ),
+                    supervised=device.name in supervised,
                 ))
             run._rotate_snapshots()
         return run
@@ -386,7 +394,7 @@ class ServiceRun:
 
         The fleet is rebuilt from the genesis config (or taken from the
         caller in external mode), sessions restore from the newest
-        snapshot manifest whose files all verify (falling back to older
+        snapshot manifest whose file verifies (falling back to older
         manifests, and to a from-scratch replay when none survive), and
         journaled dispatches are re-applied/queued so the continued run
         is bitwise identical to an uninterrupted one.
@@ -438,7 +446,7 @@ class ServiceRun:
             if command.idempotency_key:
                 run._receipts[command.idempotency_key] = receipt
             if (command.apply_round or 0) < restore_round:
-                run._reapply_past_dispatch(command)
+                run._apply_dispatch(command, restored=True)
             else:
                 run._pending_dispatches.append(command)
         return run
@@ -452,28 +460,28 @@ class ServiceRun:
     ) -> List[PolicySession]:
         """Verify and load every session of one snapshot rotation.
 
-        Each file's sha256 must match the manifest entry (bit rot raises
-        :class:`JournalError`, sending recovery to an older manifest);
-        scenario schedules are rebuilt over each restored session's own
-        space, exactly like :meth:`~repro.core.session.PolicySession
-        .restore` documents.
+        The manifest must name exactly its round's rotation file, and the
+        file must match the manifest sha256 and hold these devices in
+        order; anything else raises :class:`JournalError`, sending
+        recovery to an older manifest.  Scenario schedules are rebuilt
+        over each restored session's own space, exactly like
+        :meth:`~repro.core.session.PolicySession.restore` documents.
         """
-        by_name = {entry[0]: entry for entry in manifest.files}
+        relative = ROTATION_FILE.format(manifest.round)
+        if [e[:2] for e in manifest.files] != [(ROTATION_LABEL, relative)]:
+            raise JournalError(f"snapshot manifest for round "
+                               f"{manifest.round} does not name {relative}")
+        path = journal_dir / relative
+        if file_sha256(path) != manifest.files[0][2]:
+            raise JournalError(
+                f"snapshot {path} does not match its manifest sha256"
+            )
+        states = unpack_states(path.read_bytes())
+        if [state["name"] for state in states] != [d.name for d in devices]:
+            raise JournalError(f"snapshot {path} holds other devices")
         sessions: List[PolicySession] = []
-        for device in devices:
-            entry = by_name.get(device.name)
-            if entry is None:
-                raise JournalError(
-                    f"snapshot manifest for round {manifest.round} is "
-                    f"missing device {device.name!r}"
-                )
-            _name, relative, digest = entry
-            path = journal_dir / relative
-            if file_sha256(path) != digest:
-                raise JournalError(
-                    f"snapshot {path} does not match its manifest sha256"
-                )
-            session = PolicySession.load_snapshot(path, simulator)
+        for device, state in zip(devices, states):
+            session = PolicySession.restore(state, simulator)
             if device.scenario is not None:
                 session.space_schedule = make_space_schedule(
                     session.space, device.scenario
@@ -507,10 +515,7 @@ class ServiceRun:
     def run_to_completion(self) -> None:
         """Step until every device finished (stops early when paused)."""
         while not self.done:
-            advanced = self.step_round()
-            if advanced == 0 and self.paused:
-                break
-            if advanced == 0 and not self.done:  # pragma: no cover - guard
+            if self.step_round() == 0:  # paused, or nothing could advance
                 break
 
     def shutdown(self, reason: str = "sigterm") -> None:
@@ -522,39 +527,32 @@ class ServiceRun:
             self.journal.close()
 
     def _rotate_snapshots(self) -> SnapshotManifest:
-        """Write one durable snapshot per session, then journal the manifest.
+        """Write every session into one durable file, then journal it.
 
-        Every file is atomically published (temp + rename) *before* the
-        manifest record is appended, so a manifest in the journal always
-        names a complete rotation.  Older rotations are pruned afterwards
-        — their manifests remain in the journal and recovery simply skips
-        manifests whose files are gone.
+        The file is published *before* its manifest is appended, so a
+        manifest always names a complete rotation.  Older rotations are
+        pruned afterwards; recovery skips manifests whose file is gone.
         """
         assert self.journal is not None and self.journal_dir is not None
-        rotation_dir = (self.journal_dir / "snapshots"
-                        / f"round-{self.rounds:08d}")
-        files: List[Tuple[str, str, str]] = []
-        for device, session in zip(self.devices, self.supervisor.sessions):
-            path = rotation_dir / f"{device.name}.snapshot"
-            session.save_snapshot(
-                path, rng=self.supervisor.sequential_rng_state(session)
-            )
-            files.append((
-                device.name,
-                str(path.relative_to(self.journal_dir)),
-                file_sha256(path),
-            ))
-        manifest = SnapshotManifest(round=self.rounds, files=tuple(files))
+        data = pack_states([
+            session.snapshot_state(
+                rng=self.supervisor.sequential_rng_state(session))
+            for session in self.supervisor.sessions
+        ])
+        relative = ROTATION_FILE.format(self.rounds)
+        path = write_durable(self.journal_dir / relative, data)
+        manifest = SnapshotManifest(round=self.rounds, files=((
+            ROTATION_LABEL, relative, hashlib.sha256(data).hexdigest(),
+        ),))
         self.journal.append(manifest)
-        self._prune_snapshots()
+        # Rotations past this round were published by a crashed process
+        # that never journaled them, and .tmp files are its torn writes.
+        kept = sorted(other.name for other in path.parent.glob("*.snapshot")
+                      if other.name <= path.name)[-SNAPSHOT_ROTATIONS_KEPT:]
+        for other in path.parent.iterdir():
+            if other.is_file() and other.name not in kept:
+                other.unlink(missing_ok=True)
         return manifest
-
-    def _prune_snapshots(self) -> None:
-        assert self.journal_dir is not None
-        root = self.journal_dir / "snapshots"
-        rotations = sorted(path for path in root.iterdir() if path.is_dir())
-        for stale in rotations[:-SNAPSHOT_ROTATIONS_KEPT]:
-            shutil.rmtree(stale, ignore_errors=True)
 
     # ------------------------------------------------------------------ #
     # Dispatches
@@ -617,41 +615,29 @@ class ServiceRun:
         for command in due:
             self._apply_dispatch(command)
 
-    def _apply_dispatch(self, command: DispatchCommand) -> None:
-        if command.command == "pause":
-            self.paused = True
-        elif command.command == "resume":
-            self.paused = False
+    def _apply_dispatch(self, command: DispatchCommand,
+                        restored: bool = False) -> None:
+        """Apply one dispatch at its round boundary.
+
+        ``restored`` marks a dispatch that applied before a recovery's
+        restore point.  Its space cap lives in the (never-snapshotted)
+        space schedule, so it is applied again; its policy swap is already
+        inside the restored snapshots (swapping again would reset
+        learned/governor state), so only the bookkeeping is updated.
+        """
+        if command.command in ("pause", "resume"):
+            self.paused = command.command == "pause"
         elif command.command == "restrict-space":
             self._set_cap(command.device, command.value)
         elif command.command == "set-policy":
             session = self.supervisor.session_named(command.device)
-            policy = build_named_policy(command.value, session.space)
-            previous = getattr(session.policy, "current", None)
-            policy.reset(previous if previous is not None
-                         and session.space.contains(previous) else None)
-            self.supervisor.replace_policy(command.device, policy)
-            self._policy_of[command.device] = policy.name
-
-    def _reapply_past_dispatch(self, command: DispatchCommand) -> None:
-        """Re-establish the effect of a dispatch applied before the restore
-        point.
-
-        Space caps live in the (never-snapshotted) space schedule, so
-        they are re-applied; policy swaps are already inside the restored
-        session snapshots (re-applying would reset learned/governor
-        state), so only the bookkeeping is updated; pause/resume folds to
-        the last-wins flag.
-        """
-        if command.command == "pause":
-            self.paused = True
-        elif command.command == "resume":
-            self.paused = False
-        elif command.command == "restrict-space":
-            self._set_cap(command.device, command.value)
-        elif command.command == "set-policy":
-            self._policy_of[command.device] = \
-                self.supervisor.session_named(command.device).policy.name
+            if not restored:
+                policy = build_named_policy(command.value, session.space)
+                previous = getattr(session.policy, "current", None)
+                policy.reset(previous if previous is not None
+                             and session.space.contains(previous) else None)
+                self.supervisor.replace_policy(command.device, policy)
+            self._policy_of[command.device] = session.policy.name
 
     def _set_cap(self, device: str, cap: Optional[int]) -> None:
         schedule = self._caps.get(device)
@@ -721,6 +707,7 @@ class ServiceRun:
             else {"external": True},
             "pending_dispatches": len(self._pending_dispatches),
             "alerts": len(self.alerts),
+            "errors": [encode_message(error) for error in self.errors],
             "devices": [
                 {
                     "name": device.name,

@@ -17,25 +17,32 @@ POST    /shutdown     Graceful drain (same as SIGTERM)
 ======  ============  ====================================================
 
 Every request is parsed and answered under a per-request deadline; a
-slow or stalled client cannot wedge the stepper.  The fleet advances in
+slow or stalled client cannot wedge the stepper, and a body larger than
+:data:`MAX_BODY_BYTES` is refused unread.  The fleet advances in
 a background task one lockstep round at a time, so dispatches always
 land on a round boundary.  ``SIGTERM`` (and ``POST /shutdown``) drains
 gracefully: the in-flight round completes, a final snapshot rotation and
 a :class:`ShutdownNotice` are journaled, and the process exits 0.  A
 ``kill -9`` instead is exactly what the journal is for — restart with
-``--resume`` and the run continues bitwise identically.
+``--resume`` and the run continues bitwise identically.  A round that
+raises (for example ``ENOSPC`` from a snapshot rotation) stops serving:
+the failure is recorded as an :class:`ErrorReport` and :meth:`serve`
+returns with :attr:`ServiceServer.failure` set.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import signal
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from repro.service.journal import JournalError
 from repro.service.protocol import (
     DispatchCommand,
+    ErrorReport,
     ProtocolError,
     encode_message,
     loads_message,
@@ -45,6 +52,11 @@ from repro.service.run import ServiceRun
 #: File (inside the journal directory) recording the bound port, so
 #: clients and the demo can find a server started with ``--port 0``.
 PORT_FILE = "server.port"
+
+#: Largest request body read (a dispatch encodes to well under 1 KiB).
+MAX_BODY_BYTES = 64 * 1024
+
+_LOG = logging.getLogger(__name__)
 
 
 class ServiceServer:
@@ -64,6 +76,7 @@ class ServiceServer:
         self.step_delay = float(step_delay)
         self.request_timeout = float(request_timeout)
         self.bound_port: Optional[int] = None
+        self.failure: Optional[ErrorReport] = None
         self._draining = False
         self._drain_reason = "drained"
         self._stopped: Optional[asyncio.Event] = None
@@ -100,7 +113,10 @@ class ServiceServer:
                 pass
             self._server.close()
             await self._server.wait_closed()
-            self.run.shutdown(self._drain_reason)
+            if self.failure is None:
+                self.run.shutdown(self._drain_reason)
+            else:
+                self.run.close()
 
     def request_drain(self, reason: str = "drained") -> None:
         """Finish the in-flight round, journal, and stop (idempotent)."""
@@ -111,18 +127,37 @@ class ServiceServer:
         """Advance the fleet one round at a time between request turns.
 
         A finished fleet keeps the server up (clients still need the
-        final status/digests); only a drain request stops serving.
+        final status/digests); only a drain request or a failed round
+        stops serving.
         """
-        while not self._draining:
-            if self.run.done:
-                await asyncio.sleep(0.05)
-                continue
-            self.run.step_round()
-            # Yield to the event loop (and pace the run for demos) so
-            # requests interleave at round boundaries.
-            await asyncio.sleep(self.step_delay)
+        try:
+            while not self._draining:
+                if self.run.done:
+                    await asyncio.sleep(0.05)
+                    continue
+                self.run.step_round()
+                # Yield to the event loop (and pace the run for demos) so
+                # requests interleave at round boundaries.
+                await asyncio.sleep(self.step_delay)
+        except Exception as exc:  # noqa: BLE001 - report, then stop serving
+            self._record_failure(exc)
         assert self._stopped is not None
         self._stopped.set()
+
+    def _record_failure(self, exc: Exception) -> None:
+        """Log a failed round and record it in ``run.errors`` and, if it
+        still takes appends, the journal."""
+        _LOG.error("fleet round failed; stopping the server", exc_info=exc)
+        self.failure = ErrorReport(
+            context="stepper",
+            message=f"round {self.run.rounds}: {type(exc).__name__}: {exc}",
+        )
+        self.run.errors.append(self.failure)
+        if self.run.journal is not None:
+            try:
+                self.run.journal.append(self.failure)
+            except (OSError, ValueError, JournalError):
+                pass
 
     # ------------------------------------------------------------------ #
     # HTTP plumbing
@@ -143,8 +178,8 @@ class ServiceServer:
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed",
-                  408: "Request Timeout"}.get(status, "Error")
+                  405: "Method Not Allowed", 408: "Request Timeout",
+                  413: "Payload Too Large"}.get(status, "Error")
         writer.write(
             f"HTTP/1.1 {status} {reason}\r\n"
             f"Content-Type: application/json\r\n"
@@ -172,7 +207,13 @@ class ServiceServer:
                 break
             name, _, value = line.partition(":")
             if name.strip().lower() == "content-length":
-                content_length = int(value.strip())
+                value = value.strip()
+                if not (value.isascii() and value.isdigit()):
+                    return 400, {"error": f"bad Content-Length {value!r}"}
+                content_length = int(value)
+        if content_length > MAX_BODY_BYTES:
+            return 413, {"error": f"body of {content_length} bytes exceeds "
+                                  f"{MAX_BODY_BYTES}"}
         body = b""
         if content_length:
             body = await reader.readexactly(content_length)

@@ -10,6 +10,9 @@ journal appendable.
 
 from __future__ import annotations
 
+import errno
+import os
+
 import pytest
 
 from repro.service.journal import (
@@ -20,8 +23,10 @@ from repro.service.journal import (
     read_journal,
 )
 from repro.service.protocol import (
+    DeviceRegistration,
     DispatchCommand,
     RunGenesis,
+    SnapshotManifest,
     StepBoundary,
 )
 
@@ -146,3 +151,40 @@ class TestFileSha256:
 
         assert file_sha256(journal_path) == hashlib.sha256(
             journal_path.read_bytes()).hexdigest()
+
+
+class TestDurability:
+    @pytest.mark.parametrize("message, synced", [
+        (RunGenesis(config={"policy": "ondemand"}), 1),
+        (SnapshotManifest(round=3, files=(("fleet", "s", "0" * 64),)), 1),
+        (DispatchCommand(command="pause", idempotency_key="k"), 1),
+        (StepBoundary(round=1, advanced=2), 0),
+        (DeviceRegistration(device="device-00", policy="ondemand"), 0),
+    ])
+    def test_only_records_recovery_reads_are_fsynced(
+            self, tmp_path, monkeypatch, message, synced):
+        """Unsynced records are still flushed: a reader sees them at once."""
+        path = tmp_path / "journal.bin"
+        calls = []
+        with Journal(path, create=True) as journal:
+            monkeypatch.setattr(os, "fsync", calls.append)
+            journal.append(message)
+            assert read_journal(path) == ([message], False)
+        assert len(calls) == synced
+
+    def test_failed_append_refuses_further_appends(self, journal_path,
+                                                   monkeypatch):
+        """A record after a failed (maybe torn) one could bury torn bytes
+        mid-file, so the journal stops taking appends."""
+        def no_space(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with Journal(journal_path) as journal:
+            monkeypatch.setattr(os, "fsync", no_space)
+            with pytest.raises(OSError, match="No space"):
+                journal.append(RunGenesis(config={}))
+            monkeypatch.undo()
+            with pytest.raises(JournalError, match="failed an append"):
+                journal.append(StepBoundary(round=3, advanced=1))
+        messages, _truncated = read_journal(journal_path)
+        assert messages[:len(_sample_messages())] == _sample_messages()

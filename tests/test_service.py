@@ -10,6 +10,8 @@ HTTP with a real SIGKILL'd server subprocess.
 
 from __future__ import annotations
 
+import asyncio
+import errno
 import json
 import os
 import signal
@@ -21,15 +23,22 @@ from pathlib import Path
 import pytest
 
 from repro.fleet.device import build_fleet
-from repro.service.journal import read_journal
+from repro.service.journal import Journal, JournalError, read_journal
 from repro.service.protocol import (
     DispatchCommand,
     RunGenesis,
     ShutdownNotice,
     SnapshotManifest,
     StepBoundary,
+    encode_message,
 )
-from repro.service.run import RunConfig, ServiceRun, build_config_devices
+from repro.service.run import (
+    ROTATION_FILE,
+    RunConfig,
+    ServiceRun,
+    build_config_devices,
+)
+from repro.service.server import MAX_BODY_BYTES, ServiceServer
 
 CONFIG = RunConfig(policy="ondemand", scale="tiny", n_devices=2, seed=7,
                    snapshot_every=3)
@@ -165,6 +174,118 @@ class TestRecoveryInvariant:
         assert recovered.digests() == expected
 
 
+class _Killed(Exception):
+    """Stands in for ``kill -9`` at one instant of an in-process run."""
+
+
+class TestDurabilityRules:
+    """Only genesis, manifests and dispatches are fsync'd, and a rotation
+    is one file published before its manifest is journaled."""
+
+    def test_unjournaled_rotation_is_ignored_then_pruned(self, tmp_path,
+                                                         monkeypatch):
+        """Killed after publishing round 6's file, before its manifest:
+        recovery restores round 3, and the next rotation deletes the
+        orphan (and any torn temp file) instead of keeping it."""
+        reference = _run_reference()
+        run = ServiceRun.start(config=CONFIG, journal_dir=tmp_path)
+        real_append = Journal.append
+
+        def killed_before_manifest(journal, message):
+            if isinstance(message, SnapshotManifest) and message.round == 6:
+                raise _Killed
+            real_append(journal, message)
+
+        monkeypatch.setattr(Journal, "append", killed_before_manifest)
+        with pytest.raises(_Killed):
+            _drive(run)
+        monkeypatch.undo()
+        del run
+        orphan = tmp_path / ROTATION_FILE.format(6)
+        torn = orphan.parent / f".{orphan.name}-torn.tmp"
+        torn.write_bytes(b"half a snapshot")
+        assert orphan.exists()
+        recovered = ServiceRun.recover(tmp_path)
+        assert recovered.rounds == 3
+        recovered.step_round()
+        recovered._rotate_snapshots()  # a forced rotation (POST /snapshot)
+        assert sorted(p.name for p in orphan.parent.iterdir()) == [
+            Path(ROTATION_FILE.format(r)).name for r in (3, 4)]
+        _drive(recovered)
+        recovered.close()
+        assert recovered.digests() == reference.digests()
+
+    def test_manifest_naming_other_files_is_skipped(self, tmp_path):
+        """A per-device manifest (the layout of older journals) names no
+        rotation file: recovery falls back to the newest one that does."""
+        reference = _run_reference()
+        run = ServiceRun.start(config=CONFIG, journal_dir=tmp_path)
+        _drive(run, stop_at=CONFIG.snapshot_every + 1)
+        del run
+        per_device = SnapshotManifest(round=4, files=tuple(
+            (name, f"snapshots/round-00000004/{name}.snapshot", "0" * 64)
+            for name in ("device-00", "device-01")))
+        devices, simulator, _space = build_config_devices(CONFIG)
+        with pytest.raises(JournalError, match="does not name"):
+            ServiceRun._restore_manifest(tmp_path, per_device, devices,
+                                         simulator)
+        with Journal(tmp_path / "journal.bin") as journal:
+            journal.append(per_device)
+        recovered = ServiceRun.recover(tmp_path)
+        assert recovered.rounds == CONFIG.snapshot_every
+        _drive(recovered)
+        recovered.close()
+        assert recovered.digests() == reference.digests()
+
+    def test_torn_unsynced_step_boundary_recovers(self, tmp_path):
+        """A crash mid-way through an unsynced trailing StepBoundary
+        frame loses nothing recovery needs; the journal stays appendable."""
+        reference = _run_reference()
+        run = ServiceRun.start(config=CONFIG, journal_dir=tmp_path)
+        _drive(run, stop_at=CONFIG.snapshot_every + 1)
+        del run
+        journal = tmp_path / "journal.bin"
+        messages, _ = read_journal(journal)
+        assert messages[-1] == StepBoundary(round=CONFIG.snapshot_every + 1,
+                                            advanced=CONFIG.n_devices)
+        journal.write_bytes(journal.read_bytes()[:-5])
+        recovered = ServiceRun.recover(tmp_path)
+        assert recovered.rounds == CONFIG.snapshot_every
+        _drive(recovered)
+        recovered.close()
+        assert recovered.digests() == reference.digests()
+        messages, truncated = read_journal(journal)
+        assert truncated is False
+        assert [m.round for m in messages if isinstance(m, StepBoundary)] \
+            == list(range(1, recovered.rounds + 1))
+
+    def test_fsyncs_follow_rotations_and_dispatches_not_rounds(
+            self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            synced.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        run = ServiceRun.start(config=CONFIG, journal_dir=tmp_path)
+        # Journal header, genesis, round-0 rotation (file, directory and
+        # manifest); the device registrations are not synced.
+        assert len(synced) == 5
+        while not run.done:
+            before = len(synced)
+            if run.rounds == 4:
+                run.dispatch(DispatchCommand(command="restrict-space",
+                                             device="device-00", value=1))
+                assert len(synced) == before + 1
+                before += 1
+            run.step_round()
+            rotated = run.rounds % CONFIG.snapshot_every == 0 or run.done
+            assert len(synced) == before + (3 if rotated else 0)
+        run.close()
+
+
 class TestDispatchSemantics:
     def test_journal_before_apply(self, tmp_path):
         """An accepted dispatch is durable before it mutates anything."""
@@ -271,6 +392,82 @@ class TestTelemetry:
         run = ServiceRun.start(config=config)
         run.run_to_completion()
         assert any(alert.device == "device-00" for alert in run.alerts)
+
+
+# --------------------------------------------------------------------- #
+# In-process server: failures and malformed requests
+# --------------------------------------------------------------------- #
+def _no_space_after_round_0(monkeypatch):
+    """Make every rotation after the round-0 one fail with ENOSPC."""
+    real_rotate = ServiceRun._rotate_snapshots
+
+    def rotate(run):
+        if run.rounds > 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_rotate(run)
+
+    monkeypatch.setattr(ServiceRun, "_rotate_snapshots", rotate)
+
+
+async def _raw_request(request: bytes):
+    """Serve an unjournaled run, send ``request`` verbatim, drain."""
+    server = ServiceServer(ServiceRun.start(config=CONFIG))
+    serving = asyncio.ensure_future(
+        server.serve(install_signal_handlers=False))
+    while server.bound_port is None:
+        await asyncio.sleep(0.01)
+    reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                   server.bound_port)
+    writer.write(request)
+    await writer.drain()
+    response = await reader.read()
+    writer.close()
+    server.request_drain()
+    await serving
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestServerFailures:
+    def test_failed_rotation_stops_serving_with_an_error(self, tmp_path,
+                                                         monkeypatch):
+        _no_space_after_round_0(monkeypatch)
+        run = ServiceRun.start(config=CONFIG, journal_dir=tmp_path)
+        server = ServiceServer(run)
+        asyncio.run(asyncio.wait_for(
+            server.serve(install_signal_handlers=False), timeout=60))
+        assert server.failure is not None
+        assert "No space left" in server.failure.message
+        assert run.rounds == CONFIG.snapshot_every
+        assert run.status()["errors"] == [encode_message(server.failure)]
+        messages, truncated = read_journal(tmp_path / "journal.bin")
+        assert truncated is False
+        assert messages[-1] == server.failure
+
+    def test_serve_cli_exits_nonzero_when_a_round_fails(self, tmp_path,
+                                                        monkeypatch, capsys):
+        from repro.service.__main__ import main
+
+        _no_space_after_round_0(monkeypatch)
+        code = main(["serve", "--journal", str(tmp_path / "run"),
+                     "--devices", "2", "--seed", "7",
+                     "--snapshot-every", "3"])
+        assert code == 1
+        assert "No space left" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content_length, status", [
+        ("abc", 400),
+        ("-5", 400),
+        ("1_0", 400),
+        (str(MAX_BODY_BYTES + 1), 413),  # answered without waiting for it
+        ("0", 200),
+    ])
+    def test_content_length_is_validated(self, content_length, status):
+        request = (f"POST /pause HTTP/1.1\r\n"
+                   f"Content-Length: {content_length}\r\n\r\n")
+        answer, payload = asyncio.run(asyncio.wait_for(
+            _raw_request(request.encode("latin-1")), timeout=60))
+        assert answer == status, payload
 
 
 # --------------------------------------------------------------------- #

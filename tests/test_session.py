@@ -9,12 +9,20 @@ closed-loop behaviour (which the golden traces also gate end to end).
 
 from __future__ import annotations
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
 from repro.control.policy import GovernorPolicy, StaticPolicy
 from repro.core.framework import run_policy_on_snippets
-from repro.core.session import PolicySession, SnapshotError
+from repro.core.session import (
+    PolicySession,
+    SnapshotError,
+    pack_states,
+    unpack_states,
+)
 from repro.scenarios import get_scenario, make_space_schedule
 from repro.soc.governors import (
     InteractiveGovernor,
@@ -274,6 +282,50 @@ class TestDurableSnapshots:
         restored = PolicySession.restore(session.snapshot_bytes(),
                                          noisy_simulator)
         assert restored.policy.space is restored.space
+
+    def test_save_snapshot_fsyncs_file_and_directory(
+            self, tmp_path, monkeypatch, noisy_simulator, space,
+            snippet_trace):
+        """The snapshot's bytes and its directory entry are both fsync'd
+        before save_snapshot returns."""
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            info = os.fstat(fd)
+            synced.append((stat.S_ISDIR(info.st_mode), info.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        session = self._fresh(noisy_simulator, space, snippet_trace)
+        session.advance()
+        path = session.save_snapshot(tmp_path / "nested" / "dev.snapshot")
+        monkeypatch.undo()
+        # The temp file keeps its inode across the rename.
+        assert sorted(synced) == [(False, path.stat().st_ino),
+                                  (True, path.parent.stat().st_ino)]
+        assert [p.name for p in path.parent.iterdir()] == ["dev.snapshot"]
+
+    def test_states_of_many_sessions_share_objects(
+            self, noisy_simulator, space, snippet_trace):
+        """One pickle over many sessions keeps their one space shared, and
+        a many-session snapshot is not a single-session snapshot."""
+        sessions = [self._fresh(noisy_simulator, space, snippet_trace,
+                                seed=seed) for seed in (1, 2)]
+        for session in sessions:
+            session.advance()
+        data = pack_states([session.snapshot_state() for session in sessions])
+        first, second = unpack_states(data)
+        assert first["space"] is second["space"]
+        assert first["policy"].space is first["space"]
+        restored = PolicySession.restore(second, noisy_simulator)
+        resumed = restored.run()
+        expected = self._fresh(noisy_simulator, space, snippet_trace,
+                               seed=2).run()
+        for key, column in _log_columns(expected).items():
+            np.testing.assert_array_equal(column, resumed.log.column(key))
+        with pytest.raises(SnapshotError, match="2 sessions"):
+            PolicySession.unpack_snapshot(data)
 
 
 #: Every by-name policy the control plane can build (the governor zoo

@@ -1,73 +1,22 @@
 #!/usr/bin/env python3
-"""Analytical-modelling playground: thermal analysis, skin temperature and NoC models.
+"""Analytical-modelling playground: NoC latency models.
 
-This example exercises the Section-III modelling blocks that support the DRM
-policies:
-
-* power-temperature fixed points, stability and the sustainable power budget
-  of a two-node (junction + skin) mobile thermal model;
-* online skin-temperature estimation from internal sensors with greedy sensor
-  selection;
-* NoC latency estimation: cycle-level simulation vs the queuing-theory
-  analytical model vs the SVR-based learned model.
+This example exercises the Section-III-C NoC modelling blocks: average
+packet latency from the cycle-level simulator vs the queuing-theory
+analytical model vs the SVR-based learned model, over a range of uniform
+random injection rates on a 4x4 mesh.
 
 Run with:  python examples/modeling_playground.py
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.models.sensor_selection import greedy_sensor_selection
-from repro.models.skin_temperature import SkinTemperatureEstimator
-from repro.models.thermal import ThermalFixedPointAnalysis, two_node_mobile_thermal_model
 from repro.noc.analytical import AnalyticalNoCModel
 from repro.noc.simulator import NoCSimulator
 from repro.noc.svr_model import SVRNoCLatencyModel, build_noc_training_set
 from repro.noc.topology import MeshTopology
 from repro.noc.traffic import UniformRandomTraffic
 from repro.utils.tables import format_table
-
-
-def thermal_demo() -> None:
-    model = two_node_mobile_thermal_model()
-    analysis = ThermalFixedPointAnalysis(model)
-    rows = []
-    for power in (1.0, 2.0, 4.0, 6.0):
-        fixed = analysis.fixed_point(np.array([power]))
-        rows.append((power, fixed.temperatures[0], fixed.temperatures[1],
-                     "stable" if fixed.stable else "unstable"))
-    print(format_table(
-        ["CPU power (W)", "junction temp (C)", "skin temp (C)", "stability"],
-        rows, precision=1, title="Thermal fixed points (Sec. III-A)"))
-    budget = analysis.power_budget(temperature_limit_c=45.0)
-    print(f"Sustainable power budget before the skin/junction limit of 45 C: "
-          f"{budget:.2f} W\n")
-
-
-def skin_temperature_demo() -> None:
-    rng = np.random.default_rng(0)
-    estimator = SkinTemperatureEstimator(n_sensors=3)
-    true_weights = np.array([0.25, 0.15, 0.10])
-    for _ in range(400):
-        sensors = rng.uniform(35, 75, size=3)
-        skin = float(sensors @ true_weights + 8.0 + rng.normal(scale=0.3))
-        estimator.update(sensors, skin)
-    sensors = np.array([60.0, 55.0, 48.0])
-    estimate = estimator.estimate(sensors)
-    truth = float(sensors @ true_weights + 8.0)
-    print(f"Skin-temperature observer: estimate {estimate:.2f} C vs true "
-          f"{truth:.2f} C (error {abs(estimate - truth):.2f} C)")
-
-    selection = greedy_sensor_selection(
-        transition=np.diag([0.9, 0.8]),
-        observation_pool=np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
-        process_noise=np.eye(2) * 0.1,
-        measurement_noise_pool=np.diag([0.05, 1.0, 0.2]),
-        k=2,
-    )
-    print(f"Greedy sensor selection picked sensors {selection.selected} "
-          f"(steady-state error trace {selection.error_trace:.3f})\n")
 
 
 def noc_demo() -> None:
@@ -93,8 +42,6 @@ def noc_demo() -> None:
 
 
 def main() -> None:
-    thermal_demo()
-    skin_temperature_demo()
     noc_demo()
 
 

@@ -6,9 +6,10 @@ organised as:
 * :mod:`repro.core` — the online-adaptive DRM framework (Oracle, offline IL,
   model-guided online IL, evaluation runner).
 * :mod:`repro.models` — online analytical models (RLS power/performance,
-  STAFF, thermal, skin temperature, sensitivities).
-* :mod:`repro.control` — DRM controllers (RL baselines, NMPC, explicit NMPC,
-  multi-rate GPU control; classic governors live in :mod:`repro.soc.governors`).
+  frame time, STAFF).
+* :mod:`repro.control` — DRM controllers (Q-learning baseline, NMPC,
+  explicit NMPC, multi-rate GPU control; classic governors live in
+  :mod:`repro.soc.governors`).
 * :mod:`repro.soc`, :mod:`repro.gpu`, :mod:`repro.noc` — simulated hardware
   substrates standing in for the paper's boards.
 * :mod:`repro.workloads` — synthetic benchmark-suite workload generators.

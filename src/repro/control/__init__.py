@@ -1,15 +1,14 @@
 """Dynamic resource-management controllers (paper Section IV).
 
 This package contains the control-policy side of the framework: the common
-policy interface, reinforcement-learning baselines (table-based Q-learning
-and a deep-Q network), the nonlinear model predictive controller for the GPU
-subsystem, its low-overhead explicit approximation, and the multi-rate
-(slow slice / fast DVFS) coordination layer.
+policy interface, the table-based Q-learning baseline, the nonlinear model
+predictive controller for the GPU subsystem, its low-overhead explicit
+approximation, and the multi-rate (slow slice / fast DVFS) coordination
+layer.
 """
 
 from repro.control.policy import DRMPolicy, StaticPolicy, RandomPolicy
 from repro.control.rl import QLearningController, CounterStateDiscretizer
-from repro.control.dqn import DeepQController, ReplayBuffer
 from repro.control.nmpc import NMPCGpuController, WorkloadPredictor
 from repro.control.explicit_nmpc import ExplicitNMPCGpuController, NMPCSurfaceDataset
 from repro.control.multirate import MultiRateGPUController
@@ -21,8 +20,6 @@ __all__ = [
     "RandomPolicy",
     "QLearningController",
     "CounterStateDiscretizer",
-    "DeepQController",
-    "ReplayBuffer",
     "NMPCGpuController",
     "WorkloadPredictor",
     "ExplicitNMPCGpuController",

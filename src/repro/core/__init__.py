@@ -7,7 +7,6 @@ ties the analytical models, the policies and the SoC simulator together
 (paper Figure 1).
 """
 
-from repro.core.engine import SimulationEngine, available_engines, engine_class
 from repro.core.objectives import Objective, ENERGY, EDP, PERFORMANCE, PPW
 from repro.core.oracle import OracleCache, OraclePolicy, OracleTable, build_oracle
 from repro.core.oracle_store import (
@@ -26,9 +25,6 @@ from repro.core.framework import (
 )
 
 __all__ = [
-    "SimulationEngine",
-    "available_engines",
-    "engine_class",
     "OracleCache",
     "OracleStore",
     "get_default_oracle_store",

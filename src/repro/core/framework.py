@@ -35,7 +35,7 @@ from repro.soc.platform import PlatformSpec, odroid_xu3_like
 from repro.soc.simulator import SnippetResult, SoCSimulator
 from repro.soc.snippet import Snippet
 from repro.utils.records import RunLog
-from repro.utils.rng import SeedLike, make_rng, spawn_rngs
+from repro.utils.rng import SeedLike, spawn_rngs
 from repro.utils.stats import trailing_nanmean
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.spec import WorkloadSpec
@@ -212,7 +212,6 @@ class OnlineLearningFramework:
         self,
         workloads: Sequence[WorkloadSpec],
         snippet_factor: float = 1.0,
-        policy_model: str = "mlp",
         hidden_sizes: Sequence[int] = (24, 24),
         epochs: int = 150,
     ) -> OfflineILPolicy:
@@ -232,7 +231,7 @@ class OnlineLearningFramework:
         )
         self.offline_dataset = dataset
         policy = OfflineILPolicy(
-            self.space, model=policy_model, hidden_sizes=hidden_sizes,
+            self.space, hidden_sizes=hidden_sizes,
             epochs=epochs, seed=int(self._policy_rng.integers(0, 2**31 - 1)),
         )
         policy.train(dataset)

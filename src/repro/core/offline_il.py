@@ -3,26 +3,23 @@
 The offline IL methodology approximates the Oracle with a supervised model:
 the Oracle is executed over the design-time (training) applications, the
 Table-I counters observed along the way form the states, and the Oracle's
-chosen configurations form the action labels.  Any off-the-shelf model can
-represent the policy; following the paper (and its references [18, 19]) this
-module supports a neural-network classifier (the representation used for the
-online-adaptive policy) as well as a regression-tree classifier.
+chosen configurations form the action labels.  The policy is a
+neural-network classifier, the representation the online-adaptive policy
+keeps adapting at runtime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.control.policy import DRMPolicy
 from repro.core.objectives import ENERGY, Objective
 from repro.core.oracle import OracleTable, build_oracle
-from repro.ml.base import Classifier
 from repro.ml.mlp import MLPClassifier
 from repro.ml.scaling import StandardScaler
-from repro.ml.tree import DecisionTreeClassifier
 from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
 from repro.soc.counters import PerformanceCounters
 from repro.soc.simulator import SoCSimulator
@@ -92,51 +89,33 @@ def collect_il_dataset(
 class OfflineILPolicy(DRMPolicy):
     """Supervised approximation of the Oracle policy.
 
-    Parameters
-    ----------
-    space:
-        The configuration space whose indices serve as class labels.
-    model:
-        ``"mlp"`` (default, the representation used by the online-adaptive
-        policy), ``"tree"`` (regression-tree classifier as in [18, 19]) or a
-        pre-constructed :class:`~repro.ml.base.Classifier` instance.
+    The configuration space's indices serve as the class labels of an
+    :class:`~repro.ml.mlp.MLPClassifier`.
     """
 
     def __init__(
         self,
         space: ConfigurationSpace,
-        model: object = "mlp",
         hidden_sizes: Sequence[int] = (24, 24),
         epochs: int = 150,
         seed: Optional[int] = 0,
     ) -> None:
         super().__init__(space)
         self.scaler = StandardScaler()
-        if isinstance(model, Classifier):
-            self.classifier: Classifier = model
-        elif model == "mlp":
-            self.classifier = MLPClassifier(
-                hidden_sizes=hidden_sizes, epochs=epochs, seed=seed,
-                learning_rate=5e-3,
-            )
-        elif model == "tree":
-            self.classifier = DecisionTreeClassifier(max_depth=10,
-                                                     min_samples_leaf=2)
-        else:
-            raise ValueError(f"unknown model specification {model!r}")
+        self.classifier = MLPClassifier(
+            hidden_sizes=hidden_sizes, epochs=epochs, seed=seed,
+            learning_rate=5e-3,
+        )
         self._trained = False
 
     def train(self, dataset: ILDataset) -> "OfflineILPolicy":
         """Fit the policy to an offline IL dataset."""
         scaled = self.scaler.fit_transform(dataset.features)
-        if isinstance(self.classifier, MLPClassifier):
-            self.classifier.ensure_classes(
-                classes=range(len(self.space)), n_features=scaled.shape[1]
-            )
-            self.classifier.partial_fit(scaled, dataset.labels,
-                                        epochs=self.classifier.epochs)
-        else:
-            self.classifier.fit(scaled, dataset.labels)
+        self.classifier.ensure_classes(
+            classes=range(len(self.space)), n_features=scaled.shape[1]
+        )
+        self.classifier.partial_fit(scaled, dataset.labels,
+                                    epochs=self.classifier.epochs)
         self._trained = True
         return self
 

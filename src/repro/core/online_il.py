@@ -79,12 +79,6 @@ class OnlineILPolicy(DRMPolicy):
         min_model_updates: int = 3,
     ) -> None:
         super().__init__(space)
-        if not isinstance(offline_policy.classifier, MLPClassifier):
-            raise TypeError(
-                "OnlineILPolicy requires an MLP-based offline policy "
-                "(the paper's online policy is a neural network updated with "
-                "back-propagation)"
-            )
         if update_epochs < 1:
             raise ValueError("update_epochs must be >= 1")
         self.offline_policy = offline_policy
@@ -101,9 +95,7 @@ class OnlineILPolicy(DRMPolicy):
     # ------------------------------------------------------------------ #
     @property
     def classifier(self) -> MLPClassifier:
-        classifier = self.offline_policy.classifier
-        assert isinstance(classifier, MLPClassifier)
-        return classifier
+        return self.offline_policy.classifier
 
     def _scaled(self, counters: PerformanceCounters) -> np.ndarray:
         return self.offline_policy.scaler.transform(
@@ -214,7 +206,7 @@ class OnlineILPolicy(DRMPolicy):
         # identically across worker processes.
         return ("OnlineILPolicy", self.space.content_key(),
                 oracle.neighborhood_radius,
-                oracle.metric, tuple(core.layer_sizes), core.activation_name)
+                oracle.metric, tuple(core.layer_sizes))
 
     def fleet_observe_key(self) -> Optional[Tuple]:
         if type(self) is not OnlineILPolicy:

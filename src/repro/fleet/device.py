@@ -169,24 +169,21 @@ def _warn_fleet_hazards(
             "device its own seed",
             FleetBuildWarning, stacklevel=3,
         )
-    if engine.batch_execute:
-        fallback = [name_of[session]
-                    for session in engine.execute_fallback_sessions()]
-        if fallback:
-            warnings.warn(
-                f"fleet devices {fallback} fall back to scalar (unbatched) "
-                "execution — see FleetEngine._execute_batchable for the "
-                "eligibility rules",
-                FleetBuildWarning, stacklevel=3,
-            )
+    fallback = [name_of[session]
+                for session in engine.execute_fallback_sessions()]
+    if fallback:
+        warnings.warn(
+            f"fleet devices {fallback} fall back to scalar (unbatched) "
+            "execution — see FleetEngine._execute_batchable for the "
+            "eligibility rules",
+            FleetBuildWarning, stacklevel=3,
+        )
 
 
 def build_fleet(
     devices: Sequence[DeviceSpec],
     simulator: SoCSimulator,
     base_space: ConfigurationSpace,
-    batch_decide: bool = True,
-    batch_execute: bool = True,
     validate: bool = True,
 ) -> FleetEngine:
     """Lower a device list onto a ready-to-run :class:`FleetEngine`.
@@ -199,8 +196,7 @@ def build_fleet(
     sessions: List[PolicySession] = [
         device_session(device, simulator, base_space) for device in devices
     ]
-    engine = FleetEngine(sessions, batch_decide=batch_decide,
-                         batch_execute=batch_execute)
+    engine = FleetEngine(sessions)
     if validate:
         _warn_fleet_hazards(devices, sessions, engine, simulator)
     return engine

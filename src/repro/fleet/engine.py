@@ -206,19 +206,10 @@ class _ObserveGroup(_DecideGroup):
 class FleetEngine:
     """Advances a set of policy sessions in lockstep with cross-session batching."""
 
-    def __init__(
-        self,
-        sessions: Sequence[PolicySession],
-        batch_decide: bool = True,
-        batch_execute: bool = True,
-        batch_observe: bool = True,
-    ) -> None:
+    def __init__(self, sessions: Sequence[PolicySession]) -> None:
         self.sessions: List[PolicySession] = list(sessions)
         if not self.sessions:
             raise ValueError("FleetEngine needs at least one session")
-        self.batch_decide = bool(batch_decide)
-        self.batch_execute = bool(batch_execute)
-        self.batch_observe = bool(batch_observe)
         self.steps_executed = 0
         self.batched_executions = 0
         self.batched_decisions = 0
@@ -259,16 +250,12 @@ class FleetEngine:
         the session's clamp/throttle phase on the batched decisions before
         installing each pending step.
         """
-        if not self.batch_decide:
-            return None
         if session.policy.space is not session.space:
             return None
         return session.policy.fleet_decide_key()
 
     def _session_observe_key(self, session: PolicySession) -> Optional[Tuple]:
         """Batched-observe group key of ``session`` (None = scalar observe)."""
-        if not self.batch_observe:
-            return None
         if session.policy.space is not session.space:
             return None
         return session.policy.fleet_observe_key()
@@ -286,8 +273,6 @@ class FleetEngine:
         under an unconventional attribute name escape the heuristic
         aliasing check — give every device a generator of its own.
         """
-        if not self.batch_execute:
-            return False
         simulator = session.simulator
         if type(simulator).run_snippet is not SoCSimulator.run_snippet:
             return False

@@ -208,12 +208,7 @@ def _prepare_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Build one shard's engine inside the worker (the ``ready`` phase)."""
     base_space, simulator, devices = payload["bundle"]
     collect = payload["collect"]
-    engine = build_fleet(
-        devices, simulator, base_space,
-        batch_decide=payload["batch_decide"],
-        batch_execute=payload["batch_execute"],
-        validate=False,
-    )
+    engine = build_fleet(devices, simulator, base_space, validate=False)
     sessions = engine.sessions
     if payload["shm"] is not None:
         name, m, t_max, has_noise = payload["shm"]
@@ -571,8 +566,6 @@ class ShardedFleetEngine:
         base_space: ConfigurationSpace,
         n_shards: int = 2,
         collect: str = "summaries",
-        batch_decide: bool = True,
-        batch_execute: bool = True,
         validate: bool = True,
     ) -> None:
         if shared_memory is None:  # pragma: no cover - exotic platform
@@ -594,8 +587,6 @@ class ShardedFleetEngine:
         self.simulator = simulator
         self.base_space = base_space
         self.collect = collect
-        self.batch_decide = bool(batch_decide)
-        self.batch_execute = bool(batch_execute)
         if validate:
             _warn_shard_hazards(self.devices, simulator)
         # Contiguous partition (device order preserved, numpy.array_split
@@ -636,8 +627,6 @@ class ShardedFleetEngine:
             # graph (policy.space is base_space, shared oracle spaces...)
             # inside the worker exactly as it holds in this process.
             "bundle": (self.base_space, self.simulator, shard_devices),
-            "batch_decide": self.batch_decide,
-            "batch_execute": self.batch_execute,
             "collect": self.collect,
             "shm": (block.name, len(shard_devices), chars.shape[1],
                     noise is not None),

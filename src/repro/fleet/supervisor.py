@@ -148,8 +148,6 @@ class FleetSupervisor:
         simulator: SoCSimulator,
         base_space: ConfigurationSpace,
         plan: Optional[FaultPlan] = None,
-        batch_decide: bool = True,
-        batch_execute: bool = True,
         snapshot_every: int = 5,
         watchdog_rounds: int = 3,
         max_restarts: int = 2,
@@ -184,8 +182,6 @@ class FleetSupervisor:
         self.snapshot_dir = Path(snapshot_dir) if snapshot_dir is not None \
             else None
         self.rounds = 0
-        self._batch_decide = bool(batch_decide)
-        self._batch_execute = bool(batch_execute)
 
         if sessions is not None and len(sessions) != len(self.devices):
             raise ValueError(
@@ -222,13 +218,9 @@ class FleetSupervisor:
         elif sessions is not None:
             # Restored sessions: skip build_fleet's session construction
             # (and its hazard validation, which targets fresh fleets).
-            self.engine = FleetEngine(engine_sessions,
-                                      batch_decide=self._batch_decide,
-                                      batch_execute=self._batch_execute)
+            self.engine = FleetEngine(engine_sessions)
         else:
-            self.engine = build_fleet(engine_devices, simulator, base_space,
-                                      batch_decide=batch_decide,
-                                      batch_execute=batch_execute)
+            self.engine = build_fleet(engine_devices, simulator, base_space)
         # Baseline durable snapshot: every supervised device can restart
         # from step 0 even if it crashes before the first cadence point.
         for supervised in self._supervised:
@@ -481,9 +473,7 @@ class FleetSupervisor:
             old = self.engine
             old.release_sessions()
             session.policy = policy
-            self.engine = FleetEngine(old.sessions,
-                                      batch_decide=self._batch_decide,
-                                      batch_execute=self._batch_execute)
+            self.engine = FleetEngine(old.sessions)
             # Keep cumulative batching counters meaningful across rebuilds.
             self.engine.steps_executed = old.steps_executed
             self.engine.batched_decisions = old.batched_decisions

@@ -11,12 +11,7 @@ that accounts GPU / package / package+DRAM energy against an FPS target.
 from repro.gpu.gpu import GPUSpec, GPUConfiguration, default_integrated_gpu
 from repro.gpu.frames import Frame, FrameTrace, FrameResult
 from repro.gpu.baseline_governor import BaselineGPUGovernor
-from repro.gpu.simulator import (
-    GPUBatchResult,
-    GPUController,
-    GPURunSummary,
-    GPUSimulator,
-)
+from repro.gpu.simulator import GPUController, GPURunSummary, GPUSimulator
 
 __all__ = [
     "GPUSpec",
@@ -27,7 +22,6 @@ __all__ = [
     "FrameResult",
     "BaselineGPUGovernor",
     "GPUSimulator",
-    "GPUBatchResult",
     "GPURunSummary",
     "GPUController",
 ]

@@ -10,7 +10,7 @@ performance overhead).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Sequence
+from typing import List, Optional, Protocol
 
 import numpy as np
 
@@ -84,100 +84,8 @@ class GPURunSummary:
         return np.array([r.busy_time_s for r in self.frame_results])
 
 
-@dataclass
-class GPUBatchResult:
-    """Struct-of-arrays outcome of one frame trace swept over configurations.
-
-    Produced by :meth:`GPUSimulator.evaluate_batch`; every 2-D array has
-    shape ``(n_configurations, n_frames)`` in the order of
-    :attr:`configurations`.  Values are bitwise identical to what
-    per-configuration :meth:`GPUSimulator.run_fixed` calls would produce;
-    indexing (``batch[i]`` / :meth:`summary_at`) materialises the full
-    :class:`GPURunSummary` for one configuration on demand, while the
-    ``*_totals_j`` accessors aggregate the sweep without building any
-    per-frame objects.
-    """
-
-    trace: FrameTrace
-    configurations: List[GPUConfiguration]
-    deadline_s: float
-    busy_time_s: np.ndarray
-    frame_time_s: np.ndarray
-    gpu_energy_j: np.ndarray
-    dram_energy_j: np.ndarray
-    cpu_energy_j: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.configurations)
-
-    @property
-    def gpu_energy_totals_j(self) -> np.ndarray:
-        """Total GPU energy per configuration."""
-        return self.gpu_energy_j.sum(axis=1)
-
-    @property
-    def package_energy_totals_j(self) -> np.ndarray:
-        """Total PKG (GPU + CPU package) energy per configuration."""
-        return (self.gpu_energy_j + self.cpu_energy_j).sum(axis=1)
-
-    @property
-    def package_dram_energy_totals_j(self) -> np.ndarray:
-        """Total PKG+DRAM energy per configuration."""
-        return (self.gpu_energy_j + self.cpu_energy_j
-                + self.dram_energy_j).sum(axis=1)
-
-    @property
-    def total_time_s(self) -> np.ndarray:
-        """Total wall-clock time per configuration."""
-        return self.frame_time_s.sum(axis=1)
-
-    @property
-    def deadline_miss_rates(self) -> np.ndarray:
-        """Fraction of frames missing the vsync deadline per configuration."""
-        misses = self.frame_time_s > self.deadline_s + 1e-9
-        return misses.mean(axis=1)
-
-    def _normalized_index(self, index: int) -> int:
-        n = len(self.configurations)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError(f"configuration index {index} out of range")
-        return index
-
-    def summary_at(self, index: int) -> GPURunSummary:
-        """Materialise the per-frame :class:`GPURunSummary` for one config."""
-        i = self._normalized_index(index)
-        config = self.configurations[i]
-        results = [
-            FrameResult(
-                frame=frame,
-                opp_index=config.opp_index,
-                active_slices=config.active_slices,
-                busy_time_s=float(self.busy_time_s[i, k]),
-                frame_time_s=float(self.frame_time_s[i, k]),
-                gpu_energy_j=float(self.gpu_energy_j[i, k]),
-                dram_energy_j=float(self.dram_energy_j[i, k]),
-                cpu_energy_j=float(self.cpu_energy_j[i, k]),
-                deadline_s=self.deadline_s,
-            )
-            for k, frame in enumerate(self.trace.frames)
-        ]
-        return GPURunSummary(benchmark=self.trace.name, frame_results=results)
-
-    def __getitem__(self, index: int) -> GPURunSummary:
-        return self.summary_at(index)
-
-    def __iter__(self):
-        for i in range(len(self.configurations)):
-            yield self.summary_at(i)
-
-
 class GPUSimulator:
     """Renders frame traces under a pluggable power-management controller."""
-
-    #: :class:`~repro.core.engine.SimulationEngine` identifier.
-    engine_name = "gpu"
 
     def __init__(self, gpu: GPUSpec, noise_scale: float = 0.01,
                  seed: SeedLike = None) -> None:
@@ -243,56 +151,3 @@ class GPUSimulator:
                                        deterministic=deterministic)
             summary.frame_results.append(result)
         return summary
-
-    def evaluate_batch(self, trace: FrameTrace,
-                       configurations: Sequence[GPUConfiguration]
-                       ) -> "GPUBatchResult":
-        """Deterministically sweep one frame trace across many configurations.
-
-        :class:`~repro.core.engine.SimulationEngine` batch entry point: each
-        configuration renders the full trace noise-free, so the summaries are
-        directly comparable (the GPU analogue of the SoC Oracle sweep).
-
-        The whole ``(configurations x frames)`` sweep is computed with NumPy
-        broadcasting: only the per-configuration operating-point scalars go
-        through Python, and the per-frame busy/energy arithmetic replicates
-        :meth:`render_frame`'s operation ordering, so every value is bitwise
-        identical to a :meth:`run_fixed` call at the same configuration.
-        Returns a struct-of-arrays :class:`GPUBatchResult`; indexing it
-        materialises the corresponding :class:`GPURunSummary` on demand.
-        """
-        configs = list(configurations)
-        if not configs:
-            raise ValueError("evaluate_batch needs at least one configuration")
-        work = np.array([f.work_cycles for f in trace.frames])
-        memory = np.array([f.memory_bytes for f in trace.frames])
-        throughput = np.array([
-            self.gpu.operating_point(c).frequency_hz
-            * self.gpu.slice_throughput_factor(c.active_slices)
-            for c in configs
-        ])
-        active_power = np.array([
-            self.gpu.active_power_w(c, utilization=1.0) for c in configs
-        ])
-        idle_power = np.array([self.gpu.idle_power_w_at(c) for c in configs])
-        deadline = trace.deadline_s
-        memory_time = memory / (self.gpu.memory_bandwidth_gbps * 1e9)
-        busy = work[None, :] / throughput[:, None] + memory_time[None, :]
-        frame_time = np.maximum(busy, deadline)
-        idle = frame_time - busy
-        gpu_energy = (active_power[:, None] * busy
-                      + idle_power[:, None] * idle)
-        dram_energy = np.broadcast_to(
-            memory / 1e9 * self.gpu.dram_power_w_per_gbps, busy.shape
-        )
-        cpu_energy = self.gpu.cpu_package_power_w * frame_time
-        return GPUBatchResult(
-            trace=trace,
-            configurations=configs,
-            deadline_s=deadline,
-            busy_time_s=busy,
-            frame_time_s=frame_time,
-            gpu_energy_j=gpu_energy,
-            dram_energy_j=dram_energy,
-            cpu_energy_j=cpu_energy,
-        )

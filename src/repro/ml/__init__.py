@@ -1,14 +1,14 @@
 """From-scratch machine-learning substrate used by the online-learning framework.
 
-Every model used in the paper (recursive least squares, regression trees,
-neural-network policies, support vector regression, k-NN surfaces) is
-implemented here on top of ``numpy`` only, so the resource-management layer
-has no dependency on external ML frameworks — mirroring the paper's emphasis
-on firmware-friendly, low-overhead models.
+Every model used in the paper (recursive least squares, linear and tree
+regression, neural-network policies, support vector regression, k-NN
+surfaces) is implemented here on top of ``numpy`` only, so the
+resource-management layer has no dependency on external ML frameworks —
+mirroring the paper's emphasis on firmware-friendly, low-overhead models.
 """
 
 from repro.ml.base import Regressor, Classifier, OnlineRegressor
-from repro.ml.scaling import StandardScaler, MinMaxScaler
+from repro.ml.scaling import StandardScaler
 from repro.ml.metrics import (
     mean_squared_error,
     root_mean_squared_error,
@@ -17,7 +17,7 @@ from repro.ml.metrics import (
     r2_score,
     accuracy_score,
 )
-from repro.ml.linear import LinearRegressor, RidgeRegressor
+from repro.ml.linear import LinearRegressor
 from repro.ml.rls import RecursiveLeastSquares
 from repro.ml.mlp import MLPRegressor, MLPClassifier
 from repro.ml.tree import (
@@ -25,7 +25,6 @@ from repro.ml.tree import (
     DecisionTreeRegressor,
     trees_identical,
 )
-from repro.ml.forest import BaggedTreesRegressor
 from repro.ml.svr import SupportVectorRegressor
 from repro.ml.knn import KNeighborsRegressor
 
@@ -34,7 +33,6 @@ __all__ = [
     "Classifier",
     "OnlineRegressor",
     "StandardScaler",
-    "MinMaxScaler",
     "mean_squared_error",
     "root_mean_squared_error",
     "mean_absolute_error",
@@ -42,14 +40,12 @@ __all__ = [
     "r2_score",
     "accuracy_score",
     "LinearRegressor",
-    "RidgeRegressor",
     "RecursiveLeastSquares",
     "MLPRegressor",
     "MLPClassifier",
     "DecisionTreeRegressor",
     "DecisionTreeClassifier",
     "trees_identical",
-    "BaggedTreesRegressor",
     "SupportVectorRegressor",
     "KNeighborsRegressor",
 ]

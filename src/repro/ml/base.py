@@ -7,7 +7,7 @@ Three roles appear throughout the resource-management stack:
 * :class:`Classifier` — batch-trained discrete-decision models used when the
   IL policy predicts a configuration index directly.
 * :class:`OnlineRegressor` — incrementally updated models (RLS and friends)
-  used for runtime power/performance/sensitivity modelling.
+  used for runtime power/performance modelling.
 """
 
 from __future__ import annotations

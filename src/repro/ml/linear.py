@@ -1,9 +1,9 @@
-"""Ordinary and ridge least-squares regression.
+"""Ordinary least-squares regression.
 
 Linear models are the workhorse of the paper's modelling layer: offline IL
 policies in prior work use linear regression [18, 19], and the explicit-NMPC
-surface can be approximated with simple regression models.  Both solvers use
-``numpy.linalg.lstsq`` / normal equations and support an optional intercept.
+surface can be approximated with simple regression models.  The solver uses
+``numpy.linalg.lstsq`` and supports an optional intercept.
 """
 
 from __future__ import annotations
@@ -49,39 +49,3 @@ class LinearRegressor(Regressor):
         data = as_2d(features)
         return data @ self.coef_ + self.intercept_
 
-
-class RidgeRegressor(Regressor):
-    """L2-regularised least squares (closed-form normal-equation solve)."""
-
-    def __init__(self, alpha: float = 1.0, fit_intercept: bool = True) -> None:
-        if alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {alpha}")
-        self.alpha = float(alpha)
-        self.fit_intercept = bool(fit_intercept)
-        self.coef_: Optional[np.ndarray] = None
-        self.intercept_: float = 0.0
-
-    def fit(self, features: np.ndarray, targets: np.ndarray) -> "RidgeRegressor":
-        data = as_2d(features)
-        y = as_1d(targets)
-        if data.shape[0] != y.shape[0]:
-            raise ValueError("features and targets must have the same length")
-        if self.fit_intercept:
-            x_mean = data.mean(axis=0)
-            y_mean = float(y.mean())
-            centered_x = data - x_mean
-            centered_y = y - y_mean
-        else:
-            x_mean = np.zeros(data.shape[1])
-            y_mean = 0.0
-            centered_x = data
-            centered_y = y
-        gram = centered_x.T @ centered_x + self.alpha * np.eye(data.shape[1])
-        self.coef_ = np.linalg.solve(gram, centered_x.T @ centered_y)
-        self.intercept_ = y_mean - float(x_mean @ self.coef_) if self.fit_intercept else 0.0
-        return self
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        check_fitted(self.coef_, "RidgeRegressor")
-        data = as_2d(features)
-        return data @ self.coef_ + self.intercept_

@@ -1,11 +1,11 @@
 """Multilayer perceptron with backpropagation (numpy only).
 
 The online-IL policy in the paper "is represented as a neural network and it
-is updated using the back-propagation algorithm" (Sec. IV-A3).  The same
-network class also backs the deep-Q baseline.  The implementation supports
-mini-batch SGD with momentum, incremental ``partial_fit`` (required for
-runtime policy updates from the aggregation buffer) and both regression
-(identity/linear output) and classification (softmax output) heads.
+is updated using the back-propagation algorithm" (Sec. IV-A3).  The
+implementation uses ReLU hidden layers and supports mini-batch SGD with
+momentum, incremental ``partial_fit`` (required for runtime policy updates
+from the aggregation buffer) and both regression (identity/linear output)
+and classification (softmax output) heads.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ml.base import Classifier, Regressor, as_1d, as_2d
+from repro.ml.base import Classifier, Regressor, as_2d
 from repro.utils.rng import make_rng
 
 
@@ -24,20 +24,6 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def relu_grad(x: np.ndarray) -> np.ndarray:
     return (x > 0.0).astype(float)
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
-def tanh_grad(x: np.ndarray) -> np.ndarray:
-    return 1.0 - np.tanh(x) ** 2
-
-
-_ACTIVATIONS = {
-    "relu": (relu, relu_grad),
-    "tanh": (tanh, tanh_grad),
-}
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -52,7 +38,6 @@ class _MLPCore:
     def __init__(
         self,
         layer_sizes: Sequence[int],
-        activation: str,
         learning_rate: float,
         momentum: float,
         l2: float,
@@ -60,13 +45,9 @@ class _MLPCore:
     ) -> None:
         if len(layer_sizes) < 2:
             raise ValueError("layer_sizes must contain input and output sizes")
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
         if learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
         self.layer_sizes = [int(s) for s in layer_sizes]
-        self.activation_name = activation
-        self.activation, self.activation_grad = _ACTIVATIONS[activation]
         self.learning_rate = float(learning_rate)
         self.momentum = float(momentum)
         self.l2 = float(l2)
@@ -92,7 +73,7 @@ class _MLPCore:
             z = current @ weight + bias
             pre.append(z)
             if index < n_layers - 1:
-                current = self.activation(z)
+                current = relu(z)
             else:
                 current = z  # linear output head; softmax applied by classifier
             post.append(current)
@@ -109,7 +90,7 @@ class _MLPCore:
             weight_grads[layer] = post[layer].T @ grad / batch_size
             bias_grads[layer] = grad.mean(axis=0)
             if layer > 0:
-                grad = (grad @ self.weights[layer].T) * self.activation_grad(pre[layer - 1])
+                grad = (grad @ self.weights[layer].T) * relu_grad(pre[layer - 1])
         for layer in range(len(self.weights)):
             dw = weight_grads[layer] + self.l2 * self.weights[layer]
             db = bias_grads[layer]
@@ -117,11 +98,6 @@ class _MLPCore:
             self._b_vel[layer] = self.momentum * self._b_vel[layer] - self.learning_rate * db
             self.weights[layer] += self._w_vel[layer]
             self.biases[layer] += self._b_vel[layer]
-
-    def copy_parameters_from(self, other: "_MLPCore") -> None:
-        """Copy weights/biases from another core (DQN target networks)."""
-        self.weights = [w.copy() for w in other.weights]
-        self.biases = [b.copy() for b in other.biases]
 
     def parameter_count(self) -> int:
         return int(sum(w.size + b.size for w, b in zip(self.weights, self.biases)))
@@ -202,8 +178,7 @@ class FleetMLPStack:
             cores.append(core)
         first = cores[0]
         for core in cores[1:]:
-            if (core.layer_sizes != first.layer_sizes
-                    or core.activation_name != first.activation_name):
+            if core.layer_sizes != first.layer_sizes:
                 raise ValueError(
                     "fleet MLP stack requires one shared architecture"
                 )
@@ -215,9 +190,6 @@ class FleetMLPStack:
         self.cores = cores
         self.n_layers = len(first.weights)
         self.n_devices = len(cores)
-        self.activation = first.activation
-        self.activation_grad = first.activation_grad
-        self._relu = first.activation_name == "relu"
         self._sizes = list(first.layer_sizes)
         shapes = list(zip(self._sizes[:-1], self._sizes[1:]))
         self._w_segments: List[Tuple[int, int]] = []
@@ -318,7 +290,7 @@ class FleetMLPStack:
         last = self.n_layers - 1
         for layer in range(self.n_layers):
             z = np.matmul(current, w3[layer]) + b2[layer][:, None, :]
-            current = self.activation(z) if layer < last else z
+            current = relu(z) if layer < last else z
         probs = softmax(current[:, 0, :])
         return np.argmax(probs, axis=1)
 
@@ -373,7 +345,6 @@ class FleetMLPStack:
             w3, b2 = self._layer_views(flat_w, flat_b)
         n_layers = self.n_layers
         last = n_layers - 1
-        relu_head = self._relu
         device_rows = np.arange(n_group)[:, None]
         for epoch in range(epochs):
             for start in range(0, n_samples, batch_size):
@@ -394,10 +365,7 @@ class FleetMLPStack:
                     np.matmul(post, w3[layer], out=z)
                     np.add(z, b2[layer][:, None, :], out=z)
                     if layer < last:
-                        if relu_head:
-                            np.maximum(z, 0.0, out=buf.act[layer])
-                        else:
-                            buf.act[layer][...] = self.activation(z)
+                        np.maximum(z, 0.0, out=buf.act[layer])
                         post = buf.act[layer]
                     else:
                         post = z
@@ -428,16 +396,9 @@ class FleetMLPStack:
                         nxt = buf.grad[layer - 1]
                         np.matmul(grad, w3[layer].transpose(0, 2, 1),
                                   out=nxt)
-                        if relu_head:
-                            # float64 * bool upcasts the mask to exact
-                            # 0.0/1.0 — bitwise equal to the scalar
-                            # ``astype(float)`` multiply.
-                            np.multiply(nxt, buf.z[layer - 1] > 0.0,
-                                        out=nxt)
-                        else:
-                            np.multiply(
-                                nxt, self.activation_grad(buf.z[layer - 1]),
-                                out=nxt)
+                        # float64 * bool upcasts the mask to exact 0.0/1.0 —
+                        # bitwise equal to the scalar ``relu_grad`` multiply.
+                        np.multiply(nxt, buf.z[layer - 1] > 0.0, out=nxt)
                         grad = nxt
                 # One contiguous pass applies the scalar per-layer ``/ m``
                 # to every weight and bias gradient at once
@@ -481,7 +442,6 @@ class MLPRegressor(Regressor):
     def __init__(
         self,
         hidden_sizes: Sequence[int] = (32, 32),
-        activation: str = "relu",
         learning_rate: float = 1e-2,
         momentum: float = 0.9,
         l2: float = 1e-5,
@@ -490,7 +450,6 @@ class MLPRegressor(Regressor):
         seed: Optional[int] = None,
     ) -> None:
         self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
-        self.activation = activation
         self.learning_rate = learning_rate
         self.momentum = momentum
         self.l2 = l2
@@ -502,8 +461,8 @@ class MLPRegressor(Regressor):
 
     def _build(self, n_features: int, n_outputs: int) -> None:
         sizes = [n_features, *self.hidden_sizes, n_outputs]
-        self._core = _MLPCore(sizes, self.activation, self.learning_rate,
-                              self.momentum, self.l2, self.rng)
+        self._core = _MLPCore(sizes, self.learning_rate, self.momentum,
+                              self.l2, self.rng)
         self.n_outputs_ = n_outputs
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "MLPRegressor":
@@ -564,7 +523,6 @@ class MLPClassifier(Classifier):
     def __init__(
         self,
         hidden_sizes: Sequence[int] = (32, 32),
-        activation: str = "relu",
         learning_rate: float = 1e-2,
         momentum: float = 0.9,
         l2: float = 1e-5,
@@ -573,7 +531,6 @@ class MLPClassifier(Classifier):
         seed: Optional[int] = None,
     ) -> None:
         self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
-        self.activation = activation
         self.learning_rate = learning_rate
         self.momentum = momentum
         self.l2 = l2
@@ -585,8 +542,8 @@ class MLPClassifier(Classifier):
 
     def _build(self, n_features: int, n_classes: int) -> None:
         sizes = [n_features, *self.hidden_sizes, n_classes]
-        self._core = _MLPCore(sizes, self.activation, self.learning_rate,
-                              self.momentum, self.l2, self.rng)
+        self._core = _MLPCore(sizes, self.learning_rate, self.momentum,
+                              self.l2, self.rng)
 
     def _encode(self, labels: np.ndarray) -> np.ndarray:
         # ``classes_`` is sorted (np.unique / ensure_classes), so the

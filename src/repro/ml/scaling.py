@@ -65,35 +65,3 @@ class StandardScaler:
     def fit_transform(self, features: np.ndarray) -> np.ndarray:
         return self.fit(features).transform(features)
 
-
-class MinMaxScaler:
-    """Scale features to the [0, 1] range (used by the Q-table discretiser)."""
-
-    def __init__(self, epsilon: float = 1e-12) -> None:
-        self.epsilon = float(epsilon)
-        self.min_: Optional[np.ndarray] = None
-        self.max_: Optional[np.ndarray] = None
-
-    def fit(self, features: np.ndarray) -> "MinMaxScaler":
-        data = as_2d(features)
-        self.min_ = data.min(axis=0)
-        self.max_ = data.max(axis=0)
-        return self
-
-    def partial_fit(self, features: np.ndarray) -> "MinMaxScaler":
-        data = as_2d(features)
-        if self.min_ is None or self.max_ is None:
-            return self.fit(data)
-        self.min_ = np.minimum(self.min_, data.min(axis=0))
-        self.max_ = np.maximum(self.max_, data.max(axis=0))
-        return self
-
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        if self.min_ is None or self.max_ is None:
-            raise RuntimeError("MinMaxScaler is not fitted")
-        data = as_2d(features)
-        span = np.maximum(self.max_ - self.min_, self.epsilon)
-        return np.clip((data - self.min_) / span, 0.0, 1.0)
-
-    def fit_transform(self, features: np.ndarray) -> np.ndarray:
-        return self.fit(features).transform(features)

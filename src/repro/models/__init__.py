@@ -1,9 +1,9 @@
 """Online adaptive analytical models (paper Section III).
 
-These models characterise power, performance and temperature as functions of
-runtime system states (performance counters, sensor readings) and adapt at
-runtime through light-weight online learning (recursive least squares with
-forgetting, adaptive forgetting factors, online feature selection).
+These models characterise power and performance as functions of runtime
+system states (performance counters) and adapt at runtime through
+light-weight online learning (recursive least squares with forgetting and
+the STAFF adaptive forgetting factor).
 """
 
 from repro.models.power import CpuPowerModel, PowerModelFeatures
@@ -12,12 +12,7 @@ from repro.models.performance import (
     FrameTimeModel,
     PerformanceModelFeatures,
 )
-from repro.models.staff import StabilizedAdaptiveForgettingRLS, OnlineFeatureSelector
-from repro.models.sensitivity import SensitivityModel, LearnedSensitivityModel
-from repro.models.thermal import ThermalRCModel, ThermalFixedPointAnalysis
-from repro.models.skin_temperature import SkinTemperatureEstimator
-from repro.models.kalman import KalmanFilter
-from repro.models.sensor_selection import greedy_sensor_selection
+from repro.models.staff import StabilizedAdaptiveForgettingRLS
 
 __all__ = [
     "CpuPowerModel",
@@ -26,12 +21,4 @@ __all__ = [
     "FrameTimeModel",
     "PerformanceModelFeatures",
     "StabilizedAdaptiveForgettingRLS",
-    "OnlineFeatureSelector",
-    "SensitivityModel",
-    "LearnedSensitivityModel",
-    "ThermalRCModel",
-    "ThermalFixedPointAnalysis",
-    "SkinTemperatureEstimator",
-    "KalmanFilter",
-    "greedy_sensor_selection",
 ]

@@ -1,21 +1,16 @@
-"""STAFF: Stabilised Adaptive Forgetting Factor and online feature selection.
+"""STAFF: Stabilised Adaptive Forgetting Factor.
 
-Section III-B cites STAFF [30]: an online learning technique that (a) adapts
-the RLS forgetting factor at runtime so the model forgets quickly when the
-workload changes but stays stable in steady state, and (b) selects the most
-informative subset of the available performance counters online.
-
-* :class:`StabilizedAdaptiveForgettingRLS` extends the plain RLS estimator
-  with a gradient-style forgetting-factor adaptation driven by the
-  normalised prediction error, clamped to a stability interval.
-* :class:`OnlineFeatureSelector` maintains running correlation estimates
-  between each candidate feature and the target and periodically selects the
-  top-k features to feed the RLS model.
+Section III-B cites STAFF [30]: an online learning technique that adapts the
+RLS forgetting factor at runtime so the model forgets quickly when the
+workload changes but stays stable in steady state.
+:class:`StabilizedAdaptiveForgettingRLS` extends the plain RLS estimator with
+a gradient-style forgetting-factor adaptation driven by the normalised
+prediction error, clamped to a stability interval.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -80,86 +75,3 @@ class StabilizedAdaptiveForgettingRLS(RecursiveLeastSquares):
         )
         self.forgetting_history.append(self.forgetting_factor)
         return error
-
-
-class OnlineFeatureSelector:
-    """Online top-k feature selection by running target correlation.
-
-    Maintains exponentially weighted first and second moments of each feature
-    and of the target, plus the cross moments, and ranks features by the
-    absolute value of the resulting correlation estimate.  ``selected()``
-    returns the indices of the current top-k features, re-evaluated every
-    ``refresh_interval`` updates so the active feature set is stable between
-    refreshes (a requirement for the downstream RLS weights to be meaningful).
-    """
-
-    def __init__(
-        self,
-        n_candidates: int,
-        k: int,
-        smoothing: float = 0.98,
-        refresh_interval: int = 25,
-    ) -> None:
-        if n_candidates < 1:
-            raise ValueError("n_candidates must be >= 1")
-        if not 1 <= k <= n_candidates:
-            raise ValueError("k must be in [1, n_candidates]")
-        if not 0.0 < smoothing < 1.0:
-            raise ValueError("smoothing must be in (0, 1)")
-        if refresh_interval < 1:
-            raise ValueError("refresh_interval must be >= 1")
-        self.n_candidates = int(n_candidates)
-        self.k = int(k)
-        self.smoothing = float(smoothing)
-        self.refresh_interval = int(refresh_interval)
-        self._mean_x = np.zeros(n_candidates)
-        self._mean_x2 = np.zeros(n_candidates)
-        self._mean_y = 0.0
-        self._mean_y2 = 0.0
-        self._mean_xy = np.zeros(n_candidates)
-        self._count = 0
-        self._selected = list(range(k))
-
-    def update(self, features: Sequence[float], target: float) -> None:
-        x = np.asarray(features, dtype=float).ravel()
-        if x.shape[0] != self.n_candidates:
-            raise ValueError(
-                f"expected {self.n_candidates} candidate features, got {x.shape[0]}"
-            )
-        y = float(target)
-        s = self.smoothing
-        if self._count == 0:
-            self._mean_x = x.copy()
-            self._mean_x2 = x**2
-            self._mean_y = y
-            self._mean_y2 = y * y
-            self._mean_xy = x * y
-        else:
-            self._mean_x = s * self._mean_x + (1 - s) * x
-            self._mean_x2 = s * self._mean_x2 + (1 - s) * x**2
-            self._mean_y = s * self._mean_y + (1 - s) * y
-            self._mean_y2 = s * self._mean_y2 + (1 - s) * y * y
-            self._mean_xy = s * self._mean_xy + (1 - s) * x * y
-        self._count += 1
-        if self._count % self.refresh_interval == 0:
-            self._refresh()
-
-    def correlations(self) -> np.ndarray:
-        """Current correlation estimate between each feature and the target."""
-        var_x = np.maximum(self._mean_x2 - self._mean_x**2, 1e-12)
-        var_y = max(self._mean_y2 - self._mean_y**2, 1e-12)
-        cov = self._mean_xy - self._mean_x * self._mean_y
-        return cov / np.sqrt(var_x * var_y)
-
-    def _refresh(self) -> None:
-        ranking = np.argsort(-np.abs(self.correlations()), kind="stable")
-        self._selected = sorted(int(i) for i in ranking[: self.k])
-
-    def selected(self) -> List[int]:
-        """Indices of the currently selected features (sorted)."""
-        return list(self._selected)
-
-    def project(self, features: Sequence[float]) -> np.ndarray:
-        """Project a candidate feature vector onto the selected subset."""
-        x = np.asarray(features, dtype=float).ravel()
-        return x[self._selected]

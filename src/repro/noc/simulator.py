@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,18 +25,14 @@ from repro.noc.traffic import TrafficPattern
 
 @dataclass
 class _PreparedTraffic:
-    """One packet trace preprocessed for replay under many router configs.
+    """One packet trace routed and array-packed for the event loop.
 
-    Routes depend only on the topology, so they are computed once per trace
-    — as per-packet link-id arrays over a dense link numbering — and shared
-    read-only by every configuration of a batch sweep, instead of
-    re-routing (and deep-copying) the whole packet list per configuration.
-    ``packets`` is sorted by injection cycle (stable), matching the event
-    ordering of :meth:`NoCSimulator.run_packets`.
+    Routes are stored as per-packet link-id arrays over a dense link
+    numbering.  ``packets`` is sorted by injection cycle (stable), matching
+    the event ordering of :meth:`NoCSimulator.run_packets`.
     """
 
     packets: List[Packet]
-    routes: List[List[int]]
     link_ids: List[np.ndarray]
     sizes: np.ndarray
     injections: np.ndarray
@@ -83,35 +79,10 @@ class NoCSimulationResult:
 class NoCSimulator:
     """Event-driven simulator over the per-link FIFO abstraction."""
 
-    #: :class:`~repro.core.engine.SimulationEngine` identifier.
-    engine_name = "noc"
-
     def __init__(self, topology: MeshTopology,
                  router: Optional[RouterConfig] = None) -> None:
         self.topology = topology
         self.router = router or RouterConfig()
-
-    def evaluate_batch(self, traffic: TrafficPattern,
-                       configurations: Sequence[RouterConfig],
-                       n_cycles: int = 300) -> List[NoCSimulationResult]:
-        """Simulate one traffic pattern under many router configurations.
-
-        :class:`~repro.core.engine.SimulationEngine` batch entry point.  The
-        packet trace is generated and prepared (sorted, XY-routed, link ids
-        and sizes packed into arrays) exactly once, then replayed read-only
-        against each router configuration: every result sees identical
-        offered traffic, and the per-configuration cost is just the event
-        loop — no per-configuration re-routing or packet deep copies.
-        """
-        routers = list(configurations)
-        if not routers:
-            raise ValueError("evaluate_batch needs at least one configuration")
-        packets = traffic.generate(n_cycles)
-        prepared = self._prepare_packets(packets)
-        return [
-            self._run_prepared(prepared, router, n_cycles)
-            for router in routers
-        ]
 
     def run(self, traffic: TrafficPattern, n_cycles: int,
             drain: bool = True, max_drain_cycles: int = 100000) -> NoCSimulationResult:
@@ -131,11 +102,10 @@ class NoCSimulator:
         """
         prepared = self._prepare_packets(packets)
         return self._run_prepared(prepared, self.router, n_cycles, drain=drain,
-                                  max_drain_cycles=max_drain_cycles,
-                                  reuse_packets=True)
+                                  max_drain_cycles=max_drain_cycles)
 
     def _prepare_packets(self, packets: List[Packet]) -> _PreparedTraffic:
-        """Sort, route and array-pack a packet list for (repeated) replay.
+        """Sort, route and array-pack a packet list for the event loop.
 
         Routing annotations (``route``/``hops``) are written back onto the
         input packets, mirroring the historical :meth:`run_packets` side
@@ -143,7 +113,6 @@ class NoCSimulator:
         """
         ordered = sorted(packets, key=lambda p: p.injection_cycle)
         link_index: Dict[Link, int] = {}
-        routes: List[List[int]] = []
         link_ids: List[np.ndarray] = []
         for packet in ordered:
             route = self.topology.xy_route(packet.source, packet.destination)
@@ -153,11 +122,9 @@ class NoCSimulator:
             for hop in range(len(route) - 1):
                 link = (route[hop], route[hop + 1])
                 ids[hop] = link_index.setdefault(link, len(link_index))
-            routes.append(route)
             link_ids.append(ids)
         return _PreparedTraffic(
             packets=ordered,
-            routes=routes,
             link_ids=link_ids,
             sizes=np.array([p.size_flits for p in ordered], dtype=np.int64),
             injections=np.array([p.injection_cycle for p in ordered],
@@ -167,19 +134,16 @@ class NoCSimulator:
 
     def _run_prepared(self, prepared: _PreparedTraffic, router: RouterConfig,
                       n_cycles: int, drain: bool = True,
-                      max_drain_cycles: int = 100000,
-                      reuse_packets: bool = False) -> NoCSimulationResult:
+                      max_drain_cycles: int = 100000) -> NoCSimulationResult:
         """Event loop over a prepared trace under one router configuration.
 
-        With ``reuse_packets=True`` the delivered list holds the (mutated)
-        prepared packets themselves; otherwise fresh :class:`Packet` result
-        objects are built so the shared prepared trace stays pristine for
-        the next configuration.
+        The delivered list holds the prepared packets themselves, with their
+        ``ejection_cycle`` set.
         """
         n_packets = len(prepared.packets)
         # Service time is constant per packet under one configuration; go
         # through the router's own service model (one call per distinct
-        # packet size) so the batch path can never drift from run_packets.
+        # packet size).
         unique_sizes, inverse = np.unique(prepared.sizes, return_inverse=True)
         service = np.array(
             [router.service_cycles(int(size)) for size in unique_sizes],
@@ -222,22 +186,8 @@ class NoCSimulator:
         delivered: List[Packet] = []
         for index in delivered_indices:
             source = prepared.packets[index]
-            if reuse_packets:
-                source.ejection_cycle = int(ejection[index])
-                delivered.append(source)
-            else:
-                delivered.append(
-                    Packet(
-                        packet_id=source.packet_id,
-                        source=source.source,
-                        destination=source.destination,
-                        size_flits=source.size_flits,
-                        injection_cycle=source.injection_cycle,
-                        ejection_cycle=int(ejection[index]),
-                        hops=len(prepared.routes[index]) - 1,
-                        route=list(prepared.routes[index]),
-                    )
-                )
+            source.ejection_cycle = int(ejection[index])
+            delivered.append(source)
         return NoCSimulationResult(
             delivered_packets=delivered,
             undelivered_count=n_packets - len(delivered),

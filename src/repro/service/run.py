@@ -303,6 +303,9 @@ class ServiceRun:
         self.journal_dir = journal_dir
         self.snapshot_every = int(snapshot_every)
         self.rounds = int(rounds)
+        # Round of the newest journaled rotation (None: none yet), so
+        # shutdown() does not rotate the same round twice.
+        self._rotated_round: Optional[int] = None
         self.paused = False
         self.alerts: List[FlatlineAlert] = []
         self.errors: List[ErrorReport] = []
@@ -348,6 +351,9 @@ class ServiceRun:
         ``genesis_meta`` so the caller can check what it was).
         """
         if config is not None:
+            if snapshot_every is not None:
+                config = dataclasses.replace(config,
+                                             snapshot_every=snapshot_every)
             devices, simulator, space = build_config_devices(config)
             cadence = config.snapshot_every
             genesis: Dict[str, Any] = config.to_dict()
@@ -357,9 +363,9 @@ class ServiceRun:
                     "start() needs a RunConfig or devices+simulator+space"
                 )
             cadence = snapshot_every if snapshot_every is not None else 5
-            genesis = {"external": True, **(genesis_meta or {})}
-        if snapshot_every is not None:
-            cadence = snapshot_every
+            # Recovery reads the cadence back from here.
+            genesis = {"external": True, **(genesis_meta or {}),
+                       "snapshot_every": cadence}
         journal = None
         journal_path: Optional[Path] = None
         if journal_dir is not None:
@@ -437,6 +443,8 @@ class ServiceRun:
                   sessions=sessions, journal=journal,
                   journal_dir=journal_path, snapshot_every=cadence,
                   rounds=restore_round)
+        if sessions is not None:
+            run._rotated_round = restore_round
         for command in dispatches:
             receipt = DispatchReceipt(
                 idempotency_key=command.idempotency_key,
@@ -519,9 +527,14 @@ class ServiceRun:
                 break
 
     def shutdown(self, reason: str = "sigterm") -> None:
-        """Graceful drain: final snapshot rotation + shutdown record."""
+        """Graceful drain: final snapshot rotation + shutdown record.
+
+        The rotation is skipped when the newest one already holds this
+        round (a finished run rotated at its last round).
+        """
         if self.journal is not None:
-            self._rotate_snapshots()
+            if self._rotated_round != self.rounds:
+                self._rotate_snapshots()
             self.journal.append(ShutdownNotice(round=self.rounds,
                                                reason=reason))
             self.journal.close()
@@ -545,6 +558,7 @@ class ServiceRun:
             ROTATION_LABEL, relative, hashlib.sha256(data).hexdigest(),
         ),))
         self.journal.append(manifest)
+        self._rotated_round = self.rounds
         # Rotations past this round were published by a crashed process
         # that never journaled them, and .tmp files are its torn writes.
         kept = sorted(other.name for other in path.parent.glob("*.snapshot")

@@ -165,9 +165,6 @@ class SoCBatchResult:
 class SoCSimulator:
     """Counter-driven simulator of a heterogeneous big.LITTLE SoC."""
 
-    #: :class:`~repro.core.engine.SimulationEngine` identifier.
-    engine_name = "soc"
-
     def __init__(
         self,
         platform: PlatformSpec,
@@ -572,15 +569,3 @@ class SoCSimulator:
             data_memory_accesses=snippet.n_instructions * chars.memory_access_rate,
             noncache_external_memory_requests=external_requests,
         )
-
-    def evaluate_batch(
-        self, snippet: Snippet, configurations: Iterable[SoCConfiguration]
-    ) -> SoCBatchResult:
-        """:class:`~repro.core.engine.SimulationEngine` batch entry point."""
-        return self.evaluate_expected_batch(snippet, configurations)
-
-    def sweep_configurations(self, snippet: Snippet, configs) -> Dict[SoCConfiguration, SnippetResult]:
-        """Evaluate one snippet across many configurations (noise-free)."""
-        batch = self.evaluate_expected_batch(snippet, configs)
-        return {config: batch.result_at(i)
-                for i, config in enumerate(batch.configurations)}

@@ -1,22 +1,19 @@
-"""Tests for the DRM controllers: RL, DQN, NMPC, explicit NMPC, multi-rate GPU control."""
+"""Tests for the DRM controllers: RL, NMPC, explicit NMPC, multi-rate GPU control."""
 
 import numpy as np
 import pytest
 
 from repro.control import (
     CounterStateDiscretizer,
-    DeepQController,
     ExplicitNMPCGpuController,
     FastRateFrequencyController,
     MultiRateGPUController,
     NMPCGpuController,
     QLearningController,
     RandomPolicy,
-    ReplayBuffer,
     StaticPolicy,
     WorkloadPredictor,
 )
-from repro.control.dqn import Transition
 from repro.control.explicit_nmpc import halton_sequence
 from repro.core.framework import run_policy_on_snippets
 from repro.gpu import GPUConfiguration, GPUSimulator, default_integrated_gpu
@@ -116,35 +113,6 @@ class TestQLearning:
         run = trained_framework.evaluate_policy(policy, get_workload("kmeans").scaled(0.4),
                                                 reset_policy=False)
         assert run.normalized_energy > 1.02
-
-
-class TestDQN:
-    def test_replay_buffer(self, rng):
-        buffer = ReplayBuffer(capacity=5)
-        for i in range(8):
-            buffer.push(Transition(np.zeros(3), i, 0.0, np.zeros(3)))
-        assert len(buffer) == 5
-        batch = buffer.sample(3, rng)
-        assert len(batch) == 3
-        with pytest.raises(ValueError):
-            ReplayBuffer(capacity=0)
-
-    def test_dqn_runs_and_trains(self, trained_framework):
-        policy = DeepQController(trained_framework.space, hidden_sizes=(8,),
-                                 batch_size=8, train_interval=2,
-                                 target_sync_interval=10, seed=0)
-        workload = get_workload("dijkstra").scaled(0.3)
-        run = trained_framework.evaluate_policy(policy, workload, reset_policy=False)
-        assert policy.n_updates > 0
-        assert run.total_energy_j > 0
-
-    def test_dqn_decisions_stay_in_space(self, trained_framework, simulator,
-                                         memory_snippet):
-        policy = DeepQController(trained_framework.space, hidden_sizes=(8,), seed=1)
-        counters = simulator.evaluate_expected(
-            memory_snippet, trained_framework.space.default_configuration()).counters
-        for _ in range(5):
-            assert trained_framework.space.contains(policy.decide(counters))
 
 
 class TestWorkloadPredictor:

@@ -11,7 +11,6 @@ from repro.core import (
     PPW,
     AggregationBuffer,
     OfflineILPolicy,
-    OnlineILPolicy,
     OraclePolicy,
     RuntimeOracle,
     build_oracle,
@@ -157,15 +156,6 @@ class TestOfflineIL:
         with pytest.raises(RuntimeError):
             policy.predict_index(None)  # type: ignore[arg-type]
 
-    def test_tree_policy_variant(self, trained_framework):
-        policy = OfflineILPolicy(trained_framework.space, model="tree")
-        policy.train(trained_framework.offline_dataset)
-        assert policy.accuracy_on(trained_framework.offline_dataset) > 0.5
-
-    def test_invalid_model_spec(self, space):
-        with pytest.raises(ValueError):
-            OfflineILPolicy(space, model="svm")
-
     def test_dataset_merge(self, trained_framework):
         dataset = trained_framework.offline_dataset
         merged = dataset.merge(dataset)
@@ -206,15 +196,6 @@ class TestRuntimeOracle:
 
 
 class TestOnlineIL:
-    def test_requires_mlp_policy(self, trained_framework):
-        tree_policy = OfflineILPolicy(trained_framework.space, model="tree")
-        tree_policy.train(trained_framework.offline_dataset)
-        runtime_oracle = RuntimeOracle(trained_framework.space,
-                                       trained_framework.power_model,
-                                       trained_framework.performance_model)
-        with pytest.raises(TypeError):
-            OnlineILPolicy(trained_framework.space, tree_policy, runtime_oracle)
-
     def test_adapts_to_unseen_memory_bound_app(self, trained_framework):
         framework = trained_framework
         online = framework.build_online_il_policy(buffer_capacity=8, update_epochs=40)

@@ -1,7 +1,6 @@
-"""Tests for the unified simulation-engine layer.
+"""Tests for the vectorized Oracle sweep and the experiment plumbing.
 
-Covers the :class:`~repro.core.engine.SimulationEngine` protocol across the
-SoC/GPU/NoC simulators, batch-vs-scalar Oracle sweep parity (bitwise), the
+Covers batch-vs-scalar Oracle sweep parity (bitwise), the
 :class:`~repro.core.oracle.OracleCache` hit/invalidation behaviour, the scale
 registry, and the experiment registry / runner / CLI round-trips.
 """
@@ -9,7 +8,6 @@ registry, and the experiment registry / runner / CLI round-trips.
 import numpy as np
 import pytest
 
-from repro.core.engine import SimulationEngine, available_engines, engine_class
 from repro.core.objectives import ALL_OBJECTIVES, ENERGY, Objective
 from repro.core.oracle import OracleCache, build_oracle
 from repro.experiments.runner import (
@@ -29,14 +27,7 @@ from repro.experiments.scales import (
     get_scale,
     register_scale,
 )
-from repro.gpu.gpu import GPUConfiguration, default_integrated_gpu
-from repro.gpu.simulator import GPUSimulator
-from repro.noc.router import RouterConfig
-from repro.noc.simulator import NoCSimulator
-from repro.noc.topology import MeshTopology
-from repro.noc.traffic import UniformRandomTraffic
 from repro.workloads.generator import SnippetTraceGenerator
-from repro.workloads.graphics import get_graphics_workload
 from repro.workloads.suites import get_workload
 
 
@@ -44,119 +35,6 @@ from repro.workloads.suites import get_workload
 def sweep_trace():
     generator = SnippetTraceGenerator(seed=7)
     return generator.generate(get_workload("kmeans").scaled(0.3))
-
-
-class TestEngineProtocol:
-    def test_all_simulators_satisfy_protocol(self, simulator):
-        gpu = GPUSimulator(default_integrated_gpu(), seed=0)
-        noc = NoCSimulator(MeshTopology(2, 2))
-        for engine in (simulator, gpu, noc):
-            assert isinstance(engine, SimulationEngine)
-        assert {simulator.engine_name, gpu.engine_name, noc.engine_name} == {
-            "soc", "gpu", "noc",
-        }
-
-    def test_registry_enumerates_and_resolves(self, simulator):
-        names = available_engines()
-        assert names == ["gpu", "noc", "soc"]
-        for name in names:
-            cls = engine_class(name)
-            assert cls.engine_name == name
-        assert isinstance(simulator, engine_class("soc"))
-        with pytest.raises(KeyError):
-            engine_class("quantum")
-
-    def test_gpu_batch_sweep(self):
-        gpu_spec = default_integrated_gpu()
-        gpu = GPUSimulator(gpu_spec, seed=0)
-        trace = get_graphics_workload("nenamark2", gpu=gpu_spec, n_frames=20,
-                                      seed=0)
-        configs = [GPUConfiguration(opp_index=i, active_slices=gpu_spec.n_slices)
-                   for i in range(len(gpu_spec.opps))]
-        summaries = gpu.evaluate_batch(trace, configs)
-        assert len(summaries) == len(configs)
-        # Deterministic sweep: matches run_fixed at the same configuration.
-        again = gpu.run_fixed(trace, configs[0], deterministic=True)
-        assert summaries[0].gpu_energy_j == pytest.approx(again.gpu_energy_j)
-        # Higher frequency burns more GPU energy on the same frames.
-        assert summaries[-1].gpu_energy_j > summaries[0].gpu_energy_j
-
-    def test_noc_batch_sweep_sees_identical_traffic(self):
-        topology = MeshTopology(3, 3)
-        noc = NoCSimulator(topology)
-        traffic = UniformRandomTraffic(topology, injection_rate=0.05, seed=0)
-        fast = RouterConfig()
-        slow = RouterConfig(router_delay_cycles=fast.router_delay_cycles + 4)
-        results = noc.evaluate_batch(traffic, [fast, slow, fast], n_cycles=100)
-        assert len(results) == 3
-        # Same replayed packets: identical configs give identical latencies,
-        # and a slower router pipeline strictly raises the average latency.
-        assert results[0].average_latency_cycles == results[2].average_latency_cycles
-        assert results[1].average_latency_cycles > results[0].average_latency_cycles
-
-    def test_gpu_batch_bitwise_matches_run_fixed(self):
-        """Vectorized GPU sweep reproduces the scalar frame loop bitwise."""
-        gpu_spec = default_integrated_gpu()
-        gpu = GPUSimulator(gpu_spec, seed=0)
-        trace = get_graphics_workload("nenamark2", gpu=gpu_spec, n_frames=40,
-                                      seed=3)
-        configs = gpu_spec.configurations()
-        batch = gpu.evaluate_batch(trace, configs)
-        assert len(batch) == len(configs)
-        for i in (0, len(configs) // 2, len(configs) - 1):
-            reference = gpu.run_fixed(trace, configs[i], deterministic=True)
-            materialized = batch.summary_at(i)
-            for got, want in zip(materialized.frame_results,
-                                 reference.frame_results):
-                assert got.busy_time_s == want.busy_time_s
-                assert got.frame_time_s == want.frame_time_s
-                assert got.gpu_energy_j == want.gpu_energy_j
-                assert got.dram_energy_j == want.dram_energy_j
-                assert got.cpu_energy_j == want.cpu_energy_j
-                assert got.met_deadline == want.met_deadline
-            assert materialized.gpu_energy_j == reference.gpu_energy_j
-            # Aggregate accessors agree with the materialised summaries.
-            assert batch.gpu_energy_totals_j[i] == pytest.approx(
-                reference.gpu_energy_j)
-            assert batch.package_dram_energy_totals_j[i] == pytest.approx(
-                reference.package_dram_energy_j)
-            assert batch.deadline_miss_rates[i] == pytest.approx(
-                reference.deadline_miss_rate)
-        with pytest.raises(ValueError):
-            gpu.evaluate_batch(trace, [])
-        with pytest.raises(IndexError):
-            batch.summary_at(len(configs))
-
-    def test_noc_batch_matches_run_packets_replay(self):
-        """Shared-preparation batch equals a fresh run_packets per config."""
-        topology = MeshTopology(3, 3)
-        configs = [RouterConfig(), RouterConfig(router_delay_cycles=5),
-                   RouterConfig(flits_per_cycle=2)]
-        batch = NoCSimulator(topology).evaluate_batch(
-            UniformRandomTraffic(topology, injection_rate=0.08, seed=17),
-            configs, n_cycles=120,
-        )
-        # Regenerate the identical trace (same seed) per reference run.
-        for config, result in zip(configs, batch):
-            traffic = UniformRandomTraffic(topology, injection_rate=0.08,
-                                           seed=17)
-            reference = NoCSimulator(topology, config).run_packets(
-                traffic.generate(120), 120
-            )
-            assert result.undelivered_count == reference.undelivered_count
-            assert result.simulated_cycles == reference.simulated_cycles
-            assert (
-                [(p.packet_id, p.ejection_cycle, p.hops)
-                 for p in result.delivered_packets]
-                == [(p.packet_id, p.ejection_cycle, p.hops)
-                    for p in reference.delivered_packets]
-            )
-        # Empty sweeps are rejected like the SoC and GPU engines do.
-        with pytest.raises(ValueError):
-            NoCSimulator(topology).evaluate_batch(
-                UniformRandomTraffic(topology, injection_rate=0.08, seed=17),
-                [], n_cycles=10,
-            )
 
 
 class TestBatchSweepParity:
@@ -208,15 +86,6 @@ class TestBatchSweepParity:
     def test_batch_rejects_empty_configurations(self, simulator, sweep_trace):
         with pytest.raises(ValueError):
             simulator.evaluate_expected_batch(sweep_trace[0], [])
-
-    def test_sweep_configurations_uses_batch_path(self, simulator, space,
-                                                  sweep_trace):
-        subset = list(space)[:4]
-        results = simulator.sweep_configurations(sweep_trace[0], subset)
-        assert set(results) == set(subset)
-        for config, result in results.items():
-            assert result.energy_j == simulator.evaluate_expected(
-                sweep_trace[0], config).energy_j
 
 
 class TestOracleCache:

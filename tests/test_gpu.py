@@ -128,6 +128,27 @@ class TestGPUSimulator:
         assert summary.gpu_energy_j > 0
         assert summary.frame_time_series_s().shape == (60,)
 
+    def test_deterministic_run_ignores_configured_noise(self, gpu):
+        trace = get_graphics_workload("nenamark2", gpu=gpu, n_frames=30, seed=3)
+        config = GPUConfiguration(len(gpu.opps) // 2, gpu.n_slices)
+        noisy = GPUSimulator(gpu, noise_scale=0.05, seed=0)
+        quiet = GPUSimulator(gpu, noise_scale=0.0, seed=1)
+        reference = quiet.run_fixed(trace, config)
+        assert noisy.run_fixed(trace, config).frame_results == (
+            reference.frame_results)
+        sampled = noisy.run_fixed(trace, config, deterministic=False)
+        assert sampled.busy_time_series_s().tolist() != (
+            reference.busy_time_series_s().tolist())
+
+    def test_higher_frequency_burns_more_gpu_energy(self, gpu, gpu_simulator):
+        trace = get_graphics_workload("nenamark2", gpu=gpu, n_frames=20, seed=0)
+        energies = [
+            gpu_simulator.run_fixed(
+                trace, GPUConfiguration(opp, gpu.n_slices)).gpu_energy_j
+            for opp in range(len(gpu.opps))
+        ]
+        assert energies[-1] > energies[0]
+
     def test_lower_frequency_saves_energy_for_light_load(self, gpu, gpu_simulator):
         trace = get_graphics_workload("angrybirds", gpu=gpu, n_frames=60, seed=0)
         high = gpu_simulator.run_fixed(trace, GPUConfiguration(len(gpu.opps) - 1,

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.ml import (
     MLPClassifier,
     MLPRegressor,
-    MinMaxScaler,
     RecursiveLeastSquares,
     StandardScaler,
     accuracy_score,
@@ -17,7 +16,7 @@ from repro.ml import (
     root_mean_squared_error,
 )
 from repro.ml.metrics import energy_savings_percent, normalized_energy
-from repro.models.staff import OnlineFeatureSelector, StabilizedAdaptiveForgettingRLS
+from repro.models.staff import StabilizedAdaptiveForgettingRLS
 
 
 class TestRecursiveLeastSquares:
@@ -124,29 +123,6 @@ class TestStaff:
             StabilizedAdaptiveForgettingRLS(n_features=1, min_forgetting=0.99,
                                             max_forgetting=0.9)
 
-    def test_feature_selector_finds_informative_features(self, rng):
-        selector = OnlineFeatureSelector(n_candidates=5, k=2, refresh_interval=10)
-        for _ in range(100):
-            x = rng.normal(size=5)
-            y = 3.0 * x[1] - 2.0 * x[4] + rng.normal(scale=0.1)
-            selector.update(x, y)
-        assert set(selector.selected()) == {1, 4}
-
-    def test_feature_selector_project(self, rng):
-        selector = OnlineFeatureSelector(n_candidates=4, k=2, refresh_interval=5)
-        for _ in range(20):
-            x = rng.normal(size=4)
-            selector.update(x, float(x[0]))
-        projected = selector.project(np.arange(4.0))
-        assert projected.shape == (2,)
-
-    def test_feature_selector_validation(self):
-        with pytest.raises(ValueError):
-            OnlineFeatureSelector(n_candidates=3, k=4)
-        selector = OnlineFeatureSelector(n_candidates=3, k=1)
-        with pytest.raises(ValueError):
-            selector.update([1.0, 2.0], 0.0)
-
 
 class TestMLP:
     def test_regressor_fits_linear_function(self, rng):
@@ -213,10 +189,6 @@ class TestMLP:
         with pytest.raises(ValueError):
             model.partial_fit(rng.normal(size=(3, 2)), np.array([0, 1, 7]))
 
-    def test_invalid_activation(self):
-        with pytest.raises(ValueError):
-            MLPRegressor(activation="sigmoid").fit(np.zeros((4, 2)), np.zeros(4))
-
     def test_encode_matches_dict_mapping(self, rng):
         """Vectorized searchsorted label encoding == the explicit dict map.
 
@@ -259,17 +231,6 @@ class TestScalers:
     def test_standard_scaler_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             StandardScaler().transform(np.zeros((1, 2)))
-
-    def test_minmax_scaler_range(self, rng):
-        x = rng.normal(size=(100, 3))
-        scaled = MinMaxScaler().fit_transform(x)
-        assert scaled.min() >= 0.0 and scaled.max() <= 1.0
-
-    def test_minmax_partial_fit_extends_bounds(self):
-        scaler = MinMaxScaler()
-        scaler.partial_fit(np.array([[0.0], [1.0]]))
-        scaler.partial_fit(np.array([[5.0]]))
-        assert scaler.max_[0] == 5.0
 
 
 class TestMetrics:

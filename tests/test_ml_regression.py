@@ -1,19 +1,16 @@
-"""Tests for the batch regression models (linear, ridge, trees, forest, SVR, kNN)."""
+"""Tests for the batch regression models (linear, trees, SVR, kNN)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ml import (
-    BaggedTreesRegressor,
     DecisionTreeClassifier,
     DecisionTreeRegressor,
     KNeighborsRegressor,
     LinearRegressor,
-    RidgeRegressor,
     SupportVectorRegressor,
     mean_absolute_error,
-    r2_score,
 )
 
 
@@ -55,30 +52,6 @@ class TestLinearRegressor:
         model = LinearRegressor().fit(x, y)
         single = model.predict(x[0])
         assert single.shape == (1,)
-
-
-class TestRidgeRegressor:
-    def test_matches_ols_at_zero_alpha(self, rng):
-        x, y, _ = make_linear_data(rng)
-        ols = LinearRegressor().fit(x, y)
-        ridge = RidgeRegressor(alpha=0.0).fit(x, y)
-        assert np.allclose(ols.coef_, ridge.coef_, atol=1e-6)
-
-    def test_shrinkage_with_large_alpha(self, rng):
-        x, y, _ = make_linear_data(rng)
-        small = RidgeRegressor(alpha=0.01).fit(x, y)
-        large = RidgeRegressor(alpha=1e4).fit(x, y)
-        assert np.linalg.norm(large.coef_) < np.linalg.norm(small.coef_)
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            RidgeRegressor(alpha=-1.0)
-
-    def test_no_intercept_mode(self, rng):
-        x = rng.normal(size=(40, 2))
-        y = x @ np.array([2.0, 1.0])
-        model = RidgeRegressor(alpha=1e-6, fit_intercept=False).fit(x, y)
-        assert model.intercept_ == 0.0
 
 
 class TestDecisionTree:
@@ -138,30 +111,6 @@ class TestDecisionTree:
         predictions = model.predict(x)
         assert predictions.min() >= y.min() - 1e-9
         assert predictions.max() <= y.max() + 1e-9
-
-
-class TestBaggedTrees:
-    def test_fits_nonlinear_function(self, rng):
-        x = rng.uniform(-2, 2, size=(200, 2))
-        y = np.sin(x[:, 0]) + x[:, 1] ** 2
-        model = BaggedTreesRegressor(n_estimators=8, max_depth=6, seed=0).fit(x, y)
-        assert r2_score(y, model.predict(x)) > 0.8
-
-    def test_max_features_subsampling(self, rng):
-        x = rng.normal(size=(80, 4))
-        y = x[:, 0]
-        model = BaggedTreesRegressor(n_estimators=5, max_features=0.5, seed=1).fit(x, y)
-        assert all(len(subset) == 2 for subset in model.feature_subsets_)
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            BaggedTreesRegressor().predict(np.zeros((1, 2)))
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            BaggedTreesRegressor(n_estimators=0)
-        with pytest.raises(ValueError):
-            BaggedTreesRegressor(max_features=1.5)
 
 
 class TestSVR:

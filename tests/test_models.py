@@ -1,23 +1,8 @@
-"""Tests for the online analytical models (power, performance, thermal, Kalman, skin)."""
+"""Tests for the online analytical models (power, performance, frame time)."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.models import (
-    CpuPerformanceModel,
-    CpuPowerModel,
-    FrameTimeModel,
-    KalmanFilter,
-    SensitivityModel,
-    LearnedSensitivityModel,
-    SkinTemperatureEstimator,
-    ThermalFixedPointAnalysis,
-    ThermalRCModel,
-    greedy_sensor_selection,
-)
-from repro.models.kalman import steady_state_covariance
-from repro.models.thermal import two_node_mobile_thermal_model
+from repro.models import CpuPerformanceModel, CpuPowerModel, FrameTimeModel
 from repro.soc.configuration import SoCConfiguration
 
 
@@ -128,173 +113,3 @@ class TestFrameTimeModel:
     def test_invalid_frequency_rejected(self):
         with pytest.raises(ValueError):
             FrameTimeModel().predict_frame_time_s(1e7, 1e6, 0.0, 1)
-
-
-class TestSensitivityModels:
-    def test_finite_difference_gradient_of_quadratic(self):
-        model = SensitivityModel(lambda u: float(u[0]**2 + 3 * u[1]), ["a", "b"])
-        grad = model.sensitivities(np.array([2.0, 1.0]))
-        assert grad["a"] == pytest.approx(4.0, rel=1e-3)
-        assert grad["b"] == pytest.approx(3.0, rel=1e-3)
-
-    def test_learned_sensitivity_recovers_linear_response(self, rng):
-        model = LearnedSensitivityModel(["f", "s"])
-        knobs = np.array([1.0, 1.0])
-        for _ in range(100):
-            delta = rng.normal(size=2) * 0.1
-            knobs = knobs + delta
-            objective = 2.0 * knobs[0] - 0.5 * knobs[1]
-            model.observe(knobs, objective)
-        sens = model.sensitivities()
-        assert sens["f"] == pytest.approx(2.0, abs=0.1)
-        assert sens["s"] == pytest.approx(-0.5, abs=0.1)
-
-    def test_learned_sensitivity_ignores_repeated_points(self):
-        model = LearnedSensitivityModel(["x"])
-        assert model.observe([1.0], 5.0) is None
-        assert model.observe([1.0], 5.0) is None  # no knob change: no update
-        assert model.n_updates == 0
-
-    def test_dimension_check(self):
-        model = LearnedSensitivityModel(["x", "y"])
-        with pytest.raises(ValueError):
-            model.observe([1.0], 0.0)
-
-
-class TestThermalModel:
-    def test_fixed_point_reached_by_simulation(self):
-        model = two_node_mobile_thermal_model()
-        analysis = ThermalFixedPointAnalysis(model)
-        fixed = analysis.fixed_point(np.array([3.0]))
-        trajectory = model.simulate(np.array([25.0, 25.0]),
-                                    np.tile([3.0], (600, 1)))
-        assert np.allclose(trajectory[-1], fixed.temperatures, atol=0.1)
-        assert fixed.stable
-
-    def test_stability_condition(self):
-        model = two_node_mobile_thermal_model()
-        assert ThermalFixedPointAnalysis(model).is_stable()
-        unstable = ThermalRCModel(
-            state_matrix=np.array([[1.05]]), input_matrix=np.array([[1.0]]),
-            ambient_vector=np.array([0.0]))
-        assert not ThermalFixedPointAnalysis(unstable).is_stable()
-
-    def test_higher_power_raises_fixed_point(self):
-        analysis = ThermalFixedPointAnalysis(two_node_mobile_thermal_model())
-        low = analysis.fixed_point(np.array([1.0])).max_temperature()
-        high = analysis.fixed_point(np.array([5.0])).max_temperature()
-        assert high > low
-
-    def test_power_budget_respects_limit(self):
-        model = two_node_mobile_thermal_model()
-        analysis = ThermalFixedPointAnalysis(model)
-        budget = analysis.power_budget(temperature_limit_c=70.0)
-        assert budget > 0
-        at_budget = analysis.fixed_point(np.array([budget]))
-        assert at_budget.max_temperature() <= 70.0 + 0.01
-
-    def test_power_budget_zero_when_ambient_exceeds_limit(self):
-        model = two_node_mobile_thermal_model(ambient_c=80.0)
-        analysis = ThermalFixedPointAnalysis(model)
-        assert analysis.power_budget(temperature_limit_c=70.0) == 0.0
-
-    def test_predict_future_converges_toward_fixed_point(self):
-        model = two_node_mobile_thermal_model()
-        analysis = ThermalFixedPointAnalysis(model)
-        fixed = analysis.fixed_point(np.array([2.0]))
-        prediction = model.predict_future(np.array([25.0, 25.0]), np.array([2.0]),
-                                          horizon=500)
-        assert np.allclose(prediction, fixed.temperatures, atol=0.1)
-
-    def test_dimension_validation(self):
-        with pytest.raises(ValueError):
-            ThermalRCModel(np.eye(2), np.ones((3, 1)), np.zeros(2))
-        model = two_node_mobile_thermal_model()
-        with pytest.raises(ValueError):
-            model.step(np.zeros(3), np.zeros(1))
-
-
-class TestKalman:
-    def test_tracks_constant_scalar_state(self, rng):
-        kalman = KalmanFilter(
-            transition=[[1.0]], observation=[[1.0]],
-            process_noise=[[1e-6]], measurement_noise=[[0.5]],
-            initial_state=[0.0],
-        )
-        estimates = [kalman.step(np.array([5.0 + rng.normal(scale=0.5)]))[0]
-                     for _ in range(100)]
-        assert estimates[-1] == pytest.approx(5.0, abs=0.3)
-
-    def test_covariance_decreases_with_updates(self):
-        kalman = KalmanFilter([[1.0]], [[1.0]], [[1e-4]], [[1.0]],
-                              initial_covariance=[[10.0]])
-        initial = kalman.covariance[0, 0]
-        for _ in range(20):
-            kalman.step(np.array([1.0]))
-        assert kalman.covariance[0, 0] < initial
-
-    def test_dimension_validation(self):
-        with pytest.raises(ValueError):
-            KalmanFilter([[1.0, 0.0]], [[1.0]], [[1.0]], [[1.0]])
-
-    def test_steady_state_covariance_converges(self):
-        p = steady_state_covariance(
-            np.array([[0.9]]), np.array([[1.0]]), np.array([[0.1]]),
-            np.array([[0.5]]))
-        assert p.shape == (1, 1)
-        assert 0 < p[0, 0] < 1.0
-
-
-class TestSensorSelection:
-    def test_selects_most_informative_sensor(self):
-        transition = np.diag([0.9, 0.5])
-        pool = np.array([[1.0, 0.0], [0.0, 1.0], [0.2, 0.2]])
-        noise = np.diag([0.01, 10.0, 10.0])
-        result = greedy_sensor_selection(transition, pool, np.eye(2) * 0.1,
-                                         measurement_noise_pool=noise, k=1)
-        assert result.selected == [0]
-
-    def test_more_sensors_never_hurt(self):
-        transition = np.diag([0.9, 0.8])
-        pool = np.eye(2)
-        one = greedy_sensor_selection(transition, pool, np.eye(2) * 0.1, k=1)
-        two = greedy_sensor_selection(transition, pool, np.eye(2) * 0.1, k=2)
-        assert two.error_trace <= one.error_trace + 1e-9
-        assert len(two.trace_history) == 2
-
-    def test_k_validation(self):
-        with pytest.raises(ValueError):
-            greedy_sensor_selection(np.eye(2), np.eye(2), np.eye(2), k=3)
-
-
-class TestSkinTemperature:
-    def test_estimates_linear_sensor_combination(self, rng):
-        estimator = SkinTemperatureEstimator(n_sensors=3, use_smoother=False)
-        weights = np.array([0.3, 0.2, 0.1])
-        for _ in range(300):
-            sensors = rng.uniform(30, 70, size=3)
-            skin = float(sensors @ weights + 5.0)
-            estimator.update(sensors, skin)
-        sensors = np.array([50.0, 45.0, 60.0])
-        expected = float(sensors @ weights + 5.0)
-        assert estimator.estimate(sensors) == pytest.approx(expected, rel=0.02)
-
-    def test_smoother_reduces_estimate_jitter(self, rng):
-        raw = SkinTemperatureEstimator(n_sensors=1, use_smoother=False)
-        smooth = SkinTemperatureEstimator(n_sensors=1, use_smoother=True)
-        for _ in range(200):
-            sensor = rng.uniform(30, 60, size=1)
-            skin = float(0.5 * sensor[0] + 10.0 + rng.normal(scale=0.5))
-            raw.update(sensor, skin)
-            smooth.update(sensor, skin)
-        noisy_inputs = 45.0 + rng.normal(scale=2.0, size=50)
-        raw_series = np.array([raw.estimate([v]) for v in noisy_inputs])
-        smooth_series = np.array([smooth.estimate([v]) for v in noisy_inputs])
-        assert np.std(np.diff(smooth_series)) < np.std(np.diff(raw_series))
-
-    def test_sensor_count_validation(self):
-        estimator = SkinTemperatureEstimator(n_sensors=2)
-        with pytest.raises(ValueError):
-            estimator.estimate([1.0])
-        with pytest.raises(ValueError):
-            SkinTemperatureEstimator(n_sensors=0)

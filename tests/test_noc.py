@@ -1,5 +1,7 @@
 """Tests for the NoC substrate: topology, traffic, simulator, analytical and SVR models."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,6 +151,22 @@ class TestNoCSimulator:
         # The final-hop ejection does not pay the last router+link stage.
         assert abs(result.average_latency_cycles - expected) <= (
             simulator.router.router_delay_cycles + simulator.router.link_delay_cycles)
+
+    def test_slower_router_raises_latency_on_identical_traffic(self):
+        topology = MeshTopology(3, 3)
+        packets = UniformRandomTraffic(topology, injection_rate=0.05,
+                                       seed=0).generate(100)
+        fast = RouterConfig()
+        slow = RouterConfig(router_delay_cycles=fast.router_delay_cycles + 4)
+        results = [
+            NoCSimulator(topology, config).run_packets(copy.deepcopy(packets),
+                                                       100)
+            for config in (fast, slow, fast)
+        ]
+        assert results[0].average_latency_cycles == (
+            results[2].average_latency_cycles)
+        assert results[1].average_latency_cycles > (
+            results[0].average_latency_cycles)
 
     def test_latency_scales_with_packet_size(self, mesh):
         simulator = NoCSimulator(mesh)

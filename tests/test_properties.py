@@ -6,8 +6,16 @@ traces and configurations — every draw is reproducible from the parametrized
 seed.  The invariants:
 
 * physics: energy/time/power of any execution are positive and finite;
-* batch == scalar parity for all three ``evaluate_batch`` engines
-  (SoC, GPU, NoC) on randomized inputs;
+* batch == scalar parity of the vectorized SoC configuration sweep on
+  randomized inputs;
+* GPU frame loop: a controller pinned to one configuration reproduces
+  ``run_fixed`` bitwise, and a faster operating point or more slices never
+  lengthen a frame;
+* NoC packet loop: every packet is delivered along its XY route no sooner
+  than its zero-load latency (exactly that when alone), and a run cut at
+  its injection window is a prefix of the drained run;
+* online estimators: chunked ``StandardScaler.partial_fit`` equals one
+  ``fit``, and RLS without forgetting converges to the least-squares fit;
 * Oracle optimality: no policy can beat the Oracle table on the same
   snippets under noise-free execution, full or restricted space;
 * decision-tree classifiers: ``predict`` equals the argmax of
@@ -23,9 +31,14 @@ from repro.control.policy import RandomPolicy, StaticPolicy
 from repro.core.framework import run_policy_on_snippets
 from repro.core.objectives import ENERGY
 from repro.core.oracle import build_oracle
+from repro.gpu.frames import generate_frame_trace
 from repro.gpu.gpu import GPUConfiguration, default_integrated_gpu
 from repro.gpu.simulator import GPUSimulator
+from repro.ml.linear import LinearRegressor
+from repro.ml.rls import RecursiveLeastSquares
+from repro.ml.scaling import StandardScaler
 from repro.ml.tree import DecisionTreeClassifier
+from repro.noc.packet import Packet
 from repro.noc.router import RouterConfig
 from repro.noc.simulator import NoCSimulator
 from repro.noc.topology import MeshTopology
@@ -34,7 +47,6 @@ from repro.soc.configuration import ConfigurationSpace
 from repro.soc.platform import generic_big_little
 from repro.soc.simulator import SoCSimulator
 from repro.soc.snippet import Snippet, SnippetCharacteristics
-from repro.workloads.graphics import get_graphics_workload
 
 PROPERTY_SEEDS = list(range(8))
 
@@ -110,55 +122,203 @@ class TestBatchScalarParity:
             assert batch.execution_time_s[i] == reference.execution_time_s
             assert batch.average_power_w[i] == reference.average_power_w
 
-    def test_gpu_batch_matches_scalar(self, seed):
-        rng = np.random.default_rng(seed)
-        gpu_spec = default_integrated_gpu()
-        gpu = GPUSimulator(gpu_spec, seed=seed)
-        trace = get_graphics_workload(
-            "nenamark2", gpu=gpu_spec,
-            n_frames=int(rng.integers(5, 30)), seed=seed,
-        )
-        configs = [
-            GPUConfiguration(
-                opp_index=int(rng.integers(0, len(gpu_spec.opps))),
-                active_slices=int(rng.integers(1, gpu_spec.n_slices + 1)),
-            )
-            for _ in range(3)
-        ]
-        batch = gpu.evaluate_batch(trace, configs)
-        for i, config in enumerate(configs):
-            reference = gpu.run_fixed(trace, config, deterministic=True)
-            materialized = batch.summary_at(i)
-            assert materialized.gpu_energy_j == reference.gpu_energy_j
-            assert materialized.achieved_fps == reference.achieved_fps
-            assert (materialized.deadline_miss_rate
-                    == reference.deadline_miss_rate)
 
-    def test_noc_batch_matches_scalar(self, seed):
+def random_gpu_and_trace(rng: np.random.Generator, seed: int):
+    gpu_spec = default_integrated_gpu(n_opp_levels=int(rng.integers(2, 10)),
+                                      n_slices=int(rng.integers(1, 5)))
+    trace = generate_frame_trace(
+        "random",
+        n_frames=int(rng.integers(5, 40)),
+        mean_work_cycles=float(rng.uniform(5e6, 6e7)),
+        work_variation=float(rng.uniform(0.0, 0.3)),
+        target_fps=float(rng.choice([30.0, 60.0])),
+        seed=seed,
+    )
+    return gpu_spec, trace
+
+
+class _PinnedGPUController:
+    """A GPU controller that always picks one configuration."""
+
+    def __init__(self, config: GPUConfiguration) -> None:
+        self.config = config
+        self.observed = []
+
+    def reset(self) -> None:
+        self.observed = []
+
+    def decide(self, upcoming_frame=None) -> GPUConfiguration:
+        return self.config
+
+    def observe(self, result) -> None:
+        self.observed.append(result)
+
+
+@pytest.mark.parametrize("seed", PROPERTY_SEEDS)
+class TestGPUFrameLoop:
+    def test_pinned_controller_matches_run_fixed(self, seed):
         rng = np.random.default_rng(seed)
-        width = int(rng.integers(2, 4))
-        topology = MeshTopology(width, width)
-        rate = float(rng.uniform(0.02, 0.10))
-        n_cycles = int(rng.integers(40, 120))
-        configs = [
-            RouterConfig(),
-            RouterConfig(router_delay_cycles=int(rng.integers(2, 6))),
-        ]
-        batch = NoCSimulator(topology).evaluate_batch(
-            UniformRandomTraffic(topology, injection_rate=rate, seed=seed),
-            configs, n_cycles=n_cycles,
+        gpu_spec, trace = random_gpu_and_trace(rng, seed)
+        config = GPUConfiguration(
+            opp_index=int(rng.integers(0, len(gpu_spec.opps))),
+            active_slices=int(rng.integers(1, gpu_spec.n_slices + 1)),
         )
-        for config, result in zip(configs, batch):
-            traffic = UniformRandomTraffic(topology, injection_rate=rate,
-                                           seed=seed)
-            reference = NoCSimulator(topology, config).run_packets(
-                traffic.generate(n_cycles), n_cycles
-            )
-            assert (
-                [(p.packet_id, p.ejection_cycle) for p in result.delivered_packets]
-                == [(p.packet_id, p.ejection_cycle)
-                    for p in reference.delivered_packets]
-            )
+        # Noise is configured but a deterministic run must not draw it.
+        simulator = GPUSimulator(gpu_spec, noise_scale=0.05, seed=seed)
+        controller = _PinnedGPUController(config)
+        looped = simulator.run(trace, controller, deterministic=True)
+        fixed = simulator.run_fixed(trace, config, deterministic=True)
+        assert looped.frame_results == fixed.frame_results
+        assert controller.observed == looped.frame_results
+        assert fixed.n_frames == len(trace)
+        for result in fixed.frame_results:
+            assert result.frame_time_s == max(result.busy_time_s,
+                                              trace.deadline_s)
+            assert result.met_deadline == (
+                result.busy_time_s <= trace.deadline_s + 1e-9)
+        assert fixed.gpu_energy_j == float(
+            sum(r.gpu_energy_j for r in fixed.frame_results))
+
+    def test_faster_knobs_never_lengthen_a_frame(self, seed):
+        rng = np.random.default_rng(seed)
+        gpu_spec, trace = random_gpu_and_trace(rng, seed)
+        simulator = GPUSimulator(gpu_spec, seed=seed)
+        # busy[slices - 1, opp, frame]
+        busy = np.array([
+            [simulator.run_fixed(
+                trace, GPUConfiguration(opp, slices)).busy_time_series_s()
+             for opp in range(len(gpu_spec.opps))]
+            for slices in range(1, gpu_spec.n_slices + 1)
+        ])
+        assert np.all(np.diff(busy, axis=1) < 0.0)
+        assert np.all(np.diff(busy, axis=0) < 0.0)
+
+
+def random_noc(rng: np.random.Generator):
+    topology = MeshTopology(int(rng.integers(1, 5)), int(rng.integers(2, 5)))
+    router = RouterConfig(
+        router_delay_cycles=int(rng.integers(0, 5)),
+        link_delay_cycles=int(rng.integers(0, 3)),
+        flits_per_cycle=int(rng.integers(1, 4)),
+    )
+    return topology, router
+
+
+def random_traffic(rng: np.random.Generator, topology: MeshTopology,
+                   seed: int) -> UniformRandomTraffic:
+    return UniformRandomTraffic(
+        topology,
+        injection_rate=float(rng.uniform(0.02, 0.3)),
+        packet_size_flits=int(rng.integers(1, 9)),
+        seed=seed,
+    )
+
+
+@pytest.mark.parametrize("seed", PROPERTY_SEEDS)
+class TestNoCPacketLoop:
+    def test_every_packet_delivered_along_its_route(self, seed):
+        rng = np.random.default_rng(seed)
+        topology, router = random_noc(rng)
+        n_cycles = int(rng.integers(20, 120))
+        packets = random_traffic(rng, topology, seed).generate(n_cycles)
+        simulator = NoCSimulator(topology, router)
+        result = simulator.run_packets(packets, n_cycles)
+        assert result.undelivered_count == 0
+        delivered = sorted(result.delivered_packets, key=lambda p: p.packet_id)
+        # The delivered list holds the input packets, annotated in place.
+        assert len(delivered) == len(packets)
+        assert all(got is sent for got, sent in zip(delivered, packets))
+        for packet in packets:
+            assert packet.route == topology.xy_route(packet.source,
+                                                     packet.destination)
+            assert packet.hops == topology.hop_count(packet.source,
+                                                     packet.destination)
+            assert packet.latency_cycles >= simulator.zero_load_latency(
+                packet.source, packet.destination, packet.size_flits)
+        assert result.simulated_cycles == max(
+            [n_cycles] + [p.ejection_cycle for p in packets])
+
+    def test_lone_packet_sees_exactly_zero_load_latency(self, seed):
+        rng = np.random.default_rng(seed)
+        topology, router = random_noc(rng)
+        source, destination = (int(node) for node in rng.choice(
+            topology.n_nodes, size=2, replace=False))
+        size = int(rng.integers(1, 17))
+        injection = int(rng.integers(0, 50))
+        packet = Packet(packet_id=0, source=source, destination=destination,
+                        size_flits=size, injection_cycle=injection)
+        simulator = NoCSimulator(topology, router)
+        simulator.run_packets([packet], n_cycles=injection + 1)
+        assert packet.latency_cycles == simulator.zero_load_latency(
+            source, destination, size)
+
+    def test_truncated_run_is_a_prefix_of_the_drained_run(self, seed):
+        rng = np.random.default_rng(seed)
+        topology, router = random_noc(rng)
+        n_cycles = int(rng.integers(20, 120))
+        traffic_seed = int(rng.integers(0, 2**31))
+        rate = float(rng.uniform(0.05, 0.4))
+
+        def packets():
+            return UniformRandomTraffic(topology, injection_rate=rate,
+                                        seed=traffic_seed).generate(n_cycles)
+
+        simulator = NoCSimulator(topology, router)
+        drained = simulator.run_packets(packets(), n_cycles)
+        sent = packets()
+        truncated = simulator.run_packets(sent, n_cycles, drain=False)
+        assert truncated.simulated_cycles == n_cycles
+        assert truncated.n_delivered + truncated.undelivered_count == len(sent)
+        ejections = {p.packet_id: p.ejection_cycle
+                     for p in drained.delivered_packets}
+        assert {p.packet_id: p.ejection_cycle
+                for p in truncated.delivered_packets} == {
+            packet_id: cycle for packet_id, cycle in ejections.items()
+            if cycle <= n_cycles}
+        late = [p for p in sent if p.injection_cycle + simulator.zero_load_latency(
+            p.source, p.destination, p.size_flits) > n_cycles]
+        assert all(p.ejection_cycle is None for p in late)
+        assert truncated.undelivered_count >= len(late)
+
+
+@pytest.mark.parametrize("seed", PROPERTY_SEEDS)
+class TestOnlineEstimators:
+    def test_chunked_scaler_partial_fit_matches_fit(self, seed):
+        rng = np.random.default_rng(seed)
+        n_features = int(rng.integers(1, 7))
+        # Counter-like columns spanning many orders of magnitude.
+        scales = 10.0 ** rng.uniform(-3.0, 6.0, size=n_features)
+        offsets = rng.uniform(-5.0, 5.0, size=n_features) * scales
+        chunks = [offsets + scales * rng.normal(size=(int(rng.integers(1, 20)),
+                                                      n_features))
+                  for _ in range(int(rng.integers(2, 9)))]
+        online = StandardScaler()
+        for chunk in chunks:
+            online.partial_fit(chunk)
+        batch = StandardScaler().fit(np.vstack(chunks))
+        assert online.count_ == batch.count_
+        # Compared in each column's own units.
+        np.testing.assert_allclose(online.mean_ / scales, batch.mean_ / scales,
+                                   rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(online.var_ / scales**2,
+                                   batch.var_ / scales**2,
+                                   rtol=1e-9, atol=1e-12)
+
+    def test_rls_without_forgetting_converges_to_least_squares(self, seed):
+        rng = np.random.default_rng(seed)
+        n_features = int(rng.integers(1, 6))
+        n_samples = int(rng.integers(40, 200))
+        features = rng.normal(size=(n_samples, n_features))
+        targets = (features @ rng.normal(size=n_features)
+                   + float(rng.normal()) + 0.1 * rng.normal(size=n_samples))
+        rls = RecursiveLeastSquares(n_features, forgetting_factor=1.0,
+                                    delta=1e6)
+        for row, target in zip(features, targets):
+            rls.update(row, float(target))
+        ols = LinearRegressor().fit(features, targets)
+        np.testing.assert_allclose(rls.coef_, ols.coef_, rtol=1e-5, atol=1e-6)
+        assert rls.intercept_ == pytest.approx(ols.intercept_, rel=1e-5,
+                                               abs=1e-6)
 
 
 @pytest.mark.parametrize("seed", PROPERTY_SEEDS)

@@ -11,6 +11,7 @@ HTTP with a real SIGKILL'd server subprocess.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import errno
 import json
 import os
@@ -284,6 +285,70 @@ class TestDurabilityRules:
             rotated = run.rounds % CONFIG.snapshot_every == 0 or run.done
             assert len(synced) == before + (3 if rotated else 0)
         run.close()
+
+
+def _manifest_rounds(journal_dir):
+    messages, _ = read_journal(journal_dir / "journal.bin")
+    return [m.round for m in messages if isinstance(m, SnapshotManifest)]
+
+
+class TestRotationCadence:
+    """The cadence a run starts with survives recovery, and a round is
+    rotated at most once."""
+
+    @pytest.mark.parametrize("external", [False, True])
+    def test_recovery_keeps_the_started_cadence(self, tmp_path, external):
+        """``start(snapshot_every=3)`` over a config saying 5: recovery
+        keeps 3, and the next rotation lands on a multiple of 3."""
+        config = dataclasses.replace(CONFIG, snapshot_every=5)
+        if external:
+            devices, simulator, space = build_config_devices(config)
+            run = ServiceRun.start(devices=devices, simulator=simulator,
+                                   space=space, journal_dir=tmp_path,
+                                   snapshot_every=3)
+        else:
+            run = ServiceRun.start(config=config, journal_dir=tmp_path,
+                                   snapshot_every=3)
+        _drive(run, stop_at=4)
+        del run
+        if external:
+            devices, simulator, space = build_config_devices(config)
+            recovered = ServiceRun.recover(tmp_path, devices=devices,
+                                           simulator=simulator, space=space)
+        else:
+            recovered = ServiceRun.recover(tmp_path)
+        assert recovered.snapshot_every == 3
+        assert recovered.rounds == 3
+        _drive(recovered, stop_at=6)
+        recovered.close()
+        assert _manifest_rounds(tmp_path) == [0, 3, 6]
+
+    def test_finished_run_shutdown_rotates_its_last_round_once(self,
+                                                              tmp_path):
+        run = ServiceRun.start(config=CONFIG, journal_dir=tmp_path)
+        _drive(run)
+        run.shutdown("done")
+        rounds = _manifest_rounds(tmp_path)
+        assert rounds[-1] == run.rounds
+        assert rounds.count(run.rounds) == 1
+        messages, _ = read_journal(tmp_path / "journal.bin")
+        assert isinstance(messages[-1], ShutdownNotice)
+
+    def test_shutdown_mid_cadence_rotates_and_recovers_there(self, tmp_path):
+        reference = _run_reference()
+        run = ServiceRun.start(config=CONFIG, journal_dir=tmp_path)
+        _drive(run, stop_at=4)
+        run.shutdown("drain")
+        assert _manifest_rounds(tmp_path) == [0, 3, 4]
+        recovered = ServiceRun.recover(tmp_path)
+        assert recovered.rounds == 4
+        # The restored manifest already holds round 4: nothing to rotate.
+        recovered.shutdown("drain again")
+        assert _manifest_rounds(tmp_path) == [0, 3, 4]
+        final = ServiceRun.recover(tmp_path)
+        _drive(final)
+        final.close()
+        assert final.digests() == reference.digests()
 
 
 class TestDispatchSemantics:

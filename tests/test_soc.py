@@ -314,11 +314,6 @@ class TestSimulator:
         assert result.energy_delay_product == pytest.approx(
             result.energy_j * result.execution_time_s)
 
-    def test_sweep_configurations(self, simulator, space, compute_snippet):
-        subset = space.configurations[:5]
-        results = simulator.sweep_configurations(compute_snippet, subset)
-        assert len(results) == 5
-
     def test_fewer_cores_slow_down_parallel_snippet(self, platform, parallel_snippet):
         space = ConfigurationSpace(platform, allow_core_gating=True,
                                    gated_clusters=("big",))

@@ -15,9 +15,9 @@ batched learning path on top of it: fleet-wide runtime-Oracle candidate
 sweeps, stacked RLS model updates with persistent cross-step precision
 tensors, and stacked MLP policy training — each bitwise identical to the
 per-device loops, asserted against 64 sequential runs on every run.
-The sharded fleet routes the governor fleet through the worker-pool
-:class:`~repro.fleet.sharding.ShardedFleetEngine` (shared-memory step
-tensors, streamed O(devices) summaries) and must beat the single-process
+The sharded fleet routes the governor fleet through the
+:class:`~repro.fleet.sharding.ShardedFleetEngine` (one child process per
+shard, streamed O(devices) summaries) and must beat the single-process
 engine's aggregate steps/s while reproducing its logs bitwise.
 
 Each timing-enabled run emits ``BENCH_fleet.json`` at the repository root;
@@ -244,17 +244,18 @@ def _sharded_engine(space, simulator, traces, n_shards, collect):
 
 @pytest.mark.benchmark(group="fleet")
 def test_bench_sharded_fleet(fleet_fixture, perf_record, speedup_gate):
-    """Worker-pool sharded fleet: identical logs, beats single-process.
+    """Process-sharded fleet: identical logs, beats single-process.
 
     The bitwise phase (every run, smoke included) checks the sharded
     engine against the in-process engine on the full 64-device fleet.
     The timed phase mirrors the other gates' prepare-outside-timer
     convention — :meth:`~repro.fleet.sharding.ShardedFleetEngine.prepare`
-    ships shards, builds worker engines and positions noise streams;
-    only the go→done stepping region is measured.  Streaming summaries
-    keep worker memory O(devices), which (with the cycle collector idle)
-    is what lets a sharded run beat the single-process engine even on a
-    single-core host; multi-core hosts add true parallelism on top.
+    starts the shard children, which build their engines and position
+    noise streams; only the go→done stepping region (and reaping the
+    children) is measured.  Streaming summaries keep child memory
+    O(devices), which (with the cycle collector idle) is what lets a
+    sharded run beat the single-process engine even on a single-core
+    host; multi-core hosts add true parallelism on top.
     """
     space, simulator, traces = fleet_fixture
     total_steps = sum(len(trace) for trace in traces)

@@ -128,12 +128,18 @@ def write_durable(path: Union[str, Path], data: bytes) -> Path:
     except OSError:
         Path(tmp_name).unlink(missing_ok=True)
         raise
-    directory = os.open(path.parent, os.O_RDONLY)
+    fsync_directory(path.parent)
+    return path
+
+
+def fsync_directory(path: Union[str, Path]) -> None:
+    """fsync directory ``path``, so entries created or renamed in it
+    survive a crash."""
+    directory = os.open(path, os.O_RDONLY)
     try:
         os.fsync(directory)
     finally:
         os.close(directory)
-    return path
 
 
 @dataclass

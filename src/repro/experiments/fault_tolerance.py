@@ -170,10 +170,10 @@ def run_fault_tolerance(
     ``n_shards`` accelerates the *fault-free* cells only: a cell whose
     plan injects nothing is, by the supervisor's documented zero-fault
     identity, bitwise equal to a bare engine run — so it can route
-    through the :class:`~repro.fleet.sharding.ShardedFleetEngine` worker
-    pool with synthesized all-healthy outcomes.  Cells with injected
-    faults need the supervisor's step-by-step intervention machinery and
-    stay single-process.
+    through a :class:`~repro.fleet.sharding.ShardedFleetEngine` (one
+    child process per shard) with synthesized all-healthy outcomes.
+    Cells with injected faults need the supervisor's step-by-step
+    intervention machinery and stay single-process.
     """
     scale = get_scale(scale)
     n = int(n_devices) if n_devices is not None else DEFAULT_FT_DEVICES

@@ -157,12 +157,12 @@ def run_fleet(
     through an unperturbed baseline plus the selected scenarios; default:
     every registered scenario).
 
-    ``n_shards`` routes the rollout through the
-    :class:`~repro.fleet.sharding.ShardedFleetEngine` worker pool instead
-    of the in-process engine.  Every per-device report value is bitwise
-    identical either way (and invariant to the shard count); only the
-    batching-fraction metadata may differ, because batch-group membership
-    is evaluated per shard.
+    ``n_shards`` routes the rollout through a
+    :class:`~repro.fleet.sharding.ShardedFleetEngine`, one child process
+    per shard, instead of the in-process engine.  Every per-device report
+    value is bitwise identical either way (and invariant to the shard
+    count); only the batching-fraction metadata may differ, because
+    batch-group membership is evaluated per shard.
     """
     scale = get_scale(scale)
     n = int(n_devices) if n_devices is not None else DEFAULT_FLEET_DEVICES

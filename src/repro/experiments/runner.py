@@ -148,7 +148,7 @@ class ExperimentContext:
         self.fleet_devices: Optional[int] = (
             int(fleet_devices) if fleet_devices is not None else None
         )
-        #: Worker-pool shard count for fleet-style experiments
+        #: Process shard count for fleet-style experiments
         #: (``--shards``); ``None`` runs them single-process.
         self.fleet_shards: Optional[int] = (
             int(fleet_shards) if fleet_shards is not None else None
@@ -790,8 +790,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shards", type=int, default=None, metavar="N", dest="shards",
-        help="run fleet experiments through the sharded worker-pool engine "
-             "with N process shards (default: single-process; per-device "
+        help="run fleet experiments through the sharded engine with N "
+             "process shards (default: single-process; per-device "
              "results are bitwise identical either way)",
     )
     parser.add_argument(

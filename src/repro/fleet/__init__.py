@@ -22,9 +22,9 @@ Public surface:
   machine, flatline watchdog, quarantine and snapshot-restart recovery
   layered over the engine without disturbing its bitwise contract.
 * :class:`~repro.fleet.sharding.ShardedFleetEngine` — partition the
-  device list across a persistent worker-process pool (step tensors via
-  shared memory, O(devices) streamed summaries), bitwise identical to
-  the single-process engine and invariant to the shard count.
+  device list into shards, each run by a child process of the engine
+  (O(devices) streamed summaries), bitwise identical to the
+  single-process engine and invariant to the shard count.
 """
 
 from repro.fleet.device import (
@@ -50,7 +50,6 @@ from repro.fleet.sharding import (
     ShardDeviceSummary,
     ShardedFleetEngine,
     ShardExecutionError,
-    shutdown_workers,
 )
 from repro.fleet.supervisor import (
     DeviceCrashError,
@@ -83,5 +82,4 @@ __all__ = [
     "device_session",
     "fault_from_dict",
     "lockstep_execute",
-    "shutdown_workers",
 ]

@@ -111,38 +111,32 @@ def device_session(
     )
 
 
-def _warn_fleet_hazards(
-    devices: Sequence[DeviceSpec],
-    sessions: Sequence[PolicySession],
-    engine: FleetEngine,
-    simulator: SoCSimulator,
-) -> None:
-    """Surface silent equivalence/performance degradations eagerly.
+def warn_rng_hazards(devices: Sequence[DeviceSpec],
+                     simulator: SoCSimulator) -> None:
+    """Warn when devices do not each own a private noise generator.
 
-    Two hazards used to pass without any signal:
-
-    * Sessions sharing one noise generator (an explicit shared ``rng``, or
-      no generator at all — both then draw from the simulator's stream).
-      Interleaved lockstep draws no longer match sequential runs, so the
-      fleet loses its bitwise-equivalence contract, and those sessions
-      also lose the batched execution kernel.
-    * Sessions classified onto the scalar-execute fallback by
-      ``FleetEngine._execute_batchable`` (exotic simulator, aliased policy
-      generator, ...) — correctness is preserved but throughput silently
-      drops to per-device stepping.
+    A generator is shared when several devices get it as ``rng`` or as
+    ``seed`` (:func:`device_session` uses a ``Generator`` seed as-is), or
+    when it is the simulator's own.  Such devices lose the lockstep ==
+    sequential bitwise contract and batched execution, and a sharded
+    fleet's results then depend on the shard count, because each shard
+    draws from its own copy.  Devices with neither ``seed`` nor ``rng``
+    draw from the simulator's stream and execute scalar.  Only the specs
+    are read, so the check runs before any session exists.
     """
-    # Object-keyed maps (identity hash, strong refs) — id() keys are
+    # Object-keyed map (identity hash, strong refs) — id() keys are
     # process-local and reusable after GC, so they are banned from every
     # fleet map (the lint test greps for them).
-    name_of = {session: device.name
-               for device, session in zip(devices, sessions)}
     shared: Dict[np.random.Generator, List[str]] = {}
     unseeded: List[str] = []
-    for device, session in zip(devices, sessions):
-        if session.rng is None:
+    for device in devices:
+        rng = device.rng
+        if rng is None and isinstance(device.seed, np.random.Generator):
+            rng = device.seed
+        if rng is not None:
+            shared.setdefault(rng, []).append(device.name)
+        elif device.seed is None:
             unseeded.append(device.name)
-        else:
-            shared.setdefault(session.rng, []).append(device.name)
     for names in shared.values():
         if len(names) > 1:
             warnings.warn(
@@ -152,8 +146,7 @@ def _warn_fleet_hazards(
                 "scalar — give each device its own seed/rng",
                 FleetBuildWarning, stacklevel=3,
             )
-    aliased = [device.name for device, session in zip(devices, sessions)
-               if session.rng is not None and session.rng is simulator.rng]
+    aliased = shared.get(simulator.rng)
     if aliased:
         warnings.warn(
             f"fleet devices {aliased} use the simulator's own noise "
@@ -167,15 +160,6 @@ def _warn_fleet_hazards(
             "(no seed/rng): they draw measurement noise from the "
             "simulator's shared stream and execute scalar — give each "
             "device its own seed",
-            FleetBuildWarning, stacklevel=3,
-        )
-    fallback = [name_of[session]
-                for session in engine.execute_fallback_sessions()]
-    if fallback:
-        warnings.warn(
-            f"fleet devices {fallback} fall back to scalar (unbatched) "
-            "execution — see FleetEngine._execute_batchable for the "
-            "eligibility rules",
             FleetBuildWarning, stacklevel=3,
         )
 
@@ -198,5 +182,17 @@ def build_fleet(
     ]
     engine = FleetEngine(sessions)
     if validate:
-        _warn_fleet_hazards(devices, sessions, engine, simulator)
+        warn_rng_hazards(devices, simulator)
+        # Object-keyed (never id()) map back to the device names.
+        name_of = {session: device.name
+                   for device, session in zip(devices, sessions)}
+        fallback = [name_of[session]
+                    for session in engine.execute_fallback_sessions()]
+        if fallback:
+            warnings.warn(
+                f"fleet devices {fallback} fall back to scalar (unbatched) "
+                "execution — see FleetEngine._execute_batchable for the "
+                "eligibility rules",
+                FleetBuildWarning, stacklevel=2,
+            )
     return engine

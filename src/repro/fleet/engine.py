@@ -82,13 +82,11 @@ class _ExecGroup:
 
     __slots__ = ("simulator", "sessions", "fleet_rows", "chars", "noise",
                  "uniform_soa", "active_members", "active_rows",
-                 "active_fleet_rows", "initial_rng", "preset")
+                 "active_fleet_rows", "initial_rng")
 
     def __init__(self, simulator: SoCSimulator,
                  sessions: List[PolicySession],
-                 fleet_rows: List[int],
-                 preset: Optional[Tuple[np.ndarray,
-                                        Optional[np.ndarray]]] = None) -> None:
+                 fleet_rows: List[int]) -> None:
         self.simulator = simulator
         self.sessions = sessions
         self.fleet_rows = fleet_rows
@@ -104,30 +102,6 @@ class _ExecGroup:
         self.active_members: List[PolicySession] = []
         self.active_rows = np.empty(0, dtype=np.intp)
         self.active_fleet_rows: List[int] = []
-        self.preset = preset
-        if preset is not None:
-            # Precomputed step tensors (shared-memory shards): the parent
-            # engine already drew every session's noise factors from a
-            # clone of its generator state — exactly the draws below — so
-            # the tensors are adopted as-is.  The generator-state
-            # bookkeeping still runs (the sessions' streams were never
-            # consumed here), keeping sequential_rng_state exact.
-            self.chars, self.noise = preset
-            noise_scale = simulator.noise_scale
-            if noise_scale == 0.0 or self.noise is None:
-                self.noise = None
-                return
-            for row, session in enumerate(sessions):
-                remaining = len(session) - session.step_index
-                if remaining <= 0:
-                    continue
-                self.initial_rng[row] = (
-                    session.rng.bit_generator.state, session.step_index
-                )
-                # Consume the pre-drawn prefix so session.rng sits exactly
-                # where the in-process pre-draw would have left it.
-                session.rng.normal(0.0, noise_scale, size=(remaining, 2))
-            return
         t_max = max(len(session) for session in sessions)
         traces = [TraceArrays(session.snippets) for session in sessions]
         n_columns = traces[0].matrix.shape[1]
@@ -231,13 +205,6 @@ class FleetEngine:
         self._active: List[PolicySession] = []
         self._active_rows: List[int] = []
         self._active_dirty = True
-        # Optional precomputed (chars, noise) step tensors per exec group,
-        # keyed by the sorted tuple of member fleet rows; installed by
-        # ShardedFleetEngine workers before prepare() so the padded
-        # tensors come from shared memory instead of being rebuilt.
-        self._exec_presets: Dict[Tuple[int, ...],
-                                 Tuple[np.ndarray,
-                                       Optional[np.ndarray]]] = {}
 
     # ------------------------------------------------------------------ #
     # Preparation
@@ -315,13 +282,11 @@ class FleetEngine:
         self._decide_groups = [
             _DecideGroup(members) for members in decide_groups.values()
         ]
-        self._exec_groups = []
-        for simulator, members in exec_groups.items():
-            fleet_rows = [self._fleet_row[session] for session in members]
-            preset = self._exec_presets.get(tuple(sorted(fleet_rows)))
-            self._exec_groups.append(
-                _ExecGroup(simulator, members, fleet_rows, preset=preset)
-            )
+        self._exec_groups = [
+            _ExecGroup(simulator, members,
+                       [self._fleet_row[session] for session in members])
+            for simulator, members in exec_groups.items()
+        ]
         self._observe_groups = [
             _ObserveGroup(members) for members in observe_groups.values()
             if len(members) >= 2

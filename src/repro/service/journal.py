@@ -32,6 +32,7 @@ import struct
 from pathlib import Path
 from typing import List, Tuple, Union
 
+from repro.core.session import fsync_directory
 from repro.service.protocol import (
     DispatchCommand,
     Message,
@@ -63,7 +64,8 @@ class Journal:
     """Append-only message log.
 
     Opening an existing journal seeks to its end (verifying the magic);
-    ``create=True`` requires the file to not exist yet.  :meth:`append`
+    ``create=True`` requires the file to not exist yet, and fsyncs the
+    new file and its directory entry.  :meth:`append`
     frames, writes and flushes one message, and fsyncs it when it is one
     of :data:`SYNCED_RECORDS`.  After an append fails the journal refuses
     appends, for the reason reopening truncates a torn tail.
@@ -80,6 +82,7 @@ class Journal:
             self._handle.write(JOURNAL_MAGIC)
             self._handle.flush()
             os.fsync(self._handle.fileno())
+            fsync_directory(self.path.parent)
         else:
             if not self.path.exists():
                 raise JournalError(f"journal {self.path} does not exist")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import errno
 import os
+import stat
 
 import pytest
 
@@ -154,6 +155,24 @@ class TestFileSha256:
 
 
 class TestDurability:
+    def test_create_fsyncs_file_and_directory(self, tmp_path, monkeypatch):
+        """A new journal's bytes and its directory entry are both fsync'd
+        before the constructor returns."""
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            info = os.fstat(fd)
+            synced.append((stat.S_ISDIR(info.st_mode), info.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        path = tmp_path / "run" / "journal.bin"
+        Journal(path, create=True).close()
+        monkeypatch.undo()
+        assert sorted(synced) == [(False, path.stat().st_ino),
+                                  (True, path.parent.stat().st_ino)]
+
     @pytest.mark.parametrize("message, synced", [
         (RunGenesis(config={"policy": "ondemand"}), 1),
         (SnapshotManifest(round=3, files=(("fleet", "s", "0" * 64),)), 1),

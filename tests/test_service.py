@@ -271,9 +271,10 @@ class TestDurabilityRules:
 
         monkeypatch.setattr(os, "fsync", counting_fsync)
         run = ServiceRun.start(config=CONFIG, journal_dir=tmp_path)
-        # Journal header, genesis, round-0 rotation (file, directory and
-        # manifest); the device registrations are not synced.
-        assert len(synced) == 5
+        # Journal header and its directory entry, genesis, round-0
+        # rotation (file, directory and manifest); the device
+        # registrations are not synced.
+        assert len(synced) == 6
         while not run.done:
             before = len(synced)
             if run.rounds == 4:

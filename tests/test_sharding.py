@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import gc
 import io
+import multiprocessing
+import os
 import tokenize
 import weakref
 from pathlib import Path
@@ -27,7 +29,9 @@ from repro.core.online_il import OnlineILPolicy
 from repro.experiments.fleet import FleetDeviceReport, _fleet_aggregates
 from repro.fleet import (
     DeviceSpec,
+    FleetBuildWarning,
     ShardedFleetEngine,
+    ShardExecutionError,
     build_fleet,
 )
 from repro.scenarios import get_scenario
@@ -236,6 +240,27 @@ class TestStreamedSummaries:
                                        for i in range(len(devices))]
 
 
+class TestRngHazards:
+    """``build_fleet`` and ``ShardedFleetEngine`` warn alike."""
+
+    @pytest.mark.parametrize("make_fleet", [build_fleet, ShardedFleetEngine])
+    def test_generator_passed_as_seed(self, make_fleet, platform, space):
+        """A ``Generator`` given as ``seed`` is used as-is, so it can be
+        shared, or be the simulator's own, just like an ``rng``."""
+        simulator = SoCSimulator(platform, noise_scale=0.02, seed=0)
+        shared = np.random.default_rng(0)
+        seeds = [shared, shared, simulator.rng]
+        devices = [DeviceSpec(name=f"dev{i}",
+                              policy=GovernorPolicy(OndemandGovernor(space)),
+                              snippets=make_trace(i, factor=0.2), seed=seed)
+                   for i, seed in enumerate(seeds)]
+        with pytest.warns(FleetBuildWarning) as record:
+            make_fleet(devices, simulator, space)
+        messages = [str(w.message) for w in record]
+        assert any("['dev0', 'dev1'] share one" in m for m in messages)
+        assert any("['dev2'] use the simulator's own" in m for m in messages)
+
+
 class TestAdoptionOwnership:
     """Group membership is held by object, never by process-local id()."""
 
@@ -395,14 +420,30 @@ class TestShardedExperiment:
         assert "--shards has no effect" in capsys.readouterr().err
 
 
-class TestResourceHygiene:
-    """Worker-pool and shared-memory teardown on every failure path.
+class TestShardedFaultTolerance:
+    """--shards routes the fault-free cell through the sharded engine."""
 
-    A prepared-but-never-executed engine leaves its workers blocked
-    waiting for ``go``; an exception mid-prepare/execute leaves undrained
-    pipe messages; a parent that dies with a mapped block would strand a
-    ``/dev/shm`` segment.  These tests pin that close()/error paths
-    retire poisoned workers and that the atexit sweep unlinks leftovers.
+    def test_sharded_cells_match_single_process(self):
+        from dataclasses import asdict
+
+        from repro.experiments.fault_tolerance import run_fault_tolerance
+        from repro.experiments.scales import TINY
+
+        reference = run_fault_tolerance(TINY, seed=0, n_devices=4)
+        sharded = run_fault_tolerance(TINY, seed=0, n_devices=4, n_shards=2)
+        assert [asdict(cell) for cell in sharded.cells] == [
+            asdict(cell) for cell in reference.cells
+        ]
+
+
+class TestResourceHygiene:
+    """Every engine reaps the shard children it starts, on every path.
+
+    ``run()`` and ``close()`` leave no child behind, an interrupt between
+    child starts kills the started ones, and a child that dies mid-run
+    surfaces as :class:`ShardExecutionError`.  The engines use three
+    shards: a later child inherits copies of the parent's ends of the
+    earlier pipes, so closing them does not stop an idle child.
     """
 
     def _devices(self, space, n=4):
@@ -413,90 +454,68 @@ class TestResourceHygiene:
             for i in range(n)
         ]
 
-    def test_close_retires_prepared_workers_and_pool_recovers(
-            self, platform, space):
-        import repro.fleet.sharding as sharding
-
+    def _engine(self, platform, space):
         simulator = SoCSimulator(platform, noise_scale=0.02, seed=0)
-        engine = ShardedFleetEngine(self._devices(space), simulator, space,
-                                    n_shards=2)
+        return ShardedFleetEngine(self._devices(space), simulator, space,
+                                  n_shards=3)
+
+    def test_no_child_outlives_run_or_close(self, platform, space):
+        summaries = self._engine(platform, space).run()
+        assert [s.name for s in summaries] == [f"dev{i}" for i in range(4)]
+        assert multiprocessing.active_children() == []
+        engine = self._engine(platform, space)
         engine.prepare()
-        assert engine._workers is not None
+        assert len(multiprocessing.active_children()) == 3
         engine.close()
-        assert engine._workers is None
-        assert engine._shared == []
-        # The blocked workers were retired, not recycled: a fresh engine
-        # must run cleanly on newly spawned workers.
-        summaries = ShardedFleetEngine(self._devices(space), simulator,
-                                       space, n_shards=2).run()
-        assert len(summaries) == 4
-        assert all(s.steps > 0 for s in summaries)
-        sharding.shutdown_workers()
+        assert multiprocessing.active_children() == []
+        engine.close()  # idempotent
+        with pytest.raises(RuntimeError, match="prepare"):
+            engine.execute()
 
     def test_context_manager_closes(self, platform, space):
-        simulator = SoCSimulator(platform, noise_scale=0.02, seed=0)
-        with ShardedFleetEngine(self._devices(space), simulator, space,
-                                n_shards=2) as engine:
+        with self._engine(platform, space) as engine:
             engine.prepare()
-        assert engine._workers is None
+        assert multiprocessing.active_children() == []
 
-    def test_interrupt_mid_prepare_releases_everything(self, platform,
-                                                       space, monkeypatch):
-        """A simulated parent failure (KeyboardInterrupt between shard
-        shipments) must leave no mapped segment and no poisoned worker."""
+    def test_interrupt_between_child_starts_leaves_no_child(
+            self, platform, space, monkeypatch):
         import repro.fleet.sharding as sharding
 
-        simulator = SoCSimulator(platform, noise_scale=0.02, seed=0)
-        engine = ShardedFleetEngine(self._devices(space), simulator, space,
-                                    n_shards=2)
-        original = ShardedFleetEngine._ship_shard
-        shipped = []
+        started = []
 
-        def failing_ship(self, worker, lo, hi):
-            original(self, worker, lo, hi)
-            shipped.append((lo, hi))
-            if len(shipped) == 2:
-                raise KeyboardInterrupt
+        class InterruptedStarts(sharding._MP.Process):
+            def start(self):
+                super().start()
+                started.append(self)
+                if len(started) == 2:
+                    raise KeyboardInterrupt
 
-        monkeypatch.setattr(ShardedFleetEngine, "_ship_shard", failing_ship)
+        monkeypatch.setattr(sharding._MP, "Process", InterruptedStarts)
         with pytest.raises(KeyboardInterrupt):
-            engine.prepare()
-        assert engine._shared == []
-        assert not sharding._LIVE_SHARED
-        assert not sharding._POOL  # the involved workers were retired
+            self._engine(platform, space).prepare()
         monkeypatch.undo()
-        # The pool re-spawns and serves a clean run afterwards.
-        summaries = ShardedFleetEngine(self._devices(space), simulator,
-                                       space, n_shards=2).run()
-        assert len(summaries) == 4
-        sharding.shutdown_workers()
+        assert len(started) == 2
+        assert multiprocessing.active_children() == []
+        # A fresh engine starts fresh children and runs cleanly.
+        summaries = self._engine(platform, space).run()
+        assert all(s.steps > 0 for s in summaries)
+        assert multiprocessing.active_children() == []
 
-    def test_parent_death_leaves_no_stale_shm_segment(self):
-        """A block still mapped when the interpreter exits (the parent
-        'failed' before its unlink) is swept by the atexit teardown."""
-        import subprocess
-        import sys
+    def test_child_exiting_mid_run_raises_shard_execution_error(
+            self, platform, space, monkeypatch):
+        """The last shard's child dies after the others replied: the
+        parent raises instead of a bare EOFError or a hang."""
+        import repro.fleet.sharding as sharding
 
-        script = (
-            "import json, sys\n"
-            "import repro.fleet.sharding as sharding\n"
-            "from multiprocessing import shared_memory\n"
-            "block = shared_memory.SharedMemory(create=True, size=1024)\n"
-            "sharding._LIVE_SHARED.append(block)\n"
-            "print(json.dumps({'name': block.name}))\n"
-            "sys.stdout.flush()\n"
-            # exit WITHOUT unlinking: only the atexit sweep stands between
-            # this mapping and a stale /dev/shm segment.
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        name = __import__("json").loads(result.stdout)["name"]
-        from multiprocessing import shared_memory as shm
+        run_shard = sharding._run_shard
 
-        with pytest.raises(FileNotFoundError):
-            shm.SharedMemory(name=name)
-        # No resource-tracker leak warnings either.
-        assert "leaked shared_memory" not in result.stderr
+        def dying(pending):
+            if pending["engine"].sessions[0].name == "dev3":
+                os._exit(3)
+            return run_shard(pending)
+
+        monkeypatch.setattr(sharding, "_run_shard", dying)
+        engine = self._engine(platform, space)
+        with pytest.raises(ShardExecutionError, match="exited with code 3"):
+            engine.run()
+        assert multiprocessing.active_children() == []

@@ -185,7 +185,7 @@ def test_bench_online_il_steps_per_second(perf_record, speedup_gate):
     run = framework.evaluate_policy_on_snippets(policy, sequence.snippets,
                                                 with_oracle=False)
     elapsed = time.perf_counter() - start
-    steps = len(run.results)
+    steps = len(run.log)
     assert steps == len(sequence.snippets)
     if not speedup_gate:
         return

@@ -13,7 +13,7 @@ fraction of the cost — the property Figure 5 quantifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

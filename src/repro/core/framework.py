@@ -14,8 +14,8 @@ experiments and examples.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -30,9 +30,8 @@ from repro.core.runtime_oracle import RuntimeOracle
 from repro.models.performance import CpuPerformanceModel
 from repro.models.power import CpuPowerModel
 from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
-from repro.soc.energy import EnergyAccount
 from repro.soc.platform import PlatformSpec, odroid_xu3_like
-from repro.soc.simulator import SnippetResult, SoCSimulator
+from repro.soc.simulator import SoCSimulator
 from repro.soc.snippet import Snippet
 from repro.utils.records import RunLog
 from repro.utils.rng import SeedLike, spawn_rngs
@@ -46,21 +45,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scenarios -> core)
 
 @dataclass
 class PolicyRunResult:
-    """Outcome of running one policy over a snippet trace."""
+    """Outcome of running one policy over a snippet trace.
+
+    ``log`` holds one record per executed step; the totals are the sums
+    of the executed snippets' energy and time.
+    """
 
     policy_name: str
     log: RunLog
-    account: EnergyAccount
+    total_energy_j: float
+    total_time_s: float
     oracle_energy_j: Optional[float] = None
-    results: List[SnippetResult] = field(default_factory=list)
-
-    @property
-    def total_energy_j(self) -> float:
-        return self.account.total_energy_j
-
-    @property
-    def total_time_s(self) -> float:
-        return self.account.total_time_s
 
     @property
     def normalized_energy(self) -> float:
@@ -90,9 +85,6 @@ class PolicyRunResult:
     def final_accuracy(self, window: int = 10) -> float:
         series = self.accuracy_series(window=window)
         return float(series[-1])
-
-    def per_application_energy(self) -> Dict[str, float]:
-        return self.account.per_application_energy()
 
 
 def run_policy_on_snippets(

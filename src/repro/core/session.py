@@ -6,9 +6,10 @@ into an explicit state machine over the deployment data flow::
     decide  ->  clamp/throttle  ->  execute  ->  observe
 
 Each phase is a public method, and all loop-carried state (the
-:class:`~repro.utils.records.RunLog`, the
-:class:`~repro.soc.energy.EnergyAccount`, the last observed counters, the
-accumulated Oracle energy and the step cursor) lives on the session object.
+:class:`~repro.utils.records.RunLog`, the energy and time totals, the last
+observed counters, the accumulated Oracle energy and the step cursor)
+lives on the session object.  The log is the only per-step store: a
+session keeps no executed :class:`~repro.soc.simulator.SnippetResult`.
 That makes a policy run:
 
 * **resumable** — a session can be advanced one step (or one phase) at a
@@ -27,6 +28,11 @@ The clamp/throttle phase is folded into :meth:`decide`'s output: the
 returned :class:`SessionStep` carries both the policy's raw proposal and
 the hardware-clamped configuration that will actually execute, plus the
 ``throttled`` flag recorded in the log.
+
+A session splits into its definition (the trace, the Oracle table, the
+simulator), which never changes while it runs, and its state (policy,
+space, noise generator, log, totals, counters, cursor).  Snapshots hold
+the state only; whoever restores a session supplies the definition again.
 """
 
 from __future__ import annotations
@@ -46,14 +52,13 @@ from repro.control.policy import DRMPolicy
 from repro.core.oracle import OraclePolicy, OracleTable
 from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
 from repro.soc.counters import PerformanceCounters
-from repro.soc.energy import EnergyAccount
 from repro.soc.simulator import SnippetResult, SoCSimulator
 from repro.soc.snippet import Snippet
 from repro.utils.records import RunLog, RunRecord
 
 #: Bump when the snapshot payload layout changes; old snapshots then fail
 #: to restore with a clear :class:`SnapshotError` instead of misbehaving.
-SNAPSHOT_FORMAT_VERSION = 2
+SNAPSHOT_FORMAT_VERSION = 3
 
 #: Leading magic of serialized snapshots (identifies the container format).
 _SNAPSHOT_MAGIC = b"RPSESNAP"
@@ -210,8 +215,8 @@ class PolicySession:
         if reset_policy:
             policy.reset(initial_configuration)
         self.log = RunLog()
-        self.account = EnergyAccount()
-        self.results: List[SnippetResult] = []
+        self.total_energy_j = 0.0
+        self.total_time_s = 0.0
         self.counters: Optional[PerformanceCounters] = None
         self.oracle_energy = 0.0
         self._cursor = 0
@@ -337,6 +342,9 @@ class PolicySession:
         that already delivered the policy feedback through a batched
         ``fleet_observe`` passes ``policy_observed=True`` to skip the
         scalar ``policy.observe`` call (everything else is unchanged).
+
+        The record's ``config_index`` is the executed configuration's
+        index in :attr:`space`, or NaN when it is not a member.
         """
         if step is not self._pending:
             if self._pending is None:
@@ -347,20 +355,23 @@ class PolicySession:
         if not policy_observed:
             self.policy.observe(result)
         self.counters = result.counters
-        self.account.add(result)
-        self.results.append(result)
-        config = step.configuration
-        if step.configuration_index is not None:
-            big_opp, little_opp = self._opp_floats(step.configuration_index)
+        self.total_energy_j += result.energy_j
+        self.total_time_s += result.execution_time_s
+        index = step.configuration_index
+        if index is not None:
+            big_opp, little_opp = self._opp_floats(index)
         else:
+            config = step.configuration
             big_opp = float(config.opp_index("big"))
             little_opp = float(config.opp_index("little"))
+            index = self.space._index.get(config)
         record = {
             "energy_j": float(result.energy_j),
             "time_s": float(result.execution_time_s),
             "power_w": float(result.average_power_w),
             "big_opp": big_opp,
             "little_opp": little_opp,
+            "config_index": float("nan") if index is None else float(index),
         }
         if self.space_schedule is not None:
             record["throttled"] = 1.0 if step.throttled else 0.0
@@ -394,20 +405,21 @@ class PolicySession:
         return self.result()
 
     def result(self) -> "PolicyRunResult":
-        """Snapshot of the run so far (complete or not).
+        """The run so far (complete or not).
 
-        The returned object shares the session's log/account/results, so a
-        snapshot taken mid-run keeps reflecting the session as it advances.
+        The returned object shares the session's log, so a result taken
+        mid-run keeps reflecting the session's log as it advances; its
+        totals are those at the time of the call.
         """
         from repro.core.framework import PolicyRunResult
 
         return PolicyRunResult(
             policy_name=self.policy.name,
             log=self.log,
-            account=self.account,
+            total_energy_j=self.total_energy_j,
+            total_time_s=self.total_time_s,
             oracle_energy_j=(self.oracle_energy
                              if self.oracle_table is not None else None),
-            results=self.results,
         )
 
     def state_digest(self) -> str:
@@ -429,8 +441,7 @@ class PolicySession:
             digest.update(key.encode("utf-8"))
             digest.update(struct.pack(f"<{len(values)}d", *values))
         digest.update(struct.pack(
-            "<3d", self.account.total_energy_j, self.account.total_time_s,
-            self.oracle_energy,
+            "<3d", self.total_energy_j, self.total_time_s, self.oracle_energy,
         ))
         return digest.hexdigest()
 
@@ -438,18 +449,23 @@ class PolicySession:
     # Durable snapshots
     # ------------------------------------------------------------------ #
     def snapshot_state(self, rng: Any = _RNG_UNSET) -> Dict[str, Any]:
-        """Full restorable session state as one picklable dict.
+        """The session's restorable state as one picklable dict.
 
-        Everything loop-carried is captured — policy (with its learned
-        state), space, trace, log, accounting, counters, cursor and the
-        pending step, if the session is paused mid-phase between decide
-        and observe.  Two references are deliberately excluded:
+        Everything that changes while the session runs is captured —
+        policy (with its learned state), space, noise generator, log,
+        totals, counters, cursor and the pending step, if the session is
+        paused mid-phase between decide and observe — plus the trace
+        length, so a restore can check the trace it is given.  What never
+        changes is left out and supplied again at :meth:`restore`:
 
-        * the **simulator** (shared infrastructure, supplied again at
-          :meth:`restore`);
+        * the **trace** and the **Oracle table**;
+        * the **simulator** (shared infrastructure);
         * the **space_schedule** (a closure over the live space object;
-          rebuild it over the restored session's ``.space`` — see
-          :meth:`restore`).
+          rebuild it over the restored session's ``.space``).
+
+        ``space`` stays in: the policy references it, and one pickle over
+        many sessions (:func:`pack_states`) keeps a fleet's one space
+        shared, so ``policy.space is session.space`` survives a restore.
 
         ``rng`` overrides the stored noise generator.  A session adopted
         for batched execution by the fleet engine has had its private
@@ -460,14 +476,13 @@ class PolicySession:
         return {
             "version": SNAPSHOT_FORMAT_VERSION,
             "name": self.name,
+            "trace_steps": self._trace_len,
             "policy": self.policy,
             "space": self.space,
-            "snippets": self.snippets,
-            "oracle_table": self.oracle_table,
             "rng": self.rng if rng is _RNG_UNSET else rng,
             "log": self.log,
-            "account": self.account,
-            "results": self.results,
+            "total_energy_j": self.total_energy_j,
+            "total_time_s": self.total_time_s,
             "counters": self.counters,
             "oracle_energy": self.oracle_energy,
             "cursor": self._cursor,
@@ -497,33 +512,43 @@ class PolicySession:
         cls,
         state: Union[Dict[str, Any], bytes],
         simulator: SoCSimulator,
+        snippets: Sequence[Snippet],
+        oracle_table: Optional[OracleTable] = None,
         space_schedule: Optional[Callable[[int], ConfigurationSpace]] = None,
     ) -> "PolicySession":
         """Rebuild a session from :meth:`snapshot_state` / snapshot bytes.
 
-        The restored session continues bitwise identically to the original
-        (same policy state, same log, same pending step, same noise
-        stream).  ``space_schedule`` must be rebuilt over the *restored*
-        session's ``.space`` (e.g. ``make_space_schedule(session.space,
-        trace)``) — a schedule closed over the original space object would
-        make every step compare as throttled against the unpickled space.
+        ``snippets`` and ``oracle_table`` are the trace and table the
+        snapshotted session ran over; a trace of another length raises
+        :class:`SnapshotError`.  The restored session continues bitwise
+        identically to the original (same policy state, same log, same
+        pending step, same noise stream).  ``space_schedule`` must be
+        rebuilt over the *restored* session's ``.space`` (e.g.
+        ``make_space_schedule(session.space, trace)``) — a schedule closed
+        over the original space object would make every step compare as
+        throttled against the unpickled space.
         """
         if isinstance(state, (bytes, bytearray)):
             state = cls.unpack_snapshot(bytes(state))
+        if len(snippets) != state["trace_steps"]:
+            raise SnapshotError(
+                f"snapshot of {state['name']!r} covers a "
+                f"{state['trace_steps']}-step trace, not {len(snippets)} steps"
+            )
         session = cls(
             simulator,
             state["space"],
             state["policy"],
-            state["snippets"],
-            oracle_table=state["oracle_table"],
+            snippets,
+            oracle_table=oracle_table,
             rng=state["rng"],
             reset_policy=False,
             space_schedule=space_schedule,
             name=state["name"],
         )
         session.log = state["log"]
-        session.account = state["account"]
-        session.results = state["results"]
+        session.total_energy_j = state["total_energy_j"]
+        session.total_time_s = state["total_time_s"]
         session.counters = state["counters"]
         session.oracle_energy = state["oracle_energy"]
         session._cursor = state["cursor"]
@@ -535,11 +560,16 @@ class PolicySession:
         cls,
         path: Union[str, Path],
         simulator: SoCSimulator,
+        snippets: Sequence[Snippet],
+        oracle_table: Optional[OracleTable] = None,
         space_schedule: Optional[Callable[[int], ConfigurationSpace]] = None,
     ) -> "PolicySession":
-        """Restore a session from a :meth:`save_snapshot` file."""
+        """Restore a session from a :meth:`save_snapshot` file (see
+        :meth:`restore`)."""
         try:
             data = Path(path).read_bytes()
         except OSError as exc:
             raise SnapshotError(f"snapshot {path} unreadable: {exc}") from exc
-        return cls.restore(data, simulator, space_schedule=space_schedule)
+        return cls.restore(data, simulator, snippets,
+                           oracle_table=oracle_table,
+                           space_schedule=space_schedule)

@@ -15,8 +15,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from repro.ml.linear import LinearRegressor
 from repro.ml.knn import KNeighborsRegressor
 from repro.ml.metrics import mean_absolute_percentage_error
 from repro.ml.tree import DecisionTreeRegressor
-from repro.noc.analytical import AnalyticalNoCModel
 from repro.noc.svr_model import SVRNoCLatencyModel, build_noc_training_set
 from repro.noc.topology import MeshTopology
 from repro.utils.rng import SeedLike

@@ -1,7 +1,8 @@
 """Shared experiment infrastructure: the online adaptation study.
 
-Scale presets live in :mod:`repro.experiments.scales` (re-exported here for
-backwards compatibility).  ``OnlineAdaptationStudy`` performs the shared
+Scale presets live in :mod:`repro.experiments.scales` (``QUICK`` and
+``ExperimentScale`` are re-exported here for the figure and ablation
+modules).  ``OnlineAdaptationStudy`` performs the shared
 heavy lifting behind Figures 3 and 4: train the IL and RL policies offline on
 Mi-Bench, then adapt both online over a Cortex+PARSEC application sequence
 while tracking accuracy and energy against the Oracle.
@@ -10,7 +11,7 @@ while tracking accuracy and energy against the Oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -18,10 +19,7 @@ from repro.control.rl import QLearningController
 from repro.core.framework import OnlineLearningFramework, PolicyRunResult
 from repro.core.online_il import OnlineILPolicy
 from repro.experiments.scales import (  # noqa: F401  (re-exported)
-    BENCH,
-    FULL,
     QUICK,
-    TINY,
     ExperimentScale,
 )
 from repro.utils.rng import SeedLike
@@ -66,12 +64,13 @@ class OnlineAdaptationStudy:
         """
         per_app: Dict[str, float] = {}
         oracle_per_app: Dict[str, float] = {}
-        for record, result in zip(run.log, run.results):
-            app = result.snippet.application
+        snippets = self.sequence.snippets
+        for record in run.log:
+            app = snippets[record.step].application
             oracle_energy = record.get("oracle_energy_j")
             if oracle_energy is None or not np.isfinite(oracle_energy):
                 continue
-            per_app[app] = per_app.get(app, 0.0) + result.energy_j
+            per_app[app] = per_app.get(app, 0.0) + record["energy_j"]
             oracle_per_app[app] = oracle_per_app.get(app, 0.0) + oracle_energy
         return {
             app: per_app[app] / oracle_per_app[app]

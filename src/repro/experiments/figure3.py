@@ -60,11 +60,13 @@ def _near_optimal_series(study: OnlineAdaptationStudy, run, window: int,
                          tolerance: float = 0.02) -> np.ndarray:
     """Moving-average rate of decisions within ``tolerance`` of Oracle energy."""
     framework = study.framework
+    snippets = study.sequence.snippets
     flags = []
-    for record, result in zip(run.log, run.results):
+    for record in run.log:
         oracle_energy = record.get("oracle_energy_j")
         achieved = framework.simulator.evaluate_expected(
-            result.snippet, result.configuration
+            snippets[record.step],
+            framework.space[int(record["config_index"])],
         ).energy_j
         flags.append(1.0 if achieved <= oracle_energy * (1.0 + tolerance) else 0.0)
     return trailing_nanmean(np.array(flags), window) * 100.0

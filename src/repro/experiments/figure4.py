@@ -21,7 +21,6 @@ from repro.experiments.common import (
 )
 from repro.utils.rng import SeedLike
 from repro.utils.tables import format_table
-from repro.workloads.suites import MIBENCH_APPS
 
 
 @dataclass

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.soc.configuration import ConfigurationSpace
-from repro.soc.counters import COUNTER_NAMES, PerformanceCounters
+from repro.soc.counters import COUNTER_NAMES
 from repro.soc.platform import odroid_xu3_like
 from repro.soc.simulator import SoCSimulator
 from repro.soc.snippet import Snippet

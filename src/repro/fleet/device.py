@@ -78,6 +78,12 @@ class DeviceSpec:
         if self.scenario is None and len(self.snippets) == 0:
             raise ValueError(f"device {self.name!r} has no trace to run")
 
+    @property
+    def trace(self) -> Sequence[Snippet]:
+        """The snippets this device runs (its scenario's, if it has one)."""
+        return self.scenario.snippets if self.scenario is not None \
+            else self.snippets
+
 
 def device_session(
     device: DeviceSpec,
@@ -88,12 +94,8 @@ def device_session(
     from repro.scenarios.runtime import make_space_schedule
 
     space = device.space if device.space is not None else base_space
-    if device.scenario is not None:
-        snippets: Sequence[Snippet] = device.scenario.snippets
-        schedule = make_space_schedule(space, device.scenario)
-    else:
-        snippets = device.snippets
-        schedule = None
+    schedule = (make_space_schedule(space, device.scenario)
+                if device.scenario is not None else None)
     rng = device.rng
     if rng is None and device.seed is not None:
         rng = make_rng(device.seed)
@@ -101,7 +103,7 @@ def device_session(
         simulator,
         space,
         device.policy,
-        snippets,
+        device.trace,
         oracle_table=device.oracle_table,
         rng=rng,
         reset_policy=device.reset_policy,

@@ -19,13 +19,12 @@ for that engine.  The design goals, in order:
   A forked child inherits its devices; where fork is unavailable the
   same arguments are pickled.  The pipe carries only the handshake and
   the final summaries.
-* **O(devices) fleet memory** — ``collect="summaries"`` replaces each
-  child session's :class:`~repro.utils.records.RunLog` with a
-  streaming accumulator (:class:`_StreamingRunLog`) holding a constant
-  number of scalars per device, and discards the per-step
-  ``SnippetResult`` objects, so shard memory never grows with the trace
-  length.  ``collect="logs"`` returns full column-oriented log dicts for
-  the equivalence suites.
+* **Summaries or logs** — a child builds every device's
+  :class:`ShardDeviceSummary` from the session's own
+  :class:`~repro.core.framework.PolicyRunResult`, exactly as the
+  single-process path does.  ``collect="summaries"`` sends back only
+  those aggregates; ``collect="logs"`` adds each device's full
+  column-oriented log dict for the equivalence suites.
 
 Protocol (two-phase, so benchmarks can time pure stepping): ``prepare()``
 starts one child per shard, each child builds its engine and answers
@@ -46,11 +45,9 @@ import multiprocessing
 import numpy as np
 
 from repro.fleet.device import DeviceSpec, build_fleet, warn_rng_hazards
+from repro.fleet.engine import FleetEngine
 from repro.soc.configuration import ConfigurationSpace
 from repro.soc.simulator import SoCSimulator
-
-#: Accuracy smoothing window mirrored from ``PolicyRunResult.final_accuracy``.
-_ACCURACY_WINDOW = 10
 
 # Fork keeps child start cheap: the child inherits the imported modules
 # and its devices.  Elsewhere the platform default pickles the same
@@ -62,92 +59,18 @@ else:  # pragma: no cover - non-fork platforms
 
 
 # --------------------------------------------------------------------- #
-# Streaming per-session accumulators (collect="summaries")
-# --------------------------------------------------------------------- #
-class _DiscardList(list):
-    """List stand-in that drops appends (bounds live objects per step)."""
-
-    __slots__ = ()
-
-    def append(self, item: Any) -> None:
-        pass
-
-    def extend(self, items: Any) -> None:
-        pass
-
-
-class _StreamingRunLog:
-    """O(1)-memory ``RunLog`` stand-in for summary-mode shard children.
-
-    Implements exactly the surface :meth:`~repro.core.session
-    .PolicySession.observe` touches (``append_record``/``len``) while
-    accumulating the three log-derived summary statistics:
-
-    * ``len(log)`` — a running count.
-    * ``throttled_steps`` — a running sum of the 0/1 ``throttled``
-      column; 0/1 sums are exact integers in float64, so the total is
-      bitwise equal to ``np.nansum`` over the materialised column.
-    * ``final_accuracy`` — the last element of ``trailing_nanmean(
-      oracle_match, window) * 100``.  The trailing window only ever needs
-      the last ``window`` values; for a 0/1 indicator series the window
-      sum and count are exact integers, so summing the retained tail
-      reproduces the cumsum-difference arithmetic bitwise.
-    """
-
-    __slots__ = ("count", "throttled_sum", "window", "tail", "any_match")
-
-    def __init__(self, window: int = _ACCURACY_WINDOW) -> None:
-        self.count = 0
-        self.throttled_sum = 0.0
-        self.window = window
-        self.tail: List[float] = []
-        self.any_match = False
-
-    def append_record(self, record: Any) -> Any:
-        self.count += 1
-        values = record.values
-        throttled = values.get("throttled")
-        if throttled is not None and throttled == throttled:
-            self.throttled_sum += throttled
-        match = values.get("oracle_match", float("nan"))
-        if match == match:
-            self.any_match = True
-        tail = self.tail
-        tail.append(match)
-        if len(tail) > self.window:
-            del tail[0]
-        return record
-
-    def __len__(self) -> int:
-        return self.count
-
-    def final_accuracy(self) -> float:
-        """Mirror of ``trailing_nanmean(matches, window)[-1] * 100``."""
-        total = 0.0
-        count = 0
-        for value in self.tail:
-            if value == value:
-                total += value
-                count += 1
-        if count == 0:
-            return float("nan")
-        return (total / count) * 100.0
-
-
-# --------------------------------------------------------------------- #
 # Per-device summaries streamed back from the shards
 # --------------------------------------------------------------------- #
 @dataclass
 class ShardDeviceSummary:
     """One device's aggregate outcome, streamed back from its shard.
 
-    Every field is bitwise identical to what the single-process engine's
-    :class:`~repro.core.framework.PolicyRunResult` would yield: the
-    totals come from the same :class:`~repro.soc.energy.EnergyAccount`
-    accumulation, ``final_accuracy`` from the streaming twin of the
-    trailing-window smoothing, and :attr:`normalized_energy` applies the
-    same guard/arithmetic.  ``log`` carries the full column-oriented log
-    dict under ``collect="logs"`` (``None`` in summary mode).
+    Every field is what the single-process engine's
+    :class:`~repro.core.framework.PolicyRunResult` yields for the device,
+    computed the same way from the child's own run, and
+    :attr:`normalized_energy` applies the same guard/arithmetic.  ``log``
+    carries the full column-oriented log dict under ``collect="logs"``
+    (``None`` in summary mode).
     """
 
     name: str
@@ -170,76 +93,35 @@ class ShardDeviceSummary:
 # --------------------------------------------------------------------- #
 # Child side
 # --------------------------------------------------------------------- #
-def _prepare_shard(devices: Sequence[DeviceSpec], simulator: SoCSimulator,
-                   base_space: ConfigurationSpace,
-                   collect: str) -> Dict[str, Any]:
-    """Build one shard's engine inside the child (the ``ready`` phase)."""
-    engine = build_fleet(devices, simulator, base_space, validate=False)
-    sessions = engine.sessions
-    streams: List[Optional[_StreamingRunLog]] = [None] * len(sessions)
-    if collect == "summaries":
-        for row, session in enumerate(sessions):
-            stream = _StreamingRunLog()
-            session.log = stream
-            session.results = _DiscardList()
-            # total_energy_j / total_time_s / per-application sums stay
-            # eagerly accumulated; only the per-component decomposition
-            # (unused by summaries) loses its retained results.
-            session.account._results = _DiscardList()
-            streams[row] = stream
-    engine.prepare()
-    return {"engine": engine, "collect": collect, "streams": streams}
-
-
-def _run_shard(pending: Dict[str, Any]) -> Dict[str, Any]:
+def _run_shard(engine: FleetEngine, collect: str) -> Dict[str, Any]:
     """Drive one prepared shard to completion (the ``go`` phase)."""
-    engine = pending["engine"]
-    collect = pending["collect"]
-    summaries: List[Dict[str, Any]] = []
-    if collect == "summaries":
-        # Live objects per step are bounded (results discarded, log
-        # streamed), so reference counting alone reclaims everything and
-        # the cycle collector's periodic scans are pure overhead.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            while not engine.done:
-                engine.step()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        for session, stream in zip(engine.sessions, pending["streams"]):
-            summaries.append({
-                "name": session.name,
-                "policy_name": session.policy.name,
-                "steps": len(stream),
-                "throttled_steps": int(stream.throttled_sum),
-                "total_energy_j": session.account.total_energy_j,
-                "total_time_s": session.account.total_time_s,
-                "oracle_energy_j": (session.oracle_energy
-                                    if session.oracle_table is not None
-                                    else None),
-                "final_accuracy": stream.final_accuracy(),
-                "log": None,
-            })
-    else:
+    # The child exits after its reply, so the cycle collector's periodic
+    # scans over the growing logs are pure overhead: whatever stepping
+    # leaves behind goes with the process.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
         runs = engine.run()
-        for session, run in zip(engine.sessions, runs):
-            matches = run.log.column("oracle_match")
-            has_matches = bool(np.any(~np.isnan(matches)))
-            throttled = run.log.column("throttled", default=0.0)
-            summaries.append({
-                "name": session.name,
-                "policy_name": run.policy_name,
-                "steps": len(run.log),
-                "throttled_steps": int(np.nansum(throttled)),
-                "total_energy_j": run.total_energy_j,
-                "total_time_s": run.total_time_s,
-                "oracle_energy_j": run.oracle_energy_j,
-                "final_accuracy": (run.final_accuracy()
-                                   if has_matches else float("nan")),
-                "log": run.log.to_dict(),
-            })
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    summaries: List[Dict[str, Any]] = []
+    for session, run in zip(engine.sessions, runs):
+        matches = run.log.column("oracle_match")
+        has_matches = bool(np.any(~np.isnan(matches)))
+        throttled = run.log.column("throttled", default=0.0)
+        summaries.append({
+            "name": session.name,
+            "policy_name": run.policy_name,
+            "steps": len(run.log),
+            "throttled_steps": int(np.nansum(throttled)),
+            "total_energy_j": run.total_energy_j,
+            "total_time_s": run.total_time_s,
+            "oracle_energy_j": run.oracle_energy_j,
+            "final_accuracy": (run.final_accuracy()
+                               if has_matches else float("nan")),
+            "log": run.log.to_dict() if collect == "logs" else None,
+        })
     return {
         "devices": summaries,
         "steps_executed": engine.steps_executed,
@@ -254,14 +136,15 @@ def _shard_main(conn, devices: Sequence[DeviceSpec],
                 collect: str) -> None:
     """Child process: build the shard's engine, step it on ``go``, reply."""
     try:
-        pending = _prepare_shard(devices, simulator, base_space, collect)
+        engine = build_fleet(devices, simulator, base_space, validate=False)
+        engine.prepare()
     except Exception:
         conn.send(("error", traceback.format_exc()))
         return
     conn.send(("ready",))
     conn.recv()  # ("go",)
     try:
-        reply = ("done", _run_shard(pending))
+        reply = ("done", _run_shard(engine, collect))
     except Exception:
         reply = ("error", traceback.format_exc())
     conn.send(reply)
@@ -307,11 +190,10 @@ class ShardedFleetEngine:
     gathers the results and reaps the children, so a benchmark can time
     pure lockstep stepping.  :meth:`run` is simply both.
 
-    ``collect="summaries"`` (default) streams back one
-    :class:`ShardDeviceSummary` per device — O(devices) memory
-    fleet-wide.  ``collect="logs"`` additionally materialises each
-    device's full log columns (equivalence suites only; memory grows
-    with trace length again).
+    ``collect="summaries"`` (default) sends back one
+    :class:`ShardDeviceSummary` per device.  ``collect="logs"``
+    additionally sends each device's full log columns (equivalence
+    suites).
     """
 
     def __init__(

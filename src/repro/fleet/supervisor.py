@@ -26,24 +26,23 @@ snapshot/restart):
   ``watchdog_rounds`` lockstep rounds), and is ``QUARANTINED`` on a crash
   or a sustained flatline.  Quarantine never disturbs the other devices:
   the supervisor simply stops driving the session.  A quarantined device
-  with restart budget left restores from its last durable snapshot
-  (checksummed, atomic temp+rename — :meth:`~repro.core.session
-  .PolicySession.save_snapshot`) and becomes ``RECOVERED``; replayed
-  steps re-execute deterministically, so a recovered device's final log
-  is bitwise identical to an uninterrupted run.
+  with restart budget left restores from its last snapshot and becomes
+  ``RECOVERED``; replayed steps re-execute deterministically, so a
+  recovered device's final log is bitwise identical to an uninterrupted
+  run.
 
-* **Durable snapshots.**  A baseline snapshot is taken before the first
-  step and refreshed every ``snapshot_every`` completed steps — in memory
-  by default, or under ``snapshot_dir`` as checksummed snapshot files
-  that survive the process.
+* **Snapshots.**  A baseline snapshot is taken before the first step and
+  refreshed every ``snapshot_every`` completed steps, as checksummed
+  in-memory bytes (:meth:`~repro.core.session.PolicySession
+  .snapshot_bytes`).  A snapshot holds the session's state only; the
+  restore takes the trace and Oracle table from the session it replaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.session import PolicySession
 from repro.fleet.device import DeviceSpec, build_fleet, device_session
@@ -93,10 +92,9 @@ class _Supervised:
 
     __slots__ = (
         "device", "session", "faults", "fired", "health", "history",
-        "stall_remaining", "restarts_used", "snapshot", "snapshot_path",
-        "last_cursor", "no_progress_rounds", "crashes", "stalls",
-        "replayed_steps", "wasted_energy_j", "corrupted_observations",
-        "watchdog_flags",
+        "stall_remaining", "restarts_used", "snapshot", "last_cursor",
+        "no_progress_rounds", "crashes", "stalls", "replayed_steps",
+        "wasted_energy_j", "corrupted_observations", "watchdog_flags",
     )
 
     def __init__(self, device: DeviceSpec, session: PolicySession,
@@ -110,7 +108,6 @@ class _Supervised:
         self.stall_remaining = 0
         self.restarts_used = 0
         self.snapshot: Optional[bytes] = None
-        self.snapshot_path: Optional[Path] = None
         self.last_cursor = session.step_index
         self.no_progress_rounds = 0
         self.crashes = 0
@@ -133,13 +130,12 @@ class FleetSupervisor:
     versus batched through the inner engine (everyone else); ``None`` or
     an empty plan supervises nothing and is bitwise identical to a bare
     :class:`~repro.fleet.engine.FleetEngine`.  ``snapshot_every`` is the
-    durable-snapshot cadence in completed steps (a baseline snapshot at
+    snapshot cadence in completed steps (a baseline snapshot at
     step 0 is always taken); ``watchdog_rounds`` is how many lockstep
     rounds a supervised device's log may flatline before it is flagged
     ``DEGRADED`` (quarantine follows at twice that); ``max_restarts``
     bounds snapshot-restarts per device — a device that exhausts it stays
-    ``QUARANTINED`` and the fleet completes without it.  ``snapshot_dir``
-    switches snapshots from in-memory bytes to on-disk checksummed files.
+    ``QUARANTINED`` and the fleet completes without it.
     """
 
     def __init__(
@@ -151,7 +147,6 @@ class FleetSupervisor:
         snapshot_every: int = 5,
         watchdog_rounds: int = 3,
         max_restarts: int = 2,
-        snapshot_dir: Optional[Union[str, Path]] = None,
         sessions: Optional[Sequence[PolicySession]] = None,
     ) -> None:
         self.devices: List[DeviceSpec] = list(devices)
@@ -179,8 +174,6 @@ class FleetSupervisor:
         self.snapshot_every = int(snapshot_every)
         self.watchdog_rounds = int(watchdog_rounds)
         self.max_restarts = int(max_restarts)
-        self.snapshot_dir = Path(snapshot_dir) if snapshot_dir is not None \
-            else None
         self.rounds = 0
 
         if sessions is not None and len(sessions) != len(self.devices):
@@ -221,7 +214,7 @@ class FleetSupervisor:
             self.engine = FleetEngine(engine_sessions)
         else:
             self.engine = build_fleet(engine_devices, simulator, base_space)
-        # Baseline durable snapshot: every supervised device can restart
+        # Baseline snapshot: every supervised device can restart
         # from step 0 even if it crashes before the first cadence point.
         for supervised in self._supervised:
             self._take_snapshot(supervised)
@@ -230,25 +223,15 @@ class FleetSupervisor:
     # Snapshots
     # ------------------------------------------------------------------ #
     def _take_snapshot(self, supervised: _Supervised) -> None:
-        session = supervised.session
-        if self.snapshot_dir is None:
-            supervised.snapshot = session.snapshot_bytes()
-        else:
-            path = self.snapshot_dir / f"{supervised.device.name}.snapshot"
-            session.save_snapshot(path)
-            supervised.snapshot_path = path
+        supervised.snapshot = supervised.session.snapshot_bytes()
 
     def _restore_snapshot(self, supervised: _Supervised) -> None:
-        """Replace the live session with its last durable snapshot."""
+        """Replace the live session with its last snapshot."""
         old = supervised.session
-        if self.snapshot_dir is None:
-            assert supervised.snapshot is not None
-            session = PolicySession.restore(supervised.snapshot,
-                                            self.simulator)
-        else:
-            assert supervised.snapshot_path is not None
-            session = PolicySession.load_snapshot(supervised.snapshot_path,
-                                                  self.simulator)
+        assert supervised.snapshot is not None
+        session = PolicySession.restore(supervised.snapshot, self.simulator,
+                                        old.snippets,
+                                        oracle_table=old.oracle_table)
         if supervised.device.scenario is not None:
             # The schedule is a closure over the space object; rebuild it
             # over the *restored* space so throttle-window identity
@@ -259,8 +242,8 @@ class FleetSupervisor:
                 session.space, supervised.device.scenario
             )
         supervised.replayed_steps += old.step_index - session.step_index
-        supervised.wasted_energy_j += (old.account.total_energy_j
-                                       - session.account.total_energy_j)
+        supervised.wasted_energy_j += (old.total_energy_j
+                                       - session.total_energy_j)
         supervised.session = session
         supervised.stall_remaining = 0
         supervised.no_progress_rounds = 0

@@ -10,8 +10,8 @@ realistic dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 

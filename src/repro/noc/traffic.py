@@ -10,8 +10,6 @@ from __future__ import annotations
 import abc
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from repro.noc.packet import Packet
 from repro.noc.topology import MeshTopology
 from repro.utils.rng import SeedLike, make_rng

@@ -18,14 +18,17 @@ with the durability and dispatch semantics of the control-plane service:
   its sha256 journaled.
 * **Recovery invariant.**  ``kill -9`` at any instant, then
   :meth:`ServiceRun.recover`: the fleet is rebuilt deterministically
-  from the genesis config, sessions restore from the newest manifest
-  whose file verifies, dispatches that applied before the restore
-  point are re-applied (space caps; policy swaps are already inside the
-  snapshots) and later ones are replayed at their recorded boundaries —
-  so the completed run's per-device logs and energy accounts are
-  **bitwise identical** to an uninterrupted run.  With journaling off
-  (``journal_dir=None``) the run is bitwise identical to a bare
-  :class:`~repro.fleet.engine.FleetEngine` /
+  from the genesis config (or handed in again by the caller) and must
+  match the journal's :class:`~repro.service.protocol.DeviceRegistration`
+  records; sessions restore from the newest manifest whose file
+  verifies, taking their traces and Oracle tables from the rebuilt
+  fleet (a snapshot holds session state only); dispatches that applied
+  before the restore point are re-applied (space caps; policy swaps are
+  already inside the snapshots) and later ones are replayed at their
+  recorded boundaries — so the completed run's per-device logs and
+  energy totals are **bitwise identical** to an uninterrupted run.
+  With journaling off (``journal_dir=None``) the run is bitwise
+  identical to a bare :class:`~repro.fleet.engine.FleetEngine` /
   :class:`~repro.fleet.supervisor.FleetSupervisor` run — the control
   plane adds zero overhead to the hot loop.
 
@@ -247,6 +250,42 @@ def build_config_devices(
     return devices, simulator, space
 
 
+def _registration(device: DeviceSpec, supervised: bool) -> DeviceRegistration:
+    """The journal record announcing ``device``."""
+    return DeviceRegistration(
+        device=device.name,
+        policy=device.policy.name,
+        trace_steps=len(device.trace),
+        scenario=(device.scenario.scenario_name
+                  if device.scenario is not None else ""),
+        supervised=supervised,
+    )
+
+
+def _check_fleet(registrations: Sequence[DeviceRegistration],
+                 devices: Sequence[DeviceSpec]) -> None:
+    """Raise :class:`JournalError` unless ``devices`` is the journaled fleet.
+
+    Each device must match its registration's name, policy, trace length
+    and scenario, in order; the error names the first mismatch.
+    """
+    if len(devices) != len(registrations):
+        raise JournalError(
+            f"the journal registers {len(registrations)} devices, the fleet "
+            f"to recover has {len(devices)}"
+        )
+    for index, (journaled, device) in enumerate(zip(registrations, devices)):
+        rebuilt = _registration(device, journaled.supervised)
+        for field in ("device", "policy", "trace_steps", "scenario"):
+            expected = getattr(journaled, field)
+            found = getattr(rebuilt, field)
+            if expected != found:
+                raise JournalError(
+                    f"device {index} of the fleet to recover has {field} "
+                    f"{found!r}; the journal registers {expected!r}"
+                )
+
+
 class _CapSchedule:
     """Space schedule composing dispatched OPP caps with a scenario schedule.
 
@@ -376,15 +415,9 @@ class ServiceRun:
         if journal is not None:
             journal.append(RunGenesis(config=genesis))
             supervised = set(run.supervisor.plan.device_names())
-            for device, session in zip(run.devices, run.supervisor.sessions):
-                journal.append(DeviceRegistration(
-                    device=device.name,
-                    policy=device.policy.name,
-                    trace_steps=len(session),
-                    scenario=(device.scenario.scenario_name
-                              if device.scenario is not None else ""),
-                    supervised=device.name in supervised,
-                ))
+            for device in run.devices:
+                journal.append(_registration(device,
+                                             device.name in supervised))
             run._rotate_snapshots()
         return run
 
@@ -399,11 +432,14 @@ class ServiceRun:
         """Rebuild a run from its journal after a crash (or clean exit).
 
         The fleet is rebuilt from the genesis config (or taken from the
-        caller in external mode), sessions restore from the newest
-        snapshot manifest whose file verifies (falling back to older
-        manifests, and to a from-scratch replay when none survive), and
-        journaled dispatches are re-applied/queued so the continued run
-        is bitwise identical to an uninterrupted one.
+        caller in external mode) and must match the journal's device
+        registrations — names in order, policy, trace length and
+        scenario — or :class:`JournalError` names the first mismatch.
+        Sessions restore from the newest snapshot manifest whose file
+        verifies (falling back to older manifests, and to a replay from
+        round 0 when none survive), and journaled dispatches are
+        re-applied/queued so the continued run is bitwise identical to
+        an uninterrupted one.
         """
         journal_path = Path(journal_dir)
         messages, _truncated = read_journal(journal_path / JOURNAL_FILE)
@@ -425,6 +461,8 @@ class ServiceRun:
             config = RunConfig.from_dict(genesis)
             devices, simulator, space = build_config_devices(config)
             cadence = config.snapshot_every
+        _check_fleet([m for m in messages
+                      if isinstance(m, DeviceRegistration)], devices)
         manifests = [m for m in messages if isinstance(m, SnapshotManifest)]
         dispatches = [m for m in messages if isinstance(m, DispatchCommand)]
         sessions: Optional[List[PolicySession]] = None
@@ -471,8 +509,9 @@ class ServiceRun:
         The manifest must name exactly its round's rotation file, and the
         file must match the manifest sha256 and hold these devices in
         order; anything else raises :class:`JournalError`, sending
-        recovery to an older manifest.  Scenario schedules are rebuilt
-        over each restored session's own space, exactly like
+        recovery to an older manifest.  Each session takes its trace and
+        Oracle table from its rebuilt device, and scenario schedules are
+        rebuilt over each restored session's own space, exactly like
         :meth:`~repro.core.session.PolicySession.restore` documents.
         """
         relative = ROTATION_FILE.format(manifest.round)
@@ -489,7 +528,10 @@ class ServiceRun:
             raise JournalError(f"snapshot {path} holds other devices")
         sessions: List[PolicySession] = []
         for device, state in zip(devices, states):
-            session = PolicySession.restore(state, simulator)
+            session = PolicySession.restore(
+                state, simulator, device.trace,
+                oracle_table=device.oracle_table,
+            )
             if device.scenario is not None:
                 session.space_schedule = make_space_schedule(
                     session.space, device.scenario
@@ -703,8 +745,8 @@ class ServiceRun:
                 steps_completed=session.step_index,
                 trace_steps=len(session),
                 health=health[device.name].value,
-                total_energy_j=session.account.total_energy_j,
-                total_time_s=session.account.total_time_s,
+                total_energy_j=session.total_energy_j,
+                total_time_s=session.total_time_s,
                 state_digest=session.state_digest(),
             ))
         return out

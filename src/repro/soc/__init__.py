@@ -22,7 +22,6 @@ from repro.soc.configuration import (
 from repro.soc.counters import PerformanceCounters, COUNTER_NAMES
 from repro.soc.snippet import Snippet, SnippetCharacteristics
 from repro.soc.simulator import SoCBatchResult, SoCSimulator, SnippetResult
-from repro.soc.energy import EnergyAccount
 from repro.soc.governors import (
     Governor,
     OndemandGovernor,
@@ -50,7 +49,6 @@ __all__ = [
     "SoCSimulator",
     "SoCBatchResult",
     "SnippetResult",
-    "EnergyAccount",
     "Governor",
     "OndemandGovernor",
     "InteractiveGovernor",

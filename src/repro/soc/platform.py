@@ -10,7 +10,7 @@ Two factories are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.soc.cluster import ClusterSpec

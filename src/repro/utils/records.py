@@ -1,16 +1,16 @@
-"""Light-weight run records used by simulators, controllers and experiments.
+"""Light-weight run records used by policy sessions and experiments.
 
 A :class:`RunRecord` is a single named observation (a dict of scalars), and a
-:class:`RunLog` is an append-only sequence of records with convenience
-accessors for turning the log into column arrays.  Experiments use these to
-collect time series (accuracy over time, per-app energies, ...) without
-depending on pandas.
+:class:`RunLog` is an append-only sequence of records with accessors for
+turning the log into column arrays.  A policy session keeps one record per
+executed step (energy, time, power, the executed configuration and, with an
+Oracle table, the Oracle's choice), without depending on pandas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Sequence
+from typing import Dict, Iterator, List
 
 import numpy as np
 
@@ -26,8 +26,7 @@ class RunRecord:
     def _from_values(cls, step: int, values: Dict[str, float]) -> "RunRecord":
         """Hot-path constructor bypassing the generated ``__init__``.
 
-        ``values`` must already be plain floats (the coercion
-        :meth:`RunLog.append` would apply is the caller's job).
+        ``values`` must already be plain floats.
         """
         record = cls.__new__(cls)
         record.step = step
@@ -47,23 +46,10 @@ class RunLog:
     def __init__(self) -> None:
         self._records: List[RunRecord] = []
 
-    def append(self, step: int, **values: float) -> RunRecord:
-        record = RunRecord(step=step, values={k: float(v) for k, v in values.items()})
-        self._records.append(record)
-        return record
-
     def append_record(self, record: RunRecord) -> RunRecord:
-        """Append a pre-built record.
-
-        Fast path for hot loops that already hold a values dict of plain
-        floats (the coercion :meth:`append` would apply must have been
-        done by the caller).
-        """
+        """Append a record whose values are already plain floats."""
         self._records.append(record)
         return record
-
-    def extend(self, records: Sequence[RunRecord]) -> None:
-        self._records.extend(records)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -74,21 +60,9 @@ class RunLog:
     def __getitem__(self, index: int) -> RunRecord:
         return self._records[index]
 
-    @property
-    def records(self) -> List[RunRecord]:
-        return list(self._records)
-
     def column(self, key: str, default: float = float("nan")) -> np.ndarray:
         """Return the values of ``key`` across all records as an array."""
         return np.array([r.get(key, default) for r in self._records], dtype=float)
-
-    def steps(self) -> np.ndarray:
-        return np.array([r.step for r in self._records], dtype=int)
-
-    def last(self) -> RunRecord:
-        if not self._records:
-            raise IndexError("RunLog is empty")
-        return self._records[-1]
 
     def to_dict(self) -> Dict[str, List[float]]:
         """Return the log as a column-oriented dictionary."""
@@ -101,27 +75,3 @@ class RunLog:
         for key in keys:
             out[key] = [r.get(key) for r in self._records]
         return out
-
-    def summary(self, key: str) -> Dict[str, float]:
-        """Return mean/min/max/std summary statistics for one column."""
-        col = self.column(key)
-        col = col[~np.isnan(col)]
-        if col.size == 0:
-            return {"mean": float("nan"), "min": float("nan"),
-                    "max": float("nan"), "std": float("nan")}
-        return {
-            "mean": float(np.mean(col)),
-            "min": float(np.min(col)),
-            "max": float(np.max(col)),
-            "std": float(np.std(col)),
-        }
-
-
-def merge_logs(logs: Mapping[str, RunLog], key: str) -> Dict[str, np.ndarray]:
-    """Extract column ``key`` from several named logs into one mapping."""
-    return {name: log.column(key) for name, log in logs.items()}
-
-
-def as_float_dict(values: Mapping[str, Any]) -> Dict[str, float]:
-    """Coerce a mapping of scalars to plain floats (useful for records)."""
-    return {k: float(v) for k, v in values.items()}

@@ -8,8 +8,8 @@ concrete list of :class:`~repro.soc.snippet.Snippet` objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Dict
 
 from repro.soc.snippet import DEFAULT_SNIPPET_INSTRUCTIONS, SnippetCharacteristics
 

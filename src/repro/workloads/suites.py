@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.soc.snippet import SnippetCharacteristics
-from repro.workloads.spec import WorkloadPhase, WorkloadSpec, single_phase_workload
+from repro.workloads.spec import WorkloadSpec, single_phase_workload
 
 
 def _mibench(name: str, mpki: float, ilp: float, branch_mpki: float,

@@ -265,20 +265,6 @@ class TestSupervisorInvariants:
         assert report.restarts == 1
         assert report.replayed_steps == 1  # snapshot at 3, reboot at 4
 
-    def test_on_disk_snapshots_recover_too(self, tmp_path, noisy_simulator,
-                                           space):
-        reference = build_fleet(governor_devices(space), noisy_simulator,
-                                space).run()
-        plan = FaultPlan(faults=(DeviceCrash("dev3", 4),))
-        supervisor = FleetSupervisor(
-            governor_devices(space), noisy_simulator, space, plan=plan,
-            snapshot_every=2, snapshot_dir=tmp_path / "snapshots",
-        )
-        results = supervisor.run()
-        for ref, got in zip(reference, results):
-            assert_logs_equal(ref, got)
-        assert (tmp_path / "snapshots" / "dev3.snapshot").exists()
-
     def test_scenario_device_recovers_with_rebuilt_schedule(
             self, noisy_simulator, space):
         """Crash-restore on a throttled device rebuilds its space schedule."""
@@ -412,7 +398,8 @@ class TestSequentialRngState:
         data = session.snapshot_bytes(
             rng=engine.sequential_rng_state(session)
         )
-        restored = PolicySession.restore(data, noisy_simulator)
+        restored = PolicySession.restore(data, noisy_simulator,
+                                         session.snippets)
         assert restored.step_index == 3
         resumed = restored.run()
         assert_logs_equal(sequential, resumed)

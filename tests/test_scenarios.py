@@ -362,7 +362,7 @@ class TestScenarioRuntime:
         run = trained_framework.evaluate_policy_on_scenario(policy, trace)
         assert run.oracle_energy_j > 0.0
         assert run.normalized_energy >= 0.95
-        assert len(run.results) == len(trace)
+        assert len(run.log) == len(trace)
 
     def test_isolated_online_policy_leaves_framework_untouched(
             self, trained_framework, base_trace):

@@ -13,8 +13,11 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import errno
+import hashlib
+import io
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -23,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.session import unpack_states
 from repro.fleet.device import build_fleet
 from repro.service.journal import Journal, JournalError, read_journal
 from repro.service.protocol import (
@@ -175,6 +179,53 @@ class TestRecoveryInvariant:
         assert recovered.digests() == expected
 
 
+    def test_online_il_scenario_fleet_kill_and_recover_is_bitwise(
+            self, tmp_path):
+        """Snapshots carry learned policy state; scenario devices restore
+        with their traces and schedules from the rebuilt fleet."""
+        config = RunConfig(policy="online-il", n_devices=2, seed=7,
+                           snapshot_every=3,
+                           scenarios=("thermal_throttle",))
+        reference = _run_reference(config=config)
+        run = ServiceRun.start(config=config, journal_dir=tmp_path)
+        _drive(run, stop_at=7)
+        del run
+        recovered = ServiceRun.recover(tmp_path)
+        assert recovered.rounds == 6
+        _drive(recovered)
+        assert recovered.digests() == reference.digests()
+
+
+class TestRecoveryChecksTheFleet:
+    """Recovery refuses a fleet that is not the one the journal registered."""
+
+    def _journal_external(self, tmp_path):
+        devices, simulator, space = build_config_devices(CONFIG)
+        run = ServiceRun.start(devices=devices, simulator=simulator,
+                               space=space, journal_dir=tmp_path,
+                               snapshot_every=3)
+        _drive(run, stop_at=4)
+        del run
+
+    def test_a_fleet_of_another_size_is_refused(self, tmp_path):
+        self._journal_external(tmp_path)
+        devices, simulator, space = build_config_devices(
+            dataclasses.replace(CONFIG, n_devices=3))
+        with pytest.raises(JournalError, match="registers 2 devices"):
+            ServiceRun.recover(tmp_path, devices=devices,
+                               simulator=simulator, space=space)
+
+    def test_traces_of_another_length_are_refused(self, tmp_path):
+        self._journal_external(tmp_path)
+        devices, simulator, space = build_config_devices(
+            dataclasses.replace(CONFIG, scale="quick"))
+        assert [device.name for device in devices] == ["device-00",
+                                                       "device-01"]
+        with pytest.raises(JournalError, match="trace_steps 144"):
+            ServiceRun.recover(tmp_path, devices=devices,
+                               simulator=simulator, space=space)
+
+
 class _Killed(Exception):
     """Stands in for ``kill -9`` at one instant of an in-process run."""
 
@@ -291,6 +342,31 @@ class TestDurabilityRules:
 def _manifest_rounds(journal_dir):
     messages, _ = read_journal(journal_dir / "journal.bin")
     return [m.round for m in messages if isinstance(m, SnapshotManifest)]
+
+
+class TestRotationPayload:
+    def test_rotation_holds_no_trace_or_step_results(self, tmp_path):
+        """A rotation pickles session state only: no snippet of the trace
+        and no per-step result comes back when it is loaded."""
+        config = dataclasses.replace(CONFIG, scenarios=("thermal_throttle",))
+        run = ServiceRun.start(config=config, journal_dir=tmp_path)
+        _drive(run, stop_at=config.snapshot_every + 1)
+        path = tmp_path / ROTATION_FILE.format(config.snapshot_every)
+        data = path.read_bytes()
+        unpack_states(data)  # magic, sha256 and version all verify
+        loaded = set()
+
+        class Recorder(pickle.Unpickler):
+            def find_class(self, module, name):
+                loaded.add(name)
+                return super().find_class(module, name)
+
+        header = len(b"RPSESNAP") + hashlib.sha256().digest_size
+        states = Recorder(io.BytesIO(data[header:])).load()
+        assert [state["name"] for state in states] == ["device-00",
+                                                       "device-01"]
+        assert "ConfigurationSpace" in loaded
+        assert not loaded & {"Snippet", "SnippetResult", "EnergyAccount"}
 
 
 class TestRotationCadence:

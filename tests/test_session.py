@@ -10,6 +10,7 @@ closed-loop behaviour (which the golden traces also gate end to end).
 from __future__ import annotations
 
 import os
+import pickle
 import stat
 
 import numpy as np
@@ -210,7 +211,7 @@ class TestDurableSnapshots:
         # Poison the original past the snapshot point: restoring must not
         # depend on the live session in any way.
         session.run()
-        restored = PolicySession.restore(data, noisy_simulator)
+        restored = PolicySession.restore(data, noisy_simulator, snippet_trace)
         assert restored.step_index == 3
         resumed = restored.run()
         for key, column in _log_columns(reference).items():
@@ -227,7 +228,7 @@ class TestDurableSnapshots:
         assert session.pending is step
         data = session.snapshot_bytes()
         session.execute(step)  # the original moves on
-        restored = PolicySession.restore(data, noisy_simulator)
+        restored = PolicySession.restore(data, noisy_simulator, snippet_trace)
         assert restored.pending is not None
         assert restored.pending.index == 1
         pending = restored.pending
@@ -245,7 +246,8 @@ class TestDurableSnapshots:
             session.advance()
         path = session.save_snapshot(tmp_path / "nested" / "dev.snapshot")
         assert path.exists()
-        restored = PolicySession.load_snapshot(path, noisy_simulator)
+        restored = PolicySession.load_snapshot(path, noisy_simulator,
+                                               snippet_trace)
         resumed = restored.run()
         for key, column in _log_columns(reference).items():
             np.testing.assert_array_equal(column, resumed.log.column(key))
@@ -269,10 +271,11 @@ class TestDurableSnapshots:
         with pytest.raises(SnapshotError, match="magic"):
             PolicySession.unpack_snapshot(b"not a snapshot at all")
 
-    def test_missing_snapshot_file_raises(self, tmp_path, noisy_simulator):
+    def test_missing_snapshot_file_raises(self, tmp_path, noisy_simulator,
+                                          snippet_trace):
         with pytest.raises(SnapshotError, match="read"):
             PolicySession.load_snapshot(tmp_path / "absent.snapshot",
-                                        noisy_simulator)
+                                        noisy_simulator, snippet_trace)
 
     def test_restore_preserves_policy_space_identity(
             self, noisy_simulator, space, snippet_trace):
@@ -280,7 +283,7 @@ class TestDurableSnapshots:
         session = self._fresh(noisy_simulator, space, snippet_trace)
         session.advance()
         restored = PolicySession.restore(session.snapshot_bytes(),
-                                         noisy_simulator)
+                                         noisy_simulator, snippet_trace)
         assert restored.policy.space is restored.space
 
     def test_save_snapshot_fsyncs_file_and_directory(
@@ -318,7 +321,8 @@ class TestDurableSnapshots:
         first, second = unpack_states(data)
         assert first["space"] is second["space"]
         assert first["policy"].space is first["space"]
-        restored = PolicySession.restore(second, noisy_simulator)
+        restored = PolicySession.restore(second, noisy_simulator,
+                                         snippet_trace)
         resumed = restored.run()
         expected = self._fresh(noisy_simulator, space, snippet_trace,
                                seed=2).run()
@@ -326,6 +330,59 @@ class TestDurableSnapshots:
             np.testing.assert_array_equal(column, resumed.log.column(key))
         with pytest.raises(SnapshotError, match="2 sessions"):
             PolicySession.unpack_snapshot(data)
+
+
+class TestStateOnlySnapshots:
+    """A snapshot holds what changes while a session runs, not its trace."""
+
+    def test_state_size_does_not_grow_with_the_run(self, noisy_simulator,
+                                                   space, trace_generator):
+        """Apart from the log, an ondemand scenario session's state pickles
+        to the same size at step 60 as at step 10."""
+        base = [snippet for workload in training_workloads()[:3]
+                for snippet in trace_generator.generate(workload)]
+        trace = get_scenario("thermal_throttle").apply(base, 1)
+        assert trace.throttle_events and len(trace.snippets) > 60
+        session = PolicySession(
+            noisy_simulator, space, GovernorPolicy(OndemandGovernor(space)),
+            trace.snippets, rng=np.random.default_rng(3),
+            space_schedule=make_space_schedule(space, trace),
+        )
+
+        def state_bytes():
+            state = session.snapshot_state()
+            del state["log"]
+            return len(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
+
+        for _ in range(10):
+            session.advance()
+        at_10 = state_bytes()
+        for _ in range(50):
+            session.advance()
+        assert abs(state_bytes() - at_10) <= 16
+
+    def test_restore_refuses_a_trace_of_another_length(
+            self, noisy_simulator, space, snippet_trace):
+        session = PolicySession(noisy_simulator, space, StaticPolicy(space),
+                                snippet_trace, rng=np.random.default_rng(1))
+        session.advance()
+        data = session.snapshot_bytes()
+        with pytest.raises(SnapshotError, match="step trace"):
+            PolicySession.restore(data, noisy_simulator, snippet_trace[:-1])
+        with pytest.raises(SnapshotError, match="step trace"):
+            PolicySession.restore(data, noisy_simulator,
+                                  snippet_trace + snippet_trace[:1])
+
+    def test_restore_refuses_a_version_2_payload(self, noisy_simulator,
+                                                 space, snippet_trace):
+        session = PolicySession(noisy_simulator, space, StaticPolicy(space),
+                                snippet_trace, rng=np.random.default_rng(1))
+        session.advance()
+        state = session.snapshot_state()
+        state["version"] = 2
+        with pytest.raises(SnapshotError, match="version 3"):
+            PolicySession.restore(pack_states([state]), noisy_simulator,
+                                  snippet_trace)
 
 
 #: Every by-name policy the control plane can build (the governor zoo
@@ -359,7 +416,8 @@ class TestSnapshotEveryPolicy:
             session.advance()
         path = session.save_snapshot(tmp_path / "dev.snapshot")
         session.run()  # poison the original past the snapshot point
-        restored = PolicySession.load_snapshot(path, simulator)
+        restored = PolicySession.load_snapshot(path, simulator,
+                                               session.snippets)
         if rebuild_schedule is not None:
             restored.space_schedule = rebuild_schedule(restored.space)
         resumed = restored.run()
@@ -498,6 +556,6 @@ class TestStateDigest:
         full = self._run(noisy_simulator, space, snippet_trace)
         partial = self._run(noisy_simulator, space, snippet_trace, steps=3)
         restored = PolicySession.restore(partial.snapshot_bytes(),
-                                         noisy_simulator)
+                                         noisy_simulator, snippet_trace)
         restored.run()
         assert restored.state_digest() == full.state_digest()

@@ -509,10 +509,10 @@ class TestResourceHygiene:
 
         run_shard = sharding._run_shard
 
-        def dying(pending):
-            if pending["engine"].sessions[0].name == "dev3":
+        def dying(engine, collect):
+            if engine.sessions[0].name == "dev3":
                 os._exit(3)
-            return run_shard(pending)
+            return run_shard(engine, collect)
 
         monkeypatch.setattr(sharding, "_run_shard", dying)
         engine = self._engine(platform, space)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.soc import (
     ConfigurationSpace,
-    EnergyAccount,
     InteractiveGovernor,
     OndemandGovernor,
     OperatingPoint,
@@ -343,21 +342,6 @@ class TestSimulator:
         assert result.execution_time_s > 0
         assert result.energy_j > 0
         assert 0.0 <= result.counters.big_cluster_utilization <= 1.0
-
-
-class TestEnergyAccount:
-    def test_accumulates_totals(self, simulator, space, compute_snippet, memory_snippet):
-        account = EnergyAccount()
-        config = space.default_configuration()
-        r1 = simulator.evaluate_expected(compute_snippet, config)
-        r2 = simulator.evaluate_expected(memory_snippet, config)
-        account.extend([r1, r2])
-        assert len(account) == 2
-        assert account.total_energy_j == pytest.approx(r1.energy_j + r2.energy_j)
-        assert account.application_energy_j("compute") == pytest.approx(r1.energy_j)
-        assert account.average_power_w > 0
-        assert account.energy_per_instruction_nj > 0
-        assert set(account.per_component_energy()) >= {"base", "memory"}
 
 
 class TestGovernors:

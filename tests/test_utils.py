@@ -2,9 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.utils.records import RunLog, RunRecord, as_float_dict, merge_logs
+from repro.utils.records import RunLog, RunRecord
 from repro.utils.rng import derive_seed, make_rng, spawn_rngs
 from repro.utils.tables import format_mapping, format_table
 
@@ -43,62 +42,24 @@ class TestRng:
 class TestRunLog:
     def test_append_and_column(self):
         log = RunLog()
-        log.append(0, energy=1.0, power=2.0)
-        log.append(1, energy=3.0)
+        log.append_record(RunRecord(step=0, values={"energy": 1.0,
+                                                    "power": 2.0}))
+        log.append_record(RunRecord(step=1, values={"energy": 3.0}))
         assert len(log) == 2
         assert log.column("energy").tolist() == [1.0, 3.0]
         assert np.isnan(log.column("power")[1])
 
-    def test_steps_and_last(self):
-        log = RunLog()
-        log.append(0, x=1.0)
-        log.append(5, x=2.0)
-        assert log.steps().tolist() == [0, 5]
-        assert log.last()["x"] == 2.0
-
-    def test_last_on_empty_raises(self):
-        with pytest.raises(IndexError):
-            RunLog().last()
-
-    def test_summary(self):
-        log = RunLog()
-        for i in range(5):
-            log.append(i, value=float(i))
-        summary = log.summary("value")
-        assert summary["mean"] == pytest.approx(2.0)
-        assert summary["min"] == 0.0 and summary["max"] == 4.0
-
     def test_to_dict_round_trip(self):
         log = RunLog()
-        log.append(0, a=1.0, b=2.0)
-        log.append(1, a=3.0, b=4.0)
+        log.append_record(RunRecord(step=0, values={"a": 1.0, "b": 2.0}))
+        log.append_record(RunRecord(step=1, values={"a": 3.0, "b": 4.0}))
         data = log.to_dict()
         assert data["a"] == [1.0, 3.0]
         assert data["step"] == [0.0, 1.0]
 
-    def test_merge_logs(self):
-        log_a, log_b = RunLog(), RunLog()
-        log_a.append(0, y=1.0)
-        log_b.append(0, y=9.0)
-        merged = merge_logs({"a": log_a, "b": log_b}, "y")
-        assert merged["a"].tolist() == [1.0]
-        assert merged["b"].tolist() == [9.0]
-
     def test_record_get_default(self):
         record = RunRecord(step=0, values={"x": 1.0})
         assert record.get("missing", 7.0) == 7.0
-
-    def test_as_float_dict(self):
-        assert as_float_dict({"a": 1, "b": 2.5}) == {"a": 1.0, "b": 2.5}
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=30))
-    def test_summary_bounds_property(self, values):
-        log = RunLog()
-        for i, value in enumerate(values):
-            log.append(i, v=value)
-        summary = log.summary("v")
-        tolerance = 1e-12 + 1e-9 * abs(summary["mean"])
-        assert summary["min"] - tolerance <= summary["mean"] <= summary["max"] + tolerance
 
 
 class TestTables:

@@ -329,7 +329,8 @@ def test_bench_sharded_fleet(fleet_fixture, perf_record, speedup_gate):
     )
 
 
-IL_LOG_KEYS = ("energy_j", "time_s", "power_w", "configuration", "accuracy")
+IL_LOG_KEYS = ("energy_j", "time_s", "power_w", "big_opp", "little_opp",
+               "config_index", "oracle_match", "oracle_energy_j")
 
 
 @pytest.fixture(scope="module")

@@ -47,8 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scenarios -> core)
 class PolicyRunResult:
     """Outcome of running one policy over a snippet trace.
 
-    ``log`` holds one record per executed step; the totals are the sums
-    of the executed snippets' energy and time.
+    ``log`` holds one row per executed step; the totals are the sums of
+    the executed snippets' energy and time.
     """
 
     policy_name: str
@@ -67,9 +67,9 @@ class PolicyRunResult:
     def accuracy_series(self, window: int = 10) -> np.ndarray:
         """Moving-average accuracy w.r.t. the Oracle decisions (Fig. 3).
 
-        Steps whose snippet was missing from the Oracle table carry no
-        ``oracle_match`` value; they are excluded from the moving windows
-        (an all-missing prefix yields leading NaNs).
+        Steps whose snippet was missing from the Oracle table have a NaN
+        ``oracle_match``; they are excluded from the moving windows (an
+        all-missing prefix yields leading NaNs).
         """
         if len(self.log) == 0:
             raise ValueError("run is empty (no snippets were executed)")

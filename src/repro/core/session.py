@@ -54,17 +54,19 @@ from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
 from repro.soc.counters import PerformanceCounters
 from repro.soc.simulator import SnippetResult, SoCSimulator
 from repro.soc.snippet import Snippet
-from repro.utils.records import RunLog, RunRecord
+from repro.utils.records import RunLog
 
 #: Bump when the snapshot payload layout changes; old snapshots then fail
 #: to restore with a clear :class:`SnapshotError` instead of misbehaving.
-SNAPSHOT_FORMAT_VERSION = 3
+SNAPSHOT_FORMAT_VERSION = 4
 
 #: Leading magic of serialized snapshots (identifies the container format).
 _SNAPSHOT_MAGIC = b"RPSESNAP"
 
 #: Sentinel distinguishing "no rng override" from an explicit ``None``.
 _RNG_UNSET = object()
+
+_NAN = float("nan")
 
 
 class SnapshotError(RuntimeError):
@@ -214,7 +216,7 @@ class PolicySession:
         self.name = name
         if reset_policy:
             policy.reset(initial_configuration)
-        self.log = RunLog()
+        self.log = RunLog(self._trace_len)
         self.total_energy_j = 0.0
         self.total_time_s = 0.0
         self.counters: Optional[PerformanceCounters] = None
@@ -317,7 +319,7 @@ class PolicySession:
     def _opp_floats(self, index: int) -> Tuple[float, float]:
         """(big, little) OPP indices of configuration ``index`` as floats.
 
-        Log-record fast path for index-addressed decisions: the columns
+        Log-row fast path for index-addressed decisions: the columns
         are read once from the space's SoA view and cached as plain-float
         lists, replacing two per-step tuple scans on the configuration
         object with two list lookups (identical values).
@@ -334,17 +336,19 @@ class PolicySession:
 
     def observe(self, step: SessionStep, result: SnippetResult,
                 policy_observed: bool = False) -> None:
-        """Phase 4: feed the outcome back and append the log record.
+        """Phase 4: feed the outcome back and append the step's log row.
 
         The statement order matches the original loop exactly: policy
-        feedback, counters update, accounting, then the log record (with
-        the Oracle columns when a table is installed).  A fleet driver
-        that already delivered the policy feedback through a batched
-        ``fleet_observe`` passes ``policy_observed=True`` to skip the
-        scalar ``policy.observe`` call (everything else is unchanged).
+        feedback, counters update, accounting, then the log row.  A fleet
+        engine that already delivered the policy feedback through a
+        batched ``fleet_observe`` passes ``policy_observed=True`` to skip
+        the scalar ``policy.observe`` call (everything else is unchanged).
 
-        The record's ``config_index`` is the executed configuration's
-        index in :attr:`space`, or NaN when it is not a member.
+        Every step writes every column.  ``config_index`` is the executed
+        configuration's index in :attr:`space`, or NaN when it is not a
+        member; ``throttled`` is 0.0 without a ``space_schedule``; the
+        three Oracle columns are NaN when the table has no entry for the
+        step's snippet (or no table is installed).
         """
         if step is not self._pending:
             if self._pending is None:
@@ -365,26 +369,19 @@ class PolicySession:
             big_opp = float(config.opp_index("big"))
             little_opp = float(config.opp_index("little"))
             index = self.space._index.get(config)
-        record = {
-            "energy_j": float(result.energy_j),
-            "time_s": float(result.execution_time_s),
-            "power_w": float(result.average_power_w),
-            "big_opp": big_opp,
-            "little_opp": little_opp,
-            "config_index": float("nan") if index is None else float(index),
-        }
-        if self.space_schedule is not None:
-            record["throttled"] = 1.0 if step.throttled else 0.0
+        oracle_big = oracle_match = oracle_energy = _NAN
         if self.oracle_table is not None and step.snippet.name in self.oracle_table:
             entry = self.oracle_table.entry(step.snippet)
             oracle_big = float(entry.best_configuration.opp_index("big"))
-            record["oracle_big_opp"] = oracle_big
-            record["oracle_match"] = float(big_opp == oracle_big)
-            record["oracle_energy_j"] = float(entry.best_result.energy_j)
-            self.oracle_energy += entry.best_result.energy_j
-        # Per-step hot path: the record dict above is already coerced, so
-        # the RunRecord skips the generated __init__.
-        self.log.append_record(RunRecord._from_values(step.index, record))
+            oracle_match = float(big_opp == oracle_big)
+            oracle_energy = entry.best_result.energy_j
+            self.oracle_energy += oracle_energy
+        self.log.append((
+            result.energy_j, result.execution_time_s, result.average_power_w,
+            big_opp, little_opp, _NAN if index is None else index,
+            1.0 if step.throttled else 0.0,
+            oracle_big, oracle_match, oracle_energy,
+        ))
         self._pending = None
         self._cursor += 1
 
@@ -425,21 +422,17 @@ class PolicySession:
     def state_digest(self) -> str:
         """Hex SHA-256 over the session's observable run state.
 
-        Covers the name, the step cursor, every log column (raw float64
-        bit patterns, so two digests match only when the logs are
-        *bitwise* identical), and the accounting totals.  This is the
-        equality the fleet control plane's recovery invariant is stated
-        in: a recovered run and an uninterrupted run must report the
-        same digest for every device.
+        Covers the name, the step cursor, the log table's bytes (raw
+        little-endian float64 bit patterns, so two digests match only
+        when the logs are *bitwise* identical), and the accounting
+        totals.  This is the equality the fleet control plane's recovery
+        invariant is stated in: a recovered run and an uninterrupted run
+        must report the same digest for every device.
         """
         digest = hashlib.sha256()
         digest.update(self.name.encode("utf-8"))
         digest.update(struct.pack("<q", self._cursor))
-        columns = self.log.to_dict() if len(self.log) else {}
-        for key in sorted(columns):
-            values = columns[key]
-            digest.update(key.encode("utf-8"))
-            digest.update(struct.pack(f"<{len(values)}d", *values))
+        digest.update(self.log.table())
         digest.update(struct.pack(
             "<3d", self.total_energy_j, self.total_time_s, self.oracle_energy,
         ))

@@ -57,20 +57,21 @@ class OnlineAdaptationStudy:
     def online_per_app_normalized(self, run: PolicyRunResult) -> Dict[str, float]:
         """Per-application energy of an online run normalised to the Oracle.
 
-        Records whose snippet was missing from the Oracle table carry no
-        ``oracle_energy_j`` value; those snippets are excluded from the
+        Steps whose snippet was missing from the Oracle table have a NaN
+        ``oracle_energy_j``; those snippets are excluded from the
         denominator, and applications with no Oracle energy at all are
-        dropped from the result rather than producing NaN/None arithmetic.
+        dropped from the result rather than producing NaN arithmetic.
+        The per-application sums accumulate in step order.
         """
         per_app: Dict[str, float] = {}
         oracle_per_app: Dict[str, float] = {}
-        snippets = self.sequence.snippets
-        for record in run.log:
-            app = snippets[record.step].application
-            oracle_energy = record.get("oracle_energy_j")
-            if oracle_energy is None or not np.isfinite(oracle_energy):
+        for snippet, energy, oracle_energy in zip(
+                self.sequence.snippets, run.log.column("energy_j").tolist(),
+                run.log.column("oracle_energy_j").tolist()):
+            if not np.isfinite(oracle_energy):
                 continue
-            per_app[app] = per_app.get(app, 0.0) + record["energy_j"]
+            app = snippet.application
+            per_app[app] = per_app.get(app, 0.0) + energy
             oracle_per_app[app] = oracle_per_app.get(app, 0.0) + oracle_energy
         return {
             app: per_app[app] / oracle_per_app[app]

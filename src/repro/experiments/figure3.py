@@ -62,11 +62,11 @@ def _near_optimal_series(study: OnlineAdaptationStudy, run, window: int,
     framework = study.framework
     snippets = study.sequence.snippets
     flags = []
-    for record in run.log:
-        oracle_energy = record.get("oracle_energy_j")
+    for snippet, index, oracle_energy in zip(
+            snippets, run.log.column("config_index").tolist(),
+            run.log.column("oracle_energy_j").tolist()):
         achieved = framework.simulator.evaluate_expected(
-            snippets[record.step],
-            framework.space[int(record["config_index"])],
+            snippet, framework.space[int(index)],
         ).energy_j
         flags.append(1.0 if achieved <= oracle_energy * (1.0 + tolerance) else 0.0)
     return trailing_nanmean(np.array(flags), window) * 100.0

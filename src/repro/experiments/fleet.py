@@ -28,7 +28,12 @@ import numpy as np
 
 from repro.experiments.common import build_trained_framework
 from repro.experiments.scales import ExperimentScale, get_scale
-from repro.fleet import DeviceSpec, ShardedFleetEngine, build_fleet
+from repro.fleet import (
+    DeviceSpec,
+    ShardDeviceSummary,
+    ShardedFleetEngine,
+    build_fleet,
+)
 from repro.scenarios import available_scenarios, get_scenario
 from repro.scenarios.runtime import build_scenario_oracle
 from repro.utils.rng import SeedLike, derive_seed, make_rng, stable_name_id
@@ -212,38 +217,28 @@ def run_fleet(
                 rng=noise_rng, oracle_table=oracle,
             ))
 
-    reports: List[FleetDeviceReport] = []
     if n_shards is not None:
         engine = ShardedFleetEngine(devices, simulator, space,
                                     n_shards=n_shards, collect="summaries")
-        for summary in engine.run():
-            reports.append(FleetDeviceReport(
-                name=summary.name,
-                policy=summary.policy_name,
-                scenario=scenario_of[summary.name],
-                steps=summary.steps,
-                throttled_steps=summary.throttled_steps,
-                total_energy_j=summary.total_energy_j,
-                total_time_s=summary.total_time_s,
-                normalized_energy=summary.normalized_energy,
-                final_accuracy=summary.final_accuracy,
-            ))
+        summaries = engine.run()
     else:
         engine = build_fleet(devices, simulator, space)
-        runs = engine.run()
-        for device, run in zip(devices, runs):
-            throttled = run.log.column("throttled", default=0.0)
-            reports.append(FleetDeviceReport(
-                name=device.name,
-                policy=run.policy_name,
-                scenario=scenario_of[device.name],
-                steps=len(run.log),
-                throttled_steps=int(np.nansum(throttled)),
-                total_energy_j=run.total_energy_j,
-                total_time_s=run.total_time_s,
-                normalized_energy=run.normalized_energy,
-                final_accuracy=run.final_accuracy(),
-            ))
+        summaries = [ShardDeviceSummary.from_run(device.name, run)
+                     for device, run in zip(devices, engine.run())]
+    reports = [
+        FleetDeviceReport(
+            name=summary.name,
+            policy=summary.policy_name,
+            scenario=scenario_of[summary.name],
+            steps=summary.steps,
+            throttled_steps=summary.throttled_steps,
+            total_energy_j=summary.total_energy_j,
+            total_time_s=summary.total_time_s,
+            normalized_energy=summary.normalized_energy,
+            final_accuracy=summary.final_accuracy,
+        )
+        for summary in summaries
+    ]
     total_steps = engine.steps_executed
     return FleetStudy(
         scale_name=scale.name,

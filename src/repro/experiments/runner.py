@@ -795,18 +795,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "results are bitwise identical either way)",
     )
     parser.add_argument(
-        "--serve", type=Path, default=None, metavar="DIR", dest="serve",
-        help="instead of running experiments batch-style, start the "
-             "crash-safe control-plane server for a journaled fleet run "
-             "in DIR (built from --scale/--devices/--seed-base/--scenario; "
-             "full control via `python -m repro.service serve`)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="with --serve: recover the run from DIR's journal instead "
-             "of starting fresh",
-    )
-    parser.add_argument(
         "--list", action="store_true", dest="list_experiments",
         help="list registered experiments and scales, then exit",
     )
@@ -835,41 +823,6 @@ def _registry_payload() -> Dict[str, Any]:
     }
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """``--serve DIR``: hand the run to the control-plane service.
-
-    Builds a journaled :class:`~repro.service.run.ServiceRun` from the
-    experiment-style flags (``--scale``, ``--devices``, ``--seed-base``,
-    ``--scenario``) — or recovers one from ``DIR`` with ``--resume`` —
-    and serves it over HTTP until completion or SIGTERM.  A ``kill -9``
-    mid-run is recoverable: restart with ``--serve DIR --resume``.
-    """
-    import asyncio
-
-    from repro.service.run import RunConfig, ServiceRun
-    from repro.service.server import ServiceServer
-
-    if args.resume:
-        run = ServiceRun.recover(args.serve)
-        print(f"resumed from {args.serve} at round {run.rounds}",
-              file=sys.stderr)
-    else:
-        try:
-            config = RunConfig(
-                policy="ondemand", scale=args.scale,
-                n_devices=args.devices if args.devices is not None else 4,
-                seed=args.seed_base, scenarios=tuple(args.scenarios or ()),
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        run = ServiceRun.start(config=config, journal_dir=args.serve)
-        print(f"started journaled run in {args.serve}", file=sys.stderr)
-    server = ServiceServer(run, host="127.0.0.1", port=0)
-    asyncio.run(server.serve())
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of ``python -m repro.experiments``."""
     args = _build_parser().parse_args(argv)
@@ -890,16 +843,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"Scales: {', '.join(available_scales())}")
         print(f"Scenarios: {', '.join(available_scenarios())}")
         return 0
-    if args.resume and args.serve is None:
-        print("error: --resume requires --serve DIR", file=sys.stderr)
-        return 2
-    if args.serve is not None:
-        if args.experiments:
-            print("error: --serve starts a journaled fleet server; it does "
-                  "not take experiment names (drive it with "
-                  "`python -m repro.service dispatch`)", file=sys.stderr)
-            return 2
-        return _cmd_serve(args)
     if args.seeds < 1:
         print("error: --seeds must be >= 1", file=sys.stderr)
         return 2

@@ -21,10 +21,11 @@ for that engine.  The design goals, in order:
   the final summaries.
 * **Summaries or logs** — a child builds every device's
   :class:`ShardDeviceSummary` from the session's own
-  :class:`~repro.core.framework.PolicyRunResult`, exactly as the
-  single-process path does.  ``collect="summaries"`` sends back only
-  those aggregates; ``collect="logs"`` adds each device's full
-  column-oriented log dict for the equivalence suites.
+  :class:`~repro.core.framework.PolicyRunResult` with
+  :meth:`ShardDeviceSummary.from_run`, which in-process callers use
+  too.  ``collect="summaries"`` sends back only those aggregates;
+  ``collect="logs"`` adds each device's full column-oriented log dict
+  for the equivalence suites.
 
 Protocol (two-phase, so benchmarks can time pure stepping): ``prepare()``
 starts one child per shard, each child builds its engine and answers
@@ -44,6 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import multiprocessing
 import numpy as np
 
+from repro.core.framework import PolicyRunResult
 from repro.fleet.device import DeviceSpec, build_fleet, warn_rng_hazards
 from repro.fleet.engine import FleetEngine
 from repro.soc.configuration import ConfigurationSpace
@@ -66,11 +68,12 @@ class ShardDeviceSummary:
     """One device's aggregate outcome, streamed back from its shard.
 
     Every field is what the single-process engine's
-    :class:`~repro.core.framework.PolicyRunResult` yields for the device,
-    computed the same way from the child's own run, and
-    :attr:`normalized_energy` applies the same guard/arithmetic.  ``log``
-    carries the full column-oriented log dict under ``collect="logs"``
-    (``None`` in summary mode).
+    :class:`~repro.core.framework.PolicyRunResult` yields for the device
+    (:meth:`from_run` makes every summary, in a shard child or in-process),
+    and :attr:`normalized_energy` applies the same guard/arithmetic.
+    ``log`` carries :meth:`~repro.utils.records.RunLog.to_dict` — the
+    ``step`` key plus every column — under ``collect="logs"`` (``None``
+    in summary mode).
     """
 
     name: str
@@ -82,6 +85,25 @@ class ShardDeviceSummary:
     oracle_energy_j: Optional[float]
     final_accuracy: float
     log: Optional[Dict[str, List[float]]] = None
+
+    @classmethod
+    def from_run(cls, name: str, run: PolicyRunResult) -> "ShardDeviceSummary":
+        """Summarize device ``name``'s run (``log`` left ``None``).
+
+        ``final_accuracy`` is NaN for a run with no Oracle match at all.
+        """
+        has_matches = not np.all(np.isnan(run.log.column("oracle_match")))
+        return cls(
+            name=name,
+            policy_name=run.policy_name,
+            steps=len(run.log),
+            throttled_steps=int(run.log.column("throttled").sum()),
+            total_energy_j=run.total_energy_j,
+            total_time_s=run.total_time_s,
+            oracle_energy_j=run.oracle_energy_j,
+            final_accuracy=(run.final_accuracy()
+                            if has_matches else float("nan")),
+        )
 
     @property
     def normalized_energy(self) -> float:
@@ -105,23 +127,12 @@ def _run_shard(engine: FleetEngine, collect: str) -> Dict[str, Any]:
     finally:
         if gc_was_enabled:
             gc.enable()
-    summaries: List[Dict[str, Any]] = []
+    summaries: List[ShardDeviceSummary] = []
     for session, run in zip(engine.sessions, runs):
-        matches = run.log.column("oracle_match")
-        has_matches = bool(np.any(~np.isnan(matches)))
-        throttled = run.log.column("throttled", default=0.0)
-        summaries.append({
-            "name": session.name,
-            "policy_name": run.policy_name,
-            "steps": len(run.log),
-            "throttled_steps": int(np.nansum(throttled)),
-            "total_energy_j": run.total_energy_j,
-            "total_time_s": run.total_time_s,
-            "oracle_energy_j": run.oracle_energy_j,
-            "final_accuracy": (run.final_accuracy()
-                               if has_matches else float("nan")),
-            "log": run.log.to_dict() if collect == "logs" else None,
-        })
+        summary = ShardDeviceSummary.from_run(session.name, run)
+        if collect == "logs":
+            summary.log = run.log.to_dict()
+        summaries.append(summary)
     return {
         "devices": summaries,
         "steps_executed": engine.steps_executed,
@@ -281,10 +292,7 @@ class ShardedFleetEngine:
                 self.batched_decisions += shard["batched_decisions"]
                 self.batched_executions += shard["batched_executions"]
                 self.batched_observes += shard["batched_observes"]
-                summaries.extend(
-                    ShardDeviceSummary(**device)
-                    for device in shard["devices"]
-                )
+                summaries.extend(shard["devices"])
         except BaseException:
             self.close()
             raise

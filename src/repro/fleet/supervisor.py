@@ -153,7 +153,9 @@ class FleetSupervisor:
         if not self.devices:
             raise ValueError("FleetSupervisor needs at least one device")
         names = [device.name for device in self.devices]
-        if len(set(names)) != len(names):
+        #: Device names in fleet order, for membership checks.
+        self._names = dict.fromkeys(names)
+        if len(self._names) != len(names):
             raise ValueError(f"duplicate device names in fleet: {names}")
         if snapshot_every < 1:
             raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
@@ -421,9 +423,11 @@ class FleetSupervisor:
         return session.rng
 
     def health_map(self) -> Dict[str, DeviceHealth]:
-        """Current health of every device, keyed by name."""
-        return {device.name: self.health_of(device.name)
-                for device in self.devices}
+        """Current health of every device, keyed by name (device order)."""
+        health = dict.fromkeys(self._names, DeviceHealth.HEALTHY)
+        for name, supervised in self._by_name.items():
+            health[name] = supervised.health
+        return health
 
     def replace_policy(self, name: str, policy) -> None:
         """Swap one device's policy at a round boundary (dispatch path).
@@ -506,7 +510,7 @@ class FleetSupervisor:
         supervised = self._by_name.get(name)
         if supervised is not None:
             return supervised.health
-        if not any(device.name == name for device in self.devices):
+        if name not in self._names:
             raise KeyError(f"unknown device {name!r}")
         return DeviceHealth.HEALTHY
 

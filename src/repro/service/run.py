@@ -290,9 +290,10 @@ class _CapSchedule:
     """Space schedule composing dispatched OPP caps with a scenario schedule.
 
     Installed lazily on a session by the first ``restrict-space``
-    dispatch it receives; from then on it stays installed (so the log's
-    ``throttled`` column keeps being recorded even after the cap lifts,
-    exactly as an uninterrupted run would).  ``base`` must be the
+    dispatch it receives; from then on it stays installed, returning the
+    unrestricted space once the cap lifts (the log's ``throttled``
+    column reads 0.0 for those steps, as it does for a session that never
+    had a schedule).  ``base`` must be the
     session's own space object — identity comparisons in
     :meth:`~repro.core.session.PolicySession.decide` depend on it.
     :meth:`~repro.soc.configuration.ConfigurationSpace.restrict` memoises

@@ -1,77 +1,75 @@
-"""Light-weight run records used by policy sessions and experiments.
+"""The per-step run log that policy sessions and experiments read.
 
-A :class:`RunRecord` is a single named observation (a dict of scalars), and a
-:class:`RunLog` is an append-only sequence of records with accessors for
-turning the log into column arrays.  A policy session keeps one record per
-executed step (energy, time, power, the executed configuration and, with an
-Oracle table, the Oracle's choice), without depending on pandas.
+A :class:`RunLog` is one fixed-schema table: a row per executed step (the
+step is the row index) and one little-endian float64 column per name in
+:data:`COLUMNS`, preallocated to the trace length.  Every row carries
+every column; a value a step has none for (no Oracle entry, a
+configuration outside the session's space) is NaN.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 
+#: Column names, in row order.
+COLUMNS = (
+    "energy_j",
+    "time_s",
+    "power_w",
+    "big_opp",
+    "little_opp",
+    "config_index",
+    "throttled",
+    "oracle_big_opp",
+    "oracle_match",
+    "oracle_energy_j",
+)
 
-@dataclass
-class RunRecord:
-    """One observation: a step index plus a mapping of named scalar values."""
-
-    step: int
-    values: Dict[str, float] = field(default_factory=dict)
-
-    @classmethod
-    def _from_values(cls, step: int, values: Dict[str, float]) -> "RunRecord":
-        """Hot-path constructor bypassing the generated ``__init__``.
-
-        ``values`` must already be plain floats.
-        """
-        record = cls.__new__(cls)
-        record.step = step
-        record.values = values
-        return record
-
-    def __getitem__(self, key: str) -> float:
-        return self.values[key]
-
-    def get(self, key: str, default: float = float("nan")) -> float:
-        return self.values.get(key, default)
+_COLUMN_INDEX = {name: index for index, name in enumerate(COLUMNS)}
 
 
 class RunLog:
-    """Append-only log of :class:`RunRecord` objects."""
+    """Append-only table of up to ``capacity`` rows of :data:`COLUMNS`."""
 
-    def __init__(self) -> None:
-        self._records: List[RunRecord] = []
+    def __init__(self, capacity: int) -> None:
+        self._rows = np.empty((capacity, len(COLUMNS)), dtype="<f8")
+        self._length = 0
 
-    def append_record(self, record: RunRecord) -> RunRecord:
-        """Append a record whose values are already plain floats."""
-        self._records.append(record)
-        return record
+    def append(self, row: Sequence[float]) -> None:
+        """Append one step's values, in :data:`COLUMNS` order."""
+        self._rows[self._length] = row
+        self._length += 1
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._length
 
-    def __iter__(self) -> Iterator[RunRecord]:
-        return iter(self._records)
+    def table(self) -> np.ndarray:
+        """The filled rows as a read-only ``(steps, len(COLUMNS))`` view."""
+        table = self._rows[:self._length]
+        table.flags.writeable = False
+        return table
 
-    def __getitem__(self, index: int) -> RunRecord:
-        return self._records[index]
-
-    def column(self, key: str, default: float = float("nan")) -> np.ndarray:
-        """Return the values of ``key`` across all records as an array."""
-        return np.array([r.get(key, default) for r in self._records], dtype=float)
+    def column(self, name: str) -> np.ndarray:
+        """A copy of column ``name``; raises :class:`KeyError` outside
+        :data:`COLUMNS`."""
+        return self._rows[:self._length, _COLUMN_INDEX[name]].copy()
 
     def to_dict(self) -> Dict[str, List[float]]:
-        """Return the log as a column-oriented dictionary."""
-        keys: List[str] = []
-        for record in self._records:
-            for key in record.values:
-                if key not in keys:
-                    keys.append(key)
-        out: Dict[str, List[float]] = {"step": [float(r.step) for r in self._records]}
-        for key in keys:
-            out[key] = [r.get(key) for r in self._records]
+        """The log as ``{"step": [...], column: [...]}`` lists of floats."""
+        out: Dict[str, List[float]] = {
+            "step": [float(step) for step in range(self._length)]
+        }
+        for name, values in zip(COLUMNS, self.table().T.tolist()):
+            out[name] = values
         return out
+
+    def __getstate__(self):
+        return len(self._rows), self.table()
+
+    def __setstate__(self, state) -> None:
+        capacity, table = state
+        self.__init__(capacity)
+        self._rows[:len(table)] = table
+        self._length = len(table)

@@ -262,16 +262,18 @@ class TestAccuracySeriesEdgeCases:
     @staticmethod
     def _result_with_matches(matches):
         """A PolicyRunResult whose log carries the given oracle_match
-        column (``None`` entries are steps missing from the Oracle table)."""
+        column (``None`` entries are steps missing from the Oracle table,
+        which the log records as NaN)."""
         from repro.core.framework import PolicyRunResult
-        from repro.utils.records import RunLog, RunRecord
+        from repro.utils.records import COLUMNS, RunLog
 
-        log = RunLog()
-        for step, match in enumerate(matches):
-            record = {"energy_j": 1.0, "time_s": 0.5, "power_w": 2.0}
-            if match is not None:
-                record["oracle_match"] = float(match)
-            log.append_record(RunRecord(step=step, values=record))
+        log = RunLog(len(matches))
+        for match in matches:
+            row = dict.fromkeys(COLUMNS, float("nan"))
+            row.update(energy_j=1.0, time_s=0.5, power_w=2.0,
+                       oracle_match=float("nan") if match is None
+                       else float(match))
+            log.append(list(row.values()))
         return PolicyRunResult(policy_name="stub", log=log,
                                total_energy_j=float(len(matches)),
                                total_time_s=0.5 * len(matches))

@@ -343,9 +343,11 @@ class TestOracleOptimality:
             oracle_energy = table.total_cost(snippets)
             assert oracle_energy <= run.total_energy_j * (1.0 + 1e-12)
             # Per snippet too: the entry is the minimum over the space.
-            for snippet, record in zip(snippets, run.log):
+            energies = run.log.column("energy_j")
+            assert len(energies) == len(snippets)
+            for snippet, energy in zip(snippets, energies):
                 entry = table.entry(snippet)
-                assert entry.best_cost <= record["energy_j"] * (1.0 + 1e-12)
+                assert entry.best_cost <= energy * (1.0 + 1e-12)
 
     def test_restricted_oracle_never_beats_full(self, seed):
         rng = np.random.default_rng(seed)

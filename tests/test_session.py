@@ -9,14 +9,17 @@ closed-loop behaviour (which the golden traces also gate end to end).
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import stat
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.control.policy import GovernorPolicy, StaticPolicy
+from repro.core import session as session_module
 from repro.core.framework import run_policy_on_snippets
 from repro.core.session import (
     PolicySession,
@@ -31,6 +34,7 @@ from repro.soc.governors import (
     PerformanceGovernor,
     PowersaveGovernor,
 )
+from repro.utils.records import COLUMNS
 from repro.workloads.suites import training_workloads
 
 
@@ -361,6 +365,28 @@ class TestStateOnlySnapshots:
             session.advance()
         assert abs(state_bytes() - at_10) <= 16
 
+    def test_pickled_log_grows_by_one_row_per_step(self, noisy_simulator,
+                                                   space, trace_generator):
+        """A snapshot's log costs exactly one float64 per column per step."""
+        trace = [snippet for workload in training_workloads()[:3]
+                 for snippet in trace_generator.generate(workload)]
+        assert len(trace) > 60
+        session = PolicySession(
+            noisy_simulator, space, GovernorPolicy(OndemandGovernor(space)),
+            trace, rng=np.random.default_rng(3),
+        )
+
+        def log_bytes():
+            log = session.snapshot_state()["log"]
+            return len(pickle.dumps(log, protocol=pickle.HIGHEST_PROTOCOL))
+
+        for _ in range(10):
+            session.advance()
+        at_10 = log_bytes()
+        for _ in range(50):
+            session.advance()
+        assert log_bytes() - at_10 == 8 * len(COLUMNS) * 50
+
     def test_restore_refuses_a_trace_of_another_length(
             self, noisy_simulator, space, snippet_trace):
         session = PolicySession(noisy_simulator, space, StaticPolicy(space),
@@ -373,14 +399,14 @@ class TestStateOnlySnapshots:
             PolicySession.restore(data, noisy_simulator,
                                   snippet_trace + snippet_trace[:1])
 
-    def test_restore_refuses_a_version_2_payload(self, noisy_simulator,
+    def test_restore_refuses_a_version_3_payload(self, noisy_simulator,
                                                  space, snippet_trace):
         session = PolicySession(noisy_simulator, space, StaticPolicy(space),
                                 snippet_trace, rng=np.random.default_rng(1))
         session.advance()
         state = session.snapshot_state()
-        state["version"] = 2
-        with pytest.raises(SnapshotError, match="version 3"):
+        state["version"] = 3
+        with pytest.raises(SnapshotError, match="version 4"):
             PolicySession.restore(pack_states([state]), noisy_simulator,
                                   snippet_trace)
 
@@ -463,10 +489,10 @@ class TestSnapshotEveryPolicy:
             rebuild_schedule=lambda restored_space: make_space_schedule(
                 restored_space, trace),
         )
-        # The schedule was live on the restored session: the throttled
-        # column is recorded (it is absent/NaN when no schedule installed).
+        # The schedule was live on the restored session: the throttle
+        # window shows in the throttled column (all 0.0 without one).
         assert restored.space_schedule is not None
-        assert not np.all(np.isnan(restored.log.column("throttled")))
+        assert restored.log.column("throttled").sum() > 0
 
     def test_roundtrip_over_restricted_space(self, tmp_path, noisy_simulator,
                                              space, snippet_trace):
@@ -550,6 +576,35 @@ class TestStateDigest:
         before = partial.state_digest()
         partial.advance()
         assert partial.state_digest() != before
+
+    def test_digest_hashes_exactly_the_filled_table(self, monkeypatch,
+                                                    noisy_simulator, space,
+                                                    snippet_trace):
+        """Name, cursor, one float64 per column per step, three totals."""
+        hashed = []
+
+        class CountingSha256:
+            def __init__(self):
+                self._digest = hashlib.sha256()
+
+            def update(self, data):
+                hashed.append(memoryview(data).nbytes)
+                self._digest.update(data)
+
+            def hexdigest(self):
+                return self._digest.hexdigest()
+
+        sessions = [self._run(noisy_simulator, space, snippet_trace, steps=3),
+                    self._run(noisy_simulator, space, snippet_trace)]
+        expected = [session.state_digest() for session in sessions]
+        monkeypatch.setattr(session_module, "hashlib",
+                            SimpleNamespace(sha256=CountingSha256))
+        for session, digest in zip(sessions, expected):
+            hashed.clear()
+            assert session.state_digest() == digest
+            assert sum(hashed) == (len(session.name.encode()) + 8
+                                   + 8 * len(COLUMNS) * session.step_index
+                                   + 24)
 
     def test_snapshot_restore_continue_preserves_digest(
             self, noisy_simulator, space, snippet_trace):

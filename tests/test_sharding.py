@@ -184,7 +184,7 @@ class TestStreamedSummaries:
             assert summary.steps == len(run.log)
             assert summary.total_energy_j == run.total_energy_j
             assert summary.total_time_s == run.total_time_s
-            throttled = run.log.column("throttled", default=0.0)
+            throttled = run.log.column("throttled")
             assert summary.throttled_steps == int(np.nansum(throttled))
             # No oracle tables on these devices: accuracy stays NaN and
             # normalisation raises exactly like PolicyRunResult does.

@@ -1,9 +1,11 @@
 """Tests for repro.utils (rng, records, tables)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.utils.records import RunLog, RunRecord
+from repro.utils.records import COLUMNS, RunLog
 from repro.utils.rng import derive_seed, make_rng, spawn_rngs
 from repro.utils.tables import format_mapping, format_table
 
@@ -41,25 +43,43 @@ class TestRng:
 
 class TestRunLog:
     def test_append_and_column(self):
-        log = RunLog()
-        log.append_record(RunRecord(step=0, values={"energy": 1.0,
-                                                    "power": 2.0}))
-        log.append_record(RunRecord(step=1, values={"energy": 3.0}))
+        log = RunLog(2)
+        log.append(range(len(COLUMNS)))
+        log.append([2.0 * value for value in range(len(COLUMNS))])
         assert len(log) == 2
-        assert log.column("energy").tolist() == [1.0, 3.0]
-        assert np.isnan(log.column("power")[1])
+        assert log.column("energy_j").tolist() == [0.0, 0.0]
+        assert log.column("oracle_energy_j").tolist() == [9.0, 18.0]
+        assert log.table().shape == (2, len(COLUMNS))
+        with pytest.raises(IndexError):  # full at its capacity
+            log.append([1.0] * len(COLUMNS))
+
+    def test_column_outside_schema_raises(self):
+        log = RunLog(1)
+        log.append([1.0] * len(COLUMNS))
+        for name in ("configuration", "accuracy", "step"):
+            with pytest.raises(KeyError):
+                log.column(name)
 
     def test_to_dict_round_trip(self):
-        log = RunLog()
-        log.append_record(RunRecord(step=0, values={"a": 1.0, "b": 2.0}))
-        log.append_record(RunRecord(step=1, values={"a": 3.0, "b": 4.0}))
+        log = RunLog(4)
+        log.append([1.0] * len(COLUMNS))
+        log.append([3.0] * len(COLUMNS))
         data = log.to_dict()
-        assert data["a"] == [1.0, 3.0]
+        assert list(data) == ["step", *COLUMNS]
+        assert data["energy_j"] == [1.0, 3.0]
         assert data["step"] == [0.0, 1.0]
 
-    def test_record_get_default(self):
-        record = RunRecord(step=0, values={"x": 1.0})
-        assert record.get("missing", 7.0) == 7.0
+    def test_pickle_keeps_filled_rows_and_capacity(self):
+        log = RunLog(3)
+        log.append([float("nan")] * len(COLUMNS))
+        log.append(range(len(COLUMNS)))
+        restored = pickle.loads(pickle.dumps(log))
+        assert len(restored) == 2
+        assert restored.table().tobytes() == log.table().tobytes()
+        restored.append([5.0] * len(COLUMNS))
+        assert restored.column("time_s").tolist()[1:] == [1.0, 5.0]
+        with pytest.raises(IndexError):
+            restored.append([5.0] * len(COLUMNS))
 
 
 class TestTables:

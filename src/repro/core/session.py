@@ -286,27 +286,6 @@ class PolicySession:
         self._pending = step
         return step
 
-    def adopt_step(self, step: SessionStep) -> SessionStep:
-        """Install an externally decided step (fleet batched-decide path).
-
-        The caller guarantees the step is what :meth:`decide` would have
-        produced — same policy state mutation, same clamping; the session
-        only records it as pending so :meth:`observe` can complete it.
-        """
-        if self.done:
-            raise RuntimeError(f"session {self.name!r} is already complete")
-        if self._pending is not None:
-            raise RuntimeError(
-                f"session {self.name!r} has an unobserved pending step"
-            )
-        if step.index != self._cursor:
-            raise ValueError(
-                f"step index {step.index} does not match session cursor "
-                f"{self._cursor}"
-            )
-        self._pending = step
-        return step
-
     def execute(self, step: Optional[SessionStep] = None) -> SnippetResult:
         """Phase 3: run the pending step's snippet on the simulator."""
         step = step if step is not None else self._pending

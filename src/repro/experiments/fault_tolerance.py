@@ -172,8 +172,9 @@ def run_fault_tolerance(
     identity, bitwise equal to a bare engine run — so it can route
     through a :class:`~repro.fleet.sharding.ShardedFleetEngine` (one
     child process per shard) with synthesized all-healthy outcomes.
-    Cells with injected faults need the supervisor's step-by-step
-    intervention machinery and stay single-process.
+    Cells with injected faults stay single-process: the supervisor
+    injects them as per-round held rows and result transforms of its
+    in-process engine, which the sharded engine does not take.
     """
     scale = get_scale(scale)
     n = int(n_devices) if n_devices is not None else DEFAULT_FT_DEVICES

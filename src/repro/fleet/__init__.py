@@ -20,7 +20,8 @@ Public surface:
   crashes, stragglers, snapshot-restarts).
 * :class:`~repro.fleet.supervisor.FleetSupervisor` — health state
   machine, flatline watchdog, quarantine and snapshot-restart recovery
-  layered over the engine without disturbing its bitwise contract.
+  over one engine, injecting faults as its per-round held rows and
+  result transforms without disturbing its bitwise contract.
 * :class:`~repro.fleet.sharding.ShardedFleetEngine` — partition the
   device list into shards, each run by a child process of the engine
   (O(devices) streamed summaries), bitwise identical to the
@@ -52,7 +53,6 @@ from repro.fleet.sharding import (
     ShardExecutionError,
 )
 from repro.fleet.supervisor import (
-    DeviceCrashError,
     DeviceHealth,
     DeviceStatus,
     FleetSupervisor,
@@ -61,7 +61,6 @@ from repro.fleet.supervisor import (
 __all__ = [
     "CounterDropout",
     "DeviceCrash",
-    "DeviceCrashError",
     "DeviceHealth",
     "DeviceSpec",
     "DeviceStatus",

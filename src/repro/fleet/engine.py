@@ -46,6 +46,18 @@ Sessions under a scenario schedule batch too: the engine mirrors the
 session's clamp/throttle phase on the batched decisions before installing
 the pending step, so restricted-space windows stay bitwise faithful.
 
+Per-round inputs
+----------------
+:meth:`FleetEngine.step` takes two optional inputs, keyed by fleet row (a
+session's position in ``sessions``, stable across engine rebuilds), through
+which :class:`~repro.fleet.supervisor.FleetSupervisor` injects faults:
+
+* ``held`` — rows that sit the round out.  A held row leaves every cached
+  active list and batched group until it is released.
+* ``transforms`` — per-row functions applied to a row's executed
+  :class:`~repro.soc.simulator.SnippetResult` before any observe, batched
+  or scalar.
+
 Once :meth:`run` (or :meth:`prepare`) has adopted a session for batched
 execution, its noise stream has been pre-drawn — keep driving it through
 the engine rather than calling ``session.execute`` directly.
@@ -54,7 +66,8 @@ the engine rather than calling ``session.execute`` directly.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, AbstractSet, Callable, Dict, List,
+                    Mapping, Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -64,6 +77,9 @@ from repro.soc.simulator import SnippetResult, SoCSimulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet -> core)
     from repro.core.framework import PolicyRunResult
+
+#: A per-row rewrite of an executed result (see :meth:`FleetEngine.step`).
+ResultTransform = Callable[[SnippetResult], SnippetResult]
 
 
 class _ExecGroup:
@@ -128,12 +144,12 @@ class _ExecGroup:
                 session.rng.normal(0.0, noise_scale, size=(remaining, 2))
             )
 
-    def refresh(self) -> None:
+    def refresh(self, live: AbstractSet[PolicySession]) -> None:
         self.active_members = []
         self.active_fleet_rows = []
         rows: List[int] = []
         for row, session in enumerate(self.sessions):
-            if session._cursor < session._trace_len:
+            if session in live:
                 self.active_members.append(session)
                 self.active_fleet_rows.append(self.fleet_rows[row])
                 rows.append(row)
@@ -143,12 +159,13 @@ class _ExecGroup:
 class _DecideGroup:
     """Sessions whose policies share one batched-decide key.
 
-    ``active_members``/``active_policies`` cache the not-yet-finished
-    subset; the engine refreshes them only when some session completes,
-    so steady-state steps skip the per-step filtering entirely.  ``state``
-    is the group's persistent scratch dict, handed to every
-    ``fleet_decide`` call so stateful policies (online-IL) can memoise
-    their adopted cross-device stacks across steps.
+    ``active_members``/``active_policies`` cache the subset that steps
+    (unfinished, not held); the engine refreshes them only when some
+    session completes or the held rows change, so steady-state steps skip
+    the per-step filtering entirely.  ``state`` is the group's persistent
+    scratch dict, handed to every ``fleet_decide`` call so stateful
+    policies (online-IL) can memoise their adopted cross-device stacks
+    across steps.
     """
 
     __slots__ = ("sessions", "active_members", "active_policies", "state")
@@ -159,9 +176,9 @@ class _DecideGroup:
         self.active_policies: List = []
         self.state: Dict = {}
 
-    def refresh(self) -> None:
+    def refresh(self, live: AbstractSet[PolicySession]) -> None:
         self.active_members = [session for session in self.sessions
-                               if session._cursor < session._trace_len]
+                               if session in live]
         self.active_policies = [session.policy
                                 for session in self.active_members]
 
@@ -197,6 +214,7 @@ class FleetEngine:
             session: row for row, session in enumerate(self.sessions)
         }
         self._scalar_decide: List[PolicySession] = []
+        self._live_scalar_decide: List[PolicySession] = []
         self._decide_groups: List[_DecideGroup] = []
         self._exec_groups: List[_ExecGroup] = []
         self._scalar_execute: List[PolicySession] = []
@@ -205,6 +223,7 @@ class FleetEngine:
         self._active: List[PolicySession] = []
         self._active_rows: List[int] = []
         self._active_dirty = True
+        self._held: AbstractSet[int] = frozenset()
 
     # ------------------------------------------------------------------ #
     # Preparation
@@ -354,9 +373,9 @@ class FleetEngine:
         of the trace at :meth:`prepare`; this resets each ``session.rng``
         to :meth:`sequential_rng_state` so the sessions can be handed to a
         *new* engine (or driven scalar) and continue bitwise identically
-        to an uninterrupted sequential run.  The control plane uses this
-        to rebuild the engine after a structural dispatch (e.g. a policy
-        swap).  This engine must be discarded afterwards — its pre-drawn
+        to an uninterrupted sequential run.  The supervisor uses this to
+        rebuild the engine after a snapshot restore or a policy swap.
+        This engine must be discarded afterwards — its pre-drawn
         tensors no longer own the sessions' streams.
         """
         self.prepare()
@@ -371,17 +390,25 @@ class FleetEngine:
     def done(self) -> bool:
         return all(session.done for session in self.sessions)
 
-    def step(self) -> int:
-        """Advance every unfinished session by one step; returns the count."""
+    def step(self, held: AbstractSet[int] = frozenset(),
+             transforms: Optional[Mapping[int, ResultTransform]] = None,
+             ) -> int:
+        """Advance every unfinished, not ``held`` session by one step.
+
+        Returns the count.  ``transforms`` rewrite the executed results of
+        their rows, which must step this round, before any observe (see
+        the module's "Per-round inputs").
+        """
         self.prepare()
-        if self._active_dirty:
+        if self._active_dirty or held != self._held:
+            self._held = frozenset(held)
             self._refresh_active()
             self._active_dirty = False
         active = self._active
         if not active:
             return 0
         self._decide_phase()
-        self._execute_and_observe_phase()
+        self._execute_and_observe_phase(transforms)
         self.steps_executed += len(active)
         for session in active:
             if session.done:
@@ -400,25 +427,24 @@ class FleetEngine:
     # Phase implementations
     # ------------------------------------------------------------------ #
     def _refresh_active(self) -> None:
-        """Rebuild the cached not-yet-finished views (on fleet shrinkage)."""
+        """Rebuild the cached stepping views (unfinished, not held rows)."""
         self._active = []
         self._active_rows = []
         for row, session in enumerate(self.sessions):
-            if session._cursor < session._trace_len:
+            if session._cursor < session._trace_len and row not in self._held:
                 self._active.append(session)
                 self._active_rows.append(row)
-        for decide_group in self._decide_groups:
-            decide_group.refresh()
-        for exec_group in self._exec_groups:
-            exec_group.refresh()
-        for observe_group in self._observe_groups:
-            observe_group.refresh()
+        live = set(self._active)
+        self._live_scalar_decide = [session for session in self._scalar_decide
+                                    if session in live]
+        for group in (*self._decide_groups, *self._exec_groups,
+                      *self._observe_groups):
+            group.refresh(live)
 
     def _decide_phase(self) -> None:
         """Install a pending :class:`SessionStep` on every active session."""
-        for session in self._scalar_decide:
-            if session._cursor < session._trace_len:
-                session.decide()
+        for session in self._live_scalar_decide:
+            session.decide()
         step_from_values = SessionStep._from_values
         for group in self._decide_groups:
             members = group.active_members
@@ -444,11 +470,11 @@ class FleetEngine:
             for session, snippet, proposed, index in zip(
                     members, snippets, configs, indices):
                 # Fast-path construction of the step the session's own
-                # decide() would have produced; installing it directly is
-                # adopt_step() minus the cursor-alignment check the
-                # lockstep loop guarantees by construction (the pending
-                # check ran above).  The clamp/throttle mirror below is
-                # session.decide()'s, statement for statement.
+                # decide() would have produced, installed directly as its
+                # pending step (the pending check ran above; the lockstep
+                # loop keeps the step index at the cursor).  The
+                # clamp/throttle mirror below is session.decide()'s,
+                # statement for statement.
                 config = proposed
                 throttled = False
                 if session.space_schedule is not None:
@@ -467,15 +493,18 @@ class FleetEngine:
                 })
             self.batched_decisions += len(members)
 
-    def _execute_and_observe_phase(self) -> None:
+    def _execute_and_observe_phase(
+        self, transforms: Optional[Mapping[int, ResultTransform]],
+    ) -> None:
         """Execute every pending step and feed the outcomes back.
 
         Execution results are collected first (batched kernel groups plus
-        scalar stragglers), then observe groups deliver their policies'
-        feedback through one ``fleet_observe`` call each before the
-        per-session bookkeeping observe runs; everyone else observes
-        scalar.  Sessions share no mutable state, so the regrouping cannot
-        change any value relative to the sequential order.
+        scalar stragglers) and rewritten by ``transforms``, then observe
+        groups deliver their policies' feedback through one
+        ``fleet_observe`` call each before the per-session bookkeeping
+        observe runs; everyone else observes scalar.  Sessions share no
+        mutable state, so the regrouping cannot change any value relative
+        to the sequential order.
         """
         # Execution results indexed by explicit fleet row (the session's
         # position in self.sessions) — no id()-keyed maps on the hot path.
@@ -492,6 +521,9 @@ class FleetEngine:
                                       self._scalar_execute):
             if session._pending is not None:
                 results_of[fleet_row] = session.execute(session._pending)
+        if transforms:
+            for fleet_row, transform in transforms.items():
+                results_of[fleet_row] = transform(results_of[fleet_row])
         batch_observed: set = set()
         fleet_row_of = self._fleet_row
         for group in self._observe_groups:

@@ -63,8 +63,8 @@ class FaultSpec(abc.ABC):
 
     * ``"observation"`` — corrupts the step's telemetry via
       :meth:`ObservationFault.corrupt`; the step still executes.
-    * ``"crash"`` — the device dies before deciding the step
-      (:class:`~repro.fleet.supervisor.DeviceCrashError`).
+    * ``"crash"`` — the device dies before deciding the step and is
+      quarantined.
     * ``"stall"`` — the device hangs for a number of lockstep rounds
       without making progress (flatlined log).
     * ``"restart"`` — the device reboots unexpectedly and resumes from its

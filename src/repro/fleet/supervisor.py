@@ -1,55 +1,61 @@
 """Fleet supervision: health tracking, fault injection, graceful recovery.
 
-:class:`FleetSupervisor` wraps the lockstep :class:`~repro.fleet.engine
-.FleetEngine` with the control-plane behaviour a real deployment needs
-(the gridworks-scada precedent: per-device health, flatline detection,
-snapshot/restart):
+:class:`FleetSupervisor` drives one lockstep :class:`~repro.fleet.engine
+.FleetEngine` over the whole fleet with the control-plane behaviour a
+real deployment needs (the gridworks-scada precedent: per-device health,
+flatline detection, snapshot/restart):
 
-* **Partitioned execution.**  Devices named in the :class:`~repro.fleet
-  .faults.FaultPlan` are driven *scalar* by the supervisor (fault
-  injection needs per-phase access); all fault-free devices run inside an
-  untouched inner ``FleetEngine`` with full cross-device batching.  This
-  partition is what makes the two robustness invariants provable rather
-  than aspirational:
+* **Faults as per-round engine inputs.**  Before each round the
+  supervisor applies the faults due at the cursor of every device named
+  in the :class:`~repro.fleet.faults.FaultPlan`: a crash, a stall, a
+  restart or a standing quarantine holds the device's fleet row out of
+  the round, and observation faults become the row's result transform
+  (see :meth:`~repro.fleet.engine.FleetEngine.step`).  On every other
+  round a faulted device batches with the rest of the fleet.  Two
+  robustness invariants follow:
 
-  - **zero-fault identity** — with an empty plan every device lives in
-    the inner engine and the supervisor adds nothing but read-only health
+  - **zero-fault identity** — with an empty plan nothing is held or
+    transformed and the supervisor adds nothing but read-only health
     scans, so a supervised run is *bitwise identical* to a bare
     ``FleetEngine`` run;
-  - **quarantine isolation** — faulted devices never enter the engine, and
-    per-device noise/fault streams are derived independently of fleet
-    membership, so the surviving devices of a fleet where K devices crash
-    are *bitwise identical* to a fleet built without the crashed devices.
+  - **quarantine isolation** — a held row leaves every batched group,
+    sessions share no mutable state, and per-device noise/fault streams
+    are derived independently of fleet membership, so the surviving
+    devices of a fleet where K devices crash are *bitwise identical* to a
+    fleet built without the crashed devices.
 
 * **Health state machine.**  Every device is ``HEALTHY`` until the
   watchdog flags it ``DEGRADED`` (its log flatlined for
   ``watchdog_rounds`` lockstep rounds), and is ``QUARANTINED`` on a crash
   or a sustained flatline.  Quarantine never disturbs the other devices:
-  the supervisor simply stops driving the session.  A quarantined device
+  the supervisor simply holds the device's row.  A quarantined device
   with restart budget left restores from its last snapshot and becomes
   ``RECOVERED``; replayed steps re-execute deterministically, so a
   recovered device's final log is bitwise identical to an uninterrupted
   run.
 
-* **Snapshots.**  A baseline snapshot is taken before the first step and
-  refreshed every ``snapshot_every`` completed steps, as checksummed
-  in-memory bytes (:meth:`~repro.core.session.PolicySession
-  .snapshot_bytes`).  A snapshot holds the session's state only; the
-  restore takes the trace and Oracle table from the session it replaces.
+* **Snapshots.**  Each plan-named device gets a baseline snapshot before
+  the first step, refreshed every ``snapshot_every`` completed steps and
+  after a policy swap, as checksummed in-memory bytes
+  (:meth:`~repro.core.session.PolicySession.snapshot_bytes`) at the
+  engine's sequential-equivalent noise generator.  A snapshot holds the
+  session's state only; the restore takes the trace and Oracle table from
+  the session it replaces, and the engine is rebuilt around it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.session import PolicySession
-from repro.fleet.device import DeviceSpec, build_fleet, device_session
-from repro.fleet.engine import FleetEngine
+from repro.fleet.device import DeviceSpec, build_fleet
+from repro.fleet.engine import FleetEngine, ResultTransform
 from repro.fleet.faults import FaultPlan, FaultSpec, ObservationFault
 from repro.soc.configuration import ConfigurationSpace
-from repro.soc.simulator import SoCSimulator
+from repro.soc.simulator import SnippetResult, SoCSimulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet -> core)
     from repro.core.framework import PolicyRunResult
@@ -64,13 +70,12 @@ class DeviceHealth(Enum):
     RECOVERED = "recovered"
 
 
-class DeviceCrashError(RuntimeError):
-    """A supervised device died mid-step (injected or real)."""
-
-
 @dataclass
 class DeviceStatus:
-    """Snapshot of one device's supervision outcome (JSON-friendly)."""
+    """Snapshot of one device's supervision outcome (JSON-friendly).
+
+    ``supervised`` says whether the fault plan names the device.
+    """
 
     name: str
     health: str
@@ -87,20 +92,21 @@ class DeviceStatus:
     watchdog_flags: int = 0
 
 
-class _Supervised:
-    """Book-keeping for one scalar-driven (fault-plan) device."""
+class _DeviceRecord:
+    """Supervision book-keeping of one device (``faults`` empty unless the
+    plan names it)."""
 
     __slots__ = (
-        "device", "session", "faults", "fired", "health", "history",
+        "device", "row", "faults", "fired", "health", "history",
         "stall_remaining", "restarts_used", "snapshot", "last_cursor",
         "no_progress_rounds", "crashes", "stalls", "replayed_steps",
         "wasted_energy_j", "corrupted_observations", "watchdog_flags",
     )
 
-    def __init__(self, device: DeviceSpec, session: PolicySession,
+    def __init__(self, device: DeviceSpec, row: int, cursor: int,
                  faults: Tuple[FaultSpec, ...]) -> None:
         self.device = device
-        self.session = session
+        self.row = row
         self.faults = faults
         self.fired: set = set()
         self.health = DeviceHealth.HEALTHY
@@ -108,7 +114,7 @@ class _Supervised:
         self.stall_remaining = 0
         self.restarts_used = 0
         self.snapshot: Optional[bytes] = None
-        self.last_cursor = session.step_index
+        self.last_cursor = cursor
         self.no_progress_rounds = 0
         self.crashes = 0
         self.stalls = 0
@@ -123,19 +129,27 @@ class _Supervised:
             self.history.append(health)
 
 
+def _corrupt(faults: Tuple[ObservationFault, ...],
+             result: SnippetResult) -> SnippetResult:
+    for fault in faults:
+        result = fault.corrupt(result)
+    return result
+
+
 class FleetSupervisor:
     """Drive a device fleet to completion under supervision and faults.
 
-    ``plan`` selects which devices are scalar-supervised (those it names)
-    versus batched through the inner engine (everyone else); ``None`` or
-    an empty plan supervises nothing and is bitwise identical to a bare
-    :class:`~repro.fleet.engine.FleetEngine`.  ``snapshot_every`` is the
-    snapshot cadence in completed steps (a baseline snapshot at
-    step 0 is always taken); ``watchdog_rounds`` is how many lockstep
-    rounds a supervised device's log may flatline before it is flagged
-    ``DEGRADED`` (quarantine follows at twice that); ``max_restarts``
-    bounds snapshot-restarts per device — a device that exhausts it stays
-    ``QUARANTINED`` and the fleet completes without it.
+    Every device steps inside one :class:`~repro.fleet.engine
+    .FleetEngine`; ``plan`` names the devices whose faults the supervisor
+    injects (``None`` or an empty plan injects nothing and is bitwise
+    identical to a bare engine).  ``snapshot_every`` is the snapshot
+    cadence in completed steps (a baseline snapshot at step 0 is always
+    taken); ``watchdog_rounds`` is how many lockstep rounds a plan-named
+    device's log may flatline before it is flagged ``DEGRADED``
+    (quarantine follows at twice that); ``max_restarts`` bounds
+    snapshot-restarts per device — a device that exhausts it stays
+    ``QUARANTINED`` and the fleet completes without it.  ``sessions``
+    (the restore path) are adopted as-is instead of lowering ``devices``.
     """
 
     def __init__(
@@ -153,9 +167,7 @@ class FleetSupervisor:
         if not self.devices:
             raise ValueError("FleetSupervisor needs at least one device")
         names = [device.name for device in self.devices]
-        #: Device names in fleet order, for membership checks.
-        self._names = dict.fromkeys(names)
-        if len(self._names) != len(names):
+        if len(set(names)) != len(names):
             raise ValueError(f"duplicate device names in fleet: {names}")
         if snapshot_every < 1:
             raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
@@ -178,202 +190,194 @@ class FleetSupervisor:
         self.max_restarts = int(max_restarts)
         self.rounds = 0
 
-        if sessions is not None and len(sessions) != len(self.devices):
+        if sessions is None:
+            self.engine = build_fleet(self.devices, simulator, base_space)
+        elif len(sessions) != len(self.devices):
             raise ValueError(
                 f"sessions count {len(sessions)} does not match device "
                 f"count {len(self.devices)}"
             )
-        faulted = set(self.plan.device_names())
-        self._supervised: List[_Supervised] = []
-        self._by_name: Dict[str, _Supervised] = {}
-        engine_devices: List[DeviceSpec] = []
-        engine_sessions: List[PolicySession] = []
-        #: Original order: ("engine", engine_index) | ("supervised", index).
-        self._slots: List[Tuple[str, int]] = []
-        for index, device in enumerate(self.devices):
-            if device.name in faulted:
-                # A pre-built session (restore path) is adopted as-is —
-                # its policy/log/rng state must not be reset; a fresh run
-                # lowers the DeviceSpec the usual way.
-                session = (sessions[index] if sessions is not None
-                           else device_session(device, simulator, base_space))
-                supervised = _Supervised(
-                    device, session, self.plan.for_device(device.name)
-                )
-                self._slots.append(("supervised", len(self._supervised)))
-                self._supervised.append(supervised)
-                self._by_name[device.name] = supervised
-            else:
-                self._slots.append(("engine", len(engine_devices)))
-                engine_devices.append(device)
-                if sessions is not None:
-                    engine_sessions.append(sessions[index])
-        if not engine_devices:
-            self.engine: Optional[FleetEngine] = None
-        elif sessions is not None:
+        else:
             # Restored sessions: skip build_fleet's session construction
             # (and its hazard validation, which targets fresh fleets).
-            self.engine = FleetEngine(engine_sessions)
-        else:
-            self.engine = build_fleet(engine_devices, simulator, base_space)
+            self.engine = FleetEngine(sessions)
+        #: One record per device, in fleet order (a record's row is its
+        #: device's position in engine.sessions).
+        self._records = [
+            _DeviceRecord(device, row, session.step_index,
+                          self.plan.for_device(device.name))
+            for row, (device, session)
+            in enumerate(zip(self.devices, self.engine.sessions))
+        ]
+        self._by_name: Dict[str, _DeviceRecord] = {
+            record.device.name: record for record in self._records
+        }
+        #: The records of the devices the plan names.
+        self._supervised = [record for record in self._records
+                            if record.faults]
         # Baseline snapshot: every supervised device can restart
         # from step 0 even if it crashes before the first cadence point.
-        for supervised in self._supervised:
-            self._take_snapshot(supervised)
+        for record in self._supervised:
+            self._take_snapshot(record)
 
     # ------------------------------------------------------------------ #
-    # Snapshots
+    # Snapshots and engine rebuilds
     # ------------------------------------------------------------------ #
-    def _take_snapshot(self, supervised: _Supervised) -> None:
-        supervised.snapshot = supervised.session.snapshot_bytes()
+    def _take_snapshot(self, record: _DeviceRecord) -> None:
+        session = self.engine.sessions[record.row]
+        record.snapshot = session.snapshot_bytes(
+            rng=self.engine.sequential_rng_state(session))
 
-    def _restore_snapshot(self, supervised: _Supervised) -> None:
-        """Replace the live session with its last snapshot."""
-        old = supervised.session
-        assert supervised.snapshot is not None
-        session = PolicySession.restore(supervised.snapshot, self.simulator,
+    def _rebuild_engine(self, row: int, session: PolicySession) -> None:
+        """Hand every session to a new engine, with ``session`` at ``row``.
+
+        The old engine first restores each session's noise generator to
+        its sequential-equivalent state (:meth:`~repro.fleet.engine
+        .FleetEngine.release_sessions`), so the new engine's pre-draw
+        reproduces exactly the draws the old engine had in store and all
+        other devices continue bitwise unchanged.
+        """
+        old = self.engine
+        sessions = old.release_sessions()
+        sessions[row] = session
+        self.engine = FleetEngine(sessions)
+        # Keep cumulative batching counters meaningful across rebuilds.
+        self.engine.steps_executed = old.steps_executed
+        self.engine.batched_decisions = old.batched_decisions
+        self.engine.batched_executions = old.batched_executions
+        self.engine.batched_observes = old.batched_observes
+
+    def _restart(self, record: _DeviceRecord) -> None:
+        """Replace the live session with its last snapshot (``RECOVERED``)."""
+        old = self.engine.sessions[record.row]
+        assert record.snapshot is not None
+        session = PolicySession.restore(record.snapshot, self.simulator,
                                         old.snippets,
                                         oracle_table=old.oracle_table)
-        if supervised.device.scenario is not None:
+        if record.device.scenario is not None:
             # The schedule is a closure over the space object; rebuild it
             # over the *restored* space so throttle-window identity
             # comparisons keep working (see PolicySession.restore).
             from repro.scenarios.runtime import make_space_schedule
 
             session.space_schedule = make_space_schedule(
-                session.space, supervised.device.scenario
+                session.space, record.device.scenario
             )
-        supervised.replayed_steps += old.step_index - session.step_index
-        supervised.wasted_energy_j += (old.total_energy_j
-                                       - session.total_energy_j)
-        supervised.session = session
-        supervised.stall_remaining = 0
-        supervised.no_progress_rounds = 0
-        supervised.last_cursor = session.step_index
+        record.replayed_steps += old.step_index - session.step_index
+        record.wasted_energy_j += old.total_energy_j - session.total_energy_j
+        self._rebuild_engine(record.row, session)
+        record.stall_remaining = 0
+        record.no_progress_rounds = 0
+        record.last_cursor = session.step_index
+        record.restarts_used += 1
+        record.transition(DeviceHealth.RECOVERED)
 
     # ------------------------------------------------------------------ #
     # Health transitions
     # ------------------------------------------------------------------ #
-    def _quarantine(self, supervised: _Supervised) -> None:
+    def _quarantine(self, record: _DeviceRecord) -> None:
         """Isolate a dead/hung device, then attempt a snapshot-restart.
 
-        Quarantine touches nothing but this device's own record — the
-        engine's groups, tensors and the other devices' RNG streams are
-        untouched by construction (the device was never part of them).
+        Quarantine touches nothing but this device's own record and row:
+        a held row leaves the engine's batched groups, and no other
+        device's state or noise stream depends on it.
         """
-        supervised.transition(DeviceHealth.QUARANTINED)
-        if supervised.restarts_used >= self.max_restarts:
-            return  # stays quarantined; the fleet completes without it
-        self._restore_snapshot(supervised)
-        supervised.restarts_used += 1
-        supervised.transition(DeviceHealth.RECOVERED)
+        record.transition(DeviceHealth.QUARANTINED)
+        if record.restarts_used < self.max_restarts:
+            self._restart(record)
+        # Otherwise it stays quarantined; the fleet completes without it.
 
     # ------------------------------------------------------------------ #
     # Stepping
     # ------------------------------------------------------------------ #
-    def _advance_supervised(self, supervised: _Supervised) -> int:
-        """One lockstep round of one supervised device (with injection).
+    def _inject_faults(self, record: _DeviceRecord,
+                       transforms: Dict[int, ResultTransform]) -> bool:
+        """Apply one plan-named device's faults due at its cursor.
 
-        Returns the number of steps completed (0 when stalled, crashed,
-        restarting, or quarantined).  Raises :class:`DeviceCrashError`
-        for an injected crash; the caller quarantines.
+        Returns whether the device steps this round.  A finished or
+        quarantined device, a crash, a stall and a restart hold it;
+        observation faults become its row's result transform.
         """
-        session = supervised.session
-        if supervised.stall_remaining > 0:
-            supervised.stall_remaining -= 1
-            return 0  # hung: no progress, the log flatlines
-        cursor = session.step_index
+        if self._terminal(record):
+            return False
+        if record.stall_remaining > 0:
+            record.stall_remaining -= 1
+            return False  # hung: no progress, the log flatlines
+        cursor = self.engine.sessions[record.row].step_index
         observation_faults: List[ObservationFault] = []
-        for index, fault in enumerate(supervised.faults):
-            if index in supervised.fired or fault.step != cursor:
+        for index, fault in enumerate(record.faults):
+            if index in record.fired or fault.step != cursor:
                 continue
+            record.fired.add(index)
             if fault.kind == "crash":
-                supervised.fired.add(index)
-                supervised.crashes += 1
-                raise DeviceCrashError(
-                    f"device {supervised.device.name!r} crashed at step "
-                    f"{cursor}"
-                )
+                record.crashes += 1
+                self._quarantine(record)
+                return False
             if fault.kind == "stall":
-                supervised.fired.add(index)
-                supervised.stalls += 1
-                supervised.stall_remaining = fault.rounds  # type: ignore[attr-defined]
-                return 0
+                record.stalls += 1
+                record.stall_remaining = fault.rounds  # type: ignore[attr-defined]
+                return False
             if fault.kind == "restart":
-                supervised.fired.add(index)
-                self._restore_snapshot(supervised)
-                supervised.restarts_used += 1
-                supervised.transition(DeviceHealth.RECOVERED)
-                return 0
+                self._restart(record)
+                return False
             assert isinstance(fault, ObservationFault)
-            supervised.fired.add(index)
             observation_faults.append(fault)
-        step = session.decide()
-        result = session.execute(step)
-        for fault in observation_faults:
-            result = fault.corrupt(result)
-            supervised.corrupted_observations += 1
-        session.observe(step, result)
-        if (not session.done
-                and session.step_index % self.snapshot_every == 0):
-            self._take_snapshot(supervised)
-        return 1
+        if observation_faults:
+            record.corrupted_observations += len(observation_faults)
+            transforms[record.row] = partial(_corrupt,
+                                             tuple(observation_faults))
+        return True
 
     def _watchdog_scan(self) -> None:
         """Flatline detection over the supervised devices.
 
         A supervised device whose log made no progress for
         ``watchdog_rounds`` rounds is flagged ``DEGRADED``; at twice that
-        it is quarantined (and restarted, budget permitting).  Inner
-        engine sessions are advanced synchronously every round and cannot
-        flatline while unfinished, so the watchdog only scans supervised
-        sessions.
+        it is quarantined (and restarted, budget permitting).  A device
+        the plan does not name is never held, so it advances every round
+        until it finishes and cannot flatline; the watchdog only scans
+        supervised devices.
         """
-        for supervised in self._supervised:
-            session = supervised.session
-            if session.done or self._terminal(supervised):
+        for record in self._supervised:
+            if self._terminal(record):
                 continue
-            cursor = session.step_index
-            if cursor > supervised.last_cursor:
-                supervised.last_cursor = cursor
-                supervised.no_progress_rounds = 0
-                if supervised.health is DeviceHealth.DEGRADED:
+            cursor = self.engine.sessions[record.row].step_index
+            if cursor > record.last_cursor:
+                record.last_cursor = cursor
+                record.no_progress_rounds = 0
+                if record.health is DeviceHealth.DEGRADED:
                     # The hang cleared on its own before quarantine.
-                    supervised.transition(DeviceHealth.HEALTHY)
+                    record.transition(DeviceHealth.HEALTHY)
                 continue
-            supervised.no_progress_rounds += 1
-            if supervised.no_progress_rounds >= 2 * self.watchdog_rounds:
-                self._quarantine(supervised)
-            elif (supervised.no_progress_rounds >= self.watchdog_rounds
-                    and supervised.health in (DeviceHealth.HEALTHY,
-                                              DeviceHealth.RECOVERED)):
-                supervised.watchdog_flags += 1
-                supervised.transition(DeviceHealth.DEGRADED)
+            record.no_progress_rounds += 1
+            if record.no_progress_rounds >= 2 * self.watchdog_rounds:
+                self._quarantine(record)
+            elif (record.no_progress_rounds >= self.watchdog_rounds
+                    and record.health in (DeviceHealth.HEALTHY,
+                                          DeviceHealth.RECOVERED)):
+                record.watchdog_flags += 1
+                record.transition(DeviceHealth.DEGRADED)
 
-    def _terminal(self, supervised: _Supervised) -> bool:
+    def _terminal(self, record: _DeviceRecord) -> bool:
         """Whether this device will never advance again."""
-        return (supervised.session.done
-                or supervised.health is DeviceHealth.QUARANTINED)
+        return (self.engine.sessions[record.row].done
+                or record.health is DeviceHealth.QUARANTINED)
 
     @property
     def done(self) -> bool:
-        engine_done = self.engine is None or self.engine.done
-        return engine_done and all(
-            self._terminal(supervised) for supervised in self._supervised
-        )
+        return all(self._terminal(record) for record in self._records)
 
     def step_round(self) -> int:
         """Advance the whole fleet by one lockstep round."""
-        advanced = 0
-        if self.engine is not None and not self.engine.done:
-            advanced += self.engine.step()
-        for supervised in self._supervised:
-            if self._terminal(supervised):
-                continue
-            try:
-                advanced += self._advance_supervised(supervised)
-            except DeviceCrashError:
-                self._quarantine(supervised)
+        transforms: Dict[int, ResultTransform] = {}
+        held = {record.row for record in self._supervised
+                if not self._inject_faults(record, transforms)}
+        advanced = self.engine.step(held, transforms)
+        for record in self._supervised:
+            session = self.engine.sessions[record.row]
+            if (record.row not in held and not session.done
+                    and session.step_index % self.snapshot_every == 0):
+                self._take_snapshot(record)
         self._watchdog_scan()
         self.rounds += 1
         return advanced
@@ -386,63 +390,42 @@ class FleetSupervisor:
         """
         while not self.done:
             self.step_round()
-        return [self._session_at(slot).result() for slot in self._slots]
-
-    def _session_at(self, slot: Tuple[str, int]) -> PolicySession:
-        kind, index = slot
-        if kind == "engine":
-            assert self.engine is not None
-            return self.engine.sessions[index]
-        return self._supervised[index].session
+        return [session.result() for session in self.engine.sessions]
 
     # ------------------------------------------------------------------ #
     # Control-plane surface (the service layer drives these)
     # ------------------------------------------------------------------ #
+    def _record(self, name: str) -> _DeviceRecord:
+        record = self._by_name.get(name)
+        if record is None:
+            raise KeyError(f"unknown device {name!r}")
+        return record
+
     @property
     def sessions(self) -> List[PolicySession]:
         """Live sessions in device input order."""
-        return [self._session_at(slot) for slot in self._slots]
+        return list(self.engine.sessions)
 
     def session_named(self, name: str) -> PolicySession:
         """The live session of one device."""
-        for device, slot in zip(self.devices, self._slots):
-            if device.name == name:
-                return self._session_at(slot)
-        raise KeyError(f"unknown device {name!r}")
-
-    def sequential_rng_state(self, session: PolicySession):
-        """Sequential-equivalent noise generator of one fleet session.
-
-        Engine-resident sessions delegate to :meth:`~repro.fleet.engine
-        .FleetEngine.sequential_rng_state` (their streams were pre-drawn
-        at adoption); supervised sessions step scalar, so their live
-        generator already is sequential.
-        """
-        if self.engine is not None:
-            return self.engine.sequential_rng_state(session)
-        return session.rng
+        return self.engine.sessions[self._record(name).row]
 
     def health_map(self) -> Dict[str, DeviceHealth]:
         """Current health of every device, keyed by name (device order)."""
-        health = dict.fromkeys(self._names, DeviceHealth.HEALTHY)
-        for name, supervised in self._by_name.items():
-            health[name] = supervised.health
-        return health
+        return {name: record.health for name, record in self._by_name.items()}
 
     def replace_policy(self, name: str, policy) -> None:
         """Swap one device's policy at a round boundary (dispatch path).
 
         ``policy`` must be built over the target session's own space
         (``policy.space is session.space``), or the engine's batched
-        decide would reason over the wrong configuration set.  For an
-        engine-resident device the engine is rebuilt around the same
-        session objects: every session's generator is first restored to
-        its sequential-equivalent state (:meth:`~repro.fleet.engine
-        .FleetEngine.release_sessions`), so the new engine's pre-draw
-        reproduces exactly the draws the old engine had in store and all
-        other devices continue bitwise unchanged.
+        decide would reason over the wrong configuration set.  The engine
+        is rebuilt around the same session objects (see
+        :meth:`_rebuild_engine`), and a supervised device's snapshot is
+        refreshed, so a later restore resumes under the new policy.
         """
-        session = self.session_named(name)
+        record = self._record(name)
+        session = self.engine.sessions[record.row]
         if session.pending is not None:
             raise RuntimeError(
                 f"device {name!r} has an unobserved pending step; policies "
@@ -453,77 +436,45 @@ class FleetSupervisor:
                 f"replacement policy for {name!r} must be built over the "
                 "session's own configuration space"
             )
-        kind = next(slot[0] for device, slot
-                    in zip(self.devices, self._slots) if device.name == name)
-        if kind == "engine":
-            assert self.engine is not None
-            old = self.engine
-            old.release_sessions()
-            session.policy = policy
-            self.engine = FleetEngine(old.sessions)
-            # Keep cumulative batching counters meaningful across rebuilds.
-            self.engine.steps_executed = old.steps_executed
-            self.engine.batched_decisions = old.batched_decisions
-            self.engine.batched_executions = old.batched_executions
-            self.engine.batched_observes = old.batched_observes
-        else:
-            session.policy = policy
+        session.policy = policy
+        self._rebuild_engine(record.row, session)
+        if record.faults:
+            self._take_snapshot(record)
 
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
     def reports(self) -> List[DeviceStatus]:
         """Per-device supervision outcomes, in input order."""
-        out: List[DeviceStatus] = []
-        for device, slot in zip(self.devices, self._slots):
-            session = self._session_at(slot)
-            if slot[0] == "engine":
-                out.append(DeviceStatus(
-                    name=device.name,
-                    health=DeviceHealth.HEALTHY.value,
-                    supervised=False,
-                    steps_completed=session.step_index,
-                    trace_steps=len(session),
-                    completed=session.done,
-                ))
-                continue
-            supervised = self._supervised[slot[1]]
-            out.append(DeviceStatus(
-                name=device.name,
-                health=supervised.health.value,
-                supervised=True,
+        return [
+            DeviceStatus(
+                name=record.device.name,
+                health=record.health.value,
+                supervised=bool(record.faults),
                 steps_completed=session.step_index,
                 trace_steps=len(session),
                 completed=session.done,
-                crashes=supervised.crashes,
-                stalls=supervised.stalls,
-                restarts=supervised.restarts_used,
-                replayed_steps=supervised.replayed_steps,
-                wasted_energy_j=supervised.wasted_energy_j,
-                corrupted_observations=supervised.corrupted_observations,
-                watchdog_flags=supervised.watchdog_flags,
-            ))
-        return out
+                crashes=record.crashes,
+                stalls=record.stalls,
+                restarts=record.restarts_used,
+                replayed_steps=record.replayed_steps,
+                wasted_energy_j=record.wasted_energy_j,
+                corrupted_observations=record.corrupted_observations,
+                watchdog_flags=record.watchdog_flags,
+            )
+            for record, session in zip(self._records, self.engine.sessions)
+        ]
 
     def health_of(self, name: str) -> DeviceHealth:
-        """Current health of one device (engine devices are HEALTHY)."""
-        supervised = self._by_name.get(name)
-        if supervised is not None:
-            return supervised.health
-        if name not in self._names:
-            raise KeyError(f"unknown device {name!r}")
-        return DeviceHealth.HEALTHY
+        """Current health of one device."""
+        return self._record(name).health
 
     def health_history(self, name: str) -> List[DeviceHealth]:
-        """Transition history of one supervised device."""
-        supervised = self._by_name.get(name)
-        if supervised is None:
-            raise KeyError(f"device {name!r} is not supervised")
-        return list(supervised.history)
+        """Transition history of one device."""
+        return list(self._record(name).history)
 
     @property
     def survival_fraction(self) -> float:
         """Fraction of devices that completed their full trace."""
-        done = sum(1 for slot in self._slots
-                   if self._session_at(slot).done)
+        done = sum(1 for session in self.engine.sessions if session.done)
         return done / len(self.devices)

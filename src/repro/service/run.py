@@ -10,8 +10,9 @@ with the durability and dispatch semantics of the control-plane service:
   .StepBoundary` record that is flushed but not fsync'd: recovery never
   reads one, because deterministic replay recomputes every round.
 * **Snapshot rotation.**  Every ``snapshot_every`` rounds (and at round
-  0), every session's state (engine-resident sessions at their
-  sequential-equivalent generator state) goes into one checksummed file,
+  0), every session's state (at its sequential-equivalent generator
+  state, see :meth:`~repro.fleet.engine.FleetEngine
+  .sequential_rng_state`) goes into one checksummed file,
   ``snapshots/round-NNNNNNNN.snapshot``, published with
   :func:`~repro.core.session.write_durable`; only then is a
   :class:`~repro.service.protocol.SnapshotManifest` naming the file and
@@ -33,10 +34,12 @@ with the durability and dispatch semantics of the control-plane service:
   plane adds zero overhead to the hot loop.
 
 The deterministic-replay scope matches the supervisor's own invariants:
-it is proven for fault-free fleets (injected-fault bookkeeping —
-fired faults, in-flight stalls — intentionally lives outside session
-snapshots; a recovered faulted run still completes, but already-fired
-faults do not re-fire).
+digests are pinned for fault-free fleets and for one fault of each type
+with a kill before and after it.  Injected-fault bookkeeping — fired
+faults, in-flight stalls, health and fault counters — lives outside
+session snapshots: a run killed after a fault still completes (with
+the same digests in the pinned cases), but already-fired faults do not
+re-fire and its health and reports can differ.
 """
 
 from __future__ import annotations
@@ -137,8 +140,8 @@ class RunConfig:
     the scale preset (trace length/training budget), the device count,
     the master seed, the scenario rotation and the snapshot cadence.
     ``faults`` optionally carries :func:`~repro.fleet.faults
-    .fault_from_dict` payloads — those devices run scalar-supervised
-    under the watchdog.
+    .fault_from_dict` payloads — the supervisor injects them and watches
+    those devices.
     """
 
     policy: str = "ondemand"
@@ -592,7 +595,7 @@ class ServiceRun:
         assert self.journal is not None and self.journal_dir is not None
         data = pack_states([
             session.snapshot_state(
-                rng=self.supervisor.sequential_rng_state(session))
+                rng=self.supervisor.engine.sequential_rng_state(session))
             for session in self.supervisor.sessions
         ])
         relative = ROTATION_FILE.format(self.rounds)

@@ -40,7 +40,8 @@ from repro.fleet import (
     fault_from_dict,
 )
 from repro.scenarios import get_scenario
-from repro.soc.governors import OndemandGovernor, PowersaveGovernor
+from repro.soc.governors import (OndemandGovernor, PerformanceGovernor,
+                                 PowersaveGovernor)
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import training_workloads
 
@@ -312,6 +313,26 @@ class TestSupervisorInvariants:
             results[2].log.column("throttled"),
         )
 
+    def test_plan_named_devices_batch(self, noisy_simulator, space):
+        """Faulted devices step inside the engine: every executed step,
+        replays included, runs through the batched kernel."""
+        reference = build_fleet(governor_devices(space), noisy_simulator,
+                                space).run()
+        plan = FaultPlan(faults=(DeviceCrash("dev1", 3),
+                                 StragglerStall("dev2", 2, rounds=8)))
+        supervisor = FleetSupervisor(governor_devices(space), noisy_simulator,
+                                     space, plan=plan, snapshot_every=2,
+                                     watchdog_rounds=2)
+        results = supervisor.run()
+        for ref, got in zip(reference, results):
+            assert ref.log.table().tobytes() == got.log.table().tobytes()
+        engine = supervisor.engine
+        assert engine.steps_executed == sum(
+            report.steps_completed + report.replayed_steps
+            for report in supervisor.reports()
+        )
+        assert engine.batched_executions == engine.steps_executed
+
     def test_supervisor_validation(self, noisy_simulator, space):
         plan = FaultPlan(faults=(DeviceCrash("ghost", 1),))
         with pytest.raises(ValueError, match="not in the fleet"):
@@ -326,6 +347,34 @@ class TestSupervisorInvariants:
             supervisor = FleetSupervisor(governor_devices(space),
                                          noisy_simulator, space)
             supervisor.health_of("ghost")
+
+
+class TestPolicySwap:
+    def test_swap_survives_a_later_restore(self, noisy_simulator, space):
+        """A crash after a policy swap restores the swapped-in policy: the
+        run matches the same swap without the crash, bitwise."""
+        def run(plan):
+            devices = [
+                DeviceSpec(name=f"dev{i}",
+                           policy=GovernorPolicy(OndemandGovernor(space)),
+                           snippets=make_trace(i, factor=1.5), seed=10 + i)
+                for i in range(3)
+            ]
+            supervisor = FleetSupervisor(devices, noisy_simulator, space,
+                                         plan=plan, snapshot_every=5)
+            for _ in range(7):
+                supervisor.step_round()
+            session = supervisor.session_named("dev1")
+            supervisor.replace_policy(
+                "dev1", GovernorPolicy(PerformanceGovernor(session.space)))
+            supervisor.run()
+            return supervisor.session_named("dev1")
+
+        reference = run(None)
+        crashed = run(FaultPlan(faults=(DeviceCrash("dev1", 9),)))
+        assert crashed.policy.name == "governor-PerformanceGovernor"
+        assert crashed.log.table().tobytes() == reference.log.table().tobytes()
+        assert crashed.total_energy_j == reference.total_energy_j
 
 
 # --------------------------------------------------------------------- #

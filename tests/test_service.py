@@ -196,6 +196,36 @@ class TestRecoveryInvariant:
         assert recovered.digests() == reference.digests()
 
 
+class TestFaultedRunRecovery:
+    """kill -9 before and after an injected fault on a journaled run."""
+
+    @pytest.mark.parametrize("stop_at", [6, 21])
+    @pytest.mark.parametrize("fault", [
+        "CounterDropout", "TelemetryCorruption", "DeviceCrash",
+        "StragglerStall", "SnapshotRestart",
+    ])
+    def test_kill_and_recover_is_bitwise(self, tmp_path, fault, stop_at):
+        config = RunConfig(
+            policy="ondemand", scale="tiny", n_devices=4, seed=7,
+            snapshot_every=5,
+            faults=({"type": fault,
+                     "params": {"device": "device-01", "step": 7}},),
+        )
+        reference = _run_reference(config=config)
+        run = ServiceRun.start(config=config, journal_dir=tmp_path)
+        _drive(run, stop_at=stop_at)
+        del run
+        recovered = ServiceRun.recover(tmp_path)
+        _drive(recovered)
+        assert recovered.digests() == reference.digests()
+        if stop_at == 6:  # the fault fires after the restore point
+            assert (recovered.supervisor.health_map()
+                    == reference.supervisor.health_map())
+            assert (recovered.supervisor.reports()
+                    == reference.supervisor.reports())
+            assert len(recovered.alerts) == len(reference.alerts)
+
+
 class TestRecoveryChecksTheFleet:
     """Recovery refuses a fleet that is not the one the journal registered."""
 

@@ -122,17 +122,6 @@ class TestPhases:
             session.observe(step, result)
         assert len(session.log) == 1  # nothing was double-counted
 
-    def test_adopt_step_index_mismatch_raises(self, simulator, space,
-                                              snippet_trace):
-        session = PolicySession(simulator, space, StaticPolicy(space),
-                                snippet_trace)
-        step = session.decide()
-        result = session.execute(step)
-        session.observe(step, result)
-        stale = step  # index 0, session cursor is now 1
-        with pytest.raises(ValueError, match="does not match"):
-            session.adopt_step(stale)
-
 
 class TestResumability:
     def test_midrun_snapshot_tracks_session(self, noisy_simulator, space,

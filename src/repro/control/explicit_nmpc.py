@@ -113,18 +113,20 @@ class ExplicitNMPCGpuController:
         return low, high
 
     def build_surface(self) -> NMPCSurfaceDataset:
-        """Sample the NMPC law over the workload state space."""
+        """Sample the NMPC law over the workload state space.
+
+        The samples are solved in one
+        :meth:`~repro.control.nmpc.NMPCGpuController.solve_batch` sweep.
+        """
         low, high = self._state_bounds()
         unit = halton_sequence(self.n_surface_samples, 2)
         states = low + unit * (high - low)
-        opp_indices = np.empty(len(states))
-        slice_counts = np.empty(len(states))
-        for i, (work, memory) in enumerate(states):
-            config = self._nmpc.solve(float(work), float(memory))
-            opp_indices[i] = config.opp_index
-            slice_counts[i] = config.active_slices
-        self.dataset = NMPCSurfaceDataset(states=states, opp_indices=opp_indices,
-                                          slice_counts=slice_counts)
+        opp_indices, slice_counts = self._nmpc.solve_batch(states[:, 0],
+                                                           states[:, 1])
+        self.dataset = NMPCSurfaceDataset(
+            states=states, opp_indices=opp_indices.astype(float),
+            slice_counts=slice_counts.astype(float),
+        )
         return self.dataset
 
     def fit(self, dataset: Optional[NMPCSurfaceDataset] = None) -> "ExplicitNMPCGpuController":
@@ -194,12 +196,12 @@ class ExplicitNMPCGpuController:
         low, high = self._state_bounds()
         unit = halton_sequence(n_probe, 2) * 0.97 + 0.015
         states = low + unit * (high - low)
+        exact_opps, exact_slices = self._nmpc.solve_batch(states[:, 0],
+                                                          states[:, 1])
         mismatches = 0
-        for work, memory in states:
-            exact = self._nmpc.solve(float(work), float(memory))
+        for (work, memory), opp_index, slices in zip(states, exact_opps,
+                                                      exact_slices):
             approx = self.control_law(float(work), float(memory))
-            if (exact.opp_index, exact.active_slices) != (
-                approx.opp_index, approx.active_slices
-            ):
+            if (opp_index, slices) != (approx.opp_index, approx.active_slices):
                 mismatches += 1
         return mismatches / len(states)

@@ -13,7 +13,7 @@ exactly by enumerating the discrete configuration set — this is the
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,6 +99,23 @@ class NMPCGpuController:
         self.slice_switch_energy_j = float(slice_switch_energy_j)
         self.current = GPUConfiguration(opp_index=len(gpu.opps) - 1,
                                         active_slices=gpu.n_slices)
+        # Per-configuration constants of the sweep, in configurations()
+        # order, from the GPUSpec methods the frame-time and power laws use.
+        configs = gpu.configurations()
+        self._opps = np.array([config.opp_index for config in configs])
+        self._slices = np.array([config.active_slices for config in configs])
+        self._throughput = np.array([
+            gpu.operating_point(config).frequency_hz
+            * gpu.slice_throughput_factor(config.active_slices)
+            for config in configs
+        ])
+        self._active_power = np.array([gpu.active_power_w(config)
+                                       for config in configs])
+        self._idle_power = np.array([gpu.idle_power_w_at(config)
+                                     for config in configs])
+        # Position of each configuration in (opp_index, active_slices)
+        # order: the energy tie-break.
+        self._tie_rank = np.argsort(np.lexsort((self._slices, self._opps)))
 
     def reset(self) -> None:
         self.predictor.reset()
@@ -106,43 +123,46 @@ class NMPCGpuController:
                                         active_slices=self.gpu.n_slices)
 
     # ------------------------------------------------------------------ #
-    def predicted_energy_j(self, config: GPUConfiguration, work_cycles: float,
-                           memory_bytes: float) -> float:
-        """Predicted GPU energy of one frame at ``config`` (race-to-idle)."""
-        deadline = 1.0 / self.target_fps
-        busy = self.gpu.busy_time_s(config, work_cycles, memory_bytes)
-        frame_time = max(busy, deadline)
-        idle = frame_time - busy
-        energy = (
-            self.gpu.active_power_w(config) * busy
-            + self.gpu.idle_power_w_at(config) * idle
+    def solve_batch(self, work_cycles: Sequence[float],
+                    memory_bytes: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+        """Solve the NMPC problem at many (work, memory) states at once.
+
+        Takes equal-length 1-D arrays and returns the chosen
+        ``(opp_indices, active_slices)``.  Each configuration's race-to-idle
+        energy is the scalar laws' float64 arithmetic in their order, plus
+        the slice-switch penalty only where the slice count changes from
+        ``current``.  The ``(energy, opp_index, active_slices)`` minimum
+        among configurations meeting the deadline wins; under overload, the
+        first fastest in :meth:`~repro.gpu.gpu.GPUSpec.configurations` order.
+        """
+        work = np.asarray(work_cycles, dtype=float)
+        memory = np.asarray(memory_bytes, dtype=float)
+        if np.any(work < 0) or np.any(memory < 0):
+            raise ValueError("work_cycles and memory_bytes must be non-negative")
+        busy = (work[:, None] / self._throughput
+                + (memory / (self.gpu.memory_bandwidth_gbps * 1e9))[:, None])
+        idle = np.maximum(busy, 1.0 / self.target_fps) - busy
+        energy = self._active_power * busy + self._idle_power * idle
+        switched = self._slices != self.current.active_slices
+        energy[:, switched] += self.slice_switch_energy_j * np.abs(
+            self._slices[switched] - self.current.active_slices
         )
-        if config.active_slices != self.current.active_slices:
-            energy += self.slice_switch_energy_j * abs(
-                config.active_slices - self.current.active_slices
-            )
-        return energy
+        deadline = (1.0 / self.target_fps) * (1.0 - self.deadline_margin)
+        feasible = busy <= deadline
+        masked = np.where(feasible, energy, np.inf)
+        ties = masked == masked.min(axis=1, keepdims=True)
+        cheapest = np.where(ties, self._tie_rank, len(self._tie_rank)).argmin(axis=1)
+        picks = np.where(feasible.any(axis=1), cheapest, busy.argmin(axis=1))
+        return self._opps[picks], self._slices[picks]
 
     def solve(self, work_cycles: float, memory_bytes: float) -> GPUConfiguration:
-        """Exhaustively minimise predicted energy subject to the deadline."""
-        deadline = (1.0 / self.target_fps) * (1.0 - self.deadline_margin)
-        feasible: List[Tuple[float, GPUConfiguration]] = []
-        infeasible: List[Tuple[float, GPUConfiguration]] = []
-        for config in self.gpu.configurations():
-            busy = self.gpu.busy_time_s(config, work_cycles, memory_bytes)
-            energy = self.predicted_energy_j(config, work_cycles, memory_bytes)
-            if busy <= deadline:
-                feasible.append((energy, config))
-            else:
-                # Track the fastest configuration as a fallback when nothing
-                # meets the deadline (overload): minimise the busy time.
-                infeasible.append((busy, config))
-        if feasible:
-            feasible.sort(key=lambda item: (item[0], item[1].opp_index,
-                                            item[1].active_slices))
-            return feasible[0][1]
-        infeasible.sort(key=lambda item: item[0])
-        return infeasible[0][1]
+        """Minimise predicted energy subject to the deadline at one state.
+
+        A one-state :meth:`solve_batch`.
+        """
+        opps, slices = self.solve_batch([work_cycles], [memory_bytes])
+        return GPUConfiguration(opp_index=int(opps[0]),
+                                active_slices=int(slices[0]))
 
     # ------------------------------------------------------------------ #
     # GPUController protocol

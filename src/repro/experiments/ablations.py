@@ -15,19 +15,21 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.control.explicit_nmpc import ExplicitNMPCGpuController
+from repro.core.framework import OnlineLearningFramework
 from repro.experiments.common import (
     ExperimentScale,
     QUICK,
     build_trained_framework,
 )
-from repro.experiments.figure2 import run_figure2
 from repro.experiments.table2 import run_table2
+from repro.fleet.device import DeviceSpec, build_fleet
 from repro.gpu.gpu import default_integrated_gpu
 from repro.ml.linear import LinearRegressor
 from repro.ml.knn import KNeighborsRegressor
@@ -54,29 +56,47 @@ def run_buffer_size_ablation(
     scale: ExperimentScale = QUICK,
     seed: SeedLike = 0,
 ) -> List[BufferAblationRow]:
-    """Online-IL adaptation quality versus aggregation-buffer size."""
-    rows: List[BufferAblationRow] = []
-    for capacity in buffer_sizes:
-        framework = build_trained_framework(scale, seed=seed)
-        policy = framework.build_online_il_policy(
-            buffer_capacity=int(capacity), update_epochs=scale.update_epochs
-        )
-        sequence = build_online_sequence(
-            specs=unseen_workloads(),
-            snippet_factor=scale.sequence_snippet_factor,
-            seed=seed,
-        )
-        run = framework.evaluate_policy_on_snippets(policy, sequence.snippets)
-        rows.append(
-            BufferAblationRow(
+    """Online-IL adaptation quality versus aggregation-buffer size.
+
+    One framework is trained, and each capacity is one device of a single
+    :class:`~repro.fleet.engine.FleetEngine` run over the same unseen
+    sequence, with its own isolated online-IL policy.  Each device draws
+    its measurement noise from a copy of the framework's evaluation
+    generator, which training never draws from, so every row is bitwise
+    the evaluation of a freshly trained framework at that capacity.
+    """
+    framework = build_trained_framework(scale, seed=seed)
+    sequence = build_online_sequence(
+        specs=unseen_workloads(),
+        snippet_factor=scale.sequence_snippet_factor,
+        seed=seed,
+    )
+    oracle_table = framework.build_oracle_for(sequence.snippets)
+    devices = [
+        DeviceSpec(
+            name=f"buffer-{int(capacity)}",
+            policy=framework.build_online_il_policy(
                 buffer_capacity=int(capacity),
-                normalized_energy=run.normalized_energy,
-                final_accuracy_percent=run.final_accuracy(),
-                policy_updates=policy.n_policy_updates,
-                storage_bytes=policy.buffer.storage_bytes(),
-            )
+                update_epochs=scale.update_epochs,
+                isolated=True,
+            ),
+            snippets=sequence.snippets,
+            rng=copy.deepcopy(framework._misc_rng),
+            oracle_table=oracle_table,
         )
-    return rows
+        for capacity in buffer_sizes
+    ]
+    runs = build_fleet(devices, framework.simulator, framework.space).run()
+    return [
+        BufferAblationRow(
+            buffer_capacity=int(capacity),
+            normalized_energy=run.normalized_energy,
+            final_accuracy_percent=run.final_accuracy(),
+            policy_updates=device.policy.n_policy_updates,
+            storage_bytes=device.policy.buffer.storage_bytes(),
+        )
+        for capacity, device, run in zip(buffer_sizes, devices, runs)
+    ]
 
 
 @dataclass
@@ -95,9 +115,6 @@ def run_forgetting_factor_ablation(
     """Frame-time model error versus the RLS forgetting factor."""
     rows: List[ForgettingAblationRow] = []
     for factor in factors:
-        result = run_figure2(scale=scale, seed=seed, adaptive_forgetting=False)
-        # run_figure2 constructs its own model; rebuild with the factor by
-        # re-running the prediction loop through the same helper.
         result = _figure2_with_factor(scale, seed, forgetting_factor=float(factor))
         rows.append(
             ForgettingAblationRow(
@@ -209,12 +226,12 @@ def run_config_space_ablation(scale: ExperimentScale = QUICK,
     for gating, label in ((False, "frequencies only"),
                           (True, "frequencies + big-core gating")):
         table2 = run_table2(scale=scale, seed=seed, allow_core_gating=gating)
-        framework = build_trained_framework(scale, seed=seed,
-                                            allow_core_gating=gating)
+        space = OnlineLearningFramework(seed=seed,
+                                        allow_core_gating=gating).space
         rows.append(
             ConfigSpaceAblationRow(
                 space_name=label,
-                n_configurations=len(framework.space),
+                n_configurations=len(space),
                 mibench_mean=table2.suite_mean("Mi-Bench"),
                 unseen_mean=(table2.suite_mean("Cortex")
                              + table2.suite_mean("PARSEC")) / 2.0,

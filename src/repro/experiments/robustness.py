@@ -10,7 +10,8 @@ thermal throttling, characteristic drift, composed stress) and compares
 * **offline-il** — the frozen design-time policy,
 * **ondemand** / **powersave** — classic governor baselines,
 
-against the scenario-aware Oracle.  All Oracle sweeps run through the
+against the scenario-aware Oracle.  The (scenario, policy) cells run as
+the devices of one lockstep fleet.  All Oracle sweeps run through the
 vectorized batch engine paths and share the framework's
 :class:`~repro.core.oracle.OracleCache` (restriction-aware keys), so
 scenarios that merely reorder the base trace are nearly free.
@@ -22,19 +23,20 @@ paper's Table II / Figure 3 metrics.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.control.policy import DRMPolicy, GovernorPolicy
 from repro.core.framework import OnlineLearningFramework, PolicyRunResult
 from repro.experiments.common import build_trained_framework
 from repro.experiments.scales import ExperimentScale, QUICK
+from repro.fleet.device import DeviceSpec, build_fleet
 from repro.scenarios import (
     ScenarioTrace,
     available_scenarios,
     build_scenario_oracle,
     get_scenario,
-    run_policy_on_scenario,
 )
 from repro.soc.governors import OndemandGovernor, PowersaveGovernor
 from repro.utils.rng import SeedLike, derive_seed, make_rng, stable_name_id
@@ -111,7 +113,7 @@ def _policy_factories(
             update_epochs=scale.update_epochs,
             isolated=True,
         ),
-        "offline-il": lambda: framework.offline_policy,
+        "offline-il": lambda: copy.deepcopy(framework.offline_policy),
         "ondemand": lambda: GovernorPolicy(OndemandGovernor(framework.space)),
         "powersave": lambda: GovernorPolicy(PowersaveGovernor(framework.space)),
     }
@@ -126,9 +128,13 @@ def run_robustness(
     """Sweep the policies across the (selected) registered scenarios.
 
     One framework is trained offline per call and reused for every
-    scenario; each (scenario, policy) run draws its measurement-noise
-    stream from a seed derived from ``(seed, scenario, policy)``, so a
-    cell's result does not depend on which other cells ran before it.
+    scenario.  Every (scenario, policy) cell is one device of a single
+    :class:`~repro.fleet.engine.FleetEngine` run: it has its own policy
+    objects (an isolated online-IL policy, a copy of the offline-IL
+    policy or a fresh governor) and draws its measurement noise from a
+    seed derived from ``(seed, scenario, policy)``.  Cells share no
+    mutable state, so each row is bitwise the cell's own sequential run
+    and does not depend on which other cells are swept.
     """
     names = list(scenarios) if scenarios is not None else available_scenarios()
     if not names:
@@ -147,7 +153,8 @@ def run_robustness(
         snippet_factor=scale.sequence_snippet_factor,
         seed=seed,
     )
-    result = RobustnessResult()
+    devices: List[DeviceSpec] = []
+    cells: List[Tuple[str, str]] = []
     for spec in specs:
         scenario_rng = make_rng(derive_seed(seed, [stable_name_id(spec.name)]))
         trace = spec.apply(base_sequence.snippets, scenario_rng)
@@ -156,18 +163,20 @@ def run_robustness(
             cache=framework.oracle_cache,
         )
         for policy_name in policies:
-            run_rng = make_rng(
-                derive_seed(seed, [stable_name_id(spec.name),
-                                   stable_name_id(policy_name)])
-            )
-            run = run_policy_on_scenario(
-                framework.simulator, framework.space,
-                factories[policy_name](), trace,
-                oracle_table=oracle_table, rng=run_rng,
-            )
-            result.rows.append(_row_from_run(spec.name, policy_name,
-                                             trace, run))
-    return result
+            devices.append(DeviceSpec(
+                name=f"{spec.name}/{policy_name}",
+                policy=factories[policy_name](),
+                scenario=trace,
+                seed=derive_seed(seed, [stable_name_id(spec.name),
+                                        stable_name_id(policy_name)]),
+                oracle_table=oracle_table,
+            ))
+            cells.append((spec.name, policy_name))
+    runs = build_fleet(devices, framework.simulator, framework.space).run()
+    return RobustnessResult(rows=[
+        _row_from_run(scenario, policy_name, device.scenario, run)
+        for (scenario, policy_name), device, run in zip(cells, devices, runs)
+    ])
 
 
 def _row_from_run(scenario: str, policy: str, trace: ScenarioTrace,

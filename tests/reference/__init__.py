@@ -1,0 +1,6 @@
+"""Scalar reference implementations kept as test oracles.
+
+Each module holds the per-item loop that a vectorized production path in
+``src/repro`` replaced, verbatim apart from taking the production object
+as an argument, so tests can check the batch path against it.
+"""

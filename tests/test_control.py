@@ -16,10 +16,12 @@ from repro.control import (
 )
 from repro.control.explicit_nmpc import halton_sequence
 from repro.core.framework import run_policy_on_snippets
-from repro.gpu import GPUConfiguration, GPUSimulator, default_integrated_gpu
+from repro.gpu import GPUConfiguration, GPUSimulator, GPUSpec, default_integrated_gpu
+from repro.soc.opp import OPPTable, OperatingPoint
 from repro.workloads.graphics import get_graphics_workload
 from repro.workloads.suites import get_workload
 from repro.workloads.generator import SnippetTraceGenerator
+from reference import nmpc_loop
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +172,151 @@ class TestNMPC:
             NMPCGpuController(gpu, target_fps=0.0)
         with pytest.raises(ValueError):
             NMPCGpuController(gpu, target_fps=30.0, deadline_margin=1.0)
+
+
+class _RepeatingOPPTable(OPPTable):
+    """An OPP table that lists one operating point twice.
+
+    ``OPPTable`` refuses repeated frequencies; the sweep's tie-break must
+    still pick what the loop picks when two configurations are identical.
+    """
+
+    def __init__(self, points):
+        self._points = list(points)
+
+
+class TestNMPCSweep:
+    """``solve_batch`` and ``solve`` pick what the reference loop picks."""
+
+    @staticmethod
+    def seeded_states(gpu, target_fps, n, seed):
+        """States from idle to ~30% past what the fastest config sustains."""
+        rng = np.random.default_rng(seed)
+        frame_s = 1.0 / target_fps
+        work = rng.uniform(0.0, 1.3 * gpu.max_throughput_cycles_per_s() * frame_s, n)
+        memory = rng.uniform(0.0, 0.4 * gpu.memory_bandwidth_gbps * 1e9 * frame_s, n)
+        return work, memory
+
+    @staticmethod
+    def assert_matches_loop(controller, work, memory):
+        opps, slices = controller.solve_batch(work, memory)
+        assert opps.shape == slices.shape == (len(work),)
+        for w, m, opp, n_slices in zip(work, memory, opps, slices):
+            expected = nmpc_loop.solve(controller, float(w), float(m))
+            assert (opp, n_slices) == (expected.opp_index, expected.active_slices)
+            assert controller.solve(float(w), float(m)) == expected
+
+    @staticmethod
+    def fastest_busy(controller, work, memory):
+        gpu = controller.gpu
+        return np.array([min(gpu.busy_time_s(c, float(w), float(m))
+                             for c in gpu.configurations())
+                         for w, m in zip(work, memory)])
+
+    def test_seeded_states_feasible_and_overloaded(self, gpu):
+        controller = NMPCGpuController(gpu, target_fps=30.0)
+        work, memory = self.seeded_states(gpu, 30.0, 300, seed=11)
+        deadline = (1.0 / 30.0) * (1.0 - controller.deadline_margin)
+        feasible = self.fastest_busy(controller, work, memory) <= deadline
+        assert 50 < feasible.sum() < 250
+        self.assert_matches_loop(controller, work, memory)
+
+    def test_overload_picks_first_fastest(self, gpu):
+        controller = NMPCGpuController(gpu, target_fps=60.0)
+        # The last three states are memory bound: their compute times are
+        # below half an ulp of the memory time for the faster
+        # configurations, so several busy times tie exactly and the first
+        # of them in configurations() order must win.
+        work = np.array([1e12, 5e9, 3e7, 2e7, 0.0, 2e-9, 5e-9])
+        memory = np.array([0.0, 1e9, 2e8, 5e8, 5e8, 5e8, 5e8])
+        deadline = (1.0 / 60.0) * (1.0 - controller.deadline_margin)
+        assert np.all(self.fastest_busy(controller, work, memory) > deadline)
+        self.assert_matches_loop(controller, work, memory)
+
+    def test_zero_memory_traffic(self, gpu):
+        controller = NMPCGpuController(gpu, target_fps=30.0)
+        work, _ = self.seeded_states(gpu, 30.0, 100, seed=12)
+        self.assert_matches_loop(controller, work, np.zeros_like(work))
+        self.assert_matches_loop(controller, np.zeros(3), np.zeros(3))
+
+    def test_states_exactly_on_the_deadline(self, gpu):
+        controller = NMPCGpuController(gpu, target_fps=30.0)
+        deadline = (1.0 / 30.0) * (1.0 - controller.deadline_margin)
+        on_deadline = []
+        for config in gpu.configurations():
+            # The work that makes this configuration's busy time equal the
+            # deadline exactly, found by stepping one ulp at a time.
+            work = deadline * (gpu.operating_point(config).frequency_hz
+                               * gpu.slice_throughput_factor(config.active_slices))
+            for _ in range(64):
+                busy = gpu.busy_time_s(config, work, 0.0)
+                if busy == deadline:
+                    break
+                work = float(np.nextafter(work, np.inf if busy < deadline
+                                          else -np.inf))
+            assert gpu.busy_time_s(config, work, 0.0) == deadline
+            on_deadline.append((config, work))
+        work = np.array([w for _, w in on_deadline])
+        self.assert_matches_loop(controller, work, np.zeros_like(work))
+        self.assert_matches_loop(controller, np.nextafter(work, np.inf),
+                                 np.zeros_like(work))
+        # Somewhere the configuration exactly on the deadline is the pick,
+        # so a strict comparison would have changed the answer.
+        assert any(controller.solve(w, 0.0) == config
+                   for config, w in on_deadline)
+
+    @pytest.mark.parametrize("current_slices", [1, 2])
+    def test_switch_penalty_from_fewer_slices(self, gpu, current_slices):
+        controller = NMPCGpuController(gpu, target_fps=30.0,
+                                       slice_switch_energy_j=0.02)
+        controller.current = GPUConfiguration(opp_index=2,
+                                              active_slices=current_slices)
+        work, memory = self.seeded_states(gpu, 30.0, 200, seed=13)
+        self.assert_matches_loop(controller, work, memory)
+        unpenalised = NMPCGpuController(gpu, target_fps=30.0,
+                                        slice_switch_energy_j=0.02)
+        unpenalised.current = GPUConfiguration(opp_index=2, active_slices=3)
+        assert (controller.solve_batch(work, memory)[1]
+                != unpenalised.solve_batch(work, memory)[1]).any()
+
+    def test_repeated_operating_point_ties_exactly(self):
+        points = default_integrated_gpu(n_opp_levels=4).opps.points
+        gpu = GPUSpec(opps=_RepeatingOPPTable(
+            [points[0], points[1], points[1], points[2], points[3]]))
+        controller = NMPCGpuController(gpu, target_fps=30.0)
+        work, memory = self.seeded_states(gpu, 30.0, 300, seed=14)
+        self.assert_matches_loop(controller, work, memory)
+        opps, _ = controller.solve_batch(work, memory)
+        # Opp 1 and 2 are the same point: every tie goes to the lower index.
+        assert (opps == 1).any() and not (opps == 2).any()
+
+    def test_configurations_twinned_across_slice_counts(self):
+        # Perfect slice scaling, no leakage and one voltage make one slice
+        # at 800 MHz and two slices at 400 MHz the same configuration to
+        # the laws.  The (energy, opp_index, active_slices) rule picks two
+        # slices at opp 0, which configurations() order lists second.
+        gpu = GPUSpec(opps=OPPTable([OperatingPoint(400e6, 1.0),
+                                     OperatingPoint(800e6, 1.0)]),
+                      n_slices=2, slice_scaling_alpha=1.0,
+                      leakage_w_per_v=0.0)
+        controller = NMPCGpuController(gpu, target_fps=30.0,
+                                       slice_switch_energy_j=0.0)
+        work, memory = self.seeded_states(gpu, 30.0, 200, seed=15)
+        self.assert_matches_loop(controller, work, memory)
+        opps, slices = controller.solve_batch(work, memory)
+        assert ((opps == 0) & (slices == 2)).any()
+        assert not ((opps == 1) & (slices == 1)).any()
+
+    def test_negative_inputs_raise(self, gpu):
+        controller = NMPCGpuController(gpu, target_fps=30.0)
+        with pytest.raises(ValueError):
+            controller.solve(-1.0, 0.0)
+        with pytest.raises(ValueError):
+            controller.solve(1e6, -1.0)
+        with pytest.raises(ValueError):
+            controller.solve_batch([1e6, -1.0], [0.0, 0.0])
+        with pytest.raises(ValueError):
+            controller.solve_batch([1e6, 1e6], [0.0, -1.0])
 
 
 class TestExplicitNMPC:

@@ -11,6 +11,8 @@ online-IL learning devices) plus the capability plumbing around it.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -573,3 +575,35 @@ class TestFleetExperiment:
         scenarios = [d.scenario for d in first.devices]
         assert scenarios[0] == ""  # baseline device
         assert any(scenarios[1:])  # scenario rotation kicked in
+
+
+class TestExperimentFleetsStayBatched:
+    """Experiments that run their cells as one fleet build it cleanly.
+
+    ``build_fleet`` warns when devices share or lack a noise generator and
+    when any device would fall back to scalar execution, so raising
+    :class:`FleetBuildWarning` as an error catches both.  (``python -W``
+    cannot name the warning class: the option is parsed before ``repro``
+    is importable.)
+    """
+
+    def test_robustness(self):
+        from repro.experiments.robustness import (ROBUSTNESS_POLICIES,
+                                                  run_robustness)
+        from repro.experiments.scales import TINY
+        from repro.scenarios import available_scenarios
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FleetBuildWarning)
+            result = run_robustness(TINY, seed=0)
+        assert len(result.rows) == (len(available_scenarios())
+                                    * len(ROBUSTNESS_POLICIES))
+
+    def test_buffer_size_ablation(self):
+        from repro.experiments.ablations import run_buffer_size_ablation
+        from repro.experiments.scales import TINY
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FleetBuildWarning)
+            rows = run_buffer_size_ablation(scale=TINY, seed=0)
+        assert [row.buffer_capacity for row in rows] == [10, 25, 50, 100]

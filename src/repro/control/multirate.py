@@ -25,6 +25,9 @@ from repro.control.state_space import FastRateFrequencyController
 from repro.gpu.frames import Frame, FrameResult
 from repro.gpu.gpu import GPUConfiguration, GPUSpec
 
+#: Default share of the frame deadline kept as slack by both control paths.
+DEADLINE_MARGIN = 0.10
+
 
 class MultiRateGPUController:
     """Coordinated slow-rate (slices) and fast-rate (DVFS) GPU controller."""
@@ -34,7 +37,7 @@ class MultiRateGPUController:
         gpu: GPUSpec,
         target_fps: float,
         slow_period: int = 16,
-        deadline_margin: float = 0.10,
+        deadline_margin: float = DEADLINE_MARGIN,
         predictor: Optional[WorkloadPredictor] = None,
         explicit_controller: Optional[ExplicitNMPCGpuController] = None,
         fast_controller: Optional[FastRateFrequencyController] = None,

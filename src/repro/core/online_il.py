@@ -342,10 +342,12 @@ class OnlineILPolicy(DRMPolicy):
         Devices whose buffers filled on the same lockstep step and share
         every training hyper-parameter (sample count, minibatch size,
         epochs, learning rate, momentum, l2) train as one stacked
-        :meth:`~repro.ml.mlp.FleetMLPStack.partial_fit_rows` call;
-        singleton groups take the scalar :meth:`_update_policy` unchanged.
-        Training order across devices is irrelevant — adoption guaranteed
-        the classifiers are distinct objects.
+        :meth:`~repro.ml.mlp.FleetMLPStack.partial_fit_rows` call.  Every
+        flushed row is a stack row (flushes come from the live rows), so a
+        group of one trains on the stack too, as a one-row group, bitwise
+        equal to the scalar :meth:`_update_policy`.  Training order across
+        devices is irrelevant — adoption guaranteed the classifiers are
+        distinct objects.
         """
         groups: Dict[Tuple, List[int]] = {}
         for row in flush_rows:
@@ -358,9 +360,6 @@ class OnlineILPolicy(DRMPolicy):
         stack = state["stack"]
         stack_row_of = state["stack_row_of"]
         for members in groups.values():
-            if len(members) == 1:
-                policies[members[0]]._update_policy()
-                continue
             datasets: List[np.ndarray] = []
             encoded: List[np.ndarray] = []
             for row in members:

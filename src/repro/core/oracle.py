@@ -15,6 +15,8 @@ label the offline IL training data.
 
 from __future__ import annotations
 
+import hashlib
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -100,7 +102,13 @@ class OraclePolicy(DRMPolicy):
 
 #: Cache key types (content-derived, never identity-derived).
 SnippetKey = Tuple[str, int, float, Tuple[Tuple[str, float], ...]]
-SpaceKey = Tuple
+
+#: Key text of every live configuration space, keyed weakly by the space
+#: object: the memo neither keeps a space alive nor rides along when one is
+#: pickled (snapshots, rotations and shard bundles stay the same size).
+_SPACE_KEY_TEXT: weakref.WeakKeyDictionary[ConfigurationSpace, str] = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def snippet_cache_key(snippet: Snippet) -> SnippetKey:
@@ -113,9 +121,20 @@ def snippet_cache_key(snippet: Snippet) -> SnippetKey:
     )
 
 
-def space_cache_key(space: ConfigurationSpace) -> SpaceKey:
-    """Content key for a configuration space (platform params + exact configs)."""
-    return space.cache_key()
+def space_cache_key(space: ConfigurationSpace) -> str:
+    """Content key text of a configuration space: ``repr(space.cache_key())``.
+
+    The key (platform parameters plus the exact configuration list) is
+    several kB of text for a 48-configuration space, and a frozen-dataclass
+    tuple re-hashes on every dict lookup, so the text is computed once per
+    space object and held in a weak memo.  ``cache_key()`` itself memoizes,
+    so a space's key never changes once computed and neither can the text.
+    """
+    text = _SPACE_KEY_TEXT.get(space)
+    if text is None:
+        text = repr(space.cache_key())
+        _SPACE_KEY_TEXT[space] = text
+    return text
 
 
 def objective_cache_key(objective: Objective) -> Tuple[str, object]:
@@ -199,13 +218,18 @@ def persistent_entry_digest(snippet: Snippet, space: ConfigurationSpace,
     Includes the :func:`~repro.core.oracle_store.code_fingerprint` of the
     modules the entry's semantics depend on, so a store written by older
     simulator/Oracle code cleanly misses instead of serving stale results.
+    SHA-256 is fed exactly the bytes of ``content_digest(snippet_cache_key,
+    space.cache_key(), persistent_objective_key, code_fingerprint())``, with
+    the space's ``repr`` taken from :func:`space_cache_key`'s memo.
     """
-    return content_digest(
-        snippet_cache_key(snippet),
-        space_cache_key(space),
-        persistent_objective_key(objective),
-        code_fingerprint(),
-    )
+    hasher = hashlib.sha256()
+    for text in (repr(snippet_cache_key(snippet)),
+                 space_cache_key(space),
+                 repr(persistent_objective_key(objective)),
+                 repr(code_fingerprint())):
+        hasher.update(text.encode("utf-8"))
+        hasher.update(b"\x00")
+    return hasher.hexdigest()
 
 
 #: Process-wide cache-activity counters aggregated over every OracleCache
@@ -240,7 +264,10 @@ class OracleCache:
     ``train_offline``, ``_bootstrap_models`` and
     ``evaluate_policy_on_snippets`` then stop re-sweeping snippets they have
     already solved.  Keys are derived from content, never object identity,
-    so regenerated-but-identical snippets still hit.
+    so regenerated-but-identical snippets still hit.  The space part of a
+    key is its :func:`space_cache_key` text, whose hash Python caches,
+    rather than the tuple of configuration dataclasses it spells out, which
+    would re-hash on every lookup.
 
     An optional :class:`~repro.core.oracle_store.OracleStore` layers a
     persistent, cross-process tier underneath: in-memory misses fall

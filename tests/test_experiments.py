@@ -107,6 +107,31 @@ class TestFigure5:
         assert result.average("gpu_savings_percent") > 5.0
         assert "Figure 5" in format_figure5(result)
 
+    def test_one_explicit_surface_fit_per_target_fps(self, monkeypatch):
+        """A surface depends on the GPU, target fps, margin and sample
+        count only, so benchmarks sharing a frame rate share one fit."""
+        from repro.control.explicit_nmpc import ExplicitNMPCGpuController
+        from repro.workloads.graphics import (figure5_benchmark_order,
+                                              get_graphics_workload)
+
+        fitted_fps = []
+        original_fit = ExplicitNMPCGpuController.fit
+
+        def counting_fit(controller, *args, **kwargs):
+            fitted_fps.append(controller.target_fps)
+            return original_fit(controller, *args, **kwargs)
+
+        monkeypatch.setattr(ExplicitNMPCGpuController, "fit", counting_fit)
+        result = run_figure5(TINY, seed=0)
+        names = figure5_benchmark_order()
+        assert len(result.per_benchmark) == len(names) == 10
+        distinct_fps = {
+            get_graphics_workload(name, n_frames=TINY.gpu_frames,
+                                  seed=0).target_fps
+            for name in names
+        }
+        assert sorted(fitted_fps) == sorted(distinct_fps)
+
 
 class TestOnlineAdaptationStudy:
     def test_per_app_normalized_without_oracle_returns_empty(self,

@@ -281,6 +281,70 @@ class TestFleetEquivalence:
             )
             assert reference.oracle_energy_j == actual.oracle_energy_j
 
+    def test_online_il_singleton_flushes_train_on_the_stack(
+            self, trained_framework, monkeypatch):
+        """Devices whose buffers never fill on the same step (different
+        capacities, as in the buffer-size ablation) train every flush on
+        the stack as one-row groups: no scalar ``partial_fit`` call, and
+        the logs stay bitwise identical to sequential runs."""
+        from repro.ml.mlp import FleetMLPStack, MLPClassifier
+
+        framework = trained_framework
+        simulator = framework.simulator
+        space = framework.space
+        trace = make_trace(0, factor=0.4, extra=2)
+        oracle = framework.build_oracle_for(trace)
+        capacities = (4, 6, 10)
+
+        def make_policy(capacity):
+            return framework.build_online_il_policy(
+                buffer_capacity=capacity, update_epochs=10, isolated=True,
+            )
+
+        sequential = [
+            run_policy_on_snippets(
+                simulator, space, make_policy(capacity), trace,
+                oracle_table=oracle, rng=np.random.default_rng(500 + i),
+            )
+            for i, capacity in enumerate(capacities)
+        ]
+        devices = [
+            DeviceSpec(name=f"buffer-{capacity}",
+                       policy=make_policy(capacity), snippets=trace,
+                       oracle_table=oracle,
+                       rng=np.random.default_rng(500 + i))
+            for i, capacity in enumerate(capacities)
+        ]
+        scalar_fits = []
+        group_sizes = []
+        partial_fit = MLPClassifier.partial_fit
+        partial_fit_rows = FleetMLPStack.partial_fit_rows
+
+        def counting_partial_fit(classifier, *args, **kwargs):
+            scalar_fits.append(classifier)
+            return partial_fit(classifier, *args, **kwargs)
+
+        def counting_partial_fit_rows(stack, rows, *args, **kwargs):
+            group_sizes.append(len(rows))
+            return partial_fit_rows(stack, rows, *args, **kwargs)
+
+        monkeypatch.setattr(MLPClassifier, "partial_fit",
+                            counting_partial_fit)
+        monkeypatch.setattr(FleetMLPStack, "partial_fit_rows",
+                            counting_partial_fit_rows)
+        fleet = build_fleet(devices, simulator, space).run()
+
+        updates = [device.policy.n_policy_updates for device in devices]
+        assert all(count > 0 for count in updates)
+        assert scalar_fits == []
+        assert sum(group_sizes) == sum(updates)
+        assert set(group_sizes) == {1}
+        for reference, actual in zip(sequential, fleet):
+            assert_runs_bitwise_equal(
+                reference, actual,
+                keys=LOG_KEYS + ("oracle_match", "oracle_energy_j"),
+            )
+
     def test_online_il_scenario_fleet_matches_sequential(
             self, trained_framework):
         """Learning devices under scenario schedules batch through the

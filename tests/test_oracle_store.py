@@ -295,6 +295,83 @@ class TestDefaultStoreAndDigests:
         assert key_a != key_b
 
 
+class TestSpaceKeyMemo:
+    """The space's key text is computed once per space object, held weakly
+    and outside the space's state, and digests exactly the same bytes."""
+
+    @pytest.fixture(scope="class")
+    def long_trace(self):
+        generator = SnippetTraceGenerator(seed=23)
+        workloads = training_workloads()
+        return generator.generate(workloads[0]) + generator.generate(workloads[1])
+
+    def test_digest_bytes_equal_the_content_digest_formula(self, platform,
+                                                          long_trace):
+        from repro.core.oracle import snippet_cache_key
+        from repro.core.oracle_store import code_fingerprint
+
+        default = ConfigurationSpace(platform)
+        throttled = default.restrict(max_opp_indices={"big": 3, "little": 2})
+        gated = ConfigurationSpace(platform, allow_core_gating=True)
+        assert (len(default), len(gated)) == (48, 768)
+        assert 0 < len(throttled) < len(default)
+        snippets = long_trace[:40]
+        checked = 0
+        for space in (default, throttled, gated):
+            for objective in (ENERGY, EDP):
+                for snippet in snippets:
+                    assert persistent_entry_digest(snippet, space, objective) \
+                        == content_digest(snippet_cache_key(snippet),
+                                          space.cache_key(),
+                                          persistent_objective_key(objective),
+                                          code_fingerprint())
+                    checked += 1
+        assert checked == 240
+
+    def test_space_key_is_spelled_out_once_per_space(self, tmp_path,
+                                                     platform, simulator,
+                                                     long_trace, monkeypatch):
+        """Every ``repr`` of the space key spells out each configuration;
+        a cold build does it once and a warm (store-hit) build never."""
+        from repro.soc.configuration import SoCConfiguration
+
+        calls = {"n": 0}
+        original = SoCConfiguration.__repr__
+
+        def counting_repr(config):
+            calls["n"] += 1
+            return original(config)
+
+        space = ConfigurationSpace(platform)
+        snippets = long_trace[:20]
+        monkeypatch.setattr(SoCConfiguration, "__repr__", counting_repr)
+        cold = OracleCache(store=OracleStore(tmp_path / "store"))
+        build_oracle(simulator, space, snippets, ENERGY, cache=cold)
+        assert cold.store_misses == 20
+        assert calls["n"] == len(space) == 48
+        calls["n"] = 0
+        warm = OracleCache(store=OracleStore(tmp_path / "store"))
+        build_oracle(simulator, space, snippets, ENERGY, cache=warm)
+        assert warm.store_hits == 20
+        assert calls["n"] == 0
+
+    def test_memo_adds_no_state_and_keeps_no_space_alive(self, tmp_path,
+                                                         platform, simulator,
+                                                         sweep_trace):
+        import gc
+        import weakref
+
+        space = ConfigurationSpace(platform)
+        attributes = set(vars(space))
+        build_oracle(simulator, space, sweep_trace, ENERGY,
+                     cache=OracleCache(store=OracleStore(tmp_path / "store")))
+        assert set(vars(space)) == attributes
+        alive = weakref.ref(space)
+        del space
+        gc.collect()
+        assert alive() is None
+
+
 class TestDeterminismWithStore:
     def test_framework_results_identical_with_and_without_store(self, tmp_path):
         from repro.experiments.common import build_trained_framework

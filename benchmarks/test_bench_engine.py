@@ -1,10 +1,10 @@
 """Benchmarks for the unified engine layer: vectorized Oracle sweep.
 
 The vectorized ``evaluate_expected_batch`` sweep must (a) reproduce the
-scalar reference loop bitwise and (b) be at least 5x faster on the
-``FULL``-scale Oracle construction (in practice it is ~10x).  Both are
-asserted here so a regression in either direction fails the benchmark run
-even with ``--benchmark-disable``.
+per-configuration loop in ``tests/reference/oracle_loop.py`` bitwise and
+(b) be at least 5x faster on the ``FULL``-scale Oracle construction (in
+practice it is ~10x).  Both are asserted here so a regression in either
+direction fails the benchmark run even with ``--benchmark-disable``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from repro.soc.platform import odroid_xu3_like
 from repro.soc.simulator import SoCSimulator
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import training_workloads
+
+from reference import oracle_loop
 
 #: Acceptance floor for the vectorized sweep (measured ~10x on CI hardware).
 MIN_SPEEDUP = 5.0
@@ -54,13 +56,12 @@ def test_bench_vectorized_oracle_sweep(benchmark, sweep_setup):
     simulator, space, snippets = sweep_setup
 
     scalar_start = time.perf_counter()
-    scalar_table = build_oracle(simulator, space, snippets, ENERGY,
-                                use_batch=False)
+    scalar_table = oracle_loop.build_oracle(simulator, space, snippets, ENERGY)
     scalar_elapsed = time.perf_counter() - scalar_start
 
     batch_table = benchmark.pedantic(
         build_oracle, args=(simulator, space, snippets, ENERGY),
-        kwargs={"use_batch": True}, rounds=1, iterations=1,
+        rounds=1, iterations=1,
     )
     batch_elapsed = min(
         _timed(build_oracle, simulator, space, snippets, ENERGY)

@@ -2,12 +2,12 @@
 
 Gates the PR-2 perf work the same way ``test_bench_engine.py`` gates the
 PR-1 Oracle sweep: the vectorized split search and batch predict must (a)
-reproduce the scalar reference kernels bitwise and (b) train at least
-``MIN_FIT_SPEEDUP``x faster on the BENCH fixture (measured well above that
-in practice — classification is ~20x).  Bitwise parity is asserted on every
-run; the timing floors only on timing-enabled runs (``--benchmark-disable``
-— the CI smoke job — skips them so the smoke run stays insensitive to
-runner load).
+reproduce the scalar kernels of ``tests/reference/tree_scalar.py``
+bitwise and (b) train at least ``MIN_FIT_SPEEDUP``x faster on the BENCH
+fixture (measured well above that in practice — classification is ~20x).
+Bitwise parity is asserted on every run; the timing floors only on
+timing-enabled runs (``--benchmark-disable`` — the CI smoke job — skips
+them so the smoke run stays insensitive to runner load).
 
 Each run also emits ``BENCH_ml_kernels.json`` at the repository root — a
 small machine-readable perf record (fixture shape, per-kernel timings,
@@ -25,9 +25,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.ml.tree import (
-    DecisionTreeClassifier,
-    DecisionTreeRegressor,
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+
+from reference.tree_scalar import (
+    ScalarDecisionTreeClassifier,
+    ScalarDecisionTreeRegressor,
+    predict_row,
     trees_identical,
 )
 
@@ -121,18 +124,16 @@ def test_bench_regression_tree_training(ml_fixture, perf_record, speedup_gate):
     """Vectorized regression split search: identical tree, >=3x faster."""
     x, y_reg, _, _ = ml_fixture
     assert trees_identical(
-        DecisionTreeRegressor(max_depth=8, split_search="vectorized").fit(x, y_reg),
-        DecisionTreeRegressor(max_depth=8, split_search="scalar").fit(x, y_reg),
+        DecisionTreeRegressor(max_depth=8).fit(x, y_reg),
+        ScalarDecisionTreeRegressor(max_depth=8).fit(x, y_reg),
     )
     if not speedup_gate:
         return
     scalar_s = _best_of(
-        2, lambda: DecisionTreeRegressor(max_depth=8,
-                                         split_search="scalar").fit(x, y_reg)
+        2, lambda: ScalarDecisionTreeRegressor(max_depth=8).fit(x, y_reg)
     )
     vectorized_s = _best_of(
-        3, lambda: DecisionTreeRegressor(max_depth=8,
-                                         split_search="vectorized").fit(x, y_reg)
+        3, lambda: DecisionTreeRegressor(max_depth=8).fit(x, y_reg)
     )
     speedup = scalar_s / vectorized_s
     perf_record["results"]["regression_fit"] = {
@@ -149,18 +150,16 @@ def test_bench_classification_tree_training(ml_fixture, perf_record,
     """Vectorized Gini split search: identical tree, >=3x faster."""
     x, _, y_clf, _ = ml_fixture
     assert trees_identical(
-        DecisionTreeClassifier(max_depth=8, split_search="vectorized").fit(x, y_clf),
-        DecisionTreeClassifier(max_depth=8, split_search="scalar").fit(x, y_clf),
+        DecisionTreeClassifier(max_depth=8).fit(x, y_clf),
+        ScalarDecisionTreeClassifier(max_depth=8).fit(x, y_clf),
     )
     if not speedup_gate:
         return
     scalar_s = _best_of(
-        1, lambda: DecisionTreeClassifier(max_depth=8,
-                                          split_search="scalar").fit(x, y_clf)
+        1, lambda: ScalarDecisionTreeClassifier(max_depth=8).fit(x, y_clf)
     )
     vectorized_s = _best_of(
-        3, lambda: DecisionTreeClassifier(max_depth=8,
-                                          split_search="vectorized").fit(x, y_clf)
+        3, lambda: DecisionTreeClassifier(max_depth=8).fit(x, y_clf)
     )
     speedup = scalar_s / vectorized_s
     perf_record["results"]["classification_fit"] = {
@@ -180,18 +179,18 @@ def test_bench_batch_predict(ml_fixture, perf_record, speedup_gate):
 
     np.testing.assert_array_equal(
         regressor.predict(queries),
-        np.array([regressor._predict_row(r) for r in queries]),
+        np.array([predict_row(regressor, r) for r in queries]),
     )
     np.testing.assert_array_equal(
         classifier.predict(queries),
         classifier.classes_[
-            np.array([int(classifier._predict_row(r)) for r in queries])
+            np.array([int(predict_row(classifier, r)) for r in queries])
         ],
     )
     if not speedup_gate:
         return
     row_walk_s = _best_of(
-        1, lambda: np.array([regressor._predict_row(r) for r in queries])
+        1, lambda: np.array([predict_row(regressor, r) for r in queries])
     )
     batch_s = _best_of(3, regressor.predict, queries)
     speedup = row_walk_s / batch_s

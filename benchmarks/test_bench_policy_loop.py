@@ -3,7 +3,8 @@
 Gates the PR-4 perf work the way ``test_bench_engine.py`` gates the Oracle
 sweep and ``test_bench_ml_kernels.py`` gates the tree kernels: the batched
 runtime-Oracle candidate sweep must (a) choose exactly the configurations
-the scalar per-candidate loop chooses (same argmin, same tie-breaking) and
+the per-candidate loop of ``tests/reference/runtime_oracle_loop.py``
+chooses (same argmin, same tie-breaking) and
 (b) run at least ``MIN_SWEEP_SPEEDUP``x faster over a representative
 decision workload.  Equivalence is asserted on every run; the timing floor
 only on timing-enabled runs (``--benchmark-disable`` — the CI smoke job —
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import platform
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,8 @@ from repro.soc.platform import odroid_xu3_like
 from repro.soc.simulator import SoCSimulator
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import training_workloads
+
+from reference import runtime_oracle_loop
 
 #: Acceptance floor for the batched candidate sweep vs the scalar loop.
 MIN_SWEEP_SPEEDUP = 5.0
@@ -121,17 +125,16 @@ def perf_record(speedup_gate):
 def test_bench_candidate_sweep(decision_fixture, perf_record, speedup_gate):
     """Batched runtime-Oracle sweep: identical decisions, >=5x faster."""
     space, power_model, performance_model, states = decision_fixture
-    batch_oracle = RuntimeOracle(space, power_model, performance_model,
-                                 neighborhood_radius=2, mode="batch")
-    scalar_oracle = RuntimeOracle(space, power_model, performance_model,
-                                  neighborhood_radius=2, mode="scalar")
+    oracle = RuntimeOracle(space, power_model, performance_model,
+                           neighborhood_radius=2)
 
     # Decision equivalence on every state: same best configuration and
     # matching estimates (time predictions are bitwise equal; power goes
     # through one matmul, identical up to BLAS summation-order round-off).
     for counters, current in states:
-        best_batch, est_batch = batch_oracle.best_configuration(counters, current)
-        best_scalar, est_scalar = scalar_oracle.best_configuration(counters, current)
+        best_batch, est_batch = oracle.best_configuration(counters, current)
+        best_scalar, est_scalar = runtime_oracle_loop.best_configuration(
+            oracle, counters, current)
         assert best_batch == best_scalar
         assert est_batch.predicted_time_s == est_scalar.predicted_time_s
         np.testing.assert_allclose(est_batch.predicted_power_w,
@@ -140,16 +143,17 @@ def test_bench_candidate_sweep(decision_fixture, perf_record, speedup_gate):
     if not speedup_gate:
         return
 
-    def run_decisions(oracle: RuntimeOracle) -> None:
+    def run_decisions(decide) -> None:
         for counters, current in states:
-            oracle.best_configuration(counters, current)
+            decide(counters, current)
 
-    # Warm the neighbourhood index tables before timing either mode (both
-    # paths share them; the scalar loop also benefits, which keeps the
-    # measured ratio about the prediction kernel, not the memoisation).
-    run_decisions(batch_oracle)
-    scalar_s = _best_of(2, run_decisions, scalar_oracle)
-    batch_s = _best_of(3, run_decisions, batch_oracle)
+    scalar_decide = partial(runtime_oracle_loop.best_configuration, oracle)
+    # Warm the neighbourhood index tables before timing either sweep (both
+    # share them; the scalar loop also benefits, which keeps the measured
+    # ratio about the prediction kernel, not the memoisation).
+    run_decisions(oracle.best_configuration)
+    scalar_s = _best_of(2, run_decisions, scalar_decide)
+    batch_s = _best_of(3, run_decisions, oracle.best_configuration)
     speedup = scalar_s / batch_s
     per_decision_us = batch_s / N_DECISION_STEPS * 1e6
     perf_record["results"]["candidate_sweep"] = {

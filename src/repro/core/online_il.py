@@ -187,8 +187,6 @@ class OnlineILPolicy(DRMPolicy):
         if not self._fleet_models_batchable():
             return None
         oracle = self.runtime_oracle
-        if oracle.mode != "batch":
-            return None
         classifier = self.offline_policy.classifier
         if type(classifier) is not MLPClassifier or classifier._core is None:
             return None

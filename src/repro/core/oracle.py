@@ -359,37 +359,18 @@ def _best_entry(
     space: ConfigurationSpace,
     snippet: Snippet,
     objective: Objective,
-    use_batch: bool,
 ) -> OracleEntry:
     """Sweep one snippet over the space and return its minimising entry."""
-    if use_batch and hasattr(simulator, "evaluate_expected_batch"):
-        batch = simulator.evaluate_expected_batch(snippet, space)
-        costs = objective.batch_cost(batch)
-        # np.argmin returns the first minimum, matching the scalar loop's
-        # strict `cost < best_cost` tie-breaking.
-        best_index = int(np.argmin(costs))
-        return OracleEntry(
-            snippet_name=snippet.name,
-            best_configuration=batch.configurations[best_index],
-            best_cost=float(costs[best_index]),
-            best_result=batch.result_at(best_index),
-        )
-    best_config: Optional[SoCConfiguration] = None
-    best_cost = float("inf")
-    best_result: Optional[SnippetResult] = None
-    for config in space:
-        result = simulator.evaluate_expected(snippet, config)
-        cost = objective(result)
-        if cost < best_cost:
-            best_cost = cost
-            best_config = config
-            best_result = result
-    assert best_config is not None and best_result is not None
+    batch = simulator.evaluate_expected_batch(snippet, space)
+    costs = objective.batch_cost(batch)
+    # np.argmin returns the first minimum, matching the per-configuration
+    # loop's strict `cost < best_cost` tie-breaking.
+    best_index = int(np.argmin(costs))
     return OracleEntry(
         snippet_name=snippet.name,
-        best_configuration=best_config,
-        best_cost=best_cost,
-        best_result=best_result,
+        best_configuration=batch.configurations[best_index],
+        best_cost=float(costs[best_index]),
+        best_result=batch.result_at(best_index),
     )
 
 
@@ -399,7 +380,6 @@ def build_oracle(
     snippets: Iterable[Snippet],
     objective: Objective = ENERGY,
     cache: Optional[OracleCache] = None,
-    use_batch: bool = True,
 ) -> OracleTable:
     """Exhaustively construct the Oracle table for ``snippets``.
 
@@ -407,18 +387,19 @@ def build_oracle(
     space; the minimising configuration is stored.  The sweep scales as
     ``len(snippets) * len(space)`` — this is exactly the "high computational
     complexity" that makes Oracle construction impossible at runtime on real
-    hardware, so the sweep runs through the simulator's vectorized
-    ``evaluate_expected_batch`` engine method whenever available
-    (``use_batch=False`` forces the scalar reference loop; both produce
-    bitwise-identical tables).  Passing an :class:`OracleCache` skips
-    snippets whose entries were already computed for this space/objective.
+    hardware, so each snippet's sweep is one call of the simulator's
+    vectorized ``evaluate_expected_batch``.  The per-configuration loop it
+    replaced lives in ``tests/reference/oracle_loop.py``, where the tests
+    and the sweep benchmark check that both build bitwise-identical tables.
+    Passing an :class:`OracleCache` skips snippets whose entries were
+    already computed for this space/objective.
     """
     table = OracleTable(objective_name=objective.name)
     for snippet in snippets:
         entry = (cache.lookup(snippet, space, objective)
                  if cache is not None else None)
         if entry is None:
-            entry = _best_entry(simulator, space, snippet, objective, use_batch)
+            entry = _best_entry(simulator, space, snippet, objective)
             if cache is not None:
                 cache.store(snippet, space, objective, entry)
         table.entries[snippet.name] = entry

@@ -12,20 +12,19 @@ configuration, reusing the counters observed at the current configuration as
 the paper prescribes, and returns the candidate minimising the predicted
 energy (or energy-delay product).
 
-The candidate sweep is vectorized end to end (``mode="batch"``, the
-default): the neighbourhood comes from the configuration space's memoised
-index tables, the candidate features form one ``(n_candidates, n_features)``
-matrix, and both model predictions are single array operations.  The
-original per-candidate loop is retained as the equivalence reference
-(``mode="scalar"``), mirroring the scalar/vectorized dual-path pattern of
-the engine sweep and the ML tree kernels: both modes pick the same argmin
-with the same first-minimum tie-breaking.
+The candidate sweep is vectorized end to end: the neighbourhood comes from
+the configuration space's memoised index tables, the candidate features
+form one ``(n_candidates, n_features)`` matrix, and both model predictions
+are single array operations.  The per-candidate loop it replaced lives in
+``tests/reference/runtime_oracle_loop.py``, where the tests and the
+candidate-sweep benchmark check that both pick the same argmin with the
+same first-minimum tie-breaking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -96,46 +95,16 @@ class RuntimeOracle:
         performance_model: CpuPerformanceModel,
         neighborhood_radius: int = 2,
         metric: str = "energy",
-        mode: str = "batch",
     ) -> None:
         if neighborhood_radius < 1:
             raise ValueError("neighborhood_radius must be >= 1")
         if metric not in ("energy", "edp"):
             raise ValueError("metric must be 'energy' or 'edp'")
-        if mode not in ("batch", "scalar"):
-            raise ValueError("mode must be 'batch' or 'scalar'")
         self.space = space
         self.power_model = power_model
         self.performance_model = performance_model
         self.neighborhood_radius = int(neighborhood_radius)
         self.metric = metric
-        self.mode = mode
-
-    def candidate_estimates(
-        self, counters: PerformanceCounters, current: SoCConfiguration
-    ) -> List[CandidateEstimate]:
-        """Predicted power/time/energy for every candidate configuration.
-
-        This is the scalar reference path: one model query per candidate.
-        """
-        candidates = self.space.neighbors(
-            current, radius=self.neighborhood_radius, include_self=True
-        )
-        estimates: List[CandidateEstimate] = []
-        for candidate in candidates:
-            power = self.power_model.predict(counters, candidate,
-                                             reference_config=current)
-            time_s = self.performance_model.predict_time_s(
-                counters, candidate, reference_config=current
-            )
-            estimates.append(
-                CandidateEstimate(
-                    configuration=candidate,
-                    predicted_power_w=power,
-                    predicted_time_s=time_s,
-                )
-            )
-        return estimates
 
     def candidate_batch(
         self, counters: PerformanceCounters, current: SoCConfiguration
@@ -145,22 +114,35 @@ class RuntimeOracle:
         The neighbourhood is a memoised view of the space (index table plus
         pre-gathered struct-of-arrays rows), the power prediction is one
         matmul over the candidate feature matrix, and the time prediction
-        is pure elementwise array arithmetic (bitwise equal to
-        :meth:`~repro.models.performance.CpuPerformanceModel
-        .predict_time_s` per candidate).
+        is pure elementwise array arithmetic.  A ``current`` outside the
+        space (say, a configuration of a differently restricted sibling
+        space) is swept over the candidates
+        :meth:`~repro.soc.configuration.ConfigurationSpace.neighbors`
+        returns for it, gathered without memoisation.
         """
-        view = self.space.neighborhood_view(
-            self.space.index_of(current), radius=self.neighborhood_radius,
-            include_self=True,
-        )
+        if self.space.contains(current):
+            view = self.space.neighborhood_view(
+                self.space.index_of(current),
+                radius=self.neighborhood_radius, include_self=True,
+            )
+            indices, arrays = view.indices, view.arrays
+        else:
+            indices = np.array(
+                [self.space.index_of(candidate)
+                 for candidate in self.space.neighbors(
+                     current, radius=self.neighborhood_radius,
+                     include_self=True)],
+                dtype=np.intp,
+            )
+            arrays = self.space.soa_view().gather(indices)
         power = self.power_model.predict_batch(
-            counters, view.arrays, reference_config=current
+            counters, arrays, reference_config=current
         )
         time_s = self.performance_model.predict_time_s_batch(
-            counters, view.arrays, reference_config=current
+            counters, arrays, reference_config=current
         )
         return CandidateBatch(
-            candidate_indices=view.indices,
+            candidate_indices=indices,
             predicted_power_w=power,
             predicted_time_s=time_s,
         )
@@ -170,26 +152,17 @@ class RuntimeOracle:
     ) -> Tuple[SoCConfiguration, CandidateEstimate]:
         """The candidate with the minimum predicted objective.
 
-        Both modes break ties identically: the first candidate (in
-        neighbourhood enumeration order) achieving the minimum wins —
-        ``np.argmin`` returns the first minimum exactly like the scalar
-        ``min`` over the estimate list.
+        Ties go to the first candidate (in neighbourhood enumeration order)
+        achieving the minimum: ``np.argmin`` returns the first minimum.
+        An empty neighbourhood raises :class:`ValueError`.
         """
-        if self.mode == "batch" and self.space.contains(current):
-            batch = self.candidate_batch(counters, current)
-            if self.metric == "energy":
-                costs = batch.predicted_energy_j
-            else:
-                costs = batch.predicted_edp
-            best_position = int(np.argmin(costs))
-            best = batch.estimate_at(best_position, self.space)
-            return best.configuration, best
-        estimates = self.candidate_estimates(counters, current)
+        batch = self.candidate_batch(counters, current)
         if self.metric == "energy":
-            key = lambda est: est.predicted_energy_j  # noqa: E731
+            costs = batch.predicted_energy_j
         else:
-            key = lambda est: est.predicted_edp  # noqa: E731
-        best = min(estimates, key=key)
+            costs = batch.predicted_edp
+        best_position = int(np.argmin(costs))
+        best = batch.estimate_at(best_position, self.space)
         return best.configuration, best
 
     @staticmethod
@@ -205,7 +178,7 @@ class RuntimeOracle:
         the space's memoised :meth:`~repro.soc.configuration
         .ConfigurationSpace.neighborhood_table`, candidate columns from
         its struct-of-arrays view — and computes all power/time
-        predictions with the scalar batch path's arithmetic: the power
+        predictions with :meth:`candidate_batch`'s arithmetic: the power
         prediction is one stacked matmul against the per-device RLS
         weights (per-slice BLAS — bitwise equal to each device's gemv)
         and the time prediction is pure elementwise broadcasting in
@@ -218,17 +191,19 @@ class RuntimeOracle:
         :meth:`best_configuration` calls.
 
         Preconditions (the fleet adoption check guarantees them): every
-        oracle shares the same space object, radius and metric, uses
-        ``mode="batch"`` semantics with plain
+        oracle shares the same space object, radius and metric, uses plain
         :class:`~repro.ml.rls.RecursiveLeastSquares` models
         (``fit_intercept=True``), and every model platform carries the
         same OPP values as the space's platform.  ``current_indices[d]``
         must be device ``d``'s current configuration index (so
-        ``space.contains(current)`` holds for every device).
+        ``space.contains(current)`` holds for every device).  Every
+        neighbourhood then includes the current configuration, so no row
+        is empty; an empty row would make the segmented argmin raise
+        :class:`ValueError`.
         """
         # Imported here (not at module scope) because the fleet package
         # init pulls in scenario/session modules that import this one.
-        from repro.fleet.kernels import ARGMIN_EMPTY, masked_first_argmin
+        from repro.fleet.kernels import masked_first_argmin
 
         first = oracles[0]
         space = first.space
@@ -320,21 +295,8 @@ class RuntimeOracle:
         cost = power * time_s
         if first.metric == "edp":
             cost = cost * time_s
-        best_positions = masked_first_argmin(cost, valid, on_empty="sentinel")
-        best = candidates[np.arange(n_devices),
-                          np.maximum(best_positions, 0)]
-        empty_rows = np.flatnonzero(best_positions == ARGMIN_EMPTY)
-        for d in empty_rows.tolist():
-            # A device with zero eligible candidates (an empty
-            # neighbourhood row) cannot take the batched argmin — degrade
-            # that row to the scalar sweep, which carries its own
-            # out-of-space/empty handling, and keep every other row on
-            # the batched path.
-            config, _ = oracles[d].best_configuration(
-                counters_list[d], space[int(current[d])]
-            )
-            best[d] = space.index_of(config)
-        return best
+        best_positions = masked_first_argmin(cost, valid)
+        return candidates[np.arange(n_devices), best_positions]
 
     def update_models(self, counters: PerformanceCounters,
                       config: SoCConfiguration) -> Dict[str, float]:

@@ -209,13 +209,6 @@ def _seed_run_metadata(result: Any,
     return metadata
 
 
-#: Per-worker-process experiment context (lazily created).  Workers are
-#: reused across tasks, so a worker that already ran figure3 at some
-#: ``(scale, seed)`` serves figure4 the memoised study like the sequential
-#: path does — best-effort, since task→worker placement is up to the pool.
-_WORKER_CONTEXT: Optional[ExperimentContext] = None
-
-
 def _install_worker_store(store_path: Optional[str]) -> None:
     """Adopt the parent's on-disk Oracle store inside a worker process."""
     if store_path is None:
@@ -273,7 +266,8 @@ def _pooled_seed_run(
                 Optional[str], Optional[int]]
 ) -> SeedRun:
     """Execute one ``(experiment, scale, seed, scenario_filter,
-    oracle_store_path, fleet_devices)`` task in a worker process.
+    oracle_store_path, fleet_devices, fleet_shards)`` task in a worker
+    process.
 
     The experiment is re-resolved from the registry inside the worker (specs
     hold arbitrary callables and are not sent over the wire), so only
@@ -283,24 +277,25 @@ def _pooled_seed_run(
     :func:`repro.utils.rng.spawn_rngs` inside the drivers, so results are a
     pure function of ``(scale, seed, scenario_filter)`` and therefore
     independent of how many workers execute the fan-out or how tasks land
-    on them.  When the parent runs with an on-disk Oracle store, its path
+    on them.  Each task builds a fresh :class:`ExperimentContext` from its
+    own fields, so it reports the same Oracle-cache activity whichever
+    tasks its worker ran before (figure4 recomputes the adaptation study
+    figure3 built, instead of reusing it only when both land on the same
+    worker).  When the parent runs with an on-disk Oracle store, its path
     rides along in the task so every worker layers its caches over the same
     store (entries are content-addressed and deterministic, so sharing
     cannot change any result).
     """
-    global _WORKER_CONTEXT
     (name, scale, seed, scenario_filter, store_path, fleet_devices,
      fleet_shards) = task
     _install_worker_store(store_path)
-    if _WORKER_CONTEXT is None:
-        _WORKER_CONTEXT = ExperimentContext()
-    _WORKER_CONTEXT.scenario_filter = scenario_filter
-    _WORKER_CONTEXT.fleet_devices = fleet_devices
-    _WORKER_CONTEXT.fleet_shards = fleet_shards
+    context = ExperimentContext(scenario_filter=scenario_filter,
+                                fleet_devices=fleet_devices,
+                                fleet_shards=fleet_shards)
     spec = get_experiment(name)
     stats_before = cache_stats_snapshot()
     start = time.perf_counter()
-    result = spec.runner(scale, seed, _WORKER_CONTEXT)
+    result = spec.runner(scale, seed, context)
     return SeedRun(seed=seed, result=result,
                    elapsed_s=time.perf_counter() - start,
                    metadata=_seed_run_metadata(result, stats_before))
@@ -361,9 +356,11 @@ class ExperimentRunner:
     state threads through consecutive runs in-process) must use ``jobs=1``.
 
     The pool is created lazily on the first parallel :meth:`run` and reused
-    by later calls, so per-worker memoisation carries across experiments;
-    call :meth:`close` (or use the runner as a context manager) to release
-    the worker processes.
+    by later calls; call :meth:`close` (or use the runner as a context
+    manager) to release the worker processes.  Sequential runs share this
+    runner's :class:`ExperimentContext`, so figure4 reuses the adaptation
+    study figure3 built; each pooled task builds its own context, so a
+    pooled figure4 recomputes the study whichever worker runs it.
     """
 
     def __init__(self, scale: ScaleLike = "quick",
@@ -397,9 +394,8 @@ class ExperimentRunner:
     def _ensure_executor(self, workers: int) -> ProcessPoolExecutor:
         """Return the runner's worker pool, (re)created lazily.
 
-        The pool persists across :meth:`run` calls so worker processes — and
-        with them the per-worker study memoisation — survive from one
-        experiment to the next (e.g. figure3 then figure4).  It only grows:
+        The pool persists across :meth:`run` calls so worker processes are
+        started once per runner, not once per experiment.  It only grows:
         a request for more workers replaces the pool, a smaller one reuses
         it.
         """

@@ -82,13 +82,7 @@ class TraceArrays:
         return len(self.snippets)
 
 
-#: Row value returned by :func:`masked_first_argmin` for an all-masked row
-#: under ``on_empty="sentinel"``.
-ARGMIN_EMPTY = -1
-
-
-def masked_first_argmin(costs: np.ndarray, valid: np.ndarray,
-                        on_empty: str = "raise") -> np.ndarray:
+def masked_first_argmin(costs: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Row-wise argmin over the valid prefix of padded cost rows.
 
     ``costs`` is a ``(devices, max_candidates)`` matrix whose rows are
@@ -100,30 +94,20 @@ def masked_first_argmin(costs: np.ndarray, valid: np.ndarray,
     ``min`` over an estimate list).  This is the segmented-argmin step of
     the fleet-wide candidate sweep.
 
-    A row with *no* valid entry has no argmin; letting it fall through to
-    ``np.argmin`` over an all-``+inf`` row silently returned position 0.
-    The behaviour is now explicit: ``on_empty="raise"`` (default) raises
-    :class:`ValueError` naming the offending rows, ``on_empty="sentinel"``
-    marks them with :data:`ARGMIN_EMPTY` (``-1``) so callers can degrade
-    those rows to a scalar path (as
-    :meth:`~repro.core.runtime_oracle.RuntimeOracle.fleet_best_indices`
-    does).  ``costs`` entries that are already ``+inf`` but *valid* still
-    win normally — only the mask defines emptiness.
+    A row with *no* valid entry has no argmin, so rather than let
+    ``np.argmin`` over an all-``+inf`` row return position 0 this raises
+    :class:`ValueError` naming the offending rows.  ``costs`` entries that
+    are already ``+inf`` but *valid* still win normally — only the mask
+    defines emptiness.
     """
-    if on_empty not in ("raise", "sentinel"):
-        raise ValueError(f"on_empty must be 'raise' or 'sentinel', "
-                         f"got {on_empty!r}")
     masked = np.where(valid, costs, np.inf)
-    best = np.argmin(masked, axis=1)
     empty = ~valid.any(axis=1)
     if empty.any():
-        if on_empty == "raise":
-            raise ValueError(
-                "masked_first_argmin: rows "
-                f"{np.flatnonzero(empty).tolist()} have no valid candidates"
-            )
-        best = np.where(empty, ARGMIN_EMPTY, best)
-    return best
+        raise ValueError(
+            "masked_first_argmin: rows "
+            f"{np.flatnonzero(empty).tolist()} have no valid candidates"
+        )
+    return np.argmin(masked, axis=1)
 
 
 def lockstep_execute(

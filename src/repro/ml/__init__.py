@@ -20,11 +20,7 @@ from repro.ml.metrics import (
 from repro.ml.linear import LinearRegressor
 from repro.ml.rls import RecursiveLeastSquares
 from repro.ml.mlp import MLPRegressor, MLPClassifier
-from repro.ml.tree import (
-    DecisionTreeClassifier,
-    DecisionTreeRegressor,
-    trees_identical,
-)
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.ml.svr import SupportVectorRegressor
 from repro.ml.knn import KNeighborsRegressor
 
@@ -45,7 +41,6 @@ __all__ = [
     "MLPClassifier",
     "DecisionTreeRegressor",
     "DecisionTreeClassifier",
-    "trees_identical",
     "SupportVectorRegressor",
     "KNeighborsRegressor",
 ]

@@ -10,11 +10,11 @@ Both training and inference are NumPy-vectorized.  Split search evaluates
 every candidate threshold of every feature at once — cumulative-sum SSE for
 regression, one-hot cumulative class counts and Gini for classification —
 and ``predict`` / ``predict_proba`` route the whole input matrix through the
-tree level by level instead of walking one row at a time.  The original
-scalar kernels are retained (``split_search="scalar"`` and
-``_predict_row``) as the reference implementation: the vectorized paths
-reproduce their splits, tie-breaking and predictions bitwise, which the
-equivalence suite in ``tests/test_ml_tree_equivalence.py`` and the
+tree level by level instead of walking one row at a time.  The per-sample
+split loops and the one-row walk they replaced live in
+``tests/reference/tree_scalar.py``: the vectorized paths reproduce their
+splits, tie-breaking and predictions bitwise, which the equivalence suite
+in ``tests/test_ml_tree_equivalence.py`` and the
 ``benchmarks/test_bench_ml_kernels.py`` perf gate both assert.
 """
 
@@ -30,9 +30,6 @@ from repro.ml.base import Classifier, Regressor, as_1d, as_2d
 #: A candidate split must beat the incumbent by more than this margin, so
 #: float noise cannot flip ties; earlier (feature, threshold) candidates win.
 _SPLIT_TOLERANCE = 1e-12
-
-#: Valid values of the ``split_search`` constructor argument.
-_SPLIT_SEARCH_MODES = ("vectorized", "scalar")
 
 
 @dataclass
@@ -100,7 +97,7 @@ def _best_split_regression(x: np.ndarray, y: np.ndarray, min_leaf: int):
     ``sum((y - mean)^2) = sum(y^2) - sum(y)^2 / n`` evaluated for every
     prefix/suffix pair at once.  Candidates are then scanned in the scalar
     kernel's order (feature-major, threshold-ascending) so the selected split
-    and its score are bitwise identical to ``_best_split_regression_scalar``.
+    and its score are bitwise identical to the per-sample scalar loop.
     """
     n_samples, n_features = x.shape
     parent_score = float(np.var(y)) * n_samples
@@ -146,7 +143,7 @@ def _best_split_classification(x: np.ndarray, y: np.ndarray, n_classes: int,
     which yields the left-child class-count matrix for every candidate
     threshold in one pass (the right child is the integer complement against
     the parent counts — no float drift).  Candidate scanning mirrors the
-    scalar kernel's order, so splits match ``_best_split_classification_scalar``
+    scalar kernel's order, so splits match the per-sample scalar loop
     bitwise.
     """
     n_samples, n_features = x.shape
@@ -178,98 +175,6 @@ def _best_split_classification(x: np.ndarray, y: np.ndarray, n_classes: int,
     return (int(feature), float(threshold), float(score))
 
 
-# --------------------------------------------------------------------- #
-# Scalar reference kernels (the original per-sample loops), kept so the
-# equivalence suite and the benchmark gate always have a ground truth.
-# --------------------------------------------------------------------- #
-def _best_split_regression_scalar(x: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Reference scalar split search (per-sample Python loops)."""
-    n_samples, n_features = x.shape
-    parent_score = float(np.var(y)) * n_samples
-    best = (None, 0.0, parent_score)
-    for feature in range(n_features):
-        order = np.argsort(x[:, feature], kind="stable")
-        xs = x[order, feature]
-        ys = y[order]
-        cumsum = np.cumsum(ys)
-        cumsum_sq = np.cumsum(ys**2)
-        total_sum = cumsum[-1]
-        total_sq = cumsum_sq[-1]
-        for i in range(min_leaf, n_samples - min_leaf + 1):
-            if i < 1 or i >= n_samples:
-                continue
-            if xs[i - 1] == xs[i]:
-                continue
-            left_n = i
-            right_n = n_samples - i
-            left_sum = cumsum[i - 1]
-            left_sq = cumsum_sq[i - 1]
-            right_sum = total_sum - left_sum
-            right_sq = total_sq - left_sq
-            left_sse = left_sq - left_sum**2 / left_n
-            right_sse = right_sq - right_sum**2 / right_n
-            score = left_sse + right_sse
-            if score < best[2] - _SPLIT_TOLERANCE:
-                threshold = 0.5 * (xs[i - 1] + xs[i])
-                best = (feature, float(threshold), float(score))
-    return best
-
-
-def _best_split_classification_scalar(x: np.ndarray, y: np.ndarray,
-                                      n_classes: int, min_leaf: int):
-    """Reference scalar split search (incremental integer class counts)."""
-    n_samples, n_features = x.shape
-    parent_counts = np.bincount(y, minlength=n_classes)
-    parent_score = _gini(parent_counts) * n_samples
-    best = (None, 0.0, parent_score)
-    for feature in range(n_features):
-        order = np.argsort(x[:, feature], kind="stable")
-        xs = x[order, feature]
-        ys = y[order]
-        left_counts = np.zeros(n_classes, dtype=np.int64)
-        right_counts = parent_counts.copy()
-        for i in range(1, n_samples):
-            cls = ys[i - 1]
-            left_counts[cls] += 1
-            right_counts[cls] -= 1
-            if i < min_leaf or n_samples - i < min_leaf:
-                continue
-            if xs[i - 1] == xs[i]:
-                continue
-            score = _gini(left_counts) * i + _gini(right_counts) * (n_samples - i)
-            if score < best[2] - _SPLIT_TOLERANCE:
-                threshold = 0.5 * (xs[i - 1] + xs[i])
-                best = (feature, float(threshold), float(score))
-    return best
-
-
-def trees_identical(a: "_BaseTree", b: "_BaseTree") -> bool:
-    """Structural bitwise equality of two fitted trees.
-
-    Compares split features, thresholds, predictions and (for classifiers)
-    leaf class counts node by node — the invariant the vectorized kernels
-    guarantee against the scalar reference, used by both the equivalence
-    suite and the benchmark gate.
-    """
-
-    def walk(na: Optional[_Node], nb: Optional[_Node]) -> bool:
-        if (na is None) != (nb is None):
-            return False
-        if na is None:
-            return True
-        if (na.feature != nb.feature or na.threshold != nb.threshold
-                or na.prediction != nb.prediction):
-            return False
-        if (na.class_counts is None) != (nb.class_counts is None):
-            return False
-        if na.class_counts is not None and not np.array_equal(
-                na.class_counts, nb.class_counts):
-            return False
-        return walk(na.left, nb.left) and walk(na.right, nb.right)
-
-    return walk(a.root_, b.root_)
-
-
 @dataclass
 class _FlatTree:
     """Array form of a fitted tree for level-by-level batch traversal.
@@ -291,22 +196,16 @@ class _BaseTree:
     """Common tree construction machinery."""
 
     def __init__(self, max_depth: int, min_samples_split: int,
-                 min_samples_leaf: int, split_search: str = "vectorized") -> None:
+                 min_samples_leaf: int) -> None:
         if max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
         if min_samples_split < 2:
             raise ValueError(f"min_samples_split must be >= 2, got {min_samples_split}")
         if min_samples_leaf < 1:
             raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
-        if split_search not in _SPLIT_SEARCH_MODES:
-            raise ValueError(
-                f"split_search must be one of {_SPLIT_SEARCH_MODES}, "
-                f"got {split_search!r}"
-            )
         self.max_depth = int(max_depth)
         self.min_samples_split = int(min_samples_split)
         self.min_samples_leaf = int(min_samples_leaf)
-        self.split_search = split_search
         self.root_: Optional[_Node] = None
         self.n_features_: int = 0
         self._flat: Optional[_FlatTree] = None
@@ -354,9 +253,9 @@ class _BaseTree:
     def _batch_leaf_indices(self, x: np.ndarray) -> np.ndarray:
         """Route all rows of ``x`` to their leaves, one tree level per step.
 
-        Uses the same ``row[feature] <= threshold`` comparison as the scalar
-        ``_predict_row`` walk, so the destination leaves — and therefore the
-        predictions — are identical.
+        Uses the same ``row[feature] <= threshold`` comparison as a walk from
+        the root one row at a time, so the destination leaves — and therefore
+        the predictions — are identical.
         """
         flat = self._flatten()
         nodes = np.zeros(x.shape[0], dtype=np.int64)
@@ -369,21 +268,6 @@ class _BaseTree:
                                      flat.right[node_ids])
             active = active[flat.feature[nodes[active]] >= 0]
         return nodes
-
-    def _predict_row(self, row: np.ndarray) -> float:
-        """Reference scalar traversal (one row at a time)."""
-        node = self.root_
-        if node is None:
-            raise RuntimeError("tree has not been fitted yet")
-        while not node.is_leaf:
-            assert node.feature is not None
-            if row[node.feature] <= node.threshold:
-                assert node.left is not None
-                node = node.left
-            else:
-                assert node.right is not None
-                node = node.right
-        return node.prediction
 
     def depth(self) -> int:
         """Return the depth of the fitted tree (root-only tree has depth 1)."""
@@ -409,11 +293,14 @@ class _BaseTree:
 class DecisionTreeRegressor(_BaseTree, Regressor):
     """CART regression tree minimising squared error."""
 
+    #: Split search ``(x, y, min_leaf) -> (feature, threshold, score)``; a
+    #: class attribute so that a test subclass can grow trees with another
+    #: search.
+    _split_search = staticmethod(_best_split_regression)
+
     def __init__(self, max_depth: int = 8, min_samples_split: int = 4,
-                 min_samples_leaf: int = 2,
-                 split_search: str = "vectorized") -> None:
-        super().__init__(max_depth, min_samples_split, min_samples_leaf,
-                         split_search=split_search)
+                 min_samples_leaf: int = 2) -> None:
+        super().__init__(max_depth, min_samples_split, min_samples_leaf)
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "DecisionTreeRegressor":
         x = as_2d(features)
@@ -431,9 +318,7 @@ class DecisionTreeRegressor(_BaseTree, Regressor):
             return node
         if np.allclose(y, y[0]):
             return node
-        search = (_best_split_regression_scalar if self.split_search == "scalar"
-                  else _best_split_regression)
-        feature, threshold, _ = search(x, y, self.min_samples_leaf)
+        feature, threshold, _ = self._split_search(x, y, self.min_samples_leaf)
         if feature is None:
             return node
         mask = x[:, feature] <= threshold
@@ -454,11 +339,13 @@ class DecisionTreeRegressor(_BaseTree, Regressor):
 class DecisionTreeClassifier(_BaseTree, Classifier):
     """CART classification tree minimising Gini impurity."""
 
+    #: Split search ``(x, y, n_classes, min_leaf) -> (feature, threshold,
+    #: score)``; a class attribute, like the regressor's.
+    _split_search = staticmethod(_best_split_classification)
+
     def __init__(self, max_depth: int = 8, min_samples_split: int = 4,
-                 min_samples_leaf: int = 2,
-                 split_search: str = "vectorized") -> None:
-        super().__init__(max_depth, min_samples_split, min_samples_leaf,
-                         split_search=split_search)
+                 min_samples_leaf: int = 2) -> None:
+        super().__init__(max_depth, min_samples_split, min_samples_leaf)
         self.classes_: Optional[np.ndarray] = None
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "DecisionTreeClassifier":
@@ -480,9 +367,8 @@ class DecisionTreeClassifier(_BaseTree, Classifier):
             return node
         if len(np.unique(y)) == 1:
             return node
-        search = (_best_split_classification_scalar if self.split_search == "scalar"
-                  else _best_split_classification)
-        feature, threshold, _ = search(x, y, n_classes, self.min_samples_leaf)
+        feature, threshold, _ = self._split_search(x, y, n_classes,
+                                                   self.min_samples_leaf)
         if feature is None:
             return node
         mask = x[:, feature] <= threshold

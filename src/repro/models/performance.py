@@ -37,8 +37,8 @@ from repro.soc.platform import PlatformSpec
 class PerformanceModelFeatures:
     """Feature helpers shared by the CPU time model.
 
-    The class exposes the counter decompositions (per-cluster busy cycles,
-    effective core counts) used both when updating the online latency
+    The class exposes the counter decompositions (per-cluster busy cycles
+    and frequencies) used both when updating the online latency
     coefficient and when predicting candidate-configuration execution times.
     """
 
@@ -50,15 +50,6 @@ class PerformanceModelFeatures:
     @property
     def n_features(self) -> int:
         return len(self.FEATURE_NAMES)
-
-    @staticmethod
-    def effective_big_cores(counters: PerformanceCounters,
-                            reference_cores: int, candidate_cores: int) -> float:
-        """Big cores the snippet can keep busy at the candidate configuration."""
-        busy = max(counters.big_cluster_utilization * reference_cores, 1e-3)
-        # The workload cannot use more cores than it has runnable threads
-        # (busy cores at the reference), nor more than the candidate powers on.
-        return float(max(0.25, min(busy, candidate_cores)))
 
     def big_frequency_ghz(self, config: SoCConfiguration) -> float:
         big = self.platform.cluster("big")
@@ -144,47 +135,6 @@ class CpuPerformanceModel:
         target = self._observed_big_cpi(counters, config)
         return self.rls.update(feature, target)
 
-    def predict_time_s(self, counters: PerformanceCounters,
-                       config: SoCConfiguration,
-                       n_instructions: Optional[float] = None,
-                       reference_config: Optional[SoCConfiguration] = None) -> float:
-        """Predict the execution time of a snippet at ``config``.
-
-        ``counters`` are the values observed at ``reference_config`` (which
-        defaults to ``config``); they are reused for the candidate following
-        the paper's approximation.
-        """
-        reference = reference_config or config
-        feats = self.features
-        latency_ns = self.latency_ns()
-
-        ref_big_freq = feats.big_frequency_ghz(reference)
-        cand_big_freq = feats.big_frequency_ghz(config)
-        big_cycles_ref = feats.big_busy_cycles(counters, reference)
-        delta_freq = cand_big_freq - ref_big_freq
-        big_cycles_cand = max(
-            big_cycles_ref + latency_ns * counters.l2_cache_misses * delta_freq,
-            0.1 * big_cycles_ref,
-        )
-        effective = feats.effective_big_cores(
-            counters, reference.cores("big"), config.cores("big")
-        )
-        big_time = big_cycles_cand / (cand_big_freq * 1e9 * effective)
-
-        little_cycles = feats.little_busy_cycles(counters, reference)
-        little_busy_cores = max(
-            counters.little_cluster_utilization * reference.cores("little"), 1e-3
-        )
-        little_cores = min(little_busy_cores, config.cores("little"))
-        little_time = little_cycles / (
-            feats.little_frequency_ghz(config) * 1e9 * max(little_cores, 0.25)
-        )
-
-        predicted = max(big_time, little_time)
-        if n_instructions is not None and counters.instructions_retired > 0:
-            predicted *= n_instructions / counters.instructions_retired
-        return float(max(predicted, 1e-9))
-
     def predict_time_s_batch(
         self,
         counters: PerformanceCounters,
@@ -194,14 +144,14 @@ class CpuPerformanceModel:
     ) -> np.ndarray:
         """Predicted execution time of many candidate configurations at once.
 
-        Vectorized twin of :meth:`predict_time_s` over the rows of
-        ``candidates`` (a whole-space ``soa_view()`` or a memoised
-        ``neighborhood_view()``'s arrays).  ``reference_config`` is the
-        configuration the counters were observed at; it is required here
-        because the batch exists precisely to reuse one observation across
-        many candidates.  Every arithmetic step mirrors the scalar path's
-        operation order, so the results are bitwise identical per
-        candidate.
+        Evaluates the model over the rows of ``candidates`` (a whole-space
+        ``soa_view()``, a memoised ``neighborhood_view()``'s arrays or a
+        one-row gather).  ``counters`` are the values observed at
+        ``reference_config`` and are reused for every candidate, following
+        the paper's approximation; ``n_instructions`` rescales the time to
+        a snippet of that length.  The per-candidate loop this replaced,
+        kept in ``tests/reference/runtime_oracle_loop.py``, gives bitwise
+        identical times.
         """
         if reference_config is None:
             raise ValueError(
@@ -226,6 +176,8 @@ class CpuPerformanceModel:
         big_busy = max(
             counters.big_cluster_utilization * reference.cores("big"), 1e-3
         )
+        # The workload cannot use more cores than it has runnable threads
+        # (busy cores at the reference), nor more than the candidate powers on.
         effective = np.maximum(0.25, np.minimum(big_busy, big.cores_f))
         big_time = big_cycles_cand / (cand_big_freq * 1e9 * effective)
 

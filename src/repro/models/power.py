@@ -191,12 +191,6 @@ class CpuPowerModel:
         feature_vector = self.features.build(counters, config)
         return self.rls.update(feature_vector, float(target))
 
-    def predict(self, counters: PerformanceCounters, config: SoCConfiguration,
-                reference_config: Optional[SoCConfiguration] = None) -> float:
-        """Predicted power at ``config`` reusing counters from ``reference_config``."""
-        feature_vector = self.features.build(counters, config, reference_config)
-        return max(0.0, self.rls.predict_one(feature_vector))
-
     def predict_batch(
         self,
         counters: PerformanceCounters,
@@ -205,11 +199,13 @@ class CpuPowerModel:
     ) -> np.ndarray:
         """Predicted power of many candidate configurations in one matmul.
 
-        The feature matrix is built over the candidates' struct-of-arrays
-        rows (bitwise equal to per-candidate :meth:`predict` features); the
-        RLS prediction itself is a single ``(n_candidates, n_features)``
-        matrix product, equivalent to the scalar path up to BLAS
-        summation-order round-off.
+        ``candidates`` reuse the counters observed at ``reference_config``
+        (each candidate is its own reference when it is ``None``).  The
+        feature matrix is built over the candidates' struct-of-arrays rows
+        (bitwise equal to per-candidate :meth:`PowerModelFeatures.build`
+        vectors); the RLS prediction itself is a single
+        ``(n_candidates, n_features)`` matrix product, equivalent to one
+        ``predict_one`` per candidate up to BLAS summation-order round-off.
         """
         features = self.features.build_batch(counters, candidates,
                                              reference_config)

@@ -24,22 +24,6 @@ from repro.noc.traffic import TrafficPattern
 
 
 @dataclass
-class _PreparedTraffic:
-    """One packet trace routed and array-packed for the event loop.
-
-    Routes are stored as per-packet link-id arrays over a dense link
-    numbering.  ``packets`` is sorted by injection cycle (stable), matching
-    the event ordering of :meth:`NoCSimulator.run_packets`.
-    """
-
-    packets: List[Packet]
-    link_ids: List[np.ndarray]
-    sizes: np.ndarray
-    injections: np.ndarray
-    n_links: int
-
-
-@dataclass
 class NoCSimulationResult:
     """Latency and throughput statistics of one simulation run."""
 
@@ -100,18 +84,8 @@ class NoCSimulator:
         delivered packets — ``ejection_cycle``) and the delivered list holds
         the same objects, as it always did.
         """
-        prepared = self._prepare_packets(packets)
-        return self._run_prepared(prepared, self.router, n_cycles, drain=drain,
-                                  max_drain_cycles=max_drain_cycles)
-
-    def _prepare_packets(self, packets: List[Packet]) -> _PreparedTraffic:
-        """Sort, route and array-pack a packet list for the event loop.
-
-        Routing annotations (``route``/``hops``) are written back onto the
-        input packets, mirroring the historical :meth:`run_packets` side
-        effect.
-        """
         ordered = sorted(packets, key=lambda p: p.injection_cycle)
+        # Route every packet once, as link ids over a dense link numbering.
         link_index: Dict[Link, int] = {}
         link_ids: List[np.ndarray] = []
         for packet in ordered:
@@ -123,41 +97,27 @@ class NoCSimulator:
                 link = (route[hop], route[hop + 1])
                 ids[hop] = link_index.setdefault(link, len(link_index))
             link_ids.append(ids)
-        return _PreparedTraffic(
-            packets=ordered,
-            link_ids=link_ids,
-            sizes=np.array([p.size_flits for p in ordered], dtype=np.int64),
-            injections=np.array([p.injection_cycle for p in ordered],
-                                dtype=np.int64),
-            n_links=len(link_index),
-        )
-
-    def _run_prepared(self, prepared: _PreparedTraffic, router: RouterConfig,
-                      n_cycles: int, drain: bool = True,
-                      max_drain_cycles: int = 100000) -> NoCSimulationResult:
-        """Event loop over a prepared trace under one router configuration.
-
-        The delivered list holds the prepared packets themselves, with their
-        ``ejection_cycle`` set.
-        """
-        n_packets = len(prepared.packets)
+        n_packets = len(ordered)
+        router = self.router
         # Service time is constant per packet under one configuration; go
         # through the router's own service model (one call per distinct
         # packet size).
-        unique_sizes, inverse = np.unique(prepared.sizes, return_inverse=True)
+        sizes = np.array([p.size_flits for p in ordered], dtype=np.int64)
+        unique_sizes, inverse = np.unique(sizes, return_inverse=True)
         service = np.array(
             [router.service_cycles(int(size)) for size in unique_sizes],
             dtype=np.int64,
         )[inverse] if n_packets else np.empty(0, dtype=np.int64)
         per_hop_delay = router.link_delay_cycles + router.router_delay_cycles
-        link_free = np.zeros(prepared.n_links, dtype=np.int64)
+        link_free = np.zeros(len(link_index), dtype=np.int64)
         hop_progress = np.zeros(n_packets, dtype=np.int64)
         ejection = np.zeros(n_packets, dtype=np.int64)
-        # Events are (time, sequence, packet index); the prepared packets are
+        # Events are (time, sequence, packet index); the packets are
         # injection-sorted, so the initial list is already a valid heap and
         # the sequence numbers replicate the historical tie-breaking.
         events: List[Tuple[int, int, int]] = [
-            (int(prepared.injections[k]), k, k) for k in range(n_packets)
+            (int(packet.injection_cycle), k, k)
+            for k, packet in enumerate(ordered)
         ]
         sequence = n_packets
         delivered_indices: List[int] = []
@@ -168,7 +128,7 @@ class NoCSimulator:
             if time > horizon:
                 break
             last_cycle = max(last_cycle, time)
-            links = prepared.link_ids[index]
+            links = link_ids[index]
             hop = hop_progress[index]
             if hop >= links.shape[0]:
                 # Final router reached: packet ejects into the local core.
@@ -185,7 +145,7 @@ class NoCSimulator:
 
         delivered: List[Packet] = []
         for index in delivered_indices:
-            source = prepared.packets[index]
+            source = ordered[index]
             source.ejection_cycle = int(ejection[index])
             delivered.append(source)
         return NoCSimulationResult(

@@ -2,5 +2,6 @@
 
 Each module holds the per-item loop that a vectorized production path in
 ``src/repro`` replaced, verbatim apart from taking the production object
-as an argument, so tests can check the batch path against it.
+as an argument, so tests and benchmarks can check the batch path
+against it.
 """

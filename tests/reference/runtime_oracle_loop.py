@@ -1,0 +1,115 @@
+"""The per-candidate runtime-Oracle sweep (oracle of ``candidate_batch``).
+
+:class:`~repro.core.runtime_oracle.RuntimeOracle` predicts the power and
+time of a whole candidate neighbourhood with one array pass per model.
+These functions are the loop it replaced: one scalar power prediction
+(:func:`predict_power`) and one scalar time prediction
+(:func:`predict_time_s`) per candidate of
+:meth:`~repro.soc.configuration.ConfigurationSpace.neighbors`, then
+Python's ``min`` over the estimate list, which keeps the first minimum.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Tuple
+
+from repro.core.runtime_oracle import CandidateEstimate, RuntimeOracle
+from repro.models.performance import CpuPerformanceModel
+from repro.models.power import CpuPowerModel
+from repro.soc.configuration import SoCConfiguration
+from repro.soc.counters import PerformanceCounters
+
+
+def predict_power(model: CpuPowerModel, counters: PerformanceCounters,
+                  config: SoCConfiguration,
+                  reference_config: Optional[SoCConfiguration] = None) -> float:
+    """Predicted power at ``config`` reusing counters from ``reference_config``."""
+    feature_vector = model.features.build(counters, config, reference_config)
+    return max(0.0, model.rls.predict_one(feature_vector))
+
+
+def effective_big_cores(counters: PerformanceCounters,
+                        reference_cores: int, candidate_cores: int) -> float:
+    """Big cores the snippet can keep busy at the candidate configuration."""
+    busy = max(counters.big_cluster_utilization * reference_cores, 1e-3)
+    # The workload cannot use more cores than it has runnable threads
+    # (busy cores at the reference), nor more than the candidate powers on.
+    return float(max(0.25, min(busy, candidate_cores)))
+
+
+def predict_time_s(model: CpuPerformanceModel, counters: PerformanceCounters,
+                   config: SoCConfiguration,
+                   n_instructions: Optional[float] = None,
+                   reference_config: Optional[SoCConfiguration] = None) -> float:
+    """Predict the execution time of a snippet at ``config``.
+
+    ``counters`` are the values observed at ``reference_config`` (which
+    defaults to ``config``); they are reused for the candidate following
+    the paper's approximation.
+    """
+    reference = reference_config or config
+    feats = model.features
+    latency_ns = model.latency_ns()
+
+    ref_big_freq = feats.big_frequency_ghz(reference)
+    cand_big_freq = feats.big_frequency_ghz(config)
+    big_cycles_ref = feats.big_busy_cycles(counters, reference)
+    delta_freq = cand_big_freq - ref_big_freq
+    big_cycles_cand = max(
+        big_cycles_ref + latency_ns * counters.l2_cache_misses * delta_freq,
+        0.1 * big_cycles_ref,
+    )
+    effective = effective_big_cores(
+        counters, reference.cores("big"), config.cores("big")
+    )
+    big_time = big_cycles_cand / (cand_big_freq * 1e9 * effective)
+
+    little_cycles = feats.little_busy_cycles(counters, reference)
+    little_busy_cores = max(
+        counters.little_cluster_utilization * reference.cores("little"), 1e-3
+    )
+    little_cores = min(little_busy_cores, config.cores("little"))
+    little_time = little_cycles / (
+        feats.little_frequency_ghz(config) * 1e9 * max(little_cores, 0.25)
+    )
+
+    predicted = max(big_time, little_time)
+    if n_instructions is not None and counters.instructions_retired > 0:
+        predicted *= n_instructions / counters.instructions_retired
+    return float(max(predicted, 1e-9))
+
+
+def candidate_estimates(oracle: RuntimeOracle, counters: PerformanceCounters,
+                        current: SoCConfiguration) -> List[CandidateEstimate]:
+    """Predicted power/time/energy for every candidate configuration."""
+    candidates = oracle.space.neighbors(
+        current, radius=oracle.neighborhood_radius, include_self=True
+    )
+    estimates: List[CandidateEstimate] = []
+    for candidate in candidates:
+        power = predict_power(oracle.power_model, counters, candidate,
+                              reference_config=current)
+        time_s = predict_time_s(oracle.performance_model, counters, candidate,
+                                reference_config=current)
+        estimates.append(
+            CandidateEstimate(
+                configuration=candidate,
+                predicted_power_w=power,
+                predicted_time_s=time_s,
+            )
+        )
+    return estimates
+
+
+def best_configuration(
+    oracle: RuntimeOracle, counters: PerformanceCounters,
+    current: SoCConfiguration,
+) -> Tuple[SoCConfiguration, CandidateEstimate]:
+    """The candidate with the minimum predicted objective."""
+    estimates = candidate_estimates(oracle, counters, current)
+    if oracle.metric == "energy":
+        key = lambda est: est.predicted_energy_j  # noqa: E731
+    else:
+        key = lambda est: est.predicted_edp  # noqa: E731
+    best = min(estimates, key=key)
+    return best.configuration, best

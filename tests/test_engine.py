@@ -30,6 +30,8 @@ from repro.experiments.scales import (
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import get_workload
 
+from reference import oracle_loop
+
 
 @pytest.fixture(scope="module")
 def sweep_trace():
@@ -57,15 +59,39 @@ class TestBatchSweepParity:
     def test_oracle_tables_identical_across_paths(self, simulator, space,
                                                   sweep_trace, objective_name):
         objective = ALL_OBJECTIVES[objective_name]
-        scalar = build_oracle(simulator, space, sweep_trace, objective,
-                              use_batch=False)
-        batch = build_oracle(simulator, space, sweep_trace, objective,
-                             use_batch=True)
+        scalar = oracle_loop.build_oracle(simulator, space, sweep_trace,
+                                          objective)
+        batch = build_oracle(simulator, space, sweep_trace, objective)
         assert scalar.entries.keys() == batch.entries.keys()
         for name in scalar.entries:
             assert (scalar.entries[name].best_configuration
                     == batch.entries[name].best_configuration)
             assert scalar.entries[name].best_cost == batch.entries[name].best_cost
+
+    def test_oracle_sweeps_each_snippet_in_one_batch_call(
+            self, simulator, space, sweep_trace, monkeypatch):
+        """Each snippet costs one ``evaluate_expected_batch`` over the whole
+        space and no per-configuration ``evaluate_expected`` call."""
+        # Patched on the class so that undoing the patch leaves nothing in
+        # the session-wide simulator's instance dict.
+        simulator_cls = type(simulator)
+        real_batch = simulator_cls.evaluate_expected_batch
+        swept = []
+
+        def counting_batch(self, snippet, configurations):
+            swept.append((snippet.name, configurations))
+            return real_batch(self, snippet, configurations)
+
+        def refuse_scalar(self, snippet, config):
+            raise AssertionError("build_oracle evaluated one configuration")
+
+        monkeypatch.setattr(simulator_cls, "evaluate_expected_batch",
+                            counting_batch)
+        monkeypatch.setattr(simulator_cls, "evaluate_expected", refuse_scalar)
+        table = build_oracle(simulator, space, sweep_trace)
+        assert [name for name, _ in swept] == [s.name for s in sweep_trace]
+        assert all(configurations is space for _, configurations in swept)
+        assert table.entries.keys() == {s.name for s in sweep_trace}
 
     def test_batch_cost_fallback_without_vector_form(self, simulator, space,
                                                      sweep_trace):

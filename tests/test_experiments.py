@@ -312,6 +312,23 @@ class TestRunnerOracleStore:
         assert metadata["oracle_cache_misses"] > 0
         assert "oracle cache:" in run.format()
 
+    def test_pooled_task_cache_counters_ignore_worker_history(self):
+        """A pooled figure4 task counts the same Oracle-cache activity
+        whether or not its worker process ran figure3 first."""
+        from repro.experiments.runner import _pooled_seed_run
+
+        def cache_counters(name):
+            seed_run = _pooled_seed_run(
+                (name, TINY, 9101, None, None, None, None))
+            return {key: value for key, value in seed_run.metadata.items()
+                    if key.startswith("oracle_cache_")}
+
+        alone = cache_counters("figure4")
+        cache_counters("figure3")
+        after_figure3 = cache_counters("figure4")
+        assert alone["oracle_cache_misses"] > 0
+        assert after_figure3 == alone
+
 
 class TestCLIListing:
     def test_list_json_is_machine_readable(self, capsys):

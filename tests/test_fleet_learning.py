@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.runtime_oracle import RuntimeOracle
-from repro.fleet.kernels import ARGMIN_EMPTY, masked_first_argmin
+from repro.fleet.kernels import masked_first_argmin
 from repro.ml.mlp import FleetMLPStack, MLPClassifier
 from repro.ml.rls import RecursiveLeastSquares, rls_update_fleet
 from repro.models.performance import (
@@ -150,17 +150,6 @@ class TestMaskedFirstArgmin:
         with pytest.raises(ValueError, match=r"rows \[1, 3\]"):
             masked_first_argmin(costs, valid)
 
-    def test_sentinel_mode_marks_empty_rows_only(self):
-        rng = np.random.default_rng(4)
-        costs = rng.normal(size=(5, 6))
-        valid = np.ones((5, 6), dtype=bool)
-        valid[2] = False
-        reference = masked_first_argmin(costs, np.ones_like(valid))
-        best = masked_first_argmin(costs, valid, on_empty="sentinel")
-        assert best[2] == ARGMIN_EMPTY
-        for row in (0, 1, 3, 4):
-            assert best[row] == reference[row]
-
     def test_valid_infinite_costs_still_win(self):
         """Only the mask defines emptiness — a valid +inf row is not empty."""
         costs = np.full((2, 3), np.inf)
@@ -168,12 +157,6 @@ class TestMaskedFirstArgmin:
         np.testing.assert_array_equal(
             masked_first_argmin(costs, valid), [0, 0]
         )
-
-    def test_rejects_unknown_on_empty(self):
-        with pytest.raises(ValueError, match="on_empty"):
-            masked_first_argmin(np.zeros((1, 1)),
-                                np.ones((1, 1), dtype=bool),
-                                on_empty="ignore")
 
 
 # --------------------------------------------------------------------- #
@@ -358,12 +341,13 @@ class TestFleetModelUpdates:
 
     def test_fleet_best_indices_degrades_empty_rows_to_scalar(
             self, platform, space, observations, monkeypatch):
-        """A sentinel row from the sweep falls back to the scalar oracle.
+        """An empty candidate row raises a ``ValueError`` naming the row.
 
         ``include_self=True`` means a real sweep always has at least one
-        valid candidate per row, so the empty-row path is forced here by
-        wrapping the segmented argmin to mark one row empty — the result
-        must still equal every device's scalar ``best_configuration``.
+        valid candidate per row, so there is no per-device fallback; the
+        empty-row path is forced here by wrapping the segmented argmin to
+        mask out row 1, and the sweep must refuse it instead of picking a
+        padding entry.
         """
         import repro.fleet.kernels as kernels_module
 
@@ -378,18 +362,14 @@ class TestFleetModelUpdates:
 
         real_argmin = kernels_module.masked_first_argmin
 
-        def forced_empty(costs, valid, on_empty="raise"):
-            best = real_argmin(costs, valid, on_empty=on_empty)
-            best[1] = ARGMIN_EMPTY
-            return best
+        def forced_empty(costs, valid):
+            valid = valid.copy()
+            valid[1] = False
+            return real_argmin(costs, valid)
 
         # fleet_best_indices imports the kernel lazily (circular-import
         # avoidance), so the patch must land on the kernels module.
         monkeypatch.setattr(kernels_module, "masked_first_argmin",
                             forced_empty)
-        best = RuntimeOracle.fleet_best_indices(oracles, counters_list,
-                                                indices)
-        for d, oracle in enumerate(oracles):
-            config, _ = oracle.best_configuration(
-                counters_list[d], space[int(indices[d])])
-            assert int(best[d]) == space.index_of(config), f"device {d}"
+        with pytest.raises(ValueError, match=r"rows \[1\] have no valid"):
+            RuntimeOracle.fleet_best_indices(oracles, counters_list, indices)

@@ -3,8 +3,9 @@
 The vectorized CART split search, the level-by-level batch ``predict`` /
 ``predict_proba`` traversal, the vectorized trailing moving average and the
 process-parallel multi-seed fan-out must all be *drop-in* replacements: every
-test here pins them bitwise (not approximately) against the retained scalar
-or sequential reference paths across regression and classification fixtures.
+test here pins them bitwise (not approximately) against the scalar loops in
+``tests/reference/tree_scalar.py`` or the sequential paths across regression
+and classification fixtures.
 """
 
 from __future__ import annotations
@@ -17,12 +18,18 @@ from repro.ml.tree import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
     _best_split_classification,
-    _best_split_classification_scalar,
     _best_split_regression,
-    _best_split_regression_scalar,
-    trees_identical,
 )
 from repro.utils.stats import trailing_nanmean
+
+from reference.tree_scalar import (
+    ScalarDecisionTreeClassifier,
+    ScalarDecisionTreeRegressor,
+    best_split_classification,
+    best_split_regression,
+    predict_row,
+    trees_identical,
+)
 
 
 def _regression_fixtures():
@@ -72,9 +79,8 @@ class TestRegressionSplitEquivalence:
     @pytest.mark.parametrize("name,x,y", _regression_fixtures())
     @pytest.mark.parametrize("params", _TREE_PARAMS)
     def test_fitted_trees_identical(self, name, x, y, params):
-        vectorized = DecisionTreeRegressor(split_search="vectorized",
-                                           **params).fit(x, y)
-        scalar = DecisionTreeRegressor(split_search="scalar", **params).fit(x, y)
+        vectorized = DecisionTreeRegressor(**params).fit(x, y)
+        scalar = ScalarDecisionTreeRegressor(**params).fit(x, y)
         assert trees_identical(vectorized, scalar)
 
     @pytest.mark.parametrize("min_leaf", [1, 2, 5])
@@ -83,23 +89,22 @@ class TestRegressionSplitEquivalence:
         x = rng.normal(size=(64, 5))
         y = x[:, 2] * 3.0 + rng.normal(size=64)
         assert (_best_split_regression(x, y, min_leaf)
-                == _best_split_regression_scalar(x, y, min_leaf))
+                == best_split_regression(x, y, min_leaf))
 
     def test_unsplittable_data_returns_no_feature(self):
         x = np.full((20, 3), 1.5)
         y = np.arange(20.0)
         feature, _, _ = _best_split_regression(x, y, 1)
         assert feature is None
-        assert _best_split_regression_scalar(x, y, 1)[0] is None
+        assert best_split_regression(x, y, 1)[0] is None
 
 
 class TestClassificationSplitEquivalence:
     @pytest.mark.parametrize("name,x,y", _classification_fixtures())
     @pytest.mark.parametrize("params", _TREE_PARAMS)
     def test_fitted_trees_identical(self, name, x, y, params):
-        vectorized = DecisionTreeClassifier(split_search="vectorized",
-                                            **params).fit(x, y)
-        scalar = DecisionTreeClassifier(split_search="scalar", **params).fit(x, y)
+        vectorized = DecisionTreeClassifier(**params).fit(x, y)
+        scalar = ScalarDecisionTreeClassifier(**params).fit(x, y)
         np.testing.assert_array_equal(vectorized.classes_, scalar.classes_)
         assert trees_identical(vectorized, scalar)
 
@@ -109,7 +114,7 @@ class TestClassificationSplitEquivalence:
         x = rng.normal(size=(70, 4))
         y = rng.integers(0, 5, size=70)
         assert (_best_split_classification(x, y, 5, min_leaf)
-                == _best_split_classification_scalar(x, y, 5, min_leaf))
+                == best_split_classification(x, y, 5, min_leaf))
 
     def test_class_counts_use_integer_dtype(self):
         """Class counts are exact integers — no float accumulation drift."""
@@ -120,9 +125,64 @@ class TestClassificationSplitEquivalence:
         assert np.issubdtype(model.root_.class_counts.dtype, np.integer)
         assert model.root_.class_counts.sum() == 50
 
-    def test_invalid_split_search_rejected(self):
-        with pytest.raises(ValueError):
-            DecisionTreeRegressor(split_search="gpu")
+
+def _internal_node_count(node) -> int:
+    if node is None or node.is_leaf:
+        return 0
+    return 1 + _internal_node_count(node.left) + _internal_node_count(node.right)
+
+
+class TestSplitSearchHook:
+    """``_grow`` searches through the class's ``_split_search`` attribute.
+
+    The fitted-tree tests above compare each production tree against a
+    ``Scalar*`` subclass that differs from it in that attribute only; were
+    ``_grow`` to call a kernel by name, both would grow the same tree and
+    those tests would compare nothing.
+    """
+
+    def test_reference_trees_override_only_the_split_search(self):
+        for reference, kernel, production in (
+                (ScalarDecisionTreeRegressor, best_split_regression,
+                 DecisionTreeRegressor),
+                (ScalarDecisionTreeClassifier, best_split_classification,
+                 DecisionTreeClassifier)):
+            assert reference.__bases__ == (production,)
+            assert reference._split_search is kernel
+            assert production._split_search is not kernel
+            # ``_abc_impl`` is the ABC registry every subclass of an ABC gets.
+            overridden = {name for name in vars(reference)
+                          if not name.startswith("__") and name != "_abc_impl"}
+            assert overridden == {"_split_search"}
+
+    @pytest.mark.parametrize("kind", ["regressor", "classifier"])
+    def test_grow_calls_the_class_split_search(self, kind):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(80, 3))
+        if kind == "regressor":
+            base, kernel = DecisionTreeRegressor, _best_split_regression
+            y = x[:, 0] * 2.0 + rng.normal(size=80)
+        else:
+            base, kernel = DecisionTreeClassifier, _best_split_classification
+            y = (x[:, 1] > 0).astype(int) + (x[:, 2] > 0.5).astype(int)
+        searched = []
+
+        def counting(*args):
+            searched.append(args[0].shape[0])
+            return kernel(*args)
+
+        def no_split(*args):
+            return None, 0.0, 0.0
+
+        counting_tree = type("CountingTree", (base,),
+                             {"_split_search": staticmethod(counting)})
+        no_split_tree = type("NoSplitTree", (base,),
+                             {"_split_search": staticmethod(no_split)})
+        counted = counting_tree(max_depth=5).fit(x, y)
+        assert trees_identical(counted, base(max_depth=5).fit(x, y))
+        assert searched[0] == 80
+        assert len(searched) >= _internal_node_count(counted.root_) >= 1
+        assert no_split_tree(max_depth=5).fit(x, y).root_.is_leaf
 
 
 class TestBatchPredictEquivalence:
@@ -132,7 +192,7 @@ class TestBatchPredictEquivalence:
         rng = np.random.default_rng(5)
         queries = rng.normal(size=(200, x.shape[1]))
         batch = model.predict(queries)
-        reference = np.array([model._predict_row(row) for row in queries])
+        reference = np.array([predict_row(model, row) for row in queries])
         np.testing.assert_array_equal(batch, reference)
 
     @pytest.mark.parametrize("name,x,y", _classification_fixtures())
@@ -142,7 +202,7 @@ class TestBatchPredictEquivalence:
         queries = rng.normal(size=(200, x.shape[1]))
         batch = model.predict(queries)
         reference = model.classes_[
-            np.array([int(model._predict_row(row)) for row in queries])
+            np.array([int(predict_row(model, row)) for row in queries])
         ]
         np.testing.assert_array_equal(batch, reference)
 
@@ -152,7 +212,7 @@ class TestBatchPredictEquivalence:
         y = rng.normal(size=40)
         model = DecisionTreeRegressor(max_depth=4).fit(x, y)
         np.testing.assert_array_equal(
-            model.predict(x), np.array([model._predict_row(r) for r in x])
+            model.predict(x), np.array([predict_row(model, r) for r in x])
         )
 
     def test_predict_proba_matches_leaf_distributions(self):
@@ -191,7 +251,7 @@ class TestBatchPredictEquivalence:
         second = model.predict(x)
         assert not np.array_equal(first, second)
         np.testing.assert_array_equal(
-            second, np.array([model._predict_row(r) for r in x])
+            second, np.array([predict_row(model, r) for r in x])
         )
 
 

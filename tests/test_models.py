@@ -1,9 +1,15 @@
 """Tests for the online analytical models (power, performance, frame time)."""
 
+import numpy as np
 import pytest
 
 from repro.models import CpuPerformanceModel, CpuPowerModel, FrameTimeModel
 from repro.soc.configuration import SoCConfiguration
+
+
+def one_row(space, config):
+    """The struct-of-arrays row of ``config``, for the batch predictions."""
+    return space.soa_view().gather(np.array([space.index_of(config)]))
 
 
 def run_and_update(simulator, space, model_power, model_perf, snippet, configs):
@@ -25,7 +31,8 @@ class TestCpuPowerModel:
         run_and_update(simulator, space, model, perf, compute_snippet, configs * 2)
         for config in configs[:5]:
             result = simulator.evaluate_expected(compute_snippet, config)
-            predicted = model.predict(result.counters, config)
+            predicted = model.predict_batch(result.counters,
+                                            one_row(space, config))[0]
             assert predicted == pytest.approx(result.average_power_w, rel=0.10)
 
     def test_candidate_prediction_orders_frequencies(self, simulator, space,
@@ -41,8 +48,10 @@ class TestCpuPowerModel:
         low = SoCConfiguration.from_dicts({**opps, "big": 0}, cores)
         high = SoCConfiguration.from_dicts(
             {**opps, "big": len(simulator.platform.big.opps) - 1}, cores)
-        assert (model.predict(counters, high, reference_config=reference)
-                > model.predict(counters, low, reference_config=reference))
+        assert (model.predict_batch(counters, one_row(space, high),
+                                    reference_config=reference)[0]
+                > model.predict_batch(counters, one_row(space, low),
+                                      reference_config=reference)[0])
 
     def test_n_updates_tracked(self, simulator, space, compute_snippet):
         model = CpuPowerModel(simulator.platform)
@@ -64,8 +73,9 @@ class TestCpuPerformanceModel:
         for big_index in (0, len(simulator.platform.big.opps) - 1):
             candidate = SoCConfiguration.from_dicts({**opps, "big": big_index}, cores)
             truth = simulator.evaluate_expected(memory_snippet, candidate).execution_time_s
-            predicted = model.predict_time_s(counters, candidate,
-                                             reference_config=reference)
+            predicted = model.predict_time_s_batch(
+                counters, one_row(space, candidate),
+                reference_config=reference)[0]
             assert predicted == pytest.approx(truth, rel=0.15)
 
     def test_latency_estimate_positive(self, simulator, space, memory_snippet):
@@ -81,9 +91,13 @@ class TestCpuPerformanceModel:
         config = space.default_configuration()
         result = simulator.evaluate_expected(compute_snippet, config)
         model.update(result.counters, config)
-        base = model.predict_time_s(result.counters, config)
-        doubled = model.predict_time_s(result.counters, config,
-                                       n_instructions=2 * compute_snippet.n_instructions)
+        row = one_row(space, config)
+        base = model.predict_time_s_batch(result.counters, row,
+                                          reference_config=config)[0]
+        doubled = model.predict_time_s_batch(
+            result.counters, row,
+            n_instructions=2 * compute_snippet.n_instructions,
+            reference_config=config)[0]
         assert doubled == pytest.approx(2 * base, rel=1e-6)
 
 

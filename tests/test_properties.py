@@ -19,7 +19,8 @@ seed.  The invariants:
 * Oracle optimality: no policy can beat the Oracle table on the same
   snippets under noise-free execution, full or restricted space;
 * decision-tree classifiers: ``predict`` equals the argmax of
-  ``predict_proba`` for every sample.
+  ``predict_proba`` for every sample, for trees grown by the vectorized
+  split search and by the per-sample loop of ``tests/reference``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ from repro.soc.configuration import ConfigurationSpace
 from repro.soc.platform import generic_big_little
 from repro.soc.simulator import SoCSimulator
 from repro.soc.snippet import Snippet, SnippetCharacteristics
+
+from reference.tree_scalar import ScalarDecisionTreeClassifier
 
 PROPERTY_SEEDS = list(range(8))
 
@@ -367,8 +370,10 @@ class TestOracleOptimality:
 
 @pytest.mark.parametrize("seed", PROPERTY_SEEDS)
 class TestTreeClassifierConsistency:
-    @pytest.mark.parametrize("split_search", ["vectorized", "scalar"])
-    def test_predict_matches_proba_argmax(self, seed, split_search):
+    @pytest.mark.parametrize(
+        "tree_class", [DecisionTreeClassifier, ScalarDecisionTreeClassifier],
+        ids=["vectorized", "scalar"])
+    def test_predict_matches_proba_argmax(self, seed, tree_class):
         rng = np.random.default_rng(seed)
         n_samples = int(rng.integers(30, 90))
         n_classes = int(rng.integers(2, 5))
@@ -378,7 +383,7 @@ class TestTreeClassifierConsistency:
         labels = (np.digitize(features[:, 0] + 0.3 * features[:, 1],
                               np.linspace(-1.5, 1.5, n_classes - 1))
                   + 5) if n_classes > 1 else np.full(n_samples, 5)
-        tree = DecisionTreeClassifier(max_depth=6, split_search=split_search)
+        tree = tree_class(max_depth=6)
         tree.fit(features, labels)
         probe = np.vstack([features, rng.normal(size=(20, 3))])
         predictions = tree.predict(probe)

@@ -1,7 +1,7 @@
 """Batch-vs-scalar equivalence of the vectorized online decision loop.
 
-The runtime Oracle's batched candidate sweep (``mode="batch"``) must decide
-exactly like the retained scalar reference loop (``mode="scalar"``): same
+The runtime Oracle's batched candidate sweep must decide exactly like the
+per-candidate loop in ``tests/reference/runtime_oracle_loop.py``: same
 candidate enumeration order, same predictions (execution-time predictions
 bitwise, power within BLAS round-off), and the same first-minimum argmin
 tie-breaking — including on exactly tied predicted energies.
@@ -20,6 +20,8 @@ from repro.soc.platform import odroid_xu3_like
 from repro.soc.simulator import SoCSimulator
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import training_workloads
+
+from reference import runtime_oracle_loop
 
 
 @pytest.fixture(scope="module")
@@ -67,13 +69,12 @@ class TestBatchScalarEquivalence:
         power_model, performance_model, states = _decision_states(
             platform, space, n_states=40, seed=29
         )
-        batch_oracle = RuntimeOracle(space, power_model, performance_model,
-                                     neighborhood_radius=radius, mode="batch")
-        scalar_oracle = RuntimeOracle(space, power_model, performance_model,
-                                      neighborhood_radius=radius, mode="scalar")
+        oracle = RuntimeOracle(space, power_model, performance_model,
+                               neighborhood_radius=radius)
         for counters, current in states:
-            best_b, est_b = batch_oracle.best_configuration(counters, current)
-            best_s, est_s = scalar_oracle.best_configuration(counters, current)
+            best_b, est_b = oracle.best_configuration(counters, current)
+            best_s, est_s = runtime_oracle_loop.best_configuration(
+                oracle, counters, current)
             assert best_b == best_s
             assert est_b.configuration == est_s.configuration
             # Time predictions mirror the scalar arithmetic operation for
@@ -92,7 +93,8 @@ class TestBatchScalarEquivalence:
                                neighborhood_radius=2)
         for counters, current in states:
             batch = oracle.candidate_batch(counters, current)
-            estimates = oracle.candidate_estimates(counters, current)
+            estimates = runtime_oracle_loop.candidate_estimates(
+                oracle, counters, current)
             assert [space[int(i)] for i in batch.candidate_indices] == [
                 est.configuration for est in estimates
             ]
@@ -105,68 +107,68 @@ class TestBatchScalarEquivalence:
         power_model, performance_model, states = _decision_states(
             platform, gated_space, n_states=25, seed=37
         )
-        batch_oracle = RuntimeOracle(gated_space, power_model,
-                                     performance_model, mode="batch")
-        scalar_oracle = RuntimeOracle(gated_space, power_model,
-                                      performance_model, mode="scalar")
+        oracle = RuntimeOracle(gated_space, power_model, performance_model)
         for counters, current in states:
-            best_b, _ = batch_oracle.best_configuration(counters, current)
-            best_s, _ = scalar_oracle.best_configuration(counters, current)
+            best_b, _ = oracle.best_configuration(counters, current)
+            best_s, _ = runtime_oracle_loop.best_configuration(
+                oracle, counters, current)
             assert best_b == best_s
 
     def test_edp_metric_equivalence(self, platform, space):
         power_model, performance_model, states = _decision_states(
             platform, space, n_states=20, seed=41
         )
-        batch_oracle = RuntimeOracle(space, power_model, performance_model,
-                                     metric="edp", mode="batch")
-        scalar_oracle = RuntimeOracle(space, power_model, performance_model,
-                                      metric="edp", mode="scalar")
+        oracle = RuntimeOracle(space, power_model, performance_model,
+                               metric="edp")
         for counters, current in states:
-            best_b, _ = batch_oracle.best_configuration(counters, current)
-            best_s, _ = scalar_oracle.best_configuration(counters, current)
+            best_b, _ = oracle.best_configuration(counters, current)
+            best_s, _ = runtime_oracle_loop.best_configuration(
+                oracle, counters, current)
             assert best_b == best_s
 
     def test_argmin_tie_breaking_on_equal_energies(self, platform, space):
-        """Exact ties must resolve to the first candidate in both modes.
+        """Exact ties must resolve to the first candidate in both sweeps.
 
         A fresh power model predicts exactly 0.0 W for every candidate
         (zero weights, clamped at zero), so every candidate's predicted
         energy ties at exactly 0.0 — the argmin must pick the first
-        candidate of the neighbourhood enumeration in both modes.
+        candidate of the neighbourhood enumeration in both sweeps.
         """
         power_model = CpuPowerModel(platform)  # never updated: weights are 0
         _, performance_model, states = _decision_states(
             platform, space, n_states=5, seed=43
         )
-        batch_oracle = RuntimeOracle(space, power_model, performance_model,
-                                     mode="batch")
-        scalar_oracle = RuntimeOracle(space, power_model, performance_model,
-                                      mode="scalar")
+        oracle = RuntimeOracle(space, power_model, performance_model)
         for counters, current in states:
-            estimates = scalar_oracle.candidate_estimates(counters, current)
+            estimates = runtime_oracle_loop.candidate_estimates(
+                oracle, counters, current)
             energies = [est.predicted_energy_j for est in estimates]
             assert energies.count(0.0) == len(energies)  # genuinely all tied
-            best_b, est_b = batch_oracle.best_configuration(counters, current)
-            best_s, _ = scalar_oracle.best_configuration(counters, current)
+            best_b, est_b = oracle.best_configuration(counters, current)
+            best_s, _ = runtime_oracle_loop.best_configuration(
+                oracle, counters, current)
             first = estimates[0].configuration
             assert best_b == best_s == first
             assert est_b.predicted_energy_j == 0.0
 
     def test_batch_mode_falls_back_for_foreign_configuration(self, platform,
                                                              space):
-        """A current config outside the space still gets a scalar decision."""
+        """A current config outside the space still gets a decision.
+
+        The vectorized sweep runs over the candidates ``neighbors()``
+        returns for the foreign configuration and picks what the
+        per-candidate loop picks.
+        """
         restricted = space.restrict(max_opp_index=1)
         power_model, performance_model, states = _decision_states(
             platform, space, n_states=3, seed=47
         )
-        oracle = RuntimeOracle(restricted, power_model, performance_model,
-                               mode="batch")
+        oracle = RuntimeOracle(restricted, power_model, performance_model)
         counters, _ = states[0]
         # A full-space configuration two OPP steps above the restriction cap
         # is not a member of the restricted space but its radius-2
-        # neighbourhood still intersects it; the oracle must answer (via the
-        # scalar fallback) with a candidate from the restricted space.
+        # neighbourhood still intersects it; the oracle must answer with a
+        # candidate from the restricted space.
         from repro.soc.configuration import SoCConfiguration
         foreign = SoCConfiguration.from_dicts(
             {name: 3 for name in space.cluster_order},
@@ -176,6 +178,9 @@ class TestBatchScalarEquivalence:
         assert space.contains(foreign) and not restricted.contains(foreign)
         best, _ = oracle.best_configuration(counters, foreign)
         assert restricted.contains(best)
+        reference_best, _ = runtime_oracle_loop.best_configuration(
+            oracle, counters, foreign)
+        assert best == reference_best
 
 
 class TestModelBatchPaths:
@@ -209,8 +214,9 @@ class TestModelBatchPaths:
                 counters, space.soa_view(), reference_config=current
             )
             for i, config in enumerate(space):
-                scalar = performance_model.predict_time_s(
-                    counters, config, reference_config=current
+                scalar = runtime_oracle_loop.predict_time_s(
+                    performance_model, counters, config,
+                    reference_config=current,
                 )
                 assert times[i] == scalar
 
@@ -230,8 +236,8 @@ class TestModelBatchPaths:
                 reference_config=current,
             )
             for i, config in enumerate(space):
-                scalar = performance_model.predict_time_s(
-                    counters, config, n_instructions=2e9,
+                scalar = runtime_oracle_loop.predict_time_s(
+                    performance_model, counters, config, n_instructions=2e9,
                     reference_config=current,
                 )
                 assert times[i] == scalar

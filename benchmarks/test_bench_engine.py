@@ -1,7 +1,7 @@
 """Benchmarks for the unified engine layer: vectorized Oracle sweep.
 
 The vectorized ``evaluate_expected_batch`` sweep must (a) reproduce the
-per-configuration loop in ``tests/reference/oracle_loop.py`` bitwise and
+per-configuration loop in ``tests/scalar_reference/oracle_loop.py`` bitwise and
 (b) be at least 5x faster on the ``FULL``-scale Oracle construction (in
 practice it is ~10x).  Both are asserted here so a regression in either
 direction fails the benchmark run even with ``--benchmark-disable``.
@@ -22,7 +22,7 @@ from repro.soc.simulator import SoCSimulator
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import training_workloads
 
-from reference import oracle_loop
+from scalar_reference import oracle_loop
 
 #: Acceptance floor for the vectorized sweep (measured ~10x on CI hardware).
 MIN_SPEEDUP = 5.0

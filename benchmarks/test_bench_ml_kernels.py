@@ -2,7 +2,7 @@
 
 Gates the PR-2 perf work the same way ``test_bench_engine.py`` gates the
 PR-1 Oracle sweep: the vectorized split search and batch predict must (a)
-reproduce the scalar kernels of ``tests/reference/tree_scalar.py``
+reproduce the scalar kernels of ``tests/scalar_reference/tree_scalar.py``
 bitwise and (b) train at least ``MIN_FIT_SPEEDUP``x faster on the BENCH
 fixture (measured well above that in practice — classification is ~20x).
 Bitwise parity is asserted on every run; the timing floors only on
@@ -27,7 +27,7 @@ import pytest
 
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
-from reference.tree_scalar import (
+from scalar_reference.tree_scalar import (
     ScalarDecisionTreeClassifier,
     ScalarDecisionTreeRegressor,
     predict_row,

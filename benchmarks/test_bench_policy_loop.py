@@ -3,7 +3,7 @@
 Gates the PR-4 perf work the way ``test_bench_engine.py`` gates the Oracle
 sweep and ``test_bench_ml_kernels.py`` gates the tree kernels: the batched
 runtime-Oracle candidate sweep must (a) choose exactly the configurations
-the per-candidate loop of ``tests/reference/runtime_oracle_loop.py``
+the per-candidate loop of ``tests/scalar_reference/runtime_oracle_loop.py``
 chooses (same argmin, same tie-breaking) and
 (b) run at least ``MIN_SWEEP_SPEEDUP``x faster over a representative
 decision workload.  Equivalence is asserted on every run; the timing floor
@@ -42,7 +42,7 @@ from repro.soc.simulator import SoCSimulator
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import training_workloads
 
-from reference import runtime_oracle_loop
+from scalar_reference import runtime_oracle_loop
 
 #: Acceptance floor for the batched candidate sweep vs the scalar loop.
 MIN_SWEEP_SPEEDUP = 5.0

@@ -238,9 +238,14 @@ class OnlineILPolicy(DRMPolicy):
         the scalar sequential order, which a batched pass cannot
         reproduce — those rows are pinned to the scalar fallback.  The
         remaining rows get one :class:`~repro.ml.mlp.FleetMLPStack` plus
-        stacked scaler statistics.  Cheap identity revalidation runs every
-        step (cores replaced by ``fit()``, scaler statistics rebound by
-        ``partial_fit``); a mismatch triggers full re-adoption.
+        stacked scaler statistics.  The stack copies each classifier's
+        network rows once and re-points the network at them; training
+        only updates those rows in place, so a stack row that falls back
+        to the scalar :meth:`decide` (invalid telemetry, a configuration
+        outside the space) still trains on the stack.
+        Cheap identity revalidation runs every step (networks replaced by
+        ``fit()``, scaler statistics rebound by ``partial_fit``); a
+        mismatch triggers full re-adoption.
 
         Ownership is computed over the member objects themselves (dict
         keys holding strong references), never over ``id()`` values:
@@ -342,8 +347,8 @@ class OnlineILPolicy(DRMPolicy):
         epochs, learning rate, momentum, l2) train as one stacked
         :meth:`~repro.ml.mlp.FleetMLPStack.partial_fit_rows` call.  Every
         flushed row is a stack row (flushes come from the live rows), so a
-        group of one trains on the stack too, as a one-row group, bitwise
-        equal to the scalar :meth:`_update_policy`.  Training order across
+        group of one trains on the stack too, as a one-row group, with the
+        same trainer as :meth:`_update_policy`.  Training order across
         devices is irrelevant — adoption guaranteed the classifiers are
         distinct objects.
         """

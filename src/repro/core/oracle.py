@@ -389,8 +389,9 @@ def build_oracle(
     complexity" that makes Oracle construction impossible at runtime on real
     hardware, so each snippet's sweep is one call of the simulator's
     vectorized ``evaluate_expected_batch``.  The per-configuration loop it
-    replaced lives in ``tests/reference/oracle_loop.py``, where the tests
-    and the sweep benchmark check that both build bitwise-identical tables.
+    replaced lives in ``tests/scalar_reference/oracle_loop.py``, where the
+    tests and the sweep benchmark check that both build bitwise-identical
+    tables.
     Passing an :class:`OracleCache` skips snippets whose entries were
     already computed for this space/objective.
     """

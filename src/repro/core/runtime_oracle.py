@@ -16,7 +16,7 @@ The candidate sweep is vectorized end to end: the neighbourhood comes from
 the configuration space's memoised index tables, the candidate features
 form one ``(n_candidates, n_features)`` matrix, and both model predictions
 are single array operations.  The per-candidate loop it replaced lives in
-``tests/reference/runtime_oracle_loop.py``, where the tests and the
+``tests/scalar_reference/runtime_oracle_loop.py``, where the tests and the
 candidate-sweep benchmark check that both pick the same argmin with the
 same first-minimum tie-breaking.
 """

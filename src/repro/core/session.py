@@ -58,7 +58,7 @@ from repro.utils.records import RunLog
 
 #: Bump when the snapshot payload layout changes; old snapshots then fail
 #: to restore with a clear :class:`SnapshotError` instead of misbehaving.
-SNAPSHOT_FORMAT_VERSION = 4
+SNAPSHOT_FORMAT_VERSION = 5
 
 #: Leading magic of serialized snapshots (identifies the container format).
 _SNAPSHOT_MAGIC = b"RPSESNAP"

@@ -12,7 +12,7 @@ regression, one-hot cumulative class counts and Gini for classification —
 and ``predict`` / ``predict_proba`` route the whole input matrix through the
 tree level by level instead of walking one row at a time.  The per-sample
 split loops and the one-row walk they replaced live in
-``tests/reference/tree_scalar.py``: the vectorized paths reproduce their
+``tests/scalar_reference/tree_scalar.py``: the vectorized paths reproduce their
 splits, tie-breaking and predictions bitwise, which the equivalence suite
 in ``tests/test_ml_tree_equivalence.py`` and the
 ``benchmarks/test_bench_ml_kernels.py`` perf gate both assert.

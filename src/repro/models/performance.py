@@ -150,8 +150,8 @@ class CpuPerformanceModel:
         ``reference_config`` and are reused for every candidate, following
         the paper's approximation; ``n_instructions`` rescales the time to
         a snippet of that length.  The per-candidate loop this replaced,
-        kept in ``tests/reference/runtime_oracle_loop.py``, gives bitwise
-        identical times.
+        kept in ``tests/scalar_reference/runtime_oracle_loop.py``, gives
+        bitwise identical times.
         """
         if reference_config is None:
             raise ValueError(

@@ -21,7 +21,7 @@ from repro.soc.opp import OPPTable, OperatingPoint
 from repro.workloads.graphics import get_graphics_workload
 from repro.workloads.suites import get_workload
 from repro.workloads.generator import SnippetTraceGenerator
-from reference import nmpc_loop
+from scalar_reference import nmpc_loop
 
 
 @pytest.fixture(scope="module")

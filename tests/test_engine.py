@@ -30,7 +30,7 @@ from repro.experiments.scales import (
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import get_workload
 
-from reference import oracle_loop
+from scalar_reference import oracle_loop
 
 
 @pytest.fixture(scope="module")

@@ -285,8 +285,8 @@ class TestFleetEquivalence:
             self, trained_framework, monkeypatch):
         """Devices whose buffers never fill on the same step (different
         capacities, as in the buffer-size ablation) train every flush on
-        the stack as one-row groups: no scalar ``partial_fit`` call, and
-        the logs stay bitwise identical to sequential runs."""
+        the stack as one-row groups: no ``MLPClassifier.partial_fit``
+        call, and the logs stay bitwise identical to sequential runs."""
         from repro.ml.mlp import FleetMLPStack, MLPClassifier
 
         framework = trained_framework

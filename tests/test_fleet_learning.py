@@ -5,23 +5,30 @@ The fleet's online-IL batching rests on three exact-equivalence claims:
 * a stacked-RLS batch update equals N sequential rank-1 updates, bitwise,
   independent of device order;
 * the stacked MLP stack (forward and minibatch SGD) equals per-device
-  scalar training, bitwise, including the pre-drawn shuffle orders;
+  scalar training, bitwise, including the pre-drawn shuffle orders, also
+  when an adopted classifier's own ``partial_fit`` trains its stack rows
+  between stacked calls;
 * the padded segmented argmin preserves the scalar first-minimum
   tie-break (exact ties resolve to the lowest candidate position, and
   padding can never win).
 
 These tests pin each claim directly against the scalar reference
-implementations, which stay in the codebase for exactly this purpose.
+implementations (the RLS ``update`` in ``src/``, the per-network MLP loop
+in ``tests/scalar_reference/mlp_scalar.py``).  A copy of an adopted policy
+must own its network: training it leaves the original bitwise unchanged.
 """
 
 from __future__ import annotations
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.core.runtime_oracle import RuntimeOracle
+from repro.core.session import PolicySession
+from repro.fleet.device import DeviceSpec, build_fleet
 from repro.fleet.kernels import masked_first_argmin
 from repro.ml.mlp import FleetMLPStack, MLPClassifier
 from repro.ml.rls import RecursiveLeastSquares, rls_update_fleet
@@ -33,6 +40,7 @@ from repro.models.power import CpuPowerModel, fleet_update_power_models
 from repro.soc.simulator import SoCSimulator
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import training_workloads
+from scalar_reference.mlp_scalar import assert_same_network, scalar_twin
 
 
 def make_snippets(n, seed=11):
@@ -184,49 +192,65 @@ class TestFleetMLPStack:
 
     def test_partial_fit_rows_matches_scalar_bitwise(self):
         batch = self._classifiers()
-        reference = copy.deepcopy(batch)
+        twins = [scalar_twin(classifier) for classifier in batch]
         stack = FleetMLPStack(batch)
         rows = np.arange(len(batch))
         for round_seed in (20, 21):
             datasets, labels = zip(*(self._dataset(round_seed + 100 * i)
                                      for i in range(len(batch))))
-            for classifier, data, labs in zip(reference, datasets, labels):
-                classifier.partial_fit(data, labs, epochs=3)
+            for twin, data, labs in zip(twins, datasets, labels):
+                twin.partial_fit(data, labs, epochs=3)
             encoded = [classifier._encode(labs)
                        for classifier, labs in zip(batch, labels)]
             stack.partial_fit_rows(rows, list(datasets), encoded, epochs=3)
-            for ref, actual in zip(reference, batch):
-                for layer in range(len(ref._core.weights)):
-                    np.testing.assert_array_equal(
-                        ref._core.weights[layer], actual._core.weights[layer]
-                    )
-                    np.testing.assert_array_equal(
-                        ref._core.biases[layer], actual._core.biases[layer]
-                    )
-                    np.testing.assert_array_equal(
-                        ref._core._w_vel[layer], actual._core._w_vel[layer]
-                    )
+            for twin, actual in zip(twins, batch):
+                assert_same_network(actual, twin)
         probe = np.random.default_rng(5).normal(size=(7, self.N_FEATURES))
-        for ref, actual in zip(reference, batch):
-            np.testing.assert_array_equal(ref.predict(probe),
+        for twin, actual in zip(twins, batch):
+            np.testing.assert_array_equal(twin.predict(probe),
                                           actual.predict(probe))
 
     def test_subset_rows_leave_other_devices_untouched(self):
         batch = self._classifiers(n=4)
-        reference = copy.deepcopy(batch)
+        twins = [scalar_twin(classifier) for classifier in batch]
         stack = FleetMLPStack(batch)
         rows = np.array([0, 2])
         data, labels = self._dataset(33)
         for row in rows:
-            reference[row].partial_fit(data, labels, epochs=2)
+            twins[row].partial_fit(data, labels, epochs=2)
         encoded = [batch[row]._encode(labels) for row in rows]
         stack.partial_fit_rows(rows, [data, data], encoded, epochs=2)
-        for row, (ref, actual) in enumerate(zip(reference, batch)):
-            for layer in range(len(ref._core.weights)):
-                np.testing.assert_array_equal(
-                    ref._core.weights[layer], actual._core.weights[layer],
-                    err_msg=f"device {row} layer {layer}",
-                )
+        for twin, actual in zip(twins, batch):
+            assert_same_network(actual, twin)
+
+    def test_own_partial_fit_and_stacked_training_interleave(self):
+        """An adopted classifier's own ``partial_fit`` trains its stack
+        rows in place: interleaved with ``partial_fit_rows`` (full and
+        subset) and read through ``predict_encoded``, every device equals
+        its scalar twin trained in the same order."""
+        batch = self._classifiers(n=3)
+        twins = [scalar_twin(classifier) for classifier in batch]
+        stack = FleetMLPStack(batch)
+        features = np.random.default_rng(6).normal(
+            size=(len(batch), self.N_FEATURES))
+        for step, rows in enumerate((np.arange(3), np.array([0, 2]))):
+            own = int(rows[-1])
+            data, labels = self._dataset(50 + step, n_samples=7)
+            batch[own].partial_fit(data, labels, epochs=2)
+            twins[own].partial_fit(data, labels, epochs=2)
+            datasets, labels = zip(*(self._dataset(60 + step + 10 * row)
+                                     for row in rows))
+            stack.partial_fit_rows(
+                rows, list(datasets),
+                [batch[row]._encode(labs) for row, labs in zip(rows, labels)],
+                epochs=3)
+            for row, labs, data in zip(rows, labels, datasets):
+                twins[row].partial_fit(data, labs, epochs=3)
+            positions = stack.predict_encoded(np.arange(3), features)
+            for i, twin in enumerate(twins):
+                assert_same_network(batch[i], twin)
+                assert positions[i] == np.argmax(
+                    twin.predict_proba(features[i:i + 1])[0])
 
     def test_predict_encoded_matches_scalar_and_breaks_ties_first(self):
         batch = self._classifiers()
@@ -237,7 +261,7 @@ class TestFleetMLPStack:
         positions = stack.predict_encoded(rows, features)
         for i, classifier in enumerate(batch):
             assert (classifier.classes_[positions[i]]
-                    == classifier.predict(features[i:i + 1])[0])
+                    == scalar_twin(classifier).predict(features[i:i + 1])[0])
         # Zeroed weights/biases make every logit identical: the scalar
         # argmax and the stacked argmax must both pick position 0.
         for layer in range(len(stack.weights)):
@@ -258,6 +282,72 @@ class TestFleetMLPStack:
         other.ensure_classes(range(self.N_CLASSES), self.N_FEATURES)
         with pytest.raises(ValueError, match="architecture"):
             FleetMLPStack([self._classifiers(n=1)[0], other])
+
+
+class TestAdoptedPolicyCopies:
+    """A copy of an adopted, trained online-IL policy owns its network.
+
+    Adoption binds a classifier's network to rows of its group's
+    :class:`FleetMLPStack`; a deep copy, a pickle round trip and a
+    session restore must each come back with rows of their own, so that
+    training the copy moves only the copy.
+    """
+
+    @pytest.fixture(scope="class")
+    def fleet(self, trained_framework):
+        framework = trained_framework
+        trace = make_snippets(24, seed=3)
+        oracle = framework.build_oracle_for(trace)
+        devices = [
+            DeviceSpec(name=f"device-{i}",
+                       policy=framework.build_online_il_policy(
+                           buffer_capacity=4, update_epochs=5,
+                           isolated=True),
+                       snippets=trace, oracle_table=oracle,
+                       rng=np.random.default_rng(70 + i))
+            for i in range(2)
+        ]
+        engine = build_fleet(devices, framework.simulator, framework.space)
+        for _ in range(16):
+            engine.step()
+        return framework, engine, trace
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle", "restore"])
+    def test_training_a_copy_leaves_the_original_unchanged(self, fleet, how):
+        framework, engine, trace = fleet
+        session = engine.sessions[0]
+        policy = session.policy
+        assert policy.n_policy_updates > 0
+        if how == "deepcopy":
+            duplicate = copy.deepcopy(policy)
+        elif how == "pickle":
+            duplicate = pickle.loads(pickle.dumps(policy))
+        else:
+            duplicate = PolicySession.restore(
+                session.snapshot_bytes(), framework.simulator, trace).policy
+        original = policy.classifier
+        # Adopted: the network's rows are rows of its group's stack.
+        assert original._core.flat_w.base.shape[0] == len(engine.sessions)
+        probe = np.random.default_rng(8).normal(
+            size=(12, original._core.layer_sizes[0]))
+        proba_before = original.predict_proba(probe)
+        rows_before = [row.copy() for row in _rows(original)]
+        predicted = duplicate.classifier.predict(probe)
+        np.testing.assert_array_equal(predicted, original.predict(probe))
+        target = np.full(len(probe),
+                         (int(predicted[0]) + 1) % len(policy.space))
+        duplicate.classifier.partial_fit(probe, target, epochs=40)
+        assert not np.array_equal(duplicate.classifier.predict(probe),
+                                  predicted)
+        assert original.predict_proba(probe).tobytes() == \
+            proba_before.tobytes()
+        for before, after in zip(rows_before, _rows(original)):
+            assert before.tobytes() == after.tobytes()
+
+
+def _rows(classifier):
+    core = classifier._core
+    return core.flat_w, core.flat_b, core.vel_w, core.vel_b
 
 
 # --------------------------------------------------------------------- #

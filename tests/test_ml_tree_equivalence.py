@@ -4,8 +4,8 @@ The vectorized CART split search, the level-by-level batch ``predict`` /
 ``predict_proba`` traversal, the vectorized trailing moving average and the
 process-parallel multi-seed fan-out must all be *drop-in* replacements: every
 test here pins them bitwise (not approximately) against the scalar loops in
-``tests/reference/tree_scalar.py`` or the sequential paths across regression
-and classification fixtures.
+``tests/scalar_reference/tree_scalar.py`` or the sequential paths across
+regression and classification fixtures.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.ml.tree import (
 )
 from repro.utils.stats import trailing_nanmean
 
-from reference.tree_scalar import (
+from scalar_reference.tree_scalar import (
     ScalarDecisionTreeClassifier,
     ScalarDecisionTreeRegressor,
     best_split_classification,

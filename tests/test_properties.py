@@ -20,7 +20,7 @@ seed.  The invariants:
   snippets under noise-free execution, full or restricted space;
 * decision-tree classifiers: ``predict`` equals the argmax of
   ``predict_proba`` for every sample, for trees grown by the vectorized
-  split search and by the per-sample loop of ``tests/reference``.
+  split search and by the per-sample loop of ``tests/scalar_reference``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from repro.soc.platform import generic_big_little
 from repro.soc.simulator import SoCSimulator
 from repro.soc.snippet import Snippet, SnippetCharacteristics
 
-from reference.tree_scalar import ScalarDecisionTreeClassifier
+from scalar_reference.tree_scalar import ScalarDecisionTreeClassifier
 
 PROPERTY_SEEDS = list(range(8))
 

@@ -1,7 +1,7 @@
 """Batch-vs-scalar equivalence of the vectorized online decision loop.
 
 The runtime Oracle's batched candidate sweep must decide exactly like the
-per-candidate loop in ``tests/reference/runtime_oracle_loop.py``: same
+per-candidate loop in ``tests/scalar_reference/runtime_oracle_loop.py``: same
 candidate enumeration order, same predictions (execution-time predictions
 bitwise, power within BLAS round-off), and the same first-minimum argmin
 tie-breaking — including on exactly tied predicted energies.
@@ -21,7 +21,7 @@ from repro.soc.simulator import SoCSimulator
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import training_workloads
 
-from reference import runtime_oracle_loop
+from scalar_reference import runtime_oracle_loop
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -70,10 +70,6 @@ class OracleTable:
 
     def total_cost(self, snippets: Iterable[Snippet]) -> float:
         return sum(self.entry(s).best_cost for s in snippets)
-
-    def storage_bytes(self, bytes_per_entry: int = 64) -> int:
-        """Rough storage footprint — the reason Oracles cannot ship in firmware."""
-        return len(self.entries) * bytes_per_entry
 
 
 class OraclePolicy(DRMPolicy):
@@ -150,7 +146,7 @@ def _state_repr(value) -> str:
     different captured arrays; digest the full buffer instead.  Everything
     else uses plain ``repr`` — identity-based reprs digest uniquely per
     object, so such state never falsely *hits* the store (it merely never
-    shares shards, the safe direction).
+    shares a table, the safe direction).
     """
     if isinstance(value, np.ndarray):
         return content_digest(str(value.dtype), value.shape, value.tobytes())
@@ -170,7 +166,7 @@ def persistent_objective_key(objective: Objective) -> Tuple:
     survive pickling to another process.  For the on-disk store the cost
     function is identified by where it lives plus a digest of its bytecode,
     default arguments and closure-cell values, so a custom objective
-    reusing a built-in name still gets its own shards, an edited cost
+    reusing a built-in name still gets its own tables, an edited cost
     function invalidates old ones, and two parameterised closures over
     different values (same bytecode, different cells) never alias.
     """
@@ -191,7 +187,7 @@ def persistent_objective_key(objective: Objective) -> Tuple:
         # Callable object (class instance, functools.partial, ...): no
         # bytecode to identify it by, so digest the instance state and the
         # object's repr.  A default (identity-based) repr makes the digest
-        # unique per object — such costs never alias a stored shard, they
+        # unique per object — such costs never alias a stored table, they
         # just never share one either, which is the safe direction.
         state = getattr(cost, "__dict__", None)
         state_repr = (repr({key: _state_repr(value)
@@ -211,20 +207,19 @@ def persistent_objective_key(objective: Objective) -> Tuple:
     )
 
 
-def persistent_entry_digest(snippet: Snippet, space: ConfigurationSpace,
+def persistent_table_digest(space: ConfigurationSpace,
                             objective: Objective) -> str:
-    """Shard digest for one (snippet, space, objective) Oracle entry.
+    """Store name of the Oracle table for ``(space, objective)``.
 
     Includes the :func:`~repro.core.oracle_store.code_fingerprint` of the
-    modules the entry's semantics depend on, so a store written by older
+    modules the entries' semantics depend on, so a store written by older
     simulator/Oracle code cleanly misses instead of serving stale results.
-    SHA-256 is fed exactly the bytes of ``content_digest(snippet_cache_key,
-    space.cache_key(), persistent_objective_key, code_fingerprint())``, with
-    the space's ``repr`` taken from :func:`space_cache_key`'s memo.
+    SHA-256 is fed exactly the bytes of ``content_digest(space.cache_key(),
+    persistent_objective_key(objective), code_fingerprint())``, with the
+    space's ``repr`` taken from :func:`space_cache_key`'s memo.
     """
     hasher = hashlib.sha256()
-    for text in (repr(snippet_cache_key(snippet)),
-                 space_cache_key(space),
+    for text in (space_cache_key(space),
                  repr(persistent_objective_key(objective)),
                  repr(code_fingerprint())):
         hasher.update(text.encode("utf-8"))
@@ -270,11 +265,12 @@ class OracleCache:
     would re-hash on every lookup.
 
     An optional :class:`~repro.core.oracle_store.OracleStore` layers a
-    persistent, cross-process tier underneath: in-memory misses fall
-    through to the store, and freshly computed entries are written through
-    to it, so worker processes and later CLI invocations skip sweeps any
-    process has ever completed.  ``store=None`` (the default) adopts the
-    process-wide default store, if one is installed.
+    persistent, cross-process tier underneath: a :func:`build_oracle` call
+    whose snippets miss memory consults the store's table for its space and
+    objective once, and publishes the entries it swept as one segment of
+    that table when it ends, so worker processes and later CLI invocations
+    skip sweeps any process has ever completed.  ``store=None`` (the
+    default) adopts the process-wide default store, if one is installed.
     """
 
     def __init__(self, store: Optional[OracleStore] = None) -> None:
@@ -289,69 +285,51 @@ class OracleCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+    def _count(self, counter: str) -> None:
+        setattr(self, counter, getattr(self, counter) + 1)
+        _GLOBAL_CACHE_STATS[counter] += 1
 
-    def stats(self) -> Dict[str, int]:
-        """This cache's hit/miss counters (memory tier and store tier)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
-        }
+    def _build(self, simulator: SoCSimulator, space: ConfigurationSpace,
+               snippets: Iterable[Snippet],
+               objective: Objective) -> OracleTable:
+        """:func:`build_oracle` through this cache.
 
-    def lookup(self, snippet: Snippet, space: ConfigurationSpace,
-               objective: Objective) -> Optional[OracleEntry]:
-        key = (snippet_cache_key(snippet), space_cache_key(space),
-               objective_cache_key(objective))
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            _GLOBAL_CACHE_STATS["hits"] += 1
-            return entry
-        self.misses += 1
-        _GLOBAL_CACHE_STATS["misses"] += 1
-        if self.store_backend is not None:
-            stored = self.store_backend.get(
-                persistent_entry_digest(snippet, space, objective)
-            )
-            if stored is not None:
-                self._entries[key] = stored
-                self.store_hits += 1
-                _GLOBAL_CACHE_STATS["store_hits"] += 1
-                return stored
-            self.store_misses += 1
-            _GLOBAL_CACHE_STATS["store_misses"] += 1
-        return None
-
-    def store(self, snippet: Snippet, space: ConfigurationSpace,
-              objective: Objective, entry: OracleEntry) -> OracleEntry:
-        key = (snippet_cache_key(snippet), space_cache_key(space),
-               objective_cache_key(objective))
-        self._entries[key] = entry
-        if self.store_backend is not None:
-            self.store_backend.put(
-                persistent_entry_digest(snippet, space, objective), entry
-            )
-        return entry
-
-    def invalidate_snippet(self, snippet: Snippet) -> int:
-        """Drop every entry for ``snippet`` (all spaces/objectives); return count."""
-        target = snippet_cache_key(snippet)
-        stale = [key for key in self._entries if key[0] == target]
-        for key in stale:
-            del self._entries[key]
-        return len(stale)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-        self.store_hits = 0
-        self.store_misses = 0
+        Each snippet is looked up in memory, then in the store's table
+        (fetched on the first memory miss of the call), and swept if both
+        miss; every lookup counts one memory hit or miss and every memory
+        miss one store hit or miss.  The swept entries are published to the
+        store as one segment when the call ends.
+        """
+        space_text = space_cache_key(space)
+        objective_key = objective_cache_key(objective)
+        table = OracleTable(objective_name=objective.name)
+        table_digest: Optional[str] = None
+        stored: Dict[SnippetKey, OracleEntry] = {}
+        swept: Dict[SnippetKey, OracleEntry] = {}
+        for snippet in snippets:
+            snippet_key = snippet_cache_key(snippet)
+            key = (snippet_key, space_text, objective_key)
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._count("hits")
+            else:
+                self._count("misses")
+                if self.store_backend is not None:
+                    if table_digest is None:
+                        table_digest = persistent_table_digest(space,
+                                                               objective)
+                        stored = self.store_backend.table(table_digest)
+                    entry = stored.get(snippet_key)
+                    self._count("store_misses" if entry is None
+                                else "store_hits")
+                if entry is None:
+                    entry = _best_entry(simulator, space, snippet, objective)
+                    swept[snippet_key] = entry
+                self._entries[key] = entry
+            table.entries[snippet.name] = entry
+        if swept and table_digest is not None:
+            self.store_backend.publish(table_digest, swept)
+        return table
 
 
 def _best_entry(
@@ -393,27 +371,12 @@ def build_oracle(
     tests and the sweep benchmark check that both build bitwise-identical
     tables.
     Passing an :class:`OracleCache` skips snippets whose entries were
-    already computed for this space/objective.
+    already computed for this space/objective, in memory or in its store.
     """
+    if cache is not None:
+        return cache._build(simulator, space, snippets, objective)
     table = OracleTable(objective_name=objective.name)
     for snippet in snippets:
-        entry = (cache.lookup(snippet, space, objective)
-                 if cache is not None else None)
-        if entry is None:
-            entry = _best_entry(simulator, space, snippet, objective)
-            if cache is not None:
-                cache.store(snippet, space, objective, entry)
-        table.entries[snippet.name] = entry
+        table.entries[snippet.name] = _best_entry(simulator, space, snippet,
+                                                  objective)
     return table
-
-
-def oracle_energy_for(
-    simulator: SoCSimulator,
-    space: ConfigurationSpace,
-    snippets: List[Snippet],
-    objective: Objective = ENERGY,
-    table: Optional[OracleTable] = None,
-) -> float:
-    """Total objective cost achieved by the Oracle over ``snippets``."""
-    oracle_table = table or build_oracle(simulator, space, snippets, objective)
-    return oracle_table.total_cost(snippets)

@@ -1,47 +1,61 @@
-"""Persistent, content-addressed on-disk store for Oracle entries.
+"""Persistent on-disk store for Oracle tables.
 
 The in-memory :class:`~repro.core.oracle.OracleCache` dies with its process,
 so the ``--jobs N`` seed fan-out and every fresh CLI invocation used to
 re-run identical exhaustive Oracle sweeps.  The :class:`OracleStore` makes
-Oracle construction a compute-once artifact: entries are pickled one file
-("shard") per content digest under a store directory that any number of
-processes — worker pools, later CLI runs, CI jobs restoring a cache — can
-share.
+Oracle construction a compute-once artifact that any number of processes —
+worker pools, later CLI runs, CI jobs restoring a cache — can share.
+
+Layout: one directory per Oracle table, named by the digest of the table's
+configuration space, objective and :func:`code_fingerprint` (computed by
+:func:`repro.core.oracle.persistent_table_digest`).  A table is an
+append-only set of *segments*: each ``build_oracle`` call that computed
+entries publishes them as one pickled ``{snippet key: entry}`` dict, named
+by the SHA-256 digest of its bytes.
 
 Design points:
 
-* **Content addressing.**  Shards are named by a SHA-256 digest of the same
-  content keys the in-memory cache uses (snippet characteristics, the full
-  configuration-space key including platform parameters and throttling
-  restrictions, and the objective's identity including its cost function's
-  bytecode).  Two processes computing the same entry write the same shard;
-  differing platforms, spaces or objectives can never alias.
-* **Crash/corruption tolerance.**  Writes go to a temp file in the store
-  and are published with an atomic :func:`os.replace`; readers treat any
-  shard that fails to load (truncated, corrupt, wrong version) as a miss,
-  so a damaged store heals itself by recomputation.
-* **Concurrent safety.**  Readers only ever see fully written shards
-  (atomic rename); concurrent writers of the same digest write identical
-  bytes, so last-writer-wins is harmless.
+* **Read once per process.**  A store loads a table's segments into a
+  resident dict on first use and, on each later use, re-lists the directory
+  and loads only the segments it has not seen, so a lookup is a dict get
+  and other processes' writes become visible when their ``build_oracle``
+  call ends.
+* **Crash/corruption tolerance.**  Segments are written to a temp file in
+  the table directory and published with an atomic :func:`os.replace`;
+  a segment whose bytes do not match its name, that fails to unpickle or
+  that carries another :data:`STORE_FORMAT_VERSION` is skipped, so its
+  entries miss, are recomputed and are re-published: the store heals
+  itself one segment at a time.
+* **Concurrent safety.**  Readers only ever see fully written segments
+  (atomic rename); segments are never rewritten, and two writers
+  publishing identical bytes publish the same name, so last-writer-wins is
+  harmless.  Differing platforms, spaces, objectives or code never share a
+  table.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import pickle
 import tempfile
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
+from typing import (TYPE_CHECKING, Callable, Dict, Hashable, List,
+                    Optional, Set, TypeVar, Union)
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (oracle -> store)
     from repro.core.oracle import OracleEntry
 
-#: Bump when the pickled payload layout changes; old shards become misses.
-STORE_FORMAT_VERSION = 1
+_T = TypeVar("_T")
+
+#: Bump when the pickled segment layout changes; segments of another
+#: version are skipped.  A version-1 store (one ``ab/<digest>.pkl`` file per
+#: entry) has no table directories, so none of its files is ever read.
+STORE_FORMAT_VERSION = 2
 
 #: Process-wide store-activity counters aggregated over every OracleStore
 #: instance (merged into :func:`repro.core.oracle.cache_stats_snapshot`).
@@ -63,7 +77,7 @@ def code_fingerprint() -> str:
     not the simulator/Oracle semantics that turn inputs into entries; a
     code change there would otherwise let an old store silently serve
     entries computed by different physics.  Folding this fingerprint into
-    every shard digest turns any edit of the relevant modules into clean
+    every table digest turns any edit of the relevant modules into clean
     store misses — conservative (some invalidations are unnecessary) but
     never stale.
     """
@@ -88,7 +102,7 @@ def code_fingerprint() -> str:
 
 
 class OracleStore:
-    """Directory of content-addressed Oracle-entry shards.
+    """Directory of Oracle tables, each an append-only set of segments.
 
     Transient IO errors (NFS hiccups, ``EINTR``/``EAGAIN``, a briefly
     unavailable mount in CI) retry up to ``max_retries`` times with
@@ -96,14 +110,14 @@ class OracleStore:
     generator — backoff timing is reproducible for a given
     ``jitter_seed``, like every other stochastic component here.  Retries
     are counted in :attr:`retries` (and process-wide as
-    ``store_retries``); exhausted retries degrade exactly as before —
-    reads become misses, writes become memory-only (counted in
-    :attr:`write_errors`) — the store never aborts the run.
+    ``store_retries``); exhausted retries degrade instead of raising — a
+    listing or read becomes misses, a write becomes memory-only (counted
+    in :attr:`write_errors`) — the store never aborts the run.
 
     ``io_failure_hook`` is a test/chaos hook called before every physical
-    read/write attempt as ``hook(op, path)`` (``op`` is ``"get"`` or
-    ``"put"``); raising :class:`OSError` from it simulates a transient or
-    persistent filesystem failure.
+    listing, read and write attempt as ``hook(op, path)`` (``op`` is
+    ``"list"``, ``"read"`` or ``"write"``); raising :class:`OSError` from
+    it simulates a transient or persistent filesystem failure.
     """
 
     def __init__(self, root: Union[str, Path],
@@ -114,8 +128,6 @@ class OracleStore:
                      Callable[[str, Path], None]] = None) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
         self.write_errors = 0
         self.retries = 0
         if max_retries < 0:
@@ -126,6 +138,10 @@ class OracleStore:
         self.backoff_s = float(backoff_s)
         self.io_failure_hook = io_failure_hook
         self._jitter_rng = np.random.default_rng(jitter_seed)
+        # Resident entries of every table loaded so far, and the names of
+        # the segments each one has read.
+        self._tables: Dict[str, Dict[Hashable, "OracleEntry"]] = {}
+        self._seen: Dict[str, Set[str]] = {}
 
     def _backoff_delay(self, attempt: int) -> float:
         """Deterministic-jitter exponential backoff delay for ``attempt``.
@@ -145,105 +161,119 @@ class OracleStore:
         if delay > 0:
             time.sleep(delay)
 
-    def _shard_path(self, digest: str) -> Path:
-        # Two-level fan-out keeps directory listings small at scale.
-        return self.root / digest[:2] / f"{digest}.pkl"
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.pkl"))
-
-    def get(self, digest: str) -> Optional["OracleEntry"]:
-        """Load the entry stored under ``digest``; ``None`` on miss.
-
-        Any unreadable shard — missing, truncated, corrupted, or written by
-        an incompatible version — is a miss: the caller recomputes and
-        :meth:`put` overwrites the bad shard.
-        """
-        path = self._shard_path(digest)
+    def _retrying(self, op: str, path: Path,
+                  action: Callable[[], _T]) -> Optional[_T]:
+        """``action()``, retried on :class:`OSError` with backoff; ``None``
+        once the retries are exhausted."""
         attempt = 0
         while True:
             try:
                 if self.io_failure_hook is not None:
-                    self.io_failure_hook("get", path)
-                with path.open("rb") as handle:
-                    version, entry = pickle.load(handle)
-                break
-            except FileNotFoundError:
-                # A shard that does not exist is a clean miss, never a
-                # transient failure — no retry.
-                self.misses += 1
-                return None
+                    self.io_failure_hook(op, path)
+                return action()
             except OSError:
-                # Transient IO (EINTR, a flaky network mount, ...): retry
-                # with backoff, then degrade to a miss.
                 if attempt >= self.max_retries:
-                    self.misses += 1
                     return None
                 attempt += 1
                 self._count_retry(attempt)
-            except Exception:
-                # Truncated/corrupt shard (e.g. a crashed writer on a
-                # filesystem without atomic rename, or bit rot in a
-                # restored CI cache) — recomputation heals it; no retry.
-                self.misses += 1
-                return None
-        if version != STORE_FORMAT_VERSION:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry
 
-    def put(self, digest: str, entry: "OracleEntry") -> bool:
-        """Persist ``entry`` under ``digest`` (atomic publish).
+    def table(self, digest: str) -> Dict[Hashable, "OracleEntry"]:
+        """Resident entries of table ``digest``, keyed by snippet key.
 
-        The store is a transparent optimisation tier: a filesystem failure
-        (disk full, store directory removed or read-only) must never abort
-        the run that already computed the entry, so write errors degrade to
-        memory-only operation (counted in :attr:`write_errors`) instead of
-        raising.  Returns whether the shard was published.
+        The first call loads every segment of the table; each later call
+        re-lists the directory and loads only the segments published since
+        (by pooled workers, earlier runs or other store instances).  A
+        listing that keeps failing leaves the resident entries as they are,
+        and a segment that cannot be read is tried again on the next call;
+        a corrupt or other-version segment is skipped for good, so its
+        entries miss and the caller re-publishes them.
         """
-        payload = pickle.dumps((STORE_FORMAT_VERSION, entry),
+        entries = self._tables.setdefault(digest, {})
+        seen = self._seen.setdefault(digest, set())
+        directory = self.root / digest
+        names = self._retrying("list", directory,
+                               lambda: _segment_names(directory))
+        for name in sorted(set(names or ()) - seen):
+            path = directory / name
+            data = self._retrying("read", path, lambda: _read_segment(path))
+            if data is None:
+                continue
+            seen.add(name)
+            segment = _decode_segment(name, data)
+            if segment is not None:
+                entries.update(segment)
+        return entries
+
+    def publish(self, digest: str,
+                entries: Dict[Hashable, "OracleEntry"]) -> bool:
+        """Append ``entries`` to table ``digest`` as one segment.
+
+        The segment is written to a temp file and published with an atomic
+        :func:`os.replace` under the digest of its bytes.  The store is a
+        transparent optimisation tier: a filesystem failure (disk full,
+        store directory removed or read-only) must never abort the run that
+        already computed the entries, so write errors degrade to
+        memory-only operation (counted in :attr:`write_errors`) instead of
+        raising.  Returns whether the segment was published.
+        """
+        payload = pickle.dumps((STORE_FORMAT_VERSION, entries),
                                protocol=pickle.HIGHEST_PROTOCOL)
-        path = self._shard_path(digest)
-        attempt = 0
-        while True:
-            tmp_name = None
-            try:
-                if self.io_failure_hook is not None:
-                    self.io_failure_hook("put", path)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp_name = tempfile.mkstemp(
-                    dir=path.parent, prefix=f".{digest[:8]}-", suffix=".tmp"
-                )
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
-                os.replace(tmp_name, path)
-                return True
-            except OSError:
-                if tmp_name is not None:
-                    try:
-                        os.unlink(tmp_name)
-                    except OSError:
-                        pass
-                if attempt >= self.max_retries:
-                    self.write_errors += 1
-                    return False
-                attempt += 1
-                self._count_retry(attempt)
+        name = f"{hashlib.sha256(payload).hexdigest()}.pkl"
+        directory = self.root / digest
+        if self._retrying("write", directory / name,
+                          lambda: _write_atomic(directory, name,
+                                                payload)) is None:
+            self.write_errors += 1
+            return False
+        if digest in self._tables:
+            self._tables[digest].update(entries)
+            self._seen[digest].add(name)
+        return True
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
-    def stats(self) -> Dict[str, int]:
-        """This store's activity counters."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "write_errors": self.write_errors,
-            "retries": self.retries,
-        }
+def _segment_names(directory: Path) -> List[str]:
+    try:
+        return [name for name in os.listdir(directory)
+                if name.endswith(".pkl")]
+    except FileNotFoundError:
+        return []  # nothing published to this table yet: no retry
+
+
+def _read_segment(path: Path) -> Optional[bytes]:
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        return None  # removed since the listing: a miss, no retry
+
+
+def _decode_segment(name: str,
+                    data: bytes) -> Optional[Dict[Hashable, "OracleEntry"]]:
+    """A segment's entries; ``None`` for bytes that do not match the
+    segment's name (truncated, bit rot), fail to unpickle or carry another
+    format version."""
+    if f"{hashlib.sha256(data).hexdigest()}.pkl" != name:
+        return None
+    try:
+        version, entries = pickle.loads(data)
+    except Exception:
+        return None
+    if version != STORE_FORMAT_VERSION or not isinstance(entries, dict):
+        return None
+    return entries
+
+
+def _write_atomic(directory: Path, name: str, payload: bytes) -> bool:
+    directory.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp_name, directory / name)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
+    return True
 
 
 def content_digest(*parts) -> str:
@@ -292,17 +322,20 @@ def get_default_oracle_store() -> Optional[OracleStore]:
 
 
 def default_space_digest() -> str:
-    """Digest of the default platform's space plus the code fingerprint.
+    """Digest of the default platform's space, the code fingerprint and the
+    store format version.
 
     This is the key CI uses to cache the on-disk store between workflow
-    runs: whenever the platform parameters, the space enumeration or any
-    module the entries' semantics depend on changes, the digest — and with
-    it the cache key — changes.  Shard digests embed the same
-    :func:`code_fingerprint`, so a stale restored store could only produce
-    misses anyway; the key keeps the cache from accumulating dead shards.
+    runs: whenever the platform parameters, the space enumeration, any
+    module the entries' semantics depend on or the segment layout changes,
+    the digest — and with it the cache key — changes.  Table digests embed
+    the same :func:`code_fingerprint`, so a stale restored store could only
+    produce misses anyway; the key keeps CI from restoring files it can no
+    longer read and from accumulating dead tables.
     """
     from repro.soc.configuration import ConfigurationSpace
     from repro.soc.platform import odroid_xu3_like
 
     space = ConfigurationSpace(odroid_xu3_like())
-    return content_digest(space.cache_key(), code_fingerprint())
+    return content_digest(space.cache_key(), code_fingerprint(),
+                          STORE_FORMAT_VERSION)

@@ -55,12 +55,12 @@ class ExperimentSpec:
 
     ``uses_design_oracle`` marks experiments whose drivers train a framework
     on the design-time workload suite (and therefore run the exhaustive
-    training-snippet Oracle sweep); when an on-disk Oracle store is active,
-    the runner precomputes that sweep once in the parent before fanning the
-    seeds out to worker processes.  ``design_oracle_gating`` lists the
+    training-snippet Oracle sweep); when an on-disk Oracle store is active
+    and the seeds fan out to worker processes, the runner first runs each
+    seed's sweep across the worker pool.  ``design_oracle_gating`` lists the
     ``allow_core_gating`` framework variants the driver actually trains
     (the config-space ablation sweeps both the plain and the core-gated
-    space), so the parent warm covers every space the workers will sweep.
+    space), so the warm covers every space the seed runs will sweep.
     """
 
     name: str

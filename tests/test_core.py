@@ -86,7 +86,6 @@ class TestOracle:
     def test_oracle_table_accessors(self, oracle_table, short_trace):
         assert len(oracle_table) == len(short_trace)
         assert short_trace[0].name in oracle_table
-        assert oracle_table.storage_bytes() > 0
         with pytest.raises(KeyError):
             oracle_table.entry(SnippetTraceGenerator(seed=9).generate(
                 get_workload("sha").scaled(0.1))[0])

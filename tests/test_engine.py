@@ -1,7 +1,7 @@
 """Tests for the vectorized Oracle sweep and the experiment plumbing.
 
 Covers batch-vs-scalar Oracle sweep parity (bitwise), the
-:class:`~repro.core.oracle.OracleCache` hit/invalidation behaviour, the scale
+:class:`~repro.core.oracle.OracleCache` hit/miss behaviour, the scale
 registry, and the experiment registry / runner / CLI round-trips.
 """
 
@@ -124,7 +124,6 @@ class TestOracleCache:
         second = build_oracle(simulator, space, sweep_trace, ENERGY, cache=cache)
         assert cache.hits == len(sweep_trace)
         assert cache.misses == len(sweep_trace)
-        assert cache.hit_rate == pytest.approx(0.5)
         for name in first.entries:
             assert first.entries[name] is second.entries[name]
 
@@ -190,18 +189,6 @@ class TestOracleCache:
         # tables: nothing may be shared.
         assert cache.hits == 0
         assert len(cache) == 2 * len(sweep_trace)
-
-    def test_invalidation(self, simulator, space, sweep_trace):
-        cache = OracleCache()
-        build_oracle(simulator, space, sweep_trace, ENERGY, cache=cache)
-        removed = cache.invalidate_snippet(sweep_trace[0])
-        assert removed == 1
-        assert len(cache) == len(sweep_trace) - 1
-        build_oracle(simulator, space, sweep_trace, ENERGY, cache=cache)
-        # Only the invalidated snippet misses on the rebuild.
-        assert cache.misses == len(sweep_trace) + 1
-        cache.clear()
-        assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
 
     def test_framework_reuses_oracle_entries(self, trained_framework,
                                              sweep_trace):

@@ -246,25 +246,32 @@ class TestRunnerOracleStore:
                               oracle_store=tmp_path / "store") as parallel:
             parallel_run = parallel.run("table2")
         assert baseline == self._summaries(parallel_run)
-        # Workers found the parent-warmed design-oracle entries on disk.
+        # The pooled warm swept each seed's design oracle in a worker, and
+        # the seed runs found those entries on disk.
         for seed_run in parallel_run.seed_runs:
             assert seed_run.metadata["oracle_cache_store_hits"] > 0
 
     def test_warm_design_oracle_populates_store_and_is_idempotent(self,
                                                                   tmp_path):
+        from repro.core.oracle_store import OracleStore
         from repro.experiments.runner import ExperimentRunner
+
+        def stored_entries(store):
+            reader = OracleStore(store.root)
+            return sum(len(reader.table(table.name))
+                       for table in store.root.iterdir())
 
         with ExperimentRunner(scale=TINY, seeds=(0,),
                               oracle_store=tmp_path / "store") as runner:
             assert runner.warm_design_oracle(TINY, (0,)) == 1
-            populated = len(runner.oracle_store)
+            populated = stored_entries(runner.oracle_store)
             assert populated > 0
             assert runner.warm_design_oracle(TINY, (0,)) == 0
-            assert len(runner.oracle_store) == populated
+            assert stored_entries(runner.oracle_store) == populated
             # The core-gated variant is a separate (bigger) sweep.
             assert runner.warm_design_oracle(
                 TINY, (0,), gating_variants=(False, True)) == 1
-            assert len(runner.oracle_store) > populated
+            assert stored_entries(runner.oracle_store) > populated
         with ExperimentRunner(scale=TINY, seeds=(0,)) as storeless:
             assert storeless.warm_design_oracle(TINY, (0,)) == 0
 

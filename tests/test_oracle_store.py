@@ -2,14 +2,22 @@
 
 The :class:`~repro.core.oracle_store.OracleStore` must (a) hand back
 entries bitwise-equal to what the sweep computed, across processes and
-cache instances; (b) treat unreadable shards as misses and heal them by
-recomputation; (c) tolerate concurrent readers; and (d) — the property the
-golden traces rely on — never change any experiment result, enabled or not.
+cache instances; (b) skip unreadable segments, so their entries miss and
+are re-published; (c) tolerate concurrent readers; (d) — the property the
+golden traces rely on — never change any experiment result, enabled or
+not; and (e) cost one segment file and one objective digest per
+``build_oracle`` call, not one per entry.
 """
 
 from __future__ import annotations
 
+import builtins
+import hashlib
+import io
+import os
 import pickle
+import tempfile
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,12 +27,14 @@ from repro.core.objectives import EDP, ENERGY
 from repro.core.oracle import (
     OracleCache,
     build_oracle,
-    persistent_entry_digest,
     persistent_objective_key,
+    persistent_table_digest,
+    snippet_cache_key,
 )
 from repro.core.oracle_store import (
     OracleStore,
     STORE_FORMAT_VERSION,
+    code_fingerprint,
     content_digest,
     default_space_digest,
     get_default_oracle_store,
@@ -67,6 +77,28 @@ def simulator(platform):
     return SoCSimulator(platform, seed=5)
 
 
+def _segments(root):
+    """Every published segment file under a store root."""
+    return sorted(root.glob("*/*.pkl"))
+
+
+def _content_name(payload: bytes) -> str:
+    """The name a segment with these bytes is published under."""
+    return f"{hashlib.sha256(payload).hexdigest()}.pkl"
+
+
+def _stored_entries(root) -> int:
+    """Entries a fresh store finds across every table under ``root``."""
+    reader = OracleStore(root)
+    return sum(len(reader.table(table.name)) for table in root.iterdir())
+
+
+def _segment_entries(path):
+    version, entries = pickle.loads(path.read_bytes())
+    assert version == STORE_FORMAT_VERSION
+    return entries
+
+
 def _entries_equal(left, right) -> bool:
     return (
         left.snippet_name == right.snippet_name
@@ -87,7 +119,7 @@ class TestStoreRoundTrip:
         table = build_oracle(simulator, space, sweep_trace, ENERGY,
                              cache=warm_cache)
         assert warm_cache.store_misses == len(sweep_trace)
-        assert len(store) == len(sweep_trace)
+        assert _stored_entries(tmp_path / "store") == len(sweep_trace)
 
         cold_cache = OracleCache(store=OracleStore(tmp_path / "store"))
         reloaded = build_oracle(simulator, space, sweep_trace, ENERGY,
@@ -105,10 +137,11 @@ class TestStoreRoundTrip:
                                     cache=cache)
         edp_table = build_oracle(simulator, space, sweep_trace, EDP,
                                  cache=cache)
-        assert len(store) == 2 * len(sweep_trace)
+        assert _stored_entries(store.root) == 2 * len(sweep_trace)
+        assert len(list(store.root.iterdir())) == 2
         snippet = sweep_trace[0]
-        assert (persistent_entry_digest(snippet, space, ENERGY)
-                != persistent_entry_digest(snippet, space, EDP))
+        assert (persistent_table_digest(space, ENERGY)
+                != persistent_table_digest(space, EDP))
         assert energy_table.entries[snippet.name].best_cost != \
             edp_table.entries[snippet.name].best_cost
 
@@ -118,8 +151,8 @@ class TestStoreRoundTrip:
         store = OracleStore(tmp_path / "store")
         restricted = space.restrict(max_opp_index=1)
         snippet = sweep_trace[0]
-        assert (persistent_entry_digest(snippet, space, ENERGY)
-                != persistent_entry_digest(snippet, restricted, ENERGY))
+        assert (persistent_table_digest(space, ENERGY)
+                != persistent_table_digest(restricted, ENERGY))
         full_cache = OracleCache(store=store)
         build_oracle(simulator, space, [snippet], ENERGY, cache=full_cache)
         throttled_cache = OracleCache(store=store)
@@ -137,50 +170,120 @@ class TestStoreRoundTrip:
         assert (persistent_objective_key(ENERGY)
                 != persistent_objective_key(impostor_energy))
 
+    def test_one_store_serves_every_cache_in_a_process(self, tmp_path,
+                                                       simulator, space,
+                                                       sweep_trace):
+        """An entry another cache published is a store hit, not a sweep."""
+        store = OracleStore(tmp_path / "store")
+        build_oracle(simulator, space, sweep_trace, ENERGY,
+                     cache=OracleCache(store=store))
+        other = OracleCache(store=store)
+        build_oracle(simulator, space, sweep_trace, ENERGY, cache=other)
+        assert other.store_hits == len(sweep_trace)
+        assert other.store_misses == 0
+        assert len(_segments(store.root)) == 1
+
+    def test_later_calls_load_segments_published_since(self, tmp_path,
+                                                       simulator, space,
+                                                       sweep_trace):
+        """Each call re-lists the table, so a store that loaded it early
+        still sees what another store (another process) published later."""
+        root = tmp_path / "store"
+        early = OracleCache(store=OracleStore(root))
+        build_oracle(simulator, space, sweep_trace[:2], ENERGY, cache=early)
+        late = OracleCache(store=OracleStore(root))
+        build_oracle(simulator, space, sweep_trace, ENERGY, cache=late)
+        assert (late.store_hits, late.store_misses) == (2, len(sweep_trace) - 2)
+        build_oracle(simulator, space, sweep_trace, ENERGY, cache=early)
+        assert early.hits == 2
+        assert early.store_hits == len(sweep_trace) - 2
+        assert early.store_misses == 2  # its own first call only
+        assert len(_segments(root)) == 2
+
 
 class TestStoreRobustness:
-    def test_corrupt_shard_is_a_miss_and_heals(self, tmp_path, simulator,
-                                               space, sweep_trace):
-        store = OracleStore(tmp_path / "store")
-        cache = OracleCache(store=store)
-        build_oracle(simulator, space, sweep_trace, ENERGY, cache=cache)
-        shards = sorted((tmp_path / "store").glob("*/*.pkl"))
-        assert shards
-        shards[0].write_bytes(b"definitely not a pickle")
-        shards[1].write_bytes(pickle.dumps((STORE_FORMAT_VERSION, "x"))[:-5])
+    def _three_segments(self, root, simulator, space, sweep_trace):
+        """Build ``sweep_trace`` as three segments (2, 2 and 3 entries)."""
+        cache = OracleCache(store=OracleStore(root))
+        by_segment = []
+        for stop in (2, 4, len(sweep_trace)):
+            before = set(_segments(root))
+            build_oracle(simulator, space, sweep_trace[:stop], ENERGY,
+                         cache=cache)
+            (segment,) = set(_segments(root)) - before
+            by_segment.append(segment)
+        return by_segment
 
-        healing_cache = OracleCache(store=OracleStore(tmp_path / "store"))
+    def test_corrupt_segment_is_a_miss_and_heals(self, tmp_path, simulator,
+                                                 space, sweep_trace):
+        root = tmp_path / "store"
+        first, second, third = self._three_segments(root, simulator, space,
+                                                    sweep_trace)
+        assert len(_segment_entries(third)) == len(sweep_trace) - 4
+        first.write_bytes(b"definitely not a pickle")
+        second.write_bytes(second.read_bytes()[:-5])  # torn write
+
+        healing_cache = OracleCache(store=OracleStore(root))
         table = build_oracle(simulator, space, sweep_trace, ENERGY,
                              cache=healing_cache)
-        assert healing_cache.store_misses == 2
-        assert healing_cache.store_hits == len(sweep_trace) - 2
+        # Exactly the corrupt segments' entries missed and were re-swept.
+        assert healing_cache.store_misses == 4
+        assert healing_cache.store_hits == len(sweep_trace) - 4
         assert len(table.entries) == len(sweep_trace)
-        # The corrupt shards were rewritten with good payloads.
-        final_cache = OracleCache(store=OracleStore(tmp_path / "store"))
+        (healed,) = set(_segments(root)) - {first, second, third}
+        assert set(_segment_entries(healed)) == {
+            snippet_cache_key(snippet) for snippet in sweep_trace[:4]}
+        # The next run hits everything.
+        final_cache = OracleCache(store=OracleStore(root))
         build_oracle(simulator, space, sweep_trace, ENERGY, cache=final_cache)
         assert final_cache.store_hits == len(sweep_trace)
+        assert final_cache.store_misses == 0
+
+    def test_segment_whose_bytes_do_not_match_its_name_is_skipped(
+            self, tmp_path, simulator, space, sweep_trace):
+        """A well-formed payload under another segment's name (bit rot that
+        still unpickles) is skipped like a torn one."""
+        root = tmp_path / "store"
+        first, _, _ = self._three_segments(root, simulator, space,
+                                           sweep_trace)
+        entries = _segment_entries(first)
+        rotten = {key: entries[key] for key in list(entries)[:1]}
+        first.write_bytes(pickle.dumps((STORE_FORMAT_VERSION, rotten)))
+        cache = OracleCache(store=OracleStore(root))
+        build_oracle(simulator, space, sweep_trace, ENERGY, cache=cache)
+        assert cache.store_misses == 2
+        assert cache.store_hits == len(sweep_trace) - 2
 
     def test_version_mismatch_is_a_miss(self, tmp_path, simulator, space,
                                         sweep_trace):
-        store = OracleStore(tmp_path / "store")
-        cache = OracleCache(store=store)
+        root = tmp_path / "store"
+        build_oracle(simulator, space, [sweep_trace[0]], ENERGY,
+                     cache=OracleCache(store=OracleStore(root)))
+        (segment,) = _segments(root)
+        version, entries = pickle.loads(segment.read_bytes())
+        # Another version's writer publishes under its own content name.
+        payload = pickle.dumps((version + 1, entries))
+        segment.unlink()
+        (segment.parent / _content_name(payload)).write_bytes(payload)
+        digest = persistent_table_digest(space, ENERGY)
+        assert segment.parent.name == digest
+        assert OracleStore(root).table(digest) == {}
+        cache = OracleCache(store=OracleStore(root))
         build_oracle(simulator, space, [sweep_trace[0]], ENERGY, cache=cache)
-        shard = next((tmp_path / "store").glob("*/*.pkl"))
-        version, entry = pickle.loads(shard.read_bytes())
-        shard.write_bytes(pickle.dumps((version + 1, entry)))
-        assert OracleStore(tmp_path / "store").get(shard.stem) is None
+        assert (cache.store_hits, cache.store_misses) == (0, 1)
 
     def test_concurrent_readers_agree(self, tmp_path, simulator, space,
                                       sweep_trace):
         store_root = tmp_path / "store"
         build_oracle(simulator, space, sweep_trace, ENERGY,
                      cache=OracleCache(store=OracleStore(store_root)))
-        digests = [persistent_entry_digest(snippet, space, ENERGY)
-                   for snippet in sweep_trace]
+        digest = persistent_table_digest(space, ENERGY)
+        keys = [snippet_cache_key(snippet) for snippet in sweep_trace]
 
         def read_all(worker: int):
             reader = OracleStore(store_root)
-            return [reader.get(digest) for digest in digests]
+            table = reader.table(digest)
+            return [table.get(key) for key in keys]
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(read_all, range(8)))
@@ -190,30 +293,55 @@ class TestStoreRobustness:
             for left, right in zip(reference, other):
                 assert _entries_equal(left, right)
 
-    def test_missing_digest_is_a_miss(self, tmp_path):
+    def test_concurrent_writers_publish_whole_segments(self, tmp_path,
+                                                       platform, space,
+                                                       sweep_trace):
+        """Eight stores sweeping and publishing the same table at once
+        leave only whole segments, no temp file, and every entry."""
+        store_root = tmp_path / "store"
+
+        def sweep(worker: int):
+            simulator = SoCSimulator(platform, seed=worker)
+            return build_oracle(simulator, space, sweep_trace, ENERGY,
+                                cache=OracleCache(store=OracleStore(store_root)))
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            tables = list(pool.map(sweep, range(8)))
+        assert not list(store_root.glob("*/.*"))
+        reader = OracleStore(store_root)
+        stored = reader.table(persistent_table_digest(space, ENERGY))
+        assert len(stored) == len(sweep_trace)
+        for snippet in sweep_trace:
+            for table in tables:
+                assert _entries_equal(stored[snippet_cache_key(snippet)],
+                                      table.entries[snippet.name])
+
+    def test_missing_table_is_a_miss(self, tmp_path, simulator, space,
+                                     sweep_trace):
         store = OracleStore(tmp_path / "store")
-        assert store.get("0" * 64) is None
-        assert store.misses == 1 and store.hits == 0
-        assert store.hit_rate == 0.0
+        assert store.table("0" * 64) == {}
+        cache = OracleCache(store=store)
+        build_oracle(simulator, space, sweep_trace[:1], ENERGY, cache=cache)
+        assert cache.store_misses == 1 and cache.store_hits == 0
 
     def test_unwritable_store_degrades_instead_of_raising(self, tmp_path,
                                                           simulator, space,
                                                           sweep_trace):
         """A failing store write must never abort the run that computed
         the entry — the store is an optimisation tier, not a dependency."""
-        store = OracleStore(tmp_path / "store")
+        store = OracleStore(tmp_path / "store", backoff_s=0.0)
         snippet = sweep_trace[0]
-        digest = persistent_entry_digest(snippet, space, ENERGY)
-        # Occupy the shard's parent directory path with a plain file so
-        # mkdir/mkstemp inside put() raises OSError.
-        blocker = store.root / digest[:2]
+        # Occupy the table's directory path with a plain file so listing
+        # it, mkdir and mkstemp inside publish() raise OSError.
+        blocker = store.root / persistent_table_digest(space, ENERGY)
         blocker.write_text("not a directory")
         cache = OracleCache(store=store)
         table = build_oracle(simulator, space, [snippet], ENERGY, cache=cache)
         assert snippet.name in table.entries
         assert store.write_errors == 1
         # The entry still landed in the memory tier.
-        assert cache.lookup(snippet, space, ENERGY) is not None
+        build_oracle(simulator, space, [snippet], ENERGY, cache=cache)
+        assert (cache.hits, cache.misses) == (1, 1)
 
 
 class TestDefaultStoreAndDigests:
@@ -236,17 +364,25 @@ class TestDefaultStoreAndDigests:
         assert content_digest("ab") != content_digest("a", "b")
 
     def test_default_space_digest_matches_space_key(self, space):
-        from repro.core.oracle_store import code_fingerprint
-        assert default_space_digest() == content_digest(space.cache_key(),
-                                                        code_fingerprint())
+        assert default_space_digest() == content_digest(
+            space.cache_key(), code_fingerprint(), STORE_FORMAT_VERSION)
 
-    def test_shard_digest_embeds_code_fingerprint(self, space, sweep_trace,
-                                                  monkeypatch):
+    def test_default_space_digest_follows_store_format_version(
+            self, monkeypatch):
+        """CI keys its cached store by this digest: a layout change alone
+        must change the key, or CI restores files it can no longer read."""
+        import repro.core.oracle_store as store_module
+        before = default_space_digest()
+        monkeypatch.setattr(store_module, "STORE_FORMAT_VERSION",
+                            STORE_FORMAT_VERSION + 1)
+        assert default_space_digest() != before
+
+    def test_table_digest_embeds_code_fingerprint(self, space, monkeypatch):
         """Old-code stores must miss cleanly after a semantic code change."""
         import repro.core.oracle_store as store_module
-        before = persistent_entry_digest(sweep_trace[0], space, ENERGY)
+        before = persistent_table_digest(space, ENERGY)
         monkeypatch.setattr(store_module, "_CODE_FINGERPRINT", "different-code")
-        after = persistent_entry_digest(sweep_trace[0], space, ENERGY)
+        after = persistent_table_digest(space, ENERGY)
         assert before != after
 
     def test_parameterised_closures_do_not_alias(self):
@@ -305,28 +441,34 @@ class TestSpaceKeyMemo:
         workloads = training_workloads()
         return generator.generate(workloads[0]) + generator.generate(workloads[1])
 
-    def test_digest_bytes_equal_the_content_digest_formula(self, platform,
+    def test_digest_bytes_equal_the_content_digest_formula(self, tmp_path,
+                                                          platform, simulator,
                                                           long_trace):
-        from repro.core.oracle import snippet_cache_key
-        from repro.core.oracle_store import code_fingerprint
-
         default = ConfigurationSpace(platform)
         throttled = default.restrict(max_opp_indices={"big": 3, "little": 2})
         gated = ConfigurationSpace(platform, allow_core_gating=True)
         assert (len(default), len(gated)) == (48, 768)
         assert 0 < len(throttled) < len(default)
-        snippets = long_trace[:40]
-        checked = 0
+        digests = set()
         for space in (default, throttled, gated):
             for objective in (ENERGY, EDP):
-                for snippet in snippets:
-                    assert persistent_entry_digest(snippet, space, objective) \
-                        == content_digest(snippet_cache_key(snippet),
-                                          space.cache_key(),
-                                          persistent_objective_key(objective),
-                                          code_fingerprint())
-                    checked += 1
-        assert checked == 240
+                digest = persistent_table_digest(space, objective)
+                assert digest == content_digest(
+                    space.cache_key(), persistent_objective_key(objective),
+                    code_fingerprint())
+                digests.add(digest)
+        assert len(digests) == 6
+        # Inside a table, an entry is keyed by its snippet's content key.
+        snippets = long_trace[:40]
+        table = build_oracle(simulator, default, snippets, ENERGY,
+                             cache=OracleCache(store=OracleStore(tmp_path)))
+        (segment,) = _segments(tmp_path)
+        assert segment.parent.name == persistent_table_digest(default, ENERGY)
+        entries = _segment_entries(segment)
+        assert len(entries) == 40
+        for snippet in snippets:
+            assert _entries_equal(entries[snippet_cache_key(snippet)],
+                                  table.entries[snippet.name])
 
     def test_space_key_is_spelled_out_once_per_space(self, tmp_path,
                                                      platform, simulator,
@@ -354,6 +496,48 @@ class TestSpaceKeyMemo:
         build_oracle(simulator, space, snippets, ENERGY, cache=warm)
         assert warm.store_hits == 20
         assert calls["n"] == 0
+
+    def test_one_segment_and_one_objective_digest_per_build(
+            self, tmp_path, platform, simulator, long_trace, monkeypatch):
+        """A cold build of 20 snippets publishes one file and digests the
+        objective once; a warm build through a new store opens one file,
+        digests the objective once and creates no temp file."""
+        import repro.core.oracle as oracle_module
+
+        root = tmp_path / "store"
+        counts = Counter()
+
+        def counting(name, original, under_root=False):
+            def wrapper(*args, **kwargs):
+                if not under_root or str(args[0]).startswith(str(root)):
+                    counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(oracle_module, "persistent_objective_key",
+                            counting("objective_key",
+                                     persistent_objective_key))
+        monkeypatch.setattr(os, "replace", counting("replace", os.replace))
+        monkeypatch.setattr(tempfile, "mkstemp",
+                            counting("mkstemp", tempfile.mkstemp))
+        monkeypatch.setattr(builtins, "open",
+                            counting("open", builtins.open, under_root=True))
+        monkeypatch.setattr(io, "open",
+                            counting("open", io.open, under_root=True))
+
+        space = ConfigurationSpace(platform)
+        snippets = long_trace[:20]
+        cold = OracleCache(store=OracleStore(root))
+        build_oracle(simulator, space, snippets, ENERGY, cache=cold)
+        assert cold.store_misses == 20
+        assert counts == Counter(objective_key=1, replace=1, mkstemp=1)
+        assert len(_segments(root)) == 1
+
+        counts.clear()
+        warm = OracleCache(store=OracleStore(root))
+        build_oracle(simulator, space, snippets, ENERGY, cache=warm)
+        assert warm.store_hits == 20
+        assert counts == Counter(objective_key=1, open=1)
 
     def test_memo_adds_no_state_and_keeps_no_space_alive(self, tmp_path,
                                                          platform, simulator,
@@ -387,8 +571,10 @@ class TestDeterminismWithStore:
             run = framework.evaluate_policy(
                 policy, unseen_workloads()[0].scaled(TINY.eval_snippet_factor)
             )
+            cache = framework.oracle_cache
             return (run.total_energy_j, run.total_time_s, run.oracle_energy_j,
-                    framework.oracle_cache.stats())
+                    {"store_hits": cache.store_hits,
+                     "store_misses": cache.store_misses})
 
         baseline = run_once()
         set_default_oracle_store(tmp_path / "store")
@@ -406,67 +592,90 @@ class TestDeterminismWithStore:
 class TestStoreRetries:
     """Bounded retry-with-jitter over transient IO failures."""
 
-    def _store_with_entry(self, tmp_path, simulator, space, sweep_trace,
+    def _store_with_table(self, tmp_path, simulator, space, sweep_trace,
                           **kwargs):
-        seed_store = OracleStore(tmp_path / "store")
         build_oracle(simulator, space, sweep_trace[:1], ENERGY,
-                     cache=OracleCache(store=seed_store))
-        digest = persistent_entry_digest(sweep_trace[0], space, ENERGY)
-        return OracleStore(tmp_path / "store", **kwargs), digest
+                     cache=OracleCache(store=OracleStore(tmp_path / "store")))
+        return (OracleStore(tmp_path / "store", **kwargs),
+                persistent_table_digest(space, ENERGY))
 
-    def test_transient_get_failure_heals(self, tmp_path, simulator, space,
-                                         sweep_trace):
+    @pytest.mark.parametrize("op", ["list", "read"])
+    def test_transient_failure_heals(self, tmp_path, simulator, space,
+                                     sweep_trace, op):
         failures = {"remaining": 2}
 
-        def flaky(op, path):
-            if op == "get" and failures["remaining"] > 0:
+        def flaky(failing_op, path):
+            if failing_op == op and failures["remaining"] > 0:
                 failures["remaining"] -= 1
                 raise OSError("transient mount hiccup")
 
-        store, digest = self._store_with_entry(
+        store, _ = self._store_with_table(
             tmp_path, simulator, space, sweep_trace,
             max_retries=2, backoff_s=0.0, io_failure_hook=flaky,
         )
-        entry = store.get(digest)
-        assert entry is not None
+        cache = OracleCache(store=store)
+        table = build_oracle(simulator, space, sweep_trace[:1], ENERGY,
+                             cache=cache)
+        entry = table.entries[sweep_trace[0].name]
         assert entry.snippet_name == sweep_trace[0].name
         assert store.retries == 2
-        assert store.hits == 1 and store.misses == 0
+        assert cache.store_hits == 1 and cache.store_misses == 0
 
-    def test_exhausted_get_retries_degrade_to_miss(self, tmp_path, simulator,
-                                                   space, sweep_trace):
-        def always_fail(op, path):
-            raise OSError("persistent failure")
+    @pytest.mark.parametrize("op", ["list", "read"])
+    def test_exhausted_retries_degrade_to_miss(self, tmp_path, simulator,
+                                               space, sweep_trace, op):
+        def always_fail(failing_op, path):
+            if failing_op == op:
+                raise OSError("persistent failure")
 
-        store, digest = self._store_with_entry(
+        store, digest = self._store_with_table(
             tmp_path, simulator, space, sweep_trace,
             max_retries=2, backoff_s=0.0, io_failure_hook=always_fail,
         )
-        assert store.get(digest) is None
-        assert store.misses == 1
+        assert store.table(digest) == {}
         assert store.retries == 2  # bounded: never spins forever
+        cache = OracleCache(store=store)
+        build_oracle(simulator, space, sweep_trace[:1], ENERGY, cache=cache)
+        assert cache.store_misses == 1 and cache.store_hits == 0
 
-    def test_exhausted_put_retries_degrade_to_memory_only(self, tmp_path,
-                                                          simulator, space,
-                                                          sweep_trace):
+    def test_exhausted_write_retries_degrade_to_memory_only(self, tmp_path,
+                                                            simulator, space,
+                                                            sweep_trace):
         def always_fail(op, path):
             raise OSError("read-only filesystem")
 
-        store, digest = self._store_with_entry(
+        store, digest = self._store_with_table(
             tmp_path, simulator, space, sweep_trace,
             max_retries=1, backoff_s=0.0, io_failure_hook=always_fail,
         )
-        healthy = OracleStore(tmp_path / "store")
-        entry = healthy.get(digest)
-        assert store.put(digest, entry) is False
+        entries = OracleStore(tmp_path / "store").table(digest)
+        assert store.publish(digest, entries) is False
         assert store.write_errors == 1
         assert store.retries == 1
+        assert len(_segments(tmp_path / "store")) == 1
 
-    def test_missing_shard_is_a_clean_miss_without_retry(self, tmp_path):
+    def test_missing_table_is_a_clean_miss_without_retry(self, tmp_path,
+                                                         simulator, space,
+                                                         sweep_trace):
         store = OracleStore(tmp_path / "store", max_retries=3)
-        assert store.get("0" * 64) is None
+        assert store.table("0" * 64) == {}
+        cache = OracleCache(store=store)
+        build_oracle(simulator, space, sweep_trace[:1], ENERGY, cache=cache)
         assert store.retries == 0  # FileNotFoundError never retries
-        assert store.misses == 1
+        assert cache.store_misses == 1
+
+    def test_segment_removed_after_listing_is_a_miss_without_retry(
+            self, tmp_path, simulator, space, sweep_trace):
+        def remove_first(op, path):
+            if op == "read":
+                path.unlink()
+
+        store, digest = self._store_with_table(
+            tmp_path, simulator, space, sweep_trace,
+            max_retries=3, backoff_s=0.0, io_failure_hook=remove_first,
+        )
+        assert store.table(digest) == {}
+        assert store.retries == 0
 
     def test_backoff_jitter_is_seeded(self, tmp_path):
         left = OracleStore(tmp_path / "a", backoff_s=0.01, jitter_seed=42)
@@ -492,12 +701,12 @@ class TestStoreRetries:
                 raise OSError("hiccup")
 
         failures = {"remaining": 1}
-        store, digest = self._store_with_entry(
+        store, digest = self._store_with_table(
             tmp_path, simulator, space, sweep_trace,
             max_retries=1, backoff_s=0.0, io_failure_hook=flaky_once,
         )
         before = cache_stats_snapshot()["store_retries"]
-        assert store.get(digest) is not None
+        assert store.table(digest) != {}
         after = cache_stats_snapshot()["store_retries"]
         assert after - before == 1
 

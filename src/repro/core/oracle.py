@@ -68,9 +68,6 @@ class OracleTable:
     def best_configuration(self, snippet: Snippet) -> SoCConfiguration:
         return self.entry(snippet).best_configuration
 
-    def total_cost(self, snippets: Iterable[Snippet]) -> float:
-        return sum(self.entry(s).best_cost for s in snippets)
-
 
 class OraclePolicy(DRMPolicy):
     """Policy that plays back the per-snippet optimal configurations.

@@ -58,7 +58,7 @@ from repro.utils.records import RunLog
 
 #: Bump when the snapshot payload layout changes; old snapshots then fail
 #: to restore with a clear :class:`SnapshotError` instead of misbehaving.
-SNAPSHOT_FORMAT_VERSION = 5
+SNAPSHOT_FORMAT_VERSION = 6
 
 #: Leading magic of serialized snapshots (identifies the container format).
 _SNAPSHOT_MAGIC = b"RPSESNAP"
@@ -71,6 +71,21 @@ _NAN = float("nan")
 
 class SnapshotError(RuntimeError):
     """A serialized session snapshot failed verification or restore."""
+
+
+def _generator_state(rng: Optional[np.random.Generator]) -> Optional[dict]:
+    """The bit-generator state dict a snapshot stores for ``rng``."""
+    return None if rng is None else rng.bit_generator.state
+
+
+def _generator_from_state(state: Optional[dict]
+                          ) -> Optional[np.random.Generator]:
+    """The generator a :func:`_generator_state` dict describes."""
+    if state is None:
+        return None
+    bit_generator = getattr(np.random, state["bit_generator"])()
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
 
 
 def pack_states(states: Sequence[Dict[str, Any]]) -> bytes:
@@ -439,9 +454,12 @@ class PolicySession:
         many sessions (:func:`pack_states`) keeps a fleet's one space
         shared, so ``policy.space is session.space`` survives a restore.
 
-        ``rng`` overrides the stored noise generator.  A session adopted
-        for batched execution by the fleet engine has had its private
-        stream pre-drawn to the end of the trace; pass
+        The noise generator is stored as its bit-generator state dict
+        (``None`` without one), which pickles to a fraction of a
+        ``Generator``'s bytes; :meth:`restore` rebuilds the generator.
+        ``rng`` overrides that state.  A session adopted for batched
+        execution by the fleet engine has had its private stream
+        pre-drawn to the end of the trace; pass
         :meth:`~repro.fleet.engine.FleetEngine.sequential_rng_state` so
         the snapshot resumes with sequential-equivalent draws.
         """
@@ -451,7 +469,7 @@ class PolicySession:
             "trace_steps": self._trace_len,
             "policy": self.policy,
             "space": self.space,
-            "rng": self.rng if rng is _RNG_UNSET else rng,
+            "rng": _generator_state(self.rng) if rng is _RNG_UNSET else rng,
             "log": self.log,
             "total_energy_j": self.total_energy_j,
             "total_time_s": self.total_time_s,
@@ -513,7 +531,7 @@ class PolicySession:
             state["policy"],
             snippets,
             oracle_table=oracle_table,
-            rng=state["rng"],
+            rng=_generator_from_state(state["rng"]),
             reset_policy=False,
             space_schedule=space_schedule,
             name=state["name"],

@@ -472,36 +472,6 @@ class ExperimentRunner:
         except Exception:
             pass
 
-    def warm_design_oracle(self, scale: ExperimentScale,
-                           seeds: Sequence[SeedLike],
-                           gating_variants: Sequence[bool] = (False,)) -> int:
-        """Precompute the design-time Oracle sweep into the on-disk store.
-
-        Regenerates the training-workload snippet traces exactly as
-        ``train_offline`` would for each seed and sweeps them once per
-        requested ``allow_core_gating`` variant, writing the entries
-        through to the store.  Worker processes (and later invocations)
-        then hit the store instead of redundantly re-running the same
-        exhaustive sweep in every process.  A no-op without a store;
-        idempotent per ``(scale, seed, gating)``.  Returns the number of
-        (seed, variant) sweeps performed.
-        """
-        if self.oracle_store is None:
-            return 0
-        warmed = 0
-        for seed in seeds:
-            pending = tuple(
-                gating for gating in gating_variants
-                if (scale, seed, bool(gating)) not in self._warmed_design_oracles
-            )
-            if not pending:
-                continue
-            _warm_design_oracle_seed(scale, seed, pending, self.oracle_store)
-            for gating in pending:
-                self._warmed_design_oracles.add((scale, seed, bool(gating)))
-            warmed += 1
-        return warmed
-
     def _warm_design_oracle_pooled(self, scale: ExperimentScale,
                                    seeds: Sequence[SeedLike],
                                    gating_variants: Sequence[bool],

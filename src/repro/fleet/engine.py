@@ -82,6 +82,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet -> core)
 ResultTransform = Callable[[SnippetResult], SnippetResult]
 
 
+def _noise_draws(rng: np.random.Generator, noise_scale: float,
+                steps: int) -> np.ndarray:
+    """The scalar path's measurement-noise normals for ``steps`` steps.
+
+    Two normals per step (time then power), consumed in step order from
+    the session's own generator: the ``(steps, 2)`` block fills row-major
+    from the bit stream, so it consumes exactly what ``steps`` scalar
+    executions would.
+    """
+    return rng.normal(0.0, noise_scale, size=(steps, 2))
+
+
 class _ExecGroup:
     """Sessions sharing one simulator, with fleet-wide step tensors.
 
@@ -98,7 +110,7 @@ class _ExecGroup:
 
     __slots__ = ("simulator", "sessions", "fleet_rows", "chars", "noise",
                  "uniform_soa", "active_members", "active_rows",
-                 "active_fleet_rows", "initial_rng")
+                 "active_fleet_rows", "initial_rng", "trailing_rng")
 
     def __init__(self, simulator: SoCSimulator,
                  sessions: List[PolicySession],
@@ -108,10 +120,13 @@ class _ExecGroup:
         self.fleet_rows = fleet_rows
         # Generator state of each session *before* its noise stream is
         # pre-drawn below, keyed by the session's group row, with the step
-        # index the stream was positioned at.  FleetEngine
-        # .sequential_rng_state reconstructs the sequential-equivalent
-        # generator from it.
+        # index the stream was positioned at.
         self.initial_rng: Dict[int, Tuple[dict, int]] = {}
+        # Per pre-drawn row, a generator that sequential stepping would
+        # have left at the paired step: built from initial_rng the first
+        # time FleetEngine.sequential_rng_state needs it, then advanced
+        # only by the steps completed since.
+        self.trailing_rng: Dict[int, Tuple[np.random.Generator, int]] = {}
         spaces = {session.space.content_key() for session in sessions}
         self.uniform_soa = (sessions[0].space.soa_view()
                             if len(spaces) == 1 else None)
@@ -133,15 +148,12 @@ class _ExecGroup:
             remaining = len(session) - session.step_index
             if remaining <= 0:
                 continue
-            # Exactly the scalar path's per-step draws: two normals per
-            # step (time then power), consumed in step order from the
-            # session's own generator, exponentiated elementwise.
             start = session.step_index
             self.initial_rng[row] = (
                 session.rng.bit_generator.state, start
             )
             self.noise[row, start:start + remaining] = np.exp(
-                session.rng.normal(0.0, noise_scale, size=(remaining, 2))
+                _noise_draws(session.rng, noise_scale, remaining)
             )
 
     def refresh(self, live: AbstractSet[PolicySession]) -> None:
@@ -217,6 +229,9 @@ class FleetEngine:
         self._live_scalar_decide: List[PolicySession] = []
         self._decide_groups: List[_DecideGroup] = []
         self._exec_groups: List[_ExecGroup] = []
+        # Each batched-execute session's group and row in it (see
+        # _fleet_row on keying by the session object).
+        self._exec_slot: Dict[PolicySession, Tuple[_ExecGroup, int]] = {}
         self._scalar_execute: List[PolicySession] = []
         self._scalar_execute_rows: List[int] = []
         self._observe_groups: List[_ObserveGroup] = []
@@ -306,6 +321,10 @@ class FleetEngine:
                        [self._fleet_row[session] for session in members])
             for simulator, members in exec_groups.items()
         ]
+        self._exec_slot = {
+            session: (group, row) for group in self._exec_groups
+            for row, session in enumerate(group.sessions)
+        }
         self._observe_groups = [
             _ObserveGroup(members) for members in observe_groups.values()
             if len(members) >= 2
@@ -328,59 +347,71 @@ class FleetEngine:
         return [session for session in self.sessions
                 if not self._execute_batchable(session, rng_users)]
 
-    def sequential_rng_state(
+    def _sequential_rng(
         self, session: PolicySession
     ) -> Optional[np.random.Generator]:
-        """Generator positioned as sequential scalar stepping would leave it.
+        """``session``'s noise generator at its logical position.
+
+        A pre-drawn row's generator is built from the pre-draw-time state
+        the first time it is asked for, kept, and afterwards advanced only
+        by the draws of the steps completed since the previous call.
+        Scalar-execute rows, noise-free simulators and rows that had
+        finished when the engine was built were never pre-drawn: their
+        ``session.rng`` already is sequential.
+        """
+        self.prepare()
+        slot = self._exec_slot.get(session)
+        if slot is None:
+            return session.rng
+        group, row = slot
+        trailing = group.trailing_rng.get(row)
+        if trailing is not None:
+            rng, position = trailing
+        else:
+            initial = group.initial_rng.get(row)
+            if initial is None:
+                return session.rng
+            state, position = initial
+            bit_generator = type(session.rng.bit_generator)()
+            bit_generator.state = state
+            rng = np.random.Generator(bit_generator)
+        if session._cursor > position:
+            _noise_draws(rng, group.simulator.noise_scale,
+                         session._cursor - position)
+        group.trailing_rng[row] = (rng, session._cursor)
+        return rng
+
+    def sequential_rng_state(self, session: PolicySession) -> Optional[dict]:
+        """Bit-generator state sequential scalar stepping would leave.
 
         Adopting a session for batched execution pre-draws its private
         noise stream for the whole remaining trace at :meth:`prepare`, so
         ``session.rng`` no longer reflects the session's *logical*
-        position.  For snapshotting an engine-resident session, this
-        rebuilds an equivalent generator: the pre-draw-time state is
-        restored into a fresh bit generator and exactly the draws of the
-        completed steps (two normals each, the scalar order) are consumed.
-        Scalar-execute and noise-free sessions return ``session.rng``
-        unchanged — their stream already is sequential.
+        position.  This is the state of an equivalent generator, which
+        the engine keeps per row between calls, so a call costs the draws
+        of the steps completed since the previous one.  Pass it to
+        :meth:`~repro.core.session.PolicySession.snapshot_state`.
+        ``None`` for a session without a generator.
         """
-        self.prepare()
-        for group in self._exec_groups:
-            row = next((r for r, member in enumerate(group.sessions)
-                        if member is session), None)
-            if row is None:
-                continue
-            entry = group.initial_rng.get(row)
-            if entry is None:  # noise-free simulator: stream never touched
-                return session.rng
-            state, start = entry
-            bit_generator = type(session.rng.bit_generator)()
-            bit_generator.state = state
-            rng = np.random.Generator(bit_generator)
-            consumed = session._cursor - start
-            if consumed > 0:
-                # Same prefix consumption as the pre-draw (numpy fills the
-                # output sequentially from the bit stream), so the rebuilt
-                # generator sits exactly after the observed steps' draws.
-                rng.normal(0.0, group.simulator.noise_scale,
-                           size=(consumed, 2))
-            return rng
-        return session.rng
+        rng = self._sequential_rng(session)
+        return None if rng is None else rng.bit_generator.state
 
     def release_sessions(self) -> List[PolicySession]:
         """Detach every session with a sequential-equivalent noise stream.
 
         Adopted sessions had their private generators pre-drawn to the end
-        of the trace at :meth:`prepare`; this resets each ``session.rng``
-        to :meth:`sequential_rng_state` so the sessions can be handed to a
-        *new* engine (or driven scalar) and continue bitwise identically
-        to an uninterrupted sequential run.  The supervisor uses this to
-        rebuild the engine after a snapshot restore or a policy swap.
-        This engine must be discarded afterwards — its pre-drawn
-        tensors no longer own the sessions' streams.
+        of the trace at :meth:`prepare`; this hands each session the
+        generator :meth:`sequential_rng_state` describes, so the sessions
+        can be handed to a *new* engine (or driven scalar) and continue
+        bitwise identically to an uninterrupted sequential run.  The
+        supervisor uses this to rebuild the engine after a snapshot
+        restore or a policy swap.  This engine must be discarded
+        afterwards — its pre-drawn tensors no longer own the sessions'
+        streams.
         """
         self.prepare()
         for session in self.sessions:
-            session.rng = self.sequential_rng_state(session)
+            session.rng = self._sequential_rng(session)
         return self.sessions
 
     # ------------------------------------------------------------------ #

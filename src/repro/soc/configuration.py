@@ -202,6 +202,20 @@ class ConfigurationSpace:
                                         Tuple[np.ndarray, np.ndarray]] = {}
         self._clamp_cache: Dict[SoCConfiguration, SoCConfiguration] = {}
 
+    def __reduce__(self):
+        """Pickle the constructor state only.
+
+        The configurations, their index and every memo (restrictions,
+        struct-of-arrays views, neighbour tables, clamps) derive from it:
+        the configurations are enumerated again on unpickling and the
+        memos rebuild on first use, so a used space pickles to the same
+        bytes as a fresh one.
+        """
+        return (type(self), (self.platform, self.allow_core_gating,
+                             self.min_active_cores,
+                             sorted(self.gated_clusters),
+                             dict(self.max_opp_indices)))
+
     def _max_opp_index(self, cluster: str) -> int:
         """Highest reachable OPP index of ``cluster`` under the active caps."""
         top = len(self.platform.clusters[cluster].opps) - 1

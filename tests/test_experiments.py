@@ -251,8 +251,14 @@ class TestRunnerOracleStore:
         for seed_run in parallel_run.seed_runs:
             assert seed_run.metadata["oracle_cache_store_hits"] > 0
 
-    def test_warm_design_oracle_populates_store_and_is_idempotent(self,
-                                                                  tmp_path):
+    def test_design_oracle_warm_populates_store_and_is_idempotent(
+            self, tmp_path, monkeypatch):
+        """A pooled run warms each (seed, gating) sweep once, through
+        ``_warm_design_oracle_seed``, and only with a store; warming a
+        warm store adds no entry, and the core-gated variant is a
+        separate, bigger sweep.  The pool's ``map`` runs in-process and
+        the seed runs themselves are stubbed out."""
+        import repro.experiments.runner as runner_module
         from repro.core.oracle_store import OracleStore
         from repro.experiments.runner import ExperimentRunner
 
@@ -261,19 +267,39 @@ class TestRunnerOracleStore:
             return sum(len(reader.table(table.name))
                        for table in store.root.iterdir())
 
-        with ExperimentRunner(scale=TINY, seeds=(0,),
+        warm = runner_module._warm_design_oracle_seed
+        warmed = []
+
+        def recording_warm(scale, seed, gating_variants, store):
+            warmed.append((seed, tuple(gating_variants)))
+            warm(scale, seed, gating_variants, store)
+
+        class InProcessPool:
+            def map(self, function, tasks):
+                return [function(task) for task in tasks]
+
+        monkeypatch.setattr(runner_module, "_warm_design_oracle_seed",
+                            recording_warm)
+        monkeypatch.setattr(runner_module, "_pooled_seed_run",
+                            lambda task: task[2])
+        monkeypatch.setattr(ExperimentRunner, "_ensure_executor",
+                            lambda self, workers: InProcessPool())
+        with ExperimentRunner(scale=TINY, seeds=(0, 1), jobs=2) as storeless:
+            storeless.run("table2")
+        assert warmed == []
+        with ExperimentRunner(scale=TINY, seeds=(0, 1), jobs=2,
                               oracle_store=tmp_path / "store") as runner:
-            assert runner.warm_design_oracle(TINY, (0,)) == 1
+            runner.run("table2")
+            assert warmed == [(0, (False,)), (1, (False,))]
             populated = stored_entries(runner.oracle_store)
             assert populated > 0
-            assert runner.warm_design_oracle(TINY, (0,)) == 0
+            runner.run("figure3")
+            assert len(warmed) == 2
+            warm(TINY, 0, (False,), runner.oracle_store)
             assert stored_entries(runner.oracle_store) == populated
-            # The core-gated variant is a separate (bigger) sweep.
-            assert runner.warm_design_oracle(
-                TINY, (0,), gating_variants=(False, True)) == 1
+            runner.run("ablation-config-space")
+            assert warmed[2:] == [(0, (True,)), (1, (True,))]
             assert stored_entries(runner.oracle_store) > populated
-        with ExperimentRunner(scale=TINY, seeds=(0,)) as storeless:
-            assert storeless.warm_design_oracle(TINY, (0,)) == 0
 
     def test_config_space_ablation_warms_both_gating_variants(self):
         from repro.experiments.runner import get_experiment

@@ -22,8 +22,9 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.fleet.engine as engine_module
 from repro.control.policy import GovernorPolicy
-from repro.core.session import PolicySession
+from repro.core.session import PolicySession, pack_states
 from repro.fleet import (
     CounterDropout,
     DeviceCrash,
@@ -31,6 +32,7 @@ from repro.fleet import (
     DeviceSpec,
     FaultPlan,
     FleetBuildWarning,
+    FleetEngine,
     FleetSupervisor,
     SnapshotRestart,
     StragglerStall,
@@ -42,6 +44,7 @@ from repro.fleet import (
 from repro.scenarios import get_scenario
 from repro.soc.governors import (OndemandGovernor, PerformanceGovernor,
                                  PowersaveGovernor)
+from repro.soc.simulator import SoCSimulator
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import training_workloads
 
@@ -451,23 +454,143 @@ class TestBuildFleetWarnings:
 # --------------------------------------------------------------------- #
 # Engine RNG reconstruction (snapshotting batched sessions)
 # --------------------------------------------------------------------- #
+class _ScalarOnlySimulator(SoCSimulator):
+    """Overrides ``run_snippet``, so its sessions execute scalar."""
+
+    def run_snippet(self, *args, **kwargs):
+        return super().run_snippet(*args, **kwargs)
+
+
+def ragged_devices(space):
+    """Fresh governor fleet whose traces are 7, 24, 7 and 24 steps."""
+    return [
+        DeviceSpec(
+            name=f"dev{i}",
+            policy=GovernorPolicy(OndemandGovernor(space)),
+            snippets=make_trace(i, factor=0.3 if i % 2 == 0 else 1.0),
+            seed=10 + i,
+        )
+        for i in range(4)
+    ]
+
+
 class TestSequentialRngState:
+    """A session snapshotted out of an engine, whose private generator was
+    pre-drawn for the whole trace, resumes bitwise equal to the sequential
+    reference: same log, and the same generator state at the end."""
+
+    @staticmethod
+    def _references(devices, simulator, space):
+        return [device_session(device, simulator, space)
+                for device in devices]
+
+    @staticmethod
+    def _assert_resumes(engine, session, simulator, reference):
+        state = engine.sequential_rng_state(session)
+        assert isinstance(state, dict)
+        restored = PolicySession.restore(
+            session.snapshot_bytes(rng=state), simulator, session.snippets)
+        assert restored.step_index == session.step_index
+        resumed = restored.run()
+        if not reference.done:
+            reference.run()
+        assert_logs_equal(reference.result(), resumed)
+        assert (restored.rng.bit_generator.state
+                == reference.rng.bit_generator.state)
+
     def test_snapshot_of_batched_session_resumes_scalar_bitwise(
             self, noisy_simulator, space):
-        """A session snapshotted out of a running engine — whose private rng
-        was pre-drawn for the whole trace — resumes scalar, bitwise equal to
-        the sequential reference."""
         sequential = device_session(governor_devices(space)[1],
-                                    noisy_simulator, space).run()
+                                    noisy_simulator, space)
         engine = build_fleet(governor_devices(space), noisy_simulator, space)
         for _ in range(3):
             engine.step()
+        self._assert_resumes(engine, engine.sessions[1], noisy_simulator,
+                             sequential)
+
+    def test_successive_snapshots_of_one_engine(self, noisy_simulator,
+                                                space):
+        """The engine keeps each row's generator between snapshots: one
+        taken at cursors 3, 7, 7 and 12 resumes bitwise every time."""
+        engine = build_fleet(ragged_devices(space), noisy_simulator, space)
         session = engine.sessions[1]
-        data = session.snapshot_bytes(
-            rng=engine.sequential_rng_state(session)
-        )
-        restored = PolicySession.restore(data, noisy_simulator,
-                                         session.snippets)
-        assert restored.step_index == 3
-        resumed = restored.run()
-        assert_logs_equal(sequential, resumed)
+        for cursor in (3, 7, 7, 12):
+            while session.step_index < cursor:
+                engine.step()
+            assert session.step_index == cursor
+            reference = device_session(ragged_devices(space)[1],
+                                       noisy_simulator, space)
+            self._assert_resumes(engine, session, noisy_simulator,
+                                 reference)
+
+    def test_row_finished_before_its_engine_was_built(self, noisy_simulator,
+                                                      space):
+        """Rows 0 and 2 finish, the engine is rebuilt around them, and
+        every row of the new engine snapshots and resumes bitwise."""
+        engine = build_fleet(ragged_devices(space), noisy_simulator, space)
+        while not engine.sessions[0].done:
+            engine.step()
+        engine.step()
+        rebuilt = FleetEngine(engine.release_sessions())
+        rebuilt.step()
+        assert [s.done for s in rebuilt.sessions] == [True, False] * 2
+        references = self._references(ragged_devices(space),
+                                      noisy_simulator, space)
+        for session, reference in zip(rebuilt.sessions, references):
+            self._assert_resumes(rebuilt, session, noisy_simulator,
+                                 reference)
+
+    def test_noise_free_simulator(self, simulator, space):
+        engine = build_fleet(ragged_devices(space), simulator, space)
+        for _ in range(5):
+            engine.step()
+        references = self._references(ragged_devices(space), simulator,
+                                      space)
+        for session, reference in zip(engine.sessions, references):
+            self._assert_resumes(engine, session, simulator, reference)
+
+    def test_scalar_execute_session(self, noisy_simulator, space, platform):
+        """A row on a simulator the kernel cannot run keeps its own,
+        already sequential generator beside batched rows."""
+        scalar = _ScalarOnlySimulator(platform, noise_scale=0.02, seed=0)
+        devices = ragged_devices(space)
+        sessions = [device_session(device,
+                                   scalar if i == 1 else noisy_simulator,
+                                   space)
+                    for i, device in enumerate(devices)]
+        engine = FleetEngine(sessions)
+        assert engine.execute_fallback_sessions() == [sessions[1]]
+        for _ in range(3):
+            engine.step()
+        reference = device_session(ragged_devices(space)[1], scalar, space)
+        self._assert_resumes(engine, sessions[1], scalar, reference)
+
+    def test_snapshot_draws_cover_each_step_once(self, noisy_simulator,
+                                                 space, monkeypatch):
+        """Snapshotting every row every second round, and once more at the
+        end, replays each row's completed steps exactly once in total."""
+        engine = build_fleet(ragged_devices(space), noisy_simulator, space)
+        engine.prepare()
+        replayed = []
+        draw = engine_module._noise_draws
+
+        def counting_draw(rng, noise_scale, steps):
+            replayed.append(steps)
+            return draw(rng, noise_scale, steps)
+
+        monkeypatch.setattr(engine_module, "_noise_draws", counting_draw)
+
+        def snapshot():
+            pack_states([session.snapshot_state(
+                rng=engine.sequential_rng_state(session))
+                for session in engine.sessions])
+
+        rounds = 0
+        while not engine.done:
+            engine.step()
+            rounds += 1
+            if rounds % 2 == 0:
+                snapshot()
+        snapshot()
+        assert rounds == 24
+        assert sum(replayed) == sum(len(s) for s in engine.sessions) == 62

@@ -196,6 +196,31 @@ class TestRecoveryInvariant:
         assert recovered.digests() == reference.digests()
 
 
+    def test_set_policy_after_short_devices_finished_recovers(
+            self, tmp_path):
+        """A ragged fleet (84- and 108-step traces) gets a ``set-policy``
+        after its short devices finished, so the rebuilt engine holds
+        finished rows; killed after the next rotation, the run recovers
+        from that rotation to the uninterrupted run's digests and health."""
+        config = RunConfig(policy="ondemand", n_devices=4, seed=7,
+                           snapshot_every=5, scenarios=("bursty_idle",))
+        script = {90: DispatchCommand(command="set-policy",
+                                      device="device-01", value="powersave",
+                                      idempotency_key="late-swap")}
+        reference = _run_reference(config=config, script=script)
+        run = ServiceRun.start(config=config, journal_dir=tmp_path)
+        _drive(run, script=dict(script), stop_at=96)
+        assert [session.done for session in run.supervisor.sessions] \
+            == [True, False, True, False]
+        del run
+        recovered = ServiceRun.recover(tmp_path)
+        assert recovered.rounds == 95
+        _drive(recovered, script=dict(script))
+        assert recovered.digests() == reference.digests()
+        assert (recovered.supervisor.health_map()
+                == reference.supervisor.health_map())
+
+
 class TestFaultedRunRecovery:
     """kill -9 before and after an injected fault on a journaled run."""
 

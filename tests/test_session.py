@@ -388,14 +388,14 @@ class TestStateOnlySnapshots:
             PolicySession.restore(data, noisy_simulator,
                                   snippet_trace + snippet_trace[:1])
 
-    def test_restore_refuses_a_version_4_payload(self, noisy_simulator,
+    def test_restore_refuses_a_version_5_payload(self, noisy_simulator,
                                                  space, snippet_trace):
         session = PolicySession(noisy_simulator, space, StaticPolicy(space),
                                 snippet_trace, rng=np.random.default_rng(1))
         session.advance()
         state = session.snapshot_state()
-        state["version"] = 4
-        with pytest.raises(SnapshotError, match="version 5"):
+        state["version"] = 5
+        with pytest.raises(SnapshotError, match="version 6"):
             PolicySession.restore(pack_states([state]), noisy_simulator,
                                   snippet_trace)
 

@@ -1,5 +1,7 @@
 """Tests for the SoC substrate: OPPs, clusters, configurations, simulator, governors."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +157,54 @@ class TestConfigurationSpace:
         space = ConfigurationSpace(platform)
         config = space.default_configuration()
         assert config in space.neighbors(config, radius=radius)
+
+
+class TestConfigurationSpacePickling:
+    """A space pickles its constructor state, never its derived caches."""
+
+    @staticmethod
+    def _use(space):
+        space.soa_view()
+        space.batch_index_arrays()
+        space.restrict(max_opp_index=2)
+        space.neighborhood_table()
+        space.neighborhood_view(0)
+        space.clamp(space[len(space) - 1])
+        space.opp_lookup_table()
+        space.default_index()
+        space.cache_key()
+        space.content_key()
+
+    @pytest.mark.parametrize("options", [
+        {},
+        {"max_opp_indices": {"big": 4}},
+        {"allow_core_gating": True, "gated_clusters": ("big",),
+         "min_active_cores": 2},
+    ], ids=["full", "restricted", "core-gated"])
+    def test_used_space_pickles_like_a_fresh_one(self, platform, options):
+        fresh = ConfigurationSpace(platform, **options)
+        used = ConfigurationSpace(platform, **options)
+        self._use(used)
+        data = pickle.dumps(used, protocol=pickle.HIGHEST_PROTOCOL)
+        assert data == pickle.dumps(fresh, protocol=pickle.HIGHEST_PROTOCOL)
+        copy = pickle.loads(data)
+        assert copy.content_key() == used.content_key()
+        assert copy.cache_key() == used.cache_key()
+        assert copy.configurations == used.configurations
+        assert copy.gated_clusters == used.gated_clusters
+        assert copy.max_opp_indices == used.max_opp_indices
+        self._use(copy)
+
+    def test_restricted_space_round_trips(self, space):
+        restricted = space.restrict(max_opp_indices={"big": 3, "little": 2})
+        copy = pickle.loads(pickle.dumps(restricted))
+        assert copy.cache_key() == restricted.cache_key()
+        assert copy.configurations == restricted.configurations
+        assert copy.restrict(max_opp_indices={"big": 3, "little": 2}) is copy
+
+    def test_shared_space_stays_shared(self, space):
+        first, second = pickle.loads(pickle.dumps([space, space]))
+        assert first is second
 
 
 class TestCounters:

@@ -1,9 +1,13 @@
 """Tests for the workload specifications, generators, suites and sequences."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scalar_reference.trace_generator_loop import ScalarSnippetTraceGenerator
 
+import repro.workloads.sequences as sequences
 from repro.soc.snippet import SnippetCharacteristics
 from repro.workloads import (
     ALL_CPU_APPS,
@@ -113,6 +117,104 @@ class TestTraceGenerator:
             assert 0.0 <= chars.memory_access_rate <= 1.0
             assert chars.memory_intensity >= 0.0
             assert 0.0 < chars.ilp_factor <= 1.0
+
+
+_FLOAT_FIELDS = ("memory_intensity", "memory_access_rate",
+                 "external_request_rate", "branch_misprediction_mpki",
+                 "ilp_factor", "parallel_fraction", "big_fraction")
+
+
+def _trace_bits(trace):
+    """Every field of every snippet, floats as their IEEE-754 bytes."""
+    return [
+        (snippet.application, snippet.index, snippet.n_instructions,
+         snippet.characteristics.thread_count,
+         tuple(struct.pack("<d", getattr(snippet.characteristics, name))
+               for name in _FLOAT_FIELDS))
+        for snippet in trace
+    ]
+
+
+def _assert_matches_loop(generate, specs, seed):
+    """``generate(generator, specs, rng)`` through the production generator
+    and the per-snippet loop: same snippets bit for bit, same generator
+    state afterwards."""
+    rng = np.random.default_rng(seed)
+    reference_rng = np.random.default_rng(seed)
+    trace = generate(SnippetTraceGenerator(), specs, rng)
+    reference = generate(ScalarSnippetTraceGenerator(), specs, reference_rng)
+    assert _trace_bits(trace) == _trace_bits(reference)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def _generate_each(generator, specs, rng):
+    return [snippet for spec in specs
+            for snippet in generator.generate(spec, rng=rng)]
+
+
+def _generate_many(generator, specs, rng):
+    return generator.generate_many(specs, rng=rng)
+
+
+class TestGeneratorMatchesScalarLoop:
+    """One normal block per phase == five scalar draws per snippet
+    (``tests/scalar_reference/trace_generator_loop.py``), byte for byte."""
+
+    @pytest.mark.parametrize("factor", [0.3, 1.0, 1.2, 2.5])
+    @pytest.mark.parametrize("suite", [training_workloads, unseen_workloads])
+    def test_suites_match_over_seeds(self, suite, factor):
+        specs = [spec.scaled(factor) for spec in suite()]
+        for seed in range(50):
+            generate = _generate_many if seed % 2 else _generate_each
+            _assert_matches_loop(generate, specs, seed)
+
+    def test_online_sequences_match(self, monkeypatch):
+        def sequence(seed):
+            return build_online_sequence(specs=unseen_workloads(),
+                                         snippet_factor=0.3, seed=seed)
+
+        traces = [sequence(seed).snippets for seed in range(20)]
+        monkeypatch.setattr(sequences, "SnippetTraceGenerator",
+                            ScalarSnippetTraceGenerator)
+        for seed, trace in enumerate(traces):
+            assert _trace_bits(trace) == _trace_bits(sequence(seed).snippets)
+
+    def test_clipping_at_the_bounds_matches(self):
+        """Means on the clip bounds clip half the draws, and -0.0 and NaN
+        means resolve as the scalar ``max``/``min`` do (a -0.0 rate stays
+        -0.0, a -0.0 or NaN MPKI floors to 0.0)."""
+        edge = SnippetCharacteristics(
+            memory_intensity=-0.0, memory_access_rate=1.0,
+            external_request_rate=-0.0, branch_misprediction_mpki=0.0,
+            ilp_factor=0.05, parallel_fraction=1.0, big_fraction=-0.0,
+        )
+        unknown = SnippetCharacteristics(
+            memory_intensity=float("nan"),
+            branch_misprediction_mpki=float("nan"),
+        )
+        spec = WorkloadSpec(name="edge", suite="test", phases=(
+            WorkloadPhase(edge, n_snippets=40, jitter=0.3),
+            WorkloadPhase(unknown, n_snippets=5, jitter=0.3),
+            WorkloadPhase(edge, n_snippets=3, jitter=0.0),
+        ))
+        for seed in range(10):
+            _assert_matches_loop(_generate_each, [spec], seed)
+
+    def test_zero_jitter_phase_draws_nothing(self):
+        still = WorkloadPhase(SnippetCharacteristics(memory_intensity=3.0),
+                              n_snippets=4, jitter=0.0)
+        moving = WorkloadPhase(SnippetCharacteristics(), n_snippets=3,
+                               jitter=0.1)
+        quiet = WorkloadSpec(name="quiet", suite="test", phases=(still,))
+        rng = np.random.default_rng(9)
+        before = rng.bit_generator.state
+        trace = SnippetTraceGenerator().generate(quiet, rng=rng)
+        assert rng.bit_generator.state == before
+        assert {s.characteristics.memory_intensity for s in trace} == {3.0}
+        mixed = WorkloadSpec(name="mixed", suite="test",
+                             phases=(moving, still, moving))
+        for seed in range(10):
+            _assert_matches_loop(_generate_many, [mixed, quiet], seed)
 
 
 class TestSuites:

@@ -21,10 +21,11 @@ class Objective:
     """A named, lower-is-better cost over snippet execution results.
 
     ``vector_cost``, when provided, evaluates the cost over a whole
-    :class:`~repro.soc.simulator.SoCBatchResult` in one array operation; the
+    :class:`~repro.soc.simulator.SoCBatchResult` sweep in one array
+    operation, returning its ``(snippets, configurations)`` costs; the
     built-in objectives all define it, which is what lets the Oracle sweep
     run vectorized.  Objectives without a vector form still work everywhere —
-    :meth:`batch_cost` falls back to materialising per-configuration results.
+    :meth:`batch_cost` falls back to materialising per-pair results.
     """
 
     name: str
@@ -36,11 +37,20 @@ class Objective:
         return float(self.cost(result))
 
     def batch_cost(self, batch: SoCBatchResult) -> np.ndarray:
-        """Cost of every configuration in a batch sweep (lower is better)."""
+        """Cost of every (snippet, configuration) pair of a sweep.
+
+        Returns a ``(snippets, configurations)`` array, lower is better.
+        Without ``vector_cost`` each configuration column is materialised
+        as one lane batch and costed result by result.
+        """
         if self.vector_cost is not None:
             return np.asarray(self.vector_cost(batch), dtype=float)
-        return np.array([self(batch.result_at(i)) for i in range(len(batch))],
-                        dtype=float)
+        rows, columns = batch.shape
+        return np.array([
+            [self(result)
+             for result in batch.take(np.full(rows, column)).lane_results()]
+            for column in range(columns)
+        ], dtype=float).T
 
 
 def _energy(result: SnippetResult) -> float:

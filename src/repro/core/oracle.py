@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -291,26 +291,36 @@ class OracleCache:
                objective: Objective) -> OracleTable:
         """:func:`build_oracle` through this cache.
 
-        Each snippet is looked up in memory, then in the store's table
-        (fetched on the first memory miss of the call), and swept if both
-        miss; every lookup counts one memory hit or miss and every memory
-        miss one store hit or miss.  The swept entries are published to the
-        store as one segment when the call ends.
+        Each snippet's content key is looked up in memory, then in the
+        store's table (fetched on the first memory miss of the call).  The
+        first occurrence of every key that misses both is swept, all of
+        them in the passes of one :func:`_sweep`.  A key's first lookup in
+        the call counts one memory hit or miss, and each memory miss one
+        store hit or miss; a repeat of a key within the call counts a
+        memory hit and shares the first occurrence's entry.  The swept
+        entries are published to the store as one segment when the call
+        ends.
         """
         space_text = space_cache_key(space)
         objective_key = objective_cache_key(objective)
-        table = OracleTable(objective_name=objective.name)
         table_digest: Optional[str] = None
         stored: Dict[SnippetKey, OracleEntry] = {}
-        swept: Dict[SnippetKey, OracleEntry] = {}
+        order: List[Tuple[str, SnippetKey]] = []
+        found: Dict[SnippetKey, Optional[OracleEntry]] = {}
+        fetched: List[SnippetKey] = []
+        missing: Dict[SnippetKey, Snippet] = {}
         for snippet in snippets:
             snippet_key = snippet_cache_key(snippet)
-            key = (snippet_key, space_text, objective_key)
-            entry = self._entries.get(key)
+            order.append((snippet.name, snippet_key))
+            if snippet_key in found:
+                self._count("hits")
+                continue
+            entry = self._entries.get((snippet_key, space_text, objective_key))
             if entry is not None:
                 self._count("hits")
             else:
                 self._count("misses")
+                fetched.append(snippet_key)
                 if self.store_backend is not None:
                     if table_digest is None:
                         table_digest = persistent_table_digest(space,
@@ -320,33 +330,58 @@ class OracleCache:
                     self._count("store_misses" if entry is None
                                 else "store_hits")
                 if entry is None:
-                    entry = _best_entry(simulator, space, snippet, objective)
-                    swept[snippet_key] = entry
-                self._entries[key] = entry
-            table.entries[snippet.name] = entry
+                    missing[snippet_key] = snippet
+            found[snippet_key] = entry
+        swept = dict(zip(missing, _sweep(simulator, space,
+                                         list(missing.values()), objective)))
+        found.update(swept)
+        for snippet_key in fetched:
+            self._entries[(snippet_key, space_text, objective_key)] = (
+                found[snippet_key])
+        table = OracleTable(objective_name=objective.name)
+        for name, snippet_key in order:
+            table.entries[name] = found[snippet_key]
         if swept and table_digest is not None:
             self.store_backend.publish(table_digest, swept)
         return table
 
 
-def _best_entry(
-    simulator: SoCSimulator,
-    space: ConfigurationSpace,
-    snippet: Snippet,
-    objective: Objective,
-) -> OracleEntry:
-    """Sweep one snippet over the space and return its minimising entry."""
-    batch = simulator.evaluate_expected_batch(snippet, space)
-    costs = objective.batch_cost(batch)
-    # np.argmin returns the first minimum, matching the per-configuration
-    # loop's strict `cost < best_cost` tie-breaking.
-    best_index = int(np.argmin(costs))
-    return OracleEntry(
-        snippet_name=snippet.name,
-        best_configuration=batch.configurations[best_index],
-        best_cost=float(costs[best_index]),
-        best_result=batch.result_at(best_index),
-    )
+#: Most (snippet, configuration) pairs one array pass of an Oracle sweep
+#: evaluates.  A pass's working set is about twenty float arrays of this
+#: many elements (128 KiB each), so the cap bounds the sweep's memory; the
+#: sweep's time per pair is flat from a few thousand pairs a pass upwards,
+#: where NumPy's per-call overhead is spread over enough elements.
+SWEEP_PASS_PAIRS = 1 << 14
+
+
+def _sweep(simulator: SoCSimulator, space: ConfigurationSpace,
+           snippets: List[Snippet], objective: Objective) -> List[OracleEntry]:
+    """The Oracle entry of every snippet, in order.
+
+    Consecutive snippets are swept over the space in passes of at most
+    :data:`SWEEP_PASS_PAIRS` pairs, one
+    :meth:`~repro.soc.simulator.SoCSimulator.evaluate_expected_batch` call
+    each.  One row-wise ``np.argmin`` over the objective's cost picks each
+    snippet's first minimum, matching the per-configuration loop's strict
+    ``cost < best_cost`` tie-breaking, and only those best results are
+    materialised.
+    """
+    per_pass = max(1, SWEEP_PASS_PAIRS // max(1, len(space)))
+    entries: List[OracleEntry] = []
+    for start in range(0, len(snippets), per_pass):
+        batch = simulator.evaluate_expected_batch(
+            snippets[start:start + per_pass], space)
+        costs = objective.batch_cost(batch)
+        best = np.argmin(costs, axis=1)
+        best_costs = costs[np.arange(len(best)), best].tolist()
+        for result, cost in zip(batch.take(best).lane_results(), best_costs):
+            entries.append(OracleEntry(
+                snippet_name=result.snippet.name,
+                best_configuration=result.configuration,
+                best_cost=cost,
+                best_result=result,
+            ))
+    return entries
 
 
 def build_oracle(
@@ -362,18 +397,20 @@ def build_oracle(
     space; the minimising configuration is stored.  The sweep scales as
     ``len(snippets) * len(space)`` — this is exactly the "high computational
     complexity" that makes Oracle construction impossible at runtime on real
-    hardware, so each snippet's sweep is one call of the simulator's
-    vectorized ``evaluate_expected_batch``.  The per-configuration loop it
-    replaced lives in ``tests/scalar_reference/oracle_loop.py``, where the
-    tests and the sweep benchmark check that both build bitwise-identical
-    tables.
+    hardware, so the snippets are swept together, in array passes of the
+    simulator's ``evaluate_expected_batch`` (see :func:`_sweep`).  The
+    per-configuration loop it replaced lives in
+    ``tests/scalar_reference/oracle_loop.py``, where the tests and the sweep
+    benchmark check that both build bitwise-identical tables.
     Passing an :class:`OracleCache` skips snippets whose entries were
-    already computed for this space/objective, in memory or in its store.
+    already computed for this space/objective, in memory or in its store,
+    and sweeps each content key once per call.
     """
     if cache is not None:
         return cache._build(simulator, space, snippets, objective)
+    snippets = list(snippets)
     table = OracleTable(objective_name=objective.name)
-    for snippet in snippets:
-        table.entries[snippet.name] = _best_entry(simulator, space, snippet,
-                                                  objective)
+    for snippet, entry in zip(snippets, _sweep(simulator, space, snippets,
+                                               objective)):
+        table.entries[snippet.name] = entry
     return table

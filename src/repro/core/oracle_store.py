@@ -70,29 +70,36 @@ def store_stats_snapshot() -> Dict[str, int]:
 _CODE_FINGERPRINT: Optional[str] = None
 
 
+def fingerprint_sources() -> List[Path]:
+    """The source files :func:`code_fingerprint` digests, in digest order:
+    ``repro/soc/*.py``, ``repro/core/oracle.py`` and
+    ``repro/core/objectives.py``.  Every function that computes Oracle
+    entries must live in one of them."""
+    import repro.core.objectives
+    import repro.core.oracle
+    import repro.soc
+
+    sources = sorted(Path(repro.soc.__file__).parent.glob("*.py"))
+    sources.append(Path(repro.core.oracle.__file__))
+    sources.append(Path(repro.core.objectives.__file__))
+    return sources
+
+
 def code_fingerprint() -> str:
     """Digest of the source of every module Oracle entries depend on.
 
     Entry *content* keys capture the inputs (snippet, space, objective) but
     not the simulator/Oracle semantics that turn inputs into entries; a
     code change there would otherwise let an old store silently serve
-    entries computed by different physics.  Folding this fingerprint into
-    every table digest turns any edit of the relevant modules into clean
-    store misses — conservative (some invalidations are unnecessary) but
-    never stale.
+    entries computed by different physics.  Folding this fingerprint of
+    the :func:`fingerprint_sources` into every table digest turns any edit
+    of the relevant modules into clean store misses — conservative (some
+    invalidations are unnecessary) but never stale.
     """
     global _CODE_FINGERPRINT
     if _CODE_FINGERPRINT is None:
-        import repro.core.objectives
-        import repro.core.oracle
-        import repro.soc
-
         hasher = hashlib.sha256()
-        soc_dir = Path(repro.soc.__file__).parent
-        sources = sorted(soc_dir.glob("*.py"))
-        sources.append(Path(repro.core.oracle.__file__))
-        sources.append(Path(repro.core.objectives.__file__))
-        for source in sources:
+        for source in fingerprint_sources():
             hasher.update(source.name.encode("utf-8"))
             hasher.update(b"\x00")
             hasher.update(source.read_bytes())

@@ -493,10 +493,11 @@ class ConfigurationSpace:
     def batch_index_arrays(self) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
         """Per-cluster ``(opp_index, active_cores)`` arrays over the space.
 
-        Used by the vectorized engine sweep
-        (:meth:`~repro.soc.simulator.SoCSimulator.evaluate_expected_batch`);
-        the space is immutable after construction, so the arrays are built
-        once and cached.
+        The configuration knobs of every Oracle sweep pass
+        (:meth:`~repro.soc.simulator.SoCSimulator.evaluate_expected_batch`
+        broadcasts them against the pass's snippet columns); the space is
+        immutable after construction, so the arrays are built once and
+        cached.
         """
         if self._batch_arrays is None:
             n = len(self._configs)

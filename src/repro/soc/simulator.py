@@ -30,7 +30,7 @@ from counters, which makes the learning problem realistic but solvable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -90,19 +90,61 @@ class SnippetResult:
         return self.energy_j * self.execution_time_s
 
 
+#: Column layout of :func:`characteristics_matrix` rows.
+CHARACTERISTIC_COLUMNS = (
+    "n_instructions",
+    "memory_intensity",
+    "memory_access_rate",
+    "external_request_rate",
+    "branch_misprediction_mpki",
+    "ilp_factor",
+    "parallel_fraction",
+    "thread_count",
+    "big_fraction",
+)
+
+
+def characteristics_matrix(snippets: Sequence[Snippet]) -> np.ndarray:
+    """One float row of :data:`CHARACTERISTIC_COLUMNS` per snippet.
+
+    :meth:`SoCSimulator.expected_arrays` reads snippets only through such
+    rows, so a sweep or a fleet step touches no snippet object per element.
+    """
+    rows = []
+    for snippet in snippets:
+        chars = snippet.characteristics
+        rows.append((
+            snippet.n_instructions,
+            chars.memory_intensity,
+            chars.memory_access_rate,
+            chars.external_request_rate,
+            chars.branch_misprediction_mpki,
+            chars.ilp_factor,
+            chars.parallel_fraction,
+            chars.thread_count,
+            chars.big_fraction,
+        ))
+    return np.array(rows, dtype=float).reshape(len(rows),
+                                               len(CHARACTERISTIC_COLUMNS))
+
+
 @dataclass
 class SoCBatchResult:
-    """Struct-of-arrays outcome of one snippet swept across many configurations.
+    """Struct-of-arrays outcome of :meth:`SoCSimulator.expected_arrays`.
 
-    Produced by :meth:`SoCSimulator.evaluate_expected_batch`; every array has
-    one element per configuration, in the order of :attr:`configurations`.
-    Values are bitwise identical to what per-configuration
-    :meth:`SoCSimulator.evaluate_expected` calls would produce;
-    :meth:`result_at` materialises the full :class:`SnippetResult` for one
-    index on demand (the sweep itself never pays the per-object cost).
+    A sweep (:meth:`SoCSimulator.evaluate_expected_batch`) has one row per
+    snippet and one column per configuration: the per-pair arrays are
+    ``(snippets, configurations)``, the per-snippet counters
+    ``(snippets, 1)`` and the static power terms ``(configurations,)``, all
+    broadcasting to :attr:`shape`.  A lane batch (the fleet's lockstep
+    kernel, or :meth:`take` of a sweep) holds one (snippet, configuration)
+    pair per lane, and its arrays are ``(lanes,)``.  Every value is bitwise
+    identical to what the pair's :meth:`SoCSimulator.evaluate_expected`
+    call would produce; :meth:`lane_results` materialises the
+    :class:`SnippetResult` objects of a lane batch.
     """
 
-    snippet: Snippet
+    snippets: List[Snippet]
     configurations: List[SoCConfiguration]
     execution_time_s: np.ndarray
     energy_j: np.ndarray
@@ -110,56 +152,107 @@ class SoCBatchResult:
     cpu_cycles: np.ndarray
     cluster_utilization: Dict[str, np.ndarray]
     power_breakdown_w: Dict[str, np.ndarray]
-    instructions_retired: float
-    branch_mispredictions: float
-    l2_cache_misses: float
-    data_memory_accesses: float
-    noncache_external_memory_requests: float
+    instructions_retired: np.ndarray
+    branch_mispredictions: np.ndarray
+    l2_cache_misses: np.ndarray
+    data_memory_accesses: np.ndarray
+    noncache_external_memory_requests: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.configurations)
+    @property
+    def shape(self) -> tuple:
+        return self.execution_time_s.shape
 
     @property
     def performance_ips(self) -> np.ndarray:
-        """Instructions per second achieved at each configuration."""
-        return self.snippet.n_instructions / self.execution_time_s
+        """Instructions per second achieved by each pair."""
+        return self.instructions_retired / self.execution_time_s
 
     @property
     def energy_delay_product(self) -> np.ndarray:
         return self.energy_j * self.execution_time_s
 
-    def _cluster_utilization_at(self, name: str, index: int) -> float:
-        if name not in self.cluster_utilization:
-            return 0.0
-        return float(self.cluster_utilization[name][index])
+    def take(self, columns: np.ndarray) -> "SoCBatchResult":
+        """Lane batch of each sweep row ``i`` at configuration ``columns[i]``."""
+        rows = np.arange(len(self.snippets))
+        shape = self.shape
 
-    def result_at(self, index: int) -> SnippetResult:
-        """Materialise the full :class:`SnippetResult` for one configuration."""
-        i = int(index)
-        counters = PerformanceCounters(
-            instructions_retired=self.instructions_retired,
-            cpu_cycles=float(self.cpu_cycles[i]),
-            branch_mispredictions=self.branch_mispredictions,
-            l2_cache_misses=self.l2_cache_misses,
-            data_memory_accesses=self.data_memory_accesses,
-            noncache_external_memory_requests=self.noncache_external_memory_requests,
-            little_cluster_utilization=self._cluster_utilization_at("little", i),
-            big_cluster_utilization=self._cluster_utilization_at("big", i),
-            total_chip_power_w=float(self.average_power_w[i]),
-            execution_time_s=float(self.execution_time_s[i]),
-        )
-        return SnippetResult(
-            snippet=self.snippet,
-            configuration=self.configurations[i],
-            execution_time_s=float(self.execution_time_s[i]),
-            energy_j=float(self.energy_j[i]),
-            average_power_w=float(self.average_power_w[i]),
-            counters=counters,
-            power_breakdown_w={k: float(v[i]) for k, v in self.power_breakdown_w.items()},
+        def at(values: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(values, shape)[rows, columns]
+
+        return SoCBatchResult(
+            snippets=self.snippets,
+            configurations=[self.configurations[c] for c in columns.tolist()],
+            execution_time_s=at(self.execution_time_s),
+            energy_j=at(self.energy_j),
+            average_power_w=at(self.average_power_w),
+            cpu_cycles=at(self.cpu_cycles),
+            cluster_utilization={name: at(values) for name, values
+                                 in self.cluster_utilization.items()},
+            power_breakdown_w={key: at(values) for key, values
+                               in self.power_breakdown_w.items()},
+            instructions_retired=at(self.instructions_retired),
+            branch_mispredictions=at(self.branch_mispredictions),
+            l2_cache_misses=at(self.l2_cache_misses),
+            data_memory_accesses=at(self.data_memory_accesses),
+            noncache_external_memory_requests=at(
+                self.noncache_external_memory_requests),
         )
 
-    def __getitem__(self, index: int) -> SnippetResult:
-        return self.result_at(index)
+    def lane_results(self) -> List[SnippetResult]:
+        """The :class:`SnippetResult` of every lane of a lane batch.
+
+        Each array is converted once (``tolist`` is far cheaper than one
+        ``float()`` cast per lane), and the dataclasses are built through
+        their ``_from_values`` constructors: the values mirror the scalar
+        path, whose identical numbers pass the dataclass validation, and
+        skipping ``__init__`` is measurably cheaper on the per-device hot
+        path of a fleet step.
+        """
+        n = len(self.snippets)
+        zero = [0.0] * n
+        utilization = {name: values.tolist() for name, values
+                       in self.cluster_utilization.items()}
+        breakdown_keys = list(self.power_breakdown_w)
+        breakdown_rows = zip(*(self.power_breakdown_w[key].tolist()
+                               for key in breakdown_keys))
+        counters_from_values = PerformanceCounters._from_values
+        result_from_values = SnippetResult._from_values
+        results: List[SnippetResult] = []
+        append = results.append
+        for (snippet, config, time_s, power_w, energy_j, cycles, branch,
+             l2, dma, external, u_little, u_big, breakdown) in zip(
+                self.snippets, self.configurations,
+                self.execution_time_s.tolist(),
+                self.average_power_w.tolist(), self.energy_j.tolist(),
+                self.cpu_cycles.tolist(),
+                self.branch_mispredictions.tolist(),
+                self.l2_cache_misses.tolist(),
+                self.data_memory_accesses.tolist(),
+                self.noncache_external_memory_requests.tolist(),
+                utilization.get("little", zero), utilization.get("big", zero),
+                breakdown_rows):
+            counters = counters_from_values({
+                "instructions_retired": snippet.n_instructions,
+                "cpu_cycles": cycles,
+                "branch_mispredictions": branch,
+                "l2_cache_misses": l2,
+                "data_memory_accesses": dma,
+                "noncache_external_memory_requests": external,
+                "little_cluster_utilization": u_little,
+                "big_cluster_utilization": u_big,
+                "total_chip_power_w": power_w,
+                "execution_time_s": time_s,
+            })
+            append(result_from_values({
+                "snippet": snippet,
+                "configuration": config,
+                "execution_time_s": time_s,
+                "energy_j": energy_j,
+                "average_power_w": power_w,
+                "counters": counters,
+                "power_breakdown_w": dict(zip(breakdown_keys, breakdown)),
+            }))
+        return results
 
 
 class SoCSimulator:
@@ -176,8 +269,8 @@ class SoCSimulator:
         self.platform = platform
         self.noise_scale = float(noise_scale)
         self.rng = make_rng(seed)
-        # Snippet-independent per-OPP tables used by the vectorized sweep,
-        # built lazily per cluster (the platform is fixed at construction).
+        # Snippet-independent per-OPP tables of the array model, built
+        # lazily per cluster (the platform is fixed at construction).
         self._sweep_tables: Dict[str, tuple] = {}
 
     # ------------------------------------------------------------------ #
@@ -230,7 +323,7 @@ class SoCSimulator:
         }
 
     def _cluster_sweep_tables(self, cluster_name: str) -> tuple:
-        """Cached per-OPP arrays for one cluster (vectorized-sweep inputs).
+        """Cached per-OPP arrays for one cluster (:meth:`expected_arrays` inputs).
 
         Returns ``(frequency_hz, frequency_ghz, dynamic_coeff, static_coeff)``
         where the power coefficients are the snippet-independent prefixes of
@@ -253,37 +346,81 @@ class SoCSimulator:
             self._sweep_tables[cluster_name] = tables
         return tables
 
-    def _batch_utilization_and_power(
+    def expected_arrays(
         self,
-        opp_idx: Dict[str, np.ndarray],
+        snippets: List[Snippet],
+        configurations: List[SoCConfiguration],
+        columns: np.ndarray,
+        opp_index: Dict[str, np.ndarray],
         cores: Dict[str, np.ndarray],
-        busy: Dict[str, np.ndarray],
-        total_time: np.ndarray,
-        external_requests,
-        n: int,
-    ):
-        """Array-based utilization + power model shared by the batch kernels.
+    ) -> SoCBatchResult:
+        """Noise-free :meth:`run_snippet` over arrays: the one array model.
 
-        Consumes per-cluster activity (busy core-seconds, OPP indices,
-        active cores) plus the total elapsed time and external-request
-        count, and returns ``(utilizations, power_breakdown, total_power)``
-        with exactly the scalar :meth:`run_snippet` arithmetic per element:
-        the per-OPP coefficients come from :meth:`_cluster_sweep_tables`
-        and every operation mirrors the scalar order, so the results are
-        bitwise identical whether the arrays span one snippet across many
-        configurations (:meth:`evaluate_expected_batch`) or many
-        (snippet, configuration) pairs across a device fleet
-        (:func:`repro.fleet.kernels.lockstep_execute`).
-        ``external_requests`` may be a scalar (one snippet) or a
-        per-element array (one per pair).
+        ``columns`` is a transposed :func:`characteristics_matrix`: one
+        array per :data:`CHARACTERISTIC_COLUMNS` entry along its first
+        axis.  ``opp_index`` and ``cores`` hold each cluster's integer knob
+        arrays.  Every snippet column broadcasts against the knobs, so
+        ``(k, S, 1)`` columns against ``(C,)`` knobs sweep ``S`` snippets
+        over ``C`` configurations (:meth:`evaluate_expected_batch`), and
+        ``(k, S)`` columns against ``(S,)`` knobs evaluate ``S`` (snippet,
+        configuration) lanes (the fleet's
+        :func:`~repro.fleet.kernels.lockstep_execute`).  ``snippets`` and
+        ``configurations`` are the snippet and configuration objects.
+
+        Each operation is the scalar path's, in its order: IEEE-754
+        elementwise arithmetic rounds exactly like the same Python-float
+        arithmetic, so every element is bitwise equal to its
+        :meth:`evaluate_expected` value.  A zero-instruction cluster flows
+        through as exact zeros, which is what the scalar early return
+        produces.  The per-OPP frequency and power-coefficient tables come
+        from :meth:`_cluster_sweep_tables`.
         """
-        cluster_names = self.platform.cluster_names
+        (n_instr, memory_intensity, memory_access_rate, external_request_rate,
+         branch_mpki, ilp_factor, parallel_fraction, thread_count,
+         big_fraction) = columns
+        platform = self.platform
+        cluster_names = platform.cluster_names
+
+        elapsed: Dict[str, np.ndarray] = {}
+        busy: Dict[str, np.ndarray] = {}
+        cycles: Dict[str, np.ndarray] = {}
+        for name in cluster_names:
+            spec = platform.cluster(name)
+            frequency_hz, frequency_ghz, _, _ = self._cluster_sweep_tables(name)
+            opp = opp_index[name]
+            if name == "big":
+                instructions = n_instr * big_fraction
+            else:
+                instructions = n_instr * (1.0 - big_fraction)
+            # Term grouping mirrors _cluster_cpi / _cluster_time_and_work.
+            cpi = spec.base_cpi / ilp_factor
+            cpi = cpi + branch_mpki / 1000.0 * spec.branch_penalty_cycles
+            cpi = cpi + (memory_intensity / 1000.0 * spec.l2_miss_penalty_ns
+                         * frequency_ghz[opp])
+            cycles[name] = instructions * cpi
+            serial_time = cycles[name] / frequency_hz[opp]
+            usable_cores = np.maximum(
+                1.0, np.minimum(cores[name].astype(float), thread_count)
+            )
+            amdahl_speedup = 1.0 / (
+                (1.0 - parallel_fraction) + parallel_fraction / usable_cores
+            )
+            elapsed[name] = serial_time / amdahl_speedup
+            busy[name] = serial_time
+
+        total_time = elapsed[cluster_names[0]]
+        for name in cluster_names[1:]:
+            total_time = np.maximum(total_time, elapsed[name])
+        if np.any(total_time <= 0.0):
+            raise ValueError("snippet produced zero execution time")
+
         utilizations: Dict[str, np.ndarray] = {}
         power_breakdown: Dict[str, np.ndarray] = {}
-        total_power = np.full(n, self.platform.base_power_w)
-        power_breakdown["base"] = np.full(n, self.platform.base_power_w)
+        total_power = np.full(total_time.shape, platform.base_power_w)
+        power_breakdown["base"] = total_power
         for name in cluster_names:
-            spec = self.platform.cluster(name)
+            spec = platform.cluster(name)
+            _, _, dynamic_coeff, static_coeff = self._cluster_sweep_tables(name)
             active = np.minimum(np.maximum(cores[name], 0), spec.n_cores).astype(float)
             utilization = busy[name] / (active * total_time)
             if name == "little":
@@ -292,22 +429,39 @@ class SoCSimulator:
                 )
             utilization = np.minimum(1.0, utilization)
             utilizations[name] = utilization
-            _, _, dynamic_coeff, static_coeff = self._cluster_sweep_tables(name)
             dynamic = (
-                dynamic_coeff[opp_idx[name]] * active
+                dynamic_coeff[opp_index[name]] * active
                 * np.minimum(np.maximum(utilization, 0.0), 1.0)
             )
-            static = static_coeff[opp_idx[name]] * active
+            static = static_coeff[opp_index[name]] * active
             power_breakdown[f"{name}_dynamic"] = dynamic
             power_breakdown[f"{name}_static"] = static
             total_power = total_power + (dynamic + static)
 
-        external_bytes = external_requests * BYTES_PER_EXTERNAL_REQUEST
-        memory_traffic_gbps = external_bytes / total_time / 1e9
-        memory_power = self.platform.memory_power_w_per_gbps * memory_traffic_gbps
+        l2_misses = n_instr * memory_intensity / 1000.0
+        external_requests = l2_misses * external_request_rate
+        memory_traffic_gbps = (
+            external_requests * BYTES_PER_EXTERNAL_REQUEST / total_time / 1e9
+        )
+        memory_power = platform.memory_power_w_per_gbps * memory_traffic_gbps
         power_breakdown["memory"] = memory_power
         total_power = total_power + memory_power
-        return utilizations, power_breakdown, total_power
+
+        return SoCBatchResult(
+            snippets=snippets,
+            configurations=configurations,
+            execution_time_s=total_time,
+            energy_j=total_power * total_time,
+            average_power_w=total_power,
+            cpu_cycles=sum(cycles.values()),
+            cluster_utilization=utilizations,
+            power_breakdown_w=power_breakdown,
+            instructions_retired=n_instr,
+            branch_mispredictions=n_instr * branch_mpki / 1000.0,
+            l2_cache_misses=l2_misses,
+            data_memory_accesses=n_instr * memory_access_rate,
+            noncache_external_memory_requests=external_requests,
+        )
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -456,116 +610,38 @@ class SoCSimulator:
         )
 
     def evaluate_expected_batch(
-        self, snippet: Snippet, configurations: Iterable[SoCConfiguration]
+        self, snippets: Sequence[Snippet],
+        configurations: Iterable[SoCConfiguration],
     ) -> SoCBatchResult:
-        """Noise-free evaluation of one snippet across many configurations.
+        """Noise-free evaluation of every snippet at every configuration.
 
-        This is the vectorized twin of :meth:`evaluate_expected`: the whole
-        configuration sweep is computed with NumPy array operations instead
-        of one :meth:`run_snippet` call per configuration, which is what
-        makes exhaustive Oracle construction fast.
-
-        Bitwise equivalence with the scalar path is maintained by performing
-        every quantity that depends only on the OPP index (CPI, serial time,
-        per-OPP power coefficients) with the *same* Python-scalar arithmetic
-        as :meth:`run_snippet`, and by ordering the remaining array
-        operations exactly like their scalar counterparts.
+        The array twin of one :meth:`evaluate_expected` call per (snippet,
+        configuration) pair: a single :meth:`expected_arrays` pass whose
+        result arrays are ``(len(snippets), len(configurations))``, which is
+        what makes exhaustive Oracle construction fast.  A
+        :class:`~repro.soc.configuration.ConfigurationSpace` supplies its
+        cached knob arrays; any other iterable is read config by config.
         """
         configs = list(configurations)
         if not configs:
             raise ValueError("evaluate_expected_batch needs at least one configuration")
-        n = len(configs)
-        chars = snippet.characteristics
-        cluster_names = self.platform.cluster_names
-
-        opp_idx: Dict[str, np.ndarray] = {}
-        cores: Dict[str, np.ndarray] = {}
         index_arrays = getattr(configurations, "batch_index_arrays", None)
         if index_arrays is not None:
-            # A ConfigurationSpace caches its index arrays, so repeated
-            # sweeps over the same space skip re-reading every config object.
-            for name, (opp, active) in index_arrays().items():
-                opp_idx[name] = opp
-                cores[name] = active
+            knobs = index_arrays()
         else:
-            for name in cluster_names:
-                opp_idx[name] = np.fromiter(
-                    (c.opp_index(name) for c in configs), dtype=np.intp, count=n
+            n = len(configs)
+            knobs = {
+                name: (
+                    np.fromiter((c.opp_index(name) for c in configs),
+                                dtype=np.intp, count=n),
+                    np.fromiter((c.cores(name) for c in configs),
+                                dtype=np.intp, count=n),
                 )
-                cores[name] = np.fromiter(
-                    (c.cores(name) for c in configs), dtype=np.intp, count=n
-                )
-
-        elapsed: Dict[str, np.ndarray] = {}
-        busy: Dict[str, np.ndarray] = {}
-        cycles: Dict[str, np.ndarray] = {}
-        for name in cluster_names:
-            spec = self.platform.cluster(name)
-            frequency_hz, frequency_ghz, _, _ = self._cluster_sweep_tables(name)
-            if name == "big":
-                instructions = snippet.n_instructions * chars.big_fraction
-            else:
-                instructions = snippet.n_instructions * (1.0 - chars.big_fraction)
-            if instructions <= 0.0:
-                elapsed[name] = np.zeros(n)
-                busy[name] = np.zeros(n)
-                cycles[name] = np.zeros(n)
-                continue
-            # CPI over all OPPs in one shot; term grouping mirrors
-            # _cluster_cpi exactly so the floats come out bitwise equal.
-            cpi_base = spec.base_cpi / chars.ilp_factor
-            cpi_base = cpi_base + (
-                chars.branch_misprediction_mpki / 1000.0 * spec.branch_penalty_cycles
-            )
-            memory_term = chars.memory_intensity / 1000.0 * spec.l2_miss_penalty_ns
-            cpi_by_opp = cpi_base + memory_term * frequency_ghz
-            cycles_by_opp = instructions * cpi_by_opp
-            serial_by_opp = cycles_by_opp / frequency_hz
-            amdahl_by_cores = np.empty(spec.n_cores + 1)
-            for c in range(spec.n_cores + 1):
-                usable_cores = max(1, min(c, chars.thread_count))
-                amdahl_by_cores[c] = 1.0 / (
-                    (1.0 - chars.parallel_fraction)
-                    + chars.parallel_fraction / usable_cores
-                )
-            serial_time = serial_by_opp[opp_idx[name]]
-            elapsed[name] = serial_time / amdahl_by_cores[cores[name]]
-            busy[name] = serial_time
-            cycles[name] = cycles_by_opp[opp_idx[name]]
-
-        total_time = elapsed[cluster_names[0]]
-        for name in cluster_names[1:]:
-            total_time = np.maximum(total_time, elapsed[name])
-        if np.any(total_time <= 0.0):
-            raise ValueError("snippet produced zero execution time")
-
-        l2_misses = snippet.n_instructions * chars.memory_intensity / 1000.0
-        external_requests = l2_misses * chars.external_request_rate
-        utilizations, power_breakdown, total_power = (
-            self._batch_utilization_and_power(
-                opp_idx, cores, busy, total_time, external_requests, n
-            )
-        )
-
-        energy = total_power * total_time
-        total_cycles = np.zeros(n)
-        for name in cluster_names:
-            total_cycles = total_cycles + cycles[name]
-
-        return SoCBatchResult(
-            snippet=snippet,
-            configurations=configs,
-            execution_time_s=total_time,
-            energy_j=energy,
-            average_power_w=total_power,
-            cpu_cycles=total_cycles,
-            cluster_utilization=utilizations,
-            power_breakdown_w=power_breakdown,
-            instructions_retired=snippet.n_instructions,
-            branch_mispredictions=(
-                snippet.n_instructions * chars.branch_misprediction_mpki / 1000.0
-            ),
-            l2_cache_misses=l2_misses,
-            data_memory_accesses=snippet.n_instructions * chars.memory_access_rate,
-            noncache_external_memory_requests=external_requests,
+                for name in self.platform.cluster_names
+            }
+        snippets = list(snippets)
+        return self.expected_arrays(
+            snippets, configs, characteristics_matrix(snippets).T[:, :, None],
+            {name: opp for name, (opp, _) in knobs.items()},
+            {name: active for name, (_, active) in knobs.items()},
         )

@@ -1,10 +1,12 @@
 """The per-configuration Oracle sweep (oracle of ``build_oracle``).
 
-:func:`~repro.core.oracle.build_oracle` sweeps each snippet with one call
-of :meth:`~repro.soc.simulator.SoCSimulator.evaluate_expected_batch`.
-These two functions are the loop it replaced: one noise-free
-``evaluate_expected`` per configuration, keeping the first configuration
-whose cost is strictly lower than every earlier one.
+:func:`~repro.core.oracle.build_oracle` sweeps all of a call's snippets
+together, in array passes of
+:meth:`~repro.soc.simulator.SoCSimulator.evaluate_expected_batch` over
+(snippet, configuration) pairs.  These two functions are the loop it
+replaced: for each snippet, one noise-free ``evaluate_expected`` per
+configuration, keeping the first configuration whose cost is strictly
+lower than every earlier one.
 """
 
 from __future__ import annotations

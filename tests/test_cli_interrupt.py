@@ -9,10 +9,11 @@ completed, and exit with the conventional interrupted status (130).
 from __future__ import annotations
 
 import os
+import queue
 import signal
 import subprocess
 import sys
-import time
+import threading
 from pathlib import Path
 
 
@@ -25,25 +26,46 @@ def _env():
     return env
 
 
+def _first_line(stream, timeout: float) -> str:
+    """The first line of ``stream``, or ``""`` if none arrives in time."""
+    lines: queue.Queue = queue.Queue()
+    threading.Thread(target=lambda: lines.put(stream.readline()),
+                     daemon=True).start()
+    try:
+        return lines.get(timeout=timeout)
+    except queue.Empty:
+        return ""
+
+
 class TestExperimentsSigint:
     def test_sigint_drains_and_reports_partial_results(self):
-        # Enough seeds that the run is still in flight when the signal
-        # lands (~9s of work; the signal arrives after ~2s).
+        # figure2 reports within about a second; robustness, figure3 and
+        # figure4 at 40 seeds then keep the run busy for several seconds
+        # more (~5 s on a 2-core host).  The signal is sent as soon as the
+        # first report header arrives, so it lands mid-run however fast
+        # the host is; unbuffered output makes the header arrive when it
+        # is printed.
+        env = _env()
+        env["PYTHONUNBUFFERED"] = "1"
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.experiments",
-             "robustness", "figure3", "figure4",
-             "--scale", "tiny", "--seeds", "10", "--jobs", "2"],
-            env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+             "figure2", "robustness", "figure3", "figure4",
+             "--scale", "tiny", "--seeds", "40", "--jobs", "2"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True,
         )
-        time.sleep(2.0)
-        assert process.poll() is None, "run finished before the signal"
-        process.send_signal(signal.SIGINT)
         try:
+            header = _first_line(process.stdout, timeout=120)
+            assert header.startswith("=== figure2"), header
+            assert process.poll() is None, "run finished before the signal"
+            process.send_signal(signal.SIGINT)
             stdout, stderr = process.communicate(timeout=120)
         except subprocess.TimeoutExpired:
-            process.kill()
             raise AssertionError("CLI did not drain after SIGINT")
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
         assert process.returncode == 130, (stdout, stderr)
         assert "interrupted: completed" in stderr
         assert "partial results" in stderr

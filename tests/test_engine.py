@@ -5,11 +5,15 @@ Covers batch-vs-scalar Oracle sweep parity (bitwise), the
 registry, and the experiment registry / runner / CLI round-trips.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+import repro.core.oracle as oracle_module
 from repro.core.objectives import ALL_OBJECTIVES, ENERGY, Objective
-from repro.core.oracle import OracleCache, build_oracle
+from repro.core.oracle import OracleCache, build_oracle, snippet_cache_key
 from repro.experiments.runner import (
     ExperimentRunner,
     available_experiments,
@@ -27,6 +31,8 @@ from repro.experiments.scales import (
     get_scale,
     register_scale,
 )
+from repro.soc.configuration import ConfigurationSpace
+from repro.soc.snippet import Snippet, SnippetCharacteristics
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import get_workload
 
@@ -39,48 +45,104 @@ def sweep_trace():
     return generator.generate(get_workload("kmeans").scaled(0.3))
 
 
+#: An objective without a vector form: the sweep costs it result by result.
+PLAIN_ENERGY = Objective("plain-energy", lambda r: r.energy_j)
+
+PARITY_OBJECTIVES = {**ALL_OBJECTIVES, PLAIN_ENERGY.name: PLAIN_ENERGY}
+
+
+def _one_cluster_snippets():
+    """Snippets whose instructions all run on one cluster (the other
+    cluster's share is exactly zero), serial and parallel."""
+    return [
+        Snippet("one-cluster", index, characteristics=SnippetCharacteristics(
+            big_fraction=big_fraction, thread_count=threads,
+            parallel_fraction=0.6 if threads > 1 else 0.0))
+        for index, (big_fraction, threads) in enumerate(
+            [(0.0, 1), (1.0, 1), (0.0, 4), (1.0, 3)])
+    ]
+
+
+def _assert_tables_pickle_equal(reference, table):
+    assert list(reference.entries) == list(table.entries)
+    for name, entry in reference.entries.items():
+        assert pickle.dumps(entry) == pickle.dumps(table.entries[name]), name
+
+
 class TestBatchSweepParity:
     def test_batch_matches_scalar_results_bitwise(self, simulator, space,
                                                   sweep_trace):
-        snippet = sweep_trace[0]
-        batch = simulator.evaluate_expected_batch(snippet, space)
-        assert len(batch) == len(space)
-        for i, config in enumerate(space):
-            reference = simulator.evaluate_expected(snippet, config)
-            materialized = batch.result_at(i)
-            assert materialized.configuration == config
-            assert materialized.execution_time_s == reference.execution_time_s
-            assert materialized.energy_j == reference.energy_j
-            assert materialized.average_power_w == reference.average_power_w
-            assert materialized.counters.as_dict() == reference.counters.as_dict()
-            assert materialized.power_breakdown_w == reference.power_breakdown_w
+        snippets = list(sweep_trace[:3]) + _one_cluster_snippets()
+        batch = simulator.evaluate_expected_batch(snippets, space)
+        assert batch.shape == (len(snippets), len(space))
+        for column, config in enumerate(space):
+            lanes = batch.take(np.full(len(snippets), column)).lane_results()
+            for snippet, materialized in zip(snippets, lanes):
+                reference = simulator.evaluate_expected(snippet, config)
+                assert materialized.configuration is config
+                assert pickle.dumps(materialized) == pickle.dumps(reference)
 
-    @pytest.mark.parametrize("objective_name", sorted(ALL_OBJECTIVES))
+    @pytest.mark.parametrize("objective_name", sorted(PARITY_OBJECTIVES))
     def test_oracle_tables_identical_across_paths(self, simulator, space,
                                                   sweep_trace, objective_name):
-        objective = ALL_OBJECTIVES[objective_name]
-        scalar = oracle_loop.build_oracle(simulator, space, sweep_trace,
+        objective = PARITY_OBJECTIVES[objective_name]
+        snippets = list(sweep_trace) + _one_cluster_snippets()
+        scalar = oracle_loop.build_oracle(simulator, space, snippets,
                                           objective)
-        batch = build_oracle(simulator, space, sweep_trace, objective)
-        assert scalar.entries.keys() == batch.entries.keys()
-        for name in scalar.entries:
-            assert (scalar.entries[name].best_configuration
-                    == batch.entries[name].best_configuration)
-            assert scalar.entries[name].best_cost == batch.entries[name].best_cost
+        _assert_tables_pickle_equal(
+            scalar, build_oracle(simulator, space, snippets, objective))
+        _assert_tables_pickle_equal(
+            scalar, build_oracle(simulator, space, snippets, objective,
+                                 cache=OracleCache(store=None)))
 
-    def test_oracle_sweeps_each_snippet_in_one_batch_call(
+    @pytest.mark.parametrize("objective_name", sorted(PARITY_OBJECTIVES))
+    @pytest.mark.parametrize("restriction", ["throttled", "core-gated"])
+    def test_restricted_space_tables_identical_across_paths(
+            self, simulator, space, sweep_trace, objective_name, restriction):
+        objective = PARITY_OBJECTIVES[objective_name]
+        if restriction == "throttled":
+            restricted = space.restrict(max_opp_index=1)
+            assert len(restricted) == 4
+        else:
+            restricted = ConfigurationSpace(space.platform,
+                                            allow_core_gating=True)
+        snippets = list(sweep_trace[:12]) + _one_cluster_snippets()
+        scalar = oracle_loop.build_oracle(simulator, restricted, snippets,
+                                          objective)
+        _assert_tables_pickle_equal(
+            scalar, build_oracle(simulator, restricted, snippets, objective))
+
+    @pytest.mark.parametrize("objective_name", sorted(PARITY_OBJECTIVES))
+    def test_trace_crossing_pass_boundaries(self, simulator, space,
+                                            sweep_trace, objective_name,
+                                            monkeypatch):
+        """Passes of 3 snippets: the trace spans several, the last partial."""
+        monkeypatch.setattr(oracle_module, "SWEEP_PASS_PAIRS",
+                            3 * len(space) + 1)
+        objective = PARITY_OBJECTIVES[objective_name]
+        snippets = list(sweep_trace[:10]) + _one_cluster_snippets()
+        scalar = oracle_loop.build_oracle(simulator, space, snippets,
+                                          objective)
+        _assert_tables_pickle_equal(
+            scalar, build_oracle(simulator, space, snippets, objective))
+        _assert_tables_pickle_equal(
+            scalar, build_oracle(simulator, space, snippets, objective,
+                                 cache=OracleCache(store=None)))
+
+    def test_oracle_sweeps_each_pass_in_one_batch_call(
             self, simulator, space, sweep_trace, monkeypatch):
-        """Each snippet costs one ``evaluate_expected_batch`` over the whole
-        space and no per-configuration ``evaluate_expected`` call."""
+        """Each pass of consecutive missing snippets costs one
+        ``evaluate_expected_batch`` over the whole space, and no
+        per-configuration ``evaluate_expected`` call is made."""
         # Patched on the class so that undoing the patch leaves nothing in
         # the session-wide simulator's instance dict.
         simulator_cls = type(simulator)
         real_batch = simulator_cls.evaluate_expected_batch
         swept = []
 
-        def counting_batch(self, snippet, configurations):
-            swept.append((snippet.name, configurations))
-            return real_batch(self, snippet, configurations)
+        def counting_batch(self, snippets, configurations):
+            swept.append(([s.name for s in snippets], configurations))
+            return real_batch(self, snippets, configurations)
 
         def refuse_scalar(self, snippet, config):
             raise AssertionError("build_oracle evaluated one configuration")
@@ -88,30 +150,80 @@ class TestBatchSweepParity:
         monkeypatch.setattr(simulator_cls, "evaluate_expected_batch",
                             counting_batch)
         monkeypatch.setattr(simulator_cls, "evaluate_expected", refuse_scalar)
+        names = [s.name for s in sweep_trace]
+        assert len(names) > 4
         table = build_oracle(simulator, space, sweep_trace)
-        assert [name for name, _ in swept] == [s.name for s in sweep_trace]
-        assert all(configurations is space for _, configurations in swept)
-        assert table.entries.keys() == {s.name for s in sweep_trace}
+        assert swept == [(names, space)]
+        assert table.entries.keys() == set(names)
+
+        swept.clear()
+        monkeypatch.setattr(oracle_module, "SWEEP_PASS_PAIRS",
+                            3 * len(space) - 1)
+        build_oracle(simulator, space, sweep_trace)
+        assert swept == [(names[start:start + 2], space)
+                         for start in range(0, len(names), 2)]
+
+        # Through a cache only the misses are swept, still in passes.
+        cache = OracleCache(store=None)
+        build_oracle(simulator, space, sweep_trace[:3], cache=cache)
+        swept.clear()
+        build_oracle(simulator, space, sweep_trace, cache=cache)
+        assert swept == [(names[start:start + 2], space)
+                         for start in range(3, len(names), 2)]
+
+    def test_equal_content_snippets_swept_once_per_call(
+            self, simulator, space, sweep_trace, monkeypatch):
+        """Two equal-content snippets under different names in one call:
+        one sweep, one miss and one hit, and both names map to the first
+        occurrence's entry."""
+        original = sweep_trace[1]
+        # A float index spells a different name but compares (and hashes)
+        # equal, so the content keys are equal.
+        renamed = Snippet(original.application, float(original.index),
+                          original.n_instructions,
+                          copy.deepcopy(original.characteristics))
+        assert renamed.name != original.name
+        assert snippet_cache_key(renamed) == snippet_cache_key(original)
+        simulator_cls = type(simulator)
+        real_batch = simulator_cls.evaluate_expected_batch
+        swept = []
+
+        def counting_batch(self, snippets, configurations):
+            swept.append(list(snippets))
+            return real_batch(self, snippets, configurations)
+
+        monkeypatch.setattr(simulator_cls, "evaluate_expected_batch",
+                            counting_batch)
+        cache = OracleCache(store=None)
+        table = build_oracle(simulator, space, [original, renamed],
+                             cache=cache)
+        assert len(swept) == 1 and swept[0][0] is original
+        assert len(swept[0]) == 1
+        assert (cache.misses, cache.hits) == (1, 1)
+        assert list(table.entries) == [original.name, renamed.name]
+        first = table.entries[original.name]
+        assert first.snippet_name == original.name
+        assert table.entries[renamed.name] is first
+        assert len(cache) == 1
 
     def test_batch_cost_fallback_without_vector_form(self, simulator, space,
                                                      sweep_trace):
-        plain = Objective("plain-energy", lambda r: r.energy_j)
-        batch = simulator.evaluate_expected_batch(sweep_trace[0], space)
-        fallback = plain.batch_cost(batch)
-        vectorized = ENERGY.batch_cost(batch)
-        np.testing.assert_array_equal(fallback, vectorized)
+        batch = simulator.evaluate_expected_batch(sweep_trace[:4], space)
+        fallback = PLAIN_ENERGY.batch_cost(batch)
+        assert fallback.shape == (4, len(space))
+        np.testing.assert_array_equal(fallback, ENERGY.batch_cost(batch))
 
     def test_batch_works_on_plain_config_lists(self, simulator, space,
                                                sweep_trace):
         subset = list(space)[:5]
-        batch = simulator.evaluate_expected_batch(sweep_trace[0], subset)
-        assert len(batch) == 5
-        reference = simulator.evaluate_expected(sweep_trace[0], subset[3])
-        assert batch.result_at(3).energy_j == reference.energy_j
+        batch = simulator.evaluate_expected_batch(sweep_trace[:2], subset)
+        assert batch.shape == (2, 5)
+        reference = simulator.evaluate_expected(sweep_trace[1], subset[3])
+        assert batch.energy_j[1, 3] == reference.energy_j
 
     def test_batch_rejects_empty_configurations(self, simulator, sweep_trace):
         with pytest.raises(ValueError):
-            simulator.evaluate_expected_batch(sweep_trace[0], [])
+            simulator.evaluate_expected_batch(sweep_trace[:1], [])
 
 
 class TestOracleCache:

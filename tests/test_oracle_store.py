@@ -16,14 +16,16 @@ import hashlib
 import io
 import os
 import pickle
+import sys
 import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.objectives import EDP, ENERGY
+from repro.core.objectives import ALL_OBJECTIVES, EDP, ENERGY, Objective
 from repro.core.oracle import (
     OracleCache,
     build_oracle,
@@ -37,6 +39,7 @@ from repro.core.oracle_store import (
     code_fingerprint,
     content_digest,
     default_space_digest,
+    fingerprint_sources,
     get_default_oracle_store,
     set_default_oracle_store,
 )
@@ -384,6 +387,45 @@ class TestDefaultStoreAndDigests:
         monkeypatch.setattr(store_module, "_CODE_FINGERPRINT", "different-code")
         after = persistent_table_digest(space, ENERGY)
         assert before != after
+
+    def test_fingerprint_covers_every_function_computing_entries(
+            self, platform, simulator, space):
+        """Every ``repro`` function a sweep runs lives in a file the code
+        fingerprint digests, so an edit of any of them makes old stores
+        miss.  Moving part of the array model into, say,
+        ``repro/fleet/kernels.py`` would let such an edit serve stale
+        entries, and fails here."""
+        import repro
+        package = Path(repro.__file__).resolve().parent
+        sources = {path.resolve() for path in fingerprint_sources()}
+        snippets = SnippetTraceGenerator(seed=3).generate(
+            training_workloads()[0].scaled(0.2))[:5]
+        gated = ConfigurationSpace(platform, allow_core_gating=True)
+        plain = Objective("plain-energy", lambda result: result.energy_j)
+        ran = set()
+
+        def record(frame, event, arg):
+            if event == "call":
+                ran.add(frame.f_code.co_filename)
+
+        builds = [(sweep_space, objective, OracleCache(store=None))
+                  for sweep_space in (space, gated,
+                                      space.restrict(max_opp_index=1))
+                  for objective in (*ALL_OBJECTIVES.values(), plain)]
+        sys.setprofile(record)
+        try:
+            for sweep_space, objective, cache in builds:
+                build_oracle(simulator, sweep_space, snippets, objective)
+                build_oracle(simulator, sweep_space, snippets, objective,
+                             cache=cache)
+        finally:
+            sys.setprofile(None)
+        files = {Path(name).resolve() for name in ran}
+        in_package = {path for path in files if package in path.parents}
+        assert {path.name for path in in_package} >= {
+            "oracle.py", "objectives.py", "simulator.py"}
+        assert in_package <= sources, sorted(
+            str(path.relative_to(package)) for path in in_package - sources)
 
     def test_parameterised_closures_do_not_alias(self):
         """Same bytecode, different closure cells -> different store keys."""

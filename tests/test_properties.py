@@ -117,13 +117,16 @@ class TestBatchScalarParity:
         platform = random_platform(rng)
         space = ConfigurationSpace(platform)
         simulator = SoCSimulator(platform, noise_scale=0.0, seed=seed)
-        snippet = random_snippet(rng)
-        batch = simulator.evaluate_expected_batch(snippet, space)
-        for i, config in enumerate(space):
-            reference = simulator.evaluate_expected(snippet, config)
-            assert batch.energy_j[i] == reference.energy_j
-            assert batch.execution_time_s[i] == reference.execution_time_s
-            assert batch.average_power_w[i] == reference.average_power_w
+        snippets = [random_snippet(rng) for _ in range(3)]
+        batch = simulator.evaluate_expected_batch(snippets, space)
+        for row, snippet in enumerate(snippets):
+            for column, config in enumerate(space):
+                reference = simulator.evaluate_expected(snippet, config)
+                assert batch.energy_j[row, column] == reference.energy_j
+                assert (batch.execution_time_s[row, column]
+                        == reference.execution_time_s)
+                assert (batch.average_power_w[row, column]
+                        == reference.average_power_w)
 
 
 def random_gpu_and_trace(rng: np.random.Generator, seed: int):

@@ -71,14 +71,8 @@ def test_bench_vectorized_oracle_sweep(benchmark, sweep_setup):
         for _ in range(3)
     )
 
-    assert scalar_table.entries.keys() == batch_table.entries.keys()
-    for name in scalar_table.entries:
-        scalar_entry = scalar_table.entries[name]
-        batch_entry = batch_table.entries[name]
-        assert scalar_entry.best_configuration == batch_entry.best_configuration
-        assert scalar_entry.best_cost == batch_entry.best_cost
-        assert (scalar_entry.best_result.energy_j
-                == batch_entry.best_result.energy_j)
+    assert list(scalar_table.rows) == list(batch_table.rows)
+    assert scalar_table.columns.tobytes() == batch_table.columns.tobytes()
 
     speedup = scalar_elapsed / batch_elapsed
     print(f"\nOracle sweep ({len(snippets)} snippets x {len(space)} configs): "
@@ -111,9 +105,7 @@ def test_bench_oracle_cache_amortizes_resweeps(benchmark, sweep_setup):
     )
 
     assert cache.hits >= len(snippets)
-    assert len(warm_table.entries) == len(
-        {entry.snippet_name for entry in warm_table.entries.values()}
-    )
+    assert len(warm_table.rows) == len({snippet.name for snippet in snippets})
     print(f"\nOracle re-sweep: cold={cold_elapsed*1e3:.1f}ms "
           f"cached={warm_elapsed*1e3:.1f}ms")
     assert warm_elapsed < cold_elapsed

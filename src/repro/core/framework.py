@@ -24,7 +24,8 @@ from repro.control.rl import QLearningController
 from repro.core.objectives import ENERGY, Objective
 from repro.core.offline_il import ILDataset, OfflineILPolicy, collect_il_dataset
 from repro.core.online_il import OnlineILPolicy
-from repro.core.oracle import OracleCache, OraclePolicy, OracleTable, build_oracle
+from repro.core.oracle import (OracleCache, OraclePolicy, OracleTable,
+                               build_oracle, oracle_results)
 from repro.core.oracle_store import OracleStore
 from repro.core.runtime_oracle import RuntimeOracle
 from repro.models.performance import CpuPerformanceModel
@@ -235,19 +236,15 @@ class OnlineLearningFramework:
                           oracle_table: OracleTable) -> None:
         """Warm-start the online models from design-time executions.
 
-        The Oracle sweep already evaluated every training snippet at its
-        best configuration (the entry's noise-free ``best_result``), so
-        instead of re-running the full per-cluster simulation per snippet we
-        re-noise that cached result via
-        :meth:`~repro.soc.simulator.SoCSimulator.apply_noise` — bitwise
-        identical observations (and identical generator stream) at a
-        fraction of the cost.
+        Each training snippet's noise-free result at its Oracle
+        configuration (:func:`~repro.core.oracle.oracle_results`) is
+        re-noised via :meth:`~repro.soc.simulator.SoCSimulator.apply_noise`:
+        bitwise the observations and generator stream of a re-simulation.
         """
-        for snippet in snippets:
-            entry = oracle_table.entry(snippet)
-            result = self.simulator.apply_noise(entry.best_result)
-            self.power_model.update(result.counters, entry.best_configuration)
-            self.performance_model.update(result.counters, entry.best_configuration)
+        for expected in oracle_results(self.simulator, oracle_table, snippets):
+            counters = self.simulator.apply_noise(expected).counters
+            self.power_model.update(counters, expected.configuration)
+            self.performance_model.update(counters, expected.configuration)
 
     # ------------------------------------------------------------------ #
     # Policy constructors
@@ -275,9 +272,12 @@ class OnlineLearningFramework:
         power_model = self.power_model
         performance_model = self.performance_model
         if isolated:
-            offline_policy = copy.deepcopy(offline_policy)
-            power_model = copy.deepcopy(power_model)
-            performance_model = copy.deepcopy(performance_model)
+            # Nothing mutates the space or platform: the copies share them.
+            offline_policy, power_model, performance_model = (
+                copy.deepcopy(original, {id(self.space): self.space,
+                                         id(self.platform): self.platform})
+                for original in (offline_policy, power_model,
+                                 performance_model))
         runtime_oracle = RuntimeOracle(
             self.space,
             power_model=power_model,

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.control.policy import DRMPolicy
 from repro.core.objectives import ENERGY, Objective
 from repro.core.oracle_store import (
+    ORACLE_COLUMNS,
     OracleStore,
     code_fingerprint,
     content_digest,
@@ -33,40 +34,25 @@ from repro.core.oracle_store import (
 )
 from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
 from repro.soc.counters import PerformanceCounters
-from repro.soc.simulator import SnippetResult, SoCSimulator
+from repro.soc.simulator import (SnippetResult, SoCSimulator,
+                                 characteristics_matrix)
 from repro.soc.snippet import Snippet
 
 
-@dataclass
-class OracleEntry:
-    """Best configuration and cost for one snippet."""
-
-    snippet_name: str
-    best_configuration: SoCConfiguration
-    best_cost: float
-    best_result: SnippetResult
-
-
-@dataclass
+@dataclass(eq=False)
 class OracleTable:
-    """Mapping from snippet name to its Oracle entry."""
+    """Snippet name -> row of :attr:`columns`
+    (:data:`~repro.core.oracle_store.ORACLE_COLUMNS`; ``best_index``
+    indexes :attr:`space`)."""
 
     objective_name: str
-    entries: Dict[str, OracleEntry] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, snippet_name: str) -> bool:
-        return snippet_name in self.entries
-
-    def entry(self, snippet: Snippet) -> OracleEntry:
-        if snippet.name not in self.entries:
-            raise KeyError(f"snippet {snippet.name!r} not in Oracle table")
-        return self.entries[snippet.name]
+    space: ConfigurationSpace
+    rows: Dict[Hashable, int]
+    columns: np.ndarray
 
     def best_configuration(self, snippet: Snippet) -> SoCConfiguration:
-        return self.entry(snippet).best_configuration
+        row = self.rows[snippet.name]
+        return self.space[int(self.columns["best_index"][row])]
 
 
 class OraclePolicy(DRMPolicy):
@@ -93,9 +79,6 @@ class OraclePolicy(DRMPolicy):
         return self.current
 
 
-#: Cache key types (content-derived, never identity-derived).
-SnippetKey = Tuple[str, int, float, Tuple[Tuple[str, float], ...]]
-
 #: Key text of every live configuration space, keyed weakly by the space
 #: object: the memo neither keeps a space alive nor rides along when one is
 #: pickled (snapshots, rotations and shard bundles stay the same size).
@@ -104,14 +87,18 @@ _SPACE_KEY_TEXT: weakref.WeakKeyDictionary[ConfigurationSpace, str] = (
 )
 
 
-def snippet_cache_key(snippet: Snippet) -> SnippetKey:
-    """Content key for a snippet (two equal snippets share Oracle entries)."""
-    return (
-        snippet.application,
-        snippet.index,
-        snippet.n_instructions,
-        tuple(sorted(snippet.characteristics.as_dict().items())),
-    )
+def content_keys(snippets: Sequence[Snippet]) -> List[bytes]:
+    """Content key of every snippet (two equal snippets share Oracle rows).
+
+    A key is the application name in UTF-8, then one fixed-length float64
+    row: the index and the :func:`~repro.soc.simulator.characteristics_matrix`
+    row.  ``-0.0`` is stored as ``0.0``, and ``1`` and ``1.0`` alike.
+    """
+    matrix = np.column_stack([[snippet.index for snippet in snippets],
+                              characteristics_matrix(snippets)]) + 0.0
+    rows = matrix.view(f"V{matrix.itemsize * matrix.shape[1]}").ravel()
+    return [snippet.application.encode("utf-8") + row
+            for snippet, row in zip(snippets, rows.tolist())]
 
 
 def space_cache_key(space: ConfigurationSpace) -> str:
@@ -248,30 +235,29 @@ def cache_stats_snapshot() -> Dict[str, int]:
 
 
 class OracleCache:
-    """Memo of Oracle entries keyed by (snippet, space, objective).
+    """Memo of Oracle rows keyed by (snippet, space, objective).
 
-    Oracle construction is deterministic (noise-free), so an entry computed
+    Oracle construction is deterministic (noise-free), so a row computed
     once for a snippet is valid for every later sweep over the same space
-    and objective.  The framework attaches one cache per simulator instance;
-    ``train_offline``, ``_bootstrap_models`` and
-    ``evaluate_policy_on_snippets`` then stop re-sweeping snippets they have
-    already solved.  Keys are derived from content, never object identity,
-    so regenerated-but-identical snippets still hit.  The space part of a
-    key is its :func:`space_cache_key` text, whose hash Python caches,
-    rather than the tuple of configuration dataclasses it spells out, which
-    would re-hash on every lookup.
+    and objective.  The framework attaches one cache per simulator instance,
+    so its later builds stop re-sweeping snippets already solved.  The
+    cache keeps one :class:`OracleTable` per (space, objective), keyed by
+    :func:`content_keys` rather than names, so regenerated-but-identical
+    snippets still hit.  The space part of the memo key is its
+    :func:`space_cache_key` text, whose hash Python caches, rather than the
+    tuple of configuration dataclasses it spells out.
 
     An optional :class:`~repro.core.oracle_store.OracleStore` layers a
     persistent, cross-process tier underneath: a :func:`build_oracle` call
     whose snippets miss memory consults the store's table for its space and
-    objective once, and publishes the entries it swept as one segment of
-    that table when it ends, so worker processes and later CLI invocations
-    skip sweeps any process has ever completed.  ``store=None`` (the
-    default) adopts the process-wide default store, if one is installed.
+    objective once, and publishes the rows it swept as one segment of that
+    table when it ends, so worker processes and later CLI invocations skip
+    sweeps any process has ever completed.  ``store=None`` (the default)
+    adopts the process-wide default store, if one is installed.
     """
 
     def __init__(self, store: Optional[OracleStore] = None) -> None:
-        self._entries: Dict[Tuple, OracleEntry] = {}
+        self._tables: Dict[Tuple[str, Tuple[str, object]], OracleTable] = {}
         self.store_backend = (store if store is not None
                               else get_default_oracle_store())
         self.hits = 0
@@ -280,11 +266,12 @@ class OracleCache:
         self.store_misses = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(len(table.rows) for table in self._tables.values())
 
-    def _count(self, counter: str) -> None:
-        setattr(self, counter, getattr(self, counter) + 1)
-        _GLOBAL_CACHE_STATS[counter] += 1
+    def _count(self, **counts: int) -> None:
+        for counter, n in counts.items():
+            setattr(self, counter, getattr(self, counter) + n)
+            _GLOBAL_CACHE_STATS[counter] += n
 
     def _build(self, simulator: SoCSimulator, space: ConfigurationSpace,
                snippets: Iterable[Snippet],
@@ -293,57 +280,53 @@ class OracleCache:
 
         Each snippet's content key is looked up in memory, then in the
         store's table (fetched on the first memory miss of the call).  The
-        first occurrence of every key that misses both is swept, all of
-        them in the passes of one :func:`_sweep`.  A key's first lookup in
-        the call counts one memory hit or miss, and each memory miss one
-        store hit or miss; a repeat of a key within the call counts a
-        memory hit and shares the first occurrence's entry.  The swept
-        entries are published to the store as one segment when the call
-        ends.
+        first occurrence of every key that misses both is swept, all in one
+        :func:`_sweep`.  A key's first lookup in the call counts one memory
+        hit or miss, and each memory miss one store hit or miss; a repeat of
+        a key within the call counts a memory hit.  The swept rows are
+        published to the store as one segment when the call ends.
         """
-        space_text = space_cache_key(space)
-        objective_key = objective_cache_key(objective)
+        snippets = list(snippets)
+        keys = content_keys(snippets)
+        memo = self._tables.setdefault(
+            (space_cache_key(space), objective_cache_key(objective)),
+            OracleTable(objective.name, space, {}, np.empty(0, ORACLE_COLUMNS)))
+        known = memo.rows
         table_digest: Optional[str] = None
-        stored: Dict[SnippetKey, OracleEntry] = {}
-        order: List[Tuple[str, SnippetKey]] = []
-        found: Dict[SnippetKey, Optional[OracleEntry]] = {}
-        fetched: List[SnippetKey] = []
-        missing: Dict[SnippetKey, Snippet] = {}
-        for snippet in snippets:
-            snippet_key = snippet_cache_key(snippet)
-            order.append((snippet.name, snippet_key))
-            if snippet_key in found:
-                self._count("hits")
+        stored: Dict[bytes, Tuple] = {}
+        fetched: Dict[bytes, Tuple] = {}
+        missing: Dict[bytes, Snippet] = {}
+        hits = 0
+        for snippet, key in zip(snippets, keys):
+            if key in known or key in fetched or key in missing:
+                hits += 1
                 continue
-            entry = self._entries.get((snippet_key, space_text, objective_key))
-            if entry is not None:
-                self._count("hits")
-            else:
-                self._count("misses")
-                fetched.append(snippet_key)
-                if self.store_backend is not None:
-                    if table_digest is None:
-                        table_digest = persistent_table_digest(space,
-                                                               objective)
-                        stored = self.store_backend.table(table_digest)
-                    entry = stored.get(snippet_key)
-                    self._count("store_misses" if entry is None
-                                else "store_hits")
-                if entry is None:
-                    missing[snippet_key] = snippet
-            found[snippet_key] = entry
-        swept = dict(zip(missing, _sweep(simulator, space,
-                                         list(missing.values()), objective)))
-        found.update(swept)
-        for snippet_key in fetched:
-            self._entries[(snippet_key, space_text, objective_key)] = (
-                found[snippet_key])
-        table = OracleTable(objective_name=objective.name)
-        for name, snippet_key in order:
-            table.entries[name] = found[snippet_key]
-        if swept and table_digest is not None:
-            self.store_backend.publish(table_digest, swept)
-        return table
+            if self.store_backend is not None:
+                if table_digest is None:
+                    table_digest = persistent_table_digest(space, objective)
+                    stored = self.store_backend.table(table_digest)
+                entry = stored.get(key)
+                if entry is not None:
+                    fetched[key] = entry
+                    continue
+            missing[key] = snippet
+        new = [*fetched, *missing]
+        self._count(hits=hits, misses=len(new))
+        if self.store_backend is not None:
+            self._count(store_hits=len(fetched), store_misses=len(missing))
+        swept = _sweep(simulator, space, list(missing.values()), objective)
+        if missing and table_digest is not None:
+            self.store_backend.publish(table_digest, list(missing), swept)
+        if new:
+            known.update(zip(new, range(len(memo.columns),
+                                        len(memo.columns) + len(new))))
+            memo.columns = np.concatenate([
+                memo.columns,
+                np.array(list(fetched.values()), ORACLE_COLUMNS), swept])
+        return OracleTable(
+            objective.name, space,
+            {snippet.name: i for i, snippet in enumerate(snippets)},
+            memo.columns[[known[key] for key in keys]])
 
 
 #: Most (snippet, configuration) pairs one array pass of an Oracle sweep
@@ -355,33 +338,31 @@ SWEEP_PASS_PAIRS = 1 << 14
 
 
 def _sweep(simulator: SoCSimulator, space: ConfigurationSpace,
-           snippets: List[Snippet], objective: Objective) -> List[OracleEntry]:
-    """The Oracle entry of every snippet, in order.
+           snippets: List[Snippet], objective: Objective) -> np.ndarray:
+    """The :data:`~repro.core.oracle_store.ORACLE_COLUMNS` of every snippet.
 
     Consecutive snippets are swept over the space in passes of at most
     :data:`SWEEP_PASS_PAIRS` pairs, one
     :meth:`~repro.soc.simulator.SoCSimulator.evaluate_expected_batch` call
     each.  One row-wise ``np.argmin`` over the objective's cost picks each
     snippet's first minimum, matching the per-configuration loop's strict
-    ``cost < best_cost`` tie-breaking, and only those best results are
-    materialised.
+    ``cost < best_cost`` tie-breaking, and the cost, energy and time of
+    those pairs are gathered from the pass's arrays.
     """
     per_pass = max(1, SWEEP_PASS_PAIRS // max(1, len(space)))
-    entries: List[OracleEntry] = []
+    columns = np.empty(len(snippets), ORACLE_COLUMNS)
     for start in range(0, len(snippets), per_pass):
         batch = simulator.evaluate_expected_batch(
             snippets[start:start + per_pass], space)
         costs = objective.batch_cost(batch)
         best = np.argmin(costs, axis=1)
-        best_costs = costs[np.arange(len(best)), best].tolist()
-        for result, cost in zip(batch.take(best).lane_results(), best_costs):
-            entries.append(OracleEntry(
-                snippet_name=result.snippet.name,
-                best_configuration=result.configuration,
-                best_cost=cost,
-                best_result=result,
-            ))
-    return entries
+        pairs = (np.arange(len(best)), best)
+        out = columns[start:start + len(best)]
+        out["best_index"] = best
+        out["best_cost"] = costs[pairs]
+        out["energy_j"] = batch.energy_j[pairs]
+        out["time_s"] = batch.execution_time_s[pairs]
+    return columns
 
 
 def build_oracle(
@@ -401,16 +382,31 @@ def build_oracle(
     simulator's ``evaluate_expected_batch`` (see :func:`_sweep`).  The
     per-configuration loop it replaced lives in
     ``tests/scalar_reference/oracle_loop.py``, where the tests and the sweep
-    benchmark check that both build bitwise-identical tables.
-    Passing an :class:`OracleCache` skips snippets whose entries were
+    benchmark check that both build bitwise-identical columns.
+    Passing an :class:`OracleCache` skips snippets whose rows were
     already computed for this space/objective, in memory or in its store,
     and sweeps each content key once per call.
     """
     if cache is not None:
         return cache._build(simulator, space, snippets, objective)
     snippets = list(snippets)
-    table = OracleTable(objective_name=objective.name)
-    for snippet, entry in zip(snippets, _sweep(simulator, space, snippets,
-                                               objective)):
-        table.entries[snippet.name] = entry
-    return table
+    return OracleTable(objective.name, space,
+                       {snippet.name: i for i, snippet in enumerate(snippets)},
+                       _sweep(simulator, space, snippets, objective))
+
+
+def oracle_results(simulator: SoCSimulator, table: OracleTable,
+                   snippets: Sequence[Snippet]) -> List[SnippetResult]:
+    """The noise-free result of each snippet at its Oracle configuration:
+    one lane per snippet in one
+    :meth:`~repro.soc.simulator.SoCSimulator.expected_arrays` call, the
+    kernel the sweep ran, so every value is bitwise the sweep's."""
+    best = table.columns["best_index"][[table.rows[snippet.name]
+                                        for snippet in snippets]]
+    knobs = table.space.batch_index_arrays()
+    return simulator.expected_arrays(
+        list(snippets), [table.space[i] for i in best.tolist()],
+        characteristics_matrix(snippets).T,
+        {name: opp[best] for name, (opp, _) in knobs.items()},
+        {name: active[best] for name, (_, active) in knobs.items()},
+    ).lane_results()

@@ -10,8 +10,8 @@ Layout: one directory per Oracle table, named by the digest of the table's
 configuration space, objective and :func:`code_fingerprint` (computed by
 :func:`repro.core.oracle.persistent_table_digest`).  A table is an
 append-only set of *segments*: each ``build_oracle`` call that computed
-entries publishes them as one pickled ``{snippet key: entry}`` dict, named
-by the SHA-256 digest of its bytes.
+entries publishes them as one fixed-dtype NumPy array (a content key and
+:data:`ORACLE_COLUMNS` per entry), named by the SHA-256 digest of its bytes.
 
 Design points:
 
@@ -20,12 +20,14 @@ Design points:
   and loads only the segments it has not seen, so a lookup is a dict get
   and other processes' writes become visible when their ``build_oracle``
   call ends.
+* **Data, never code.**  Segments are read with
+  ``np.load(allow_pickle=False)``; files without the current
+  :data:`SEGMENT_SUFFIX` (older pickled segments included) are never opened.
 * **Crash/corruption tolerance.**  Segments are written to a temp file in
-  the table directory and published with an atomic :func:`os.replace`;
-  a segment whose bytes do not match its name, that fails to unpickle or
-  that carries another :data:`STORE_FORMAT_VERSION` is skipped, so its
-  entries miss, are recomputed and are re-published: the store heals
-  itself one segment at a time.
+  the table directory and published with an atomic :func:`os.replace`; a
+  segment whose bytes do not match its name or that does not load as a
+  segment array is skipped, so its entries miss, are recomputed and are
+  re-published: the store heals itself one segment at a time.
 * **Concurrent safety.**  Readers only ever see fully written segments
   (atomic rename); segments are never rewritten, and two writers
   publishing identical bytes publish the same name, so last-writer-wins is
@@ -37,25 +39,26 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import os
-import pickle
 import tempfile
 import time
 from pathlib import Path
-from typing import (TYPE_CHECKING, Callable, Dict, Hashable, List,
-                    Optional, Set, TypeVar, Union)
+from typing import Callable, Dict, List, Optional, Sequence, Set, TypeVar, Union
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (oracle -> store)
-    from repro.core.oracle import OracleEntry
-
 _T = TypeVar("_T")
 
-#: Bump when the pickled segment layout changes; segments of another
-#: version are skipped.  A version-1 store (one ``ab/<digest>.pkl`` file per
-#: entry) has no table directories, so none of its files is ever read.
-STORE_FORMAT_VERSION = 2
+#: Bump when the segment layout changes.  Segments are named with the
+#: version (:data:`SEGMENT_SUFFIX`), so another version's are never opened.
+STORE_FORMAT_VERSION = 3
+SEGMENT_SUFFIX = f".v{STORE_FORMAT_VERSION}.npy"
+
+#: One entry's Oracle columns: the best configuration (an index into the
+#: table's space) and the objective's cost, noise-free energy and time there.
+ORACLE_COLUMNS = np.dtype([("best_index", "<i8"), ("best_cost", "<f8"),
+                           ("energy_j", "<f8"), ("time_s", "<f8")])
 
 #: Process-wide store-activity counters aggregated over every OracleStore
 #: instance (merged into :func:`repro.core.oracle.cache_stats_snapshot`).
@@ -147,7 +150,7 @@ class OracleStore:
         self._jitter_rng = np.random.default_rng(jitter_seed)
         # Resident entries of every table loaded so far, and the names of
         # the segments each one has read.
-        self._tables: Dict[str, Dict[Hashable, "OracleEntry"]] = {}
+        self._tables: Dict[str, Dict[bytes, tuple]] = {}
         self._seen: Dict[str, Set[str]] = {}
 
     def _backoff_delay(self, attempt: int) -> float:
@@ -184,16 +187,16 @@ class OracleStore:
                 attempt += 1
                 self._count_retry(attempt)
 
-    def table(self, digest: str) -> Dict[Hashable, "OracleEntry"]:
-        """Resident entries of table ``digest``, keyed by snippet key.
+    def table(self, digest: str) -> Dict[bytes, tuple]:
+        """Resident entries of table ``digest``, keyed by content key.
 
         The first call loads every segment of the table; each later call
         re-lists the directory and loads only the segments published since
         (by pooled workers, earlier runs or other store instances).  A
         listing that keeps failing leaves the resident entries as they are,
         and a segment that cannot be read is tried again on the next call;
-        a corrupt or other-version segment is skipped for good, so its
-        entries miss and the caller re-publishes them.
+        a corrupt segment is skipped for good, so its entries miss and the
+        caller re-publishes them.
         """
         entries = self._tables.setdefault(digest, {})
         seen = self._seen.setdefault(digest, set())
@@ -211,9 +214,10 @@ class OracleStore:
                 entries.update(segment)
         return entries
 
-    def publish(self, digest: str,
-                entries: Dict[Hashable, "OracleEntry"]) -> bool:
-        """Append ``entries`` to table ``digest`` as one segment.
+    def publish(self, digest: str, keys: Sequence[bytes],
+                columns: np.ndarray) -> bool:
+        """Append ``columns[i]`` (:data:`ORACLE_COLUMNS`) under
+        ``keys[i]`` to table ``digest`` as one segment.
 
         The segment is written to a temp file and published with an atomic
         :func:`os.replace` under the digest of its bytes.  The store is a
@@ -223,9 +227,8 @@ class OracleStore:
         memory-only operation (counted in :attr:`write_errors`) instead of
         raising.  Returns whether the segment was published.
         """
-        payload = pickle.dumps((STORE_FORMAT_VERSION, entries),
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        name = f"{hashlib.sha256(payload).hexdigest()}.pkl"
+        payload = _encode_segment(keys, columns)
+        name = hashlib.sha256(payload).hexdigest() + SEGMENT_SUFFIX
         directory = self.root / digest
         if self._retrying("write", directory / name,
                           lambda: _write_atomic(directory, name,
@@ -233,15 +236,35 @@ class OracleStore:
             self.write_errors += 1
             return False
         if digest in self._tables:
-            self._tables[digest].update(entries)
+            self._tables[digest].update(zip(keys, columns.tolist()))
             self._seen[digest].add(name)
         return True
+
+
+def _segment_dtype(key_width: int) -> np.dtype:
+    """Record layout of a segment whose longest key has ``key_width`` bytes.
+
+    A key may end in NUL bytes, which an ``S`` field would strip; a ``V``
+    field keeps them, and ``key_size`` says how many bytes are the key's.
+    """
+    return np.dtype([("key", f"V{key_width}"), ("key_size", "<i8"),
+                     ("columns", ORACLE_COLUMNS)])
+
+
+def _encode_segment(keys: Sequence[bytes], columns: np.ndarray) -> bytes:
+    """The :func:`np.save` bytes of one segment."""
+    records = np.zeros(len(keys), _segment_dtype(max(map(len, keys))))
+    records["key"], records["key_size"] = keys, list(map(len, keys))
+    records["columns"] = columns
+    buffer = io.BytesIO()
+    np.save(buffer, records, allow_pickle=False)
+    return buffer.getvalue()
 
 
 def _segment_names(directory: Path) -> List[str]:
     try:
         return [name for name in os.listdir(directory)
-                if name.endswith(".pkl")]
+                if name.endswith(SEGMENT_SUFFIX)]
     except FileNotFoundError:
         return []  # nothing published to this table yet: no retry
 
@@ -254,19 +277,24 @@ def _read_segment(path: Path) -> Optional[bytes]:
 
 
 def _decode_segment(name: str,
-                    data: bytes) -> Optional[Dict[Hashable, "OracleEntry"]]:
+                    data: bytes) -> Optional[Dict[bytes, tuple]]:
     """A segment's entries; ``None`` for bytes that do not match the
-    segment's name (truncated, bit rot), fail to unpickle or carry another
-    format version."""
-    if f"{hashlib.sha256(data).hexdigest()}.pkl" != name:
+    segment's name (truncated, bit rot), do not load as a plain array or
+    hold records of another layout."""
+    if hashlib.sha256(data).hexdigest() + SEGMENT_SUFFIX != name:
         return None
     try:
-        version, entries = pickle.loads(data)
+        records = np.load(io.BytesIO(data), allow_pickle=False)
+        width = records.dtype["key"].itemsize
     except Exception:
         return None
-    if version != STORE_FORMAT_VERSION or not isinstance(entries, dict):
+    if records.ndim != 1 or records.dtype != _segment_dtype(width):
         return None
-    return entries
+    sizes = records["key_size"].tolist()
+    if not all(0 < size <= width for size in sizes):
+        return None
+    keys = [key[:size] for key, size in zip(records["key"].tolist(), sizes)]
+    return dict(zip(keys, records["columns"].tolist()))
 
 
 def _write_atomic(directory: Path, name: str, payload: bytes) -> bool:

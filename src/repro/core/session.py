@@ -364,11 +364,12 @@ class PolicySession:
             little_opp = float(config.opp_index("little"))
             index = self.space._index.get(config)
         oracle_big = oracle_match = oracle_energy = _NAN
-        if self.oracle_table is not None and step.snippet.name in self.oracle_table:
-            entry = self.oracle_table.entry(step.snippet)
-            oracle_big = float(entry.best_configuration.opp_index("big"))
+        table = self.oracle_table
+        row = None if table is None else table.rows.get(step.snippet.name)
+        if row is not None:  # ``item`` gives Python scalars, not NumPy's
+            best, _, oracle_energy, _ = table.columns.item(row)
+            oracle_big = float(table.space[best].opp_index("big"))
             oracle_match = float(big_opp == oracle_big)
-            oracle_energy = entry.best_result.energy_j
             self.oracle_energy += oracle_energy
         self.log.append((
             result.energy_j, result.execution_time_s, result.average_power_w,

@@ -66,12 +66,6 @@ class Figure5Result:
         values = [getattr(row, field_name) for row in self.per_benchmark]
         return float(np.mean(values)) if values else float("nan")
 
-    def savings_of(self, benchmark: str) -> BenchmarkSavings:
-        for row in self.per_benchmark:
-            if row.benchmark == benchmark:
-                return row
-        raise KeyError(f"benchmark {benchmark!r} not in results")
-
 
 def _controller_for(gpu: GPUSpec, target_fps: float, kind: str,
                     explicit_by_fps: Dict[float, ExplicitNMPCGpuController]):

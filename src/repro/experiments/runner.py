@@ -563,12 +563,6 @@ class ExperimentRunner:
             )
         return out
 
-    def run_many(self, names: Optional[Sequence[str]] = None,
-                 tag: Optional[str] = None) -> Dict[str, ExperimentRun]:
-        """Run several experiments (default: every registered one)."""
-        targets = list(names) if names is not None else available_experiments(tag)
-        return {name: self.run(name) for name in targets}
-
 
 # --------------------------------------------------------------------- #
 # Built-in registrations: the paper's figures/tables plus the ablations.

@@ -72,11 +72,6 @@ class GPURunSummary:
         misses = sum(1 for r in self.frame_results if not r.met_deadline)
         return misses / self.n_frames
 
-    def mean_frame_time_s(self) -> float:
-        if not self.frame_results:
-            return 0.0
-        return float(np.mean([r.frame_time_s for r in self.frame_results]))
-
     def frame_time_series_s(self) -> np.ndarray:
         return np.array([r.frame_time_s for r in self.frame_results])
 

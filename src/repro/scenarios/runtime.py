@@ -10,12 +10,12 @@ windows of the run.  This module provides the three runtime pieces:
   schedule consumed by
   :func:`~repro.core.framework.run_policy_on_snippets`.
 * :func:`build_scenario_oracle` — a scenario-aware Oracle table: every
-  snippet's entry is computed against the space that is *actually
+  snippet's row is computed against the space that is *actually
   reachable at its step* (via the vectorized batch sweep), so accuracy and
-  normalised energy stay meaningful under throttling.  Entries flow
+  normalised energy stay meaningful under throttling.  Rows flow
   through the :class:`~repro.core.oracle.OracleCache`, whose keys include
   the space restriction — a throttled window can never reuse a stale
-  full-space entry.
+  full-space row.
 * :func:`run_policy_on_scenario` — the one-call evaluation entry point
   mirroring :func:`~repro.core.framework.run_policy_on_snippets`.
 """
@@ -30,6 +30,7 @@ from repro.control.policy import DRMPolicy
 from repro.core.framework import PolicyRunResult, run_policy_on_snippets
 from repro.core.objectives import ENERGY, Objective
 from repro.core.oracle import OracleCache, OracleTable, build_oracle
+from repro.core.oracle_store import ORACLE_COLUMNS
 from repro.scenarios.base import ScenarioTrace
 from repro.soc.configuration import ConfigurationSpace
 from repro.soc.simulator import SoCSimulator
@@ -70,20 +71,27 @@ def build_scenario_oracle(
     Steps are grouped by their active throttle cap; each group is swept
     with :func:`~repro.core.oracle.build_oracle` (the vectorized batch
     engine path) against the matching restricted space, and the groups are
-    merged into one table.  Snippet names are unique within a scenario
-    trace, so the merge is collision free.
+    merged into one table over ``base_space``, their best indices mapped to
+    the base space's.  Snippet names are unique within a scenario trace, so
+    the merge is collision free.
     """
     spaces = restricted_spaces(base_space, trace)
     by_cap: Dict[Optional[int], List[Snippet]] = {}
     for step, snippet in enumerate(trace.snippets):
         by_cap.setdefault(trace.cap_at(step), []).append(snippet)
-    table = OracleTable(objective_name=objective.name)
+    names, groups = [], [np.empty(0, ORACLE_COLUMNS)]
     for cap, snippets in by_cap.items():
         space = base_space if cap is None else spaces[cap]
-        group_table = build_oracle(simulator, space, snippets, objective,
-                                   cache=cache)
-        table.entries.update(group_table.entries)
-    return table
+        columns = build_oracle(simulator, space, snippets, objective,
+                               cache=cache).columns
+        if space is not base_space:
+            base_index = np.array([base_space.index_of(c) for c in space])
+            columns["best_index"] = base_index[columns["best_index"]]
+        names += [snippet.name for snippet in snippets]
+        groups.append(columns)
+    return OracleTable(objective.name, base_space,
+                       {name: row for row, name in enumerate(names)},
+                       np.concatenate(groups))
 
 
 def run_policy_on_scenario(

@@ -135,17 +135,6 @@ class ServiceClient:
         assert isinstance(receipt, DispatchReceipt)
         return receipt
 
-    def restrict_space(self, device: str,
-                       cap: Optional[int]) -> DispatchReceipt:
-        return self.dispatch(DispatchCommand(
-            command="restrict-space", device=device, value=cap,
-        ))
-
-    def set_policy(self, device: str, policy: str) -> DispatchReceipt:
-        return self.dispatch(DispatchCommand(
-            command="set-policy", device=device, value=policy,
-        ))
-
     def pause(self) -> DispatchReceipt:
         return self.dispatch(DispatchCommand(command="pause"))
 

@@ -271,10 +271,3 @@ def read_port_file(journal_dir: Path) -> int:
     """The port a journaled server bound to (written by :meth:`serve`)."""
     return int((Path(journal_dir) / PORT_FILE).read_text().strip())
 
-
-def serve_run(run: ServiceRun, host: str = "127.0.0.1", port: int = 0,
-              step_delay: float = 0.0) -> ServiceServer:
-    """Blocking convenience wrapper: serve ``run`` until drained/finished."""
-    server = ServiceServer(run, host=host, port=port, step_delay=step_delay)
-    asyncio.run(server.serve())
-    return server

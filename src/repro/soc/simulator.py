@@ -566,7 +566,7 @@ class SoCSimulator:
         """Re-noise a noise-free result exactly as :meth:`run_snippet` would.
 
         Given the expected (deterministic) result of a snippet/configuration
-        pair — e.g. a cached Oracle entry's ``best_result`` — this draws the
+        pair — e.g. one rebuilt at an Oracle table's choice — this draws the
         same two log-normal factors in the same order as :meth:`run_snippet`
         and applies them with the same arithmetic, so the returned result
         (and the generator stream consumed) is bitwise identical to a full

@@ -11,43 +11,45 @@ lower than every earlier one.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
+
+import numpy as np
 
 from repro.core.objectives import ENERGY, Objective
-from repro.core.oracle import OracleEntry, OracleTable
-from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
+from repro.core.oracle import OracleTable
+from repro.core.oracle_store import ORACLE_COLUMNS
+from repro.soc.configuration import ConfigurationSpace
 from repro.soc.simulator import SnippetResult, SoCSimulator
 from repro.soc.snippet import Snippet
 
 
-def best_entry(simulator: SoCSimulator, space: ConfigurationSpace,
-               snippet: Snippet, objective: Objective) -> OracleEntry:
-    """Sweep one snippet over the space and return its minimising entry."""
-    best_config: Optional[SoCConfiguration] = None
+def sweep_snippet(simulator: SoCSimulator, space: ConfigurationSpace,
+                  snippet: Snippet, objective: Objective
+                  ) -> Tuple[int, float, SnippetResult]:
+    """Sweep one snippet over the space: the index, cost and noise-free
+    result of its minimising configuration."""
+    best: Optional[Tuple[int, SnippetResult]] = None
     best_cost = float("inf")
-    best_result: Optional[SnippetResult] = None
-    for config in space:
+    for index, config in enumerate(space):
         result = simulator.evaluate_expected(snippet, config)
         cost = objective(result)
         if cost < best_cost:
             best_cost = cost
-            best_config = config
-            best_result = result
-    assert best_config is not None and best_result is not None
-    return OracleEntry(
-        snippet_name=snippet.name,
-        best_configuration=best_config,
-        best_cost=best_cost,
-        best_result=best_result,
-    )
+            best = (index, result)
+    assert best is not None
+    return best[0], best_cost, best[1]
 
 
 def build_oracle(simulator: SoCSimulator, space: ConfigurationSpace,
                  snippets: Iterable[Snippet],
                  objective: Objective = ENERGY) -> OracleTable:
     """Exhaustively construct the Oracle table for ``snippets``."""
-    table = OracleTable(objective_name=objective.name)
+    snippets = list(snippets)
+    rows = []
     for snippet in snippets:
-        table.entries[snippet.name] = best_entry(simulator, space, snippet,
-                                                 objective)
-    return table
+        index, cost, result = sweep_snippet(simulator, space, snippet,
+                                            objective)
+        rows.append((index, cost, result.energy_j, result.execution_time_s))
+    return OracleTable(objective.name, space,
+                       {snippet.name: i for i, snippet in enumerate(snippets)},
+                       np.array(rows, dtype=ORACLE_COLUMNS))

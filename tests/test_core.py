@@ -58,10 +58,11 @@ class TestOracle:
                                           oracle_table):
         framework = trained_framework
         snippet = short_trace[0]
-        entry = oracle_table.entry(snippet)
+        best_cost = oracle_table.columns["best_cost"][
+            oracle_table.rows[snippet.name]]
         energies = [framework.simulator.evaluate_expected(snippet, config).energy_j
                     for config in framework.space]
-        assert entry.best_cost == pytest.approx(min(energies))
+        assert best_cost == pytest.approx(min(energies))
 
     def test_oracle_policy_plays_back_table(self, trained_framework, short_trace,
                                             oracle_table):
@@ -76,7 +77,8 @@ class TestOracle:
     def test_oracle_beats_static_policies(self, trained_framework, short_trace,
                                           oracle_table):
         framework = trained_framework
-        oracle_energy = sum(oracle_table.entry(s).best_cost
+        best_cost = oracle_table.columns["best_cost"]
+        oracle_energy = sum(best_cost[oracle_table.rows[s.name]]
                             for s in short_trace)
         for config in (framework.space[0], framework.space[len(framework.space) - 1]):
             static = StaticPolicy(framework.space, config)
@@ -85,11 +87,12 @@ class TestOracle:
             assert run.total_energy_j >= oracle_energy * 0.99
 
     def test_oracle_table_accessors(self, oracle_table, short_trace):
-        assert len(oracle_table) == len(short_trace)
-        assert short_trace[0].name in oracle_table
+        assert len(oracle_table.rows) == len(short_trace)
+        assert short_trace[0].name in oracle_table.rows
+        unknown = SnippetTraceGenerator(seed=9).generate(
+            get_workload("sha").scaled(0.1))[0]
         with pytest.raises(KeyError):
-            oracle_table.entry(SnippetTraceGenerator(seed=9).generate(
-                get_workload("sha").scaled(0.1))[0])
+            oracle_table.best_configuration(unknown)
 
 
 class TestAggregationBuffer:

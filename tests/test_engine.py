@@ -1,19 +1,28 @@
 """Tests for the vectorized Oracle sweep and the experiment plumbing.
 
-Covers batch-vs-scalar Oracle sweep parity (bitwise), the
+Covers batch-vs-scalar Oracle sweep parity (bitwise, column by column),
+the noise-free results rebuilt from a table, the exact number of
+simulator results an Oracle build and offline training create, the
 :class:`~repro.core.oracle.OracleCache` hit/miss behaviour, the scale
 registry, and the experiment registry / runner / CLI round-trips.
 """
 
 import copy
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import repro.core.oracle as oracle_module
 from repro.core.objectives import ALL_OBJECTIVES, ENERGY, Objective
-from repro.core.oracle import OracleCache, build_oracle, snippet_cache_key
+from repro.core.oracle import (
+    OracleCache,
+    build_oracle,
+    content_keys,
+    oracle_results,
+)
+from repro.core.oracle_store import ORACLE_COLUMNS
 from repro.experiments.runner import (
     ExperimentRunner,
     available_experiments,
@@ -31,7 +40,10 @@ from repro.experiments.scales import (
     get_scale,
     register_scale,
 )
+from repro.scenarios.base import ScenarioTrace, ThrottleEvent
+from repro.scenarios.runtime import build_scenario_oracle, restricted_spaces
 from repro.soc.configuration import ConfigurationSpace
+from repro.soc.simulator import SnippetResult
 from repro.soc.snippet import Snippet, SnippetCharacteristics
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import get_workload
@@ -63,10 +75,17 @@ def _one_cluster_snippets():
     ]
 
 
-def _assert_tables_pickle_equal(reference, table):
-    assert list(reference.entries) == list(table.entries)
-    for name, entry in reference.entries.items():
-        assert pickle.dumps(entry) == pickle.dumps(table.entries[name]), name
+def _assert_tables_bitwise_equal(reference, table):
+    """Same names in the same order, the same space, and every column's
+    bytes equal row by row."""
+    assert list(reference.rows) == list(table.rows)
+    assert table.space is reference.space
+    assert table.objective_name == reference.objective_name
+    reference_rows = list(reference.rows.values())
+    table_rows = list(table.rows.values())
+    for column in ORACLE_COLUMNS.names:
+        assert (reference.columns[column][reference_rows].tobytes()
+                == table.columns[column][table_rows].tobytes()), column
 
 
 class TestBatchSweepParity:
@@ -89,9 +108,9 @@ class TestBatchSweepParity:
         snippets = list(sweep_trace) + _one_cluster_snippets()
         scalar = oracle_loop.build_oracle(simulator, space, snippets,
                                           objective)
-        _assert_tables_pickle_equal(
+        _assert_tables_bitwise_equal(
             scalar, build_oracle(simulator, space, snippets, objective))
-        _assert_tables_pickle_equal(
+        _assert_tables_bitwise_equal(
             scalar, build_oracle(simulator, space, snippets, objective,
                                  cache=OracleCache(store=None)))
 
@@ -109,7 +128,7 @@ class TestBatchSweepParity:
         snippets = list(sweep_trace[:12]) + _one_cluster_snippets()
         scalar = oracle_loop.build_oracle(simulator, restricted, snippets,
                                           objective)
-        _assert_tables_pickle_equal(
+        _assert_tables_bitwise_equal(
             scalar, build_oracle(simulator, restricted, snippets, objective))
 
     @pytest.mark.parametrize("objective_name", sorted(PARITY_OBJECTIVES))
@@ -123,11 +142,58 @@ class TestBatchSweepParity:
         snippets = list(sweep_trace[:10]) + _one_cluster_snippets()
         scalar = oracle_loop.build_oracle(simulator, space, snippets,
                                           objective)
-        _assert_tables_pickle_equal(
+        _assert_tables_bitwise_equal(
             scalar, build_oracle(simulator, space, snippets, objective))
-        _assert_tables_pickle_equal(
+        _assert_tables_bitwise_equal(
             scalar, build_oracle(simulator, space, snippets, objective,
                                  cache=OracleCache(store=None)))
+
+    @pytest.mark.parametrize("objective_name", sorted(PARITY_OBJECTIVES))
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_scenario_tables_identical_across_paths(
+            self, simulator, space, sweep_trace, objective_name, cached):
+        """Throttled steps are swept over their restricted space and land
+        in the merged table as base-space indices."""
+        objective = PARITY_OBJECTIVES[objective_name]
+        snippets = list(sweep_trace[:14]) + _one_cluster_snippets()
+        trace = ScenarioTrace(snippets, throttle_events=(
+            ThrottleEvent(2, 9, max_opp_index=2),
+            ThrottleEvent(6, 12, max_opp_index=0)))
+        table = build_scenario_oracle(
+            simulator, space, trace, objective,
+            cache=OracleCache(store=None) if cached else None)
+        assert table.space is space and len(table.rows) == len(snippets)
+        spaces = restricted_spaces(space, trace)
+        for step, snippet in enumerate(snippets):
+            cap = trace.cap_at(step)
+            active = space if cap is None else spaces[cap]
+            index, cost, result = oracle_loop.sweep_snippet(
+                simulator, active, snippet, objective)
+            expected = np.array([(space.index_of(active[index]), cost,
+                                  result.energy_j, result.execution_time_s)],
+                                dtype=ORACLE_COLUMNS)
+            row = table.rows[snippet.name]
+            assert table.columns[row:row + 1].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("objective_name", sorted(ALL_OBJECTIVES))
+    @pytest.mark.parametrize("restriction", [None, "throttled", "core-gated"])
+    def test_oracle_results_pickle_equal_to_loop(
+            self, simulator, space, sweep_trace, objective_name, restriction):
+        """The noise-free results rebuilt from a table's best indices are
+        the loop's best results, byte for byte."""
+        objective = ALL_OBJECTIVES[objective_name]
+        if restriction == "throttled":
+            space = space.restrict(max_opp_index=1)
+        elif restriction == "core-gated":
+            space = ConfigurationSpace(space.platform, allow_core_gating=True)
+        snippets = list(sweep_trace[:6]) + _one_cluster_snippets()
+        table = build_oracle(simulator, space, snippets, objective)
+        results = oracle_results(simulator, table, snippets)
+        assert len(results) == len(snippets)
+        for snippet, result in zip(snippets, results):
+            _, _, reference = oracle_loop.sweep_snippet(simulator, space,
+                                                        snippet, objective)
+            assert pickle.dumps(result) == pickle.dumps(reference)
 
     def test_oracle_sweeps_each_pass_in_one_batch_call(
             self, simulator, space, sweep_trace, monkeypatch):
@@ -154,7 +220,7 @@ class TestBatchSweepParity:
         assert len(names) > 4
         table = build_oracle(simulator, space, sweep_trace)
         assert swept == [(names, space)]
-        assert table.entries.keys() == set(names)
+        assert table.rows.keys() == set(names)
 
         swept.clear()
         monkeypatch.setattr(oracle_module, "SWEEP_PASS_PAIRS",
@@ -183,7 +249,7 @@ class TestBatchSweepParity:
                           original.n_instructions,
                           copy.deepcopy(original.characteristics))
         assert renamed.name != original.name
-        assert snippet_cache_key(renamed) == snippet_cache_key(original)
+        assert content_keys([renamed]) == content_keys([original])
         simulator_cls = type(simulator)
         real_batch = simulator_cls.evaluate_expected_batch
         swept = []
@@ -200,10 +266,9 @@ class TestBatchSweepParity:
         assert len(swept) == 1 and swept[0][0] is original
         assert len(swept[0]) == 1
         assert (cache.misses, cache.hits) == (1, 1)
-        assert list(table.entries) == [original.name, renamed.name]
-        first = table.entries[original.name]
-        assert first.snippet_name == original.name
-        assert table.entries[renamed.name] is first
+        assert list(table.rows) == [original.name, renamed.name]
+        assert (table.columns[table.rows[renamed.name]]
+                == table.columns[table.rows[original.name]])
         assert len(cache) == 1
 
     def test_batch_cost_fallback_without_vector_form(self, simulator, space,
@@ -236,8 +301,8 @@ class TestOracleCache:
         second = build_oracle(simulator, space, sweep_trace, ENERGY, cache=cache)
         assert cache.hits == len(sweep_trace)
         assert cache.misses == len(sweep_trace)
-        for name in first.entries:
-            assert first.entries[name] is second.entries[name]
+        assert list(first.rows) == list(second.rows)
+        assert first.columns.tobytes() == second.columns.tobytes()
 
     def test_content_keys_hit_across_regenerated_snippets(self, simulator,
                                                           space):
@@ -283,9 +348,9 @@ class TestOracleCache:
         assert len(cache) == 2 * len(sweep_trace)
         energy_table = build_oracle(simulator, space, sweep_trace, ENERGY,
                                     cache=cache)
-        name = sweep_trace[0].name
-        assert (impostor_table.entries[name].best_configuration
-                != energy_table.entries[name].best_configuration)
+        snippet = sweep_trace[0]
+        assert (impostor_table.best_configuration(snippet)
+                != energy_table.best_configuration(snippet))
 
     def test_same_named_platform_with_different_opps_misses(self, sweep_trace):
         from repro.soc.configuration import ConfigurationSpace
@@ -302,6 +367,38 @@ class TestOracleCache:
         assert cache.hits == 0
         assert len(cache) == 2 * len(sweep_trace)
 
+    def test_content_keys_spell_index_instructions_and_characteristics(
+            self, simulator, space):
+        """A key changes with every field the Oracle reads and with the
+        application and index; ``-0.0`` and ``0.0`` share a key, as they
+        compare equal."""
+        base = Snippet("app", 3, 20e6, SnippetCharacteristics(
+            memory_intensity=0.0))
+        variants = [
+            Snippet("app2", 3, 20e6, base.characteristics),
+            Snippet("app", 4, 20e6, base.characteristics),
+            Snippet("app", 3, 21e6, base.characteristics),
+            *[Snippet("app", 3, 20e6, SnippetCharacteristics(**{
+                **base.characteristics.as_dict(), "thread_count": 1,
+                field: value}))
+              for field, value in (("memory_intensity", 1.0),
+                                   ("memory_access_rate", 0.31),
+                                   ("external_request_rate", 0.61),
+                                   ("branch_misprediction_mpki", 4.1),
+                                   ("ilp_factor", 0.81),
+                                   ("parallel_fraction", 0.11),
+                                   ("thread_count", 2),
+                                   ("big_fraction", 0.86))],
+        ]
+        keys = content_keys([base, *variants])
+        assert len(set(keys)) == len(keys)
+        negative_zero = Snippet("app", 3, 20e6, SnippetCharacteristics(
+            memory_intensity=-0.0))
+        assert content_keys([negative_zero]) == content_keys([base])
+        cache = OracleCache(store=None)
+        build_oracle(simulator, space, [base, negative_zero], cache=cache)
+        assert (cache.misses, cache.hits) == (1, 1)
+
     def test_framework_reuses_oracle_entries(self, trained_framework,
                                              sweep_trace):
         cache = trained_framework.oracle_cache
@@ -311,6 +408,73 @@ class TestOracleCache:
         hits_before = cache.hits
         trained_framework.build_oracle_for(sweep_trace)
         assert cache.hits == hits_before + len(sweep_trace)
+
+
+class TestSnippetResultCounts:
+    """A table keeps no simulator results: a cold build materialises none,
+    and offline training rebuilds exactly one noise-free result per
+    training snippet (for the model bootstrap)."""
+
+    @pytest.fixture()
+    def created(self, monkeypatch):
+        created = Counter()
+        init = SnippetResult.__init__
+        from_values = SnippetResult._from_values.__func__
+
+        def counting_init(self, *args, **kwargs):
+            created["init"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_from_values(cls, values):
+            created["from_values"] += 1
+            return from_values(cls, values)
+
+        monkeypatch.setattr(SnippetResult, "__init__", counting_init)
+        monkeypatch.setattr(SnippetResult, "_from_values",
+                            classmethod(counting_from_values))
+        return created
+
+    @pytest.mark.parametrize("objective_name", sorted(ALL_OBJECTIVES))
+    def test_cold_build_creates_no_snippet_result(
+            self, simulator, space, sweep_trace, objective_name, created):
+        objective = ALL_OBJECTIVES[objective_name]
+        cache = OracleCache(store=None)
+        table = build_oracle(simulator, space, sweep_trace, objective,
+                             cache=cache)
+        assert cache.misses == len(table.rows) == len(sweep_trace)
+        build_oracle(simulator, space, sweep_trace, objective)
+        assert created == Counter()
+
+    def test_train_offline_creates_one_noise_free_result_per_snippet(
+            self, created, monkeypatch):
+        """Per training snippet: one noise-free result from the table's
+        best index, and two noisy ones (the dataset's execution and the
+        model bootstrap's re-noised copy).  Each rebuilt noise-free result
+        is the per-configuration loop's, byte for byte."""
+        from repro.core.framework import OnlineLearningFramework
+        from repro.workloads.suites import training_workloads
+
+        framework = OnlineLearningFramework(seed=3)
+        expected = []
+        apply_noise = framework.simulator.apply_noise
+
+        def recording_apply_noise(result, rng=None):
+            expected.append(result)
+            return apply_noise(result, rng)
+
+        monkeypatch.setattr(framework.simulator, "apply_noise",
+                            recording_apply_noise)
+        framework.train_offline(
+            [w.scaled(0.1) for w in training_workloads()[:3]], epochs=2)
+        snippets = framework._training_snippets
+        assert created == Counter(from_values=len(snippets),
+                                  init=2 * len(snippets))
+        assert len(expected) == len(snippets)
+        for snippet, result in zip(snippets, expected):
+            _, _, reference = oracle_loop.sweep_snippet(
+                framework.simulator, framework.space, snippet,
+                framework.objective)
+            assert pickle.dumps(result) == pickle.dumps(reference)
 
 
 class TestScaleRegistry:

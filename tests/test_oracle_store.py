@@ -3,10 +3,11 @@
 The :class:`~repro.core.oracle_store.OracleStore` must (a) hand back
 entries bitwise-equal to what the sweep computed, across processes and
 cache instances; (b) skip unreadable segments, so their entries miss and
-are re-published; (c) tolerate concurrent readers; (d) — the property the
-golden traces rely on — never change any experiment result, enabled or
-not; and (e) cost one segment file and one objective digest per
-``build_oracle`` call, not one per entry.
+are re-published; (c) never run code from a file in the store directory,
+and never read a segment of another format; (d) tolerate concurrent
+readers; (e) — the property the golden traces rely on — never change any
+experiment result, enabled or not; and (f) cost one segment file and one
+objective digest per ``build_oracle`` call, not one per entry.
 """
 
 from __future__ import annotations
@@ -29,13 +30,17 @@ from repro.core.objectives import ALL_OBJECTIVES, EDP, ENERGY, Objective
 from repro.core.oracle import (
     OracleCache,
     build_oracle,
+    content_keys,
     persistent_objective_key,
     persistent_table_digest,
-    snippet_cache_key,
 )
 from repro.core.oracle_store import (
+    ORACLE_COLUMNS,
     OracleStore,
+    SEGMENT_SUFFIX,
     STORE_FORMAT_VERSION,
+    _decode_segment,
+    _encode_segment,
     code_fingerprint,
     content_digest,
     default_space_digest,
@@ -46,6 +51,7 @@ from repro.core.oracle_store import (
 from repro.soc.configuration import ConfigurationSpace
 from repro.soc.platform import odroid_xu3_like
 from repro.soc.simulator import SoCSimulator
+from repro.soc.snippet import Snippet, SnippetCharacteristics
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import training_workloads
 
@@ -82,12 +88,12 @@ def simulator(platform):
 
 def _segments(root):
     """Every published segment file under a store root."""
-    return sorted(root.glob("*/*.pkl"))
+    return sorted(root.glob(f"*/*{SEGMENT_SUFFIX}"))
 
 
-def _content_name(payload: bytes) -> str:
+def _content_name(payload: bytes, suffix: str = SEGMENT_SUFFIX) -> str:
     """The name a segment with these bytes is published under."""
-    return f"{hashlib.sha256(payload).hexdigest()}.pkl"
+    return hashlib.sha256(payload).hexdigest() + suffix
 
 
 def _stored_entries(root) -> int:
@@ -97,21 +103,31 @@ def _stored_entries(root) -> int:
 
 
 def _segment_entries(path):
-    version, entries = pickle.loads(path.read_bytes())
-    assert version == STORE_FORMAT_VERSION
+    entries = _decode_segment(path.name, path.read_bytes())
+    assert entries is not None
     return entries
 
 
-def _entries_equal(left, right) -> bool:
-    return (
-        left.snippet_name == right.snippet_name
-        and left.best_configuration == right.best_configuration
-        and left.best_cost == right.best_cost
-        and left.best_result.energy_j == right.best_result.energy_j
-        and left.best_result.execution_time_s == right.best_result.execution_time_s
-        and np.array_equal(left.best_result.counters.as_vector(),
-                           right.best_result.counters.as_vector())
-    )
+def _row(table, snippet):
+    """A table's row for ``snippet``, as a store entry (Python scalars)."""
+    return table.columns.item(table.rows[snippet.name])
+
+
+class _CreatesMarker:
+    """Unpickling this runs ``os.mkdir(path)``: a file in the store
+    directory that would run code in a process reading it."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
+
+
+def _parent_key(snippet):
+    """The content key a version-2 store (pickled segments) used."""
+    return (snippet.application, snippet.index, snippet.n_instructions,
+            tuple(sorted(snippet.characteristics.as_dict().items())))
 
 
 class TestStoreRoundTrip:
@@ -129,8 +145,8 @@ class TestStoreRoundTrip:
                                 cache=cold_cache)
         assert cold_cache.store_hits == len(sweep_trace)
         assert cold_cache.hits == 0  # every entry came from disk, not memory
-        for name in table.entries:
-            assert _entries_equal(table.entries[name], reloaded.entries[name])
+        assert list(table.rows) == list(reloaded.rows)
+        assert table.columns.tobytes() == reloaded.columns.tobytes()
 
     def test_objectives_do_not_alias(self, tmp_path, simulator, space,
                                      sweep_trace):
@@ -145,8 +161,7 @@ class TestStoreRoundTrip:
         snippet = sweep_trace[0]
         assert (persistent_table_digest(space, ENERGY)
                 != persistent_table_digest(space, EDP))
-        assert energy_table.entries[snippet.name].best_cost != \
-            edp_table.entries[snippet.name].best_cost
+        assert _row(energy_table, snippet)[1] != _row(edp_table, snippet)[1]
 
     def test_restricted_space_does_not_alias_full_space(self, tmp_path,
                                                         simulator, space,
@@ -164,7 +179,7 @@ class TestStoreRoundTrip:
         # The restricted sweep missed the store (no aliasing) and its entry
         # honours the cap.
         assert throttled_cache.store_hits == 0
-        assert restricted.contains(table.entries[snippet.name].best_configuration)
+        assert restricted.contains(table.best_configuration(snippet))
 
     def test_persistent_objective_key_distinguishes_costs(self):
         impostor_energy = ENERGY.__class__(
@@ -223,7 +238,7 @@ class TestStoreRobustness:
         first, second, third = self._three_segments(root, simulator, space,
                                                     sweep_trace)
         assert len(_segment_entries(third)) == len(sweep_trace) - 4
-        first.write_bytes(b"definitely not a pickle")
+        first.write_bytes(b"definitely not a segment")
         second.write_bytes(second.read_bytes()[:-5])  # torn write
 
         healing_cache = OracleCache(store=OracleStore(root))
@@ -232,10 +247,10 @@ class TestStoreRobustness:
         # Exactly the corrupt segments' entries missed and were re-swept.
         assert healing_cache.store_misses == 4
         assert healing_cache.store_hits == len(sweep_trace) - 4
-        assert len(table.entries) == len(sweep_trace)
+        assert len(table.rows) == len(sweep_trace)
         (healed,) = set(_segments(root)) - {first, second, third}
-        assert set(_segment_entries(healed)) == {
-            snippet_cache_key(snippet) for snippet in sweep_trace[:4]}
+        assert set(_segment_entries(healed)) == set(
+            content_keys(sweep_trace[:4]))
         # The next run hits everything.
         final_cache = OracleCache(store=OracleStore(root))
         build_oracle(simulator, space, sweep_trace, ENERGY, cache=final_cache)
@@ -245,13 +260,14 @@ class TestStoreRobustness:
     def test_segment_whose_bytes_do_not_match_its_name_is_skipped(
             self, tmp_path, simulator, space, sweep_trace):
         """A well-formed payload under another segment's name (bit rot that
-        still unpickles) is skipped like a torn one."""
+        still loads) is skipped like a torn one."""
         root = tmp_path / "store"
         first, _, _ = self._three_segments(root, simulator, space,
                                            sweep_trace)
         entries = _segment_entries(first)
-        rotten = {key: entries[key] for key in list(entries)[:1]}
-        first.write_bytes(pickle.dumps((STORE_FORMAT_VERSION, rotten)))
+        key = next(iter(entries))
+        first.write_bytes(_encode_segment(
+            [key], np.array([entries[key]], ORACLE_COLUMNS)))
         cache = OracleCache(store=OracleStore(root))
         build_oracle(simulator, space, sweep_trace, ENERGY, cache=cache)
         assert cache.store_misses == 2
@@ -263,11 +279,11 @@ class TestStoreRobustness:
         build_oracle(simulator, space, [sweep_trace[0]], ENERGY,
                      cache=OracleCache(store=OracleStore(root)))
         (segment,) = _segments(root)
-        version, entries = pickle.loads(segment.read_bytes())
-        # Another version's writer publishes under its own content name.
-        payload = pickle.dumps((version + 1, entries))
+        payload = segment.read_bytes()
+        # Another version's writer publishes under its own suffix.
+        other = f".v{STORE_FORMAT_VERSION + 1}.npy"
         segment.unlink()
-        (segment.parent / _content_name(payload)).write_bytes(payload)
+        (segment.parent / _content_name(payload, other)).write_bytes(payload)
         digest = persistent_table_digest(space, ENERGY)
         assert segment.parent.name == digest
         assert OracleStore(root).table(digest) == {}
@@ -281,7 +297,7 @@ class TestStoreRobustness:
         build_oracle(simulator, space, sweep_trace, ENERGY,
                      cache=OracleCache(store=OracleStore(store_root)))
         digest = persistent_table_digest(space, ENERGY)
-        keys = [snippet_cache_key(snippet) for snippet in sweep_trace]
+        keys = content_keys(sweep_trace)
 
         def read_all(worker: int):
             reader = OracleStore(store_root)
@@ -293,8 +309,7 @@ class TestStoreRobustness:
         reference = results[0]
         assert all(entry is not None for entry in reference)
         for other in results[1:]:
-            for left, right in zip(reference, other):
-                assert _entries_equal(left, right)
+            assert other == reference
 
     def test_concurrent_writers_publish_whole_segments(self, tmp_path,
                                                        platform, space,
@@ -314,10 +329,9 @@ class TestStoreRobustness:
         reader = OracleStore(store_root)
         stored = reader.table(persistent_table_digest(space, ENERGY))
         assert len(stored) == len(sweep_trace)
-        for snippet in sweep_trace:
+        for snippet, key in zip(sweep_trace, content_keys(sweep_trace)):
             for table in tables:
-                assert _entries_equal(stored[snippet_cache_key(snippet)],
-                                      table.entries[snippet.name])
+                assert stored[key] == _row(table, snippet)
 
     def test_missing_table_is_a_miss(self, tmp_path, simulator, space,
                                      sweep_trace):
@@ -340,11 +354,83 @@ class TestStoreRobustness:
         blocker.write_text("not a directory")
         cache = OracleCache(store=store)
         table = build_oracle(simulator, space, [snippet], ENERGY, cache=cache)
-        assert snippet.name in table.entries
+        assert snippet.name in table.rows
         assert store.write_errors == 1
         # The entry still landed in the memory tier.
         build_oracle(simulator, space, [snippet], ENERGY, cache=cache)
         assert (cache.hits, cache.misses) == (1, 1)
+
+
+class TestStoreReadsDataOnly:
+    """A segment is data: no file in a table directory can run code, and
+    no segment of the pickled version-2 format is read."""
+
+    @pytest.mark.parametrize("suffix", [SEGMENT_SUFFIX, ".pkl"])
+    def test_pickle_in_table_directory_is_never_executed(
+            self, tmp_path, simulator, space, sweep_trace, suffix):
+        root = tmp_path / "store"
+        marker = tmp_path / "marker"
+        payload = pickle.dumps(_CreatesMarker(marker))
+        directory = root / persistent_table_digest(space, ENERGY)
+        directory.mkdir(parents=True)
+        hostile = directory / _content_name(payload, suffix)
+        hostile.write_bytes(payload)
+
+        cache = OracleCache(store=OracleStore(root))
+        table = build_oracle(simulator, space, sweep_trace, ENERGY,
+                             cache=cache)
+        assert not marker.exists()
+        # Its entries missed, were swept and published as a real segment.
+        assert (cache.store_hits, cache.store_misses) == (0, len(sweep_trace))
+        assert len(table.rows) == len(sweep_trace)
+        (segment,) = set(_segments(root)) - {hostile}
+        assert len(_segment_entries(segment)) == len(sweep_trace)
+
+    def test_version_2_table_directory_is_ignored(self, tmp_path, simulator,
+                                                  space, sweep_trace):
+        """A table directory holding what the pickled-segment store wrote
+        (``{sha256}.pkl`` files of ``(2, {key: entry})``) is never read;
+        the first run re-sweeps, and a warm rerun then hits everything."""
+        root = tmp_path / "store"
+        directory = root / persistent_table_digest(space, ENERGY)
+        directory.mkdir(parents=True)
+        payload = pickle.dumps(
+            (2, {_parent_key(snippet): ("stale", snippet.name)
+                 for snippet in sweep_trace}),
+            protocol=pickle.HIGHEST_PROTOCOL)
+        (directory / _content_name(payload, ".pkl")).write_bytes(payload)
+
+        cold = OracleCache(store=OracleStore(root))
+        table = build_oracle(simulator, space, sweep_trace, ENERGY,
+                             cache=cold)
+        assert (cold.store_hits, cold.store_misses) == (0, len(sweep_trace))
+        reference = build_oracle(simulator, space, sweep_trace, ENERGY)
+        assert table.columns.tobytes() == reference.columns.tobytes()
+
+        warm = OracleCache(store=OracleStore(root))
+        build_oracle(simulator, space, sweep_trace, ENERGY, cache=warm)
+        assert (warm.store_hits, warm.store_misses) == (len(sweep_trace), 0)
+
+    def test_key_ending_in_nul_bytes_round_trips(self, tmp_path, simulator,
+                                                 space):
+        """``big_fraction`` is a key's last float; at 0.0 the key ends in
+        eight NUL bytes, which a segment must keep."""
+        snippets = [Snippet("little-only", index,
+                            characteristics=SnippetCharacteristics(
+                                big_fraction=0.0, memory_intensity=index))
+                    for index in range(3)]
+        keys = content_keys(snippets)
+        assert all(key.endswith(b"\0" * 8) for key in keys)
+        root = tmp_path / "store"
+        table = build_oracle(simulator, space, snippets, ENERGY,
+                             cache=OracleCache(store=OracleStore(root)))
+        stored = OracleStore(root).table(persistent_table_digest(space,
+                                                                 ENERGY))
+        assert stored == {key: _row(table, snippet)
+                          for snippet, key in zip(snippets, keys)}
+        warm = OracleCache(store=OracleStore(root))
+        build_oracle(simulator, space, snippets, ENERGY, cache=warm)
+        assert (warm.store_hits, warm.store_misses) == (3, 0)
 
 
 class TestDefaultStoreAndDigests:
@@ -508,9 +594,8 @@ class TestSpaceKeyMemo:
         assert segment.parent.name == persistent_table_digest(default, ENERGY)
         entries = _segment_entries(segment)
         assert len(entries) == 40
-        for snippet in snippets:
-            assert _entries_equal(entries[snippet_cache_key(snippet)],
-                                  table.entries[snippet.name])
+        for snippet, key in zip(snippets, content_keys(snippets)):
+            assert entries[key] == _row(table, snippet)
 
     def test_space_key_is_spelled_out_once_per_space(self, tmp_path,
                                                      platform, simulator,
@@ -658,8 +743,7 @@ class TestStoreRetries:
         cache = OracleCache(store=store)
         table = build_oracle(simulator, space, sweep_trace[:1], ENERGY,
                              cache=cache)
-        entry = table.entries[sweep_trace[0].name]
-        assert entry.snippet_name == sweep_trace[0].name
+        assert sweep_trace[0].name in table.rows
         assert store.retries == 2
         assert cache.store_hits == 1 and cache.store_misses == 0
 
@@ -691,7 +775,9 @@ class TestStoreRetries:
             max_retries=1, backoff_s=0.0, io_failure_hook=always_fail,
         )
         entries = OracleStore(tmp_path / "store").table(digest)
-        assert store.publish(digest, entries) is False
+        assert store.publish(digest, list(entries),
+                             np.array(list(entries.values()),
+                                      ORACLE_COLUMNS)) is False
         assert store.write_errors == 1
         assert store.retries == 1
         assert len(_segments(tmp_path / "store")) == 1

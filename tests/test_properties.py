@@ -346,14 +346,15 @@ class TestOracleOptimality:
         for policy in policies:
             run = run_policy_on_snippets(simulator, space, policy, snippets,
                                          oracle_table=table)
-            oracle_energy = sum(table.entry(s).best_cost for s in snippets)
+            best_cost = table.columns["best_cost"]
+            oracle_energy = sum(best_cost[table.rows[s.name]] for s in snippets)
             assert oracle_energy <= run.total_energy_j * (1.0 + 1e-12)
             # Per snippet too: the entry is the minimum over the space.
             energies = run.log.column("energy_j")
             assert len(energies) == len(snippets)
             for snippet, energy in zip(snippets, energies):
-                entry = table.entry(snippet)
-                assert entry.best_cost <= energy * (1.0 + 1e-12)
+                assert (best_cost[table.rows[snippet.name]]
+                        <= energy * (1.0 + 1e-12))
 
     def test_restricted_oracle_never_beats_full(self, seed):
         rng = np.random.default_rng(seed)
@@ -366,9 +367,10 @@ class TestOracleOptimality:
         full = build_oracle(simulator, space, snippets, ENERGY)
         part = build_oracle(simulator, restricted, snippets, ENERGY)
         for snippet in snippets:
-            assert (full.entry(snippet).best_cost
-                    <= part.entry(snippet).best_cost * (1.0 + 1e-12))
-            assert restricted.contains(part.entry(snippet).best_configuration)
+            assert (full.columns["best_cost"][full.rows[snippet.name]]
+                    <= part.columns["best_cost"][part.rows[snippet.name]]
+                    * (1.0 + 1e-12))
+            assert restricted.contains(part.best_configuration(snippet))
 
 
 @pytest.mark.parametrize("seed", PROPERTY_SEEDS)

@@ -303,7 +303,7 @@ class TestSpaceRestriction:
                              cache=cache)
         assert cache.hits == 0 and cache.misses == 2
         assert restricted.contains(
-            table.entry(compute_snippet).best_configuration
+            table.best_configuration(compute_snippet)
         )
         # Same restriction again: now it hits its own entry.
         build_oracle(simulator, space.restrict(max_opp_index=0),
@@ -346,10 +346,10 @@ class TestScenarioRuntime:
         cache = OracleCache()
         table = build_scenario_oracle(simulator, space, throttle_trace,
                                       ENERGY, cache=cache)
-        assert len(table) == len(throttle_trace)
+        assert len(table.rows) == len(throttle_trace)
         restricted = space.restrict(max_opp_index=0)
         for step, snippet in enumerate(throttle_trace.snippets):
-            best = table.entry(snippet).best_configuration
+            best = table.best_configuration(snippet)
             if throttle_trace.cap_at(step) is not None:
                 assert restricted.contains(best)
             assert space.contains(best)
@@ -390,6 +390,50 @@ class TestScenarioRuntime:
                                                   update_epochs=5)
         assert shared.classifier is framework.offline_policy.classifier
         assert policy.classifier is not framework.offline_policy.classifier
+
+    def test_isolated_policies_share_space_and_platform_only(
+            self, trained_framework):
+        """Isolated copies keep the framework's space and platform (nothing
+        mutates them) and own every piece of learning state."""
+        from repro.core.online_il import OnlineILPolicy
+
+        framework = trained_framework
+        policies = [framework.build_online_il_policy(isolated=True)
+                    for _ in range(2)]
+        for policy in policies:
+            oracle = policy.runtime_oracle
+            assert policy.space is framework.space
+            assert policy.offline_policy.space is framework.space
+            assert oracle.space is framework.space
+            assert oracle.power_model.platform is framework.platform
+            assert oracle.performance_model.platform is framework.platform
+
+        def learning_state(policy):
+            oracle = policy.runtime_oracle
+            return [
+                policy.offline_policy, policy.classifier,
+                policy.classifier._core, policy.classifier.rng,
+                policy.offline_policy.scaler, policy.buffer, oracle,
+                oracle.power_model, oracle.performance_model,
+                oracle.power_model.rls, oracle.performance_model.rls,
+            ]
+
+        framework_state = [
+            framework.offline_policy, framework.offline_policy.classifier,
+            framework.offline_policy.classifier._core,
+            framework.offline_policy.classifier.rng,
+            framework.offline_policy.scaler, framework.power_model,
+            framework.performance_model, framework.power_model.rls,
+            framework.performance_model.rls,
+        ]
+        first, second = (learning_state(policy) for policy in policies)
+        for obj in first:
+            assert all(obj is not other for other in second + framework_state)
+        for obj in second:
+            assert all(obj is not other for other in framework_state)
+        state = OnlineILPolicy._fleet_adopt(tuple(policies), {})
+        assert state["scalar_rows"] == set()
+        assert state["batched_rows"] == [0, 1]
 
 
 class TestRobustnessDriver:

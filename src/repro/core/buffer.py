@@ -14,6 +14,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.soc.counters import FEATURE_NAMES
+
 
 @dataclass
 class BufferedSample:
@@ -76,5 +78,5 @@ class AggregationBuffer:
         if self._samples:
             per_sample = self._samples[0].features.nbytes + 8
         else:
-            per_sample = 8 * 9 + 8
+            per_sample = 8 * len(FEATURE_NAMES) + 8
         return self.capacity * per_sample

@@ -321,15 +321,10 @@ class OnlineILPolicy(DRMPolicy):
             ]
             state["mean"] = np.stack(
                 [policy.offline_policy.scaler.mean_ for policy in batched])
-            state["var"] = np.stack(
-                [policy.offline_policy.scaler.var_ for policy in batched])
-            state["eps"] = np.array(
-                [policy.offline_policy.scaler.epsilon for policy in batched])
             # The scaler statistics are frozen between adoptions (rebinds
-            # trigger re-adoption above), so the per-step denominator
-            # ``sqrt(var + eps)`` is a constant — precompute it once.
-            state["scale_denom"] = np.sqrt(
-                state["var"] + state["eps"][:, None])
+            # trigger re-adoption above), so the divisors are constants.
+            state["scale"] = np.stack(
+                [policy.offline_policy.scaler.scale_ for policy in batched])
         else:
             state["stack"] = None
             state["cores"] = []
@@ -444,11 +439,11 @@ class OnlineILPolicy(DRMPolicy):
         feature_rows = np.stack(
             [counters[i].feature_vector() for i in live])
         if len(live) == len(state["batched_rows"]):
-            mean, denom = state["mean"], state["scale_denom"]
+            mean, scale = state["mean"], state["scale"]
         else:
             mean = state["mean"][stack_rows]
-            denom = state["scale_denom"][stack_rows]
-        scaled = (feature_rows - mean) / denom
+            scale = state["scale"][stack_rows]
+        scaled = (feature_rows - mean) / scale
 
         # Model-guided supervision for devices whose online models have
         # seen enough data (per-row gate, like the scalar path).  Update

@@ -13,9 +13,14 @@ the paper prescribes, and returns the candidate minimising the predicted
 energy (or energy-delay product).
 
 The candidate sweep is vectorized end to end: the neighbourhood comes from
-the configuration space's memoised index tables, the candidate features
-form one ``(n_candidates, n_features)`` matrix, and both model predictions
-are single array operations.  The per-candidate loop it replaced lives in
+the configuration space's memoised index tables and both model predictions
+are array operations (:func:`~repro.models.power.predict_power_w` over
+:func:`~repro.models.power.power_features`, and
+:func:`~repro.models.performance.predict_time_s`).  Those functions
+broadcast over their inputs, so one device's sweep
+(:meth:`RuntimeOracle.candidate_batch`) and a fleet's
+(:meth:`RuntimeOracle.fleet_best_indices`) run the same arithmetic.  The
+per-candidate loop it replaced lives in
 ``tests/scalar_reference/runtime_oracle_loop.py``, where the tests and the
 candidate-sweep benchmark check that both pick the same argmin with the
 same first-minimum tie-breaking.
@@ -28,8 +33,8 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.models.performance import CpuPerformanceModel
-from repro.models.power import CpuPowerModel
+from repro.models.performance import CpuPerformanceModel, predict_time_s
+from repro.models.power import CpuPowerModel, power_features, predict_power_w
 from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
 from repro.soc.counters import PerformanceCounters
 
@@ -112,11 +117,10 @@ class RuntimeOracle:
         """Vectorized candidate sweep over the current neighbourhood.
 
         The neighbourhood is a memoised view of the space (index table plus
-        pre-gathered struct-of-arrays rows), the power prediction is one
-        matmul over the candidate feature matrix, and the time prediction
-        is pure elementwise array arithmetic.  A ``current`` outside the
-        space (say, a configuration of a differently restricted sibling
-        space) is swept over the candidates
+        pre-gathered struct-of-arrays rows), and the predictions take this
+        device's counters and current configuration as Python scalars.  A
+        ``current`` outside the space (say, a configuration of a
+        differently restricted sibling space) is swept over the candidates
         :meth:`~repro.soc.configuration.ConfigurationSpace.neighbors`
         returns for it, gathered without memoisation.
         """
@@ -135,11 +139,44 @@ class RuntimeOracle:
                 dtype=np.intp,
             )
             arrays = self.space.soa_view().gather(indices)
-        power = self.power_model.predict_batch(
-            counters, arrays, reference_config=current
+        big = arrays.cluster("big")
+        little = arrays.cluster("little")
+        big_reference_cores = current.cores("big")
+        little_reference_cores = current.cores("little")
+        power = predict_power_w(
+            power_features(
+                self.power_model.features,
+                big_utilization=counters.big_cluster_utilization,
+                little_utilization=counters.little_cluster_utilization,
+                execution_time_s=counters.execution_time_s,
+                external_requests=counters.noncache_external_memory_requests,
+                big_reference_cores=big_reference_cores,
+                little_reference_cores=little_reference_cores,
+                big_opp_index=big.opp_index,
+                little_opp_index=little.opp_index,
+                big_cores=big.cores_f,
+                little_cores=little.cores_f,
+                big_voltage_v=big.voltage_v,
+                little_voltage_v=little.voltage_v,
+            ),
+            self.power_model.rls.weights,
         )
-        time_s = self.performance_model.predict_time_s_batch(
-            counters, arrays, reference_config=current
+        performance = self.performance_model
+        time_s = predict_time_s(
+            latency_ns=performance.latency_ns(),
+            big_utilization=counters.big_cluster_utilization,
+            little_utilization=counters.little_cluster_utilization,
+            execution_time_s=counters.execution_time_s,
+            l2_misses=counters.l2_cache_misses,
+            big_reference_cores=big_reference_cores,
+            little_reference_cores=little_reference_cores,
+            big_reference_ghz=performance.features.frequency_ghz(current, "big"),
+            little_reference_ghz=performance.features.frequency_ghz(
+                current, "little"),
+            big_cores=big.cores_f,
+            little_cores=little.cores_f,
+            big_ghz=big.frequency_ghz,
+            little_ghz=little.frequency_ghz,
         )
         return CandidateBatch(
             candidate_indices=indices,
@@ -173,20 +210,16 @@ class RuntimeOracle:
     ) -> np.ndarray:
         """Fleet-wide candidate sweep: one best index per device.
 
-        Stacks every device's neighbourhood sweep into padded
-        ``(devices, max_candidates)`` tensors — candidate rows come from
-        the space's memoised :meth:`~repro.soc.configuration
-        .ConfigurationSpace.neighborhood_table`, candidate columns from
-        its struct-of-arrays view — and computes all power/time
-        predictions with :meth:`candidate_batch`'s arithmetic: the power
-        prediction is one stacked matmul against the per-device RLS
-        weights (per-slice BLAS — bitwise equal to each device's gemv)
-        and the time prediction is pure elementwise broadcasting in
-        :meth:`~repro.models.performance.CpuPerformanceModel
-        .predict_time_s_batch`'s operation order.  Padding is masked to
-        ``+inf`` before the segmented argmin
-        (:func:`~repro.fleet.kernels.masked_first_argmin`), preserving
-        the scalar first-minimum tie-break.  Returns each device's best
+        Pads every device's neighbourhood into ``(devices,
+        max_candidates)`` candidate rows from the space's memoised
+        :meth:`~repro.soc.configuration.ConfigurationSpace
+        .neighborhood_table`, gathers the candidate columns the
+        predictions read from its struct-of-arrays view, and runs
+        :meth:`candidate_batch`'s predictions once with the per-device
+        inputs as ``(devices, 1)`` columns.  Padding is masked to ``+inf``
+        before the segmented argmin
+        (:func:`~repro.fleet.kernels.masked_first_argmin`), preserving the
+        scalar first-minimum tie-break.  Returns each device's best
         configuration index in its space, bitwise identical to per-device
         :meth:`best_configuration` calls.
 
@@ -214,89 +247,68 @@ class RuntimeOracle:
         candidates = table[current]
         valid = (np.arange(candidates.shape[1])[None, :]
                  < lengths[current][:, None])
-
+        reference = current[:, None]
         soa = space.soa_view()
         big = soa.cluster("big")
         little = soa.cluster("little")
-        big_opp = big.opp_index[candidates]
-        little_opp = little.opp_index[candidates]
+        big_utilization = np.array(
+            [c.big_cluster_utilization for c in counters_list])[:, None]
+        little_utilization = np.array(
+            [c.little_cluster_utilization for c in counters_list])[:, None]
+        execution_time_s = np.array(
+            [c.execution_time_s for c in counters_list])[:, None]
+        big_reference_cores = big.cores_f[reference]
+        little_reference_cores = little.cores_f[reference]
         big_cores = big.cores_f[candidates]
         little_cores = little.cores_f[candidates]
-        big_ref_cores = big.cores_f[current]
-        little_ref_cores = little.cores_f[current]
 
-        util_big = np.array(
-            [c.big_cluster_utilization for c in counters_list])
-        util_little = np.array(
-            [c.little_cluster_utilization for c in counters_list])
-        exec_time = np.array([c.execution_time_s for c in counters_list])
-        l2_misses = np.array([c.l2_cache_misses for c in counters_list])
-        external = np.array(
-            [c.noncache_external_memory_requests for c in counters_list])
-
-        # --- power features (PowerModelFeatures.build_batch, reference =
-        # the device's current configuration) -------------------------- #
-        features_map = first.power_model.features
-        time_clamped = np.maximum(exec_time, 1e-9)
-        external_rate_per_us = external / time_clamped / 1e6
-        big_busy = np.minimum((util_big * big_ref_cores)[:, None], big_cores)
-        little_busy = np.minimum(
-            (util_little * little_ref_cores)[:, None], little_cores)
-        n_devices, max_candidates = candidates.shape
-        features = np.empty((n_devices, max_candidates,
-                             len(features_map.FEATURE_NAMES)))
-        features[:, :, 0] = features_map._v2f_over_1e9("big")[big_opp] * big_busy
-        features[:, :, 1] = (
-            features_map._v2f_over_1e9("little")[little_opp] * little_busy
+        power = predict_power_w(
+            power_features(
+                first.power_model.features,
+                big_utilization=big_utilization,
+                little_utilization=little_utilization,
+                execution_time_s=execution_time_s,
+                external_requests=np.array(
+                    [c.noncache_external_memory_requests
+                     for c in counters_list])[:, None],
+                big_reference_cores=big_reference_cores,
+                little_reference_cores=little_reference_cores,
+                big_opp_index=big.opp_index[candidates],
+                little_opp_index=little.opp_index[candidates],
+                big_cores=big_cores,
+                little_cores=little_cores,
+                big_voltage_v=big.voltage_v[candidates],
+                little_voltage_v=little.voltage_v[candidates],
+            ),
+            np.stack([oracle.power_model.rls.weights for oracle in oracles]),
         )
-        features[:, :, 2] = big.voltage_v[candidates] * big_cores
-        features[:, :, 3] = little.voltage_v[candidates] * little_cores
-        features[:, :, 4] = external_rate_per_us[:, None]
-        power_weights = np.stack(
-            [oracle.power_model.rls.weights for oracle in oracles])
-        power = np.maximum(
+        latency_ns = np.maximum(
+            np.stack([oracle.performance_model.rls.weights
+                      for oracle in oracles])[:, :1],
             0.0,
-            np.matmul(features, power_weights[:, :-1, None])[:, :, 0]
-            + power_weights[:, -1][:, None],
         )
-
-        # --- time prediction (CpuPerformanceModel.predict_time_s_batch,
-        # per-device scalars broadcast as (devices, 1) columns) --------- #
-        perf_weights = np.stack(
-            [oracle.performance_model.rls.weights for oracle in oracles])
-        latency_ns = np.maximum(perf_weights[:, 0], 0.0)
-        ref_big_freq = big.frequency_ghz[current]
-        cand_big_freq = big.frequency_ghz[candidates]
-        big_busy_core_seconds = util_big * big_ref_cores * exec_time
-        big_cycles_ref = big_busy_core_seconds * ref_big_freq * 1e9
-        delta_freq = cand_big_freq - ref_big_freq[:, None]
-        latency_misses = latency_ns * l2_misses
-        big_cycles_cand = np.maximum(
-            big_cycles_ref[:, None] + latency_misses[:, None] * delta_freq,
-            0.1 * big_cycles_ref[:, None],
+        time_s = predict_time_s(
+            latency_ns=latency_ns,
+            big_utilization=big_utilization,
+            little_utilization=little_utilization,
+            execution_time_s=execution_time_s,
+            l2_misses=np.array(
+                [c.l2_cache_misses for c in counters_list])[:, None],
+            big_reference_cores=big_reference_cores,
+            little_reference_cores=little_reference_cores,
+            big_reference_ghz=big.frequency_ghz[reference],
+            little_reference_ghz=little.frequency_ghz[reference],
+            big_cores=big_cores,
+            little_cores=little_cores,
+            big_ghz=big.frequency_ghz[candidates],
+            little_ghz=little.frequency_ghz[candidates],
         )
-        big_busy_eff = np.maximum(util_big * big_ref_cores, 1e-3)
-        effective = np.maximum(
-            0.25, np.minimum(big_busy_eff[:, None], big_cores))
-        big_time = big_cycles_cand / (cand_big_freq * 1e9 * effective)
-
-        ref_little_freq = little.frequency_ghz[current]
-        little_busy_core_seconds = util_little * little_ref_cores * exec_time
-        little_cycles = little_busy_core_seconds * ref_little_freq * 1e9
-        little_busy_cores = np.maximum(util_little * little_ref_cores, 1e-3)
-        little_eff = np.minimum(little_busy_cores[:, None], little_cores)
-        cand_little_freq = little.frequency_ghz[candidates]
-        little_time = little_cycles[:, None] / (
-            cand_little_freq * 1e9 * np.maximum(little_eff, 0.25)
-        )
-
-        time_s = np.maximum(np.maximum(big_time, little_time), 1e-9)
 
         cost = power * time_s
         if first.metric == "edp":
             cost = cost * time_s
         best_positions = masked_first_argmin(cost, valid)
-        return candidates[np.arange(n_devices), best_positions]
+        return candidates[np.arange(len(current)), best_positions]
 
     def update_models(self, counters: PerformanceCounters,
                       config: SoCConfiguration) -> Dict[str, float]:

@@ -51,25 +51,13 @@ ExperimentRunnerFn = Callable[[ExperimentScale, SeedLike, "ExperimentContext"], 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One registered experiment: how to run it and how to render it.
-
-    ``uses_design_oracle`` marks experiments whose drivers train a framework
-    on the design-time workload suite (and therefore run the exhaustive
-    training-snippet Oracle sweep); when an on-disk Oracle store is active
-    and the seeds fan out to worker processes, the runner first runs each
-    seed's sweep across the worker pool.  ``design_oracle_gating`` lists the
-    ``allow_core_gating`` framework variants the driver actually trains
-    (the config-space ablation sweeps both the plain and the core-gated
-    space), so the warm covers every space the seed runs will sweep.
-    """
+    """One registered experiment: how to run it and how to render it."""
 
     name: str
     description: str
     runner: ExperimentRunnerFn
     formatter: Optional[Callable[[Any], str]] = None
     tags: Tuple[str, ...] = ()
-    uses_design_oracle: bool = False
-    design_oracle_gating: Tuple[bool, ...] = (False,)
 
     def format_result(self, result: Any) -> str:
         if self.formatter is not None:
@@ -89,8 +77,6 @@ def register_experiment(
     formatter: Optional[Callable[[Any], str]] = None,
     tags: Sequence[str] = (),
     overwrite: bool = False,
-    uses_design_oracle: bool = False,
-    design_oracle_gating: Sequence[bool] = (False,),
 ) -> ExperimentSpec:
     """Add an experiment to the registry (resolvable by name)."""
     if name in _EXPERIMENT_REGISTRY and not overwrite:
@@ -101,8 +87,6 @@ def register_experiment(
         runner=runner,
         formatter=formatter,
         tags=tuple(tags),
-        uses_design_oracle=bool(uses_design_oracle),
-        design_oracle_gating=tuple(design_oracle_gating),
     )
     _EXPERIMENT_REGISTRY[name] = spec
     return spec
@@ -216,49 +200,6 @@ def _install_worker_store(store_path: Optional[str]) -> None:
     current = get_default_oracle_store()
     if current is None or str(current.root) != store_path:
         set_default_oracle_store(store_path)
-
-
-def _warm_design_oracle_seed(scale: ExperimentScale, seed: SeedLike,
-                             gating_variants: Sequence[bool],
-                             store: OracleStore) -> None:
-    """One seed's design-time Oracle sweep, written through to ``store``.
-
-    Regenerates the training-workload snippet traces exactly as
-    ``train_offline`` would and sweeps them once per requested
-    ``allow_core_gating`` variant; sweeps a previous run already persisted
-    resolve as store hits.
-    """
-    from repro.core.framework import OnlineLearningFramework
-    from repro.workloads.suites import training_workloads
-
-    for gating in gating_variants:
-        framework = OnlineLearningFramework(
-            seed=seed, allow_core_gating=bool(gating), oracle_store=store
-        )
-        snippets = []
-        for workload in training_workloads():
-            scaled = workload.scaled(scale.train_snippet_factor)
-            snippets.extend(framework.generate_trace(scaled))
-        framework.build_oracle_for(snippets)
-
-
-def _pooled_warm_task(
-    task: Tuple[ExperimentScale, SeedLike, Tuple[bool, ...], str]
-) -> SeedLike:
-    """Warm one seed's design-time Oracle inside a worker process.
-
-    Dispatching the warm over the pool keeps the "compute once before the
-    experiment fan-out" semantics without serialising the disjoint
-    per-seed sweeps in the parent (snippet traces are seed-dependent, so
-    on a cold store a sequential parent warm would cost ``jobs`` times the
-    wall-clock of letting the workers sweep concurrently).
-    """
-    scale, seed, gating_variants, store_path = task
-    _install_worker_store(store_path)
-    store = get_default_oracle_store()
-    assert store is not None
-    _warm_design_oracle_seed(scale, seed, gating_variants, store)
-    return seed
 
 
 def _pooled_seed_run(
@@ -389,7 +330,6 @@ class ExperimentRunner:
             set_default_oracle_store(oracle_store)
             if oracle_store is not None else None
         )
-        self._warmed_design_oracles: set = set()
 
     def _ensure_executor(self, workers: int) -> ProcessPoolExecutor:
         """Return the runner's worker pool, (re)created lazily.
@@ -472,35 +412,6 @@ class ExperimentRunner:
         except Exception:
             pass
 
-    def _warm_design_oracle_pooled(self, scale: ExperimentScale,
-                                   seeds: Sequence[SeedLike],
-                                   gating_variants: Sequence[bool],
-                                   workers: int) -> None:
-        """Warm the per-seed design sweeps concurrently across the pool.
-
-        The sweeps of distinct seeds are disjoint (snippet traces are
-        seed-dependent), so on a cold store the parallel warm costs one
-        sweep of wall-clock instead of ``len(seeds)``; on a warm store
-        every task resolves as store hits.
-        """
-        assert self.oracle_store is not None
-        tasks = []
-        for seed in seeds:
-            pending = tuple(
-                gating for gating in gating_variants
-                if (scale, seed, bool(gating)) not in self._warmed_design_oracles
-            )
-            if pending:
-                tasks.append((scale, seed, pending,
-                              str(self.oracle_store.root)))
-        if not tasks:
-            return
-        pool = self._ensure_executor(workers)
-        for (task_scale, seed, pending, _), _ in zip(
-                tasks, pool.map(_pooled_warm_task, tasks)):
-            for gating in pending:
-                self._warmed_design_oracles.add((task_scale, seed, bool(gating)))
-
     def run(self, name: str, scale: Optional[ScaleLike] = None,
             seeds: Optional[Sequence[SeedLike]] = None,
             jobs: Optional[int] = None) -> ExperimentRun:
@@ -531,16 +442,6 @@ class ExperimentRunner:
             # close() clears the process default; a reused runner
             # re-installs its store for the drivers it is about to run.
             set_default_oracle_store(self.oracle_store)
-            if spec.uses_design_oracle and run_jobs > 1:
-                # Compute-once artifact: the expensive training-snippet
-                # sweep is persisted before the experiment fan-out so no
-                # worker repeats another's work, concurrently across the
-                # pool (per-seed sweeps are disjoint).  Sequential runs
-                # need no warm: the driver's own cache writes the sweep
-                # through to the store as it computes it.
-                self._warm_design_oracle_pooled(
-                    run_scale, run_seeds, spec.design_oracle_gating,
-                    run_jobs)
         if run_jobs > 1:
             store_path = (str(self.oracle_store.root)
                           if self.oracle_store is not None else None)
@@ -601,7 +502,6 @@ def _register_builtins() -> None:
         "table2", "Table II — offline IL generalisation across suites",
         lambda scale, seed, ctx: run_table2(scale, seed=seed),
         formatter=format_table2, tags=("paper", "table"),
-        uses_design_oracle=True,
     )
     register_experiment(
         "figure2", "Figure 2 — online RLS frame-time prediction (Nenamark2)",
@@ -614,7 +514,6 @@ def _register_builtins() -> None:
             scale, seed=seed, study=ctx.adaptation_study(scale, seed)
         ),
         formatter=format_figure3, tags=("paper", "figure"),
-        uses_design_oracle=True,
     )
     register_experiment(
         "figure4", "Figure 4 — per-application energy normalised to Oracle",
@@ -622,7 +521,6 @@ def _register_builtins() -> None:
             scale, seed=seed, study=ctx.adaptation_study(scale, seed)
         ),
         formatter=format_figure4, tags=("paper", "figure"),
-        uses_design_oracle=True,
     )
     register_experiment(
         "figure5", "Figure 5 — explicit-NMPC GPU energy savings vs baseline",
@@ -637,7 +535,6 @@ def _register_builtins() -> None:
             scenarios=getattr(ctx, "scenario_filter", None),
         ),
         formatter=format_robustness, tags=("robustness", "scenario"),
-        uses_design_oracle=True,
     )
     register_experiment(
         "fleet",
@@ -649,7 +546,6 @@ def _register_builtins() -> None:
             n_shards=getattr(ctx, "fleet_shards", None),
         ),
         formatter=format_fleet, tags=("fleet", "scenario"),
-        uses_design_oracle=True,
     )
     register_experiment(
         "fault-tolerance",
@@ -660,12 +556,11 @@ def _register_builtins() -> None:
             n_shards=getattr(ctx, "fleet_shards", None),
         ),
         formatter=format_fault_tolerance, tags=("robustness", "fault", "fleet"),
-        uses_design_oracle=True,
     )
     register_experiment(
         "ablation-buffer", "Online-IL adaptation vs aggregation-buffer size",
         lambda scale, seed, ctx: run_buffer_size_ablation(scale=scale, seed=seed),
-        tags=("ablation",), uses_design_oracle=True,
+        tags=("ablation",),
     )
     register_experiment(
         "ablation-forgetting", "Frame-time model error vs RLS forgetting factor",
@@ -681,9 +576,7 @@ def _register_builtins() -> None:
     register_experiment(
         "ablation-config-space", "Offline-IL generalisation vs space richness",
         lambda scale, seed, ctx: run_config_space_ablation(scale=scale, seed=seed),
-        tags=("ablation",), uses_design_oracle=True,
-        # The driver trains both the plain and the core-gated space.
-        design_oracle_gating=(False, True),
+        tags=("ablation",),
     )
     register_experiment(
         "ablation-noc", "Analytical vs SVR NoC latency model accuracy",

@@ -91,24 +91,6 @@ class RecursiveLeastSquares(OnlineRegressor):
         data = as_2d(features)
         return np.array([self.predict_one(row) for row in data])
 
-    def predict_batch(self, features: np.ndarray) -> np.ndarray:
-        """Predict targets for an ``(n_samples, n_features)`` matrix.
-
-        One matmul over the whole candidate batch — this is what turns the
-        online-IL runtime Oracle's per-candidate prediction loop into a
-        single array operation.  Equivalent to :meth:`predict_one` per row
-        up to the usual BLAS summation-order round-off (well below 1e-12
-        relative); :meth:`predict` remains the exact scalar reference.
-        """
-        data = as_2d(np.asarray(features, dtype=float))
-        if data.shape[1] != self.n_features:
-            raise ValueError(
-                f"expected {self.n_features} features, got {data.shape[1]}"
-            )
-        if self.fit_intercept:
-            return data @ self.weights[:-1] + self.weights[-1]
-        return data @ self.weights
-
     def update(self, features: np.ndarray, target: float) -> float:
         """One RLS update; returns the a-priori prediction error."""
         x = self._augment(features)

@@ -50,17 +50,20 @@ class StandardScaler:
         self.count_ = n_total
         return self
 
-    def transform(self, features: np.ndarray) -> np.ndarray:
+    @property
+    def scale_(self) -> np.ndarray:
+        """Per-feature divisor ``sqrt(var_ + epsilon)`` of :meth:`transform`."""
         if self.mean_ is None or self.var_ is None:
             raise RuntimeError("StandardScaler is not fitted")
-        data = as_2d(features)
-        return (data - self.mean_) / np.sqrt(self.var_ + self.epsilon)
+        return np.sqrt(self.var_ + self.epsilon)
+
+    def transform(self, features: np.ndarray) -> np.ndarray:
+        scale = self.scale_
+        return (as_2d(features) - self.mean_) / scale
 
     def inverse_transform(self, features: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.var_ is None:
-            raise RuntimeError("StandardScaler is not fitted")
-        data = as_2d(features)
-        return data * np.sqrt(self.var_ + self.epsilon) + self.mean_
+        scale = self.scale_
+        return as_2d(features) * scale + self.mean_
 
     def fit_transform(self, features: np.ndarray) -> np.ndarray:
         return self.fit(features).transform(features)

@@ -4,16 +4,16 @@ Two models are provided:
 
 * :class:`CpuPerformanceModel` — predicts snippet execution time on the
   big.LITTLE SoC for *candidate* configurations from the counters observed at
-  the current configuration.  It follows the analytical frequency-scaling
-  form used by the cited GPU/CPU models [12, 30, 31]: the busy cycles
-  observed at the reference configuration are split into a
-  frequency-independent part and a memory-stall part that grows linearly
-  with frequency (DRAM latency is constant in wall-clock time), and the
-  per-cycle work is divided by the number of cores the workload can keep
-  busy.  The single coupling coefficient (the effective DRAM latency seen
-  per L2 miss) is learned online with recursive least squares, so the model
-  adapts to the running workload while the per-snippet counters provide the
-  instantaneous workload intensity.
+  the current configuration (:func:`predict_time_s`).  It follows the
+  analytical frequency-scaling form used by the cited GPU/CPU models
+  [12, 30, 31]: the busy cycles observed at the reference configuration are
+  split into a frequency-independent part and a memory-stall part that
+  grows linearly with frequency (DRAM latency is constant in wall-clock
+  time), and the per-cycle work is divided by the number of cores the
+  workload can keep busy.  The single coupling coefficient (the effective
+  DRAM latency seen per L2 miss) is learned online with recursive least
+  squares, so the model adapts to the running workload while the
+  per-snippet counters provide the instantaneous workload intensity.
 
 * :class:`FrameTimeModel` — the adaptive GPU frame-time model of Figure 2:
   predicts the next frame's processing time from the previous frame's
@@ -35,11 +35,11 @@ from repro.soc.platform import PlatformSpec
 
 
 class PerformanceModelFeatures:
-    """Feature helpers shared by the CPU time model.
+    """Feature helpers of the CPU time model.
 
-    The class exposes the counter decompositions (per-cluster busy cycles
-    and frequencies) used both when updating the online latency
-    coefficient and when predicting candidate-configuration execution times.
+    The per-cluster OPP frequency of a configuration and the big-cluster
+    busy cycles observed at it, used when updating the online latency
+    coefficient.
     """
 
     FEATURE_NAMES = ["l2_miss_rate_times_frequency"]
@@ -51,13 +51,10 @@ class PerformanceModelFeatures:
     def n_features(self) -> int:
         return len(self.FEATURE_NAMES)
 
-    def big_frequency_ghz(self, config: SoCConfiguration) -> float:
-        big = self.platform.cluster("big")
-        return big.opps[config.opp_index("big")].frequency_hz / 1e9
-
-    def little_frequency_ghz(self, config: SoCConfiguration) -> float:
-        little = self.platform.cluster("little")
-        return little.opps[config.opp_index("little")].frequency_hz / 1e9
+    def frequency_ghz(self, config: SoCConfiguration, cluster: str) -> float:
+        """Frequency (GHz) of ``cluster``'s OPP in ``config``."""
+        spec = self.platform.cluster(cluster)
+        return spec.opps[config.opp_index(cluster)].frequency_hz / 1e9
 
     def big_busy_cycles(self, counters: PerformanceCounters,
                         reference: SoCConfiguration) -> float:
@@ -66,22 +63,15 @@ class PerformanceModelFeatures:
             counters.big_cluster_utilization * reference.cores("big")
             * counters.execution_time_s
         )
-        return busy_core_seconds * self.big_frequency_ghz(reference) * 1e9
+        return busy_core_seconds * self.frequency_ghz(reference, "big") * 1e9
 
-    def little_busy_cycles(self, counters: PerformanceCounters,
-                           reference: SoCConfiguration) -> float:
-        busy_core_seconds = (
-            counters.little_cluster_utilization * reference.cores("little")
-            * counters.execution_time_s
-        )
-        return busy_core_seconds * self.little_frequency_ghz(reference) * 1e9
-
-    def build(self, counters: PerformanceCounters, config: SoCConfiguration,
-              reference_config: Optional[SoCConfiguration] = None) -> np.ndarray:
+    def build(self, counters: PerformanceCounters,
+              config: SoCConfiguration) -> np.ndarray:
         """RLS feature vector for the latency-coefficient model."""
         instr = max(counters.instructions_retired, 1.0)
         miss_rate = counters.l2_cache_misses / instr
-        return np.array([miss_rate * self.big_frequency_ghz(config)], dtype=float)
+        return np.array([miss_rate * self.frequency_ghz(config, "big")],
+                        dtype=float)
 
 
 class CpuPerformanceModel:
@@ -135,66 +125,6 @@ class CpuPerformanceModel:
         target = self._observed_big_cpi(counters, config)
         return self.rls.update(feature, target)
 
-    def predict_time_s_batch(
-        self,
-        counters: PerformanceCounters,
-        candidates: SpaceArrays,
-        n_instructions: Optional[float] = None,
-        reference_config: Optional[SoCConfiguration] = None,
-    ) -> np.ndarray:
-        """Predicted execution time of many candidate configurations at once.
-
-        Evaluates the model over the rows of ``candidates`` (a whole-space
-        ``soa_view()``, a memoised ``neighborhood_view()``'s arrays or a
-        one-row gather).  ``counters`` are the values observed at
-        ``reference_config`` and are reused for every candidate, following
-        the paper's approximation; ``n_instructions`` rescales the time to
-        a snippet of that length.  The per-candidate loop this replaced,
-        kept in ``tests/scalar_reference/runtime_oracle_loop.py``, gives
-        bitwise identical times.
-        """
-        if reference_config is None:
-            raise ValueError(
-                "predict_time_s_batch requires reference_config (the "
-                "configuration the counters were observed at)"
-            )
-        big = candidates.cluster("big")
-        little = candidates.cluster("little")
-        feats = self.features
-        latency_ns = self.latency_ns()
-        reference = reference_config
-
-        ref_big_freq = feats.big_frequency_ghz(reference)
-        cand_big_freq = big.frequency_ghz
-        big_cycles_ref = feats.big_busy_cycles(counters, reference)
-        delta_freq = cand_big_freq - ref_big_freq
-        latency_misses = latency_ns * counters.l2_cache_misses
-        big_cycles_cand = np.maximum(
-            big_cycles_ref + latency_misses * delta_freq,
-            0.1 * big_cycles_ref,
-        )
-        big_busy = max(
-            counters.big_cluster_utilization * reference.cores("big"), 1e-3
-        )
-        # The workload cannot use more cores than it has runnable threads
-        # (busy cores at the reference), nor more than the candidate powers on.
-        effective = np.maximum(0.25, np.minimum(big_busy, big.cores_f))
-        big_time = big_cycles_cand / (cand_big_freq * 1e9 * effective)
-
-        little_cycles = feats.little_busy_cycles(counters, reference)
-        little_busy_cores = max(
-            counters.little_cluster_utilization * reference.cores("little"), 1e-3
-        )
-        little_cores = np.minimum(little_busy_cores, little.cores_f)
-        little_time = little_cycles / (
-            little.frequency_ghz * 1e9 * np.maximum(little_cores, 0.25)
-        )
-
-        predicted = np.maximum(big_time, little_time)
-        if n_instructions is not None and counters.instructions_retired > 0:
-            predicted = predicted * (n_instructions / counters.instructions_retired)
-        return np.maximum(predicted, 1e-9)
-
     @property
     def n_updates(self) -> int:
         return self.rls.n_updates
@@ -203,6 +133,63 @@ class CpuPerformanceModel:
         """Bootstrap the latency coefficient from design-time observations."""
         for counters, config in observations:
             self.update(counters, config)
+
+
+def predict_time_s(
+    *,
+    latency_ns,
+    big_utilization,
+    little_utilization,
+    execution_time_s,
+    l2_misses,
+    big_reference_cores,
+    little_reference_cores,
+    big_reference_ghz,
+    little_reference_ghz,
+    big_cores: np.ndarray,
+    little_cores: np.ndarray,
+    big_ghz: np.ndarray,
+    little_ghz: np.ndarray,
+) -> np.ndarray:
+    """Predicted execution time (s) of candidate configurations.
+
+    Evaluates :class:`CpuPerformanceModel`'s structure at each candidate's
+    active cores and cluster frequencies, reusing the counters observed at
+    the reference configuration (whose core counts and frequencies are
+    given), following the paper's approximation.  ``latency_ns`` is the
+    model's clamped latency coefficient
+    (:meth:`CpuPerformanceModel.latency_ns`).  The per-candidate loop
+    also floors the busy cores at 1e-3 before capping them; the 0.25 floor
+    applied after the cap makes that floor a no-op, so it is not repeated
+    here.
+
+    Per-device inputs are Python scalars for one device or ``(devices,
+    1)`` columns for a fleet; the candidate arrays are ``(candidates,)``
+    or ``(devices, candidates)``.  The per-candidate loop in
+    ``tests/scalar_reference/runtime_oracle_loop.py`` gives bitwise
+    identical times.
+    """
+    big_cycles_ref = (big_utilization * big_reference_cores * execution_time_s
+                      * big_reference_ghz * 1e9)
+    big_cycles = np.maximum(
+        big_cycles_ref + latency_ns * l2_misses * (big_ghz - big_reference_ghz),
+        0.1 * big_cycles_ref,
+    )
+    # The workload cannot use more cores than it has runnable threads
+    # (busy cores at the reference), nor more than the candidate powers on,
+    # and counts as at least a quarter core.
+    effective = np.maximum(
+        0.25, np.minimum(big_utilization * big_reference_cores, big_cores))
+    big_time = big_cycles / (big_ghz * 1e9 * effective)
+
+    little_cycles = (little_utilization * little_reference_cores
+                     * execution_time_s * little_reference_ghz * 1e9)
+    little_effective = np.minimum(
+        little_utilization * little_reference_cores, little_cores)
+    little_time = little_cycles / (
+        little_ghz * 1e9 * np.maximum(little_effective, 0.25)
+    )
+    return np.maximum(np.maximum(big_time, little_time), 1e-9)
 
 
 def fleet_update_performance_models(

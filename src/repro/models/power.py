@@ -7,10 +7,11 @@ terms (leakage), the external-memory request rate (DRAM power) and a constant
 (uncore).  The weights are learned online with recursive least squares so the
 model adapts to the running application, as described in Sec. III-A/III-B.
 
-The same feature map is reused by the online-IL runtime Oracle to *predict*
-the power of candidate configurations: following the paper, the counter
-values observed at the current configuration are reused while the
-configuration-dependent terms (V, f) are recomputed for each candidate.
+The same features, computed over arrays by :func:`power_features`, let the
+online-IL runtime Oracle *predict* the power of candidate configurations
+(:func:`predict_power_w`): following the paper, the counter values observed
+at the current configuration are reused while the configuration-dependent
+terms (V, f) are recomputed for each candidate.
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ from repro.soc.platform import PlatformSpec
 class PowerModelFeatures:
     """Feature map from (counters, configuration) to power-model inputs.
 
-    When predicting the power of a *candidate* configuration from counters
-    observed at a different (reference) configuration, the busy-core count is
-    estimated from the reference utilisation and capped by the candidate's
-    active cores — mirroring the paper's "reuse the observed counters"
-    approximation while staying physically sensible for core gating.
+    :meth:`build` is the scalar map the per-observation :meth:`CpuPowerModel
+    .update` uses; :func:`power_features` computes the same terms over
+    arrays of candidate configurations.
     """
 
     FEATURE_NAMES = [
@@ -65,20 +64,9 @@ class PowerModelFeatures:
             self._v2f_tables[cluster] = table
         return table
 
-    @staticmethod
-    def _busy_cores(utilization: float, reference_cores: int,
-                    candidate_cores: int) -> float:
-        busy = utilization * reference_cores
-        return float(min(busy, candidate_cores))
-
-    def build(self, counters: PerformanceCounters, config: SoCConfiguration,
-              reference_config: Optional[SoCConfiguration] = None) -> np.ndarray:
-        """Feature vector for ``config`` given counters from ``reference_config``.
-
-        ``reference_config`` defaults to ``config`` (the case during model
-        updates, where the counters were measured at that configuration).
-        """
-        reference = reference_config or config
+    def build(self, counters: PerformanceCounters,
+              config: SoCConfiguration) -> np.ndarray:
+        """Feature vector for ``config`` from counters observed at ``config``."""
         big = self.platform.cluster("big")
         little = self.platform.cluster("little")
         big_opp = big.opps[config.opp_index("big")]
@@ -87,73 +75,89 @@ class PowerModelFeatures:
         external_rate_per_us = (
             counters.noncache_external_memory_requests / time_s / 1e6
         )
-        big_busy = self._busy_cores(
-            counters.big_cluster_utilization, reference.cores("big"),
-            config.cores("big"),
-        )
-        little_busy = self._busy_cores(
-            counters.little_cluster_utilization, reference.cores("little"),
-            config.cores("little"),
-        )
+        big_cores = config.cores("big")
+        little_cores = config.cores("little")
+        big_busy = float(min(counters.big_cluster_utilization * big_cores,
+                             big_cores))
+        little_busy = float(min(
+            counters.little_cluster_utilization * little_cores, little_cores))
         return np.array(
             [
                 big_opp.voltage_v**2 * big_opp.frequency_hz / 1e9 * big_busy,
                 little_opp.voltage_v**2 * little_opp.frequency_hz / 1e9 * little_busy,
-                big_opp.voltage_v * config.cores("big"),
-                little_opp.voltage_v * config.cores("little"),
+                big_opp.voltage_v * big_cores,
+                little_opp.voltage_v * little_cores,
                 external_rate_per_us,
             ],
             dtype=float,
         )
 
-    def build_batch(
-        self,
-        counters: PerformanceCounters,
-        candidates: SpaceArrays,
-        reference_config: Optional[SoCConfiguration] = None,
-    ) -> np.ndarray:
-        """Feature matrix for many candidate configurations at once.
 
-        Vectorized twin of :meth:`build`: rows correspond to the rows of
-        ``candidates`` (a whole-space :meth:`~repro.soc.configuration
-        .ConfigurationSpace.soa_view` or a memoised
-        :meth:`~repro.soc.configuration.ConfigurationSpace
-        .neighborhood_view`'s arrays), with counters observed at
-        ``reference_config``.  When ``reference_config`` is ``None`` each
-        candidate acts as its own reference, matching :meth:`build`'s
-        default.  Configuration-dependent terms come from the
-        struct-of-arrays rows and per-OPP prefix tables, so every row
-        equals the corresponding :meth:`build` vector bitwise.
-        """
-        big = candidates.cluster("big")
-        little = candidates.cluster("little")
-        big_cores = big.cores_f
-        little_cores = little.cores_f
-        time_s = max(counters.execution_time_s, 1e-9)
-        external_rate_per_us = (
-            counters.noncache_external_memory_requests / time_s / 1e6
-        )
-        if reference_config is not None:
-            big_ref_cores = float(reference_config.cores("big"))
-            little_ref_cores = float(reference_config.cores("little"))
-        else:
-            big_ref_cores = big_cores
-            little_ref_cores = little_cores
-        big_busy = np.minimum(
-            counters.big_cluster_utilization * big_ref_cores, big_cores
-        )
-        little_busy = np.minimum(
-            counters.little_cluster_utilization * little_ref_cores, little_cores
-        )
-        features = np.empty((big_cores.shape[0], len(self.FEATURE_NAMES)))
-        features[:, 0] = self._v2f_over_1e9("big")[big.opp_index] * big_busy
-        features[:, 1] = (
-            self._v2f_over_1e9("little")[little.opp_index] * little_busy
-        )
-        features[:, 2] = big.voltage_v * big_cores
-        features[:, 3] = little.voltage_v * little_cores
-        features[:, 4] = external_rate_per_us
-        return features
+def power_features(
+    feature_map: PowerModelFeatures,
+    *,
+    big_utilization,
+    little_utilization,
+    execution_time_s,
+    external_requests,
+    big_reference_cores,
+    little_reference_cores,
+    big_opp_index: np.ndarray,
+    little_opp_index: np.ndarray,
+    big_cores: np.ndarray,
+    little_cores: np.ndarray,
+    big_voltage_v: np.ndarray,
+    little_voltage_v: np.ndarray,
+) -> np.ndarray:
+    """Power-model features of candidate configurations, ``(..., 5)``.
+
+    The counters (utilisations, execution time, external requests) were
+    observed at a reference configuration with the given active core
+    counts; following the paper they are reused for every candidate,
+    while the configuration-dependent terms (V, f, active cores) come from
+    the candidate knob arrays.  The busy-core count is the reference
+    utilisation times the reference cores, capped by the candidate's
+    active cores, which keeps core gating physically sensible.
+
+    Per-device inputs are Python scalars for one device or ``(devices,
+    1)`` columns for a fleet; the candidate arrays are ``(candidates,)``
+    or ``(devices, candidates)``, and the result has their shape plus one
+    feature axis.  The per-OPP ``V^2 f`` prefixes come from
+    ``feature_map``'s tables, filled with :meth:`PowerModelFeatures.build`'s
+    scalar arithmetic, so with each row its own reference (``(devices,)``
+    rows of one configuration each, as :func:`fleet_update_power_models`
+    passes them) every row equals that method's vector bitwise.
+    """
+    time_s = np.maximum(execution_time_s, 1e-9)
+    external_rate_per_us = external_requests / time_s / 1e6
+    big_busy = np.minimum(big_utilization * big_reference_cores, big_cores)
+    little_busy = np.minimum(little_utilization * little_reference_cores,
+                             little_cores)
+    features = np.empty(np.shape(big_cores)
+                        + (len(PowerModelFeatures.FEATURE_NAMES),))
+    features[..., 0] = feature_map._v2f_over_1e9("big")[big_opp_index] * big_busy
+    features[..., 1] = (
+        feature_map._v2f_over_1e9("little")[little_opp_index] * little_busy
+    )
+    features[..., 2] = big_voltage_v * big_cores
+    features[..., 3] = little_voltage_v * little_cores
+    features[..., 4] = external_rate_per_us
+    return features
+
+
+def predict_power_w(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """RLS power prediction over a :func:`power_features` array, floored at 0.
+
+    ``weights`` are one model's intercept-last RLS weights, ``(6,)``, or a
+    fleet's ``(devices, 6)`` stack against ``(devices, candidates, 5)``
+    features.  Each device's candidates are one gemv, so a device's
+    predictions are bitwise the same alone and in a stacked call.
+    """
+    return np.maximum(
+        0.0,
+        np.matmul(features, weights[..., :-1, None])[..., 0]
+        + weights[..., -1:],
+    )
 
 
 class CpuPowerModel:
@@ -191,26 +195,6 @@ class CpuPowerModel:
         feature_vector = self.features.build(counters, config)
         return self.rls.update(feature_vector, float(target))
 
-    def predict_batch(
-        self,
-        counters: PerformanceCounters,
-        candidates: SpaceArrays,
-        reference_config: Optional[SoCConfiguration] = None,
-    ) -> np.ndarray:
-        """Predicted power of many candidate configurations in one matmul.
-
-        ``candidates`` reuse the counters observed at ``reference_config``
-        (each candidate is its own reference when it is ``None``).  The
-        feature matrix is built over the candidates' struct-of-arrays rows
-        (bitwise equal to per-candidate :meth:`PowerModelFeatures.build`
-        vectors); the RLS prediction itself is a single
-        ``(n_candidates, n_features)`` matrix product, equivalent to one
-        ``predict_one`` per candidate up to BLAS summation-order round-off.
-        """
-        features = self.features.build_batch(counters, candidates,
-                                             reference_config)
-        return np.maximum(0.0, self.rls.predict_batch(features))
-
     @property
     def n_updates(self) -> int:
         return self.rls.n_updates
@@ -232,9 +216,9 @@ def fleet_update_power_models(
     ``candidates`` holds each device's *own executed configuration* as one
     struct-of-arrays row (a :meth:`~repro.soc.configuration
     .ConfigurationSpace.soa_view` gathered at the per-device configuration
-    indices), so every feature is built with the same arithmetic as the
-    scalar :meth:`PowerModelFeatures.build` (reference == candidate) and
-    the N rank-1 RLS updates collapse into one
+    indices), so :func:`power_features` with each row as its own
+    reference builds the scalar :meth:`PowerModelFeatures.build` vectors
+    bitwise, and the N rank-1 RLS updates collapse into one
     :func:`~repro.ml.rls.rls_update_fleet` call — bitwise identical to the
     per-device loop.  The caller guarantees every model's platform carries
     the same OPP values as the space the candidate rows came from (the
@@ -244,29 +228,27 @@ def fleet_update_power_models(
     weight/precision tensors across lockstep steps.  Returns the a-priori
     errors.
     """
-    features_map = models[0].features
     big = candidates.cluster("big")
     little = candidates.cluster("little")
-    big_utilization = np.array(
-        [c.big_cluster_utilization for c in counters_list])
-    little_utilization = np.array(
-        [c.little_cluster_utilization for c in counters_list])
-    time_s = np.maximum(
-        np.array([c.execution_time_s for c in counters_list]), 1e-9)
-    external = np.array(
-        [c.noncache_external_memory_requests for c in counters_list])
-    external_rate_per_us = external / time_s / 1e6
-    big_busy = np.minimum(big_utilization * big.cores_f, big.cores_f)
-    little_busy = np.minimum(
-        little_utilization * little.cores_f, little.cores_f)
-    features = np.empty((len(models), len(PowerModelFeatures.FEATURE_NAMES)))
-    features[:, 0] = features_map._v2f_over_1e9("big")[big.opp_index] * big_busy
-    features[:, 1] = (
-        features_map._v2f_over_1e9("little")[little.opp_index] * little_busy
+    features = power_features(
+        models[0].features,
+        big_utilization=np.array(
+            [c.big_cluster_utilization for c in counters_list]),
+        little_utilization=np.array(
+            [c.little_cluster_utilization for c in counters_list]),
+        execution_time_s=np.array(
+            [c.execution_time_s for c in counters_list]),
+        external_requests=np.array(
+            [c.noncache_external_memory_requests for c in counters_list]),
+        big_reference_cores=big.cores_f,
+        little_reference_cores=little.cores_f,
+        big_opp_index=big.opp_index,
+        little_opp_index=little.opp_index,
+        big_cores=big.cores_f,
+        little_cores=little.cores_f,
+        big_voltage_v=big.voltage_v,
+        little_voltage_v=little.voltage_v,
     )
-    features[:, 2] = big.voltage_v * big.cores_f
-    features[:, 3] = little.voltage_v * little.cores_f
-    features[:, 4] = external_rate_per_us
     targets = np.array([c.total_chip_power_w for c in counters_list])
     return rls_update_fleet([model.rls for model in models], features, targets,
                             state=rls_state)

@@ -60,9 +60,6 @@ class ThrottleEvent:
         if self.max_opp_index < 0:
             raise ValueError("max_opp_index must be non-negative")
 
-    def active_at(self, step: int) -> bool:
-        return self.start <= step < self.stop
-
 
 @dataclass
 class ScenarioTrace:
@@ -82,16 +79,19 @@ class ScenarioTrace:
     def __len__(self) -> int:
         return len(self.snippets)
 
-    def cap_at(self, step: int) -> Optional[int]:
-        """Tightest OPP cap active at ``step`` (None when unthrottled)."""
-        caps = [event.max_opp_index for event in self.throttle_events
-                if event.active_at(step)]
-        return min(caps) if caps else None
+    def caps(self) -> List[Optional[int]]:
+        """Tightest OPP cap active at each step (None when unthrottled)."""
+        caps: List[Optional[int]] = [None] * len(self.snippets)
+        for event in self.throttle_events:
+            for step in range(event.start, min(event.stop, len(caps))):
+                cap = caps[step]
+                if cap is None or event.max_opp_index < cap:
+                    caps[step] = event.max_opp_index
+        return caps
 
     def throttled_steps(self) -> int:
         """Number of steps with at least one active throttle window."""
-        return sum(1 for step in range(len(self.snippets))
-                   if self.cap_at(step) is not None)
+        return sum(cap is not None for cap in self.caps())
 
     def applications(self) -> List[str]:
         """Application names in first-appearance order."""

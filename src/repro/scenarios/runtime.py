@@ -51,10 +51,11 @@ def make_space_schedule(
     if not trace.throttle_events:
         return None
     spaces = restricted_spaces(base_space, trace)
+    by_step = [base_space if cap is None else spaces[cap]
+               for cap in trace.caps()]
 
     def schedule(step: int) -> ConfigurationSpace:
-        cap = trace.cap_at(step)
-        return base_space if cap is None else spaces[cap]
+        return by_step[step]
 
     return schedule
 
@@ -77,8 +78,8 @@ def build_scenario_oracle(
     """
     spaces = restricted_spaces(base_space, trace)
     by_cap: Dict[Optional[int], List[Snippet]] = {}
-    for step, snippet in enumerate(trace.snippets):
-        by_cap.setdefault(trace.cap_at(step), []).append(snippet)
+    for snippet, cap in zip(trace.snippets, trace.caps()):
+        by_cap.setdefault(cap, []).append(snippet)
     names, groups = [], [np.empty(0, ORACLE_COLUMNS)]
     for cap, snippets in by_cap.items():
         space = base_space if cap is None else spaces[cap]

@@ -7,25 +7,91 @@ These functions are the loop it replaced: one scalar power prediction
 (:func:`predict_time_s`) per candidate of
 :meth:`~repro.soc.configuration.ConfigurationSpace.neighbors`, then
 Python's ``min`` over the estimate list, which keeps the first minimum.
+:func:`power_features` (counters observed at a reference configuration
+other than the candidate) and :func:`little_busy_cycles` are scalar
+feature helpers only this loop needs; the models' own scalar helpers
+serve their per-observation updates.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.runtime_oracle import CandidateEstimate, RuntimeOracle
-from repro.models.performance import CpuPerformanceModel
-from repro.models.power import CpuPowerModel
+from repro.models.performance import (
+    CpuPerformanceModel,
+    PerformanceModelFeatures,
+)
+from repro.models.power import CpuPowerModel, PowerModelFeatures
 from repro.soc.configuration import SoCConfiguration
 from repro.soc.counters import PerformanceCounters
+
+
+def _busy_cores(utilization: float, reference_cores: int,
+                candidate_cores: int) -> float:
+    busy = utilization * reference_cores
+    return float(min(busy, candidate_cores))
+
+
+def power_features(features: PowerModelFeatures,
+                   counters: PerformanceCounters, config: SoCConfiguration,
+                   reference_config: Optional[SoCConfiguration] = None
+                   ) -> np.ndarray:
+    """Power features of ``config`` given counters from ``reference_config``.
+
+    ``reference_config`` defaults to ``config``, where this equals
+    :meth:`~repro.models.power.PowerModelFeatures.build`.
+    """
+    reference = reference_config or config
+    big = features.platform.cluster("big")
+    little = features.platform.cluster("little")
+    big_opp = big.opps[config.opp_index("big")]
+    little_opp = little.opps[config.opp_index("little")]
+    time_s = max(counters.execution_time_s, 1e-9)
+    external_rate_per_us = (
+        counters.noncache_external_memory_requests / time_s / 1e6
+    )
+    big_busy = _busy_cores(
+        counters.big_cluster_utilization, reference.cores("big"),
+        config.cores("big"),
+    )
+    little_busy = _busy_cores(
+        counters.little_cluster_utilization, reference.cores("little"),
+        config.cores("little"),
+    )
+    return np.array(
+        [
+            big_opp.voltage_v**2 * big_opp.frequency_hz / 1e9 * big_busy,
+            little_opp.voltage_v**2 * little_opp.frequency_hz / 1e9 * little_busy,
+            big_opp.voltage_v * config.cores("big"),
+            little_opp.voltage_v * config.cores("little"),
+            external_rate_per_us,
+        ],
+        dtype=float,
+    )
 
 
 def predict_power(model: CpuPowerModel, counters: PerformanceCounters,
                   config: SoCConfiguration,
                   reference_config: Optional[SoCConfiguration] = None) -> float:
     """Predicted power at ``config`` reusing counters from ``reference_config``."""
-    feature_vector = model.features.build(counters, config, reference_config)
+    feature_vector = power_features(model.features, counters, config,
+                                    reference_config)
     return max(0.0, model.rls.predict_one(feature_vector))
+
+
+def little_busy_cycles(features: PerformanceModelFeatures,
+                       counters: PerformanceCounters,
+                       reference: SoCConfiguration) -> float:
+    """LITTLE-cluster busy cycles observed at the reference configuration."""
+    busy_core_seconds = (
+        counters.little_cluster_utilization * reference.cores("little")
+        * counters.execution_time_s
+    )
+    return (busy_core_seconds * features.frequency_ghz(reference, "little")
+            * 1e9)
 
 
 def effective_big_cores(counters: PerformanceCounters,
@@ -39,7 +105,6 @@ def effective_big_cores(counters: PerformanceCounters,
 
 def predict_time_s(model: CpuPerformanceModel, counters: PerformanceCounters,
                    config: SoCConfiguration,
-                   n_instructions: Optional[float] = None,
                    reference_config: Optional[SoCConfiguration] = None) -> float:
     """Predict the execution time of a snippet at ``config``.
 
@@ -51,8 +116,8 @@ def predict_time_s(model: CpuPerformanceModel, counters: PerformanceCounters,
     feats = model.features
     latency_ns = model.latency_ns()
 
-    ref_big_freq = feats.big_frequency_ghz(reference)
-    cand_big_freq = feats.big_frequency_ghz(config)
+    ref_big_freq = feats.frequency_ghz(reference, "big")
+    cand_big_freq = feats.frequency_ghz(config, "big")
     big_cycles_ref = feats.big_busy_cycles(counters, reference)
     delta_freq = cand_big_freq - ref_big_freq
     big_cycles_cand = max(
@@ -64,18 +129,16 @@ def predict_time_s(model: CpuPerformanceModel, counters: PerformanceCounters,
     )
     big_time = big_cycles_cand / (cand_big_freq * 1e9 * effective)
 
-    little_cycles = feats.little_busy_cycles(counters, reference)
+    little_cycles = little_busy_cycles(feats, counters, reference)
     little_busy_cores = max(
         counters.little_cluster_utilization * reference.cores("little"), 1e-3
     )
     little_cores = min(little_busy_cores, config.cores("little"))
     little_time = little_cycles / (
-        feats.little_frequency_ghz(config) * 1e9 * max(little_cores, 0.25)
+        feats.frequency_ghz(config, "little") * 1e9 * max(little_cores, 0.25)
     )
 
     predicted = max(big_time, little_time)
-    if n_instructions is not None and counters.instructions_retired > 0:
-        predicted *= n_instructions / counters.instructions_retired
     return float(max(predicted, 1e-9))
 
 

@@ -21,6 +21,7 @@ from repro.core.objectives import get_objective
 from repro.core.framework import OnlineLearningFramework
 from repro.models.performance import CpuPerformanceModel
 from repro.models.power import CpuPowerModel
+from repro.soc.counters import FEATURE_NAMES
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import get_workload, training_workloads
 
@@ -124,6 +125,13 @@ class TestAggregationBuffer:
         buffer = AggregationBuffer(capacity=100)
         buffer.insert(np.zeros(8), 0)
         assert buffer.storage_bytes() < 20 * 1024
+
+    def test_storage_estimate_same_empty_and_filled(self):
+        """An empty buffer assumes the width of a counter feature vector."""
+        buffer = AggregationBuffer(capacity=100)
+        empty = buffer.storage_bytes()
+        buffer.insert(np.zeros(len(FEATURE_NAMES)), 0)
+        assert buffer.storage_bytes() == empty == 100 * (8 * 8 + 8)
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

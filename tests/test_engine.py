@@ -164,8 +164,7 @@ class TestBatchSweepParity:
             cache=OracleCache(store=None) if cached else None)
         assert table.space is space and len(table.rows) == len(snippets)
         spaces = restricted_spaces(space, trace)
-        for step, snippet in enumerate(snippets):
-            cap = trace.cap_at(step)
+        for snippet, cap in zip(snippets, trace.caps()):
             active = space if cap is None else spaces[cap]
             index, cost, result = oracle_loop.sweep_snippet(
                 simulator, active, snippet, objective)

@@ -232,81 +232,27 @@ class TestRunnerOracleStore:
         # The warm invocation served the design-time sweep from disk.
         warm_meta = warm_run.seed_runs[0].metadata
         assert warm_meta["oracle_cache_store_hits"] > 0
-        assert warm_run.spec.uses_design_oracle
 
     def test_parallel_fanout_shares_store(self, tmp_path):
+        """A pooled run publishes each seed's sweeps through its own cache;
+        a second pooled run on the same store misses nothing."""
+        from repro.core.oracle_store import set_default_oracle_store
         from repro.experiments.runner import ExperimentRunner
 
         seeds = (0, 1)
         with ExperimentRunner(scale=TINY, seeds=seeds) as plain:
             baseline = self._summaries(plain.run("table2"))
-        from repro.core.oracle_store import set_default_oracle_store
-        set_default_oracle_store(None)
-        with ExperimentRunner(scale=TINY, seeds=seeds, jobs=2,
-                              oracle_store=tmp_path / "store") as parallel:
-            parallel_run = parallel.run("table2")
-        assert baseline == self._summaries(parallel_run)
-        # The pooled warm swept each seed's design oracle in a worker, and
-        # the seed runs found those entries on disk.
-        for seed_run in parallel_run.seed_runs:
+        runs = []
+        for _ in range(2):
+            set_default_oracle_store(None)
+            with ExperimentRunner(scale=TINY, seeds=seeds, jobs=2,
+                                  oracle_store=tmp_path / "store") as pooled:
+                runs.append(pooled.run("table2"))
+        for run in runs:
+            assert baseline == self._summaries(run)
+        for seed_run in runs[1].seed_runs:
+            assert seed_run.metadata["oracle_cache_store_misses"] == 0
             assert seed_run.metadata["oracle_cache_store_hits"] > 0
-
-    def test_design_oracle_warm_populates_store_and_is_idempotent(
-            self, tmp_path, monkeypatch):
-        """A pooled run warms each (seed, gating) sweep once, through
-        ``_warm_design_oracle_seed``, and only with a store; warming a
-        warm store adds no entry, and the core-gated variant is a
-        separate, bigger sweep.  The pool's ``map`` runs in-process and
-        the seed runs themselves are stubbed out."""
-        import repro.experiments.runner as runner_module
-        from repro.core.oracle_store import OracleStore
-        from repro.experiments.runner import ExperimentRunner
-
-        def stored_entries(store):
-            reader = OracleStore(store.root)
-            return sum(len(reader.table(table.name))
-                       for table in store.root.iterdir())
-
-        warm = runner_module._warm_design_oracle_seed
-        warmed = []
-
-        def recording_warm(scale, seed, gating_variants, store):
-            warmed.append((seed, tuple(gating_variants)))
-            warm(scale, seed, gating_variants, store)
-
-        class InProcessPool:
-            def map(self, function, tasks):
-                return [function(task) for task in tasks]
-
-        monkeypatch.setattr(runner_module, "_warm_design_oracle_seed",
-                            recording_warm)
-        monkeypatch.setattr(runner_module, "_pooled_seed_run",
-                            lambda task: task[2])
-        monkeypatch.setattr(ExperimentRunner, "_ensure_executor",
-                            lambda self, workers: InProcessPool())
-        with ExperimentRunner(scale=TINY, seeds=(0, 1), jobs=2) as storeless:
-            storeless.run("table2")
-        assert warmed == []
-        with ExperimentRunner(scale=TINY, seeds=(0, 1), jobs=2,
-                              oracle_store=tmp_path / "store") as runner:
-            runner.run("table2")
-            assert warmed == [(0, (False,)), (1, (False,))]
-            populated = stored_entries(runner.oracle_store)
-            assert populated > 0
-            runner.run("figure3")
-            assert len(warmed) == 2
-            warm(TINY, 0, (False,), runner.oracle_store)
-            assert stored_entries(runner.oracle_store) == populated
-            runner.run("ablation-config-space")
-            assert warmed[2:] == [(0, (True,)), (1, (True,))]
-            assert stored_entries(runner.oracle_store) > populated
-
-    def test_config_space_ablation_warms_both_gating_variants(self):
-        from repro.experiments.runner import get_experiment
-
-        spec = get_experiment("ablation-config-space")
-        assert spec.uses_design_oracle
-        assert spec.design_oracle_gating == (False, True)
 
     def test_close_releases_default_store(self, tmp_path):
         from repro.core.oracle_store import get_default_oracle_store

@@ -4,12 +4,57 @@ import numpy as np
 import pytest
 
 from repro.models import CpuPerformanceModel, CpuPowerModel, FrameTimeModel
+from repro.models.performance import predict_time_s
+from repro.models.power import power_features, predict_power_w
 from repro.soc.configuration import SoCConfiguration
 
 
 def one_row(space, config):
-    """The struct-of-arrays row of ``config``, for the batch predictions."""
+    """The struct-of-arrays row of ``config``, for the array predictions."""
     return space.soa_view().gather(np.array([space.index_of(config)]))
+
+
+def predict_power(model, counters, reference, row):
+    """Predicted power of the one-configuration ``row``."""
+    big = row.cluster("big")
+    little = row.cluster("little")
+    features = power_features(
+        model.features,
+        big_utilization=counters.big_cluster_utilization,
+        little_utilization=counters.little_cluster_utilization,
+        execution_time_s=counters.execution_time_s,
+        external_requests=counters.noncache_external_memory_requests,
+        big_reference_cores=reference.cores("big"),
+        little_reference_cores=reference.cores("little"),
+        big_opp_index=big.opp_index,
+        little_opp_index=little.opp_index,
+        big_cores=big.cores_f,
+        little_cores=little.cores_f,
+        big_voltage_v=big.voltage_v,
+        little_voltage_v=little.voltage_v,
+    )
+    return predict_power_w(features, model.rls.weights)[0]
+
+
+def predict_time(model, counters, reference, row):
+    """Predicted execution time of the one-configuration ``row``."""
+    big = row.cluster("big")
+    little = row.cluster("little")
+    return predict_time_s(
+        latency_ns=model.latency_ns(),
+        big_utilization=counters.big_cluster_utilization,
+        little_utilization=counters.little_cluster_utilization,
+        execution_time_s=counters.execution_time_s,
+        l2_misses=counters.l2_cache_misses,
+        big_reference_cores=reference.cores("big"),
+        little_reference_cores=reference.cores("little"),
+        big_reference_ghz=model.features.frequency_ghz(reference, "big"),
+        little_reference_ghz=model.features.frequency_ghz(reference, "little"),
+        big_cores=big.cores_f,
+        little_cores=little.cores_f,
+        big_ghz=big.frequency_ghz,
+        little_ghz=little.frequency_ghz,
+    )[0]
 
 
 def run_and_update(simulator, space, model_power, model_perf, snippet, configs):
@@ -31,8 +76,8 @@ class TestCpuPowerModel:
         run_and_update(simulator, space, model, perf, compute_snippet, configs * 2)
         for config in configs[:5]:
             result = simulator.evaluate_expected(compute_snippet, config)
-            predicted = model.predict_batch(result.counters,
-                                            one_row(space, config))[0]
+            predicted = predict_power(model, result.counters, config,
+                                      one_row(space, config))
             assert predicted == pytest.approx(result.average_power_w, rel=0.10)
 
     def test_candidate_prediction_orders_frequencies(self, simulator, space,
@@ -48,10 +93,8 @@ class TestCpuPowerModel:
         low = SoCConfiguration.from_dicts({**opps, "big": 0}, cores)
         high = SoCConfiguration.from_dicts(
             {**opps, "big": len(simulator.platform.big.opps) - 1}, cores)
-        assert (model.predict_batch(counters, one_row(space, high),
-                                    reference_config=reference)[0]
-                > model.predict_batch(counters, one_row(space, low),
-                                      reference_config=reference)[0])
+        assert (predict_power(model, counters, reference, one_row(space, high))
+                > predict_power(model, counters, reference, one_row(space, low)))
 
     def test_n_updates_tracked(self, simulator, space, compute_snippet):
         model = CpuPowerModel(simulator.platform)
@@ -73,9 +116,8 @@ class TestCpuPerformanceModel:
         for big_index in (0, len(simulator.platform.big.opps) - 1):
             candidate = SoCConfiguration.from_dicts({**opps, "big": big_index}, cores)
             truth = simulator.evaluate_expected(memory_snippet, candidate).execution_time_s
-            predicted = model.predict_time_s_batch(
-                counters, one_row(space, candidate),
-                reference_config=reference)[0]
+            predicted = predict_time(model, counters, reference,
+                                     one_row(space, candidate))
             assert predicted == pytest.approx(truth, rel=0.15)
 
     def test_latency_estimate_positive(self, simulator, space, memory_snippet):
@@ -84,21 +126,6 @@ class TestCpuPerformanceModel:
         configs = list(space)[:: max(1, len(space) // 15)]
         run_and_update(simulator, space, power, model, memory_snippet, configs)
         assert model.latency_ns() > 0
-
-    def test_prediction_scales_with_instruction_count(self, simulator, space,
-                                                      compute_snippet):
-        model = CpuPerformanceModel(simulator.platform)
-        config = space.default_configuration()
-        result = simulator.evaluate_expected(compute_snippet, config)
-        model.update(result.counters, config)
-        row = one_row(space, config)
-        base = model.predict_time_s_batch(result.counters, row,
-                                          reference_config=config)[0]
-        doubled = model.predict_time_s_batch(
-            result.counters, row,
-            n_instructions=2 * compute_snippet.n_instructions,
-            reference_config=config)[0]
-        assert doubled == pytest.approx(2 * base, rel=1e-6)
 
 
 class TestFrameTimeModel:

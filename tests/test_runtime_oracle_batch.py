@@ -4,7 +4,9 @@ The runtime Oracle's batched candidate sweep must decide exactly like the
 per-candidate loop in ``tests/scalar_reference/runtime_oracle_loop.py``: same
 candidate enumeration order, same predictions (execution-time predictions
 bitwise, power within BLAS round-off), and the same first-minimum argmin
-tie-breaking — including on exactly tied predicted energies.
+tie-breaking — including on exactly tied predicted energies.  The shared
+prediction functions give one device the same power and time alone as in
+its row of a stacked fleet call.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import numpy as np
 import pytest
 
 from repro.core.runtime_oracle import RuntimeOracle
-from repro.models.performance import CpuPerformanceModel
-from repro.models.power import CpuPowerModel
+from repro.models.performance import CpuPerformanceModel, predict_time_s
+from repro.models.power import CpuPowerModel, power_features, predict_power_w
 from repro.soc.configuration import ConfigurationSpace
 from repro.soc.platform import odroid_xu3_like
 from repro.soc.simulator import SoCSimulator
@@ -61,6 +63,72 @@ def _decision_states(platform, space, n_states, seed):
         states.append((result.counters, current))
         current = space.random_configuration(rng)
     return power_model, performance_model, states
+
+
+def _inputs(oracles, counters_list, currents, arrays):
+    """Keyword inputs of the power-feature and time functions.
+
+    One device passes its per-device inputs as Python scalars, as
+    ``candidate_batch`` does; several pass ``(devices, 1)`` columns, as
+    ``fleet_best_indices`` does.  ``arrays`` holds the candidate knobs:
+    ``(candidates,)`` or ``(devices, candidates)``.
+    """
+    def per_device(values):
+        if len(oracles) == 1:
+            return values[0]
+        return np.array(values, dtype=float)[:, None]
+
+    big = arrays.cluster("big")
+    little = arrays.cluster("little")
+    shared = dict(
+        big_utilization=per_device(
+            [c.big_cluster_utilization for c in counters_list]),
+        little_utilization=per_device(
+            [c.little_cluster_utilization for c in counters_list]),
+        execution_time_s=per_device(
+            [c.execution_time_s for c in counters_list]),
+        big_reference_cores=per_device([c.cores("big") for c in currents]),
+        little_reference_cores=per_device(
+            [c.cores("little") for c in currents]),
+        big_cores=big.cores_f,
+        little_cores=little.cores_f,
+    )
+    power = dict(
+        shared,
+        external_requests=per_device(
+            [c.noncache_external_memory_requests for c in counters_list]),
+        big_opp_index=big.opp_index,
+        little_opp_index=little.opp_index,
+        big_voltage_v=big.voltage_v,
+        little_voltage_v=little.voltage_v,
+    )
+    time = dict(
+        shared,
+        latency_ns=per_device(
+            [o.performance_model.latency_ns() for o in oracles]),
+        l2_misses=per_device([c.l2_cache_misses for c in counters_list]),
+        big_reference_ghz=per_device(
+            [o.performance_model.features.frequency_ghz(c, "big")
+             for o, c in zip(oracles, currents)]),
+        little_reference_ghz=per_device(
+            [o.performance_model.features.frequency_ghz(c, "little")
+             for o, c in zip(oracles, currents)]),
+        big_ghz=big.frequency_ghz,
+        little_ghz=little.frequency_ghz,
+    )
+    return power, time
+
+
+def _predictions(oracles, counters_list, currents, arrays):
+    """Predicted (power, time) through the shared functions."""
+    power_inputs, time_inputs = _inputs(oracles, counters_list, currents,
+                                        arrays)
+    weights = [o.power_model.rls.weights for o in oracles]
+    power = predict_power_w(
+        power_features(oracles[0].power_model.features, **power_inputs),
+        weights[0] if len(oracles) == 1 else np.stack(weights),
+    )
+    return power, predict_time_s(**time_inputs)
 
 
 class TestBatchScalarEquivalence:
@@ -185,75 +253,93 @@ class TestBatchScalarEquivalence:
 
 class TestModelBatchPaths:
     def test_power_features_match_scalar_build(self, platform, space):
-        power_model, _, states = _decision_states(platform, space,
-                                                  n_states=8, seed=53)
-        features = power_model.features
+        power_model, performance_model, states = _decision_states(
+            platform, space, n_states=8, seed=53)
+        oracle = RuntimeOracle(space, power_model, performance_model)
         for counters, current in states:
-            matrix = features.build_batch(counters, space.soa_view(),
-                                          reference_config=current)
+            power_inputs, _ = _inputs([oracle], [counters], [current],
+                                      space.soa_view())
+            matrix = power_features(power_model.features, **power_inputs)
             for i, config in enumerate(space):
-                row = features.build(counters, config, reference_config=current)
+                row = runtime_oracle_loop.power_features(
+                    power_model.features, counters, config,
+                    reference_config=current)
                 np.testing.assert_array_equal(matrix[i], row)
 
     def test_power_features_default_reference_is_candidate(self, platform,
                                                            space):
-        power_model, _, states = _decision_states(platform, space,
-                                                  n_states=4, seed=59)
-        features = power_model.features
-        for counters, _ in states:
-            matrix = features.build_batch(counters, space.soa_view())
+        """Each row its own reference: the features the updates learn from."""
+        power_model, performance_model, states = _decision_states(
+            platform, space, n_states=4, seed=59)
+        oracle = RuntimeOracle(space, power_model, performance_model)
+        soa = space.soa_view()
+        for counters, current in states:
+            power_inputs, _ = _inputs([oracle], [counters], [current], soa)
+            power_inputs["big_reference_cores"] = soa.cluster("big").cores_f
+            power_inputs["little_reference_cores"] = (
+                soa.cluster("little").cores_f)
+            matrix = power_features(power_model.features, **power_inputs)
             for i, config in enumerate(space):
-                row = features.build(counters, config)
+                row = power_model.features.build(counters, config)
                 np.testing.assert_array_equal(matrix[i], row)
 
     def test_time_batch_matches_scalar_bitwise(self, platform, space):
-        _, performance_model, states = _decision_states(platform, space,
-                                                        n_states=8, seed=61)
-        for counters, current in states:
-            times = performance_model.predict_time_s_batch(
-                counters, space.soa_view(), reference_config=current
-            )
-            for i, config in enumerate(space):
-                scalar = runtime_oracle_loop.predict_time_s(
-                    performance_model, counters, config,
-                    reference_config=current,
-                )
-                assert times[i] == scalar
+        """One device's scalar inputs and a stacked ``(devices, 1)`` call
+        both give the per-candidate loop's times, bitwise."""
+        power_model, performance_model, states = _decision_states(
+            platform, space, n_states=8, seed=61)
+        oracle = RuntimeOracle(space, power_model, performance_model)
+        soa = space.soa_view()
+        expected = [
+            [runtime_oracle_loop.predict_time_s(
+                performance_model, counters, config, reference_config=current)
+             for config in space]
+            for counters, current in states
+        ]
+        for (counters, current), scalars in zip(states, expected):
+            _, times = _predictions([oracle], [counters], [current], soa)
+            assert times.tolist() == scalars
+        every_config = np.tile(np.arange(len(space)), (len(states), 1))
+        _, stacked = _predictions(
+            [oracle] * len(states), [c for c, _ in states],
+            [current for _, current in states], soa.gather(every_config))
+        assert stacked.tolist() == expected
 
-    def test_time_batch_requires_reference(self, platform, space):
-        _, performance_model, states = _decision_states(platform, space,
-                                                        n_states=1, seed=67)
-        counters, _ = states[0]
-        with pytest.raises(ValueError):
-            performance_model.predict_time_s_batch(counters, space.soa_view())
-
-    def test_time_batch_scales_with_instructions(self, platform, space):
-        _, performance_model, states = _decision_states(platform, space,
-                                                        n_states=4, seed=71)
-        for counters, current in states:
-            times = performance_model.predict_time_s_batch(
-                counters, space.soa_view(), n_instructions=2e9,
-                reference_config=current,
-            )
-            for i, config in enumerate(space):
-                scalar = runtime_oracle_loop.predict_time_s(
-                    performance_model, counters, config, n_instructions=2e9,
-                    reference_config=current,
-                )
-                assert times[i] == scalar
-
-    def test_rls_predict_batch_matches_predict(self):
-        rng = np.random.default_rng(73)
-        from repro.ml.rls import RecursiveLeastSquares
-        model = RecursiveLeastSquares(n_features=5)
-        for _ in range(30):
-            model.update(rng.normal(size=5), float(rng.normal()))
-        queries = rng.normal(size=(50, 5))
-        np.testing.assert_allclose(model.predict_batch(queries),
-                                   model.predict(queries),
-                                   rtol=1e-12, atol=1e-12)
-        with pytest.raises(ValueError):
-            model.predict_batch(np.zeros((3, 4)))
+    @pytest.mark.parametrize("metric", ["energy", "edp"])
+    @pytest.mark.parametrize("gated", [False, True], ids=["default", "gated"])
+    def test_one_device_equals_its_row_of_a_three_device_call(
+            self, platform, space, gated_space, metric, gated):
+        """A lone ``candidate_batch`` and row ``d`` of a stacked three-device
+        call give the same power and time, bitwise, and the fleet sweep
+        picks what each device's ``best_configuration`` picks."""
+        test_space = gated_space if gated else space
+        devices = [_decision_states(platform, test_space, n_states=12,
+                                    seed=seed)
+                   for seed in (79, 83, 89)]
+        oracles = [RuntimeOracle(test_space, power_model, performance_model,
+                                 metric=metric)
+                   for power_model, performance_model, _ in devices]
+        table, lengths = test_space.neighborhood_table(radius=2)
+        for step in range(12):
+            counters_list = [states[step][0] for _, _, states in devices]
+            currents = [states[step][1] for _, _, states in devices]
+            current_indices = np.array(
+                [test_space.index_of(c) for c in currents], dtype=np.intp)
+            power, time_s = _predictions(
+                oracles, counters_list, currents,
+                test_space.soa_view().gather(table[current_indices]))
+            best = RuntimeOracle.fleet_best_indices(
+                oracles, counters_list, current_indices)
+            for d, oracle in enumerate(oracles):
+                alone = oracle.candidate_batch(counters_list[d], currents[d])
+                n_candidates = lengths[current_indices[d]]
+                assert (alone.predicted_power_w.tobytes()
+                        == power[d, :n_candidates].tobytes())
+                assert (alone.predicted_time_s.tobytes()
+                        == time_s[d, :n_candidates].tobytes())
+                config, _ = oracle.best_configuration(counters_list[d],
+                                                      currents[d])
+                assert int(best[d]) == test_space.index_of(config)
 
 
 class TestSpaceIndexTables:

@@ -230,18 +230,17 @@ class TestTransformSemantics:
 
 
 class TestScenarioTrace:
-    def test_cap_at_takes_tightest_active_event(self):
+    def test_caps_take_tightest_active_event(self, base_trace):
         trace = ScenarioTrace(
-            snippets=[],
+            snippets=list(base_trace[:12]),
             throttle_events=(
                 ThrottleEvent(start=0, stop=10, max_opp_index=3),
                 ThrottleEvent(start=5, stop=8, max_opp_index=1),
+                ThrottleEvent(start=11, stop=40, max_opp_index=2),
             ),
         )
-        assert trace.cap_at(0) == 3
-        assert trace.cap_at(6) == 1
-        assert trace.cap_at(9) == 3
-        assert trace.cap_at(10) is None
+        assert trace.caps() == [3] * 5 + [1] * 3 + [3] * 2 + [None, 2]
+        assert trace.throttled_steps() == 11
 
     def test_throttle_event_validation(self):
         with pytest.raises(ValueError):
@@ -322,6 +321,15 @@ class TestScenarioRuntime:
         assert set(spaces) == {0}
         assert len(spaces[0]) < len(space)
 
+    def test_schedule_returns_the_base_and_restricted_spaces(
+            self, space, throttle_trace):
+        """Session decides compare the scheduled space by identity."""
+        schedule = make_space_schedule(space, throttle_trace)
+        restricted = restricted_spaces(space, throttle_trace)
+        for step, cap in enumerate(throttle_trace.caps()):
+            expected = space if cap is None else restricted[cap]
+            assert schedule(step) is expected
+
     def test_schedule_none_without_events(self, space, base_trace):
         trace = CharacteristicDrift().apply(base_trace[:5], 0)
         assert make_space_schedule(space, trace) is None
@@ -335,8 +343,8 @@ class TestScenarioRuntime:
         throttled = run.log.column("throttled")
         big_opp = run.log.column("big_opp")
         assert throttled.sum() == throttle_trace.throttled_steps()
-        for step in range(len(throttle_trace)):
-            if throttle_trace.cap_at(step) is not None:
+        for step, cap in enumerate(throttle_trace.caps()):
+            if cap is not None:
                 assert big_opp[step] == 0.0
             else:
                 assert big_opp[step] == float(top.opp_index("big"))
@@ -348,9 +356,10 @@ class TestScenarioRuntime:
                                       ENERGY, cache=cache)
         assert len(table.rows) == len(throttle_trace)
         restricted = space.restrict(max_opp_index=0)
-        for step, snippet in enumerate(throttle_trace.snippets):
+        for snippet, cap in zip(throttle_trace.snippets,
+                                throttle_trace.caps()):
             best = table.best_configuration(snippet)
-            if throttle_trace.cap_at(step) is not None:
+            if cap is not None:
                 assert restricted.contains(best)
             assert space.contains(best)
 

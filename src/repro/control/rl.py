@@ -160,18 +160,3 @@ class QLearningController(DRMPolicy):
         self.q_table[self._last_state, self._last_action] += self.learning_rate * td_error
         self.epsilon = max(self.min_epsilon, self.epsilon * self.epsilon_decay)
         self.n_updates += 1
-
-    # ------------------------------------------------------------------ #
-    def greedy_action(self, counters: PerformanceCounters) -> SoCConfiguration:
-        """The configuration the current Q-table considers best (no exploration)."""
-        state = self.discretizer.discretize(counters)
-        return self.space[int(np.argmax(self.q_table[state]))]
-
-    def table_size_bytes(self) -> int:
-        """Storage footprint of the Q-table (the paper's practicality concern)."""
-        return int(self.q_table.nbytes)
-
-    def visited_state_fraction(self) -> float:
-        """Fraction of states with at least one non-zero Q entry."""
-        visited = np.any(self.q_table != 0.0, axis=1)
-        return float(np.mean(visited))

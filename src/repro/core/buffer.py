@@ -10,7 +10,7 @@ of this buffer determines the training accuracy and implementation overhead."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -58,14 +58,6 @@ class AggregationBuffer:
         labels = np.array([s.label for s in self._samples], dtype=int)
         self._samples.clear()
         self.flush_count += 1
-        return features, labels
-
-    def peek(self) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """Return the buffered samples without resetting (for inspection)."""
-        if not self._samples:
-            return None, None
-        features = np.vstack([s.features for s in self._samples])
-        labels = np.array([s.label for s in self._samples], dtype=int)
         return features, labels
 
     def storage_bytes(self) -> int:

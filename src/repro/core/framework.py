@@ -24,8 +24,8 @@ from repro.control.rl import QLearningController
 from repro.core.objectives import ENERGY, Objective
 from repro.core.offline_il import ILDataset, OfflineILPolicy, collect_il_dataset
 from repro.core.online_il import OnlineILPolicy
-from repro.core.oracle import (OracleCache, OraclePolicy, OracleTable,
-                               build_oracle, oracle_results)
+from repro.core.oracle import (OracleCache, OracleTable, build_oracle,
+                               oracle_results)
 from repro.core.oracle_store import OracleStore
 from repro.core.runtime_oracle import RuntimeOracle
 from repro.models.performance import CpuPerformanceModel
@@ -315,10 +315,6 @@ class OnlineLearningFramework:
                     reset_policy=False,
                 )
         return policy
-
-    def build_oracle_policy(self, snippets: Sequence[Snippet]) -> OraclePolicy:
-        table = self.build_oracle_for(snippets)
-        return OraclePolicy(self.space, table)
 
     # ------------------------------------------------------------------ #
     # Evaluation

@@ -101,11 +101,3 @@ PPW = Objective("ppw", _negative_ppw, "Negative performance-per-watt",
                 _negative_ppw_vec)
 
 ALL_OBJECTIVES = {obj.name: obj for obj in (ENERGY, EDP, PERFORMANCE, PPW)}
-
-
-def get_objective(name: str) -> Objective:
-    """Look up a predefined objective by name."""
-    key = name.lower()
-    if key not in ALL_OBJECTIVES:
-        raise KeyError(f"unknown objective {name!r}; available: {sorted(ALL_OBJECTIVES)}")
-    return ALL_OBJECTIVES[key]

@@ -87,15 +87,18 @@ _SPACE_KEY_TEXT: weakref.WeakKeyDictionary[ConfigurationSpace, str] = (
 )
 
 
-def content_keys(snippets: Sequence[Snippet]) -> List[bytes]:
+def content_keys(snippets: Sequence[Snippet],
+                 matrix: np.ndarray) -> List[bytes]:
     """Content key of every snippet (two equal snippets share Oracle rows).
 
-    A key is the application name in UTF-8, then one fixed-length float64
-    row: the index and the :func:`~repro.soc.simulator.characteristics_matrix`
-    row.  ``-0.0`` is stored as ``0.0``, and ``1`` and ``1.0`` alike.
+    ``matrix`` holds the snippets'
+    :func:`~repro.soc.simulator.characteristics_matrix` rows.  A key is the
+    application name in UTF-8, then one fixed-length float64 row: the
+    index and the snippet's ``matrix`` row.  ``-0.0`` is stored as ``0.0``,
+    and ``1`` and ``1.0`` alike.
     """
     matrix = np.column_stack([[snippet.index for snippet in snippets],
-                              characteristics_matrix(snippets)]) + 0.0
+                              matrix]) + 0.0
     rows = matrix.view(f"V{matrix.itemsize * matrix.shape[1]}").ravel()
     return [snippet.application.encode("utf-8") + row
             for snippet, row in zip(snippets, rows.tolist())]
@@ -287,7 +290,8 @@ class OracleCache:
         published to the store as one segment when the call ends.
         """
         snippets = list(snippets)
-        keys = content_keys(snippets)
+        matrix = characteristics_matrix(snippets)
+        keys = content_keys(snippets, matrix)
         memo = self._tables.setdefault(
             (space_cache_key(space), objective_cache_key(objective)),
             OracleTable(objective.name, space, {}, np.empty(0, ORACLE_COLUMNS)))
@@ -295,9 +299,9 @@ class OracleCache:
         table_digest: Optional[str] = None
         stored: Dict[bytes, Tuple] = {}
         fetched: Dict[bytes, Tuple] = {}
-        missing: Dict[bytes, Snippet] = {}
+        missing: Dict[bytes, int] = {}  # key -> its first row in snippets
         hits = 0
-        for snippet, key in zip(snippets, keys):
+        for row, key in enumerate(keys):
             if key in known or key in fetched or key in missing:
                 hits += 1
                 continue
@@ -309,12 +313,14 @@ class OracleCache:
                 if entry is not None:
                     fetched[key] = entry
                     continue
-            missing[key] = snippet
+            missing[key] = row
         new = [*fetched, *missing]
         self._count(hits=hits, misses=len(new))
         if self.store_backend is not None:
             self._count(store_hits=len(fetched), store_misses=len(missing))
-        swept = _sweep(simulator, space, list(missing.values()), objective)
+        rows = list(missing.values())
+        swept = _sweep(simulator, space, [snippets[row] for row in rows],
+                       matrix[rows], objective)
         if missing and table_digest is not None:
             self.store_backend.publish(table_digest, list(missing), swept)
         if new:
@@ -338,10 +344,13 @@ SWEEP_PASS_PAIRS = 1 << 14
 
 
 def _sweep(simulator: SoCSimulator, space: ConfigurationSpace,
-           snippets: List[Snippet], objective: Objective) -> np.ndarray:
+           snippets: List[Snippet], matrix: np.ndarray,
+           objective: Objective) -> np.ndarray:
     """The :data:`~repro.core.oracle_store.ORACLE_COLUMNS` of every snippet.
 
-    Consecutive snippets are swept over the space in passes of at most
+    ``matrix`` holds the snippets'
+    :func:`~repro.soc.simulator.characteristics_matrix` rows.  Consecutive
+    snippets are swept over the space in passes of at most
     :data:`SWEEP_PASS_PAIRS` pairs, one
     :meth:`~repro.soc.simulator.SoCSimulator.evaluate_expected_batch` call
     each.  One row-wise ``np.argmin`` over the objective's cost picks each
@@ -353,7 +362,8 @@ def _sweep(simulator: SoCSimulator, space: ConfigurationSpace,
     columns = np.empty(len(snippets), ORACLE_COLUMNS)
     for start in range(0, len(snippets), per_pass):
         batch = simulator.evaluate_expected_batch(
-            snippets[start:start + per_pass], space)
+            snippets[start:start + per_pass], space,
+            matrix[start:start + per_pass])
         costs = objective.batch_cost(batch)
         best = np.argmin(costs, axis=1)
         pairs = (np.arange(len(best)), best)
@@ -392,7 +402,8 @@ def build_oracle(
     snippets = list(snippets)
     return OracleTable(objective.name, space,
                        {snippet.name: i for i, snippet in enumerate(snippets)},
-                       _sweep(simulator, space, snippets, objective))
+                       _sweep(simulator, space, snippets,
+                              characteristics_matrix(snippets), objective))
 
 
 def oracle_results(simulator: SoCSimulator, table: OracleTable,

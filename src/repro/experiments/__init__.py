@@ -14,7 +14,6 @@ from repro.experiments.scales import (
     FULL,
     available_scales,
     get_scale,
-    register_scale,
 )
 from repro.experiments.common import OnlineAdaptationStudy
 from repro.experiments.table1 import run_table1, format_table1
@@ -53,7 +52,6 @@ __all__ = [
     "FULL",
     "available_scales",
     "get_scale",
-    "register_scale",
     "ExperimentRunner",
     "ExperimentSpec",
     "ExperimentRun",

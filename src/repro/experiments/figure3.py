@@ -43,18 +43,6 @@ class Figure3Result:
             "rl_near_optimal": float(self.rl_near_optimal[-1]),
         }
 
-    def convergence_fraction(self, threshold: float = 80.0) -> float:
-        """Fraction of the sequence time after which online-IL stays above threshold.
-
-        Returns 1.0 if the threshold is never reached (no convergence).
-        """
-        total = float(self.time_axis_s[-1])
-        above = self.online_il_accuracy >= threshold
-        for i in range(len(above)):
-            if bool(np.all(above[i:])):
-                return float(self.time_axis_s[i]) / total
-        return 1.0
-
 
 def _near_optimal_series(study: OnlineAdaptationStudy, run, window: int,
                          tolerance: float = 0.02) -> np.ndarray:

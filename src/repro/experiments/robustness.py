@@ -167,8 +167,9 @@ def run_robustness(
                 name=f"{spec.name}/{policy_name}",
                 policy=factories[policy_name](),
                 scenario=trace,
-                seed=derive_seed(seed, [stable_name_id(spec.name),
-                                        stable_name_id(policy_name)]),
+                rng=make_rng(derive_seed(seed, [
+                    stable_name_id(spec.name), stable_name_id(policy_name),
+                ])),
                 oracle_table=oracle_table,
             ))
             cells.append((spec.name, policy_name))

@@ -258,10 +258,6 @@ class ExperimentRun:
     def seeds(self) -> List[SeedLike]:
         return [run.seed for run in self.seed_runs]
 
-    @property
-    def total_elapsed_s(self) -> float:
-        return sum(run.elapsed_s for run in self.seed_runs)
-
     def format(self) -> str:
         """Human-readable report: one formatted block per seed."""
         blocks = [

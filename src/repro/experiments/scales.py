@@ -103,14 +103,6 @@ _SCALE_REGISTRY: Dict[str, ExperimentScale] = {
 ScaleLike = Union[str, ExperimentScale]
 
 
-def register_scale(scale: ExperimentScale, overwrite: bool = False) -> ExperimentScale:
-    """Add a custom scale preset to the registry (resolvable by name)."""
-    if scale.name in _SCALE_REGISTRY and not overwrite:
-        raise ValueError(f"scale {scale.name!r} is already registered")
-    _SCALE_REGISTRY[scale.name] = scale
-    return scale
-
-
 def get_scale(scale: ScaleLike) -> ExperimentScale:
     """Resolve a scale by name (or pass an :class:`ExperimentScale` through)."""
     if isinstance(scale, ExperimentScale):

@@ -2,9 +2,8 @@
 
 A :class:`DeviceSpec` captures everything that distinguishes one device of
 a fleet: its name, its policy instance (with whatever learned state it
-carries), its snippet trace *or* scenario trace, its own seed (or
-generator) for measurement noise, an optional per-device restricted
-configuration space, and an optional Oracle table for accuracy/energy
+carries), its snippet trace *or* scenario trace, its own generator for
+measurement noise, and an optional Oracle table for accuracy/energy
 normalisation.  :func:`device_session` lowers a spec onto a
 :class:`~repro.core.session.PolicySession`; :func:`build_fleet` lowers a
 whole device list onto a ready :class:`~repro.fleet.engine.FleetEngine`.
@@ -29,10 +28,9 @@ from repro.core.oracle import OracleTable
 from repro.core.session import PolicySession
 from repro.fleet.engine import FleetEngine
 from repro.scenarios.base import ScenarioTrace
-from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
+from repro.soc.configuration import ConfigurationSpace
 from repro.soc.simulator import SoCSimulator
 from repro.soc.snippet import Snippet
-from repro.utils.rng import SeedLike, make_rng
 
 
 class FleetBuildWarning(UserWarning):
@@ -49,25 +47,18 @@ class FleetBuildWarning(UserWarning):
 class DeviceSpec:
     """One device of a simulated fleet.
 
-    Exactly one of ``snippets`` / ``scenario`` provides the trace.  ``seed``
-    derives the device's private measurement-noise generator (``rng``
-    overrides it with an explicit generator); fleets whose devices share a
-    generator lose the lockstep==sequential equivalence, so give every
-    device its own.  ``space`` optionally restricts this device to a
-    subset of the fleet's base configuration space (e.g. a permanently
-    capped low-cost SKU).
+    Exactly one of ``snippets`` / ``scenario`` provides the trace.  ``rng``
+    is the device's private measurement-noise generator; fleets whose
+    devices share a generator lose the lockstep==sequential equivalence,
+    so give every device its own.
     """
 
     name: str
     policy: DRMPolicy
     snippets: Sequence[Snippet] = field(default_factory=tuple)
     scenario: Optional[ScenarioTrace] = None
-    seed: Optional[SeedLike] = None
     rng: Optional[np.random.Generator] = None
-    space: Optional[ConfigurationSpace] = None
     oracle_table: Optional[OracleTable] = None
-    initial_configuration: Optional[SoCConfiguration] = None
-    reset_policy: bool = True
 
     def __post_init__(self) -> None:
         if self.scenario is not None and len(self.snippets) > 0:
@@ -93,21 +84,15 @@ def device_session(
     """Lower one :class:`DeviceSpec` onto a :class:`PolicySession`."""
     from repro.scenarios.runtime import make_space_schedule
 
-    space = device.space if device.space is not None else base_space
-    schedule = (make_space_schedule(space, device.scenario)
+    schedule = (make_space_schedule(base_space, device.scenario)
                 if device.scenario is not None else None)
-    rng = device.rng
-    if rng is None and device.seed is not None:
-        rng = make_rng(device.seed)
     return PolicySession(
         simulator,
-        space,
+        base_space,
         device.policy,
         device.trace,
         oracle_table=device.oracle_table,
-        rng=rng,
-        reset_policy=device.reset_policy,
-        initial_configuration=device.initial_configuration,
+        rng=device.rng,
         space_schedule=schedule,
         name=device.name,
     )
@@ -117,14 +102,13 @@ def warn_rng_hazards(devices: Sequence[DeviceSpec],
                      simulator: SoCSimulator) -> None:
     """Warn when devices do not each own a private noise generator.
 
-    A generator is shared when several devices get it as ``rng`` or as
-    ``seed`` (:func:`device_session` uses a ``Generator`` seed as-is), or
+    A generator is shared when several devices get it as ``rng``, or
     when it is the simulator's own.  Such devices lose the lockstep ==
     sequential bitwise contract and batched execution, and a sharded
     fleet's results then depend on the shard count, because each shard
-    draws from its own copy.  Devices with neither ``seed`` nor ``rng``
-    draw from the simulator's stream and execute scalar.  Only the specs
-    are read, so the check runs before any session exists.
+    draws from its own copy.  Devices without an ``rng`` draw from the
+    simulator's stream and execute scalar.  Only the specs are read, so
+    the check runs before any session exists.
     """
     # Object-keyed map (identity hash, strong refs) — id() keys are
     # process-local and reusable after GC, so they are banned from every
@@ -132,12 +116,9 @@ def warn_rng_hazards(devices: Sequence[DeviceSpec],
     shared: Dict[np.random.Generator, List[str]] = {}
     unseeded: List[str] = []
     for device in devices:
-        rng = device.rng
-        if rng is None and isinstance(device.seed, np.random.Generator):
-            rng = device.seed
-        if rng is not None:
-            shared.setdefault(rng, []).append(device.name)
-        elif device.seed is None:
+        if device.rng is not None:
+            shared.setdefault(device.rng, []).append(device.name)
+        else:
             unseeded.append(device.name)
     for names in shared.values():
         if len(names) > 1:
@@ -145,7 +126,7 @@ def warn_rng_hazards(devices: Sequence[DeviceSpec],
                 f"fleet devices {names} share one measurement-noise "
                 "generator: lockstep results will not be bitwise identical "
                 "to sequential runs, and their executions fall back to "
-                "scalar — give each device its own seed/rng",
+                "scalar — give each device its own rng",
                 FleetBuildWarning, stacklevel=3,
             )
     aliased = shared.get(simulator.rng)
@@ -153,15 +134,15 @@ def warn_rng_hazards(devices: Sequence[DeviceSpec],
         warnings.warn(
             f"fleet devices {aliased} use the simulator's own noise "
             "generator: sequential equivalence is lost — give each "
-            "device a private seed/rng",
+            "device a private rng",
             FleetBuildWarning, stacklevel=3,
         )
     if unseeded:
         warnings.warn(
             f"fleet devices {unseeded} have no private noise generator "
-            "(no seed/rng): they draw measurement noise from the "
+            "(no rng): they draw measurement noise from the "
             "simulator's shared stream and execute scalar — give each "
-            "device its own seed",
+            "device its own rng",
             FleetBuildWarning, stacklevel=3,
         )
 

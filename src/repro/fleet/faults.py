@@ -280,8 +280,7 @@ class FaultPlan:
     ``faults`` is the full fleet-wide fault list; ``seed`` records the
     generation seed (informational for hand-built plans).  Plans are pure
     data: two plans generated from the same ``(device_names, fault_rate,
-    seed, horizon)`` are equal, and :meth:`to_dict`/:meth:`from_dict`
-    round-trip through JSON-compatible structures.
+    seed, horizon)`` are equal.
     """
 
     faults: Tuple[FaultSpec, ...] = ()
@@ -303,19 +302,6 @@ class FaultPlan:
             (fault for fault in self.faults if fault.device == name),
             key=lambda fault: fault.step,
         ))
-
-    # -- serialization --------------------------------------------------- #
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "faults": [fault.to_dict() for fault in self.faults],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "FaultPlan":
-        faults = tuple(fault_from_dict(item)
-                       for item in payload.get("faults", ()))
-        return cls(faults=faults, seed=int(payload.get("seed", 0)))
 
     # -- generation ------------------------------------------------------ #
     @classmethod

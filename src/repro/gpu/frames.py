@@ -87,9 +87,6 @@ class FrameTrace:
     def mean_work_cycles(self) -> float:
         return float(np.mean([f.work_cycles for f in self.frames]))
 
-    def peak_work_cycles(self) -> float:
-        return float(np.max([f.work_cycles for f in self.frames]))
-
 
 def generate_frame_trace(
     name: str,

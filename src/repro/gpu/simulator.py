@@ -72,9 +72,6 @@ class GPURunSummary:
         misses = sum(1 for r in self.frame_results if not r.met_deadline)
         return misses / self.n_frames
 
-    def frame_time_series_s(self) -> np.ndarray:
-        return np.array([r.frame_time_s for r in self.frame_results])
-
     def busy_time_series_s(self) -> np.ndarray:
         return np.array([r.busy_time_s for r in self.frame_results])
 

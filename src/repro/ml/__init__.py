@@ -10,9 +10,6 @@ mirroring the paper's emphasis on firmware-friendly, low-overhead models.
 from repro.ml.base import Regressor, Classifier, OnlineRegressor
 from repro.ml.scaling import StandardScaler
 from repro.ml.metrics import (
-    mean_squared_error,
-    root_mean_squared_error,
-    mean_absolute_error,
     mean_absolute_percentage_error,
     r2_score,
     accuracy_score,
@@ -20,7 +17,7 @@ from repro.ml.metrics import (
 from repro.ml.linear import LinearRegressor
 from repro.ml.rls import RecursiveLeastSquares
 from repro.ml.mlp import MLPRegressor, MLPClassifier
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeRegressor
 from repro.ml.svr import SupportVectorRegressor
 from repro.ml.knn import KNeighborsRegressor
 
@@ -29,9 +26,6 @@ __all__ = [
     "Classifier",
     "OnlineRegressor",
     "StandardScaler",
-    "mean_squared_error",
-    "root_mean_squared_error",
-    "mean_absolute_error",
     "mean_absolute_percentage_error",
     "r2_score",
     "accuracy_score",
@@ -40,7 +34,6 @@ __all__ = [
     "MLPRegressor",
     "MLPClassifier",
     "DecisionTreeRegressor",
-    "DecisionTreeClassifier",
     "SupportVectorRegressor",
     "KNeighborsRegressor",
 ]

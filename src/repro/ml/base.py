@@ -85,15 +85,6 @@ class OnlineRegressor(abc.ABC):
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict targets for one or more feature vectors."""
 
-    def warm_start(self, features: np.ndarray, targets: np.ndarray) -> None:
-        """Feed a batch of samples one at a time (offline bootstrap phase)."""
-        feats = as_2d(features)
-        targs = as_1d(targets)
-        if feats.shape[0] != targs.shape[0]:
-            raise ValueError("features and targets must have the same length")
-        for row, target in zip(feats, targs):
-            self.update(row, float(target))
-
 
 def check_fitted(attribute: Optional[object], name: str) -> None:
     """Raise a consistent error when a model is used before fitting."""

@@ -20,20 +20,6 @@ def _pair(y_true: np.ndarray, y_pred: np.ndarray) -> tuple:
     return a, b
 
 
-def mean_squared_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    a, b = _pair(y_true, y_pred)
-    return float(np.mean((a - b) ** 2))
-
-
-def root_mean_squared_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    return float(np.sqrt(mean_squared_error(y_true, y_pred)))
-
-
-def mean_absolute_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    a, b = _pair(y_true, y_pred)
-    return float(np.mean(np.abs(a - b)))
-
-
 def mean_absolute_percentage_error(y_true: np.ndarray, y_pred: np.ndarray,
                                    epsilon: float = 1e-12) -> float:
     """MAPE in percent.  ``epsilon`` guards against division by zero."""

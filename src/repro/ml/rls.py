@@ -120,12 +120,6 @@ class RecursiveLeastSquares(OnlineRegressor):
     def intercept_(self) -> float:
         return float(self.weights[-1]) if self.fit_intercept else 0.0
 
-    def reset_covariance(self, delta: float = 100.0) -> None:
-        """Re-inflate the covariance (used after detected workload changes)."""
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        self.covariance = np.eye(self._dim) * float(delta)
-
 
 def rls_update_fleet(
     models: Sequence[RecursiveLeastSquares],

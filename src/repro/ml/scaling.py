@@ -61,10 +61,6 @@ class StandardScaler:
         scale = self.scale_
         return (as_2d(features) - self.mean_) / scale
 
-    def inverse_transform(self, features: np.ndarray) -> np.ndarray:
-        scale = self.scale_
-        return as_2d(features) * scale + self.mean_
-
     def fit_transform(self, features: np.ndarray) -> np.ndarray:
         return self.fit(features).transform(features)
 

@@ -116,10 +116,3 @@ class SupportVectorRegressor(Regressor):
         kernel_fn = _KERNELS[self.kernel]
         gram = kernel_fn(x, self.support_vectors_, self._gamma_value)
         return gram @ self.beta_ + self.bias_
-
-    @property
-    def n_support_(self) -> int:
-        """Number of support vectors (non-zero dual coefficients)."""
-        if self.beta_ is None:
-            return 0
-        return int(np.sum(np.abs(self.beta_) > 1e-8))

@@ -1,20 +1,19 @@
-"""CART decision trees (regression and classification).
+"""CART regression trees.
 
 Regression-tree based IL policies are one of the "off-the-shelf machine
-learning models" used by the offline IL works [18, 19] the paper builds on.
-The implementation is a standard greedy CART: binary splits on single
-features, variance reduction (regression) or Gini impurity (classification),
-with depth / minimum-samples stopping rules.
+learning models" used by the offline IL works [18, 19] the paper builds on;
+here they fit the explicit-NMPC surfaces.  The implementation is a standard
+greedy CART: binary splits on single features, variance reduction, with
+depth / minimum-samples stopping rules.
 
 Both training and inference are NumPy-vectorized.  Split search evaluates
-every candidate threshold of every feature at once — cumulative-sum SSE for
-regression, one-hot cumulative class counts and Gini for classification —
-and ``predict`` / ``predict_proba`` route the whole input matrix through the
-tree level by level instead of walking one row at a time.  The per-sample
-split loops and the one-row walk they replaced live in
-``tests/scalar_reference/tree_scalar.py``: the vectorized paths reproduce their
-splits, tie-breaking and predictions bitwise, which the equivalence suite
-in ``tests/test_ml_tree_equivalence.py`` and the
+every candidate threshold of every feature at once with cumulative-sum SSE,
+and ``predict`` routes the whole input matrix through the tree level by
+level instead of walking one row at a time.  The per-sample split loop and
+the one-row walk they replaced live in
+``tests/scalar_reference/tree_scalar.py``: the vectorized paths reproduce
+their splits, tie-breaking and predictions bitwise, which the equivalence
+suite in ``tests/test_ml_tree_equivalence.py`` and the
 ``benchmarks/test_bench_ml_kernels.py`` perf gate both assert.
 """
 
@@ -25,7 +24,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.ml.base import Classifier, Regressor, as_1d, as_2d
+from repro.ml.base import Regressor, as_1d, as_2d
 
 #: A candidate split must beat the incumbent by more than this margin, so
 #: float noise cannot flip ties; earlier (feature, threshold) candidates win.
@@ -41,7 +40,6 @@ class _Node:
     threshold: float = 0.0
     left: Optional["_Node"] = None
     right: Optional["_Node"] = None
-    class_counts: Optional[np.ndarray] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -127,61 +125,12 @@ def _best_split_regression(x: np.ndarray, y: np.ndarray, min_leaf: int):
     return (int(feature), float(threshold), float(score))
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.sum(p**2))
-
-
-def _best_split_classification(x: np.ndarray, y: np.ndarray, n_classes: int,
-                               min_leaf: int):
-    """Return (feature, threshold, score) minimising weighted Gini impurity.
-
-    One-hot encodes the sorted labels per feature and takes a cumulative sum,
-    which yields the left-child class-count matrix for every candidate
-    threshold in one pass (the right child is the integer complement against
-    the parent counts — no float drift).  Candidate scanning mirrors the
-    scalar kernel's order, so splits match the per-sample scalar loop
-    bitwise.
-    """
-    n_samples, n_features = x.shape
-    parent_counts = np.bincount(y, minlength=n_classes)
-    parent_score = _gini(parent_counts) * n_samples
-    best = (None, 0.0, parent_score)
-    if n_samples < 2:
-        return best
-    order = np.argsort(x, axis=0, kind="stable")
-    xs = np.take_along_axis(x, order, axis=0)
-    ys = y[order]
-    one_hot = np.zeros((n_samples, n_features, n_classes), dtype=np.int64)
-    np.put_along_axis(one_hot, ys[:, :, None], 1, axis=2)
-    left_counts = np.cumsum(one_hot, axis=0)[:-1]
-    right_counts = parent_counts[None, None, :] - left_counts
-    left_n = np.arange(1, n_samples)
-    right_n = n_samples - left_n
-    p_left = left_counts / left_n[:, None, None]
-    p_right = right_counts / right_n[:, None, None]
-    gini_left = 1.0 - np.sum(p_left**2, axis=2)
-    gini_right = 1.0 - np.sum(p_right**2, axis=2)
-    scores = gini_left * left_n[:, None] + gini_right * right_n[:, None]
-    scores[~_candidate_validity(xs, n_samples, min_leaf)] = np.inf
-    index, score = _sequential_best(scores.ravel(order="F"), parent_score)
-    if index < 0:
-        return best
-    feature, row = divmod(index, n_samples - 1)
-    threshold = 0.5 * (xs[row, feature] + xs[row + 1, feature])
-    return (int(feature), float(threshold), float(score))
-
-
 @dataclass
 class _FlatTree:
     """Array form of a fitted tree for level-by-level batch traversal.
 
     ``feature[k] == -1`` marks node ``k`` as a leaf; internal nodes route to
-    ``left[k]`` / ``right[k]``.  ``class_counts`` is only present for
-    classifiers (one row of training-label counts per node).
+    ``left[k]`` / ``right[k]``.
     """
 
     feature: np.ndarray
@@ -189,14 +138,18 @@ class _FlatTree:
     left: np.ndarray
     right: np.ndarray
     prediction: np.ndarray
-    class_counts: Optional[np.ndarray] = None
 
 
-class _BaseTree:
-    """Common tree construction machinery."""
+class DecisionTreeRegressor(Regressor):
+    """CART regression tree minimising squared error."""
 
-    def __init__(self, max_depth: int, min_samples_split: int,
-                 min_samples_leaf: int) -> None:
+    #: Split search ``(x, y, min_leaf) -> (feature, threshold, score)``; a
+    #: class attribute so that a test subclass can grow trees with another
+    #: search.
+    _split_search = staticmethod(_best_split_regression)
+
+    def __init__(self, max_depth: int = 8, min_samples_split: int = 4,
+                 min_samples_leaf: int = 2) -> None:
         if max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
         if min_samples_split < 2:
@@ -234,14 +187,8 @@ class _BaseTree:
             right=np.zeros(n, dtype=np.int64),
             prediction=np.zeros(n, dtype=float),
         )
-        if nodes[0].class_counts is not None:
-            flat.class_counts = np.zeros(
-                (n, nodes[0].class_counts.shape[0]), dtype=np.int64
-            )
         for k, node in enumerate(nodes):
             flat.prediction[k] = node.prediction
-            if flat.class_counts is not None:
-                flat.class_counts[k] = node.class_counts
             if not node.is_leaf:
                 flat.feature[k] = node.feature
                 flat.threshold[k] = node.threshold
@@ -268,39 +215,6 @@ class _BaseTree:
                                      flat.right[node_ids])
             active = active[flat.feature[nodes[active]] >= 0]
         return nodes
-
-    def depth(self) -> int:
-        """Return the depth of the fitted tree (root-only tree has depth 1)."""
-
-        def walk(node: Optional[_Node]) -> int:
-            if node is None or node.is_leaf:
-                return 1 if node is not None else 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root_)
-
-    def node_count(self) -> int:
-        def walk(node: Optional[_Node]) -> int:
-            if node is None:
-                return 0
-            if node.is_leaf:
-                return 1
-            return 1 + walk(node.left) + walk(node.right)
-
-        return walk(self.root_)
-
-
-class DecisionTreeRegressor(_BaseTree, Regressor):
-    """CART regression tree minimising squared error."""
-
-    #: Split search ``(x, y, min_leaf) -> (feature, threshold, score)``; a
-    #: class attribute so that a test subclass can grow trees with another
-    #: search.
-    _split_search = staticmethod(_best_split_regression)
-
-    def __init__(self, max_depth: int = 8, min_samples_split: int = 4,
-                 min_samples_leaf: int = 2) -> None:
-        super().__init__(max_depth, min_samples_split, min_samples_leaf)
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "DecisionTreeRegressor":
         x = as_2d(features)
@@ -334,69 +248,3 @@ class DecisionTreeRegressor(_BaseTree, Regressor):
         x = as_2d(features)
         flat = self._flatten()
         return flat.prediction[self._batch_leaf_indices(x)]
-
-
-class DecisionTreeClassifier(_BaseTree, Classifier):
-    """CART classification tree minimising Gini impurity."""
-
-    #: Split search ``(x, y, n_classes, min_leaf) -> (feature, threshold,
-    #: score)``; a class attribute, like the regressor's.
-    _split_search = staticmethod(_best_split_classification)
-
-    def __init__(self, max_depth: int = 8, min_samples_split: int = 4,
-                 min_samples_leaf: int = 2) -> None:
-        super().__init__(max_depth, min_samples_split, min_samples_leaf)
-        self.classes_: Optional[np.ndarray] = None
-
-    def fit(self, features: np.ndarray, labels: np.ndarray) -> "DecisionTreeClassifier":
-        x = as_2d(features)
-        y = np.asarray(labels).ravel().astype(int)
-        if x.shape[0] != y.shape[0]:
-            raise ValueError("features and labels must have the same length")
-        self.classes_ = np.unique(y)
-        encoded = np.searchsorted(self.classes_, y)
-        self.n_features_ = x.shape[1]
-        self._flat = None
-        self.root_ = self._grow(x, encoded, depth=1, n_classes=len(self.classes_))
-        return self
-
-    def _grow(self, x: np.ndarray, y: np.ndarray, depth: int, n_classes: int) -> _Node:
-        counts = np.bincount(y, minlength=n_classes)
-        node = _Node(prediction=float(np.argmax(counts)), class_counts=counts)
-        if depth >= self.max_depth or x.shape[0] < self.min_samples_split:
-            return node
-        if len(np.unique(y)) == 1:
-            return node
-        feature, threshold, _ = self._split_search(x, y, n_classes,
-                                                   self.min_samples_leaf)
-        if feature is None:
-            return node
-        mask = x[:, feature] <= threshold
-        if mask.sum() < self.min_samples_leaf or (~mask).sum() < self.min_samples_leaf:
-            return node
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(x[mask], y[mask], depth + 1, n_classes)
-        node.right = self._grow(x[~mask], y[~mask], depth + 1, n_classes)
-        return node
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        if self.classes_ is None:
-            raise RuntimeError("DecisionTreeClassifier has not been fitted yet")
-        x = as_2d(features)
-        flat = self._flatten()
-        encoded = flat.prediction[self._batch_leaf_indices(x)].astype(int)
-        return self.classes_[encoded]
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Per-class probabilities, shape (n_samples, n_classes).
-
-        Column ``j`` corresponds to ``classes_[j]``; each row is the
-        training-label distribution of the leaf the sample lands in.
-        """
-        if self.classes_ is None:
-            raise RuntimeError("DecisionTreeClassifier has not been fitted yet")
-        x = as_2d(features)
-        flat = self._flatten()
-        counts = flat.class_counts[self._batch_leaf_indices(x)].astype(float)
-        return counts / counts.sum(axis=1, keepdims=True)

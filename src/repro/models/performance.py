@@ -129,11 +129,6 @@ class CpuPerformanceModel:
     def n_updates(self) -> int:
         return self.rls.n_updates
 
-    def warm_start(self, observations) -> None:
-        """Bootstrap the latency coefficient from design-time observations."""
-        for counters, config in observations:
-            self.update(counters, config)
-
 
 def predict_time_s(
     *,

@@ -199,11 +199,6 @@ class CpuPowerModel:
     def n_updates(self) -> int:
         return self.rls.n_updates
 
-    def warm_start(self, observations) -> None:
-        """Bootstrap from (counters, config) pairs collected at design time."""
-        for counters, config in observations:
-            self.update(counters, config)
-
 
 def fleet_update_power_models(
     models: Sequence[CpuPowerModel],

@@ -13,8 +13,6 @@ from repro.noc.router import RouterConfig
 from repro.noc.traffic import (
     TrafficPattern,
     UniformRandomTraffic,
-    TransposeTraffic,
-    HotspotTraffic,
 )
 from repro.noc.simulator import NoCSimulator, NoCSimulationResult
 from repro.noc.analytical import AnalyticalNoCModel, AnalyticalEstimate
@@ -26,8 +24,6 @@ __all__ = [
     "RouterConfig",
     "TrafficPattern",
     "UniformRandomTraffic",
-    "TransposeTraffic",
-    "HotspotTraffic",
     "NoCSimulator",
     "NoCSimulationResult",
     "AnalyticalNoCModel",

@@ -43,17 +43,6 @@ class NoCSimulationResult:
         lats = self.latencies()
         return float(np.mean(lats)) if lats.size else float("nan")
 
-    @property
-    def p95_latency_cycles(self) -> float:
-        lats = self.latencies()
-        return float(np.percentile(lats, 95)) if lats.size else float("nan")
-
-    @property
-    def throughput_packets_per_cycle(self) -> float:
-        if self.simulated_cycles <= 0:
-            return 0.0
-        return self.n_delivered / self.simulated_cycles
-
     def average_hops(self) -> float:
         if not self.delivered_packets:
             return float("nan")

@@ -77,18 +77,6 @@ class MeshTopology:
         dx, dy = self.coordinates(destination)
         return abs(sx - dx) + abs(sy - dy)
 
-    def average_hop_count(self) -> float:
-        """Mean hop count over all distinct source/destination pairs."""
-        total = 0
-        pairs = 0
-        for src in range(self.n_nodes):
-            for dst in range(self.n_nodes):
-                if src == dst:
-                    continue
-                total += self.hop_count(src, dst)
-                pairs += 1
-        return total / pairs if pairs else 0.0
-
     def link_usage(self, traffic_matrix: Dict[Tuple[int, int], float]) -> Dict[Link, float]:
         """Aggregate per-link load from a (src, dst) -> rate traffic matrix."""
         usage: Dict[Link, float] = {link: 0.0 for link in self.links()}

@@ -88,59 +88,3 @@ class UniformRandomTraffic(TrafficPattern):
         n = self.topology.n_nodes
         probability = 1.0 / (n - 1)
         return {d: probability for d in range(n) if d != source}
-
-
-class TransposeTraffic(TrafficPattern):
-    """Node (x, y) always sends to node (y, x) (requires a square mesh)."""
-
-    def __init__(self, topology: MeshTopology, injection_rate: float,
-                 packet_size_flits: int = 4, seed: SeedLike = None) -> None:
-        if topology.width != topology.height:
-            raise ValueError("transpose traffic requires a square mesh")
-        super().__init__(topology, injection_rate, packet_size_flits, seed)
-
-    def _transpose(self, source: int) -> int:
-        x, y = self.topology.coordinates(source)
-        return self.topology.node_at(y, x)
-
-    def destination_for(self, source: int) -> int:
-        return self._transpose(source)
-
-    def destination_probabilities(self, source: int) -> Dict[int, float]:
-        return {self._transpose(source): 1.0}
-
-
-class HotspotTraffic(TrafficPattern):
-    """Uniform traffic with extra probability mass on a hotspot node."""
-
-    def __init__(self, topology: MeshTopology, injection_rate: float,
-                 hotspot_node: int = 0, hotspot_fraction: float = 0.3,
-                 packet_size_flits: int = 4, seed: SeedLike = None) -> None:
-        super().__init__(topology, injection_rate, packet_size_flits, seed)
-        if not 0 <= hotspot_node < topology.n_nodes:
-            raise ValueError("hotspot_node out of range")
-        if not 0.0 <= hotspot_fraction < 1.0:
-            raise ValueError("hotspot_fraction must be in [0, 1)")
-        self.hotspot_node = int(hotspot_node)
-        self.hotspot_fraction = float(hotspot_fraction)
-
-    def destination_for(self, source: int) -> int:
-        if source != self.hotspot_node and self.rng.random() < self.hotspot_fraction:
-            return self.hotspot_node
-        n = self.topology.n_nodes
-        destination = int(self.rng.integers(0, n - 1))
-        if destination >= source:
-            destination += 1
-        return destination
-
-    def destination_probabilities(self, source: int) -> Dict[int, float]:
-        n = self.topology.n_nodes
-        uniform = 1.0 / (n - 1)
-        probabilities = {d: uniform for d in range(n) if d != source}
-        if source == self.hotspot_node:
-            return probabilities
-        scaled = {d: p * (1.0 - self.hotspot_fraction) for d, p in probabilities.items()}
-        scaled[self.hotspot_node] = (
-            scaled.get(self.hotspot_node, 0.0) + self.hotspot_fraction
-        )
-        return scaled

@@ -15,7 +15,6 @@ from repro.scenarios.base import (
     available_scenarios,
     get_scenario,
     register_scenario,
-    scenario_from_dict,
 )
 from repro.scenarios.transforms import (
     BurstyIdle,
@@ -49,5 +48,4 @@ __all__ = [
     "register_scenario",
     "restricted_spaces",
     "run_policy_on_scenario",
-    "scenario_from_dict",
 ]

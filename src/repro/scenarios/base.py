@@ -4,7 +4,7 @@ The paper's central claim is that *online* imitation learning adapts to
 workloads the offline policy never saw.  The three static suite presets
 (Mi-Bench / CortexSuite / PARSEC) exercise only one kind of novelty —
 unseen applications.  This subsystem makes *dynamic* novelty first class:
-a :class:`ScenarioSpec` is a small, seedable, serializable transform that
+a :class:`ScenarioSpec` is a small, seedable transform that
 perturbs a generated snippet trace (and, for throttling scenarios, the
 platform's reachable configuration space) over time.
 
@@ -17,9 +17,6 @@ Design rules every scenario obeys:
 * **Seedable** — all randomness comes from the generator passed to
   ``apply``; the same seed reproduces the same trace bit for bit, which is
   what makes the golden-trace and ``--jobs`` determinism tests possible.
-* **Serializable** — ``to_dict`` / :func:`scenario_from_dict` round-trip a
-  spec through plain JSON-compatible data, so sweeps can be described in
-  config files and shipped across worker processes.
 * **Registered** — default instances live in a name registry mirroring the
   experiment registry, so drivers and the CLI resolve scenarios by name
   (``python -m repro.experiments robustness --scenario phase_churn``).
@@ -28,9 +25,8 @@ Design rules every scenario obeys:
 from __future__ import annotations
 
 import abc
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,12 +98,8 @@ class ScenarioTrace:
         return seen
 
 
-#: Serialization registry: ScenarioSpec subclass name -> class.
-_SPEC_TYPES: Dict[str, type] = {}
-
-
 class ScenarioSpec(abc.ABC):
-    """One named, seedable, serializable trace perturbation.
+    """One named, seedable trace perturbation.
 
     Subclasses are small frozen dataclasses whose fields are the scenario's
     parameters, always including a ``name`` field — the registry key and
@@ -121,10 +113,6 @@ class ScenarioSpec(abc.ABC):
 
     #: Registry key; overridden by the subclasses' ``name`` dataclass field.
     name: str = ""
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        _SPEC_TYPES[cls.__name__] = cls
 
     # -- required subclass surface ------------------------------------- #
     @abc.abstractmethod
@@ -163,53 +151,6 @@ class ScenarioSpec(abc.ABC):
                     f"starting at {event.start} beyond the trace ({last})"
                 )
         return trace
-
-    # -- serialization --------------------------------------------------- #
-    def params(self) -> Dict[str, Any]:
-        """The spec's parameters as a JSON-compatible dict."""
-        if not dataclasses.is_dataclass(self):
-            raise TypeError("ScenarioSpec subclasses must be dataclasses")
-        out: Dict[str, Any] = {}
-        for spec_field in dataclasses.fields(self):
-            value = getattr(self, spec_field.name)
-            out[spec_field.name] = _param_to_jsonable(value)
-        return out
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serializable description: transform type plus parameters."""
-        return {"type": type(self).__name__, "params": self.params()}
-
-    @classmethod
-    def from_params(cls, params: Dict[str, Any]) -> "ScenarioSpec":
-        """Reconstruct a spec from :meth:`params` output."""
-        return cls(**params)  # type: ignore[call-arg]
-
-
-def _param_to_jsonable(value: Any) -> Any:
-    if isinstance(value, ScenarioSpec):
-        return value.to_dict()
-    if isinstance(value, (list, tuple)):
-        return [_param_to_jsonable(item) for item in value]
-    if isinstance(value, (int, float, str, bool)) or value is None:
-        return value
-    raise TypeError(
-        f"scenario parameter of type {type(value).__name__} is not serializable"
-    )
-
-
-def scenario_from_dict(payload: Dict[str, Any]) -> ScenarioSpec:
-    """Inverse of :meth:`ScenarioSpec.to_dict` (registry-dispatched)."""
-    try:
-        spec_type = payload["type"]
-        params = dict(payload.get("params", {}))
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed scenario payload: {payload!r}") from exc
-    if spec_type not in _SPEC_TYPES:
-        raise KeyError(
-            f"unknown scenario type {spec_type!r}; known: {sorted(_SPEC_TYPES)}"
-        )
-    cls = _SPEC_TYPES[spec_type]
-    return cls.from_params(params)
 
 
 # --------------------------------------------------------------------- #

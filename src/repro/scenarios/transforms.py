@@ -34,7 +34,6 @@ from repro.scenarios.base import (
     ScenarioTrace,
     ThrottleEvent,
     register_scenario,
-    scenario_from_dict,
 )
 from repro.soc.snippet import Snippet, SnippetCharacteristics
 
@@ -304,15 +303,6 @@ class CompositeScenario(ScenarioSpec):
             current = trace.snippets
             events.extend(trace.throttle_events)
         return ScenarioTrace(current, throttle_events=tuple(events))
-
-    @classmethod
-    def from_params(cls, params: Dict[str, object]) -> "CompositeScenario":
-        params = dict(params)
-        children = tuple(
-            scenario_from_dict(payload)  # type: ignore[arg-type]
-            for payload in params.pop("children", ())
-        )
-        return cls(children=children, **params)  # type: ignore[arg-type]
 
 
 def _register_default_scenarios() -> None:

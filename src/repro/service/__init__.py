@@ -38,7 +38,6 @@ from repro.service.protocol import (
     RunGenesis,
     ShutdownNotice,
     SnapshotManifest,
-    SnapshotRequest,
     StepBoundary,
     TelemetryReport,
     decode_message,
@@ -61,7 +60,6 @@ __all__ = [
     "ServiceRun",
     "ShutdownNotice",
     "SnapshotManifest",
-    "SnapshotRequest",
     "StepBoundary",
     "TelemetryReport",
     "decode_message",

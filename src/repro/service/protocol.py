@@ -85,15 +85,6 @@ class TelemetryReport(Message):
 
 @_register
 @dataclass(frozen=True)
-class SnapshotRequest(Message):
-    """Client-initiated snapshot rotation (``POST /snapshot``)."""
-
-    TYPE_NAME: ClassVar[str] = "snapshot.request"
-    reason: str = ""
-
-
-@_register
-@dataclass(frozen=True)
 class SnapshotManifest(Message):
     """Journal record naming one completed snapshot rotation.
 
@@ -176,9 +167,8 @@ class ErrorReport(Message):
 class RunGenesis(Message):
     """First journal record: the deterministic run configuration.
 
-    Recovery rebuilds the device fleet from ``config`` alone (or, for
-    externally built fleets, verifies the caller supplied the same
-    fleet), so the genesis record pins everything the rebuild needs.
+    Recovery rebuilds the device fleet from ``config`` alone, so the
+    genesis record pins everything the rebuild needs.
     """
 
     TYPE_NAME: ClassVar[str] = "run.genesis"
@@ -203,11 +193,6 @@ class ShutdownNotice(Message):
     TYPE_NAME: ClassVar[str] = "run.shutdown"
     round: int = 0
     reason: str = ""
-
-
-def message_types() -> Dict[str, Type[Message]]:
-    """Wire name -> class for every registered message type."""
-    return dict(_REGISTRY)
 
 
 def encode_message(message: Message) -> Dict[str, Any]:

@@ -19,11 +19,11 @@ with the durability and dispatch semantics of the control-plane service:
   its sha256 journaled.
 * **Recovery invariant.**  ``kill -9`` at any instant, then
   :meth:`ServiceRun.recover`: the fleet is rebuilt deterministically
-  from the genesis config (or handed in again by the caller) and must
-  match the journal's :class:`~repro.service.protocol.DeviceRegistration`
-  records; sessions restore from the newest manifest whose file
-  verifies, taking their traces and Oracle tables from the rebuilt
-  fleet (a snapshot holds session state only); dispatches that applied
+  from the genesis config and must match the journal's
+  :class:`~repro.service.protocol.DeviceRegistration` records; sessions
+  restore from the newest manifest whose file verifies, taking their
+  traces and Oracle tables from the rebuilt fleet (a snapshot holds
+  session state only); dispatches that applied
   before the restore point are re-applied (space caps; policy swaps are
   already inside the snapshots) and later ones are replayed at their
   recorded boundaries — so the completed run's per-device logs and
@@ -328,14 +328,13 @@ class ServiceRun:
 
     def __init__(
         self,
+        config: RunConfig,
         devices: Sequence[DeviceSpec],
         simulator: SoCSimulator,
         space: ConfigurationSpace,
-        config: Optional[RunConfig] = None,
         sessions: Optional[Sequence[PolicySession]] = None,
         journal: Optional[Journal] = None,
         journal_dir: Optional[Path] = None,
-        snapshot_every: int = 5,
         rounds: int = 0,
     ) -> None:
         self.config = config
@@ -344,7 +343,7 @@ class ServiceRun:
         self.space = space
         self.journal = journal
         self.journal_dir = journal_dir
-        self.snapshot_every = int(snapshot_every)
+        self.snapshot_every = config.snapshot_every
         self.rounds = int(rounds)
         # Round of the newest journaled rotation (None: none yet), so
         # shutdown() does not rotate the same round twice.
@@ -353,7 +352,7 @@ class ServiceRun:
         self.alerts: List[FlatlineAlert] = []
         self.errors: List[ErrorReport] = []
         plan = None
-        if config is not None and config.faults:
+        if config.faults:
             plan = FaultPlan(faults=tuple(
                 fault_from_dict(dict(payload)) for payload in config.faults
             ))
@@ -376,48 +375,24 @@ class ServiceRun:
     @classmethod
     def start(
         cls,
-        config: Optional[RunConfig] = None,
+        config: RunConfig,
         journal_dir: Optional[Union[str, Path]] = None,
-        devices: Optional[Sequence[DeviceSpec]] = None,
-        simulator: Optional[SoCSimulator] = None,
-        space: Optional[ConfigurationSpace] = None,
-        snapshot_every: Optional[int] = None,
-        genesis_meta: Optional[Dict[str, Any]] = None,
     ) -> "ServiceRun":
         """Begin a fresh run (journaled when ``journal_dir`` is given).
 
-        Either pass a :class:`RunConfig` (the fleet is built
-        deterministically from it, and recovery can rebuild it from the
-        journal alone) or a pre-built ``devices``/``simulator``/``space``
-        fleet (external mode: :meth:`recover` must then be handed the
-        same fleet again, rebuilt by the caller — the journal records
-        ``genesis_meta`` so the caller can check what it was).
+        The fleet is built deterministically from ``config``, so recovery
+        can rebuild it from the journal alone.
         """
-        if config is not None:
-            if snapshot_every is not None:
-                config = dataclasses.replace(config,
-                                             snapshot_every=snapshot_every)
-            devices, simulator, space = build_config_devices(config)
-            cadence = config.snapshot_every
-            genesis: Dict[str, Any] = config.to_dict()
-        else:
-            if devices is None or simulator is None or space is None:
-                raise ValueError(
-                    "start() needs a RunConfig or devices+simulator+space"
-                )
-            cadence = snapshot_every if snapshot_every is not None else 5
-            # Recovery reads the cadence back from here.
-            genesis = {"external": True, **(genesis_meta or {}),
-                       "snapshot_every": cadence}
+        devices, simulator, space = build_config_devices(config)
         journal = None
         journal_path: Optional[Path] = None
         if journal_dir is not None:
             journal_path = Path(journal_dir)
             journal = Journal(journal_path / JOURNAL_FILE, create=True)
-        run = cls(devices, simulator, space, config=config, journal=journal,
-                  journal_dir=journal_path, snapshot_every=cadence)
+        run = cls(config, devices, simulator, space, journal=journal,
+                  journal_dir=journal_path)
         if journal is not None:
-            journal.append(RunGenesis(config=genesis))
+            journal.append(RunGenesis(config=config.to_dict()))
             supervised = set(run.supervisor.plan.device_names())
             for device in run.devices:
                 journal.append(_registration(device,
@@ -426,19 +401,13 @@ class ServiceRun:
         return run
 
     @classmethod
-    def recover(
-        cls,
-        journal_dir: Union[str, Path],
-        devices: Optional[Sequence[DeviceSpec]] = None,
-        simulator: Optional[SoCSimulator] = None,
-        space: Optional[ConfigurationSpace] = None,
-    ) -> "ServiceRun":
+    def recover(cls, journal_dir: Union[str, Path]) -> "ServiceRun":
         """Rebuild a run from its journal after a crash (or clean exit).
 
-        The fleet is rebuilt from the genesis config (or taken from the
-        caller in external mode) and must match the journal's device
-        registrations — names in order, policy, trace length and
-        scenario — or :class:`JournalError` names the first mismatch.
+        The fleet is rebuilt from the genesis config and must match the
+        journal's device registrations — names in order, policy, trace
+        length and scenario — or :class:`JournalError` names the first
+        mismatch.
         Sessions restore from the newest snapshot manifest whose file
         verifies (falling back to older manifests, and to a replay from
         round 0 when none survive), and journaled dispatches are
@@ -451,20 +420,8 @@ class ServiceRun:
             raise JournalError(
                 f"journal in {journal_path} has no genesis record"
             )
-        genesis = messages[0].config
-        config: Optional[RunConfig] = None
-        if genesis.get("external"):
-            if devices is None or simulator is None or space is None:
-                raise ValueError(
-                    "this journal belongs to an externally built fleet; "
-                    "recover() must be handed the same "
-                    "devices+simulator+space again"
-                )
-            cadence = int(genesis.get("snapshot_every", 5))
-        else:
-            config = RunConfig.from_dict(genesis)
-            devices, simulator, space = build_config_devices(config)
-            cadence = config.snapshot_every
+        config = RunConfig.from_dict(messages[0].config)
+        devices, simulator, space = build_config_devices(config)
         _check_fleet([m for m in messages
                       if isinstance(m, DeviceRegistration)], devices)
         manifests = [m for m in messages if isinstance(m, SnapshotManifest)]
@@ -481,9 +438,8 @@ class ServiceRun:
             restore_round = manifest.round
             break
         journal = Journal(journal_path / JOURNAL_FILE)
-        run = cls(devices, simulator, space, config=config,
-                  sessions=sessions, journal=journal,
-                  journal_dir=journal_path, snapshot_every=cadence,
+        run = cls(config, devices, simulator, space, sessions=sessions,
+                  journal=journal, journal_dir=journal_path,
                   rounds=restore_round)
         if sessions is not None:
             run._rotated_round = restore_round
@@ -763,8 +719,7 @@ class ServiceRun:
             "done": self.done,
             "paused": self.paused,
             "journaled": self.journal is not None,
-            "config": self.config.to_dict() if self.config is not None
-            else {"external": True},
+            "config": self.config.to_dict(),
             "pending_dispatches": len(self._pending_dispatches),
             "alerts": len(self.alerts),
             "errors": [encode_message(error) for error in self.errors],

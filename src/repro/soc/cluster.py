@@ -65,10 +65,6 @@ class ClusterSpec:
         if self.base_cpi <= 0:
             self.base_cpi = 1.0 / self.ipc_peak
 
-    @property
-    def n_opp_levels(self) -> int:
-        return len(self.opps)
-
     def dynamic_power_w(self, opp_index: int, active_cores: int,
                         utilization: float) -> float:
         """Dynamic power for ``active_cores`` cores at ``opp_index``."""

@@ -126,15 +126,6 @@ class SoCConfiguration:
     def as_dicts(self) -> Tuple[Dict[str, int], Dict[str, int]]:
         return dict(self.opp_indices), dict(self.active_cores)
 
-    def as_vector(self, cluster_order: Sequence[str]) -> np.ndarray:
-        """Numeric encoding (OPP index then core count per cluster)."""
-        values: List[float] = []
-        for cluster in cluster_order:
-            values.append(float(self.opp_index(cluster)))
-        for cluster in cluster_order:
-            values.append(float(self.cores(cluster)))
-        return np.array(values, dtype=float)
-
     def describe(self, platform: Optional[PlatformSpec] = None) -> str:
         parts = []
         for name, idx in self.opp_indices:
@@ -485,10 +476,6 @@ class ConfigurationSpace:
 
     def random_configuration(self, rng: np.random.Generator) -> SoCConfiguration:
         return self._configs[int(rng.integers(0, len(self._configs)))]
-
-    def config_feature_matrix(self) -> np.ndarray:
-        """Numeric encoding of every configuration (for surface models)."""
-        return np.vstack([cfg.as_vector(self.cluster_order) for cfg in self._configs])
 
     def batch_index_arrays(self) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
         """Per-cluster ``(opp_index, active_cores)`` arrays over the space.

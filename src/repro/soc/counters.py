@@ -120,10 +120,6 @@ class PerformanceCounters:
     def as_dict(self) -> Dict[str, float]:
         return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
-    def as_vector(self) -> np.ndarray:
-        """Raw counter vector in the canonical ``COUNTER_NAMES`` order."""
-        return np.array([getattr(self, name) for name in COUNTER_NAMES], dtype=float)
-
     def feature_vector(self) -> np.ndarray:
         """Normalised per-instruction features used as policy/model inputs.
 
@@ -146,10 +142,6 @@ class PerformanceCounters:
             ],
             dtype=float,
         )
-
-    @staticmethod
-    def feature_names() -> List[str]:
-        return list(FEATURE_NAMES)
 
     @staticmethod
     def n_features() -> int:

@@ -81,10 +81,6 @@ class OPPTable:
         return list(self._points)
 
     @property
-    def min_frequency_hz(self) -> float:
-        return self._points[0].frequency_hz
-
-    @property
     def max_frequency_hz(self) -> float:
         return self._points[-1].frequency_hz
 

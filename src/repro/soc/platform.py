@@ -63,9 +63,6 @@ class PlatformSpec:
     def little(self) -> ClusterSpec:
         return self.cluster("little")
 
-    def total_cores(self) -> int:
-        return sum(spec.n_cores for spec in self.clusters.values())
-
     def content_key(self) -> tuple:
         """Content-derived, process-stable identity of this platform.
 

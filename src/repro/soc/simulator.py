@@ -30,11 +30,11 @@ from counters, which makes the learning problem realistic but solvable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.soc.configuration import SoCConfiguration
+from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
 from repro.soc.counters import PerformanceCounters
 from repro.soc.platform import PlatformSpec
 from repro.soc.snippet import Snippet
@@ -610,38 +610,22 @@ class SoCSimulator:
         )
 
     def evaluate_expected_batch(
-        self, snippets: Sequence[Snippet],
-        configurations: Iterable[SoCConfiguration],
+        self, snippets: Sequence[Snippet], space: ConfigurationSpace,
+        characteristics: np.ndarray,
     ) -> SoCBatchResult:
         """Noise-free evaluation of every snippet at every configuration.
 
         The array twin of one :meth:`evaluate_expected` call per (snippet,
-        configuration) pair: a single :meth:`expected_arrays` pass whose
-        result arrays are ``(len(snippets), len(configurations))``, which is
-        what makes exhaustive Oracle construction fast.  A
-        :class:`~repro.soc.configuration.ConfigurationSpace` supplies its
-        cached knob arrays; any other iterable is read config by config.
+        configuration) pair: a single :meth:`expected_arrays` pass over
+        the space's cached knob arrays, whose result arrays are
+        ``(len(snippets), len(space))``, which is what makes exhaustive
+        Oracle construction fast.  ``characteristics`` holds the snippets'
+        :func:`characteristics_matrix` rows.
         """
-        configs = list(configurations)
-        if not configs:
-            raise ValueError("evaluate_expected_batch needs at least one configuration")
-        index_arrays = getattr(configurations, "batch_index_arrays", None)
-        if index_arrays is not None:
-            knobs = index_arrays()
-        else:
-            n = len(configs)
-            knobs = {
-                name: (
-                    np.fromiter((c.opp_index(name) for c in configs),
-                                dtype=np.intp, count=n),
-                    np.fromiter((c.cores(name) for c in configs),
-                                dtype=np.intp, count=n),
-                )
-                for name in self.platform.cluster_names
-            }
-        snippets = list(snippets)
+        knobs = space.batch_index_arrays()
         return self.expected_arrays(
-            snippets, configs, characteristics_matrix(snippets).T[:, :, None],
+            list(snippets), space.configurations,
+            characteristics.T[:, :, None],
             {name: opp for name, (opp, _) in knobs.items()},
             {name: active for name, (_, active) in knobs.items()},
         )

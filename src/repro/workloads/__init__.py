@@ -18,8 +18,6 @@ from repro.workloads.suites import (
     PARSEC_APPS,
     ALL_CPU_APPS,
     get_workload,
-    workloads_by_suite,
-    table2_workloads,
     figure4_workloads,
 )
 from repro.workloads.graphics import GRAPHICS_APPS, get_graphics_workload
@@ -34,8 +32,6 @@ __all__ = [
     "PARSEC_APPS",
     "ALL_CPU_APPS",
     "get_workload",
-    "workloads_by_suite",
-    "table2_workloads",
     "figure4_workloads",
     "GRAPHICS_APPS",
     "get_graphics_workload",

@@ -83,15 +83,3 @@ class SnippetTraceGenerator:
                     ),
                 ))
         return snippets
-
-    def generate_many(
-        self,
-        specs,
-        rng: Optional[np.random.Generator] = None,
-    ) -> List[Snippet]:
-        """Concatenate traces for several applications, in the given order."""
-        local_rng = rng if rng is not None else self.rng
-        trace: List[Snippet] = []
-        for spec in specs:
-            trace.extend(self.generate(spec, rng=local_rng))
-        return trace

@@ -37,9 +37,6 @@ class ApplicationSequence:
                 seen.append(snippet.application)
         return seen
 
-    def application_slice(self, application: str) -> List[Snippet]:
-        return [s for s in self.snippets if s.application == application]
-
 
 def build_online_sequence(
     specs: Optional[Sequence[WorkloadSpec]] = None,

@@ -9,7 +9,6 @@ concrete list of :class:`~repro.soc.snippet.Snippet` objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict
 
 from repro.soc.snippet import DEFAULT_SNIPPET_INSTRUCTIONS, SnippetCharacteristics
 
@@ -59,29 +58,6 @@ class WorkloadSpec:
     @property
     def n_snippets(self) -> int:
         return sum(phase.n_snippets for phase in self.phases)
-
-    @property
-    def total_instructions(self) -> float:
-        return self.n_snippets * self.snippet_instructions
-
-    def mean_characteristics(self) -> SnippetCharacteristics:
-        """Snippet-count-weighted mean characteristics across phases."""
-        total = self.n_snippets
-        acc: Dict[str, float] = {}
-        for phase in self.phases:
-            weight = phase.n_snippets / total
-            for key, value in phase.characteristics.as_dict().items():
-                acc[key] = acc.get(key, 0.0) + weight * value
-        return SnippetCharacteristics(
-            memory_intensity=acc["memory_intensity"],
-            memory_access_rate=min(1.0, acc["memory_access_rate"]),
-            external_request_rate=min(1.0, acc["external_request_rate"]),
-            branch_misprediction_mpki=acc["branch_misprediction_mpki"],
-            ilp_factor=min(1.0, acc["ilp_factor"]),
-            parallel_fraction=min(1.0, acc["parallel_fraction"]),
-            thread_count=max(1, int(round(acc["thread_count"]))),
-            big_fraction=min(1.0, acc["big_fraction"]),
-        )
 
     def scaled(self, snippet_factor: float) -> "WorkloadSpec":
         """Return a copy with each phase length scaled by ``snippet_factor``.

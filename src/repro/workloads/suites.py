@@ -172,20 +172,6 @@ def get_workload(name: str) -> WorkloadSpec:
     return ALL_CPU_APPS[key]
 
 
-def workloads_by_suite(suite: str) -> List[WorkloadSpec]:
-    """Return all workloads belonging to ``suite`` (mibench/cortex/parsec)."""
-    suite = suite.lower()
-    table = {"mibench": MIBENCH_APPS, "cortex": CORTEX_APPS, "parsec": PARSEC_APPS}
-    if suite not in table:
-        raise KeyError(f"unknown suite {suite!r}; available: {sorted(table)}")
-    return list(table[suite].values())
-
-
-def table2_workloads() -> List[WorkloadSpec]:
-    """Workloads evaluated in Table II, in the paper's column order."""
-    return [ALL_CPU_APPS[name] for name in TABLE2_APP_LABELS]
-
-
 def figure4_workloads() -> List[WorkloadSpec]:
     """All sixteen workloads of Figure 4, in the paper's x-axis order."""
     return [ALL_CPU_APPS[name] for name in FIGURE4_APP_ORDER]

@@ -5,8 +5,7 @@ phase's jitter as one ``(n_snippets, 5)`` normal block and exponentiates,
 scales and clips it with NumPy.  :class:`ScalarSnippetTraceGenerator` is
 the loop it replaced: per snippet, five scalar ``rng.normal`` draws (memory
 intensity, access rate, external rate, branch MPKI, ILP), each
-exponentiated on its own, and Python ``max``/``min`` clipping.  It
-overrides ``generate`` only, so ``generate_many`` runs the loop too.
+exponentiated on its own, and Python ``max``/``min`` clipping.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
-"""The per-sample CART kernels (oracles of the vectorized tree paths).
+"""The per-sample CART kernel (oracle of the vectorized tree paths).
 
 :mod:`repro.ml.tree` searches splits with one array pass over every
 threshold of every feature and routes prediction rows through the tree
-level by level.  The two split loops here are what that search replaced;
-:class:`ScalarDecisionTreeRegressor` and
-:class:`ScalarDecisionTreeClassifier` grow trees with them by overriding
-only the trees' ``_split_search`` attribute.  :func:`predict_row` is the
+level by level.  The split loop here is what that search replaced;
+:class:`ScalarDecisionTreeRegressor` grows trees with it by overriding
+only the tree's ``_split_search`` attribute.  :func:`predict_row` is the
 one-row walk from the root that the batch traversal replaced, and
 :func:`trees_identical` compares two fitted trees node by node.
 """
@@ -16,14 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ml.tree import (
-    _SPLIT_TOLERANCE,
-    DecisionTreeClassifier,
-    DecisionTreeRegressor,
-    _BaseTree,
-    _gini,
-    _Node,
-)
+from repro.ml.tree import _SPLIT_TOLERANCE, DecisionTreeRegressor, _Node
 
 
 def best_split_regression(x: np.ndarray, y: np.ndarray, min_leaf: int):
@@ -59,47 +51,13 @@ def best_split_regression(x: np.ndarray, y: np.ndarray, min_leaf: int):
     return best
 
 
-def best_split_classification(x: np.ndarray, y: np.ndarray,
-                              n_classes: int, min_leaf: int):
-    """Scalar split search (incremental integer class counts)."""
-    n_samples, n_features = x.shape
-    parent_counts = np.bincount(y, minlength=n_classes)
-    parent_score = _gini(parent_counts) * n_samples
-    best = (None, 0.0, parent_score)
-    for feature in range(n_features):
-        order = np.argsort(x[:, feature], kind="stable")
-        xs = x[order, feature]
-        ys = y[order]
-        left_counts = np.zeros(n_classes, dtype=np.int64)
-        right_counts = parent_counts.copy()
-        for i in range(1, n_samples):
-            cls = ys[i - 1]
-            left_counts[cls] += 1
-            right_counts[cls] -= 1
-            if i < min_leaf or n_samples - i < min_leaf:
-                continue
-            if xs[i - 1] == xs[i]:
-                continue
-            score = _gini(left_counts) * i + _gini(right_counts) * (n_samples - i)
-            if score < best[2] - _SPLIT_TOLERANCE:
-                threshold = 0.5 * (xs[i - 1] + xs[i])
-                best = (feature, float(threshold), float(score))
-    return best
-
-
 class ScalarDecisionTreeRegressor(DecisionTreeRegressor):
     """Regression tree grown with the per-sample split loop."""
 
     _split_search = staticmethod(best_split_regression)
 
 
-class ScalarDecisionTreeClassifier(DecisionTreeClassifier):
-    """Classification tree grown with the per-sample split loop."""
-
-    _split_search = staticmethod(best_split_classification)
-
-
-def predict_row(tree: _BaseTree, row: np.ndarray) -> float:
+def predict_row(tree: DecisionTreeRegressor, row: np.ndarray) -> float:
     """Walk one row from the root to its leaf; return the leaf prediction."""
     node = tree.root_
     if node is None:
@@ -115,11 +73,11 @@ def predict_row(tree: _BaseTree, row: np.ndarray) -> float:
     return node.prediction
 
 
-def trees_identical(a: _BaseTree, b: _BaseTree) -> bool:
+def trees_identical(a: DecisionTreeRegressor,
+                    b: DecisionTreeRegressor) -> bool:
     """Structural bitwise equality of two fitted trees.
 
-    Compares split features, thresholds, predictions and (for classifiers)
-    leaf class counts node by node.
+    Compares split features, thresholds and predictions node by node.
     """
 
     def walk(na: Optional[_Node], nb: Optional[_Node]) -> bool:
@@ -129,11 +87,6 @@ def trees_identical(a: _BaseTree, b: _BaseTree) -> bool:
             return True
         if (na.feature != nb.feature or na.threshold != nb.threshold
                 or na.prediction != nb.prediction):
-            return False
-        if (na.class_counts is None) != (nb.class_counts is None):
-            return False
-        if na.class_counts is not None and not np.array_equal(
-                na.class_counts, nb.class_counts):
             return False
         return walk(na.left, nb.left) and walk(na.right, nb.right)
 

@@ -84,15 +84,6 @@ class TestQLearning:
         trained_framework.evaluate_policy(policy, workload, reset_policy=False)
         assert policy.epsilon < 0.5
 
-    def test_greedy_action_and_table_size(self, trained_framework, simulator,
-                                          compute_snippet):
-        policy = QLearningController(trained_framework.space, seed=0)
-        counters = simulator.evaluate_expected(
-            compute_snippet, trained_framework.space.default_configuration()).counters
-        assert trained_framework.space.contains(policy.greedy_action(counters))
-        assert policy.table_size_bytes() == policy.q_table.nbytes
-        assert 0.0 <= policy.visited_state_fraction() <= 1.0
-
     def test_reset_options(self, trained_framework, simulator, compute_snippet):
         policy = QLearningController(trained_framework.space, seed=0, epsilon=0.3)
         workload = get_workload("aes").scaled(0.2)

@@ -78,10 +78,6 @@ class TestFigure3:
         assert result.time_axis_s[-1] > result.time_axis_s[0]
         assert "Figure 3" in format_figure3(result)
 
-    def test_convergence_fraction_bounded(self, adaptation_study):
-        result = run_figure3(TINY, study=adaptation_study)
-        assert 0.0 <= result.convergence_fraction(threshold=60.0) <= 1.0
-
 
 class TestFigure4:
     def test_energy_shape(self, adaptation_study):

@@ -45,6 +45,7 @@ from repro.scenarios import get_scenario
 from repro.soc.governors import (OndemandGovernor, PerformanceGovernor,
                                  PowersaveGovernor)
 from repro.soc.simulator import SoCSimulator
+from repro.utils.rng import make_rng
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import training_workloads
 
@@ -65,7 +66,7 @@ def governor_devices(space, n=4):
             policy=GovernorPolicy(OndemandGovernor(space)) if i % 2 == 0
             else GovernorPolicy(PowersaveGovernor(space)),
             snippets=make_trace(i),
-            seed=10 + i,
+            rng=make_rng(10 + i),
         )
         for i in range(n)
     ]
@@ -117,9 +118,12 @@ class TestFaultPlan:
             FaultPlan.generate(["a"], 0.5, horizon=1)
 
     def test_plan_round_trips_through_dicts(self):
+        """Each fault survives the dict form ``RunConfig.faults`` carries."""
         plan = FaultPlan.generate([f"dev{i}" for i in range(6)], 1.0, seed=5)
         assert len(plan) == 6
-        restored = FaultPlan.from_dict(plan.to_dict())
+        restored = FaultPlan(faults=tuple(fault_from_dict(fault.to_dict())
+                                          for fault in plan.faults),
+                             seed=plan.seed)
         assert restored == plan
 
     def test_fault_spec_validation(self):
@@ -299,7 +303,7 @@ class TestSupervisorInvariants:
             )
             specs.append(DeviceSpec(
                 name="dev2", policy=GovernorPolicy(OndemandGovernor(space)),
-                scenario=scenario, seed=12,
+                scenario=scenario, rng=make_rng(12),
             ))
             return specs
 
@@ -360,7 +364,8 @@ class TestPolicySwap:
             devices = [
                 DeviceSpec(name=f"dev{i}",
                            policy=GovernorPolicy(OndemandGovernor(space)),
-                           snippets=make_trace(i, factor=1.5), seed=10 + i)
+                           snippets=make_trace(i, factor=1.5),
+                           rng=make_rng(10 + i))
                 for i in range(3)
             ]
             supervisor = FleetSupervisor(devices, noisy_simulator, space,
@@ -392,10 +397,11 @@ class TestOnlineILGating:
         )
         trace = make_trace(0)
         devices = [
-            DeviceSpec(name="il", policy=policy, snippets=trace, seed=3),
+            DeviceSpec(name="il", policy=policy, snippets=trace,
+                       rng=make_rng(3)),
             DeviceSpec(name="gov",
                        policy=GovernorPolicy(OndemandGovernor(framework.space)),
-                       snippets=make_trace(1), seed=4),
+                       snippets=make_trace(1), rng=make_rng(4)),
         ]
         plan = FaultPlan(faults=(
             CounterDropout("il", 1),
@@ -468,7 +474,7 @@ def ragged_devices(space):
             name=f"dev{i}",
             policy=GovernorPolicy(OndemandGovernor(space)),
             snippets=make_trace(i, factor=0.3 if i % 2 == 0 else 1.0),
-            seed=10 + i,
+            rng=make_rng(10 + i),
         )
         for i in range(4)
     ]

@@ -18,6 +18,7 @@ import pytest
 
 from repro.control.policy import GovernorPolicy, StaticPolicy
 from repro.core.framework import run_policy_on_snippets
+from repro.core.session import PolicySession
 from repro.fleet import (DeviceSpec, FleetBuildWarning, FleetEngine,
                          TraceArrays, build_fleet)
 from repro.fleet.kernels import lockstep_execute
@@ -31,6 +32,7 @@ from repro.soc.governors import (
     PowersaveGovernor,
 )
 from repro.soc.simulator import SoCSimulator
+from repro.utils.rng import make_rng
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import training_workloads
 
@@ -194,17 +196,16 @@ class TestFleetEquivalence:
             GovernorPolicy(PerformanceGovernor(restricted)), trace,
             rng=np.random.default_rng(9),
         )
-        devices = [
-            DeviceSpec(name="capped",
-                       policy=GovernorPolicy(PerformanceGovernor(restricted)),
-                       snippets=trace, space=restricted,
-                       rng=np.random.default_rng(9)),
-            DeviceSpec(name="full",
-                       policy=GovernorPolicy(PerformanceGovernor(space)),
-                       snippets=make_trace(2),
-                       rng=np.random.default_rng(10)),
+        sessions = [
+            PolicySession(fleet_simulator, restricted,
+                          GovernorPolicy(PerformanceGovernor(restricted)),
+                          trace, rng=np.random.default_rng(9), name="capped"),
+            PolicySession(fleet_simulator, space,
+                          GovernorPolicy(PerformanceGovernor(space)),
+                          make_trace(2), rng=np.random.default_rng(10),
+                          name="full"),
         ]
-        engine = build_fleet(devices, fleet_simulator, space)
+        engine = FleetEngine(sessions)
         fleet = engine.run()
         assert engine.batched_decisions > 0
         assert_runs_bitwise_equal(sequential, fleet[0])
@@ -419,14 +420,13 @@ class TestFleetEquivalence:
             )
             for i in range(3)
         ]
-        devices = [
-            DeviceSpec(name=f"d{i}", policy=make_policy(),
-                       snippets=traces[i],
-                       space=restricted if i == 0 else space,
-                       rng=np.random.default_rng(700 + i))
+        sessions = [
+            PolicySession(simulator, restricted if i == 0 else space,
+                          make_policy(), traces[i],
+                          rng=np.random.default_rng(700 + i), name=f"d{i}")
             for i in range(3)
         ]
-        engine = build_fleet(devices, simulator, space)
+        engine = FleetEngine(sessions)
         fleet = engine.run()
         # The mismatched device decides and observes scalar; its two
         # full-space siblings still batch together.
@@ -458,9 +458,9 @@ class TestBatchingEligibility:
         simulator = SoCSimulator(platform, noise_scale=0.01, seed=0)
         devices = [
             DeviceSpec(name="d0", policy=StaticPolicy(space),
-                       snippets=make_trace(0), seed=1),
+                       snippets=make_trace(0), rng=make_rng(1)),
             DeviceSpec(name="d1", policy=StaticPolicy(space),
-                       snippets=make_trace(1)),  # no seed, no rng
+                       snippets=make_trace(1)),  # no rng
         ]
         with pytest.warns(FleetBuildWarning) as record:
             engine = build_fleet(devices, simulator, space)
@@ -497,7 +497,7 @@ class TestBatchingEligibility:
         simulator = SoCSimulator(platform, noise_scale=0.0, seed=0)
         devices = [DeviceSpec(name="d0",
                               policy=GovernorPolicy(OndemandGovernor(space)),
-                              snippets=make_trace(0), seed=1)]
+                              snippets=make_trace(0), rng=make_rng(1))]
         engine = build_fleet(devices, simulator, space)
         engine.prepare()
         engine.step()
@@ -520,7 +520,7 @@ class TestBatchingEligibility:
         )
         devices = [DeviceSpec(name="d0",
                               policy=GovernorPolicy(OndemandGovernor(space)),
-                              scenario=scenario, seed=4)]
+                              scenario=scenario, rng=make_rng(4))]
         engine = build_fleet(devices, simulator, space)
         fleet = engine.run()
         assert engine.batched_decisions == engine.steps_executed
@@ -617,10 +617,10 @@ class TestDeviceSpec:
     def test_seed_derives_private_stream(self, platform, space):
         simulator = SoCSimulator(platform, noise_scale=0.01, seed=0)
         devices = [DeviceSpec(name="d", policy=StaticPolicy(space),
-                              snippets=make_trace(0), seed=123)]
+                              snippets=make_trace(0), rng=make_rng(123))]
         first = build_fleet(devices, simulator, space).run()
         devices = [DeviceSpec(name="d", policy=StaticPolicy(space),
-                              snippets=make_trace(0), seed=123)]
+                              snippets=make_trace(0), rng=make_rng(123))]
         second = build_fleet(devices, simulator, space).run()
         assert_runs_bitwise_equal(first[0], second[0])
 

@@ -89,7 +89,6 @@ class TestFrames:
         assert len(trace) == 100
         assert trace.deadline_s == pytest.approx(1 / 30.0)
         assert trace.mean_work_cycles() == pytest.approx(1e7, rel=0.2)
-        assert trace.peak_work_cycles() >= trace.mean_work_cycles()
 
     def test_trace_validation(self):
         with pytest.raises(ValueError):
@@ -126,7 +125,6 @@ class TestGPUSimulator:
         assert summary.deadline_miss_rate == 0.0
         assert summary.achieved_fps == pytest.approx(trace.target_fps, rel=0.01)
         assert summary.gpu_energy_j > 0
-        assert summary.frame_time_series_s().shape == (60,)
 
     def test_deterministic_run_ignores_configured_noise(self, gpu):
         trace = get_graphics_workload("nenamark2", gpu=gpu, n_frames=30, seed=3)

@@ -11,9 +11,7 @@ from repro.ml import (
     StandardScaler,
     accuracy_score,
     mean_absolute_percentage_error,
-    mean_squared_error,
     r2_score,
-    root_mean_squared_error,
 )
 from repro.ml.metrics import energy_savings_percent, normalized_energy
 from repro.models.staff import StabilizedAdaptiveForgettingRLS
@@ -76,12 +74,6 @@ class TestRecursiveLeastSquares:
             model.update(x, float(x.sum()))
         assert np.allclose(model.covariance, model.covariance.T)
 
-    def test_reset_covariance(self):
-        model = RecursiveLeastSquares(n_features=1)
-        model.update(np.array([1.0]), 1.0)
-        model.reset_covariance(delta=50.0)
-        assert model.covariance[0, 0] == pytest.approx(50.0)
-
     @settings(max_examples=15, deadline=None)
     @given(st.floats(min_value=-5, max_value=5), st.floats(min_value=-5, max_value=5))
     def test_exact_fit_of_noiseless_line(self, slope, intercept):
@@ -138,9 +130,9 @@ class TestMLP:
         y = x[:, 0] + x[:, 1]
         model = MLPRegressor(hidden_sizes=(8,), epochs=5, seed=0)
         model.fit(x, y)
-        before = mean_squared_error(y, model.predict(x))
+        before = np.mean((y - model.predict(x)) ** 2)
         model.partial_fit(x, y, epochs=200)
-        after = mean_squared_error(y, model.predict(x))
+        after = np.mean((y - model.predict(x)) ** 2)
         assert after < before
 
     def test_regressor_multi_output(self, rng):
@@ -214,11 +206,6 @@ class TestScalers:
         assert np.allclose(scaled.mean(axis=0), 0.0, atol=1e-9)
         assert np.allclose(scaled.std(axis=0), 1.0, atol=1e-6)
 
-    def test_standard_scaler_inverse_round_trip(self, rng):
-        x = rng.normal(size=(50, 3))
-        scaler = StandardScaler().fit(x)
-        assert np.allclose(scaler.inverse_transform(scaler.transform(x)), x)
-
     def test_standard_scaler_partial_fit_matches_batch(self, rng):
         x = rng.normal(size=(100, 2))
         batch = StandardScaler().fit(x)
@@ -234,16 +221,9 @@ class TestScalers:
 
 
 class TestMetrics:
-    def test_mse_rmse_relationship(self):
-        y_true = np.array([1.0, 2.0, 3.0])
-        y_pred = np.array([1.5, 2.5, 2.0])
-        assert root_mean_squared_error(y_true, y_pred) == pytest.approx(
-            np.sqrt(mean_squared_error(y_true, y_pred))
-        )
 
     def test_perfect_prediction_metrics(self):
         y = np.array([1.0, 2.0, 3.0])
-        assert mean_squared_error(y, y) == 0.0
         assert r2_score(y, y) == 1.0
         assert mean_absolute_percentage_error(y, y) == 0.0
 
@@ -252,7 +232,7 @@ class TestMetrics:
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            mean_squared_error(np.zeros(3), np.zeros(4))
+            r2_score(np.zeros(3), np.zeros(4))
 
     def test_empty_input_raises(self):
         with pytest.raises(ValueError):

@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ml import (
-    DecisionTreeClassifier,
     DecisionTreeRegressor,
     KNeighborsRegressor,
     LinearRegressor,
     SupportVectorRegressor,
-    mean_absolute_error,
 )
+
+
+def _depth(node):
+    """Levels from ``node`` down to its deepest leaf (a leaf counts 1)."""
+    if node.is_leaf:
+        return 1
+    return 1 + max(_depth(node.left), _depth(node.right))
 
 
 def make_linear_data(rng, n=120, d=4, noise=0.05):
@@ -59,7 +64,7 @@ class TestDecisionTree:
         x = rng.uniform(0, 1, size=(200, 1))
         y = (x[:, 0] > 0.5).astype(float) * 10.0
         model = DecisionTreeRegressor(max_depth=3).fit(x, y)
-        assert mean_absolute_error(y, model.predict(x)) < 0.5
+        assert np.mean(np.abs(y - model.predict(x))) < 0.5
 
     def test_regressor_constant_target(self, rng):
         x = rng.normal(size=(30, 2))
@@ -71,20 +76,7 @@ class TestDecisionTree:
         x = rng.normal(size=(200, 3))
         y = rng.normal(size=200)
         model = DecisionTreeRegressor(max_depth=3).fit(x, y)
-        assert model.depth() <= 3
-
-    def test_classifier_separable_data(self, rng):
-        x = np.vstack([rng.normal(-2, 0.3, size=(50, 2)),
-                       rng.normal(2, 0.3, size=(50, 2))])
-        y = np.array([0] * 50 + [1] * 50)
-        model = DecisionTreeClassifier(max_depth=4).fit(x, y)
-        assert model.score(x, y) > 0.95
-
-    def test_classifier_preserves_label_values(self, rng):
-        x = rng.normal(size=(60, 2))
-        y = rng.choice([3, 7, 11], size=60)
-        model = DecisionTreeClassifier(max_depth=5).fit(x, y)
-        assert set(np.unique(model.predict(x))).issubset({3, 7, 11})
+        assert _depth(model.root_) <= 3
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -93,12 +85,6 @@ class TestDecisionTree:
             DecisionTreeRegressor(min_samples_split=1)
         with pytest.raises(ValueError):
             DecisionTreeRegressor(min_samples_leaf=0)
-
-    def test_node_count_positive(self, rng):
-        x = rng.normal(size=(50, 2))
-        y = x[:, 0]
-        model = DecisionTreeRegressor(max_depth=4).fit(x, y)
-        assert model.node_count() >= 1
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=10, max_value=60))
@@ -119,20 +105,14 @@ class TestSVR:
         y = 2.0 * x[:, 0] - x[:, 1] + 0.5
         model = SupportVectorRegressor(kernel="linear", c=50.0, epsilon=0.01)
         model.fit(x, y)
-        assert mean_absolute_error(y, model.predict(x)) < 0.2
+        assert np.mean(np.abs(y - model.predict(x))) < 0.2
 
     def test_rbf_fits_smooth_nonlinear_function(self, rng):
         x = rng.uniform(-2, 2, size=(80, 1))
         y = np.sin(x[:, 0])
         model = SupportVectorRegressor(kernel="rbf", c=50.0, epsilon=0.02,
                                        gamma=1.0).fit(x, y)
-        assert mean_absolute_error(y, model.predict(x)) < 0.25
-
-    def test_support_vector_count(self, rng):
-        x = rng.uniform(-1, 1, size=(40, 1))
-        y = x[:, 0]
-        model = SupportVectorRegressor(kernel="linear").fit(x, y)
-        assert 0 < model.n_support_ <= 40
+        assert np.mean(np.abs(y - model.predict(x))) < 0.25
 
     def test_invalid_kernel(self):
         with pytest.raises(ValueError):

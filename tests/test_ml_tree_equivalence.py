@@ -1,11 +1,10 @@
 """Equivalence suite for the vectorized ML kernels and the parallel runner.
 
-The vectorized CART split search, the level-by-level batch ``predict`` /
-``predict_proba`` traversal, the vectorized trailing moving average and the
-process-parallel multi-seed fan-out must all be *drop-in* replacements: every
-test here pins them bitwise (not approximately) against the scalar loops in
-``tests/scalar_reference/tree_scalar.py`` or the sequential paths across
-regression and classification fixtures.
+The vectorized CART split search, the level-by-level batch ``predict``
+traversal, the vectorized trailing moving average and the process-parallel
+multi-seed fan-out must all be *drop-in* replacements: every test here pins
+them bitwise (not approximately) against the scalar loops in
+``tests/scalar_reference/tree_scalar.py`` or the sequential paths.
 """
 
 from __future__ import annotations
@@ -14,18 +13,11 @@ import numpy as np
 import pytest
 
 from repro.experiments.runner import ExperimentRunner
-from repro.ml.tree import (
-    DecisionTreeClassifier,
-    DecisionTreeRegressor,
-    _best_split_classification,
-    _best_split_regression,
-)
+from repro.ml.tree import DecisionTreeRegressor, _best_split_regression
 from repro.utils.stats import trailing_nanmean
 
 from scalar_reference.tree_scalar import (
-    ScalarDecisionTreeClassifier,
     ScalarDecisionTreeRegressor,
-    best_split_classification,
     best_split_regression,
     predict_row,
     trees_identical,
@@ -51,20 +43,6 @@ def _regression_fixtures():
     fixtures.append(("monotone", xm, np.arange(200.0)))
     # Tiny dataset at the min_samples boundary.
     fixtures.append(("tiny", rng.normal(size=(5, 2)), rng.normal(size=5)))
-    return fixtures
-
-
-def _classification_fixtures():
-    """(x, y) classification fixtures (labels deliberately non-contiguous)."""
-    rng = np.random.default_rng(99)
-    fixtures = []
-    x = rng.normal(size=(150, 5))
-    fixtures.append(("random", x, rng.choice([3, 7, 9, 12], size=150)))
-    xq = np.round(rng.normal(size=(80, 3)), 1)
-    fixtures.append(("quantised", xq, (xq[:, 0] > 0).astype(int) * 5))
-    xs = rng.normal(size=(40, 2))
-    fixtures.append(("binary", xs, (xs[:, 0] + xs[:, 1] > 0).astype(int)))
-    fixtures.append(("tiny", rng.normal(size=(6, 2)), np.array([0, 1, 0, 1, 1, 0])))
     return fixtures
 
 
@@ -99,33 +77,6 @@ class TestRegressionSplitEquivalence:
         assert best_split_regression(x, y, 1)[0] is None
 
 
-class TestClassificationSplitEquivalence:
-    @pytest.mark.parametrize("name,x,y", _classification_fixtures())
-    @pytest.mark.parametrize("params", _TREE_PARAMS)
-    def test_fitted_trees_identical(self, name, x, y, params):
-        vectorized = DecisionTreeClassifier(**params).fit(x, y)
-        scalar = ScalarDecisionTreeClassifier(**params).fit(x, y)
-        np.testing.assert_array_equal(vectorized.classes_, scalar.classes_)
-        assert trees_identical(vectorized, scalar)
-
-    @pytest.mark.parametrize("min_leaf", [1, 3])
-    def test_single_split_search_identical(self, min_leaf):
-        rng = np.random.default_rng(21)
-        x = rng.normal(size=(70, 4))
-        y = rng.integers(0, 5, size=70)
-        assert (_best_split_classification(x, y, 5, min_leaf)
-                == best_split_classification(x, y, 5, min_leaf))
-
-    def test_class_counts_use_integer_dtype(self):
-        """Class counts are exact integers — no float accumulation drift."""
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(50, 3))
-        y = rng.integers(0, 3, size=50)
-        model = DecisionTreeClassifier().fit(x, y)
-        assert np.issubdtype(model.root_.class_counts.dtype, np.integer)
-        assert model.root_.class_counts.sum() == 50
-
-
 def _internal_node_count(node) -> int:
     if node is None or node.is_leaf:
         return 0
@@ -135,36 +86,27 @@ def _internal_node_count(node) -> int:
 class TestSplitSearchHook:
     """``_grow`` searches through the class's ``_split_search`` attribute.
 
-    The fitted-tree tests above compare each production tree against a
+    The fitted-tree tests above compare the production tree against a
     ``Scalar*`` subclass that differs from it in that attribute only; were
     ``_grow`` to call a kernel by name, both would grow the same tree and
     those tests would compare nothing.
     """
 
     def test_reference_trees_override_only_the_split_search(self):
-        for reference, kernel, production in (
-                (ScalarDecisionTreeRegressor, best_split_regression,
-                 DecisionTreeRegressor),
-                (ScalarDecisionTreeClassifier, best_split_classification,
-                 DecisionTreeClassifier)):
-            assert reference.__bases__ == (production,)
-            assert reference._split_search is kernel
-            assert production._split_search is not kernel
-            # ``_abc_impl`` is the ABC registry every subclass of an ABC gets.
-            overridden = {name for name in vars(reference)
-                          if not name.startswith("__") and name != "_abc_impl"}
-            assert overridden == {"_split_search"}
+        reference = ScalarDecisionTreeRegressor
+        assert reference.__bases__ == (DecisionTreeRegressor,)
+        assert reference._split_search is best_split_regression
+        assert DecisionTreeRegressor._split_search is not best_split_regression
+        # ``_abc_impl`` is the ABC registry every subclass of an ABC gets.
+        overridden = {name for name in vars(reference)
+                      if not name.startswith("__") and name != "_abc_impl"}
+        assert overridden == {"_split_search"}
 
-    @pytest.mark.parametrize("kind", ["regressor", "classifier"])
-    def test_grow_calls_the_class_split_search(self, kind):
+    def test_grow_calls_the_class_split_search(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(80, 3))
-        if kind == "regressor":
-            base, kernel = DecisionTreeRegressor, _best_split_regression
-            y = x[:, 0] * 2.0 + rng.normal(size=80)
-        else:
-            base, kernel = DecisionTreeClassifier, _best_split_classification
-            y = (x[:, 1] > 0).astype(int) + (x[:, 2] > 0.5).astype(int)
+        base, kernel = DecisionTreeRegressor, _best_split_regression
+        y = x[:, 0] * 2.0 + rng.normal(size=80)
         searched = []
 
         def counting(*args):
@@ -195,17 +137,6 @@ class TestBatchPredictEquivalence:
         reference = np.array([predict_row(model, row) for row in queries])
         np.testing.assert_array_equal(batch, reference)
 
-    @pytest.mark.parametrize("name,x,y", _classification_fixtures())
-    def test_classification_predict_matches_row_walk(self, name, x, y):
-        model = DecisionTreeClassifier(max_depth=8).fit(x, y)
-        rng = np.random.default_rng(6)
-        queries = rng.normal(size=(200, x.shape[1]))
-        batch = model.predict(queries)
-        reference = model.classes_[
-            np.array([int(predict_row(model, row)) for row in queries])
-        ]
-        np.testing.assert_array_equal(batch, reference)
-
     def test_predict_on_training_points_hits_leaf_means(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(40, 2))
@@ -215,32 +146,9 @@ class TestBatchPredictEquivalence:
             model.predict(x), np.array([predict_row(model, r) for r in x])
         )
 
-    def test_predict_proba_matches_leaf_distributions(self):
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(120, 4))
-        y = rng.choice([2, 5, 11], size=120)
-        model = DecisionTreeClassifier(max_depth=5).fit(x, y)
-        queries = rng.normal(size=(300, 4))
-        proba = model.predict_proba(queries)
-        assert proba.shape == (300, 3)
-        np.testing.assert_allclose(proba.sum(axis=1), 1.0)
-        # argmax over the distribution agrees with predict() wherever the
-        # leaf has a unique majority class (ties resolve to argmax in both).
-        predicted = model.predict(queries)
-        np.testing.assert_array_equal(model.classes_[np.argmax(proba, axis=1)],
-                                      predicted)
-        # Probabilities are exact leaf-count fractions.
-        flat_counts = model._flatten().class_counts
-        leaves = model._batch_leaf_indices(queries)
-        expected = flat_counts[leaves] / flat_counts[leaves].sum(axis=1,
-                                                                keepdims=True)
-        np.testing.assert_array_equal(proba, expected)
-
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             DecisionTreeRegressor().predict(np.zeros((2, 2)))
-        with pytest.raises(RuntimeError):
-            DecisionTreeClassifier().predict_proba(np.zeros((2, 2)))
 
     def test_refit_invalidates_flat_cache(self):
         rng = np.random.default_rng(10)

@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.noc import (
     AnalyticalNoCModel,
-    HotspotTraffic,
     MeshTopology,
     NoCSimulator,
     Packet,
     RouterConfig,
     SVRNoCLatencyModel,
-    TransposeTraffic,
     UniformRandomTraffic,
     build_noc_training_set,
 )
@@ -50,9 +48,6 @@ class TestTopology:
     def test_links_count(self, mesh):
         # 2 * (width-1) * height horizontal + 2 * width * (height-1) vertical.
         assert len(mesh.links()) == 2 * 3 * 4 + 2 * 4 * 3
-
-    def test_average_hop_count(self, mesh):
-        assert 2.0 < mesh.average_hop_count() < 3.0
 
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
@@ -104,21 +99,6 @@ class TestTraffic:
         matrix = traffic.rate_matrix()
         per_source = sum(rate for (src, _), rate in matrix.items() if src == 0)
         assert per_source == pytest.approx(0.08)
-
-    def test_transpose_traffic_destinations(self):
-        mesh = MeshTopology(4, 4)
-        traffic = TransposeTraffic(mesh, injection_rate=0.1, seed=0)
-        assert traffic.destination_for(mesh.node_at(1, 3)) == mesh.node_at(3, 1)
-        with pytest.raises(ValueError):
-            TransposeTraffic(MeshTopology(4, 3), injection_rate=0.1)
-
-    def test_hotspot_concentrates_traffic(self, mesh):
-        traffic = HotspotTraffic(mesh, injection_rate=0.1, hotspot_node=5,
-                                 hotspot_fraction=0.5, seed=0)
-        matrix = traffic.rate_matrix()
-        hotspot_rate = sum(rate for (_, dst), rate in matrix.items() if dst == 5)
-        other_rate = sum(rate for (_, dst), rate in matrix.items() if dst == 6)
-        assert hotspot_rate > 3.0 * other_rate
 
     def test_invalid_injection_rate(self, mesh):
         with pytest.raises(ValueError):
@@ -179,8 +159,6 @@ class TestNoCSimulator:
     def test_statistics_fields(self, mesh):
         simulator = NoCSimulator(mesh)
         result = simulator.run(UniformRandomTraffic(mesh, 0.05, seed=3), n_cycles=150)
-        assert result.p95_latency_cycles >= result.average_latency_cycles
-        assert result.throughput_packets_per_cycle > 0
         assert 1.0 <= result.average_hops() <= 6.0
 
 

@@ -50,7 +50,7 @@ from repro.core.oracle_store import (
 )
 from repro.soc.configuration import ConfigurationSpace
 from repro.soc.platform import odroid_xu3_like
-from repro.soc.simulator import SoCSimulator
+from repro.soc.simulator import SoCSimulator, characteristics_matrix
 from repro.soc.snippet import Snippet, SnippetCharacteristics
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import training_workloads
@@ -84,6 +84,11 @@ def sweep_trace():
 @pytest.fixture()
 def simulator(platform):
     return SoCSimulator(platform, seed=5)
+
+
+def _keys(snippets):
+    """Content keys of ``snippets``, cut from their own characteristic rows."""
+    return content_keys(snippets, characteristics_matrix(snippets))
 
 
 def _segments(root):
@@ -250,7 +255,7 @@ class TestStoreRobustness:
         assert len(table.rows) == len(sweep_trace)
         (healed,) = set(_segments(root)) - {first, second, third}
         assert set(_segment_entries(healed)) == set(
-            content_keys(sweep_trace[:4]))
+            _keys(sweep_trace[:4]))
         # The next run hits everything.
         final_cache = OracleCache(store=OracleStore(root))
         build_oracle(simulator, space, sweep_trace, ENERGY, cache=final_cache)
@@ -297,7 +302,7 @@ class TestStoreRobustness:
         build_oracle(simulator, space, sweep_trace, ENERGY,
                      cache=OracleCache(store=OracleStore(store_root)))
         digest = persistent_table_digest(space, ENERGY)
-        keys = content_keys(sweep_trace)
+        keys = _keys(sweep_trace)
 
         def read_all(worker: int):
             reader = OracleStore(store_root)
@@ -329,7 +334,7 @@ class TestStoreRobustness:
         reader = OracleStore(store_root)
         stored = reader.table(persistent_table_digest(space, ENERGY))
         assert len(stored) == len(sweep_trace)
-        for snippet, key in zip(sweep_trace, content_keys(sweep_trace)):
+        for snippet, key in zip(sweep_trace, _keys(sweep_trace)):
             for table in tables:
                 assert stored[key] == _row(table, snippet)
 
@@ -419,7 +424,7 @@ class TestStoreReadsDataOnly:
                             characteristics=SnippetCharacteristics(
                                 big_fraction=0.0, memory_intensity=index))
                     for index in range(3)]
-        keys = content_keys(snippets)
+        keys = _keys(snippets)
         assert all(key.endswith(b"\0" * 8) for key in keys)
         root = tmp_path / "store"
         table = build_oracle(simulator, space, snippets, ENERGY,
@@ -594,7 +599,7 @@ class TestSpaceKeyMemo:
         assert segment.parent.name == persistent_table_digest(default, ENERGY)
         entries = _segment_entries(segment)
         assert len(entries) == 40
-        for snippet, key in zip(snippets, content_keys(snippets)):
+        for snippet, key in zip(snippets, _keys(snippets)):
             assert entries[key] == _row(table, snippet)
 
     def test_space_key_is_spelled_out_once_per_space(self, tmp_path,

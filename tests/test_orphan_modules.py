@@ -1,4 +1,4 @@
-"""Orphan-module guard: every ``src/repro`` module must be imported by code.
+"""Orphan guards: every ``src/repro`` module and definition must be used.
 
 A module counts as reached when some non-``__init__`` module under
 ``src/``, or some file under ``benchmarks/`` or ``perfbench/``, imports
@@ -8,22 +8,58 @@ code no entry point runs.  A name imported through its package
 (``from repro.ml import MLPClassifier``) counts for the module that
 defines it.  The scan reads absolute imports (the package uses no
 relative ones) with the standard-library ``ast`` module only.
+
+A function, class or method under ``src/repro`` counts as referenced
+when its name appears outside its own definition: as a ``Name``, as an
+``Attribute`` or as a word of a string constant in any file under
+``src/``, ``benchmarks/``, ``perfbench/`` or ``examples/``, or as a word
+of a CI workflow.  Strings in a package's ``__all__`` do not count (a
+re-export is not a use), and neither do the tests.  Dunder methods are
+exempt: Python calls them.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 IMPORTER_DIRS = ("benchmarks", "perfbench")
+REFERENCE_DIRS = ("src", "benchmarks", "perfbench", "examples")
+WORKFLOWS = ".github/workflows"
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 #: Modules that only their package ``__init__`` imports, on purpose.
 ALLOWED_ORPHANS = {
     # ``repro.scenarios`` imports it for its side effect: the import
     # registers the built-in scenarios that every scenario lookup needs.
     "repro.scenarios.transforms",
+}
+
+#: Definitions only tests reference, on purpose (qualified name -> why).
+ALLOWED_UNREFERENCED = {
+    "repro.core.framework:OnlineLearningFramework"
+    ".evaluate_policy_on_scenario": (
+        "its fate waits for per-cell evaluation streams (ROADMAP item 2)"),
+    "repro.control.policy:RandomPolicy": (
+        "tests use it as a policy that draws from a generator, to check "
+        "the engine's scalar fallback and the property invariants"),
+    "repro.fleet.supervisor:FleetSupervisor.health_of": (
+        "tests read one device's health with it"),
+    "repro.fleet.supervisor:FleetSupervisor.health_history": (
+        "tests check health transitions with it; the health checks will "
+        "extend to recovery (ROADMAP item 6)"),
+    "repro.service.run:ServiceRun.run_to_completion": (
+        "tests drive service runs to the end with it"),
+    "repro.gpu.simulator:GPUSimulator.run_fixed": (
+        "tests check the GPU model at a fixed configuration with it"),
+    "repro.gpu.simulator:GPURunSummary.busy_time_series_s": (
+        "tests check per-frame busy times with it"),
+    "repro.noc.simulator:NoCSimulator.zero_load_latency": (
+        "tests bound every simulated packet's latency from below with it"),
 }
 
 
@@ -100,6 +136,77 @@ def test_allowlist_names_real_orphans():
     )
 
 
+def _definitions(tree: ast.AST, prefix: str = ""
+                 ) -> Iterator[Tuple[str, ast.AST]]:
+    """(qualified name, node) of every non-dunder def and class, nested too."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            name = f"{prefix}{node.name}"
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield name, node
+            yield from _definitions(node, f"{name}.")
+        else:
+            yield from _definitions(node, prefix)
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Names, attributes and string-constant words under ``tree``."""
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(_WORD.findall(node.value))
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            # The walk visits these strings too; this nets them out.
+            found.subtract(_references(node.value))
+    return found
+
+
+def _unreferenced(root: Path = ROOT) -> List[str]:
+    """Qualified names of the ``src/repro`` definitions nothing references."""
+    total: Counter = Counter()
+    definitions: List[Tuple[str, str, ast.AST]] = []
+    for directory in REFERENCE_DIRS:
+        for path in sorted((root / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            total.update(_references(tree))
+            if directory == "src":
+                parts = path.relative_to(root / "src").with_suffix("").parts
+                module = ".".join(parts[:-1] if parts[-1] == "__init__"
+                                  else parts)
+                definitions.extend((f"{module}:{name}", name.rsplit(".")[-1],
+                                    node)
+                                   for name, node in _definitions(tree))
+    for workflow in sorted((root / WORKFLOWS).glob("*.yml")):
+        total.update(_WORD.findall(workflow.read_text()))
+    return sorted(
+        qualified for qualified, name, node in definitions
+        if total[name] - _references(node)[name] <= 0
+    )
+
+
+def test_every_definition_is_referenced_outside_itself():
+    unreferenced = sorted(set(_unreferenced()) - set(ALLOWED_UNREFERENCED))
+    assert not unreferenced, (
+        f"definitions nothing outside themselves references: {unreferenced} "
+        "— wire them into an entry point or delete them (and their tests)"
+    )
+
+
+def test_definition_allowlist_names_real_orphans():
+    stale = set(ALLOWED_UNREFERENCED) - set(_unreferenced())
+    assert not stale, (
+        f"allowlisted definitions {sorted(stale)} are referenced now (or "
+        "gone); drop them from the allowlist"
+    )
+
+
 # The scan itself, checked on small synthetic source trees.
 
 
@@ -163,3 +270,37 @@ def test_main_modules_are_exempt_but_their_imports_count(tmp_path):
     }))
     assert modules == {"repro.tool.cli"}
     assert reached == {"repro.tool.cli"}
+
+
+def test_a_definition_used_only_by_itself_is_unreferenced(tmp_path):
+    assert _unreferenced(_tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/a.py": (
+            "def walk(n):\n"
+            "    return walk(n - 1) if n else 0\n"
+            "class Box:\n"
+            "    def __len__(self): return 0\n"
+            "    def size(self): return len(self)\n"
+            "def used(): pass\n"
+            "used(Box)\n"
+        ),
+    })) == ["repro.a:Box.size", "repro.a:walk"]
+
+
+def test_benchmarks_perfbench_examples_strings_and_ci_count(tmp_path):
+    assert _unreferenced(_tree(tmp_path, {
+        "src/repro/__init__.py": "__all__ = ['exported']\n",
+        "src/repro/a.py": (
+            "def bench(): pass\n"
+            "def traced(): pass\n"
+            "def example(): pass\n"
+            "def ci(): pass\n"
+            "def exported(): pass\n"
+            "def tested(): pass\n"
+        ),
+        "benchmarks/test_bench_a.py": "from repro.a import bench\nbench()\n",
+        "perfbench/targets.py": "TARGETS = [('repro.a', None, 'traced')]\n",
+        "examples/demo.py": "import repro.a\nrepro.a.example()\n",
+        ".github/workflows/ci.yml": "run: python -c 'ci()'\n",
+        "tests/test_a.py": "from repro.a import tested\ntested()\n",
+    })) == ["repro.a:exported", "repro.a:tested"]

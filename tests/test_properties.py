@@ -38,7 +38,6 @@ from repro.gpu.simulator import GPUSimulator
 from repro.ml.linear import LinearRegressor
 from repro.ml.rls import RecursiveLeastSquares
 from repro.ml.scaling import StandardScaler
-from repro.ml.tree import DecisionTreeClassifier
 from repro.noc.packet import Packet
 from repro.noc.router import RouterConfig
 from repro.noc.simulator import NoCSimulator
@@ -46,10 +45,9 @@ from repro.noc.topology import MeshTopology
 from repro.noc.traffic import UniformRandomTraffic
 from repro.soc.configuration import ConfigurationSpace
 from repro.soc.platform import generic_big_little
-from repro.soc.simulator import SoCSimulator
+from repro.soc.simulator import SoCSimulator, characteristics_matrix
 from repro.soc.snippet import Snippet, SnippetCharacteristics
 
-from scalar_reference.tree_scalar import ScalarDecisionTreeClassifier
 
 PROPERTY_SEEDS = list(range(8))
 
@@ -118,7 +116,8 @@ class TestBatchScalarParity:
         space = ConfigurationSpace(platform)
         simulator = SoCSimulator(platform, noise_scale=0.0, seed=seed)
         snippets = [random_snippet(rng) for _ in range(3)]
-        batch = simulator.evaluate_expected_batch(snippets, space)
+        batch = simulator.evaluate_expected_batch(
+            snippets, space, characteristics_matrix(snippets))
         for row, snippet in enumerate(snippets):
             for column, config in enumerate(space):
                 reference = simulator.evaluate_expected(snippet, config)
@@ -371,30 +370,3 @@ class TestOracleOptimality:
                     <= part.columns["best_cost"][part.rows[snippet.name]]
                     * (1.0 + 1e-12))
             assert restricted.contains(part.best_configuration(snippet))
-
-
-@pytest.mark.parametrize("seed", PROPERTY_SEEDS)
-class TestTreeClassifierConsistency:
-    @pytest.mark.parametrize(
-        "tree_class", [DecisionTreeClassifier, ScalarDecisionTreeClassifier],
-        ids=["vectorized", "scalar"])
-    def test_predict_matches_proba_argmax(self, seed, tree_class):
-        rng = np.random.default_rng(seed)
-        n_samples = int(rng.integers(30, 90))
-        n_classes = int(rng.integers(2, 5))
-        features = rng.normal(size=(n_samples, 3))
-        # Labels correlated with the features so the tree has real splits,
-        # offset so class labels are not simply 0..n-1.
-        labels = (np.digitize(features[:, 0] + 0.3 * features[:, 1],
-                              np.linspace(-1.5, 1.5, n_classes - 1))
-                  + 5) if n_classes > 1 else np.full(n_samples, 5)
-        tree = tree_class(max_depth=6)
-        tree.fit(features, labels)
-        probe = np.vstack([features, rng.normal(size=(20, 3))])
-        predictions = tree.predict(probe)
-        probabilities = tree.predict_proba(probe)
-        assert probabilities.shape == (len(probe), len(tree.classes_))
-        np.testing.assert_allclose(probabilities.sum(axis=1), 1.0)
-        np.testing.assert_array_equal(
-            predictions, tree.classes_[np.argmax(probabilities, axis=1)]
-        )

@@ -36,7 +36,6 @@ from repro.scenarios import (
     get_scenario,
     register_scenario,
     run_policy_on_scenario,
-    scenario_from_dict,
 )
 from repro.scenarios import base as scenario_base
 from repro.scenarios.base import ScenarioSpec
@@ -88,28 +87,6 @@ class TestRegistry:
             assert get_scenario("test-duplicate").block == 4
         finally:
             scenario_base._SCENARIO_REGISTRY.pop("test-duplicate", None)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("name", sorted(REQUIRED_SCENARIOS))
-    def test_round_trip(self, name):
-        spec = get_scenario(name)
-        payload = spec.to_dict()
-        assert payload["type"] == type(spec).__name__
-        restored = scenario_from_dict(payload)
-        assert restored == spec
-
-    def test_composite_round_trip_preserves_children(self):
-        combo = get_scenario("stress_combo")
-        restored = scenario_from_dict(combo.to_dict())
-        assert isinstance(restored, CompositeScenario)
-        assert restored.children == combo.children
-
-    def test_malformed_payloads_rejected(self):
-        with pytest.raises(ValueError):
-            scenario_from_dict("not-a-dict")
-        with pytest.raises(KeyError):
-            scenario_from_dict({"type": "NoSuchSpec", "params": {}})
 
 
 @pytest.mark.parametrize("name", sorted(REQUIRED_SCENARIOS))
@@ -260,7 +237,6 @@ class TestScenarioTrace:
 
         with pytest.raises(ValueError):
             Duplicator().apply(base_trace, 0)
-        scenario_base._SPEC_TYPES.pop("Duplicator", None)
 
 
 class TestSpaceRestriction:

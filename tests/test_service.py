@@ -37,6 +37,7 @@ from repro.service.protocol import (
     StepBoundary,
     encode_message,
 )
+from repro.service import run as run_module
 from repro.service.run import (
     ROTATION_FILE,
     RunConfig,
@@ -154,31 +155,6 @@ class TestRecoveryInvariant:
         _drive(recovered)
         assert recovered.digests() == reference.digests()
 
-    def test_external_fleet_mode_recovers(self, tmp_path):
-        """A caller-built fleet journals too; the caller rebuilds the same
-        fleet for recovery (the genesis records external mode)."""
-        devices, simulator, space = build_config_devices(CONFIG)
-        reference_engine = build_fleet(devices, simulator, space)
-        reference_engine.run()
-        expected = {device.name: session.state_digest()
-                    for device, session in
-                    zip(devices, reference_engine.sessions)}
-
-        devices2, simulator2, space2 = build_config_devices(CONFIG)
-        run = ServiceRun.start(devices=devices2, simulator=simulator2,
-                               space=space2, journal_dir=tmp_path,
-                               snapshot_every=3)
-        _drive(run, stop_at=4)
-        del run
-        with pytest.raises(ValueError, match="externally built"):
-            ServiceRun.recover(tmp_path)
-        devices3, simulator3, space3 = build_config_devices(CONFIG)
-        recovered = ServiceRun.recover(tmp_path, devices=devices3,
-                                       simulator=simulator3, space=space3)
-        _drive(recovered)
-        assert recovered.digests() == expected
-
-
     def test_online_il_scenario_fleet_kill_and_recover_is_bitwise(
             self, tmp_path):
         """Snapshots carry learned policy state; scenario devices restore
@@ -252,33 +228,32 @@ class TestFaultedRunRecovery:
 
 
 class TestRecoveryChecksTheFleet:
-    """Recovery refuses a fleet that is not the one the journal registered."""
+    """Recovery refuses a rebuilt fleet that is not the one the journal
+    registered, as after a code change between crash and restart."""
 
-    def _journal_external(self, tmp_path):
-        devices, simulator, space = build_config_devices(CONFIG)
-        run = ServiceRun.start(devices=devices, simulator=simulator,
-                               space=space, journal_dir=tmp_path,
-                               snapshot_every=3)
+    def _journal_then_rebuild_as(self, tmp_path, monkeypatch, config):
+        """Journal a ``CONFIG`` run, then make recovery rebuild ``config``."""
+        run = ServiceRun.start(config=CONFIG, journal_dir=tmp_path)
         _drive(run, stop_at=4)
         del run
+        monkeypatch.setattr(run_module, "build_config_devices",
+                            lambda _: build_config_devices(config))
 
-    def test_a_fleet_of_another_size_is_refused(self, tmp_path):
-        self._journal_external(tmp_path)
-        devices, simulator, space = build_config_devices(
-            dataclasses.replace(CONFIG, n_devices=3))
+    def test_a_fleet_of_another_size_is_refused(self, tmp_path, monkeypatch):
+        self._journal_then_rebuild_as(
+            tmp_path, monkeypatch, dataclasses.replace(CONFIG, n_devices=3))
         with pytest.raises(JournalError, match="registers 2 devices"):
-            ServiceRun.recover(tmp_path, devices=devices,
-                               simulator=simulator, space=space)
+            ServiceRun.recover(tmp_path)
 
-    def test_traces_of_another_length_are_refused(self, tmp_path):
-        self._journal_external(tmp_path)
-        devices, simulator, space = build_config_devices(
-            dataclasses.replace(CONFIG, scale="quick"))
+    def test_traces_of_another_length_are_refused(self, tmp_path,
+                                                  monkeypatch):
+        config = dataclasses.replace(CONFIG, scale="quick")
+        devices, _, _ = build_config_devices(config)
         assert [device.name for device in devices] == ["device-00",
                                                        "device-01"]
+        self._journal_then_rebuild_as(tmp_path, monkeypatch, config)
         with pytest.raises(JournalError, match="trace_steps 144"):
-            ServiceRun.recover(tmp_path, devices=devices,
-                               simulator=simulator, space=space)
+            ServiceRun.recover(tmp_path)
 
 
 class _Killed(Exception):
@@ -428,27 +403,14 @@ class TestRotationCadence:
     """The cadence a run starts with survives recovery, and a round is
     rotated at most once."""
 
-    @pytest.mark.parametrize("external", [False, True])
-    def test_recovery_keeps_the_started_cadence(self, tmp_path, external):
-        """``start(snapshot_every=3)`` over a config saying 5: recovery
+    def test_recovery_keeps_the_started_cadence(self, tmp_path):
+        """A run started at a cadence of 3 (not the default 5): recovery
         keeps 3, and the next rotation lands on a multiple of 3."""
-        config = dataclasses.replace(CONFIG, snapshot_every=5)
-        if external:
-            devices, simulator, space = build_config_devices(config)
-            run = ServiceRun.start(devices=devices, simulator=simulator,
-                                   space=space, journal_dir=tmp_path,
-                                   snapshot_every=3)
-        else:
-            run = ServiceRun.start(config=config, journal_dir=tmp_path,
-                                   snapshot_every=3)
+        config = dataclasses.replace(CONFIG, snapshot_every=3)
+        run = ServiceRun.start(config=config, journal_dir=tmp_path)
         _drive(run, stop_at=4)
         del run
-        if external:
-            devices, simulator, space = build_config_devices(config)
-            recovered = ServiceRun.recover(tmp_path, devices=devices,
-                                           simulator=simulator, space=space)
-        else:
-            recovered = ServiceRun.recover(tmp_path)
+        recovered = ServiceRun.recover(tmp_path)
         assert recovered.snapshot_every == 3
         assert recovered.rounds == 3
         _drive(recovered, stop_at=6)

@@ -42,6 +42,7 @@ from repro.soc.governors import (
     PowersaveGovernor,
 )
 from repro.soc.simulator import SoCSimulator
+from repro.utils.rng import make_rng
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import training_workloads
 
@@ -109,7 +110,7 @@ class TestShardCountInvariance:
             return [DeviceSpec(
                 name=f"dev-{i}",
                 policy=GovernorPolicy(GOVERNORS[i % len(GOVERNORS)](space)),
-                snippets=make_trace(i), seed=50 + i,
+                snippets=make_trace(i), rng=make_rng(50 + i),
             ) for i in range(5)]
         self._compare(platform, space, devices, 5)
 
@@ -118,7 +119,7 @@ class TestShardCountInvariance:
             return [DeviceSpec(
                 name=f"dev-{i}",
                 policy=GovernorPolicy(OndemandGovernor(space)),
-                snippets=make_trace(i, extra=i % 3), seed=70 + i,
+                snippets=make_trace(i, extra=i % 3), rng=make_rng(70 + i),
             ) for i in range(4)]
         self._compare(platform, space, devices, 4)
 
@@ -132,7 +133,7 @@ class TestShardCountInvariance:
                 out.append(DeviceSpec(
                     name=f"dev-{i}",
                     policy=GovernorPolicy(OndemandGovernor(space)),
-                    scenario=scenario, seed=90 + i,
+                    scenario=scenario, rng=make_rng(90 + i),
                 ))
             return out
         self._compare(platform, space, devices, 3)
@@ -149,7 +150,7 @@ class TestShardCountInvariance:
                 out.append(DeviceSpec(
                     name=f"dev-{i}",
                     policy=framework.build_online_il_policy(isolated=True),
-                    snippets=trace, seed=40 + i,
+                    snippets=trace, rng=make_rng(40 + i),
                     oracle_table=framework.build_oracle_for(trace),
                 ))
             return out
@@ -166,7 +167,7 @@ class TestStreamedSummaries:
             out.append(DeviceSpec(
                 name=f"dev-{i}",
                 policy=GovernorPolicy(GOVERNORS[i % len(GOVERNORS)](space)),
-                snippets=trace, seed=60 + i,
+                snippets=trace, rng=make_rng(60 + i),
             ))
         return out
 
@@ -244,16 +245,16 @@ class TestRngHazards:
     """``build_fleet`` and ``ShardedFleetEngine`` warn alike."""
 
     @pytest.mark.parametrize("make_fleet", [build_fleet, ShardedFleetEngine])
-    def test_generator_passed_as_seed(self, make_fleet, platform, space):
-        """A ``Generator`` given as ``seed`` is used as-is, so it can be
-        shared, or be the simulator's own, just like an ``rng``."""
+    def test_shared_generators_warn(self, make_fleet, platform, space):
+        """An ``rng`` shared by two devices, or the simulator's own, warns
+        by the names of the devices that hold it."""
         simulator = SoCSimulator(platform, noise_scale=0.02, seed=0)
         shared = np.random.default_rng(0)
-        seeds = [shared, shared, simulator.rng]
+        rngs = [shared, shared, simulator.rng]
         devices = [DeviceSpec(name=f"dev{i}",
                               policy=GovernorPolicy(OndemandGovernor(space)),
-                              snippets=make_trace(i, factor=0.2), seed=seed)
-                   for i, seed in enumerate(seeds)]
+                              snippets=make_trace(i, factor=0.2), rng=rng)
+                   for i, rng in enumerate(rngs)]
         with pytest.warns(FleetBuildWarning) as record:
             make_fleet(devices, simulator, space)
         messages = [str(w.message) for w in record]
@@ -450,7 +451,8 @@ class TestResourceHygiene:
         return [
             DeviceSpec(name=f"dev{i}",
                        policy=GovernorPolicy(OndemandGovernor(space)),
-                       snippets=make_trace(i, factor=0.2), seed=300 + i)
+                       snippets=make_trace(i, factor=0.2),
+                       rng=make_rng(300 + i))
             for i in range(n)
         ]
 

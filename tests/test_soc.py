@@ -45,7 +45,7 @@ class TestOPP:
     def test_from_frequency_range(self):
         table = OPPTable.from_frequency_range(1e9, 2e9, 5)
         assert len(table) == 5
-        assert table.min_frequency_hz == 1e9
+        assert table[0].frequency_hz == 1e9
         assert table.max_frequency_hz == 2e9
         voltages = [p.voltage_v for p in table]
         assert voltages == sorted(voltages)
@@ -81,7 +81,6 @@ class TestClusterAndPlatform:
         assert platform.cluster("big").name == "big"
         with pytest.raises(KeyError):
             platform.cluster("gpu")
-        assert platform.total_cores() == 8
 
     def test_generic_platform_parameters(self):
         platform = generic_big_little(n_big_cores=2, n_little_cores=6)
@@ -135,10 +134,6 @@ class TestConfigurationSpace:
         for _ in range(10):
             assert space.contains(space.random_configuration(rng))
 
-    def test_config_feature_matrix_shape(self, space):
-        matrix = space.config_feature_matrix()
-        assert matrix.shape == (len(space), 4)
-
     def test_configuration_accessors(self, space, platform):
         config = space.default_configuration()
         opps, cores = config.as_dicts()
@@ -147,8 +142,6 @@ class TestConfigurationSpace:
         assert "big" in config.describe(platform)
         with pytest.raises(KeyError):
             config.opp_index("gpu")
-        vector = config.as_vector(["big", "little"])
-        assert vector.shape == (4,)
 
     @settings(max_examples=25, deadline=None)
     @given(radius=st.integers(min_value=1, max_value=3))
@@ -229,9 +222,7 @@ class TestCounters:
     def test_feature_vector_shape_and_names(self, simulator, space, compute_snippet):
         result = simulator.run_snippet(compute_snippet, space.default_configuration())
         counters = result.counters
-        assert counters.as_vector().shape == (9,)
         assert counters.feature_vector().shape == (PerformanceCounters.n_features(),)
-        assert len(PerformanceCounters.feature_names()) == PerformanceCounters.n_features()
         assert set(counters.as_dict()) >= {"cpu_cycles", "total_chip_power_w"}
 
 
@@ -328,8 +319,7 @@ class TestSimulator:
             assert replayed.execution_time_s == full.execution_time_s
             assert replayed.average_power_w == full.average_power_w
             assert replayed.energy_j == full.energy_j
-            np.testing.assert_array_equal(replayed.counters.as_vector(),
-                                          full.counters.as_vector())
+            assert replayed.counters.as_dict() == full.counters.as_dict()
             assert replayed.counters.execution_time_s == \
                 full.counters.execution_time_s
             assert replayed.power_breakdown_w == full.power_breakdown_w

@@ -22,11 +22,15 @@ from repro.workloads import (
     figure4_workloads,
     get_graphics_workload,
     get_workload,
-    table2_workloads,
-    workloads_by_suite,
 )
 from repro.workloads.spec import single_phase_workload
 from repro.workloads.suites import training_workloads, unseen_workloads
+
+
+def _phase_mean(spec, name):
+    """Snippet-count-weighted mean of one characteristic over the phases."""
+    return sum(phase.n_snippets * getattr(phase.characteristics, name)
+               for phase in spec.phases) / spec.n_snippets
 
 
 class TestWorkloadSpec:
@@ -40,11 +44,10 @@ class TestWorkloadSpec:
         with pytest.raises(ValueError):
             WorkloadSpec(name="x", suite="test", phases=())
 
-    def test_n_snippets_and_total_instructions(self):
+    def test_n_snippets(self):
         spec = single_phase_workload("x", "test", SnippetCharacteristics(),
                                      n_snippets=7, snippet_instructions=1e6)
         assert spec.n_snippets == 7
-        assert spec.total_instructions == pytest.approx(7e6)
 
     def test_scaled_changes_length_not_characteristics(self):
         spec = single_phase_workload("x", "test", SnippetCharacteristics(),
@@ -59,16 +62,6 @@ class TestWorkloadSpec:
         spec = single_phase_workload("x", "test", SnippetCharacteristics(),
                                      n_snippets=3)
         assert spec.scaled(0.01).n_snippets >= 1
-
-    def test_mean_characteristics_weighted(self):
-        light = SnippetCharacteristics(memory_intensity=1.0)
-        heavy = SnippetCharacteristics(memory_intensity=9.0)
-        spec = WorkloadSpec(
-            name="two-phase", suite="test",
-            phases=(WorkloadPhase(light, n_snippets=3),
-                    WorkloadPhase(heavy, n_snippets=1)),
-        )
-        assert spec.mean_characteristics().memory_intensity == pytest.approx(3.0)
 
 
 class TestTraceGenerator:
@@ -94,15 +87,7 @@ class TestTraceGenerator:
         trace = SnippetTraceGenerator(seed=1).generate(spec)
         mean_mpki = np.mean([s.characteristics.memory_intensity for s in trace])
         assert mean_mpki == pytest.approx(
-            spec.mean_characteristics().memory_intensity, rel=0.2)
-
-    def test_generate_many_concatenates(self):
-        generator = SnippetTraceGenerator(seed=0)
-        specs = [get_workload("fft").scaled(0.2), get_workload("sha").scaled(0.2)]
-        trace = generator.generate_many(specs)
-        assert len(trace) == sum(s.n_snippets for s in specs)
-        assert trace[0].application == "fft"
-        assert trace[-1].application == "sha"
+            _phase_mean(spec, "memory_intensity"), rel=0.2)
 
     @settings(max_examples=20, deadline=None)
     @given(jitter=st.floats(min_value=0.0, max_value=0.3))
@@ -152,10 +137,6 @@ def _generate_each(generator, specs, rng):
             for snippet in generator.generate(spec, rng=rng)]
 
 
-def _generate_many(generator, specs, rng):
-    return generator.generate_many(specs, rng=rng)
-
-
 class TestGeneratorMatchesScalarLoop:
     """One normal block per phase == five scalar draws per snippet
     (``tests/scalar_reference/trace_generator_loop.py``), byte for byte."""
@@ -165,8 +146,7 @@ class TestGeneratorMatchesScalarLoop:
     def test_suites_match_over_seeds(self, suite, factor):
         specs = [spec.scaled(factor) for spec in suite()]
         for seed in range(50):
-            generate = _generate_many if seed % 2 else _generate_each
-            _assert_matches_loop(generate, specs, seed)
+            _assert_matches_loop(_generate_each, specs, seed)
 
     def test_online_sequences_match(self, monkeypatch):
         def sequence(seed):
@@ -214,7 +194,7 @@ class TestGeneratorMatchesScalarLoop:
         mixed = WorkloadSpec(name="mixed", suite="test",
                              phases=(moving, still, moving))
         for seed in range(10):
-            _assert_matches_loop(_generate_many, [mixed, quiet], seed)
+            _assert_matches_loop(_generate_each, [mixed, quiet], seed)
 
 
 class TestSuites:
@@ -228,20 +208,10 @@ class TestSuites:
         assert len(figure4_workloads()) == 16
         assert {w.name for w in figure4_workloads()} == set(ALL_CPU_APPS)
 
-    def test_table2_workloads(self):
-        names = [w.name for w in table2_workloads()]
-        assert "bml" in names and "blackscholes-4t" in names
-        assert len(names) == 9
-
     def test_get_workload_case_insensitive_and_errors(self):
         assert get_workload("KMEANS").name == "kmeans"
         with pytest.raises(KeyError):
             get_workload("doom")
-
-    def test_workloads_by_suite(self):
-        assert {w.suite for w in workloads_by_suite("cortex")} == {"cortex"}
-        with pytest.raises(KeyError):
-            workloads_by_suite("spec2006")
 
     def test_training_and_unseen_partition(self):
         train = {w.name for w in training_workloads()}
@@ -251,14 +221,14 @@ class TestSuites:
 
     def test_suite_distribution_shift(self):
         """Cortex apps are markedly more memory intensive than Mi-Bench apps."""
-        mibench_mpki = np.mean([w.mean_characteristics().memory_intensity
+        mibench_mpki = np.mean([_phase_mean(w, "memory_intensity")
                                 for w in MIBENCH_APPS.values()])
-        cortex_mpki = np.mean([w.mean_characteristics().memory_intensity
+        cortex_mpki = np.mean([_phase_mean(w, "memory_intensity")
                                for w in CORTEX_APPS.values()])
         assert cortex_mpki > 2.0 * mibench_mpki
 
     def test_parsec_apps_are_multithreaded(self):
-        assert all(w.mean_characteristics().thread_count > 1
+        assert all(round(_phase_mean(w, "thread_count")) > 1
                    for w in PARSEC_APPS.values())
 
 
@@ -273,11 +243,6 @@ class TestSequences:
     def test_boundaries_recorded(self):
         sequence = build_online_sequence(snippet_factor=0.5, seed=0)
         assert sequence.boundaries[sequence.applications()[0]] == 0
-
-    def test_application_slice(self):
-        sequence = build_online_sequence(snippet_factor=0.5, seed=0)
-        app = sequence.applications()[0]
-        assert all(s.application == app for s in sequence.application_slice(app))
 
 
 class TestGraphicsWorkloads:

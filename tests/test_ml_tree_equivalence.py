@@ -43,6 +43,18 @@ def _regression_fixtures():
     fixtures.append(("monotone", xm, np.arange(200.0)))
     # Tiny dataset at the min_samples boundary.
     fixtures.append(("tiny", rng.normal(size=(5, 2)), rng.normal(size=5)))
+    # Two-level target: many candidates tie on score, so the scan order
+    # (earliest feature, then lowest threshold) picks the split.
+    xb = rng.normal(size=(80, 3))
+    fixtures.append(("two-level", xb, (xb[:, 0] + xb[:, 1] > 0).astype(float)))
+    # Duplicated column: both copies score alike and the first must win.
+    xd = rng.normal(size=(70, 3))
+    xd[:, 2] = xd[:, 0]
+    fixtures.append(("tied-columns", xd,
+                     xd[:, 0] ** 3 + 0.1 * rng.normal(size=70)))
+    # Heavy-tailed target: a few huge values dominate the cumulative sums.
+    fixtures.append(("outliers", rng.normal(size=(100, 4)),
+                     rng.standard_cauchy(size=100)))
     return fixtures
 
 

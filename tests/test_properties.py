@@ -18,9 +18,12 @@ seed.  The invariants:
   ``fit``, and RLS without forgetting converges to the least-squares fit;
 * Oracle optimality: no policy can beat the Oracle table on the same
   snippets under noise-free execution, full or restricted space;
-* decision-tree classifiers: ``predict`` equals the argmax of
-  ``predict_proba`` for every sample, for trees grown by the vectorized
-  split search and by the per-sample loop of ``tests/scalar_reference``.
+* regression trees, grown by the vectorized split search and by the
+  per-sample loop of ``tests/scalar_reference`` alike: ``predict`` equals
+  the one-row walk from the root (rows exactly on a split threshold
+  included), every leaf holds the mean of the training targets routed to
+  it and at least ``min_samples_leaf`` of them, and a deeper depth limit
+  only extends the tree grown under a shallower one.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from repro.gpu.simulator import GPUSimulator
 from repro.ml.linear import LinearRegressor
 from repro.ml.rls import RecursiveLeastSquares
 from repro.ml.scaling import StandardScaler
+from repro.ml.tree import DecisionTreeRegressor
 from repro.noc.packet import Packet
 from repro.noc.router import RouterConfig
 from repro.noc.simulator import NoCSimulator
@@ -48,6 +52,8 @@ from repro.soc.platform import generic_big_little
 from repro.soc.simulator import SoCSimulator, characteristics_matrix
 from repro.soc.snippet import Snippet, SnippetCharacteristics
 
+from scalar_reference.tree_scalar import (ScalarDecisionTreeRegressor,
+                                          predict_row)
 
 PROPERTY_SEEDS = list(range(8))
 
@@ -370,3 +376,89 @@ class TestOracleOptimality:
                     <= part.columns["best_cost"][part.rows[snippet.name]]
                     * (1.0 + 1e-12))
             assert restricted.contains(part.best_configuration(snippet))
+
+
+def random_tree_data(rng: np.random.Generator):
+    """Features, targets and stopping rules for one random regression tree."""
+    n_samples = int(rng.integers(30, 90))
+    n_features = int(rng.integers(1, 5))
+    features = rng.normal(size=(n_samples, n_features))
+    # Half-unit steps in some columns, so equal values share a boundary.
+    quantised = rng.random(n_features) < 0.5
+    features[:, quantised] = np.round(features[:, quantised] * 2) / 2
+    targets = (features @ rng.normal(size=n_features)
+               + 0.3 * rng.normal(size=n_samples))
+    params = dict(max_depth=int(rng.integers(2, 8)),
+                  min_samples_split=int(rng.integers(2, 7)),
+                  min_samples_leaf=int(rng.integers(1, 4)))
+    return features, targets, params
+
+
+def tree_splits(node):
+    """(feature, threshold) of every internal node under ``node``."""
+    if node.is_leaf:
+        return []
+    return ([(node.feature, node.threshold)] + tree_splits(node.left)
+            + tree_splits(node.right))
+
+
+def leaf_partition(node, features, rows):
+    """(leaf, row indices) pairs: ``rows`` routed down from ``node``."""
+    if node.is_leaf:
+        return [(node, rows)]
+    left = features[rows, node.feature] <= node.threshold
+    return (leaf_partition(node.left, features, rows[left])
+            + leaf_partition(node.right, features, rows[~left]))
+
+
+@pytest.mark.parametrize("seed", PROPERTY_SEEDS)
+@pytest.mark.parametrize(
+    "tree_class", [DecisionTreeRegressor, ScalarDecisionTreeRegressor],
+    ids=["vectorized", "scalar"])
+class TestTreeRegressorConsistency:
+    def test_predict_matches_the_row_walk(self, seed, tree_class):
+        rng = np.random.default_rng(seed)
+        features, targets, params = random_tree_data(rng)
+        tree = tree_class(**params).fit(features, targets)
+        probe = [features, rng.normal(size=(20, features.shape[1]))]
+        # A row exactly on a threshold goes left (``<=``) in both forms.
+        for feature, threshold in tree_splits(tree.root_):
+            row = features[int(rng.integers(len(features)))].copy()
+            row[feature] = threshold
+            probe.append(row[None, :])
+        probe = np.vstack(probe)
+        np.testing.assert_array_equal(
+            tree.predict(probe),
+            np.array([predict_row(tree, row) for row in probe]))
+
+    def test_leaves_hold_the_mean_of_their_training_targets(self, seed,
+                                                            tree_class):
+        rng = np.random.default_rng(seed)
+        features, targets, params = random_tree_data(rng)
+        tree = tree_class(**params).fit(features, targets)
+        leaves = leaf_partition(tree.root_, features,
+                                np.arange(len(features)))
+        assert len(leaves) == len(tree_splits(tree.root_)) + 1
+        for leaf, rows in leaves:
+            assert len(rows) >= params["min_samples_leaf"]
+            assert leaf.prediction == float(np.mean(targets[rows]))
+
+    def test_a_deeper_tree_extends_a_shallower_one(self, seed, tree_class):
+        rng = np.random.default_rng(seed)
+        features, targets, params = random_tree_data(rng)
+        shallow = tree_class(**params).fit(features, targets)
+        deep = tree_class(**{**params, "max_depth": params["max_depth"] + 2}
+                          ).fit(features, targets)
+
+        def extends(a, b, depth):
+            assert a.prediction == b.prediction
+            if a.is_leaf:
+                # Above the depth limit a leaf stopped for another reason,
+                # which a deeper limit does not change.
+                assert depth == params["max_depth"] or b.is_leaf
+                return
+            assert (a.feature, a.threshold) == (b.feature, b.threshold)
+            extends(a.left, b.left, depth + 1)
+            extends(a.right, b.right, depth + 1)
+
+        extends(shallow.root_, deep.root_, 1)

@@ -1,7 +1,7 @@
 """Tests for the dynamic scenario engine.
 
-Covers the scenario registry and serialization, the determinism and purity
-contracts of every registered transform, space restriction and its
+Covers the scenario registry, the determinism, purity, pickling and
+immutability contracts of every registered transform, space restriction and its
 interaction with the :class:`~repro.core.oracle.OracleCache` (a throttled
 window must never reuse a stale full-space Oracle entry), throttle
 enforcement in the shared policy-evaluation loop, the robustness driver,
@@ -9,6 +9,7 @@ and the ``--jobs`` invariance of the scenario sweep.
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -114,6 +115,27 @@ class TestScenarioContracts:
     def test_empty_input_rejected(self, name):
         with pytest.raises(ValueError):
             get_scenario(name).apply([], 0)
+
+    def test_spec_survives_pickling(self, name, base_trace):
+        """Where fork is unavailable a shard child gets its devices, and so
+        their scenarios, pickled; the copy must perturb traces alike."""
+        spec = get_scenario(name)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec
+        original = spec.apply(base_trace, 5)
+        restored = copy.apply(base_trace, 5)
+        assert snapshot(restored.snippets) == snapshot(original.snippets)
+        assert restored.throttle_events == original.throttle_events
+
+    def test_registered_spec_is_immutable(self, name):
+        """Every ``get_scenario`` caller shares the registered object, so
+        none may change it for the others."""
+        spec = get_scenario(name)
+        assert get_scenario(name) is spec
+        for field in dataclasses.fields(spec):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, field.name, getattr(spec, field.name))
+        assert hash(spec) == hash(dataclasses.replace(spec))
 
 
 class TestTransformSemantics:

@@ -24,10 +24,8 @@ from repro.soc.snippet import Snippet
 from repro.utils.rng import SeedLike, make_rng
 
 #: Result of a batched fleet decide: the decided configurations plus their
-#: indices in the policy's space, as two parallel lists (an index is
-#: ``None`` when unknown, e.g. a carried-over initial configuration from
-#: outside the space).
-FleetDecisions = Tuple[List[SoCConfiguration], List[Optional[int]]]
+#: indices in the policy's space, as two parallel lists.
+FleetDecisions = Tuple[List[SoCConfiguration], List[int]]
 
 
 class DRMPolicy(abc.ABC):
@@ -115,8 +113,8 @@ class DRMPolicy(abc.ABC):
     ) -> None:
         """Batched observe for a group of policies sharing an observe key.
 
-        ``steps[i]`` is the session step (carrying ``configuration_index``
-        when known) whose execution produced ``results[i]``, exactly what
+        ``steps[i]`` is the session step (carrying ``configuration_index``)
+        whose execution produced ``results[i]``, exactly what
         ``policies[i].observe`` would have consumed.  ``group_state`` is
         the same persistent dict handed to :meth:`fleet_decide` for this
         group of sessions.
@@ -241,9 +239,8 @@ class GovernorPolicy(DRMPolicy):
         configuration when an active cap excludes the combination — the
         ``_with_opp_indices`` contains-check), and written back into each
         governor's ``current`` state.  Devices with no counters yet keep
-        their current configuration without touching the governor, and
-        devices whose governor state wandered outside the space take the
-        scalar path row-wise.
+        their current configuration without touching the governor.  A
+        current configuration outside the space raises :class:`KeyError`.
         """
         space = policies[0].space
         lookup = space.opp_lookup_table()
@@ -259,24 +256,17 @@ class GovernorPolicy(DRMPolicy):
                 # GovernorPolicy.decide(None) returns self.current as-is.
                 current = policy.current
                 out_configs[i] = current
-                out_indices[i] = space._index.get(current)
+                out_indices[i] = space.index_of(current)
                 continue
+            live.append(i)
             # The previous batched decide memoises (config, index); the
             # identity check proves the governor state is still exactly
             # that object, so the space lookup is skipped on the hot path.
             memo = policy.__dict__.get("_fleet_state")
             if memo is not None and memo[0] is governor.current:
-                live.append(i)
                 live_current.append(memo[1])
-                continue
-            index = space._index.get(governor.current)
-            if index is None:
-                # Governor state wandered outside the space (e.g. a reset
-                # with a foreign configuration): scalar path, row-wise.
-                out_configs[i] = policy.decide(counters[i])
             else:
-                live.append(i)
-                live_current.append(index)
+                live_current.append(space.index_of(governor.current))
         if not live:
             return out_configs, out_indices  # type: ignore[return-value]
         utilization = {

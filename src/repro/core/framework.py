@@ -30,7 +30,7 @@ from repro.core.oracle_store import OracleStore
 from repro.core.runtime_oracle import RuntimeOracle
 from repro.models.performance import CpuPerformanceModel
 from repro.models.power import CpuPowerModel
-from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
+from repro.soc.configuration import ConfigurationSpace
 from repro.soc.platform import PlatformSpec, odroid_xu3_like
 from repro.soc.simulator import SoCSimulator
 from repro.soc.snippet import Snippet
@@ -96,7 +96,6 @@ def run_policy_on_snippets(
     oracle_table: Optional[OracleTable] = None,
     rng: Optional[np.random.Generator] = None,
     reset_policy: bool = True,
-    initial_configuration: Optional[SoCConfiguration] = None,
     space_schedule: Optional[Callable[[int], ConfigurationSpace]] = None,
 ) -> PolicyRunResult:
     """Execute ``snippets`` under ``policy`` and collect the run statistics.
@@ -131,7 +130,6 @@ def run_policy_on_snippets(
         oracle_table=oracle_table,
         rng=rng,
         reset_policy=reset_policy,
-        initial_configuration=initial_configuration,
         space_schedule=space_schedule,
     )
     return session.run()
@@ -249,6 +247,16 @@ class OnlineLearningFramework:
     # ------------------------------------------------------------------ #
     # Policy constructors
     # ------------------------------------------------------------------ #
+    def isolated_copy(self, original):
+        """Deep copy of design-time state that shares the space and platform.
+
+        Nothing mutates the space or the platform, so the copy keeps the
+        framework's objects, and a fleet of copies reasons over its one
+        space object.
+        """
+        return copy.deepcopy(original, {id(self.space): self.space,
+                                        id(self.platform): self.platform})
+
     def build_online_il_policy(
         self,
         buffer_capacity: int = 100,
@@ -272,10 +280,8 @@ class OnlineLearningFramework:
         power_model = self.power_model
         performance_model = self.performance_model
         if isolated:
-            # Nothing mutates the space or platform: the copies share them.
             offline_policy, power_model, performance_model = (
-                copy.deepcopy(original, {id(self.space): self.space,
-                                         id(self.platform): self.platform})
+                self.isolated_copy(original)
                 for original in (offline_policy, power_model,
                                  performance_model))
         runtime_oracle = RuntimeOracle(

@@ -42,30 +42,6 @@ from repro.soc.simulator import SnippetResult
 from repro.soc.snippet import Snippet
 
 
-def _platform_tables_match(platform, space: ConfigurationSpace) -> bool:
-    """True when ``platform`` carries the same OPP values as the space's.
-
-    The fleet-batched model paths build candidate features from the
-    *space's* struct-of-arrays tables while each device's scalar path
-    reads its own model's platform; bitwise equivalence therefore needs
-    the OPP voltage/frequency values (not the objects — isolated devices
-    deep-copy their platforms) to match exactly.
-    """
-    reference = space.platform
-    if platform is reference:
-        return True
-    for name in space.cluster_order:
-        ours = platform.cluster(name)
-        theirs = reference.cluster(name)
-        if len(ours.opps) != len(theirs.opps):
-            return False
-        for opp_a, opp_b in zip(ours.opps, theirs.opps):
-            if (opp_a.voltage_v != opp_b.voltage_v
-                    or opp_a.frequency_hz != opp_b.frequency_hz):
-                return False
-    return True
-
-
 class OnlineILPolicy(DRMPolicy):
     """Online-adaptive imitation-learning DRM policy."""
 
@@ -156,8 +132,8 @@ class OnlineILPolicy(DRMPolicy):
 
         Exact types only: a subclass overriding any model behaviour must
         fall back to scalar stepping rather than silently replaying the
-        base arithmetic.  The platform value check makes the space's
-        struct-of-arrays tables bitwise interchangeable with each model's
+        base arithmetic.  Both models must read the space's platform
+        object, so the space's struct-of-arrays tables are each model's
         own per-OPP tables.
         """
         oracle = self.runtime_oracle
@@ -174,12 +150,9 @@ class OnlineILPolicy(DRMPolicy):
                 return False
         if set(self.space.cluster_order) != {"big", "little"}:
             return False
-        if not _platform_tables_match(oracle.power_model.platform, self.space):
-            return False
-        if not _platform_tables_match(
-                oracle.performance_model.platform, self.space):
-            return False
-        return True
+        platform = self.space.platform
+        return (oracle.power_model.platform is platform
+                and oracle.performance_model.platform is platform)
 
     def fleet_decide_key(self) -> Optional[Tuple]:
         if type(self) is not OnlineILPolicy:
@@ -232,41 +205,40 @@ class OnlineILPolicy(DRMPolicy):
                      state: dict) -> dict:
         """(Re)build the group's decide-side stacks when membership shifts.
 
-        Adoption deduplicates shared mutable state: two policies sharing
-        any learning object (classifier, core, generator, scaler, buffer,
-        oracle, model, RLS estimator) would interleave their updates in
-        the scalar sequential order, which a batched pass cannot
-        reproduce — those rows are pinned to the scalar fallback.  The
-        remaining rows get one :class:`~repro.ml.mlp.FleetMLPStack` plus
+        Adoption refuses shared mutable state: two rows sharing any
+        learning object (policy, classifier, core, generator, scaler,
+        buffer, oracle, model, RLS estimator) would interleave their
+        updates in an order no sequential run has, so it raises
+        :class:`ValueError` naming both rows.  The rows get one
+        :class:`~repro.ml.mlp.FleetMLPStack` (stack row = group row) plus
         stacked scaler statistics.  The stack copies each classifier's
         network rows once and re-points the network at them; training
-        only updates those rows in place, so a stack row that falls back
-        to the scalar :meth:`decide` (invalid telemetry, a configuration
-        outside the space) still trains on the stack.
-        Cheap identity revalidation runs every step (networks replaced by
-        ``fit()``, scaler statistics rebound by ``partial_fit``); a
-        mismatch triggers full re-adoption.
+        only updates those rows in place, so a row that decides scalar
+        (invalid telemetry) still trains on the stack.  Cheap identity
+        revalidation runs every step (networks replaced by ``fit()``,
+        scaler statistics rebound by ``partial_fit``); a mismatch triggers
+        full re-adoption.
 
         Ownership is computed over the member objects themselves (dict
         keys holding strong references), never over ``id()`` values:
-        every object participating in the dedup is simultaneously alive
+        every object participating in the check is simultaneously alive
         for the duration of the pass, and the stored member tuple keeps
         the adopted policies alive across steps, so a GC'd-and-reallocated
         object can never alias into the wrong row.
         """
         if OnlineILPolicy._members_match(state.get("members"), policies):
             fresh = all(
-                policies[row].classifier._core is core
-                for row, core in zip(state["batched_rows"], state["cores"])
+                policy.classifier._core is core
+                for policy, core in zip(policies, state["cores"])
             ) and all(
-                policies[row].offline_policy.scaler.mean_ is mean_ref
-                and policies[row].offline_policy.scaler.var_ is var_ref
-                for row, (mean_ref, var_ref)
-                in zip(state["batched_rows"], state["scaler_refs"])
+                policy.offline_policy.scaler.mean_ is mean_ref
+                and policy.offline_policy.scaler.var_ is var_ref
+                for policy, (mean_ref, var_ref)
+                in zip(policies, state["scaler_refs"])
             )
             if fresh:
                 return state
-        owners: Dict[Any, set] = {}
+        owner: Dict[Any, int] = {}
         for row, policy in enumerate(policies):
             for obj in (
                 policy,
@@ -282,53 +254,32 @@ class OnlineILPolicy(DRMPolicy):
                 policy.runtime_oracle.power_model.rls,
                 policy.runtime_oracle.performance_model.rls,
             ):
-                if obj is not None:
-                    owners.setdefault(obj, set()).add(row)
-        scalar_rows = set()
-        for rows in owners.values():
-            if len(rows) > 1:
-                scalar_rows.update(rows)
-        for row, policy in enumerate(policies):
-            if row in scalar_rows:
-                continue
-            classifier = policy.classifier
-            scaler = policy.offline_policy.scaler
-            if (classifier._core is None or classifier.classes_ is None
-                    or not np.array_equal(classifier.classes_,
-                                          np.arange(len(policy.space)))
-                    or scaler.mean_ is None or scaler.var_ is None):
-                scalar_rows.add(row)
-        batched_rows = [row for row in range(len(policies))
-                        if row not in scalar_rows]
+                if obj is None:
+                    continue
+                first = owner.setdefault(obj, row)
+                if first != row:
+                    raise ValueError(
+                        f"online-IL rows {first} and {row} of one fleet "
+                        f"group share one {type(obj).__name__}: give each "
+                        "device its own learning state "
+                        "(build_online_il_policy(isolated=True))"
+                    )
         state["members"] = tuple(policies)
-        state["scalar_rows"] = scalar_rows
-        state["batched_rows"] = batched_rows
         # Rows whose supervision gate has already opened; the gate
         # (``n_model_updates >= min_model_updates``) is monotone for a
         # fixed policy object, so membership never needs revisiting until
         # adoption rebuilds this state.
         state["supervised_known"] = set()
-        state["stack_row_of"] = {row: k for k, row in enumerate(batched_rows)}
-        if batched_rows:
-            batched = [policies[row] for row in batched_rows]
-            state["stack"] = FleetMLPStack(
-                [policy.classifier for policy in batched])
-            state["cores"] = [policy.classifier._core for policy in batched]
-            state["scaler_refs"] = [
-                (policy.offline_policy.scaler.mean_,
-                 policy.offline_policy.scaler.var_)
-                for policy in batched
-            ]
-            state["mean"] = np.stack(
-                [policy.offline_policy.scaler.mean_ for policy in batched])
-            # The scaler statistics are frozen between adoptions (rebinds
-            # trigger re-adoption above), so the divisors are constants.
-            state["scale"] = np.stack(
-                [policy.offline_policy.scaler.scale_ for policy in batched])
-        else:
-            state["stack"] = None
-            state["cores"] = []
-            state["scaler_refs"] = []
+        state["stack"] = FleetMLPStack(
+            [policy.classifier for policy in policies])
+        state["cores"] = [policy.classifier._core for policy in policies]
+        scalers = [policy.offline_policy.scaler for policy in policies]
+        state["scaler_refs"] = [(scaler.mean_, scaler.var_)
+                                for scaler in scalers]
+        state["mean"] = np.stack([scaler.mean_ for scaler in scalers])
+        # The scaler statistics are frozen between adoptions (rebinds
+        # trigger re-adoption above), so the divisors are constants.
+        state["scale"] = np.stack([scaler.scale_ for scaler in scalers])
         return state
 
     @staticmethod
@@ -340,8 +291,7 @@ class OnlineILPolicy(DRMPolicy):
         Devices whose buffers filled on the same lockstep step and share
         every training hyper-parameter (sample count, minibatch size,
         epochs, learning rate, momentum, l2) train as one stacked
-        :meth:`~repro.ml.mlp.FleetMLPStack.partial_fit_rows` call.  Every
-        flushed row is a stack row (flushes come from the live rows), so a
+        :meth:`~repro.ml.mlp.FleetMLPStack.partial_fit_rows` call.  A
         group of one trains on the stack too, as a one-row group, with the
         same trainer as :meth:`_update_policy`.  Training order across
         devices is irrelevant — adoption guaranteed the classifiers are
@@ -356,7 +306,6 @@ class OnlineILPolicy(DRMPolicy):
                    core.l2)
             groups.setdefault(key, []).append(row)
         stack = state["stack"]
-        stack_row_of = state["stack_row_of"]
         for members in groups.values():
             datasets: List[np.ndarray] = []
             encoded: List[np.ndarray] = []
@@ -367,8 +316,7 @@ class OnlineILPolicy(DRMPolicy):
                 encoded.append(policy.classifier._encode(labels))
                 policy.n_policy_updates += 1
             stack.partial_fit_rows(
-                np.array([stack_row_of[row] for row in members],
-                         dtype=np.intp),
+                np.array(members, dtype=np.intp),
                 datasets, encoded, policies[members[0]].update_epochs,
             )
 
@@ -387,15 +335,14 @@ class OnlineILPolicy(DRMPolicy):
         .fleet_best_indices`) for the supervision-eligible devices, per
         device buffer inserts in group order, stacked policy training for
         simultaneously full buffers, and one stacked classifier forward
-        for the applied decisions.  Rows with no counters yet, rows whose
-        current configuration left the space, and rows pinned scalar by
-        adoption take the scalar :meth:`decide` row-wise.
+        for the applied decisions.  Rows with no counters yet or with
+        invalid telemetry take the scalar :meth:`decide` row-wise.  A
+        current configuration outside the space raises :class:`KeyError`.
         """
         space = policies[0].space
         state = OnlineILPolicy._fleet_adopt(policies, group_state)
         out_configs: List[Optional[SoCConfiguration]] = [None] * len(policies)
         out_indices: List[Optional[int]] = [None] * len(policies)
-        scalar_rows = state["scalar_rows"]
         live: List[int] = []
         live_current: List[int] = []
         for i, policy in enumerate(policies):
@@ -403,42 +350,29 @@ class OnlineILPolicy(DRMPolicy):
                 # OnlineILPolicy.decide(None) returns self.current as-is.
                 current = policy.current
                 out_configs[i] = current
-                out_indices[i] = space._index.get(current)
+                out_indices[i] = space.index_of(current)
                 continue
             if not counters[i].is_valid():
                 # Scalar decide applies the degradation gate (hold the
                 # last-safe configuration, count the rejection) — invalid
                 # telemetry must not enter the stacked transforms.
                 out_configs[i] = policy.decide(counters[i])
-                out_indices[i] = space._index.get(out_configs[i])
+                out_indices[i] = space.index_of(out_configs[i])
                 continue
-            if i in scalar_rows:
-                out_configs[i] = policy.decide(counters[i])
-                out_indices[i] = space._index.get(out_configs[i])
-                continue
+            live.append(i)
             memo = policy.__dict__.get("_fleet_state")
             if memo is not None and memo[0] is policy.current:
-                live.append(i)
                 live_current.append(memo[1])
-                continue
-            index = space._index.get(policy.current)
-            if index is None:
-                # Current configuration wandered outside the space (e.g.
-                # a foreign reset): the scalar sweep path handles it.
-                out_configs[i] = policy.decide(counters[i])
-                out_indices[i] = space._index.get(out_configs[i])
             else:
-                live.append(i)
-                live_current.append(index)
+                live_current.append(space.index_of(policy.current))
         if not live:
             return out_configs, out_indices  # type: ignore[return-value]
 
         current_rows = np.array(live_current, dtype=np.intp)
-        stack_row_of = state["stack_row_of"]
-        stack_rows = np.array([stack_row_of[i] for i in live], dtype=np.intp)
+        stack_rows = np.array(live, dtype=np.intp)
         feature_rows = np.stack(
             [counters[i].feature_vector() for i in live])
-        if len(live) == len(state["batched_rows"]):
+        if len(live) == len(policies):
             mean, scale = state["mean"], state["scale"]
         else:
             mean = state["mean"][stack_rows]
@@ -480,8 +414,8 @@ class OnlineILPolicy(DRMPolicy):
                     policies, flush_rows, state)
 
         # The applied decision is each (possibly just updated) policy's
-        # own prediction; classes_ == arange(len(space)) (adoption
-        # invariant), so the argmax position IS the space index.
+        # own prediction; classes_ == arange(len(space)) (a decide-key
+        # precondition), so the argmax position IS the space index.
         encoded = state["stack"].predict_encoded(stack_rows, scaled)
         configs = space._configs
         last_index = len(space) - 1
@@ -510,44 +444,20 @@ class OnlineILPolicy(DRMPolicy):
         :func:`~repro.models.power.fleet_update_power_models` plus one
         :func:`~repro.models.performance.fleet_update_performance_models`
         call over the devices' struct-of-arrays configuration rows.  Rows
-        pinned scalar by adoption (shared model state) or lacking a
-        configuration index observe scalar, row-wise.
+        with invalid telemetry observe scalar, row-wise.  Rows sharing a
+        model are refused by :func:`~repro.ml.rls.rls_update_fleet`.
         """
         space = policies[0].space
-        if not OnlineILPolicy._members_match(
-                group_state.get("observe_members"), policies):
-            # Ownership over the objects themselves (strong refs), never
-            # id() values — see _fleet_adopt for the aliasing rationale.
-            owners: Dict[Any, set] = {}
-            for row, policy in enumerate(policies):
-                for obj in (
-                    policy,
-                    policy.runtime_oracle,  # type: ignore[attr-defined]
-                    policy.runtime_oracle.power_model,  # type: ignore[attr-defined]
-                    policy.runtime_oracle.performance_model,  # type: ignore[attr-defined]
-                    policy.runtime_oracle.power_model.rls,  # type: ignore[attr-defined]
-                    policy.runtime_oracle.performance_model.rls,  # type: ignore[attr-defined]
-                ):
-                    if obj is not None:
-                        owners.setdefault(obj, set()).add(row)
-            scalar_rows = set()
-            for rows in owners.values():
-                if len(rows) > 1:
-                    scalar_rows.update(rows)
-            group_state["observe_members"] = tuple(policies)
-            group_state["observe_scalar_rows"] = scalar_rows
-        scalar_rows = group_state["observe_scalar_rows"]
         live: List[int] = []
         live_indices: List[int] = []
         for i, policy in enumerate(policies):
-            index = getattr(steps[i], "configuration_index", None)
-            if (i in scalar_rows or index is None
-                    or not results[i].counters.is_valid()):
+            if not results[i].counters.is_valid():
                 # Scalar observe also applies the degradation gate, so
                 # invalid telemetry never reaches the stacked RLS updates.
                 policy.observe(results[i])
                 continue
             config = results[i].configuration
+            index = steps[i].configuration_index  # type: ignore[attr-defined]
             policy.current = config
             policy._fleet_state = (config, index)  # type: ignore[attr-defined]
             live.append(i)

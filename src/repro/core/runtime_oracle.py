@@ -119,26 +119,13 @@ class RuntimeOracle:
         The neighbourhood is a memoised view of the space (index table plus
         pre-gathered struct-of-arrays rows), and the predictions take this
         device's counters and current configuration as Python scalars.  A
-        ``current`` outside the space (say, a configuration of a
-        differently restricted sibling space) is swept over the candidates
-        :meth:`~repro.soc.configuration.ConfigurationSpace.neighbors`
-        returns for it, gathered without memoisation.
+        ``current`` outside the space raises :class:`KeyError`.
         """
-        if self.space.contains(current):
-            view = self.space.neighborhood_view(
-                self.space.index_of(current),
-                radius=self.neighborhood_radius, include_self=True,
-            )
-            indices, arrays = view.indices, view.arrays
-        else:
-            indices = np.array(
-                [self.space.index_of(candidate)
-                 for candidate in self.space.neighbors(
-                     current, radius=self.neighborhood_radius,
-                     include_self=True)],
-                dtype=np.intp,
-            )
-            arrays = self.space.soa_view().gather(indices)
+        view = self.space.neighborhood_view(
+            self.space.index_of(current),
+            radius=self.neighborhood_radius, include_self=True,
+        )
+        indices, arrays = view.indices, view.arrays
         big = arrays.cluster("big")
         little = arrays.cluster("little")
         big_reference_cores = current.cores("big")
@@ -223,11 +210,11 @@ class RuntimeOracle:
         configuration index in its space, bitwise identical to per-device
         :meth:`best_configuration` calls.
 
-        Preconditions (the fleet adoption check guarantees them): every
-        oracle shares the same space object, radius and metric, uses plain
+        Preconditions (the online-IL decide key guarantees them): every
+        oracle has the same space content, radius and metric, uses plain
         :class:`~repro.ml.rls.RecursiveLeastSquares` models
-        (``fit_intercept=True``), and every model platform carries the
-        same OPP values as the space's platform.  ``current_indices[d]``
+        (``fit_intercept=True``), and every model reads its space's
+        platform object.  ``current_indices[d]``
         must be device ``d``'s current configuration index (so
         ``space.contains(current)`` holds for every device).  Every
         neighbourhood then includes the current configuration, so no row

@@ -58,7 +58,7 @@ from repro.utils.records import RunLog
 
 #: Bump when the snapshot payload layout changes; old snapshots then fail
 #: to restore with a clear :class:`SnapshotError` instead of misbehaving.
-SNAPSHOT_FORMAT_VERSION = 6
+SNAPSHOT_FORMAT_VERSION = 7
 
 #: Leading magic of serialized snapshots (identifies the container format).
 _SNAPSHOT_MAGIC = b"RPSESNAP"
@@ -170,10 +170,9 @@ class SessionStep:
 
     ``proposed`` is the policy's raw decision; ``configuration`` is what
     will actually execute after the clamp/throttle phase (identical to
-    ``proposed`` outside throttle windows).  ``configuration_index`` is an
-    optional fast-path hint — the index of ``configuration`` in the
-    session's space — filled in when the decider already knows it (batched
-    fleet decides do), so downstream batch gathers skip the dict lookup.
+    ``proposed`` outside throttle windows).  ``configuration_index`` is
+    the index of ``configuration`` in the session's space, which the log
+    row and the fleet's batched gathers read.
     """
 
     index: int
@@ -181,7 +180,7 @@ class SessionStep:
     proposed: SoCConfiguration
     configuration: SoCConfiguration
     throttled: bool
-    configuration_index: Optional[int] = None
+    configuration_index: int
 
     @classmethod
     def _from_values(cls, values: dict) -> "SessionStep":
@@ -216,7 +215,6 @@ class PolicySession:
         oracle_table: Optional[OracleTable] = None,
         rng: Optional[np.random.Generator] = None,
         reset_policy: bool = True,
-        initial_configuration: Optional[SoCConfiguration] = None,
         space_schedule: Optional[Callable[[int], ConfigurationSpace]] = None,
         name: str = "device",
     ) -> None:
@@ -230,7 +228,7 @@ class PolicySession:
         self.space_schedule = space_schedule
         self.name = name
         if reset_policy:
-            policy.reset(initial_configuration)
+            policy.reset()
         self.log = RunLog(self._trace_len)
         self.total_energy_j = 0.0
         self.total_time_s = 0.0
@@ -272,7 +270,8 @@ class PolicySession:
         When a ``space_schedule`` is installed and the step's active space
         is a restriction of the base space, a decision outside it is
         projected in via :meth:`~repro.soc.configuration.ConfigurationSpace
-        .clamp`.
+        .clamp`.  A configuration outside the session's space raises
+        :class:`KeyError`.
         """
         if self.done:
             raise RuntimeError(f"session {self.name!r} is already complete")
@@ -297,6 +296,7 @@ class PolicySession:
             proposed=proposed,
             configuration=config,
             throttled=throttled,
+            configuration_index=self.space.index_of(config),
         )
         self._pending = step
         return step
@@ -313,10 +313,8 @@ class PolicySession:
     def _opp_floats(self, index: int) -> Tuple[float, float]:
         """(big, little) OPP indices of configuration ``index`` as floats.
 
-        Log-row fast path for index-addressed decisions: the columns
-        are read once from the space's SoA view and cached as plain-float
-        lists, replacing two per-step tuple scans on the configuration
-        object with two list lookups (identical values).
+        The columns are read once from the space's SoA view and cached as
+        plain-float lists, so a log row costs two list lookups.
         """
         columns = self._opp_columns
         if columns is None:
@@ -339,10 +337,10 @@ class PolicySession:
         the scalar ``policy.observe`` call (everything else is unchanged).
 
         Every step writes every column.  ``config_index`` is the executed
-        configuration's index in :attr:`space`, or NaN when it is not a
-        member; ``throttled`` is 0.0 without a ``space_schedule``; the
-        three Oracle columns are NaN when the table has no entry for the
-        step's snippet (or no table is installed).
+        configuration's index in :attr:`space`; ``throttled`` is 0.0
+        without a ``space_schedule``; the three Oracle columns are NaN when
+        the table has no entry for the step's snippet (or no table is
+        installed).
         """
         if step is not self._pending:
             if self._pending is None:
@@ -356,13 +354,7 @@ class PolicySession:
         self.total_energy_j += result.energy_j
         self.total_time_s += result.execution_time_s
         index = step.configuration_index
-        if index is not None:
-            big_opp, little_opp = self._opp_floats(index)
-        else:
-            config = step.configuration
-            big_opp = float(config.opp_index("big"))
-            little_opp = float(config.opp_index("little"))
-            index = self.space._index.get(config)
+        big_opp, little_opp = self._opp_floats(index)
         oracle_big = oracle_match = oracle_energy = _NAN
         table = self.oracle_table
         row = None if table is None else table.rows.get(step.snippet.name)
@@ -373,7 +365,7 @@ class PolicySession:
             self.oracle_energy += oracle_energy
         self.log.append((
             result.energy_j, result.execution_time_s, result.average_power_w,
-            big_opp, little_opp, _NAN if index is None else index,
+            big_opp, little_opp, index,
             1.0 if step.throttled else 0.0,
             oracle_big, oracle_match, oracle_energy,
         ))

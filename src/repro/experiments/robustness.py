@@ -23,7 +23,6 @@ paper's Table II / Figure 3 metrics.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -113,7 +112,8 @@ def _policy_factories(
             update_epochs=scale.update_epochs,
             isolated=True,
         ),
-        "offline-il": lambda: copy.deepcopy(framework.offline_policy),
+        "offline-il": lambda: framework.isolated_copy(
+            framework.offline_policy),
         "ondemand": lambda: GovernorPolicy(OndemandGovernor(framework.space)),
         "powersave": lambda: GovernorPolicy(PowersaveGovernor(framework.space)),
     }

@@ -2,15 +2,17 @@
 
 Public surface:
 
-* :class:`~repro.fleet.device.DeviceSpec` — one device's policy, trace,
-  seed, and optional scenario / restricted space.
+* :class:`~repro.fleet.device.DeviceSpec` — one device's policy, trace
+  or scenario trace, private noise generator and optional Oracle table.
 * :func:`~repro.fleet.device.build_fleet` /
   :func:`~repro.fleet.device.device_session` — lower device specs onto
-  sessions and a ready engine (warning about RNG hazards via
-  :class:`~repro.fleet.device.FleetBuildWarning`).
+  sessions and a prepared engine.
 * :class:`~repro.fleet.engine.FleetEngine` — advance N sessions in
   lockstep with cross-session batched decides and executions, bitwise
-  identical to N independent sequential runs.
+  identical to N independent sequential runs.  It refuses, naming the
+  devices, a fleet outside its one input shape: one stock simulator, one
+  space content with each policy over its session's space, and a private
+  noise generator per device.
 * :func:`~repro.fleet.kernels.lockstep_execute` /
   :class:`~repro.fleet.kernels.TraceArrays` — the vectorized
   many-device execution kernel.
@@ -30,7 +32,6 @@ Public surface:
 
 from repro.fleet.device import (
     DeviceSpec,
-    FleetBuildWarning,
     build_fleet,
     device_session,
 )
@@ -66,7 +67,6 @@ __all__ = [
     "DeviceStatus",
     "FaultPlan",
     "FaultSpec",
-    "FleetBuildWarning",
     "FleetEngine",
     "FleetSupervisor",
     "ObservationFault",

@@ -6,7 +6,7 @@ carries), its snippet trace *or* scenario trace, its own generator for
 measurement noise, and an optional Oracle table for accuracy/energy
 normalisation.  :func:`device_session` lowers a spec onto a
 :class:`~repro.core.session.PolicySession`; :func:`build_fleet` lowers a
-whole device list onto a ready :class:`~repro.fleet.engine.FleetEngine`.
+whole device list onto a prepared :class:`~repro.fleet.engine.FleetEngine`.
 
 Scenario-driven devices get their snippets and throttle schedule from the
 scenario trace via :func:`~repro.scenarios.runtime.make_space_schedule`,
@@ -17,9 +17,8 @@ equivalent sequential scenario run.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -33,31 +32,21 @@ from repro.soc.simulator import SoCSimulator
 from repro.soc.snippet import Snippet
 
 
-class FleetBuildWarning(UserWarning):
-    """A fleet is configured in a way that silently degrades it.
-
-    Emitted by :func:`build_fleet` when devices share a measurement-noise
-    generator (the lockstep == sequential bitwise-equivalence contract is
-    lost) or when sessions will silently fall back to scalar execution
-    (the batched kernel's performance is lost with no other signal).
-    """
-
-
 @dataclass
 class DeviceSpec:
     """One device of a simulated fleet.
 
     Exactly one of ``snippets`` / ``scenario`` provides the trace.  ``rng``
-    is the device's private measurement-noise generator; fleets whose
-    devices share a generator lose the lockstep==sequential equivalence,
-    so give every device its own.
+    is the device's private measurement-noise generator; a fleet refuses
+    devices that share one (see
+    :func:`~repro.fleet.engine.check_private_generators`).
     """
 
     name: str
     policy: DRMPolicy
+    rng: np.random.Generator
     snippets: Sequence[Snippet] = field(default_factory=tuple)
     scenario: Optional[ScenarioTrace] = None
-    rng: Optional[np.random.Generator] = None
     oracle_table: Optional[OracleTable] = None
 
     def __post_init__(self) -> None:
@@ -98,84 +87,19 @@ def device_session(
     )
 
 
-def warn_rng_hazards(devices: Sequence[DeviceSpec],
-                     simulator: SoCSimulator) -> None:
-    """Warn when devices do not each own a private noise generator.
-
-    A generator is shared when several devices get it as ``rng``, or
-    when it is the simulator's own.  Such devices lose the lockstep ==
-    sequential bitwise contract and batched execution, and a sharded
-    fleet's results then depend on the shard count, because each shard
-    draws from its own copy.  Devices without an ``rng`` draw from the
-    simulator's stream and execute scalar.  Only the specs are read, so
-    the check runs before any session exists.
-    """
-    # Object-keyed map (identity hash, strong refs) — id() keys are
-    # process-local and reusable after GC, so they are banned from every
-    # fleet map (the lint test greps for them).
-    shared: Dict[np.random.Generator, List[str]] = {}
-    unseeded: List[str] = []
-    for device in devices:
-        if device.rng is not None:
-            shared.setdefault(device.rng, []).append(device.name)
-        else:
-            unseeded.append(device.name)
-    for names in shared.values():
-        if len(names) > 1:
-            warnings.warn(
-                f"fleet devices {names} share one measurement-noise "
-                "generator: lockstep results will not be bitwise identical "
-                "to sequential runs, and their executions fall back to "
-                "scalar — give each device its own rng",
-                FleetBuildWarning, stacklevel=3,
-            )
-    aliased = shared.get(simulator.rng)
-    if aliased:
-        warnings.warn(
-            f"fleet devices {aliased} use the simulator's own noise "
-            "generator: sequential equivalence is lost — give each "
-            "device a private rng",
-            FleetBuildWarning, stacklevel=3,
-        )
-    if unseeded:
-        warnings.warn(
-            f"fleet devices {unseeded} have no private noise generator "
-            "(no rng): they draw measurement noise from the "
-            "simulator's shared stream and execute scalar — give each "
-            "device its own rng",
-            FleetBuildWarning, stacklevel=3,
-        )
-
-
 def build_fleet(
     devices: Sequence[DeviceSpec],
     simulator: SoCSimulator,
     base_space: ConfigurationSpace,
-    validate: bool = True,
 ) -> FleetEngine:
-    """Lower a device list onto a ready-to-run :class:`FleetEngine`.
+    """Lower a device list onto a prepared :class:`FleetEngine`.
 
-    ``validate`` (default on) eagerly checks RNG independence across the
-    devices and emits a :class:`FleetBuildWarning` naming the devices
-    whenever the lockstep equivalence contract is compromised or sessions
-    will silently execute scalar.
+    :meth:`~repro.fleet.engine.FleetEngine.prepare` refuses a fleet
+    outside the engine's input shape, naming the devices.
     """
     sessions: List[PolicySession] = [
         device_session(device, simulator, base_space) for device in devices
     ]
     engine = FleetEngine(sessions)
-    if validate:
-        warn_rng_hazards(devices, simulator)
-        # Object-keyed (never id()) map back to the device names.
-        name_of = {session: device.name
-                   for device, session in zip(devices, sessions)}
-        fallback = [name_of[session]
-                    for session in engine.execute_fallback_sessions()]
-        if fallback:
-            warnings.warn(
-                f"fleet devices {fallback} fall back to scalar (unbatched) "
-                "execution — see FleetEngine._execute_batchable for the "
-                "eligibility rules",
-                FleetBuildWarning, stacklevel=2,
-            )
+    engine.prepare()
     return engine

@@ -2,36 +2,45 @@
 
 The paper's deployment story is the online-IL governor running on *every*
 device of a fleet.  :class:`FleetEngine` simulates exactly that: ``N``
-heterogeneous devices — each with its own seed, snippet sequence, policy
-state and (optionally) scenario schedule or restricted configuration space
-— advanced one decision epoch at a time, in lockstep.
+heterogeneous devices — each with its own noise generator, snippet
+sequence, policy state and (optionally) scenario schedule — advanced one
+decision epoch at a time, in lockstep.
+
+Input shape
+-----------
+:meth:`FleetEngine.prepare` takes one shape of fleet and raises
+:class:`ValueError`, naming the devices, for anything else:
+
+* every session runs on the same :class:`~repro.soc.simulator.SoCSimulator`
+  object, whose class does not override ``run_snippet``;
+* every session's space has the same
+  :meth:`~repro.soc.configuration.ConfigurationSpace.content_key`, and
+  each policy reasons over its session's space object;
+* every session owns its noise generator
+  (:func:`check_private_generators`).
 
 Equivalence contract
 --------------------
 A lockstep fleet produces **bitwise-identical per-device RunLogs** to the
-same ``N`` sessions driven to completion sequentially, provided each
-session owns an independent measurement-noise generator (sessions share no
-mutable state, so interleaving their steps cannot change any value).  The
-engine exploits that freedom on two phases:
+same ``N`` sessions driven to completion sequentially: sessions share no
+mutable state, so interleaving their steps cannot change any value.  The
+engine exploits that freedom on three phases:
 
 * **decide** — sessions whose policies advertise a shared
   :meth:`~repro.control.policy.DRMPolicy.fleet_decide_key` have their
   per-step decisions computed by one batched
   :meth:`~repro.control.policy.DRMPolicy.fleet_decide` call (the policy
-  implements the batch as an exact mirror of its scalar rule); everyone
-  else falls back to per-session scalar :meth:`~repro.core.session
-  .PolicySession.decide`.
-* **execute** — sessions running on a stock
-  :class:`~repro.soc.simulator.SoCSimulator` are executed through the
-  cross-session vectorized kernel
-  (:func:`~repro.fleet.kernels.lockstep_execute`).  Their
-  configuration-independent snippet characteristics and their pre-drawn
+  implements the batch as an exact mirror of its scalar rule); policies
+  without a key (RL, offline IL, the Oracle) decide through
+  :meth:`~repro.core.session.PolicySession.decide`.
+* **execute** — every session runs through the cross-session vectorized
+  kernel (:func:`~repro.fleet.kernels.lockstep_execute`).  The
+  configuration-independent snippet characteristics and the pre-drawn
   log-normal noise factors (consumed from each device's own generator in
   the scalar draw order) live in fleet-wide padded tensors built once at
-  :meth:`prepare`, so the per-step inputs are two fancy-indexing gathers.
-  Sessions with exotic simulators (or shared/missing generators) fall
-  back to scalar :meth:`~repro.core.session.PolicySession.execute`.
-
+  :meth:`prepare`, and every decided step carries its configuration's
+  index in the fleet's one space content, so the per-step inputs are
+  fancy-indexing gathers.
 * **observe** — policies advertising a shared
   :meth:`~repro.control.policy.DRMPolicy.fleet_observe_key` (online-IL:
   its per-device observe is two rank-1 RLS model updates) have their
@@ -58,14 +67,13 @@ which :class:`~repro.fleet.supervisor.FleetSupervisor` injects faults:
   :class:`~repro.soc.simulator.SnippetResult` before any observe, batched
   or scalar.
 
-Once :meth:`run` (or :meth:`prepare`) has adopted a session for batched
-execution, its noise stream has been pre-drawn — keep driving it through
-the engine rather than calling ``session.execute`` directly.
+Once :meth:`run` (or :meth:`prepare`) has pre-drawn a session's noise
+stream, keep driving it through the engine rather than calling
+``session.execute`` directly.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import (TYPE_CHECKING, AbstractSet, Callable, Dict, List,
                     Mapping, Optional, Sequence, Tuple)
 
@@ -82,6 +90,41 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet -> core)
 ResultTransform = Callable[[SnippetResult], SnippetResult]
 
 
+def check_private_generators(members: Sequence,
+                             simulator: SoCSimulator) -> None:
+    """Raise :class:`ValueError` unless every member owns its noise generator.
+
+    ``members`` are :class:`~repro.fleet.device.DeviceSpec`\\ s or
+    :class:`~repro.core.session.PolicySession`\\ s; both carry ``name``,
+    ``rng`` and ``policy``.  A generator is refused when it is missing,
+    held by another member, the simulator's own, or held by the member's
+    policy as ``rng`` or ``_rng``: pre-drawing a stream that something
+    else also draws from would reorder its draws against a sequential
+    run, and a sharded fleet would draw from one copy per shard.
+    """
+    # Object-keyed map (identity hash, strong refs) — id() keys are
+    # process-local and reusable after GC, so they are banned from every
+    # fleet map (the lint test greps for them).
+    holders: Dict[np.random.Generator, List[str]] = {}
+    refused: List[str] = []
+    for member in members:
+        rng = member.rng
+        if rng is None:
+            refused.append(f"{member.name!r} has none")
+        elif rng is simulator.rng:
+            refused.append(f"{member.name!r} holds the simulator's")
+        elif any(getattr(member.policy, attr, None) is rng
+                 for attr in ("rng", "_rng")):
+            refused.append(f"{member.name!r} shares it with its policy")
+        else:
+            holders.setdefault(rng, []).append(member.name)
+    refused.extend(f"{names} share one" for names in holders.values()
+                   if len(names) > 1)
+    if refused:
+        raise ValueError("every fleet device needs a noise generator of "
+                         "its own: " + "; ".join(refused))
+
+
 def _noise_draws(rng: np.random.Generator, noise_scale: float,
                 steps: int) -> np.ndarray:
     """The scalar path's measurement-noise normals for ``steps`` steps.
@@ -92,80 +135,6 @@ def _noise_draws(rng: np.random.Generator, noise_scale: float,
     executions would.
     """
     return rng.normal(0.0, noise_scale, size=(steps, 2))
-
-
-class _ExecGroup:
-    """Sessions sharing one simulator, with fleet-wide step tensors.
-
-    ``chars`` is the padded ``(n_sessions, T_max, n_columns)`` snippet
-    characteristics tensor and ``noise`` the matching ``(n_sessions,
-    T_max, 2)`` pre-drawn ``exp(normal)`` factor tensor (``None`` for
-    noise-free simulators).  A session's tensor row is its *position* in
-    ``sessions`` — an explicit index, never an ``id()``-derived key, so
-    the group survives pickling and can be rebuilt across process
-    boundaries (sharded fleets).  ``fleet_rows`` maps each group row to
-    the session's row in the owning engine's session list.  One step of
-    the group gathers both tensors with a single fancy index.
-    """
-
-    __slots__ = ("simulator", "sessions", "fleet_rows", "chars", "noise",
-                 "uniform_soa", "active_members", "active_rows",
-                 "active_fleet_rows", "initial_rng", "trailing_rng")
-
-    def __init__(self, simulator: SoCSimulator,
-                 sessions: List[PolicySession],
-                 fleet_rows: List[int]) -> None:
-        self.simulator = simulator
-        self.sessions = sessions
-        self.fleet_rows = fleet_rows
-        # Generator state of each session *before* its noise stream is
-        # pre-drawn below, keyed by the session's group row, with the step
-        # index the stream was positioned at.
-        self.initial_rng: Dict[int, Tuple[dict, int]] = {}
-        # Per pre-drawn row, a generator that sequential stepping would
-        # have left at the paired step: built from initial_rng the first
-        # time FleetEngine.sequential_rng_state needs it, then advanced
-        # only by the steps completed since.
-        self.trailing_rng: Dict[int, Tuple[np.random.Generator, int]] = {}
-        spaces = {session.space.content_key() for session in sessions}
-        self.uniform_soa = (sessions[0].space.soa_view()
-                            if len(spaces) == 1 else None)
-        self.active_members: List[PolicySession] = []
-        self.active_rows = np.empty(0, dtype=np.intp)
-        self.active_fleet_rows: List[int] = []
-        t_max = max(len(session) for session in sessions)
-        traces = [TraceArrays(session.snippets) for session in sessions]
-        n_columns = traces[0].matrix.shape[1]
-        self.chars = np.zeros((len(sessions), t_max, n_columns))
-        for row, trace in enumerate(traces):
-            self.chars[row, :len(trace)] = trace.matrix
-        noise_scale = simulator.noise_scale
-        if noise_scale == 0.0:
-            self.noise: Optional[np.ndarray] = None
-            return
-        self.noise = np.ones((len(sessions), t_max, 2))
-        for row, session in enumerate(sessions):
-            remaining = len(session) - session.step_index
-            if remaining <= 0:
-                continue
-            start = session.step_index
-            self.initial_rng[row] = (
-                session.rng.bit_generator.state, start
-            )
-            self.noise[row, start:start + remaining] = np.exp(
-                _noise_draws(session.rng, noise_scale, remaining)
-            )
-
-    def refresh(self, live: AbstractSet[PolicySession]) -> None:
-        self.active_members = []
-        self.active_fleet_rows = []
-        rows: List[int] = []
-        for row, session in enumerate(self.sessions):
-            if session in live:
-                self.active_members.append(session)
-                self.active_fleet_rows.append(self.fleet_rows[row])
-                rows.append(row)
-        self.active_rows = np.array(rows, dtype=np.intp)
 
 
 class _DecideGroup:
@@ -228,147 +197,132 @@ class FleetEngine:
         self._scalar_decide: List[PolicySession] = []
         self._live_scalar_decide: List[PolicySession] = []
         self._decide_groups: List[_DecideGroup] = []
-        self._exec_groups: List[_ExecGroup] = []
-        # Each batched-execute session's group and row in it (see
-        # _fleet_row on keying by the session object).
-        self._exec_slot: Dict[PolicySession, Tuple[_ExecGroup, int]] = {}
-        self._scalar_execute: List[PolicySession] = []
-        self._scalar_execute_rows: List[int] = []
         self._observe_groups: List[_ObserveGroup] = []
+        # The vectorized kernel's inputs, built by prepare().
+        self._simulator: SoCSimulator = self.sessions[0].simulator
+        self._soa = None
+        self._chars: Optional[np.ndarray] = None
+        self._noise: Optional[np.ndarray] = None
+        self._initial_rng: Dict[int, Tuple[dict, int]] = {}
+        self._trailing_rng: Dict[int, Tuple[np.random.Generator, int]] = {}
         self._active: List[PolicySession] = []
         self._active_rows: List[int] = []
+        self._active_row_array = np.empty(0, dtype=np.intp)
         self._active_dirty = True
         self._held: AbstractSet[int] = frozenset()
 
     # ------------------------------------------------------------------ #
     # Preparation
     # ------------------------------------------------------------------ #
-    def _session_decide_key(self, session: PolicySession) -> Optional[Tuple]:
-        """Batched-decide group key of ``session`` (None = scalar fallback).
+    def _check_input_shape(self) -> None:
+        """Raise :class:`ValueError` for a fleet outside the one input shape.
 
-        Batching a decide requires the policy to reason over exactly the
-        session's space; a scenario schedule is fine — the engine mirrors
-        the session's clamp/throttle phase on the batched decisions before
-        installing each pending step.
+        See the module's "Input shape"; each error names the devices.
         """
-        if session.policy.space is not session.space:
-            return None
-        return session.policy.fleet_decide_key()
-
-    def _session_observe_key(self, session: PolicySession) -> Optional[Tuple]:
-        """Batched-observe group key of ``session`` (None = scalar observe)."""
-        if session.policy.space is not session.space:
-            return None
-        return session.policy.fleet_observe_key()
-
-    def _execute_batchable(self, session: PolicySession,
-                           rng_users: Counter) -> bool:
-        """Whether ``session`` may run through the vectorized kernel.
-
-        Requires a stock :class:`SoCSimulator` execution path (subclasses
-        overriding ``run_snippet`` keep their override) and a private
-        noise generator — pre-drawing from a stream some other consumer
-        also draws from (another session, the simulator itself, or the
-        session's own policy via a shared/aliased generator) would reorder
-        draws relative to sequential runs.  Policies stashing a generator
-        under an unconventional attribute name escape the heuristic
-        aliasing check — give every device a generator of its own.
-        """
-        simulator = session.simulator
+        sessions = self.sessions
+        first = sessions[0]
+        simulator = first.simulator
+        names = [session.name for session in sessions
+                 if session.simulator is not simulator]
+        if names:
+            raise ValueError(f"fleet devices {names} run on another "
+                             f"simulator object than {first.name!r}")
         if type(simulator).run_snippet is not SoCSimulator.run_snippet:
-            return False
-        rng = session.rng
-        if rng is None or rng is simulator.rng:
-            return False
-        for attr in ("rng", "_rng"):
-            if getattr(session.policy, attr, None) is rng:
-                return False
-        return rng_users[rng] == 1
+            raise ValueError(
+                f"fleet devices {[session.name for session in sessions]} "
+                f"run on {type(simulator).__name__}, which overrides "
+                "run_snippet: the lockstep kernel replays SoCSimulator's"
+            )
+        content = first.space.content_key()
+        names = [session.name for session in sessions
+                 if session.space.content_key() != content]
+        if names:
+            raise ValueError(f"fleet devices {names} have a configuration "
+                             f"space of other content than {first.name!r}")
+        names = [session.name for session in sessions
+                 if session.policy.space is not session.space]
+        if names:
+            raise ValueError(f"fleet devices {names} have a policy over "
+                             "another space object than their session's")
+        check_private_generators(sessions, simulator)
 
     def prepare(self) -> None:
-        """Classify sessions and build the fleet step tensors (idempotent)."""
+        """Check the input shape, group the policies and build the step
+        tensors (idempotent).
+
+        The step tensors are indexed by fleet row, an explicit index and
+        never an ``id()``-derived key, so they can be rebuilt across
+        process boundaries (sharded fleets).  ``_chars`` is the padded
+        ``(n_sessions, T_max, n_columns)`` snippet characteristics tensor
+        and ``_noise`` the matching ``(n_sessions, T_max, 2)`` pre-drawn
+        ``exp(normal)`` factor tensor (``None`` for a noise-free
+        simulator).  ``_soa`` holds the knob columns of the fleet's one
+        space content, gathered by each step's configuration index.
+        """
         if self._prepared:
             return
-        # Counters/dicts below key on the objects themselves (generators,
-        # simulators) — identity-hashed with strong references, so keys
-        # can never alias through address reuse the way id() keys can.
-        rng_users = Counter(
-            session.rng for session in self.sessions
-            if session.rng is not None
-        )
+        self._check_input_shape()
         decide_groups: Dict[Tuple, List[PolicySession]] = {}
-        exec_groups: Dict[SoCSimulator, List[PolicySession]] = {}
         observe_groups: Dict[Tuple, List[PolicySession]] = {}
         for session in self.sessions:
-            key = self._session_decide_key(session)
+            key = session.policy.fleet_decide_key()
             if key is None:
                 self._scalar_decide.append(session)
             else:
                 decide_groups.setdefault(key, []).append(session)
-            if self._execute_batchable(session, rng_users):
-                exec_groups.setdefault(session.simulator, []).append(session)
-            else:
-                self._scalar_execute.append(session)
-                self._scalar_execute_rows.append(self._fleet_row[session])
-            observe_key = self._session_observe_key(session)
+            observe_key = session.policy.fleet_observe_key()
             if observe_key is not None:
                 observe_groups.setdefault(observe_key, []).append(session)
         self._decide_groups = [
             _DecideGroup(members) for members in decide_groups.values()
         ]
-        self._exec_groups = [
-            _ExecGroup(simulator, members,
-                       [self._fleet_row[session] for session in members])
-            for simulator, members in exec_groups.items()
-        ]
-        self._exec_slot = {
-            session: (group, row) for group in self._exec_groups
-            for row, session in enumerate(group.sessions)
-        }
         self._observe_groups = [
             _ObserveGroup(members) for members in observe_groups.values()
             if len(members) >= 2
         ]
+        sessions = self.sessions
+        self._soa = sessions[0].space.soa_view()
+        t_max = max(len(session) for session in sessions)
+        traces = [TraceArrays(session.snippets) for session in sessions]
+        n_columns = traces[0].matrix.shape[1]
+        self._chars = np.zeros((len(sessions), t_max, n_columns))
+        for row, trace in enumerate(traces):
+            self._chars[row, :len(trace)] = trace.matrix
+        noise_scale = self._simulator.noise_scale
+        if noise_scale != 0.0:
+            self._noise = np.ones((len(sessions), t_max, 2))
+            for row, session in enumerate(sessions):
+                remaining = len(session) - session.step_index
+                if remaining <= 0:
+                    continue
+                start = session.step_index
+                # The generator's state *before* its stream is pre-drawn,
+                # with the step index the stream was positioned at.
+                self._initial_rng[row] = (
+                    session.rng.bit_generator.state, start
+                )
+                self._noise[row, start:start + remaining] = np.exp(
+                    _noise_draws(session.rng, noise_scale, remaining)
+                )
         self._prepared = True
 
-    def execute_fallback_sessions(self) -> List[PolicySession]:
-        """Sessions whose executions would run scalar (no batched kernel).
-
-        Pure classification — usable before :meth:`prepare` (no step
-        tensors are built and no noise is pre-drawn), so fleet builders
-        can surface the silent performance degradation eagerly
-        (:func:`~repro.fleet.device.build_fleet` warns with the device
-        names).
-        """
-        rng_users = Counter(
-            session.rng for session in self.sessions
-            if session.rng is not None
-        )
-        return [session for session in self.sessions
-                if not self._execute_batchable(session, rng_users)]
-
-    def _sequential_rng(
-        self, session: PolicySession
-    ) -> Optional[np.random.Generator]:
+    def _sequential_rng(self, session: PolicySession) -> np.random.Generator:
         """``session``'s noise generator at its logical position.
 
         A pre-drawn row's generator is built from the pre-draw-time state
         the first time it is asked for, kept, and afterwards advanced only
         by the draws of the steps completed since the previous call.
-        Scalar-execute rows, noise-free simulators and rows that had
-        finished when the engine was built were never pre-drawn: their
-        ``session.rng`` already is sequential.
+        Noise-free simulators and rows that had finished when the engine
+        was built were never pre-drawn: their ``session.rng`` already is
+        sequential.
         """
         self.prepare()
-        slot = self._exec_slot.get(session)
-        if slot is None:
-            return session.rng
-        group, row = slot
-        trailing = group.trailing_rng.get(row)
+        row = self._fleet_row[session]
+        trailing = self._trailing_rng.get(row)
         if trailing is not None:
             rng, position = trailing
         else:
-            initial = group.initial_rng.get(row)
+            initial = self._initial_rng.get(row)
             if initial is None:
                 return session.rng
             state, position = initial
@@ -376,31 +330,29 @@ class FleetEngine:
             bit_generator.state = state
             rng = np.random.Generator(bit_generator)
         if session._cursor > position:
-            _noise_draws(rng, group.simulator.noise_scale,
+            _noise_draws(rng, self._simulator.noise_scale,
                          session._cursor - position)
-        group.trailing_rng[row] = (rng, session._cursor)
+        self._trailing_rng[row] = (rng, session._cursor)
         return rng
 
-    def sequential_rng_state(self, session: PolicySession) -> Optional[dict]:
+    def sequential_rng_state(self, session: PolicySession) -> dict:
         """Bit-generator state sequential scalar stepping would leave.
 
-        Adopting a session for batched execution pre-draws its private
-        noise stream for the whole remaining trace at :meth:`prepare`, so
-        ``session.rng`` no longer reflects the session's *logical*
-        position.  This is the state of an equivalent generator, which
-        the engine keeps per row between calls, so a call costs the draws
-        of the steps completed since the previous one.  Pass it to
+        :meth:`prepare` pre-draws each session's private noise stream for
+        the whole remaining trace, so ``session.rng`` no longer reflects
+        the session's *logical* position.  This is the state of an
+        equivalent generator, which the engine keeps per row between
+        calls, so a call costs the draws of the steps completed since the
+        previous one.  Pass it to
         :meth:`~repro.core.session.PolicySession.snapshot_state`.
-        ``None`` for a session without a generator.
         """
-        rng = self._sequential_rng(session)
-        return None if rng is None else rng.bit_generator.state
+        return self._sequential_rng(session).bit_generator.state
 
     def release_sessions(self) -> List[PolicySession]:
         """Detach every session with a sequential-equivalent noise stream.
 
-        Adopted sessions had their private generators pre-drawn to the end
-        of the trace at :meth:`prepare`; this hands each session the
+        :meth:`prepare` pre-drew every session's private generator to the
+        end of its trace; this hands each session the
         generator :meth:`sequential_rng_state` describes, so the sessions
         can be handed to a *new* engine (or driven scalar) and continue
         bitwise identically to an uninterrupted sequential run.  The
@@ -465,11 +417,11 @@ class FleetEngine:
             if session._cursor < session._trace_len and row not in self._held:
                 self._active.append(session)
                 self._active_rows.append(row)
+        self._active_row_array = np.array(self._active_rows, dtype=np.intp)
         live = set(self._active)
         self._live_scalar_decide = [session for session in self._scalar_decide
                                     if session in live]
-        for group in (*self._decide_groups, *self._exec_groups,
-                      *self._observe_groups):
+        for group in (*self._decide_groups, *self._observe_groups):
             group.refresh(live)
 
     def _decide_phase(self) -> None:
@@ -513,7 +465,7 @@ class FleetEngine:
                     throttled = active_space is not session.space
                     if throttled and not active_space.contains(config):
                         config = active_space.clamp(config)
-                        index = session.space._index.get(config)
+                        index = session.space.index_of(config)
                 session._pending = step_from_values({
                     "index": session._cursor,
                     "snippet": snippet,
@@ -529,29 +481,20 @@ class FleetEngine:
     ) -> None:
         """Execute every pending step and feed the outcomes back.
 
-        Execution results are collected first (batched kernel groups plus
-        scalar stragglers) and rewritten by ``transforms``, then observe
-        groups deliver their policies' feedback through one
-        ``fleet_observe`` call each before the per-session bookkeeping
-        observe runs; everyone else observes scalar.  Sessions share no
-        mutable state, so the regrouping cannot change any value relative
-        to the sequential order.
+        Every active row executes in one kernel call, and ``transforms``
+        rewrite the results; then observe groups deliver their policies'
+        feedback through one ``fleet_observe`` call each before the
+        per-session bookkeeping observe runs; everyone else observes
+        scalar.  Sessions share no mutable state, so the regrouping cannot
+        change any value relative to the sequential order.
         """
         # Execution results indexed by explicit fleet row (the session's
         # position in self.sessions) — no id()-keyed maps on the hot path.
         results_of: List[Optional[SnippetResult]] = [None] * len(self.sessions)
-        for group in self._exec_groups:
-            members = group.active_members
-            if not members:
-                continue
-            results = self._execute_group(group, members)
-            for fleet_row, result in zip(group.active_fleet_rows, results):
-                results_of[fleet_row] = result
-            self.batched_executions += len(members)
-        for fleet_row, session in zip(self._scalar_execute_rows,
-                                      self._scalar_execute):
-            if session._pending is not None:
-                results_of[fleet_row] = session.execute(session._pending)
+        for fleet_row, result in zip(self._active_rows,
+                                     self._execute_active()):
+            results_of[fleet_row] = result
+        self.batched_executions += len(self._active)
         if transforms:
             for fleet_row, transform in transforms.items():
                 results_of[fleet_row] = transform(results_of[fleet_row])
@@ -575,56 +518,31 @@ class FleetEngine:
         for fleet_row, session in zip(self._active_rows, self._active):
             if fleet_row in batch_observed:
                 continue
-            step = session._pending
-            if step is not None:
-                session.observe(step, results_of[fleet_row])
+            session.observe(session._pending, results_of[fleet_row])
 
-    def _execute_group(
-        self,
-        group: _ExecGroup,
-        members: Sequence[PolicySession],
-    ) -> List[SnippetResult]:
+    def _execute_active(self) -> List[SnippetResult]:
+        """One :func:`lockstep_execute` call over every active row."""
+        members = self._active
         n = len(members)
-        rows = group.active_rows
+        rows = self._active_row_array
         cursors = np.fromiter((session._cursor for session in members),
                               dtype=np.intp, count=n)
-        char_rows = group.chars[rows, cursors]
-        noise = None if group.noise is None else group.noise[rows, cursors]
-        group_steps = [session._pending for session in members]
-        simulator = group.simulator
-        cluster_names = simulator.platform.cluster_names
+        steps = [session._pending for session in members]
+        indices = np.fromiter((step.configuration_index for step in steps),
+                              dtype=np.intp, count=n)
+        simulator = self._simulator
         opp_index: Dict[str, np.ndarray] = {}
         cores: Dict[str, np.ndarray] = {}
-        soa = group.uniform_soa
-        if (soa is not None
-                and all(step.configuration_index is not None
-                        for step in group_steps)):
-            # Every decided configuration is index-addressed in one shared
-            # space: gather the knob columns straight from its SoA view.
-            indices = np.fromiter(
-                (step.configuration_index for step in group_steps),
-                dtype=np.intp, count=n,
-            )
-            for name in cluster_names:
-                arrays = soa.cluster(name)
-                opp_index[name] = arrays.opp_index[indices]
-                cores[name] = arrays.active_cores[indices]
-        else:
-            for name in cluster_names:
-                opp_index[name] = np.fromiter(
-                    (step.configuration.opp_index(name)
-                     for step in group_steps), dtype=np.intp, count=n,
-                )
-                cores[name] = np.fromiter(
-                    (step.configuration.cores(name)
-                     for step in group_steps), dtype=np.intp, count=n,
-                )
+        for name in simulator.platform.cluster_names:
+            arrays = self._soa.cluster(name)
+            opp_index[name] = arrays.opp_index[indices]
+            cores[name] = arrays.active_cores[indices]
         return lockstep_execute(
             simulator,
-            [step.snippet for step in group_steps],
-            char_rows,
+            [step.snippet for step in steps],
+            self._chars[rows, cursors],
             opp_index,
             cores,
-            [step.configuration for step in group_steps],
-            noise,
+            [step.configuration for step in steps],
+            None if self._noise is None else self._noise[rows, cursors],
         )

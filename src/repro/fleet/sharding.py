@@ -46,8 +46,8 @@ import multiprocessing
 import numpy as np
 
 from repro.core.framework import PolicyRunResult
-from repro.fleet.device import DeviceSpec, build_fleet, warn_rng_hazards
-from repro.fleet.engine import FleetEngine
+from repro.fleet.device import DeviceSpec, build_fleet
+from repro.fleet.engine import FleetEngine, check_private_generators
 from repro.soc.configuration import ConfigurationSpace
 from repro.soc.simulator import SoCSimulator
 
@@ -147,8 +147,7 @@ def _shard_main(conn, devices: Sequence[DeviceSpec],
                 collect: str) -> None:
     """Child process: build the shard's engine, step it on ``go``, reply."""
     try:
-        engine = build_fleet(devices, simulator, base_space, validate=False)
-        engine.prepare()
+        engine = build_fleet(devices, simulator, base_space)
     except Exception:
         conn.send(("error", traceback.format_exc()))
         return
@@ -229,8 +228,9 @@ class ShardedFleetEngine:
         self.simulator = simulator
         self.base_space = base_space
         self.collect = collect
-        # The children's own build_fleet warnings never reach the caller.
-        warn_rng_hazards(self.devices, simulator)
+        # Each child checks only its own shard, and a generator shared
+        # across shards would be drawn from one copy per child.
+        check_private_generators(self.devices, simulator)
         # Contiguous partition (device order preserved, numpy.array_split
         # sizing: the first n % k shards get one extra device), so
         # concatenating shard outputs restores fleet order.

@@ -198,8 +198,8 @@ class FleetSupervisor:
                 f"count {len(self.devices)}"
             )
         else:
-            # Restored sessions: skip build_fleet's session construction
-            # (and its hazard validation, which targets fresh fleets).
+            # Restored sessions: skip build_fleet's session construction;
+            # the engine's prepare() checks them like a fresh fleet.
             self.engine = FleetEngine(sessions)
         #: One record per device, in fleet order (a record's row is its
         #: device's position in engine.sessions).

@@ -390,11 +390,14 @@ class ConfigurationSpace:
                          include_self: bool = True) -> np.ndarray:
         """Indices of the configurations within ``radius`` OPP steps.
 
-        This is the index-table twin of :meth:`neighbors`: the neighbourhood
-        of configuration ``index`` is enumerated once per ``(index, radius,
-        include_self)`` and memoised, so the per-step candidate sweep of the
-        online-IL runtime Oracle stops rebuilding configuration objects.  The
-        returned array is cached — treat it as read-only.
+        The online-IL runtime Oracle evaluates candidate configurations "in
+        a local neighbourhood of the current configuration" (Sec. IV-A3);
+        this defines that neighbourhood.  Core counts are held fixed unless
+        the cluster is gated, in which case +/- ``radius`` cores are
+        included.  The neighbourhood of configuration ``index`` is
+        enumerated once per ``(index, radius, include_self)`` and memoised,
+        so the per-step candidate sweep stops rebuilding configuration
+        objects.  The returned array is cached — treat it as read-only.
         """
         if radius < 0:
             raise ValueError(f"radius must be non-negative, got {radius}")
@@ -452,27 +455,6 @@ class ConfigurationSpace:
             memo = (table, lengths)
             self._neighborhood_tables[key] = memo
         return memo
-
-    def neighbors(self, config: SoCConfiguration, radius: int = 1,
-                  include_self: bool = True) -> List[SoCConfiguration]:
-        """Configurations within ``radius`` OPP steps per cluster.
-
-        The online-IL runtime Oracle evaluates candidate configurations "in a
-        local neighbourhood of the current configuration" (Sec. IV-A3); this
-        method defines that neighbourhood.  Core counts are held fixed unless
-        core gating is enabled, in which case +/- radius cores are included.
-        Backed by the memoised :meth:`neighbor_indices` tables.
-        """
-        if config in self._index:
-            indices = self.neighbor_indices(self._index[config], radius,
-                                            include_self)
-            return [self._configs[i] for i in indices]
-        # A configuration outside the space (e.g. from a differently
-        # restricted sibling space) still gets a correct, uncached answer.
-        if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
-        indices = self._enumerate_neighbor_indices(config, radius, include_self)
-        return [self._configs[i] for i in indices]
 
     def random_configuration(self, rng: np.random.Generator) -> SoCConfiguration:
         return self._configs[int(rng.integers(0, len(self._configs)))]

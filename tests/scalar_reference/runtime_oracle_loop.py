@@ -4,9 +4,12 @@
 time of a whole candidate neighbourhood with one array pass per model.
 These functions are the loop it replaced: one scalar power prediction
 (:func:`predict_power`) and one scalar time prediction
-(:func:`predict_time_s`) per candidate of
-:meth:`~repro.soc.configuration.ConfigurationSpace.neighbors`, then
-Python's ``min`` over the estimate list, which keeps the first minimum.
+(:func:`predict_time_s`) per candidate of the space's memoised
+:meth:`~repro.soc.configuration.ConfigurationSpace.neighbor_indices`
+table, then Python's ``min`` over the estimate list, which keeps the
+first minimum.  :func:`neighbors` filters the neighbourhood out of the
+whole space instead; it is the independent reference the tests check
+that table against, and stays out of the timed sweep.
 :func:`power_features` (counters observed at a reference configuration
 other than the candidate) and :func:`little_busy_cycles` are scalar
 feature helpers only this loop needs; the models' own scalar helpers
@@ -25,8 +28,28 @@ from repro.models.performance import (
     PerformanceModelFeatures,
 )
 from repro.models.power import CpuPowerModel, PowerModelFeatures
-from repro.soc.configuration import SoCConfiguration
+from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
 from repro.soc.counters import PerformanceCounters
+
+
+def neighbors(space: ConfigurationSpace, config: SoCConfiguration,
+              radius: int = 1,
+              include_self: bool = True) -> List[SoCConfiguration]:
+    """The configurations of ``space`` near ``config``, in space order.
+
+    Near means within ``radius`` OPP steps on every cluster and within
+    ``radius`` cores on every cluster (the cores of an ungated cluster
+    never vary in the space).
+    """
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
+    return [
+        candidate for candidate in space
+        if (include_self or candidate != config) and all(
+            abs(candidate.opp_index(name) - config.opp_index(name)) <= radius
+            and abs(candidate.cores(name) - config.cores(name)) <= radius
+            for name in space.cluster_order)
+    ]
 
 
 def _busy_cores(utilization: float, reference_cores: int,
@@ -145,9 +168,9 @@ def predict_time_s(model: CpuPerformanceModel, counters: PerformanceCounters,
 def candidate_estimates(oracle: RuntimeOracle, counters: PerformanceCounters,
                         current: SoCConfiguration) -> List[CandidateEstimate]:
     """Predicted power/time/energy for every candidate configuration."""
-    candidates = oracle.space.neighbors(
-        current, radius=oracle.neighborhood_radius, include_self=True
-    )
+    space = oracle.space
+    candidates = [space[i] for i in space.neighbor_indices(
+        space.index_of(current), oracle.neighborhood_radius)]
     estimates: List[CandidateEstimate] = []
     for candidate in candidates:
         power = predict_power(oracle.power_model, counters, candidate,

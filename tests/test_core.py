@@ -24,6 +24,8 @@ from repro.soc.counters import FEATURE_NAMES
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import get_workload, training_workloads
 
+from scalar_reference import runtime_oracle_loop
+
 
 @pytest.fixture(scope="module")
 def short_trace():
@@ -174,7 +176,8 @@ class TestRuntimeOracle:
             runtime_oracle.update_models(result.counters, current)
             best, estimate = runtime_oracle.best_configuration(result.counters, current)
             achieved = framework.simulator.evaluate_expected(snippet, best).energy_j
-            neighborhood = framework.space.neighbors(current, radius=2)
+            neighborhood = runtime_oracle_loop.neighbors(
+                framework.space, current, radius=2)
             neighborhood_best = min(
                 framework.simulator.evaluate_expected(snippet, c).energy_j
                 for c in neighborhood)

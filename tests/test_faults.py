@@ -12,7 +12,7 @@ contract:
 
 Plus the degradation paths around them: deterministic plan generation,
 serializable fault specs, online-IL gating of corrupted telemetry, and
-the build-time RNG hazard warnings.
+the build-time refusal of fleets the lockstep kernel cannot run.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.fleet import (
     DeviceHealth,
     DeviceSpec,
     FaultPlan,
-    FleetBuildWarning,
     FleetEngine,
     FleetSupervisor,
     SnapshotRestart,
@@ -422,10 +421,18 @@ class TestOnlineILGating:
 
 
 # --------------------------------------------------------------------- #
-# build_fleet hazard warnings
+# Fleets the lockstep kernel cannot run are refused at build time
 # --------------------------------------------------------------------- #
-class TestBuildFleetWarnings:
-    def test_shared_rng_warns_with_device_names(self, noisy_simulator, space):
+class _OverridingSimulator(SoCSimulator):
+    """Overrides ``run_snippet``, which the lockstep kernel cannot replay."""
+
+    def run_snippet(self, *args, **kwargs):
+        return super().run_snippet(*args, **kwargs)
+
+
+class TestBuildFleetRefusals:
+    def test_shared_rng_raises_with_device_names(self, noisy_simulator,
+                                                 space):
         shared = np.random.default_rng(0)
         devices = [
             DeviceSpec(name=f"dev{i}",
@@ -433,40 +440,48 @@ class TestBuildFleetWarnings:
                        snippets=make_trace(i), rng=shared)
             for i in range(2)
         ]
-        with pytest.warns(FleetBuildWarning, match="dev0.*dev1"):
+        with pytest.raises(ValueError,
+                           match=r"\['dev0', 'dev1'\] share one"):
             build_fleet(devices, noisy_simulator, space)
 
-    def test_unseeded_devices_warn(self, noisy_simulator, space):
+    def test_missing_rng_raises_with_device_name(self, noisy_simulator,
+                                                 space):
         devices = [DeviceSpec(name="dev0",
                               policy=GovernorPolicy(OndemandGovernor(space)),
-                              snippets=make_trace(0))]
-        with pytest.warns(FleetBuildWarning, match="dev0"):
+                              snippets=make_trace(0), rng=None)]
+        with pytest.raises(ValueError, match="'dev0' has none"):
             build_fleet(devices, noisy_simulator, space)
 
-    def test_clean_fleet_does_not_warn(self, noisy_simulator, space):
+    def test_clean_fleet_builds_without_warnings(self, noisy_simulator,
+                                                 space):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", FleetBuildWarning)
+            warnings.simplefilter("error")
             build_fleet(governor_devices(space), noisy_simulator, space)
 
-    def test_validate_false_silences_warnings(self, noisy_simulator, space):
-        devices = [DeviceSpec(name="dev0",
-                              policy=GovernorPolicy(OndemandGovernor(space)),
-                              snippets=make_trace(0))]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", FleetBuildWarning)
-            build_fleet(devices, noisy_simulator, space, validate=False)
+    def test_simulator_overriding_run_snippet_raises(self, platform, space):
+        simulator = _OverridingSimulator(platform, noise_scale=0.02, seed=0)
+        with pytest.raises(ValueError,
+                           match=r"\['dev0', 'dev1'\] run on "
+                                 "_OverridingSimulator"):
+            build_fleet(governor_devices(space, n=2), simulator, space)
+
+    def test_session_on_another_simulator_raises(self, noisy_simulator,
+                                                 platform, space):
+        other = SoCSimulator(platform, noise_scale=0.02, seed=0)
+        sessions = [device_session(device,
+                                   other if i == 1 else noisy_simulator,
+                                   space)
+                    for i, device in enumerate(governor_devices(space))]
+        engine = FleetEngine(sessions)
+        with pytest.raises(ValueError, match=r"\['dev1'\] run on another "
+                                             "simulator object than 'dev0'"):
+            engine.step()
+        assert all(session.step_index == 0 for session in sessions)
 
 
 # --------------------------------------------------------------------- #
 # Engine RNG reconstruction (snapshotting batched sessions)
 # --------------------------------------------------------------------- #
-class _ScalarOnlySimulator(SoCSimulator):
-    """Overrides ``run_snippet``, so its sessions execute scalar."""
-
-    def run_snippet(self, *args, **kwargs):
-        return super().run_snippet(*args, **kwargs)
-
-
 def ragged_devices(space):
     """Fresh governor fleet whose traces are 7, 24, 7 and 24 steps."""
     return [
@@ -554,22 +569,6 @@ class TestSequentialRngState:
                                       space)
         for session, reference in zip(engine.sessions, references):
             self._assert_resumes(engine, session, simulator, reference)
-
-    def test_scalar_execute_session(self, noisy_simulator, space, platform):
-        """A row on a simulator the kernel cannot run keeps its own,
-        already sequential generator beside batched rows."""
-        scalar = _ScalarOnlySimulator(platform, noise_scale=0.02, seed=0)
-        devices = ragged_devices(space)
-        sessions = [device_session(device,
-                                   scalar if i == 1 else noisy_simulator,
-                                   space)
-                    for i, device in enumerate(devices)]
-        engine = FleetEngine(sessions)
-        assert engine.execute_fallback_sessions() == [sessions[1]]
-        for _ in range(3):
-            engine.step()
-        reference = device_session(ragged_devices(space)[1], scalar, space)
-        self._assert_resumes(engine, sessions[1], scalar, reference)
 
     def test_snapshot_draws_cover_each_step_once(self, noisy_simulator,
                                                  space, monkeypatch):

@@ -5,13 +5,12 @@ devices — batched decides, batched executions, pre-drawn noise streams —
 produces **bitwise-identical per-device RunLogs** to N independent
 sequential runs of the same sessions.  These tests pin that contract for
 every batching combination (governor fleets, mixed-policy fleets, ragged
-trace lengths, throttled scenario devices, restricted per-device spaces,
-online-IL learning devices) plus the capability plumbing around it.
+trace lengths, throttled scenario devices, a fleet over a restricted
+space, online-IL learning devices) plus the capability plumbing around
+it and the refusal of every input outside the engine's one shape.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -19,12 +18,11 @@ import pytest
 from repro.control.policy import GovernorPolicy, StaticPolicy
 from repro.core.framework import run_policy_on_snippets
 from repro.core.session import PolicySession
-from repro.fleet import (DeviceSpec, FleetBuildWarning, FleetEngine,
-                         TraceArrays, build_fleet)
+from repro.fleet import DeviceSpec, FleetEngine, TraceArrays, build_fleet
 from repro.fleet.kernels import lockstep_execute
 from repro.scenarios import get_scenario
 from repro.scenarios.runtime import run_policy_on_scenario
-from repro.soc.configuration import ConfigurationSpace
+from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
 from repro.soc.governors import (
     InteractiveGovernor,
     OndemandGovernor,
@@ -196,18 +194,15 @@ class TestFleetEquivalence:
             GovernorPolicy(PerformanceGovernor(restricted)), trace,
             rng=np.random.default_rng(9),
         )
-        sessions = [
-            PolicySession(fleet_simulator, restricted,
-                          GovernorPolicy(PerformanceGovernor(restricted)),
-                          trace, rng=np.random.default_rng(9), name="capped"),
-            PolicySession(fleet_simulator, space,
-                          GovernorPolicy(PerformanceGovernor(space)),
-                          make_trace(2), rng=np.random.default_rng(10),
-                          name="full"),
+        devices = [
+            DeviceSpec(name=name,
+                       policy=GovernorPolicy(PerformanceGovernor(restricted)),
+                       snippets=make_trace(i), rng=np.random.default_rng(8 + i))
+            for i, name in ((1, "capped"), (2, "capped-too"))
         ]
-        engine = FleetEngine(sessions)
+        engine = build_fleet(devices, fleet_simulator, restricted)
         fleet = engine.run()
-        assert engine.batched_decisions > 0
+        assert engine.batched_decisions == engine.steps_executed
         assert_runs_bitwise_equal(sequential, fleet[0])
         # The performance governor always asks for the platform maximum,
         # which the cap excludes -> every decision lands on the default.
@@ -397,102 +392,159 @@ class TestFleetEquivalence:
             assert_runs_bitwise_equal(reference, actual, keys=keys)
         assert fleet[0].log.column("throttled").sum() > 0
 
-    def test_online_il_restricted_space_device_falls_back(
-            self, trained_framework):
-        """An online-IL device whose session space differs from its
-        policy's space is pinned to the scalar decide/observe paths and
-        stays bitwise faithful next to batched siblings."""
-        framework = trained_framework
-        simulator = framework.simulator
-        space = framework.space
-        restricted = space.restrict(max_opp_index=2)
-
-        def make_policy():
-            return framework.build_online_il_policy(
-                buffer_capacity=10, update_epochs=10, isolated=True,
-            )
-
-        traces = [make_trace(i, factor=0.2) for i in range(3)]
-        sequential = [
-            run_policy_on_snippets(
-                simulator, restricted if i == 0 else space, make_policy(),
-                traces[i], rng=np.random.default_rng(700 + i),
-            )
-            for i in range(3)
-        ]
-        sessions = [
-            PolicySession(simulator, restricted if i == 0 else space,
-                          make_policy(), traces[i],
-                          rng=np.random.default_rng(700 + i), name=f"d{i}")
-            for i in range(3)
-        ]
-        engine = FleetEngine(sessions)
-        fleet = engine.run()
-        # The mismatched device decides and observes scalar; its two
-        # full-space siblings still batch together.
-        assert 0 < engine.batched_decisions < engine.steps_executed
-        for reference, actual in zip(sequential, fleet):
-            assert_runs_bitwise_equal(reference, actual)
-
-
 # --------------------------------------------------------------------- #
 # Capability plumbing
 # --------------------------------------------------------------------- #
-class TestBatchingEligibility:
-    def test_shared_rng_disables_batched_execution(self, platform, space):
+class TestRefusedInputs:
+    """Every input outside the engine's one shape raises before any step,
+    naming the devices, the rows or the configuration."""
+
+    @staticmethod
+    def _governor_device(space, i, rng):
+        return DeviceSpec(name=f"d{i}",
+                          policy=GovernorPolicy(OndemandGovernor(space)),
+                          snippets=make_trace(i), rng=rng)
+
+    def test_shared_rng_is_refused(self, platform, space):
         simulator = SoCSimulator(platform, noise_scale=0.01, seed=0)
         shared = np.random.default_rng(0)
-        devices = [
-            DeviceSpec(name=f"d{i}",
-                       policy=GovernorPolicy(OndemandGovernor(space)),
-                       snippets=make_trace(i), rng=shared)
-            for i in range(3)
-        ]
-        with pytest.warns(FleetBuildWarning) as record:
-            engine = build_fleet(devices, simulator, space)
-        assert any("share one" in str(w.message) for w in record)
-        engine.run()
-        assert engine.batched_executions == 0
+        devices = [self._governor_device(space, i, shared) for i in range(3)]
+        with pytest.raises(ValueError,
+                           match=r"\['d0', 'd1', 'd2'\] share one"):
+            build_fleet(devices, simulator, space)
 
-    def test_missing_rng_disables_batched_execution(self, platform, space):
+    def test_missing_rng_is_refused(self, platform, space):
         simulator = SoCSimulator(platform, noise_scale=0.01, seed=0)
         devices = [
             DeviceSpec(name="d0", policy=StaticPolicy(space),
                        snippets=make_trace(0), rng=make_rng(1)),
             DeviceSpec(name="d1", policy=StaticPolicy(space),
-                       snippets=make_trace(1)),  # no rng
+                       snippets=make_trace(1), rng=None),
         ]
-        with pytest.warns(FleetBuildWarning) as record:
-            engine = build_fleet(devices, simulator, space)
-        assert any("no private noise" in str(w.message) for w in record)
-        engine.run()
-        assert engine.batched_executions > 0  # d0 batches
-        assert engine.batched_executions < engine.steps_executed  # d1 scalar
+        with pytest.raises(ValueError, match="'d1' has none"):
+            build_fleet(devices, simulator, space)
 
-    def test_policy_sharing_session_rng_disables_batched_execution(
-            self, platform, space):
+    def test_simulator_rng_is_refused(self, platform, space):
+        simulator = SoCSimulator(platform, noise_scale=0.01, seed=0)
+        devices = [self._governor_device(space, 0, make_rng(1)),
+                   self._governor_device(space, 1, simulator.rng)]
+        with pytest.raises(ValueError, match="'d1' holds the simulator's"):
+            build_fleet(devices, simulator, space)
+
+    def test_policy_sharing_session_rng_is_refused(self, platform, space):
         """A policy drawing from the session's generator (RandomPolicy with
-        an aliased rng) would desync against pre-drawn noise — the engine
-        must fall back to scalar execution for that device."""
+        an aliased rng) would desync against pre-drawn noise."""
         from repro.control.policy import RandomPolicy
 
         simulator = SoCSimulator(platform, noise_scale=0.01, seed=0)
         shared = np.random.default_rng(5)
-        trace = make_trace(0)
-        shared_reference = np.random.default_rng(5)
-        sequential = run_policy_on_snippets(
-            simulator, space, RandomPolicy(space, shared_reference),
-            trace, rng=shared_reference,
-        )
         devices = [DeviceSpec(name="aliased",
                               policy=RandomPolicy(space, shared),
-                              snippets=trace, rng=shared)]
-        with pytest.warns(FleetBuildWarning, match="scalar"):
-            engine = build_fleet(devices, simulator, space)
-        fleet = engine.run()
-        assert engine.batched_executions == 0
-        assert_runs_bitwise_equal(sequential, fleet[0])
+                              snippets=make_trace(0), rng=shared)]
+        with pytest.raises(ValueError,
+                           match="'aliased' shares it with its policy"):
+            build_fleet(devices, simulator, space)
 
+    def test_space_of_other_content_is_refused(self, platform, space):
+        """A session over a restricted space cannot join a full-space
+        fleet: the kernel gathers one space's knob columns."""
+        simulator = SoCSimulator(platform, noise_scale=0.01, seed=0)
+        restricted = space.restrict(max_opp_index=2)
+        sessions = [
+            PolicySession(simulator, space,
+                          GovernorPolicy(PerformanceGovernor(space)),
+                          make_trace(2), rng=make_rng(10), name="full"),
+            PolicySession(simulator, restricted,
+                          GovernorPolicy(PerformanceGovernor(restricted)),
+                          make_trace(1), rng=make_rng(9), name="capped"),
+        ]
+        with pytest.raises(ValueError, match=r"\['capped'\] have a "
+                                             "configuration space of other "
+                                             "content than 'full'"):
+            FleetEngine(sessions).prepare()
+
+    def test_policy_over_another_space_object_is_refused(self, platform,
+                                                          space):
+        simulator = SoCSimulator(platform, noise_scale=0.01, seed=0)
+        twin = ConfigurationSpace(platform)
+        assert twin.content_key() == space.content_key()
+        devices = [self._governor_device(space, 0, make_rng(1)),
+                   DeviceSpec(name="twin",
+                              policy=GovernorPolicy(OndemandGovernor(twin)),
+                              snippets=make_trace(1), rng=make_rng(2))]
+        with pytest.raises(ValueError, match=r"\['twin'\] have a policy "
+                                             "over another space object"):
+            build_fleet(devices, simulator, space)
+
+    def test_governor_current_outside_the_space_is_refused(self, platform,
+                                                           space):
+        """A batched governor decide meeting a current configuration
+        outside the space raises :class:`KeyError` naming it."""
+        simulator = SoCSimulator(platform, noise_scale=0.0, seed=0)
+        engine = build_fleet(
+            [self._governor_device(space, i, make_rng(i)) for i in range(2)],
+            simulator, space)
+        engine.step()
+        foreign = SoCConfiguration.from_dicts(
+            {name: 99 for name in space.cluster_order},
+            {name: space.platform.clusters[name].n_cores
+             for name in space.cluster_order})
+        engine.sessions[1].policy.governor.current = foreign
+        with pytest.raises(KeyError, match="configuration not in space"):
+            engine.step()
+
+    def test_online_il_rows_sharing_a_policy_are_refused(
+            self, trained_framework):
+        framework = trained_framework
+        policy = framework.build_online_il_policy(
+            buffer_capacity=10, update_epochs=10, isolated=True)
+        devices = [DeviceSpec(name=f"d{i}", policy=policy,
+                              snippets=make_trace(i, factor=0.2),
+                              rng=make_rng(600 + i))
+                   for i in range(2)]
+        engine = build_fleet(devices, framework.simulator, framework.space)
+        with pytest.raises(ValueError, match="online-IL rows 0 and 1 of one "
+                                             "fleet group share one "
+                                             "OnlineILPolicy"):
+            engine.step()
+
+    def test_online_il_rows_sharing_learning_state_are_refused(
+            self, trained_framework):
+        """Two policies built without ``isolated=True`` share the
+        framework's offline policy and models."""
+        framework = trained_framework
+        devices = [DeviceSpec(name=f"d{i}",
+                              policy=framework.build_online_il_policy(),
+                              snippets=make_trace(i, factor=0.2),
+                              rng=make_rng(610 + i))
+                   for i in range(3)]
+        engine = build_fleet(devices, framework.simulator, framework.space)
+        with pytest.raises(ValueError, match="rows 0 and 1 of one fleet "
+                                             "group share one OfflineILPolicy"):
+            engine.step()
+
+    def test_online_il_current_outside_the_space_is_refused(
+            self, trained_framework):
+        framework = trained_framework
+        space = framework.space
+        devices = [DeviceSpec(name=f"d{i}",
+                              policy=framework.build_online_il_policy(
+                                  buffer_capacity=10, update_epochs=10,
+                                  isolated=True),
+                              snippets=make_trace(i, factor=0.2),
+                              rng=make_rng(620 + i))
+                   for i in range(2)]
+        engine = build_fleet(devices, framework.simulator, space)
+        engine.step()
+        engine.sessions[0].policy.current = SoCConfiguration.from_dicts(
+            {name: 99 for name in space.cluster_order},
+            {name: space.platform.clusters[name].n_cores
+             for name in space.cluster_order})
+        with pytest.raises(KeyError, match="configuration not in space"):
+            engine.step()
+
+
+class TestBatchingEligibility:
     def test_external_pending_step_is_not_clobbered(self, platform, space):
         simulator = SoCSimulator(platform, noise_scale=0.0, seed=0)
         devices = [DeviceSpec(name="d0",
@@ -603,15 +655,20 @@ class TestOppLookupTable:
 
 
 class TestDeviceSpec:
+    def test_requires_a_generator(self, space):
+        with pytest.raises(TypeError, match="'rng'"):
+            DeviceSpec(name="d", policy=StaticPolicy(space),
+                       snippets=make_trace(0))
+
     def test_requires_a_trace(self, space):
         with pytest.raises(ValueError, match="no trace"):
-            DeviceSpec(name="d", policy=StaticPolicy(space))
+            DeviceSpec(name="d", policy=StaticPolicy(space), rng=make_rng(0))
 
     def test_rejects_trace_and_scenario(self, space):
         trace = make_trace(0)
         scenario = get_scenario("phase_churn").apply(trace, 1)
         with pytest.raises(ValueError, match="not both"):
-            DeviceSpec(name="d", policy=StaticPolicy(space),
+            DeviceSpec(name="d", policy=StaticPolicy(space), rng=make_rng(0),
                        snippets=trace, scenario=scenario)
 
     def test_seed_derives_private_stream(self, platform, space):
@@ -642,14 +699,9 @@ class TestFleetExperiment:
 
 
 class TestExperimentFleetsStayBatched:
-    """Experiments that run their cells as one fleet build it cleanly.
-
-    ``build_fleet`` warns when devices share or lack a noise generator and
-    when any device would fall back to scalar execution, so raising
-    :class:`FleetBuildWarning` as an error catches both.  (``python -W``
-    cannot name the warning class: the option is parsed before ``repro``
-    is importable.)
-    """
+    """Experiments that run their cells as one fleet build it cleanly:
+    the engine would refuse a shared or missing noise generator, or a
+    policy over another space object, by raising."""
 
     def test_robustness(self):
         from repro.experiments.robustness import (ROBUSTNESS_POLICIES,
@@ -657,9 +709,7 @@ class TestExperimentFleetsStayBatched:
         from repro.experiments.scales import TINY
         from repro.scenarios import available_scenarios
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", FleetBuildWarning)
-            result = run_robustness(TINY, seed=0)
+        result = run_robustness(TINY, seed=0)
         assert len(result.rows) == (len(available_scenarios())
                                     * len(ROBUSTNESS_POLICIES))
 
@@ -667,7 +717,5 @@ class TestExperimentFleetsStayBatched:
         from repro.experiments.ablations import run_buffer_size_ablation
         from repro.experiments.scales import TINY
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", FleetBuildWarning)
-            rows = run_buffer_size_ablation(scale=TINY, seed=0)
+        rows = run_buffer_size_ablation(scale=TINY, seed=0)
         assert [row.buffer_capacity for row in rows] == [10, 25, 50, 100]

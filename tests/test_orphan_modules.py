@@ -10,12 +10,14 @@ defines it.  The scan reads absolute imports (the package uses no
 relative ones) with the standard-library ``ast`` module only.
 
 A function, class or method under ``src/repro`` counts as referenced
-when its name appears outside its own definition: as a ``Name``, as an
-``Attribute`` or as a word of a string constant in any file under
-``src/``, ``benchmarks/``, ``perfbench/`` or ``examples/``, or as a word
-of a CI workflow.  Strings in a package's ``__all__`` do not count (a
-re-export is not a use), and neither do the tests.  Dunder methods are
-exempt: Python calls them.
+when its name appears outside its own definition: as an ``Attribute`` or
+as a word of a string constant in any file under ``src/``,
+``benchmarks/``, ``perfbench/`` or ``examples/``, or as a word of a CI
+workflow; functions and classes also count as a bare ``Name``.  A method
+(a ``def`` directly in a class body) does not: a parameter or local
+variable spelled like it is no call of it.  Strings in a package's
+``__all__`` do not count (a re-export is not a use), and neither do the
+tests.  Dunder methods are exempt: Python calls them.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ ALLOWED_UNREFERENCED = {
         "its fate waits for per-cell evaluation streams (ROADMAP item 2)"),
     "repro.control.policy:RandomPolicy": (
         "tests use it as a policy that draws from a generator, to check "
-        "the engine's scalar fallback and the property invariants"),
+        "that the engine refuses a generator the policy holds, and the "
+        "property invariants"),
     "repro.fleet.supervisor:FleetSupervisor.health_of": (
         "tests read one device's health with it"),
     "repro.fleet.supervisor:FleetSupervisor.health_history": (
@@ -136,58 +139,70 @@ def test_allowlist_names_real_orphans():
     )
 
 
-def _definitions(tree: ast.AST, prefix: str = ""
-                 ) -> Iterator[Tuple[str, ast.AST]]:
-    """(qualified name, node) of every non-dunder def and class, nested too."""
+def _definitions(tree: ast.AST, prefix: str = "", in_class: bool = False
+                 ) -> Iterator[Tuple[str, ast.AST, bool]]:
+    """(qualified name, node, is a method) of every non-dunder def and
+    class, nested too."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             name = f"{prefix}{node.name}"
+            is_class = isinstance(node, ast.ClassDef)
             if not (node.name.startswith("__") and node.name.endswith("__")):
-                yield name, node
-            yield from _definitions(node, f"{name}.")
+                yield name, node, in_class and not is_class
+            yield from _definitions(node, f"{name}.", is_class)
         else:
-            yield from _definitions(node, prefix)
+            yield from _definitions(node, prefix, in_class)
 
 
-def _references(tree: ast.AST) -> Counter:
-    """Names, attributes and string-constant words under ``tree``."""
-    found: Counter = Counter()
+def _references(tree: ast.AST) -> Tuple[Counter, Counter]:
+    """(bare names, attributes and string-constant words) under ``tree``."""
+    names: Counter = Counter()
+    words: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            found[node.id] += 1
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            found[node.attr] += 1
+            words[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found.update(_WORD.findall(node.value))
+            words.update(_WORD.findall(node.value))
         elif isinstance(node, ast.Assign) and any(
                 isinstance(target, ast.Name) and target.id == "__all__"
                 for target in node.targets):
             # The walk visits these strings too; this nets them out.
-            found.subtract(_references(node.value))
-    return found
+            words.subtract(_references(node.value)[1])
+    return names, words
 
 
 def _unreferenced(root: Path = ROOT) -> List[str]:
     """Qualified names of the ``src/repro`` definitions nothing references."""
-    total: Counter = Counter()
-    definitions: List[Tuple[str, str, ast.AST]] = []
+    names: Counter = Counter()
+    words: Counter = Counter()
+    definitions: List[Tuple[str, str, ast.AST, bool]] = []
     for directory in REFERENCE_DIRS:
         for path in sorted((root / directory).rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
-            total.update(_references(tree))
+            tree_names, tree_words = _references(tree)
+            names.update(tree_names)
+            words.update(tree_words)
             if directory == "src":
                 parts = path.relative_to(root / "src").with_suffix("").parts
                 module = ".".join(parts[:-1] if parts[-1] == "__init__"
                                   else parts)
                 definitions.extend((f"{module}:{name}", name.rsplit(".")[-1],
-                                    node)
-                                   for name, node in _definitions(tree))
+                                    node, method)
+                                   for name, node, method in _definitions(tree))
     for workflow in sorted((root / WORKFLOWS).glob("*.yml")):
-        total.update(_WORD.findall(workflow.read_text()))
+        words.update(_WORD.findall(workflow.read_text()))
+
+    def uses(name: str, node: ast.AST, method: bool) -> int:
+        own_names, own_words = _references(node)
+        count = words[name] - own_words[name]
+        return count if method else count + names[name] - own_names[name]
+
     return sorted(
-        qualified for qualified, name, node in definitions
-        if total[name] - _references(node)[name] <= 0
+        qualified for qualified, name, node, method in definitions
+        if uses(name, node, method) <= 0
     )
 
 
@@ -304,3 +319,22 @@ def test_benchmarks_perfbench_examples_strings_and_ci_count(tmp_path):
         ".github/workflows/ci.yml": "run: python -c 'ci()'\n",
         "tests/test_a.py": "from repro.a import tested\ntested()\n",
     })) == ["repro.a:exported", "repro.a:tested"]
+
+
+def test_a_method_counts_by_attribute_or_string_not_by_bare_name(tmp_path):
+    """A parameter spelled like a method is no use of it; a nested
+    function still counts by its bare name."""
+    assert _unreferenced(_tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/a.py": (
+            "class Box:\n"
+            "    def depth(self): return 0\n"
+            "    def width(self): return 0\n"
+            "    def label(self): return 0\n"
+            "def grow(depth):\n"
+            "    def helper(): return depth\n"
+            "    return helper()\n"
+            "grow(Box().width())\n"
+            "CALLED = 'label'\n"
+        ),
+    })) == ["repro.a:Box.depth"]

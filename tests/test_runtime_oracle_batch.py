@@ -219,24 +219,16 @@ class TestBatchScalarEquivalence:
             assert best_b == best_s == first
             assert est_b.predicted_energy_j == 0.0
 
-    def test_batch_mode_falls_back_for_foreign_configuration(self, platform,
-                                                             space):
-        """A current config outside the space still gets a decision.
-
-        The vectorized sweep runs over the candidates ``neighbors()``
-        returns for the foreign configuration and picks what the
-        per-candidate loop picks.
-        """
+    def test_foreign_configuration_raises(self, platform, space):
+        """A current configuration outside the space has no neighbourhood
+        index: the lone sweep raises :class:`KeyError` naming it (the
+        batched decides raise alike, see ``tests/test_fleet.py``)."""
         restricted = space.restrict(max_opp_index=1)
         power_model, performance_model, states = _decision_states(
             platform, space, n_states=3, seed=47
         )
         oracle = RuntimeOracle(restricted, power_model, performance_model)
         counters, _ = states[0]
-        # A full-space configuration two OPP steps above the restriction cap
-        # is not a member of the restricted space but its radius-2
-        # neighbourhood still intersects it; the oracle must answer with a
-        # candidate from the restricted space.
         from repro.soc.configuration import SoCConfiguration
         foreign = SoCConfiguration.from_dicts(
             {name: 3 for name in space.cluster_order},
@@ -244,11 +236,8 @@ class TestBatchScalarEquivalence:
              for name in space.cluster_order},
         )
         assert space.contains(foreign) and not restricted.contains(foreign)
-        best, _ = oracle.best_configuration(counters, foreign)
-        assert restricted.contains(best)
-        reference_best, _ = runtime_oracle_loop.best_configuration(
-            oracle, counters, foreign)
-        assert best == reference_best
+        with pytest.raises(KeyError, match="configuration not in space"):
+            oracle.best_configuration(counters, foreign)
 
 
 class TestModelBatchPaths:
@@ -354,8 +343,8 @@ class TestSpaceIndexTables:
                             for i in test_space.neighbor_indices(
                                 index, radius, include_self)
                         ]
-                        assert via_indices == test_space.neighbors(
-                            config, radius, include_self)
+                        assert via_indices == runtime_oracle_loop.neighbors(
+                            test_space, config, radius, include_self)
 
     def test_neighbor_tables_are_memoised(self, space):
         first = space.neighbor_indices(0, 2, True)

@@ -439,8 +439,25 @@ class TestScenarioRuntime:
         for obj in second:
             assert all(obj is not other for other in framework_state)
         state = OnlineILPolicy._fleet_adopt(tuple(policies), {})
-        assert state["scalar_rows"] == set()
-        assert state["batched_rows"] == [0, 1]
+        assert state["members"] == tuple(policies)
+        assert state["cores"] == [policy.classifier._core
+                                  for policy in policies]
+
+    def test_robustness_offline_policies_share_the_space(
+            self, trained_framework):
+        """The robustness driver's offline-IL copies reason over the
+        framework's space object, as every fleet policy must, and own
+        their classifier."""
+        from repro.experiments.robustness import _policy_factories
+
+        framework = trained_framework
+        make = _policy_factories(framework, TINY)["offline-il"]
+        first, second = make(), make()
+        for policy in (first, second):
+            assert policy.space is framework.space
+            assert policy.classifier is not (
+                framework.offline_policy.classifier)
+        assert first.classifier is not second.classifier
 
 
 class TestRobustnessDriver:

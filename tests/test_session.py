@@ -105,6 +105,19 @@ class TestPhases:
         with pytest.raises(RuntimeError, match="unobserved pending step"):
             session.decide()
 
+    def test_decision_outside_the_space_raises(self, simulator, space,
+                                               snippet_trace):
+        """A lone decide names a configuration outside the session's
+        space instead of logging it without an index."""
+        restricted = space.restrict(max_opp_index=1)
+        outside = space[len(space) - 1]
+        assert not restricted.contains(outside)
+        session = PolicySession(simulator, restricted,
+                                StaticPolicy(space, outside), snippet_trace)
+        with pytest.raises(KeyError, match="configuration not in space"):
+            session.decide()
+        assert session.pending is None
+
     def test_execute_without_decide_raises(self, simulator, space,
                                            snippet_trace):
         session = PolicySession(simulator, space, StaticPolicy(space),
@@ -395,7 +408,20 @@ class TestStateOnlySnapshots:
         session.advance()
         state = session.snapshot_state()
         state["version"] = 5
-        with pytest.raises(SnapshotError, match="version 6"):
+        with pytest.raises(SnapshotError, match="version 7"):
+            PolicySession.restore(pack_states([state]), noisy_simulator,
+                                  snippet_trace)
+
+    def test_restore_refuses_a_version_6_payload(self, noisy_simulator,
+                                                 space, snippet_trace):
+        """A version-6 pending step may carry no configuration index."""
+        session = PolicySession(noisy_simulator, space, StaticPolicy(space),
+                                snippet_trace, rng=np.random.default_rng(1))
+        session.decide()
+        state = session.snapshot_state()
+        state["version"] = 6
+        state["pending"].configuration_index = None
+        with pytest.raises(SnapshotError, match="version 7"):
             PolicySession.restore(pack_states([state]), noisy_simulator,
                                   snippet_trace)
 

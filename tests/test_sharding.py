@@ -29,7 +29,6 @@ from repro.core.online_il import OnlineILPolicy
 from repro.experiments.fleet import FleetDeviceReport, _fleet_aggregates
 from repro.fleet import (
     DeviceSpec,
-    FleetBuildWarning,
     ShardedFleetEngine,
     ShardExecutionError,
     build_fleet,
@@ -242,24 +241,41 @@ class TestStreamedSummaries:
 
 
 class TestRngHazards:
-    """``build_fleet`` and ``ShardedFleetEngine`` warn alike."""
+    """``build_fleet`` and ``ShardedFleetEngine`` refuse alike."""
+
+    @staticmethod
+    def _devices(space, rngs):
+        return [DeviceSpec(name=f"dev{i}",
+                           policy=GovernorPolicy(OndemandGovernor(space)),
+                           snippets=make_trace(i, factor=0.2), rng=rng)
+                for i, rng in enumerate(rngs)]
 
     @pytest.mark.parametrize("make_fleet", [build_fleet, ShardedFleetEngine])
-    def test_shared_generators_warn(self, make_fleet, platform, space):
-        """An ``rng`` shared by two devices, or the simulator's own, warns
-        by the names of the devices that hold it."""
+    def test_shared_generators_raise(self, make_fleet, platform, space):
+        """An ``rng`` shared by two devices, or the simulator's own, is
+        refused by the names of the devices that hold it."""
         simulator = SoCSimulator(platform, noise_scale=0.02, seed=0)
         shared = np.random.default_rng(0)
-        rngs = [shared, shared, simulator.rng]
-        devices = [DeviceSpec(name=f"dev{i}",
-                              policy=GovernorPolicy(OndemandGovernor(space)),
-                              snippets=make_trace(i, factor=0.2), rng=rng)
-                   for i, rng in enumerate(rngs)]
-        with pytest.warns(FleetBuildWarning) as record:
+        devices = self._devices(space, [shared, shared, simulator.rng])
+        with pytest.raises(ValueError) as refused:
             make_fleet(devices, simulator, space)
-        messages = [str(w.message) for w in record]
-        assert any("['dev0', 'dev1'] share one" in m for m in messages)
-        assert any("['dev2'] use the simulator's own" in m for m in messages)
+        message = str(refused.value)
+        assert "['dev0', 'dev1'] share one" in message
+        assert "'dev2' holds the simulator's" in message
+
+    def test_generator_shared_across_shards_is_refused(self, platform,
+                                                       space):
+        """Each child sees only its own shard, so the parent refuses a
+        generator held by devices in different shards before any child
+        starts."""
+        simulator = SoCSimulator(platform, noise_scale=0.02, seed=0)
+        shared = np.random.default_rng(0)
+        devices = self._devices(space, [shared, make_rng(1), make_rng(2),
+                                        shared])
+        before = multiprocessing.active_children()
+        with pytest.raises(ValueError, match=r"\['dev0', 'dev3'\] share one"):
+            ShardedFleetEngine(devices, simulator, space, n_shards=2)
+        assert multiprocessing.active_children() == before
 
 
 class TestAdoptionOwnership:

@@ -115,18 +115,20 @@ class TestConfigurationSpace:
         assert space.contains(default)
 
     def test_neighbors_radius_zero_is_self(self, space):
-        config = space.default_configuration()
-        assert space.neighbors(config, radius=0) == [config]
+        index = space.default_index()
+        assert space.neighbor_indices(index, radius=0).tolist() == [index]
 
     def test_neighbors_exclude_self(self, space):
-        config = space.default_configuration()
-        neighbors = space.neighbors(config, radius=1, include_self=False)
-        assert config not in neighbors
+        index = space.default_index()
+        neighbors = space.neighbor_indices(index, radius=1,
+                                           include_self=False).tolist()
+        assert index not in neighbors
         assert len(neighbors) > 0
 
     def test_neighbors_within_radius(self, space):
         config = space.default_configuration()
-        for neighbor in space.neighbors(config, radius=2):
+        for i in space.neighbor_indices(space.default_index(), radius=2):
+            neighbor = space[int(i)]
             assert abs(neighbor.opp_index("big") - config.opp_index("big")) <= 2
             assert abs(neighbor.opp_index("little") - config.opp_index("little")) <= 2
 
@@ -148,8 +150,8 @@ class TestConfigurationSpace:
     def test_neighbors_always_contain_self_property(self, radius):
         platform = odroid_xu3_like(n_big_levels=4, n_little_levels=3)
         space = ConfigurationSpace(platform)
-        config = space.default_configuration()
-        assert config in space.neighbors(config, radius=radius)
+        index = space.default_index()
+        assert index in space.neighbor_indices(index, radius=radius)
 
 
 class TestConfigurationSpacePickling:

@@ -176,8 +176,7 @@ class OnlineILPolicy(DRMPolicy):
         # content-equal spaces group together and sharded fleets key
         # identically across worker processes.
         return ("OnlineILPolicy", self.space.content_key(),
-                oracle.neighborhood_radius,
-                oracle.metric, tuple(core.layer_sizes))
+                oracle.neighborhood_radius, tuple(core.layer_sizes))
 
     def fleet_observe_key(self) -> Optional[Tuple]:
         if type(self) is not OnlineILPolicy:

@@ -15,8 +15,6 @@ label the offline IL training data.
 
 from __future__ import annotations
 
-import hashlib
-import weakref
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -79,14 +77,6 @@ class OraclePolicy(DRMPolicy):
         return self.current
 
 
-#: Key text of every live configuration space, keyed weakly by the space
-#: object: the memo neither keeps a space alive nor rides along when one is
-#: pickled (snapshots, rotations and shard bundles stay the same size).
-_SPACE_KEY_TEXT: weakref.WeakKeyDictionary[ConfigurationSpace, str] = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def content_keys(snippets: Sequence[Snippet],
                  matrix: np.ndarray) -> List[bytes]:
     """Content key of every snippet (two equal snippets share Oracle rows).
@@ -102,22 +92,6 @@ def content_keys(snippets: Sequence[Snippet],
     rows = matrix.view(f"V{matrix.itemsize * matrix.shape[1]}").ravel()
     return [snippet.application.encode("utf-8") + row
             for snippet, row in zip(snippets, rows.tolist())]
-
-
-def space_cache_key(space: ConfigurationSpace) -> str:
-    """Content key text of a configuration space: ``repr(space.cache_key())``.
-
-    The key (platform parameters plus the exact configuration list) is
-    several kB of text for a 48-configuration space, and a frozen-dataclass
-    tuple re-hashes on every dict lookup, so the text is computed once per
-    space object and held in a weak memo.  ``cache_key()`` itself memoizes,
-    so a space's key never changes once computed and neither can the text.
-    """
-    text = _SPACE_KEY_TEXT.get(space)
-    if text is None:
-        text = repr(space.cache_key())
-        _SPACE_KEY_TEXT[space] = text
-    return text
 
 
 def objective_cache_key(objective: Objective) -> Tuple[str, object]:
@@ -201,17 +175,12 @@ def persistent_table_digest(space: ConfigurationSpace,
     Includes the :func:`~repro.core.oracle_store.code_fingerprint` of the
     modules the entries' semantics depend on, so a store written by older
     simulator/Oracle code cleanly misses instead of serving stale results.
-    SHA-256 is fed exactly the bytes of ``content_digest(space.cache_key(),
-    persistent_objective_key(objective), code_fingerprint())``, with the
-    space's ``repr`` taken from :func:`space_cache_key`'s memo.
+    The name is ``content_digest(space.content_key(),
+    persistent_objective_key(objective), code_fingerprint())``.
     """
-    hasher = hashlib.sha256()
-    for text in (space_cache_key(space),
-                 repr(persistent_objective_key(objective)),
-                 repr(code_fingerprint())):
-        hasher.update(text.encode("utf-8"))
-        hasher.update(b"\x00")
-    return hasher.hexdigest()
+    return content_digest(space.content_key(),
+                          persistent_objective_key(objective),
+                          code_fingerprint())
 
 
 #: Process-wide cache-activity counters aggregated over every OracleCache
@@ -247,8 +216,8 @@ class OracleCache:
     cache keeps one :class:`OracleTable` per (space, objective), keyed by
     :func:`content_keys` rather than names, so regenerated-but-identical
     snippets still hit.  The space part of the memo key is its
-    :func:`space_cache_key` text, whose hash Python caches, rather than the
-    tuple of configuration dataclasses it spells out.
+    :meth:`~repro.soc.configuration.ConfigurationSpace.content_key`, so
+    equal-content spaces share tables.
 
     An optional :class:`~repro.core.oracle_store.OracleStore` layers a
     persistent, cross-process tier underneath: a :func:`build_oracle` call
@@ -260,7 +229,7 @@ class OracleCache:
     """
 
     def __init__(self, store: Optional[OracleStore] = None) -> None:
-        self._tables: Dict[Tuple[str, Tuple[str, object]], OracleTable] = {}
+        self._tables: Dict[Tuple[Tuple, Tuple[str, object]], OracleTable] = {}
         self.store_backend = (store if store is not None
                               else get_default_oracle_store())
         self.hits = 0
@@ -293,7 +262,7 @@ class OracleCache:
         matrix = characteristics_matrix(snippets)
         keys = content_keys(snippets, matrix)
         memo = self._tables.setdefault(
-            (space_cache_key(space), objective_cache_key(objective)),
+            (space.content_key(), objective_cache_key(objective)),
             OracleTable(objective.name, space, {}, np.empty(0, ORACLE_COLUMNS)))
         known = memo.rows
         table_digest: Optional[str] = None
@@ -414,10 +383,10 @@ def oracle_results(simulator: SoCSimulator, table: OracleTable,
     kernel the sweep ran, so every value is bitwise the sweep's."""
     best = table.columns["best_index"][[table.rows[snippet.name]
                                         for snippet in snippets]]
-    knobs = table.space.batch_index_arrays()
+    knobs = table.space.soa_view().clusters
     return simulator.expected_arrays(
         list(snippets), [table.space[i] for i in best.tolist()],
         characteristics_matrix(snippets).T,
-        {name: opp[best] for name, (opp, _) in knobs.items()},
-        {name: active[best] for name, (_, active) in knobs.items()},
+        {name: arrays.opp_index[best] for name, arrays in knobs.items()},
+        {name: arrays.active_cores[best] for name, arrays in knobs.items()},
     ).lane_results()

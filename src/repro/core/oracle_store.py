@@ -314,9 +314,9 @@ def _write_atomic(directory: Path, name: str, payload: bytes) -> bool:
 def content_digest(*parts) -> str:
     """SHA-256 digest of the ``repr`` of content-key tuples.
 
-    ``repr`` of the key tuples is deterministic: they contain only str/int
-    and floats (whose ``repr`` is the shortest round-trip form) plus frozen
-    dataclasses of the same.
+    ``repr`` of the key tuples is deterministic: they contain only str,
+    bytes, bool, int and float values (a float's ``repr`` is its shortest
+    round-trip form) nested in tuples.
     """
     hasher = hashlib.sha256()
     for part in parts:
@@ -357,20 +357,22 @@ def get_default_oracle_store() -> Optional[OracleStore]:
 
 
 def default_space_digest() -> str:
-    """Digest of the default platform's space, the code fingerprint and the
-    store format version.
+    """Digest of the default platform's space
+    (:meth:`~repro.soc.configuration.ConfigurationSpace.content_key`), the
+    code fingerprint and the store format version.
 
     This is the key CI uses to cache the on-disk store between workflow
-    runs: whenever the platform parameters, the space enumeration, any
-    module the entries' semantics depend on or the segment layout changes,
-    the digest — and with it the cache key — changes.  Table digests embed
-    the same :func:`code_fingerprint`, so a stale restored store could only
-    produce misses anyway; the key keeps CI from restoring files it can no
-    longer read and from accumulating dead tables.
+    runs: whenever the platform parameters, the space settings, any module
+    the entries' semantics depend on (the space enumeration's among them)
+    or the segment layout changes, the digest — and with it the cache key —
+    changes.  Table digests embed the same :func:`code_fingerprint`, so a
+    stale restored store could only produce misses anyway; the key keeps
+    CI from restoring files it can no longer read and from accumulating
+    dead tables.
     """
     from repro.soc.configuration import ConfigurationSpace
     from repro.soc.platform import odroid_xu3_like
 
     space = ConfigurationSpace(odroid_xu3_like())
-    return content_digest(space.cache_key(), code_fingerprint(),
+    return content_digest(space.content_key(), code_fingerprint(),
                           STORE_FORMAT_VERSION)

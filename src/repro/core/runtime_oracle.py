@@ -10,7 +10,7 @@ The :class:`RuntimeOracle` asks the online power and performance models (not
 the simulator!) for the predicted power and execution time of each candidate
 configuration, reusing the counters observed at the current configuration as
 the paper prescribes, and returns the candidate minimising the predicted
-energy (or energy-delay product).
+energy.
 
 The candidate sweep is vectorized end to end: the neighbourhood comes from
 the configuration space's memoised index tables and both model predictions
@@ -51,10 +51,6 @@ class CandidateEstimate:
     def predicted_energy_j(self) -> float:
         return self.predicted_power_w * self.predicted_time_s
 
-    @property
-    def predicted_edp(self) -> float:
-        return self.predicted_energy_j * self.predicted_time_s
-
 
 @dataclass
 class CandidateBatch:
@@ -74,10 +70,6 @@ class CandidateBatch:
     @property
     def predicted_energy_j(self) -> np.ndarray:
         return self.predicted_power_w * self.predicted_time_s
-
-    @property
-    def predicted_edp(self) -> np.ndarray:
-        return self.predicted_energy_j * self.predicted_time_s
 
     def estimate_at(self, position: int,
                     space: ConfigurationSpace) -> CandidateEstimate:
@@ -99,17 +91,13 @@ class RuntimeOracle:
         power_model: CpuPowerModel,
         performance_model: CpuPerformanceModel,
         neighborhood_radius: int = 2,
-        metric: str = "energy",
     ) -> None:
         if neighborhood_radius < 1:
             raise ValueError("neighborhood_radius must be >= 1")
-        if metric not in ("energy", "edp"):
-            raise ValueError("metric must be 'energy' or 'edp'")
         self.space = space
         self.power_model = power_model
         self.performance_model = performance_model
         self.neighborhood_radius = int(neighborhood_radius)
-        self.metric = metric
 
     def candidate_batch(
         self, counters: PerformanceCounters, current: SoCConfiguration
@@ -122,8 +110,7 @@ class RuntimeOracle:
         ``current`` outside the space raises :class:`KeyError`.
         """
         view = self.space.neighborhood_view(
-            self.space.index_of(current),
-            radius=self.neighborhood_radius, include_self=True,
+            self.space.index_of(current), radius=self.neighborhood_radius
         )
         indices, arrays = view.indices, view.arrays
         big = arrays.cluster("big")
@@ -174,18 +161,13 @@ class RuntimeOracle:
     def best_configuration(
         self, counters: PerformanceCounters, current: SoCConfiguration
     ) -> Tuple[SoCConfiguration, CandidateEstimate]:
-        """The candidate with the minimum predicted objective.
+        """The candidate with the minimum predicted energy.
 
         Ties go to the first candidate (in neighbourhood enumeration order)
         achieving the minimum: ``np.argmin`` returns the first minimum.
-        An empty neighbourhood raises :class:`ValueError`.
         """
         batch = self.candidate_batch(counters, current)
-        if self.metric == "energy":
-            costs = batch.predicted_energy_j
-        else:
-            costs = batch.predicted_edp
-        best_position = int(np.argmin(costs))
+        best_position = int(np.argmin(batch.predicted_energy_j))
         best = batch.estimate_at(best_position, self.space)
         return best.configuration, best
 
@@ -211,7 +193,7 @@ class RuntimeOracle:
         :meth:`best_configuration` calls.
 
         Preconditions (the online-IL decide key guarantees them): every
-        oracle has the same space content, radius and metric, uses plain
+        oracle has the same space content and radius, uses plain
         :class:`~repro.ml.rls.RecursiveLeastSquares` models
         (``fit_intercept=True``), and every model reads its space's
         platform object.  ``current_indices[d]``
@@ -228,7 +210,7 @@ class RuntimeOracle:
         first = oracles[0]
         space = first.space
         table, lengths = space.neighborhood_table(
-            radius=first.neighborhood_radius, include_self=True
+            radius=first.neighborhood_radius
         )
         current = np.asarray(current_indices, dtype=np.intp)
         candidates = table[current]
@@ -291,10 +273,7 @@ class RuntimeOracle:
             little_ghz=little.frequency_ghz[candidates],
         )
 
-        cost = power * time_s
-        if first.metric == "edp":
-            cost = cost * time_s
-        best_positions = masked_first_argmin(cost, valid)
+        best_positions = masked_first_argmin(power * time_s, valid)
         return candidates[np.arange(len(current)), best_positions]
 
     def update_models(self, counters: PerformanceCounters,

@@ -102,17 +102,6 @@ class FaultToleranceStudy:
     fault_rates: List[float] = field(default_factory=list)
     cells: List[FaultRateCell] = field(default_factory=list)
 
-    def seed_run_metadata(self) -> Dict[str, float]:
-        """Worst-case robustness numbers for ``SeedRun.metadata``."""
-        if not self.cells:
-            return {}
-        worst = self.cells[-1]
-        return {
-            "fault_survival_fraction": worst.survival_fraction,
-            "fault_recovered_devices": float(worst.recovered),
-            "fault_replayed_steps": float(worst.replayed_steps),
-        }
-
 
 def _cell_aggregates(outcomes: Sequence[FaultDeviceOutcome],
                      total_steps: int) -> Dict[str, float]:

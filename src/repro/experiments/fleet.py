@@ -70,25 +70,9 @@ class FleetStudy:
     scale_name: str
     n_devices: int
     total_steps: int
-    batched_execution_fraction: float
-    batched_decision_fraction: float
     batched_observe_fraction: float = 0.0
     devices: List[FleetDeviceReport] = field(default_factory=list)
     aggregates: Dict[str, float] = field(default_factory=dict)
-
-    def seed_run_metadata(self) -> Dict[str, float]:
-        """Batching hit rates for the runner's per-seed metadata.
-
-        Surfaced next to the Oracle cache counters in
-        ``SeedRun.metadata``: what fraction of the fleet's session-steps
-        went through the batched decide/execute/observe paths versus the
-        per-session scalar fallbacks.
-        """
-        return {
-            "fleet_batched_decide_fraction": self.batched_decision_fraction,
-            "fleet_batched_execute_fraction": self.batched_execution_fraction,
-            "fleet_batched_observe_fraction": self.batched_observe_fraction,
-        }
 
 
 def _fleet_aggregates(reports: Sequence[FleetDeviceReport]) -> Dict[str, float]:
@@ -166,8 +150,8 @@ def run_fleet(
     :class:`~repro.fleet.sharding.ShardedFleetEngine`, one child process
     per shard, instead of the in-process engine.  Every per-device report
     value is bitwise identical either way (and invariant to the shard
-    count); only the batching-fraction metadata may differ, because
-    batch-group membership is evaluated per shard.
+    count); only ``batched_observe_fraction`` may differ, because observe
+    groups form per shard and a lone row observes scalar.
     """
     scale = get_scale(scale)
     n = int(n_devices) if n_devices is not None else DEFAULT_FLEET_DEVICES
@@ -244,12 +228,6 @@ def run_fleet(
         scale_name=scale.name,
         n_devices=n,
         total_steps=total_steps,
-        batched_execution_fraction=(
-            engine.batched_executions / total_steps if total_steps else 0.0
-        ),
-        batched_decision_fraction=(
-            engine.batched_decisions / total_steps if total_steps else 0.0
-        ),
         batched_observe_fraction=(
             engine.batched_observes / total_steps if total_steps else 0.0
         ),
@@ -261,8 +239,7 @@ def run_fleet(
 def format_fleet(study: FleetStudy) -> str:
     """Human-readable fleet report (CLI output)."""
     lines = [
-        f"fleet of {study.n_devices} devices — {study.total_steps} lockstep "
-        f"steps ({study.batched_execution_fraction:.0%} batched executions)",
+        f"fleet of {study.n_devices} devices — {study.total_steps} lockstep steps",
     ]
     for report in study.devices:
         scenario = report.scenario or "baseline"

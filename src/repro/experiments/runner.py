@@ -158,10 +158,8 @@ class SeedRun:
     """Result of one experiment at one seed.
 
     ``metadata`` carries execution-side observability that is not part of
-    the experiment result proper — the OracleCache hit/miss deltas (memory
-    tier and on-disk store tier) accumulated while the seed ran, plus any
-    counters the result surfaces via ``seed_run_metadata()`` (the fleet
-    study reports its batched decide/execute/observe hit rates this way).
+    the experiment result proper: the OracleCache hit/miss deltas (memory
+    tier and on-disk store tier) accumulated while the seed ran.
     """
 
     seed: SeedLike
@@ -175,22 +173,6 @@ def _cache_stats_delta(before: Dict[str, int]) -> Dict[str, int]:
     after = cache_stats_snapshot()
     return {f"oracle_cache_{key}": after[key] - before.get(key, 0)
             for key in after}
-
-
-def _seed_run_metadata(result: Any,
-                       stats_before: Dict[str, int]) -> Dict[str, Any]:
-    """Execution-side metadata for one seed run.
-
-    The OracleCache activity delta, merged with any experiment-specific
-    counters the result object surfaces through a ``seed_run_metadata()``
-    method — e.g. the fleet study's batched decide/execute/observe hit
-    rates.
-    """
-    metadata: Dict[str, Any] = dict(_cache_stats_delta(stats_before))
-    extra = getattr(result, "seed_run_metadata", None)
-    if callable(extra):
-        metadata.update(extra())
-    return metadata
 
 
 def _install_worker_store(store_path: Optional[str]) -> None:
@@ -239,7 +221,7 @@ def _pooled_seed_run(
     result = spec.runner(scale, seed, context)
     return SeedRun(seed=seed, result=result,
                    elapsed_s=time.perf_counter() - start,
-                   metadata=_seed_run_metadata(result, stats_before))
+                   metadata=_cache_stats_delta(stats_before))
 
 
 @dataclass
@@ -456,7 +438,7 @@ class ExperimentRunner:
             out.seed_runs.append(
                 SeedRun(seed=seed, result=result,
                         elapsed_s=time.perf_counter() - start,
-                        metadata=_seed_run_metadata(result, stats_before))
+                        metadata=_cache_stats_delta(stats_before))
             )
         return out
 

@@ -13,8 +13,7 @@ Public surface:
   devices, a fleet outside its one input shape: one stock simulator, one
   space content with each policy over its session's space, and a private
   noise generator per device.
-* :func:`~repro.fleet.kernels.lockstep_execute` /
-  :class:`~repro.fleet.kernels.TraceArrays` — the vectorized
+* :func:`~repro.fleet.kernels.lockstep_execute` — the vectorized
   many-device execution kernel.
 * :class:`~repro.fleet.faults.FaultPlan` and the
   :class:`~repro.fleet.faults.FaultSpec` family — deterministic,
@@ -47,7 +46,7 @@ from repro.fleet.faults import (
     TelemetryCorruption,
     fault_from_dict,
 )
-from repro.fleet.kernels import TraceArrays, lockstep_execute
+from repro.fleet.kernels import lockstep_execute
 from repro.fleet.sharding import (
     ShardDeviceSummary,
     ShardedFleetEngine,
@@ -76,7 +75,6 @@ __all__ = [
     "SnapshotRestart",
     "StragglerStall",
     "TelemetryCorruption",
-    "TraceArrays",
     "build_fleet",
     "device_session",
     "fault_from_dict",

@@ -80,8 +80,9 @@ from typing import (TYPE_CHECKING, AbstractSet, Callable, Dict, List,
 import numpy as np
 
 from repro.core.session import PolicySession, SessionStep
-from repro.fleet.kernels import TraceArrays, lockstep_execute
-from repro.soc.simulator import SnippetResult, SoCSimulator
+from repro.fleet.kernels import lockstep_execute
+from repro.soc.simulator import (CHARACTERISTIC_COLUMNS, SnippetResult,
+                                 SoCSimulator, characteristics_matrix)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet -> core)
     from repro.core.framework import PolicyRunResult
@@ -283,11 +284,11 @@ class FleetEngine:
         sessions = self.sessions
         self._soa = sessions[0].space.soa_view()
         t_max = max(len(session) for session in sessions)
-        traces = [TraceArrays(session.snippets) for session in sessions]
-        n_columns = traces[0].matrix.shape[1]
-        self._chars = np.zeros((len(sessions), t_max, n_columns))
-        for row, trace in enumerate(traces):
-            self._chars[row, :len(trace)] = trace.matrix
+        self._chars = np.zeros((len(sessions), t_max,
+                                len(CHARACTERISTIC_COLUMNS)))
+        for row, session in enumerate(sessions):
+            self._chars[row, :len(session)] = characteristics_matrix(
+                session.snippets)
         noise_scale = self._simulator.noise_scale
         if noise_scale != 0.0:
             self._noise = np.ones((len(sessions), t_max, 2))

@@ -9,8 +9,8 @@ SoC model's one array implementation.  The Oracle sweep
 (:meth:`~repro.soc.simulator.SoCSimulator.evaluate_expected_batch`) runs
 it with snippet rows broadcast against a space's configuration knobs;
 this kernel runs it with one (snippet, configuration) pair per lane,
-which is why snippet characteristics arrive as per-device rows
-(:class:`TraceArrays`).
+which is why snippet characteristics arrive as one
+:func:`~repro.soc.simulator.characteristics_matrix` row per device.
 
 What this module adds is measurement noise.  The caller
 (:class:`~repro.fleet.engine.FleetEngine`) pre-draws each device's
@@ -28,30 +28,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.soc.configuration import SoCConfiguration
-from repro.soc.simulator import (
-    SnippetResult,
-    SoCSimulator,
-    characteristics_matrix,
-)
+from repro.soc.simulator import SnippetResult, SoCSimulator
 from repro.soc.snippet import Snippet
-
-
-class TraceArrays:
-    """Configuration-independent per-step arrays of one snippet trace.
-
-    Built once per device when a fleet adopts its session; the per-step
-    lockstep kernel then gathers one row per device instead of touching
-    snippet objects on the hot path.
-    """
-
-    __slots__ = ("snippets", "matrix")
-
-    def __init__(self, snippets: Sequence[Snippet]) -> None:
-        self.snippets = list(snippets)
-        self.matrix = characteristics_matrix(self.snippets)
-
-    def __len__(self) -> int:
-        return len(self.snippets)
 
 
 def masked_first_argmin(costs: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -99,8 +77,8 @@ def lockstep_execute(
         Per-device snippet and configuration objects (result metadata).
     char_rows:
         ``(S, len(CHARACTERISTIC_COLUMNS))`` characteristics matrix (see
-        :func:`~repro.soc.simulator.characteristics_matrix`) — one
-        :class:`TraceArrays` row per device.
+        :func:`~repro.soc.simulator.characteristics_matrix`) — one row per
+        device, at the snippet it executes.
     opp_index / cores:
         Per-cluster ``(S,)`` integer arrays of each device's decided
         configuration.

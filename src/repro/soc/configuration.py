@@ -24,18 +24,17 @@ class ClusterArrays:
     """Struct-of-arrays view of one cluster across every configuration.
 
     Each array has one element per configuration, in enumeration order.
-    ``voltage_v``/``frequency_hz``/``frequency_ghz`` are the per-OPP values
-    gathered through ``opp_index``; the per-OPP source tables are built with
-    the same Python-scalar arithmetic as the object-level accessors, so the
-    gathered values are bitwise identical to what
-    ``spec.opps[config.opp_index(name)]`` would yield per configuration.
+    ``voltage_v``/``frequency_ghz`` are the per-OPP values gathered through
+    ``opp_index``; the per-OPP source tables are built with the same
+    Python-scalar arithmetic as the object-level accessors, so the gathered
+    values are bitwise identical to what ``spec.opps[config.opp_index(name)]``
+    would yield per configuration.
     """
 
     opp_index: np.ndarray      # (n,) intp
     active_cores: np.ndarray   # (n,) intp
     cores_f: np.ndarray        # (n,) float64 view of active_cores
     voltage_v: np.ndarray      # (n,) float64
-    frequency_hz: np.ndarray   # (n,) float64
     frequency_ghz: np.ndarray  # (n,) float64
 
 
@@ -45,9 +44,11 @@ class SpaceArrays:
 
     Either the whole space (:meth:`ConfigurationSpace.soa_view`) or one
     memoised candidate neighbourhood
-    (:meth:`ConfigurationSpace.neighborhood_view`).  Used by the vectorized
-    online decision loop so that per-step candidate sweeps never touch
-    :class:`SoCConfiguration` objects.
+    (:meth:`ConfigurationSpace.neighborhood_view`).  The space's view is
+    the one array form of its knobs: the Oracle sweep and the fleet's
+    lockstep step read their ``opp_index``/``active_cores`` from it, and
+    the vectorized online decision loop its candidate columns, so no
+    per-step path touches :class:`SoCConfiguration` objects.
     """
 
     cluster_order: Tuple[str, ...]
@@ -64,7 +65,6 @@ class SpaceArrays:
                 active_cores=arrays.active_cores[indices],
                 cores_f=arrays.cores_f[indices],
                 voltage_v=arrays.voltage_v[indices],
-                frequency_hz=arrays.frequency_hz[indices],
                 frequency_ghz=arrays.frequency_ghz[indices],
             )
             for name, arrays in self.clusters.items()
@@ -179,18 +179,15 @@ class ConfigurationSpace:
         self._index: Dict[SoCConfiguration, int] = {
             cfg: i for i, cfg in enumerate(self._configs)
         }
-        self._batch_arrays: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None
-        self._cache_key: Optional[Tuple] = None
         self._content_key: Optional[Tuple] = None
         self._restrictions: Dict[Tuple[Tuple[str, int], ...],
                                  "ConfigurationSpace"] = {}
         self._soa: Optional[SpaceArrays] = None
         self._opp_lookup: Optional[np.ndarray] = None
         self._default_index: Optional[int] = None
-        self._neighbor_tables: Dict[Tuple[int, int, bool], np.ndarray] = {}
-        self._neighbor_views: Dict[Tuple[int, int, bool], NeighborhoodView] = {}
-        self._neighborhood_tables: Dict[Tuple[int, bool],
-                                        Tuple[np.ndarray, np.ndarray]] = {}
+        self._neighbor_tables: Dict[Tuple[int, int], np.ndarray] = {}
+        self._neighbor_views: Dict[Tuple[int, int], NeighborhoodView] = {}
+        self._neighborhood_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._clamp_cache: Dict[SoCConfiguration, SoCConfiguration] = {}
 
     def __reduce__(self):
@@ -284,8 +281,9 @@ class ConfigurationSpace:
         caps already active on this space are also kept).  This is how thermal
         throttling events shrink the reachable configuration space: the
         restricted space is a genuine :class:`ConfigurationSpace` (subset of
-        this one's configurations), with its own :meth:`cache_key`, so Oracle
-        entries computed against the full space are never reused for it.
+        this one's configurations), with its own :meth:`content_key`, so
+        Oracle entries computed against the full space are never reused for
+        it.
 
         Restrictions are memoised per base space: asking for the same
         effective caps again (each policy run of a throttled scenario does)
@@ -351,8 +349,7 @@ class ConfigurationSpace:
         return clamped
 
     def _enumerate_neighbor_indices(self, config: SoCConfiguration,
-                                    radius: int,
-                                    include_self: bool) -> np.ndarray:
+                                    radius: int) -> np.ndarray:
         """Neighbourhood of ``config`` as configuration indices (uncached)."""
         opp_map, core_map = config.as_dicts()
         opp_options: List[List[int]] = []
@@ -379,57 +376,55 @@ class ConfigurationSpace:
                     dict(zip(self.cluster_order, opp_combo)),
                     dict(zip(self.cluster_order, core_combo)),
                 )
-                if not include_self and candidate == config:
-                    continue
                 index = self._index.get(candidate)
                 if index is not None:
                     indices.append(index)
         return np.array(indices, dtype=np.intp)
 
-    def neighbor_indices(self, index: int, radius: int = 1,
-                         include_self: bool = True) -> np.ndarray:
+    def neighbor_indices(self, index: int, radius: int = 1) -> np.ndarray:
         """Indices of the configurations within ``radius`` OPP steps.
 
         The online-IL runtime Oracle evaluates candidate configurations "in
         a local neighbourhood of the current configuration" (Sec. IV-A3);
         this defines that neighbourhood.  Core counts are held fixed unless
         the cluster is gated, in which case +/- ``radius`` cores are
-        included.  The neighbourhood of configuration ``index`` is
-        enumerated once per ``(index, radius, include_self)`` and memoised,
-        so the per-step candidate sweep stops rebuilding configuration
-        objects.  The returned array is cached — treat it as read-only.
+        included.  The neighbourhood includes configuration ``index``
+        itself, so it is never empty.  It is enumerated once per
+        ``(index, radius)`` and memoised, so the per-step candidate sweep
+        stops rebuilding configuration objects.  The returned array is
+        cached — treat it as read-only.
         """
         if radius < 0:
             raise ValueError(f"radius must be non-negative, got {radius}")
-        key = (int(index), int(radius), bool(include_self))
+        key = (int(index), int(radius))
         table = self._neighbor_tables.get(key)
         if table is None:
             table = self._enumerate_neighbor_indices(
-                self._configs[int(index)], radius, include_self
+                self._configs[int(index)], radius
             )
             self._neighbor_tables[key] = table
         return table
 
-    def neighborhood_view(self, index: int, radius: int = 1,
-                          include_self: bool = True) -> NeighborhoodView:
+    def neighborhood_view(self, index: int,
+                          radius: int = 1) -> NeighborhoodView:
         """Memoised :class:`NeighborhoodView` of configuration ``index``.
 
         Combines :meth:`neighbor_indices` with the struct-of-arrays rows of
-        the candidates, gathered once per ``(index, radius, include_self)``:
+        the candidates, gathered once per ``(index, radius)``:
         the vectorized runtime Oracle's per-step sweep reduces to pure
         elementwise arithmetic over these cached arrays.
         """
-        key = (int(index), int(radius), bool(include_self))
+        key = (int(index), int(radius))
         view = self._neighbor_views.get(key)
         if view is None:
-            indices = self.neighbor_indices(index, radius, include_self)
+            indices = self.neighbor_indices(index, radius)
             view = NeighborhoodView(
                 indices=indices, arrays=self.soa_view().gather(indices)
             )
             self._neighbor_views[key] = view
         return view
 
-    def neighborhood_table(self, radius: int = 1, include_self: bool = True
+    def neighborhood_table(self, radius: int = 1
                            ) -> Tuple[np.ndarray, np.ndarray]:
         """Padded fleet-wide neighbour table ``(indices, lengths)``.
 
@@ -438,13 +433,13 @@ class ConfigurationSpace:
         enumeration order, padded with ``0`` past ``lengths[i]`` entries
         (mask with ``lengths`` before use).  One fancy-indexing gather of
         this table replaces per-device neighbourhood lookups in the fleet's
-        segmented candidate sweep.  Memoised per ``(radius, include_self)``;
-        treat the returned arrays as read-only.
+        segmented candidate sweep.  Memoised per ``radius``; treat the
+        returned arrays as read-only.
         """
-        key = (int(radius), bool(include_self))
+        key = int(radius)
         memo = self._neighborhood_tables.get(key)
         if memo is None:
-            rows = [self.neighbor_indices(i, radius, include_self)
+            rows = [self.neighbor_indices(i, radius)
                     for i in range(len(self._configs))]
             lengths = np.fromiter((len(row) for row in rows), dtype=np.intp,
                                   count=len(rows))
@@ -459,27 +454,6 @@ class ConfigurationSpace:
     def random_configuration(self, rng: np.random.Generator) -> SoCConfiguration:
         return self._configs[int(rng.integers(0, len(self._configs)))]
 
-    def batch_index_arrays(self) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-        """Per-cluster ``(opp_index, active_cores)`` arrays over the space.
-
-        The configuration knobs of every Oracle sweep pass
-        (:meth:`~repro.soc.simulator.SoCSimulator.evaluate_expected_batch`
-        broadcasts them against the pass's snippet columns); the space is
-        immutable after construction, so the arrays are built once and
-        cached.
-        """
-        if self._batch_arrays is None:
-            n = len(self._configs)
-            arrays: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-            for name in self.cluster_order:
-                opp = np.fromiter((c.opp_index(name) for c in self._configs),
-                                  dtype=np.intp, count=n)
-                active = np.fromiter((c.cores(name) for c in self._configs),
-                                     dtype=np.intp, count=n)
-                arrays[name] = (opp, active)
-            self._batch_arrays = arrays
-        return self._batch_arrays
-
     def soa_view(self) -> SpaceArrays:
         """Struct-of-arrays view of the whole space (built once, cached).
 
@@ -488,20 +462,20 @@ class ConfigurationSpace:
         from per-OPP tables.  The per-OPP tables are filled element by
         element with the same scalar arithmetic as the object-level
         accessors, so every gathered value is bitwise identical to its
-        scalar counterpart.  The arrays are cached and shared — treat them
-        as read-only.
+        scalar counterpart.  The space is immutable after construction, so
+        the arrays are cached and shared — treat them as read-only.
         """
         if self._soa is None:
-            index_arrays = self.batch_index_arrays()
+            n = len(self._configs)
             clusters: Dict[str, ClusterArrays] = {}
             for name in self.cluster_order:
                 spec = self.platform.clusters[name]
-                opp, active = index_arrays[name]
+                opp = np.fromiter((c.opp_index(name) for c in self._configs),
+                                  dtype=np.intp, count=n)
+                active = np.fromiter((c.cores(name) for c in self._configs),
+                                     dtype=np.intp, count=n)
                 voltage_by_opp = np.array(
                     [point.voltage_v for point in spec.opps], dtype=float
-                )
-                frequency_by_opp = np.array(
-                    [point.frequency_hz for point in spec.opps], dtype=float
                 )
                 ghz_by_opp = np.array(
                     [point.frequency_hz / 1e9 for point in spec.opps],
@@ -512,7 +486,6 @@ class ConfigurationSpace:
                     active_cores=active,
                     cores_f=active.astype(float),
                     voltage_v=voltage_by_opp[opp],
-                    frequency_hz=frequency_by_opp[opp],
                     frequency_ghz=ghz_by_opp[opp],
                 )
             self._soa = SpaceArrays(
@@ -547,59 +520,22 @@ class ConfigurationSpace:
             self._opp_lookup = table
         return self._opp_lookup
 
-    def cache_key(self) -> Tuple:
-        """Content-derived key identifying this space (for Oracle caches).
-
-        Includes every platform parameter that feeds the simulator's power
-        and performance models, so two same-named platforms with different
-        OPP tables or coefficients never share cache entries.  The active
-        OPP-index caps (scenario throttling restrictions) are part of the key
-        in addition to the enumerated configuration list, so a restricted
-        space never aliases the full space's Oracle entries; caps are
-        normalised at construction (non-binding caps are dropped), so a
-        degenerate restriction that keeps every configuration keys — and
-        correctly shares — exactly like the unrestricted space.
-        """
-        if self._cache_key is None:
-            clusters = []
-            for name in self.cluster_order:
-                spec = self.platform.clusters[name]
-                clusters.append((
-                    name,
-                    spec.n_cores,
-                    spec.ipc_peak,
-                    spec.capacitance_eff_f,
-                    spec.leakage_w_per_v,
-                    spec.base_cpi,
-                    spec.branch_penalty_cycles,
-                    spec.l2_miss_penalty_ns,
-                    tuple((opp.frequency_hz, opp.voltage_v) for opp in spec.opps),
-                ))
-            self._cache_key = (
-                self.platform.name,
-                self.platform.memory_power_w_per_gbps,
-                self.platform.base_power_w,
-                tuple(clusters),
-                tuple(sorted(self.max_opp_indices.items())),
-                tuple(self._configs),
-            )
-        return self._cache_key
-
     def content_key(self) -> Tuple:
         """Content-derived, process-stable identity of this space.
 
-        The fleet grouping layer keys batched decide/observe groups on
-        this instead of ``id(space)``: ``id()`` is process-local, changes
-        under pickling, and is reusable after garbage collection, so it
-        silently fragments (or worse, aliases) groups the moment device
-        specs cross a process boundary (sharded fleets).  Two space
-        objects with equal content produce equal keys and may batch
-        together — safe, because every derived structure a batched path
-        touches (``_configs``, ``_index``, ``soa_view``,
-        ``opp_lookup_table``, the default configuration) is a pure
-        function of exactly the constructor state captured here.  The
-        enumerated configuration list itself is *derived* from this state,
-        so unlike :meth:`cache_key` it need not be embedded.
+        The space's one identity key: the Oracle cache keys its tables by
+        it, the on-disk store digests it into table names, and the fleet
+        keys batched decide/observe groups on it.  Unlike ``id(space)`` it
+        survives pickling into another process and cannot alias a
+        garbage-collected space.  It holds the platform's
+        :meth:`~repro.soc.platform.PlatformSpec.content_key` (every
+        parameter of the power and performance models), the gating
+        settings and the binding OPP-index caps.  The configurations,
+        ``soa_view`` and every other derived structure are a pure function
+        of exactly this state, so the configuration list need not be
+        embedded.  Non-binding caps are dropped at construction, so a
+        restriction that keeps every configuration shares the unrestricted
+        space's key, and a binding one never does.
         """
         if self._content_key is None:
             self._content_key = (

@@ -66,14 +66,15 @@ class PlatformSpec:
     def content_key(self) -> tuple:
         """Content-derived, process-stable identity of this platform.
 
-        Covers every parameter that feeds the power/performance models
-        (same coverage as ``ConfigurationSpace.cache_key``), so two
-        platform objects with equal content — e.g. the same spec pickled
-        into another process — produce equal keys, while any model-visible
-        difference (an OPP table, a coefficient) splits them.  Unlike
-        ``id()``-based keys this is safe to use in fleet grouping keys and
-        cross-process maps.  Clusters key in sorted-name order so dict
-        insertion order cannot leak in.
+        Covers every parameter that feeds the power/performance models, so
+        two platform objects with equal content — e.g. the same spec
+        pickled into another process — produce equal keys, while any
+        model-visible difference (an OPP table, a coefficient) splits them.
+        Unlike ``id()``-based keys this is safe to use in fleet grouping
+        keys, cross-process maps and Oracle table names (through
+        :meth:`~repro.soc.configuration.ConfigurationSpace.content_key`).
+        Clusters key in sorted-name order so dict insertion order cannot
+        leak in.
         """
         clusters = []
         for name in sorted(self.clusters):

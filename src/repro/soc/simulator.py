@@ -622,10 +622,10 @@ class SoCSimulator:
         Oracle construction fast.  ``characteristics`` holds the snippets'
         :func:`characteristics_matrix` rows.
         """
-        knobs = space.batch_index_arrays()
+        knobs = space.soa_view().clusters
         return self.expected_arrays(
             list(snippets), space.configurations,
             characteristics.T[:, :, None],
-            {name: opp for name, (opp, _) in knobs.items()},
-            {name: active for name, (_, active) in knobs.items()},
+            {name: arrays.opp_index for name, arrays in knobs.items()},
+            {name: arrays.active_cores for name, arrays in knobs.items()},
         )

@@ -33,19 +33,18 @@ from repro.soc.counters import PerformanceCounters
 
 
 def neighbors(space: ConfigurationSpace, config: SoCConfiguration,
-              radius: int = 1,
-              include_self: bool = True) -> List[SoCConfiguration]:
+              radius: int = 1) -> List[SoCConfiguration]:
     """The configurations of ``space`` near ``config``, in space order.
 
     Near means within ``radius`` OPP steps on every cluster and within
     ``radius`` cores on every cluster (the cores of an ungated cluster
-    never vary in the space).
+    never vary in the space); ``config`` itself is near.
     """
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     return [
         candidate for candidate in space
-        if (include_self or candidate != config) and all(
+        if all(
             abs(candidate.opp_index(name) - config.opp_index(name)) <= radius
             and abs(candidate.cores(name) - config.cores(name)) <= radius
             for name in space.cluster_order)
@@ -191,11 +190,7 @@ def best_configuration(
     oracle: RuntimeOracle, counters: PerformanceCounters,
     current: SoCConfiguration,
 ) -> Tuple[SoCConfiguration, CandidateEstimate]:
-    """The candidate with the minimum predicted objective."""
+    """The candidate with the minimum predicted energy."""
     estimates = candidate_estimates(oracle, counters, current)
-    if oracle.metric == "energy":
-        key = lambda est: est.predicted_energy_j  # noqa: E731
-    else:
-        key = lambda est: est.predicted_edp  # noqa: E731
-    best = min(estimates, key=key)
+    best = min(estimates, key=lambda est: est.predicted_energy_j)
     return best.configuration, best

@@ -191,9 +191,6 @@ class TestRuntimeOracle:
         with pytest.raises(ValueError):
             RuntimeOracle(trained_framework.space, trained_framework.power_model,
                           trained_framework.performance_model, neighborhood_radius=0)
-        with pytest.raises(ValueError):
-            RuntimeOracle(trained_framework.space, trained_framework.power_model,
-                          trained_framework.performance_model, metric="speed")
 
 
 class TestOnlineIL:

@@ -18,7 +18,7 @@ import pytest
 from repro.control.policy import GovernorPolicy, StaticPolicy
 from repro.core.framework import run_policy_on_snippets
 from repro.core.session import PolicySession
-from repro.fleet import DeviceSpec, FleetEngine, TraceArrays, build_fleet
+from repro.fleet import DeviceSpec, FleetEngine, build_fleet
 from repro.fleet.kernels import lockstep_execute
 from repro.scenarios import get_scenario
 from repro.scenarios.runtime import run_policy_on_scenario
@@ -29,7 +29,7 @@ from repro.soc.governors import (
     PerformanceGovernor,
     PowersaveGovernor,
 )
-from repro.soc.simulator import SoCSimulator
+from repro.soc.simulator import SoCSimulator, characteristics_matrix
 from repro.utils.rng import make_rng
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import training_workloads
@@ -84,7 +84,7 @@ class TestLockstepKernel:
                 0.0, simulator.noise_scale, size=2)
             for i in range(len(pairs))
         ]))
-        chars = TraceArrays([snippet for snippet, _ in pairs]).matrix
+        chars = characteristics_matrix([snippet for snippet, _ in pairs])
         opp_index = {
             name: np.array([config.opp_index(name) for _, config in pairs],
                            dtype=np.intp)
@@ -111,7 +111,7 @@ class TestLockstepKernel:
         trace = make_trace(0)
         config = space.default_configuration()
         scalar = [simulator.run_snippet(s, config) for s in trace]
-        chars = TraceArrays(trace).matrix
+        chars = characteristics_matrix(trace)
         n = len(trace)
         opp_index = {name: np.full(n, config.opp_index(name), dtype=np.intp)
                      for name in platform.cluster_names}
@@ -692,7 +692,6 @@ class TestFleetExperiment:
         assert first.aggregates == second.aggregates
         assert first.n_devices == 2
         assert first.total_steps == sum(d.steps for d in first.devices)
-        assert first.batched_execution_fraction == 1.0
         scenarios = [d.scenario for d in first.devices]
         assert scenarios[0] == ""  # baseline device
         assert any(scenarios[1:])  # scenario rotation kicked in

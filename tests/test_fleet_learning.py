@@ -406,7 +406,7 @@ class TestFleetModelUpdates:
         n = 4
         powers, perfs = self._models(platform, n)
         oracles = [RuntimeOracle(space, powers[d], perfs[d],
-                                 neighborhood_radius=2, metric="energy")
+                                 neighborhood_radius=2)
                    for d in range(n)]
         soa = space.soa_view()
         # First pass: freshly built models are identical across devices,
@@ -433,18 +433,18 @@ class TestFleetModelUpdates:
             self, platform, space, observations, monkeypatch):
         """An empty candidate row raises a ``ValueError`` naming the row.
 
-        ``include_self=True`` means a real sweep always has at least one
-        valid candidate per row, so there is no per-device fallback; the
-        empty-row path is forced here by wrapping the segmented argmin to
-        mask out row 1, and the sweep must refuse it instead of picking a
-        padding entry.
+        Every neighbourhood includes its current configuration, so a real
+        sweep always has at least one valid candidate per row and there is
+        no per-device fallback; the empty-row path is forced here by
+        wrapping the segmented argmin to mask out row 1, and the sweep must
+        refuse it instead of picking a padding entry.
         """
         import repro.fleet.kernels as kernels_module
 
         n = 4
         powers, perfs = self._models(platform, n)
         oracles = [RuntimeOracle(space, powers[d], perfs[d],
-                                 neighborhood_radius=2, metric="energy")
+                                 neighborhood_radius=2)
                    for d in range(n)]
         chunk = observations[:n]
         counters_list = [c for c, _ in chunk]

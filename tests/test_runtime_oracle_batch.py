@@ -182,17 +182,24 @@ class TestBatchScalarEquivalence:
                 oracle, counters, current)
             assert best_b == best_s
 
-    def test_edp_metric_equivalence(self, platform, space):
+    @pytest.mark.parametrize("gated", [False, True], ids=["default", "gated"])
+    def test_best_configuration_minimises_predicted_energy(
+            self, platform, space, gated_space, gated):
+        """The pick is the first candidate of least predicted energy: no
+        candidate of the neighbourhood is predicted to use less."""
+        test_space = gated_space if gated else space
         power_model, performance_model, states = _decision_states(
-            platform, space, n_states=20, seed=41
+            platform, test_space, n_states=20, seed=41
         )
-        oracle = RuntimeOracle(space, power_model, performance_model,
-                               metric="edp")
+        oracle = RuntimeOracle(test_space, power_model, performance_model)
         for counters, current in states:
-            best_b, _ = oracle.best_configuration(counters, current)
-            best_s, _ = runtime_oracle_loop.best_configuration(
-                oracle, counters, current)
-            assert best_b == best_s
+            batch = oracle.candidate_batch(counters, current)
+            energies = batch.predicted_energy_j
+            best, estimate = oracle.best_configuration(counters, current)
+            first_min = int(np.flatnonzero(energies == energies.min())[0])
+            assert best == test_space[int(batch.candidate_indices[first_min])]
+            assert estimate.predicted_energy_j == energies.min()
+            assert (energies >= estimate.predicted_energy_j).all()
 
     def test_argmin_tie_breaking_on_equal_energies(self, platform, space):
         """Exact ties must resolve to the first candidate in both sweeps.
@@ -294,10 +301,10 @@ class TestModelBatchPaths:
             [current for _, current in states], soa.gather(every_config))
         assert stacked.tolist() == expected
 
-    @pytest.mark.parametrize("metric", ["energy", "edp"])
+    @pytest.mark.parametrize("radius", [1, 2])
     @pytest.mark.parametrize("gated", [False, True], ids=["default", "gated"])
     def test_one_device_equals_its_row_of_a_three_device_call(
-            self, platform, space, gated_space, metric, gated):
+            self, platform, space, gated_space, radius, gated):
         """A lone ``candidate_batch`` and row ``d`` of a stacked three-device
         call give the same power and time, bitwise, and the fleet sweep
         picks what each device's ``best_configuration`` picks."""
@@ -306,9 +313,9 @@ class TestModelBatchPaths:
                                     seed=seed)
                    for seed in (79, 83, 89)]
         oracles = [RuntimeOracle(test_space, power_model, performance_model,
-                                 metric=metric)
+                                 neighborhood_radius=radius)
                    for power_model, performance_model, _ in devices]
-        table, lengths = test_space.neighborhood_table(radius=2)
+        table, lengths = test_space.neighborhood_table(radius=radius)
         for step in range(12):
             counters_list = [states[step][0] for _, _, states in devices]
             currents = [states[step][1] for _, _, states in devices]
@@ -337,21 +344,19 @@ class TestSpaceIndexTables:
             for index in range(0, len(test_space), 7):
                 config = test_space[index]
                 for radius in (1, 2):
-                    for include_self in (True, False):
-                        via_indices = [
-                            test_space[int(i)]
-                            for i in test_space.neighbor_indices(
-                                index, radius, include_self)
-                        ]
-                        assert via_indices == runtime_oracle_loop.neighbors(
-                            test_space, config, radius, include_self)
+                    via_indices = [
+                        test_space[int(i)]
+                        for i in test_space.neighbor_indices(index, radius)
+                    ]
+                    assert via_indices == runtime_oracle_loop.neighbors(
+                        test_space, config, radius)
 
     def test_neighbor_tables_are_memoised(self, space):
-        first = space.neighbor_indices(0, 2, True)
-        second = space.neighbor_indices(0, 2, True)
+        first = space.neighbor_indices(0, 2)
+        second = space.neighbor_indices(0, 2)
         assert first is second
-        view_a = space.neighborhood_view(0, 2, True)
-        view_b = space.neighborhood_view(0, 2, True)
+        view_a = space.neighborhood_view(0, 2)
+        view_b = space.neighborhood_view(0, 2)
         assert view_a is view_b
         np.testing.assert_array_equal(view_a.indices, first)
 
@@ -366,7 +371,6 @@ class TestSpaceIndexTables:
                 assert arrays.active_cores[row] == config.cores(name)
                 opp = spec.opps[config.opp_index(name)]
                 assert arrays.voltage_v[row] == opp.voltage_v
-                assert arrays.frequency_hz[row] == opp.frequency_hz
                 assert arrays.frequency_ghz[row] == opp.frequency_hz / 1e9
 
     def test_clamp_is_memoised_and_correct(self, space):

@@ -285,9 +285,10 @@ class TestSpaceRestriction:
 
     def test_restricted_cache_key_differs(self, space):
         restricted = space.restrict(max_opp_index=1)
-        assert restricted.cache_key() != space.cache_key()
+        assert restricted.content_key() != space.content_key()
         # A non-binding restriction is the same space and shares the key.
-        assert space.restrict(max_opp_index=10**6).cache_key() == space.cache_key()
+        assert (space.restrict(max_opp_index=10**6).content_key()
+                == space.content_key())
 
     def test_oracle_cache_never_reuses_full_space_entries(
             self, simulator, space, compute_snippet):

@@ -118,12 +118,20 @@ class TestConfigurationSpace:
         index = space.default_index()
         assert space.neighbor_indices(index, radius=0).tolist() == [index]
 
-    def test_neighbors_exclude_self(self, space):
-        index = space.default_index()
-        neighbors = space.neighbor_indices(index, radius=1,
-                                           include_self=False).tolist()
-        assert index not in neighbors
-        assert len(neighbors) > 0
+    def test_every_neighborhood_contains_its_own_configuration(self,
+                                                              platform):
+        """Each row of the padded neighbour table holds its own index once,
+        so the fleet sweep never meets a row without a candidate."""
+        for space in (ConfigurationSpace(platform),
+                      ConfigurationSpace(platform, allow_core_gating=True,
+                                         gated_clusters=("big",))):
+            for radius in (1, 2, 3):
+                table, lengths = space.neighborhood_table(radius=radius)
+                assert (lengths >= 1).all()
+                for index in range(len(space)):
+                    row = table[index, :lengths[index]].tolist()
+                    assert row.count(index) == 1
+                    assert len(set(row)) == len(row)
 
     def test_neighbors_within_radius(self, space):
         config = space.default_configuration()
@@ -160,14 +168,12 @@ class TestConfigurationSpacePickling:
     @staticmethod
     def _use(space):
         space.soa_view()
-        space.batch_index_arrays()
         space.restrict(max_opp_index=2)
         space.neighborhood_table()
         space.neighborhood_view(0)
         space.clamp(space[len(space) - 1])
         space.opp_lookup_table()
         space.default_index()
-        space.cache_key()
         space.content_key()
 
     @pytest.mark.parametrize("options", [
@@ -184,7 +190,6 @@ class TestConfigurationSpacePickling:
         assert data == pickle.dumps(fresh, protocol=pickle.HIGHEST_PROTOCOL)
         copy = pickle.loads(data)
         assert copy.content_key() == used.content_key()
-        assert copy.cache_key() == used.cache_key()
         assert copy.configurations == used.configurations
         assert copy.gated_clusters == used.gated_clusters
         assert copy.max_opp_indices == used.max_opp_indices
@@ -193,7 +198,7 @@ class TestConfigurationSpacePickling:
     def test_restricted_space_round_trips(self, space):
         restricted = space.restrict(max_opp_indices={"big": 3, "little": 2})
         copy = pickle.loads(pickle.dumps(restricted))
-        assert copy.cache_key() == restricted.cache_key()
+        assert copy.content_key() == restricted.content_key()
         assert copy.configurations == restricted.configurations
         assert copy.restrict(max_opp_indices={"big": 3, "little": 2}) is copy
 

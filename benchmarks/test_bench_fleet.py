@@ -9,7 +9,7 @@ runs (asserted only on timing-enabled runs).
 
 Three fleets are gated.  The ondemand-governor fleet — the classic
 per-device baseline the paper's motivation names — isolates the lockstep
-engine (batched decides + batched executions + pre-drawn noise streams).
+engine (batched decides + batched executions + the sessions' noise rows).
 The online-IL fleet (the paper's actual rollout) exercises the whole
 batched learning path on top of it: fleet-wide runtime-Oracle candidate
 sweeps, stacked RLS model updates with persistent cross-step precision
@@ -201,7 +201,7 @@ def test_bench_fleet_lockstep(fleet_fixture, perf_record, speedup_gate):
         gc.collect()
 
         timed_engine = _fleet_engine(space, simulator, traces)
-        # prepare() is per-fleet setup (trace tensors, pre-drawn noise),
+        # prepare() is per-fleet setup (trace and noise tensors),
         # analogous to the policy/generator construction both sides do
         # outside the timers; the timed region is the lockstep stepping.
         timed_engine.prepare()

@@ -82,7 +82,8 @@ def decision_fixture():
     current = space.default_configuration()
     while len(states) < N_DECISION_STEPS:
         for snippet in snippets:
-            result = simulator.run_snippet(snippet, current, rng=rng)
+            result = simulator.run_snippet(snippet, current,
+                                           simulator.draw_noise(1, rng)[0])
             power_model.update(result.counters, current)
             performance_model.update(result.counters, current)
             states.append((result.counters, current))

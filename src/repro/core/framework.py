@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
+from typing import List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -96,7 +96,7 @@ def run_policy_on_snippets(
     oracle_table: Optional[OracleTable] = None,
     rng: Optional[np.random.Generator] = None,
     reset_policy: bool = True,
-    space_schedule: Optional[Callable[[int], ConfigurationSpace]] = None,
+    caps: Optional[Sequence[Optional[int]]] = None,
 ) -> PolicyRunResult:
     """Execute ``snippets`` under ``policy`` and collect the run statistics.
 
@@ -104,11 +104,11 @@ def run_policy_on_snippets(
     configuration from the counters of the *previous* snippet, the simulator
     executes the snippet, and the result is fed back to the policy.
 
-    ``space_schedule`` (scenario hook) maps the step index to the
-    configuration space that is actually reachable at that step — e.g. a
-    thermally throttled restriction of ``space``.  The policy still reasons
-    over its own space; if its decision falls outside the active space the
-    hardware-clamped configuration
+    ``caps`` (scenario hook) holds each step's OPP cap (``None`` where
+    unthrottled): the space actually reachable at a capped step is a
+    thermally throttled restriction of ``space``.  The policy still
+    reasons over its own space; if its decision falls outside the active
+    space the hardware-clamped configuration
     (:meth:`~repro.soc.configuration.ConfigurationSpace.clamp`) is executed
     instead.  The run log's ``throttled`` column flags every step whose
     active space is restricted (a throttle window is in force), whether or
@@ -130,7 +130,7 @@ def run_policy_on_snippets(
         oracle_table=oracle_table,
         rng=rng,
         reset_policy=reset_policy,
-        space_schedule=space_schedule,
+        caps=caps,
     )
     return session.run()
 
@@ -236,11 +236,14 @@ class OnlineLearningFramework:
 
         Each training snippet's noise-free result at its Oracle
         configuration (:func:`~repro.core.oracle.oracle_results`) is
-        re-noised via :meth:`~repro.soc.simulator.SoCSimulator.apply_noise`:
+        re-noised via :meth:`~repro.soc.simulator.SoCSimulator.apply_noise`
+        with a row of factors drawn from the simulator's generator:
         bitwise the observations and generator stream of a re-simulation.
         """
-        for expected in oracle_results(self.simulator, oracle_table, snippets):
-            counters = self.simulator.apply_noise(expected).counters
+        results = oracle_results(self.simulator, oracle_table, snippets)
+        noise = self.simulator.draw_noise(len(results))
+        for expected, factors in zip(results, noise):
+            counters = self.simulator.apply_noise(expected, factors).counters
             self.power_model.update(counters, expected.configuration)
             self.performance_model.update(counters, expected.configuration)
 

@@ -62,20 +62,22 @@ def collect_il_dataset(
     executing snippet ``k-1`` at its Oracle configuration (the information a
     deployed policy would have when making the decision); the label is the
     Oracle configuration index for snippet ``k``.  The first snippet of the
-    sequence is skipped because no prior observation exists.
+    sequence is skipped because no prior observation exists.  The
+    executions' noise factors come from the simulator's own generator.
     """
     table = oracle_table or build_oracle(simulator, space, snippets, objective)
     features: List[np.ndarray] = []
     labels: List[int] = []
     applications: List[str] = []
     previous_counters: Optional[PerformanceCounters] = None
-    for snippet in snippets:
+    noise = simulator.draw_noise(len(snippets))
+    for snippet, factors in zip(snippets, noise):
         best_config = table.best_configuration(snippet)
         if previous_counters is not None:
             features.append(previous_counters.feature_vector())
             labels.append(space.index_of(best_config))
             applications.append(snippet.application)
-        result = simulator.run_snippet(snippet, best_config)
+        result = simulator.run_snippet(snippet, best_config, factors)
         previous_counters = result.counters
     if not features:
         raise ValueError("need at least two snippets to build an IL dataset")

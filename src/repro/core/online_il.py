@@ -41,6 +41,10 @@ from repro.soc.counters import PerformanceCounters
 from repro.soc.simulator import SnippetResult
 from repro.soc.snippet import Snippet
 
+#: Runtime-Oracle model updates before the policy takes supervision
+#: labels from it (the models must have seen enough data to be meaningful).
+MIN_MODEL_UPDATES = 3
+
 
 class OnlineILPolicy(DRMPolicy):
     """Online-adaptive imitation-learning DRM policy."""
@@ -52,7 +56,6 @@ class OnlineILPolicy(DRMPolicy):
         runtime_oracle: RuntimeOracle,
         buffer_capacity: int = 100,
         update_epochs: int = 30,
-        min_model_updates: int = 3,
     ) -> None:
         super().__init__(space)
         if update_epochs < 1:
@@ -61,7 +64,6 @@ class OnlineILPolicy(DRMPolicy):
         self.runtime_oracle = runtime_oracle
         self.buffer = AggregationBuffer(capacity=buffer_capacity)
         self.update_epochs = int(update_epochs)
-        self.min_model_updates = int(min_model_updates)
         self.n_policy_updates = 0
         self.n_supervision_labels = 0
         self.n_rejected_decisions = 0
@@ -91,7 +93,7 @@ class OnlineILPolicy(DRMPolicy):
 
         # Model-guided supervision: query the runtime Oracle once its online
         # models have seen enough data to be meaningful.
-        if self.runtime_oracle.n_model_updates >= self.min_model_updates:
+        if self.runtime_oracle.n_model_updates >= MIN_MODEL_UPDATES:
             best_config, _ = self.runtime_oracle.best_configuration(
                 counters, self.current
             )
@@ -265,7 +267,7 @@ class OnlineILPolicy(DRMPolicy):
                     )
         state["members"] = tuple(policies)
         # Rows whose supervision gate has already opened; the gate
-        # (``n_model_updates >= min_model_updates``) is monotone for a
+        # (``n_model_updates >= MIN_MODEL_UPDATES``) is monotone for a
         # fixed policy object, so membership never needs revisiting until
         # adoption rebuilds this state.
         state["supervised_known"] = set()
@@ -390,7 +392,7 @@ class OnlineILPolicy(DRMPolicy):
                 continue
             policy = policies[i]
             if (policy.runtime_oracle.n_model_updates  # type: ignore[attr-defined]
-                    >= policy.min_model_updates):  # type: ignore[attr-defined]
+                    >= MIN_MODEL_UPDATES):
                 known.add(i)
                 supervised.append(k)
         if supervised:

@@ -29,14 +29,23 @@ returned :class:`SessionStep` carries both the policy's raw proposal and
 the hardware-clamped configuration that will actually execute, plus the
 ``throttled`` flag recorded in the log.
 
-A session splits into its definition (the trace, the Oracle table, the
-simulator), which never changes while it runs, and its state (policy,
-space, noise generator, log, totals, counters, cursor).  Snapshots hold
-the state only; whoever restores a session supplies the definition again.
+A session's per-step inputs are data fixed when it is built: its
+measurement noise is one ``(steps, 2)`` array of log-normal factors drawn
+up front in the scalar draw order
+(:meth:`~repro.soc.simulator.SoCSimulator.draw_noise`), and its throttle
+schedule is the trace's per-step OPP caps plus a cap dispatched to the
+session, resolved against the session's own space by :meth:`PolicySession
+.throttle`.  A session therefore splits into its definition (simulator,
+trace, Oracle table, noise, trace caps), which never changes while it
+runs, and its state (policy, space, dispatched cap, log, totals,
+counters, cursor).  Snapshots hold the state only; :meth:`PolicySession
+.restore` takes the definition from a template session built over the
+same trace.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import os
 import pickle
@@ -44,7 +53,7 @@ import struct
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,34 +67,16 @@ from repro.utils.records import RunLog
 
 #: Bump when the snapshot payload layout changes; old snapshots then fail
 #: to restore with a clear :class:`SnapshotError` instead of misbehaving.
-SNAPSHOT_FORMAT_VERSION = 7
+SNAPSHOT_FORMAT_VERSION = 8
 
 #: Leading magic of serialized snapshots (identifies the container format).
 _SNAPSHOT_MAGIC = b"RPSESNAP"
-
-#: Sentinel distinguishing "no rng override" from an explicit ``None``.
-_RNG_UNSET = object()
 
 _NAN = float("nan")
 
 
 class SnapshotError(RuntimeError):
     """A serialized session snapshot failed verification or restore."""
-
-
-def _generator_state(rng: Optional[np.random.Generator]) -> Optional[dict]:
-    """The bit-generator state dict a snapshot stores for ``rng``."""
-    return None if rng is None else rng.bit_generator.state
-
-
-def _generator_from_state(state: Optional[dict]
-                          ) -> Optional[np.random.Generator]:
-    """The generator a :func:`_generator_state` dict describes."""
-    if state is None:
-        return None
-    bit_generator = getattr(np.random, state["bit_generator"])()
-    bit_generator.state = state
-    return np.random.Generator(bit_generator)
 
 
 def pack_states(states: Sequence[Dict[str, Any]]) -> bytes:
@@ -200,10 +191,11 @@ class PolicySession:
     The constructor mirrors :func:`~repro.core.framework
     .run_policy_on_snippets` argument for argument; driving the session to
     completion with :meth:`run` is bitwise equivalent to the original
-    closed loop.  ``rng`` is the measurement-noise stream handed to the
-    simulator for every executed snippet; sessions that will be advanced
-    in lockstep by a fleet driver must each own an independent generator
-    (a shared stream would interleave differently than sequential runs).
+    closed loop.  ``rng`` is the generator the session's :attr:`noise`
+    is drawn from at construction, two normals per step (the simulator's
+    own generator when ``None``).  ``caps`` holds the trace's OPP cap at
+    each step (``None`` where unthrottled), as
+    :meth:`~repro.scenarios.base.ScenarioTrace.caps` lists them.
     """
 
     def __init__(
@@ -215,7 +207,7 @@ class PolicySession:
         oracle_table: Optional[OracleTable] = None,
         rng: Optional[np.random.Generator] = None,
         reset_policy: bool = True,
-        space_schedule: Optional[Callable[[int], ConfigurationSpace]] = None,
+        caps: Optional[Sequence[Optional[int]]] = None,
         name: str = "device",
     ) -> None:
         self.simulator = simulator
@@ -224,8 +216,10 @@ class PolicySession:
         self.snippets: List[Snippet] = list(snippets)
         self._trace_len = len(self.snippets)
         self.oracle_table = oracle_table
-        self.rng = rng
-        self.space_schedule = space_schedule
+        self.noise = simulator.draw_noise(self._trace_len, rng)
+        self.caps: Optional[List[Optional[int]]] = (
+            None if caps is None else list(caps))
+        self.dispatched_cap: Optional[int] = None
         self.name = name
         if reset_policy:
             policy.reset()
@@ -261,17 +255,43 @@ class PolicySession:
     # ------------------------------------------------------------------ #
     # Phases
     # ------------------------------------------------------------------ #
+    def throttle(self, config: SoCConfiguration
+                 ) -> Tuple[SoCConfiguration, bool]:
+        """The clamp/throttle phase at the cursor: what runs, and whether
+        a restriction is in force.
+
+        The OPP cap in force is the tighter of the trace's cap at the
+        cursor (:attr:`caps`) and :attr:`dispatched_cap`.  When it binds
+        on the session's space, ``config`` is projected into the
+        restricted space if it lies outside
+        (:meth:`~repro.soc.configuration.ConfigurationSpace.clamp`) and
+        the step counts as throttled; otherwise ``config`` runs as is.
+        :meth:`decide` and the fleet engine's batched decide both call
+        this.
+        """
+        cap = self.dispatched_cap
+        if self.caps is not None:
+            trace_cap = self.caps[self._cursor]
+            if trace_cap is not None and (cap is None or trace_cap < cap):
+                cap = trace_cap
+        if cap is None:
+            return config, False
+        active = self.space.restrict(max_opp_index=cap)
+        if active is self.space:
+            return config, False
+        if not active.contains(config):
+            config = active.clamp(config)
+        return config, True
+
     def decide(self) -> SessionStep:
         """Phase 1+2: ask the policy for a decision and clamp it.
 
         The Oracle policy is told which snippet is coming (it has perfect
         knowledge by construction); every other policy decides from the
         counters of the previous snippet (``None`` on the first step).
-        When a ``space_schedule`` is installed and the step's active space
-        is a restriction of the base space, a decision outside it is
-        projected in via :meth:`~repro.soc.configuration.ConfigurationSpace
-        .clamp`.  A configuration outside the session's space raises
-        :class:`KeyError`.
+        :meth:`throttle` then clamps the decision into the space an OPP
+        cap leaves reachable.  A configuration outside the session's space
+        raises :class:`KeyError`.
         """
         if self.done:
             raise RuntimeError(f"session {self.name!r} is already complete")
@@ -283,13 +303,7 @@ class PolicySession:
         if isinstance(self.policy, OraclePolicy):
             self.policy.prepare_for(snippet)
         proposed = self.policy.decide(self.counters)
-        config = proposed
-        throttled = False
-        if self.space_schedule is not None:
-            active_space = self.space_schedule(self._cursor)
-            throttled = active_space is not self.space
-            if throttled and not active_space.contains(config):
-                config = active_space.clamp(config)
+        config, throttled = self.throttle(proposed)
         step = SessionStep(
             index=self._cursor,
             snippet=snippet,
@@ -302,12 +316,13 @@ class PolicySession:
         return step
 
     def execute(self, step: Optional[SessionStep] = None) -> SnippetResult:
-        """Phase 3: run the pending step's snippet on the simulator."""
+        """Phase 3: run the pending step's snippet on the simulator, with
+        the step's row of :attr:`noise`."""
         step = step if step is not None else self._pending
         if step is None:
             raise RuntimeError("no pending step to execute; call decide() first")
         return self.simulator.run_snippet(
-            step.snippet, step.configuration, rng=self.rng
+            step.snippet, step.configuration, self.noise[step.index]
         )
 
     def _opp_floats(self, index: int) -> Tuple[float, float]:
@@ -337,10 +352,10 @@ class PolicySession:
         the scalar ``policy.observe`` call (everything else is unchanged).
 
         Every step writes every column.  ``config_index`` is the executed
-        configuration's index in :attr:`space`; ``throttled`` is 0.0
-        without a ``space_schedule``; the three Oracle columns are NaN when
-        the table has no entry for the step's snippet (or no table is
-        installed).
+        configuration's index in :attr:`space`; ``throttled`` is 1.0 on
+        steps an OPP cap binds (see :meth:`throttle`); the three Oracle
+        columns are NaN when the table has no entry for the step's snippet
+        (or no table is installed).
         """
         if step is not self._pending:
             if self._pending is None:
@@ -428,33 +443,21 @@ class PolicySession:
     # ------------------------------------------------------------------ #
     # Durable snapshots
     # ------------------------------------------------------------------ #
-    def snapshot_state(self, rng: Any = _RNG_UNSET) -> Dict[str, Any]:
+    def snapshot_state(self) -> Dict[str, Any]:
         """The session's restorable state as one picklable dict.
 
         Everything that changes while the session runs is captured —
-        policy (with its learned state), space, noise generator, log,
+        policy (with its learned state), space, dispatched cap, log,
         totals, counters, cursor and the pending step, if the session is
         paused mid-phase between decide and observe — plus the trace
-        length, so a restore can check the trace it is given.  What never
-        changes is left out and supplied again at :meth:`restore`:
-
-        * the **trace** and the **Oracle table**;
-        * the **simulator** (shared infrastructure);
-        * the **space_schedule** (a closure over the live space object;
-          rebuild it over the restored session's ``.space``).
+        length, so a restore can check the template it is given.  The
+        definition (simulator, trace, Oracle table, noise, trace caps)
+        never changes and is left out; :meth:`restore` takes it from a
+        template session.
 
         ``space`` stays in: the policy references it, and one pickle over
         many sessions (:func:`pack_states`) keeps a fleet's one space
         shared, so ``policy.space is session.space`` survives a restore.
-
-        The noise generator is stored as its bit-generator state dict
-        (``None`` without one), which pickles to a fraction of a
-        ``Generator``'s bytes; :meth:`restore` rebuilds the generator.
-        ``rng`` overrides that state.  A session adopted for batched
-        execution by the fleet engine has had its private stream
-        pre-drawn to the end of the trace; pass
-        :meth:`~repro.fleet.engine.FleetEngine.sequential_rng_state` so
-        the snapshot resumes with sequential-equivalent draws.
         """
         return {
             "version": SNAPSHOT_FORMAT_VERSION,
@@ -462,7 +465,7 @@ class PolicySession:
             "trace_steps": self._trace_len,
             "policy": self.policy,
             "space": self.space,
-            "rng": _generator_state(self.rng) if rng is _RNG_UNSET else rng,
+            "dispatched_cap": self.dispatched_cap,
             "log": self.log,
             "total_energy_j": self.total_energy_j,
             "total_time_s": self.total_time_s,
@@ -472,14 +475,13 @@ class PolicySession:
             "pending": self._pending,
         }
 
-    def snapshot_bytes(self, rng: Any = _RNG_UNSET) -> bytes:
+    def snapshot_bytes(self) -> bytes:
         """This session's :func:`pack_states` snapshot."""
-        return pack_states([self.snapshot_state(rng)])
+        return pack_states([self.snapshot_state()])
 
-    def save_snapshot(self, path: Union[str, Path],
-                      rng: Any = _RNG_UNSET) -> Path:
+    def save_snapshot(self, path: Union[str, Path]) -> Path:
         """Write a durable snapshot to ``path`` (see :func:`write_durable`)."""
-        return write_durable(path, self.snapshot_bytes(rng))
+        return write_durable(path, self.snapshot_bytes())
 
     @staticmethod
     def unpack_snapshot(data: bytes) -> Dict[str, Any]:
@@ -491,44 +493,31 @@ class PolicySession:
         return states[0]
 
     @classmethod
-    def restore(
-        cls,
-        state: Union[Dict[str, Any], bytes],
-        simulator: SoCSimulator,
-        snippets: Sequence[Snippet],
-        oracle_table: Optional[OracleTable] = None,
-        space_schedule: Optional[Callable[[int], ConfigurationSpace]] = None,
-    ) -> "PolicySession":
+    def restore(cls, state: Union[Dict[str, Any], bytes],
+                template: "PolicySession") -> "PolicySession":
         """Rebuild a session from :meth:`snapshot_state` / snapshot bytes.
 
-        ``snippets`` and ``oracle_table`` are the trace and table the
-        snapshotted session ran over; a trace of another length raises
-        :class:`SnapshotError`.  The restored session continues bitwise
-        identically to the original (same policy state, same log, same
-        pending step, same noise stream).  ``space_schedule`` must be
-        rebuilt over the *restored* session's ``.space`` (e.g.
-        ``make_space_schedule(session.space, trace)``) — a schedule closed
-        over the original space object would make every step compare as
-        throttled against the unpickled space.
+        ``template`` is a session built over the trace the snapshotted
+        session ran (the session a restart replaces, or a fresh one); the
+        restored session shares its definition — simulator, trace, Oracle
+        table, noise and trace caps — and takes everything else from
+        ``state``, so it continues bitwise identically to the original
+        (same policy state, same log, same pending step, the same noise
+        rows from its cursor on).  A template over a trace of another
+        length raises :class:`SnapshotError`.
         """
         if isinstance(state, (bytes, bytearray)):
             state = cls.unpack_snapshot(bytes(state))
-        if len(snippets) != state["trace_steps"]:
+        if len(template) != state["trace_steps"]:
             raise SnapshotError(
                 f"snapshot of {state['name']!r} covers a "
-                f"{state['trace_steps']}-step trace, not {len(snippets)} steps"
+                f"{state['trace_steps']}-step trace, not {len(template)} steps"
             )
-        session = cls(
-            simulator,
-            state["space"],
-            state["policy"],
-            snippets,
-            oracle_table=oracle_table,
-            rng=_generator_from_state(state["rng"]),
-            reset_policy=False,
-            space_schedule=space_schedule,
-            name=state["name"],
-        )
+        session = copy.copy(template)
+        session.name = state["name"]
+        session.policy = state["policy"]
+        session.space = state["space"]
+        session.dispatched_cap = state["dispatched_cap"]
         session.log = state["log"]
         session.total_energy_j = state["total_energy_j"]
         session.total_time_s = state["total_time_s"]
@@ -536,23 +525,16 @@ class PolicySession:
         session.oracle_energy = state["oracle_energy"]
         session._cursor = state["cursor"]
         session._pending = state["pending"]
+        session._opp_columns = None
         return session
 
     @classmethod
-    def load_snapshot(
-        cls,
-        path: Union[str, Path],
-        simulator: SoCSimulator,
-        snippets: Sequence[Snippet],
-        oracle_table: Optional[OracleTable] = None,
-        space_schedule: Optional[Callable[[int], ConfigurationSpace]] = None,
-    ) -> "PolicySession":
+    def load_snapshot(cls, path: Union[str, Path],
+                      template: "PolicySession") -> "PolicySession":
         """Restore a session from a :meth:`save_snapshot` file (see
         :meth:`restore`)."""
         try:
             data = Path(path).read_bytes()
         except OSError as exc:
             raise SnapshotError(f"snapshot {path} unreadable: {exc}") from exc
-        return cls.restore(data, simulator, snippets,
-                           oracle_table=oracle_table,
-                           space_schedule=space_schedule)
+        return cls.restore(data, template)

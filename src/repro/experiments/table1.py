@@ -49,7 +49,8 @@ def run_table1(seed: int = 0) -> Table1Result:
     space = ConfigurationSpace(platform)
     simulator = SoCSimulator(platform, seed=seed)
     snippet = Snippet(application="example", index=0)
-    result = simulator.run_snippet(snippet, space.default_configuration())
+    result = simulator.run_snippet(snippet, space.default_configuration(),
+                                   simulator.draw_noise(1)[0])
     return Table1Result(
         rows=list(PAPER_TABLE1_ROWS.keys()),
         example=result.counters.as_dict(),

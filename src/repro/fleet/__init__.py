@@ -6,13 +6,14 @@ Public surface:
   or scenario trace, private noise generator and optional Oracle table.
 * :func:`~repro.fleet.device.build_fleet` /
   :func:`~repro.fleet.device.device_session` — lower device specs onto
-  sessions and a prepared engine.
+  sessions (each drawing its noise from its device's generator) and a
+  prepared engine; ``build_fleet`` refuses, naming the devices, a device
+  without a noise generator of its own.
 * :class:`~repro.fleet.engine.FleetEngine` — advance N sessions in
   lockstep with cross-session batched decides and executions, bitwise
   identical to N independent sequential runs.  It refuses, naming the
-  devices, a fleet outside its one input shape: one stock simulator, one
-  space content with each policy over its session's space, and a private
-  noise generator per device.
+  devices, a fleet outside its one input shape: one stock simulator and
+  one space content with each policy over its session's space.
 * :func:`~repro.fleet.kernels.lockstep_execute` — the vectorized
   many-device execution kernel.
 * :class:`~repro.fleet.faults.FaultPlan` and the

@@ -2,9 +2,9 @@
 
 The paper's deployment story is the online-IL governor running on *every*
 device of a fleet.  :class:`FleetEngine` simulates exactly that: ``N``
-heterogeneous devices — each with its own noise generator, snippet
-sequence, policy state and (optionally) scenario schedule — advanced one
-decision epoch at a time, in lockstep.
+heterogeneous devices — each with its own measurement noise, snippet
+sequence, policy state and (optionally) OPP caps — advanced one decision
+epoch at a time, in lockstep.
 
 Input shape
 -----------
@@ -15,9 +15,11 @@ Input shape
   object, whose class does not override ``run_snippet``;
 * every session's space has the same
   :meth:`~repro.soc.configuration.ConfigurationSpace.content_key`, and
-  each policy reasons over its session's space object;
-* every session owns its noise generator
-  (:func:`check_private_generators`).
+  each policy reasons over its session's space object.
+
+Noise generators are checked where device specs are lowered onto
+sessions (:func:`~repro.fleet.device.build_fleet`): a session holds its
+drawn noise, not a generator.
 
 Equivalence contract
 --------------------
@@ -35,12 +37,12 @@ engine exploits that freedom on three phases:
   :meth:`~repro.core.session.PolicySession.decide`.
 * **execute** — every session runs through the cross-session vectorized
   kernel (:func:`~repro.fleet.kernels.lockstep_execute`).  The
-  configuration-independent snippet characteristics and the pre-drawn
-  log-normal noise factors (consumed from each device's own generator in
-  the scalar draw order) live in fleet-wide padded tensors built once at
-  :meth:`prepare`, and every decided step carries its configuration's
-  index in the fleet's one space content, so the per-step inputs are
-  fancy-indexing gathers.
+  configuration-independent snippet characteristics and each session's
+  noise factors (its :attr:`~repro.core.session.PolicySession.noise`,
+  drawn when the session was built) live in fleet-wide padded tensors
+  built once at :meth:`prepare`, and every decided step carries its
+  configuration's index in the fleet's one space content, so the
+  per-step inputs are fancy-indexing gathers.
 * **observe** — policies advertising a shared
   :meth:`~repro.control.policy.DRMPolicy.fleet_observe_key` (online-IL:
   its per-device observe is two rank-1 RLS model updates) have their
@@ -51,9 +53,10 @@ engine exploits that freedom on three phases:
   record) runs unchanged.  Everyone else observes scalar, which is what
   lets arbitrary learning policies ride in the same fleet.
 
-Sessions under a scenario schedule batch too: the engine mirrors the
-session's clamp/throttle phase on the batched decisions before installing
-the pending step, so restricted-space windows stay bitwise faithful.
+Sessions under OPP caps batch too: the engine runs the session's
+clamp/throttle phase (:meth:`~repro.core.session.PolicySession.throttle`)
+on the batched decisions before installing the pending step, so
+restricted-space windows stay bitwise faithful.
 
 Per-round inputs
 ----------------
@@ -66,10 +69,6 @@ which :class:`~repro.fleet.supervisor.FleetSupervisor` injects faults:
 * ``transforms`` — per-row functions applied to a row's executed
   :class:`~repro.soc.simulator.SnippetResult` before any observe, batched
   or scalar.
-
-Once :meth:`run` (or :meth:`prepare`) has pre-drawn a session's noise
-stream, keep driving it through the engine rather than calling
-``session.execute`` directly.
 """
 
 from __future__ import annotations
@@ -89,53 +88,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet -> core)
 
 #: A per-row rewrite of an executed result (see :meth:`FleetEngine.step`).
 ResultTransform = Callable[[SnippetResult], SnippetResult]
-
-
-def check_private_generators(members: Sequence,
-                             simulator: SoCSimulator) -> None:
-    """Raise :class:`ValueError` unless every member owns its noise generator.
-
-    ``members`` are :class:`~repro.fleet.device.DeviceSpec`\\ s or
-    :class:`~repro.core.session.PolicySession`\\ s; both carry ``name``,
-    ``rng`` and ``policy``.  A generator is refused when it is missing,
-    held by another member, the simulator's own, or held by the member's
-    policy as ``rng`` or ``_rng``: pre-drawing a stream that something
-    else also draws from would reorder its draws against a sequential
-    run, and a sharded fleet would draw from one copy per shard.
-    """
-    # Object-keyed map (identity hash, strong refs) — id() keys are
-    # process-local and reusable after GC, so they are banned from every
-    # fleet map (the lint test greps for them).
-    holders: Dict[np.random.Generator, List[str]] = {}
-    refused: List[str] = []
-    for member in members:
-        rng = member.rng
-        if rng is None:
-            refused.append(f"{member.name!r} has none")
-        elif rng is simulator.rng:
-            refused.append(f"{member.name!r} holds the simulator's")
-        elif any(getattr(member.policy, attr, None) is rng
-                 for attr in ("rng", "_rng")):
-            refused.append(f"{member.name!r} shares it with its policy")
-        else:
-            holders.setdefault(rng, []).append(member.name)
-    refused.extend(f"{names} share one" for names in holders.values()
-                   if len(names) > 1)
-    if refused:
-        raise ValueError("every fleet device needs a noise generator of "
-                         "its own: " + "; ".join(refused))
-
-
-def _noise_draws(rng: np.random.Generator, noise_scale: float,
-                steps: int) -> np.ndarray:
-    """The scalar path's measurement-noise normals for ``steps`` steps.
-
-    Two normals per step (time then power), consumed in step order from
-    the session's own generator: the ``(steps, 2)`` block fills row-major
-    from the bit stream, so it consumes exactly what ``steps`` scalar
-    executions would.
-    """
-    return rng.normal(0.0, noise_scale, size=(steps, 2))
 
 
 class _DecideGroup:
@@ -204,8 +156,6 @@ class FleetEngine:
         self._soa = None
         self._chars: Optional[np.ndarray] = None
         self._noise: Optional[np.ndarray] = None
-        self._initial_rng: Dict[int, Tuple[dict, int]] = {}
-        self._trailing_rng: Dict[int, Tuple[np.random.Generator, int]] = {}
         self._active: List[PolicySession] = []
         self._active_rows: List[int] = []
         self._active_row_array = np.empty(0, dtype=np.intp)
@@ -245,7 +195,6 @@ class FleetEngine:
         if names:
             raise ValueError(f"fleet devices {names} have a policy over "
                              "another space object than their session's")
-        check_private_generators(sessions, simulator)
 
     def prepare(self) -> None:
         """Check the input shape, group the policies and build the step
@@ -255,10 +204,10 @@ class FleetEngine:
         never an ``id()``-derived key, so they can be rebuilt across
         process boundaries (sharded fleets).  ``_chars`` is the padded
         ``(n_sessions, T_max, n_columns)`` snippet characteristics tensor
-        and ``_noise`` the matching ``(n_sessions, T_max, 2)`` pre-drawn
-        ``exp(normal)`` factor tensor (``None`` for a noise-free
-        simulator).  ``_soa`` holds the knob columns of the fleet's one
-        space content, gathered by each step's configuration index.
+        and ``_noise`` the matching ``(n_sessions, T_max, 2)`` stack of
+        the sessions' noise factors.  ``_soa`` holds the knob columns of
+        the fleet's one space content, gathered by each step's
+        configuration index.
         """
         if self._prepared:
             return
@@ -286,86 +235,12 @@ class FleetEngine:
         t_max = max(len(session) for session in sessions)
         self._chars = np.zeros((len(sessions), t_max,
                                 len(CHARACTERISTIC_COLUMNS)))
+        self._noise = np.ones((len(sessions), t_max, 2))
         for row, session in enumerate(sessions):
             self._chars[row, :len(session)] = characteristics_matrix(
                 session.snippets)
-        noise_scale = self._simulator.noise_scale
-        if noise_scale != 0.0:
-            self._noise = np.ones((len(sessions), t_max, 2))
-            for row, session in enumerate(sessions):
-                remaining = len(session) - session.step_index
-                if remaining <= 0:
-                    continue
-                start = session.step_index
-                # The generator's state *before* its stream is pre-drawn,
-                # with the step index the stream was positioned at.
-                self._initial_rng[row] = (
-                    session.rng.bit_generator.state, start
-                )
-                self._noise[row, start:start + remaining] = np.exp(
-                    _noise_draws(session.rng, noise_scale, remaining)
-                )
+            self._noise[row, :len(session)] = session.noise
         self._prepared = True
-
-    def _sequential_rng(self, session: PolicySession) -> np.random.Generator:
-        """``session``'s noise generator at its logical position.
-
-        A pre-drawn row's generator is built from the pre-draw-time state
-        the first time it is asked for, kept, and afterwards advanced only
-        by the draws of the steps completed since the previous call.
-        Noise-free simulators and rows that had finished when the engine
-        was built were never pre-drawn: their ``session.rng`` already is
-        sequential.
-        """
-        self.prepare()
-        row = self._fleet_row[session]
-        trailing = self._trailing_rng.get(row)
-        if trailing is not None:
-            rng, position = trailing
-        else:
-            initial = self._initial_rng.get(row)
-            if initial is None:
-                return session.rng
-            state, position = initial
-            bit_generator = type(session.rng.bit_generator)()
-            bit_generator.state = state
-            rng = np.random.Generator(bit_generator)
-        if session._cursor > position:
-            _noise_draws(rng, self._simulator.noise_scale,
-                         session._cursor - position)
-        self._trailing_rng[row] = (rng, session._cursor)
-        return rng
-
-    def sequential_rng_state(self, session: PolicySession) -> dict:
-        """Bit-generator state sequential scalar stepping would leave.
-
-        :meth:`prepare` pre-draws each session's private noise stream for
-        the whole remaining trace, so ``session.rng`` no longer reflects
-        the session's *logical* position.  This is the state of an
-        equivalent generator, which the engine keeps per row between
-        calls, so a call costs the draws of the steps completed since the
-        previous one.  Pass it to
-        :meth:`~repro.core.session.PolicySession.snapshot_state`.
-        """
-        return self._sequential_rng(session).bit_generator.state
-
-    def release_sessions(self) -> List[PolicySession]:
-        """Detach every session with a sequential-equivalent noise stream.
-
-        :meth:`prepare` pre-drew every session's private generator to the
-        end of its trace; this hands each session the
-        generator :meth:`sequential_rng_state` describes, so the sessions
-        can be handed to a *new* engine (or driven scalar) and continue
-        bitwise identically to an uninterrupted sequential run.  The
-        supervisor uses this to rebuild the engine after a snapshot
-        restore or a policy swap.  This engine must be discarded
-        afterwards — its pre-drawn tensors no longer own the sessions'
-        streams.
-        """
-        self.prepare()
-        for session in self.sessions:
-            session.rng = self._sequential_rng(session)
-        return self.sessions
 
     # ------------------------------------------------------------------ #
     # Lockstep stepping
@@ -456,17 +331,11 @@ class FleetEngine:
                 # Fast-path construction of the step the session's own
                 # decide() would have produced, installed directly as its
                 # pending step (the pending check ran above; the lockstep
-                # loop keeps the step index at the cursor).  The
-                # clamp/throttle mirror below is session.decide()'s,
-                # statement for statement.
-                config = proposed
-                throttled = False
-                if session.space_schedule is not None:
-                    active_space = session.space_schedule(session._cursor)
-                    throttled = active_space is not session.space
-                    if throttled and not active_space.contains(config):
-                        config = active_space.clamp(config)
-                        index = session.space.index_of(config)
+                # loop keeps the step index at the cursor), through the
+                # clamp/throttle phase session.decide() runs.
+                config, throttled = session.throttle(proposed)
+                if config is not proposed:
+                    index = session.space.index_of(config)
                 session._pending = step_from_values({
                     "index": session._cursor,
                     "snippet": snippet,
@@ -545,5 +414,5 @@ class FleetEngine:
             opp_index,
             cores,
             [step.configuration for step in steps],
-            None if self._noise is None else self._noise[rows, cursors],
+            self._noise[rows, cursors],
         )

@@ -13,17 +13,18 @@ which is why snippet characteristics arrive as one
 :func:`~repro.soc.simulator.characteristics_matrix` row per device.
 
 What this module adds is measurement noise.  The caller
-(:class:`~repro.fleet.engine.FleetEngine`) pre-draws each device's
-log-normal factor stream from the device's own generator, which consumes
-the generator exactly like the scalar path's two per-step draws; the
-kernel applies the factors with the scalar path's arithmetic, and
+(:class:`~repro.fleet.engine.FleetEngine`) gathers each device's
+log-normal factor pair for the step from the session's noise array
+(:meth:`~repro.soc.simulator.SoCSimulator.draw_noise`, the rows
+:meth:`~repro.core.session.PolicySession.execute` reads too); the kernel
+applies the factors with the scalar path's arithmetic, and
 :meth:`~repro.soc.simulator.SoCBatchResult.lane_results` materialises the
 per-device results.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -67,7 +68,7 @@ def lockstep_execute(
     opp_index: Dict[str, np.ndarray],
     cores: Dict[str, np.ndarray],
     configurations: Sequence[SoCConfiguration],
-    noise_factors: Optional[np.ndarray],
+    noise_factors: np.ndarray,
 ) -> List[SnippetResult]:
     """Execute one lockstep step of ``S`` devices on ``simulator``.
 
@@ -83,19 +84,19 @@ def lockstep_execute(
         Per-cluster ``(S,)`` integer arrays of each device's decided
         configuration.
     noise_factors:
-        ``(S, 2)`` pre-drawn ``exp(normal)`` factors (time, power) in the
-        scalar draw order, or ``None`` for noise-free execution.
+        ``(S, 2)`` factors (time, power), one
+        :meth:`~repro.soc.simulator.SoCSimulator.draw_noise` row per device
+        (ones for a noise-free simulator).
 
     Returns the per-device :class:`~repro.soc.simulator.SnippetResult`
     list, bitwise identical to per-device
     :meth:`~repro.soc.simulator.SoCSimulator.run_snippet` calls fed the
-    same noise draws.
+    same factor rows.
     """
     lanes = simulator.expected_arrays(
         snippets, configurations, char_rows.T, opp_index, cores
     )
-    if noise_factors is not None:
-        lanes.execution_time_s = lanes.execution_time_s * noise_factors[:, 0]
-        lanes.average_power_w = lanes.average_power_w * noise_factors[:, 1]
-        lanes.energy_j = lanes.average_power_w * lanes.execution_time_s
+    lanes.execution_time_s = lanes.execution_time_s * noise_factors[:, 0]
+    lanes.average_power_w = lanes.average_power_w * noise_factors[:, 1]
+    lanes.energy_j = lanes.average_power_w * lanes.execution_time_s
     return lanes.lane_results()

@@ -13,9 +13,10 @@ for that engine.  The design goals, in order:
   mutable state across shard boundaries (the fleet grouping layer keys
   on *content*, never on process-local ``id()`` values), and each
   device's noise stream is a pure function of its own generator state.
-* **No per-step traffic** — each child builds its shard's engine itself,
-  step tensors included (noise drawn from the child's copy of each
-  device's generator, exactly as the single-process engine draws it).
+* **No per-step traffic** — each child builds its shard's sessions and
+  engine itself, step tensors included (each session draws its noise
+  from the child's copy of its device's generator, exactly as a
+  single-process session draws it).
   A forked child inherits its devices; where fork is unavailable the
   same arguments are pickled.  The pipe carries only the handshake and
   the final summaries.
@@ -46,8 +47,9 @@ import multiprocessing
 import numpy as np
 
 from repro.core.framework import PolicyRunResult
-from repro.fleet.device import DeviceSpec, build_fleet
-from repro.fleet.engine import FleetEngine, check_private_generators
+from repro.fleet.device import (DeviceSpec, build_fleet,
+                                check_private_generators)
+from repro.fleet.engine import FleetEngine
 from repro.soc.configuration import ConfigurationSpace
 from repro.soc.simulator import SoCSimulator
 
@@ -195,8 +197,8 @@ class ShardedFleetEngine:
     shard count — see the module docstring for why.
 
     Two-phase driving: :meth:`prepare` starts the children and waits
-    until every one has built its engine (step tensors built, noise
-    streams positioned); :meth:`execute` then sends the start signal,
+    until every one has built its engine (noise drawn, step tensors
+    built); :meth:`execute` then sends the start signal,
     gathers the results and reaps the children, so a benchmark can time
     pure lockstep stepping.  :meth:`run` is simply both.
 

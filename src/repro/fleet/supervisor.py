@@ -36,11 +36,12 @@ flatline detection, snapshot/restart):
 
 * **Snapshots.**  Each plan-named device gets a baseline snapshot before
   the first step, refreshed every ``snapshot_every`` completed steps and
-  after a policy swap, as checksummed in-memory bytes
-  (:meth:`~repro.core.session.PolicySession.snapshot_bytes`) at the
-  engine's sequential-equivalent noise generator.  A snapshot holds the
-  session's state only; the restore takes the trace and Oracle table from
-  the session it replaces, and the engine is rebuilt around it.
+  after a policy swap or a dispatched OPP cap, as checksummed in-memory
+  bytes (:meth:`~repro.core.session.PolicySession.snapshot_bytes`).  A
+  snapshot holds the session's state only (the dispatched cap included);
+  a restart restores it onto the session it replaces, which supplies the
+  definition — trace, Oracle table, noise, trace caps — and the engine is
+  rebuilt around the restored session.
 """
 
 from __future__ import annotations
@@ -224,21 +225,16 @@ class FleetSupervisor:
     # Snapshots and engine rebuilds
     # ------------------------------------------------------------------ #
     def _take_snapshot(self, record: _DeviceRecord) -> None:
-        session = self.engine.sessions[record.row]
-        record.snapshot = session.snapshot_bytes(
-            rng=self.engine.sequential_rng_state(session))
+        record.snapshot = self.engine.sessions[record.row].snapshot_bytes()
 
     def _rebuild_engine(self, row: int, session: PolicySession) -> None:
         """Hand every session to a new engine, with ``session`` at ``row``.
 
-        The old engine first restores each session's noise generator to
-        its sequential-equivalent state (:meth:`~repro.fleet.engine
-        .FleetEngine.release_sessions`), so the new engine's pre-draw
-        reproduces exactly the draws the old engine had in store and all
-        other devices continue bitwise unchanged.
+        Sessions carry their noise, so the other devices continue bitwise
+        unchanged in the new engine.
         """
         old = self.engine
-        sessions = old.release_sessions()
+        sessions = list(old.sessions)
         sessions[row] = session
         self.engine = FleetEngine(sessions)
         # Keep cumulative batching counters meaningful across rebuilds.
@@ -251,18 +247,7 @@ class FleetSupervisor:
         """Replace the live session with its last snapshot (``RECOVERED``)."""
         old = self.engine.sessions[record.row]
         assert record.snapshot is not None
-        session = PolicySession.restore(record.snapshot, self.simulator,
-                                        old.snippets,
-                                        oracle_table=old.oracle_table)
-        if record.device.scenario is not None:
-            # The schedule is a closure over the space object; rebuild it
-            # over the *restored* space so throttle-window identity
-            # comparisons keep working (see PolicySession.restore).
-            from repro.scenarios.runtime import make_space_schedule
-
-            session.space_schedule = make_space_schedule(
-                session.space, record.device.scenario
-            )
+        session = PolicySession.restore(record.snapshot, old)
         record.replayed_steps += old.step_index - session.step_index
         record.wasted_energy_j += old.total_energy_j - session.total_energy_j
         self._rebuild_engine(record.row, session)
@@ -438,6 +423,20 @@ class FleetSupervisor:
             )
         session.policy = policy
         self._rebuild_engine(record.row, session)
+        if record.faults:
+            self._take_snapshot(record)
+
+    def restrict_space(self, name: str, cap: Optional[int]) -> None:
+        """Cap one device's OPP indices from its next decision on (``None``
+        lifts the cap; dispatch path).
+
+        The cap is session state (:attr:`~repro.core.session.PolicySession
+        .dispatched_cap`), composed with the trace's caps at every step; a
+        supervised device's snapshot is refreshed, so a later restart
+        keeps it.
+        """
+        record = self._record(name)
+        self.engine.sessions[record.row].dispatched_cap = cap
         if record.faults:
             self._take_snapshot(record)
 

@@ -26,7 +26,6 @@ from repro.scenarios.transforms import (
 )
 from repro.scenarios.runtime import (
     build_scenario_oracle,
-    make_space_schedule,
     restricted_spaces,
     run_policy_on_scenario,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "available_scenarios",
     "build_scenario_oracle",
     "get_scenario",
-    "make_space_schedule",
     "register_scenario",
     "restricted_spaces",
     "run_policy_on_scenario",

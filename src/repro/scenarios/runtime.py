@@ -2,13 +2,14 @@
 
 A :class:`~repro.scenarios.base.ScenarioTrace` is more than a snippet list:
 throttling scenarios restrict the reachable configuration space for whole
-windows of the run.  This module provides the three runtime pieces:
+windows of the run.  A policy run honours them through the trace's
+per-step OPP caps (:meth:`~repro.scenarios.base.ScenarioTrace.caps`),
+which a :class:`~repro.core.session.PolicySession` holds as data.  This
+module provides the three runtime pieces:
 
-* :func:`restricted_spaces` / :func:`make_space_schedule` — materialise the
-  per-cap restricted :class:`~repro.soc.configuration.ConfigurationSpace`
-  objects (one per distinct cap, built once) and the step -> active-space
-  schedule consumed by
-  :func:`~repro.core.framework.run_policy_on_snippets`.
+* :func:`restricted_spaces` — materialise the per-cap restricted
+  :class:`~repro.soc.configuration.ConfigurationSpace` objects (one per
+  distinct cap, built once).
 * :func:`build_scenario_oracle` — a scenario-aware Oracle table: every
   snippet's row is computed against the space that is *actually
   reachable at its step* (via the vectorized batch sweep), so accuracy and
@@ -22,7 +23,7 @@ windows of the run.  This module provides the three runtime pieces:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -42,22 +43,6 @@ def restricted_spaces(base_space: ConfigurationSpace,
     """One restricted space per distinct throttle cap in ``trace``."""
     caps = sorted({event.max_opp_index for event in trace.throttle_events})
     return {cap: base_space.restrict(max_opp_index=cap) for cap in caps}
-
-
-def make_space_schedule(
-    base_space: ConfigurationSpace, trace: ScenarioTrace
-) -> Optional[Callable[[int], ConfigurationSpace]]:
-    """Step -> active-space schedule for ``trace`` (None when unthrottled)."""
-    if not trace.throttle_events:
-        return None
-    spaces = restricted_spaces(base_space, trace)
-    by_step = [base_space if cap is None else spaces[cap]
-               for cap in trace.caps()]
-
-    def schedule(step: int) -> ConfigurationSpace:
-        return by_step[step]
-
-    return schedule
 
 
 def build_scenario_oracle(
@@ -108,8 +93,9 @@ def run_policy_on_scenario(
 
     Thin wrapper around
     :func:`~repro.core.framework.run_policy_on_snippets`: the scenario's
-    space schedule is installed so that decisions issued during a throttle
-    window are clamped into the restricted space before execution.
+    per-step caps are installed so that decisions issued during a
+    throttle window are clamped into the restricted space before
+    execution.
     """
     return run_policy_on_snippets(
         simulator,
@@ -119,5 +105,5 @@ def run_policy_on_scenario(
         oracle_table=oracle_table,
         rng=rng,
         reset_policy=reset_policy,
-        space_schedule=make_space_schedule(base_space, trace),
+        caps=trace.caps(),
     )

@@ -10,9 +10,8 @@ with the durability and dispatch semantics of the control-plane service:
   .StepBoundary` record that is flushed but not fsync'd: recovery never
   reads one, because deterministic replay recomputes every round.
 * **Snapshot rotation.**  Every ``snapshot_every`` rounds (and at round
-  0), every session's state (at its sequential-equivalent generator
-  state, see :meth:`~repro.fleet.engine.FleetEngine
-  .sequential_rng_state`) goes into one checksummed file,
+  0), every session's state (policy, dispatched OPP cap, log, totals,
+  cursor) goes into one checksummed file,
   ``snapshots/round-NNNNNNNN.snapshot``, published with
   :func:`~repro.core.session.write_durable`; only then is a
   :class:`~repro.service.protocol.SnapshotManifest` naming the file and
@@ -21,25 +20,28 @@ with the durability and dispatch semantics of the control-plane service:
   :meth:`ServiceRun.recover`: the fleet is rebuilt deterministically
   from the genesis config and must match the journal's
   :class:`~repro.service.protocol.DeviceRegistration` records; sessions
-  restore from the newest manifest whose file verifies, taking their
-  traces and Oracle tables from the rebuilt fleet (a snapshot holds
-  session state only); dispatches that applied
-  before the restore point are re-applied (space caps; policy swaps are
-  already inside the snapshots) and later ones are replayed at their
-  recorded boundaries — so the completed run's per-device logs and
-  energy totals are **bitwise identical** to an uninterrupted run.
+  restore from the newest manifest whose file verifies onto the rebuilt
+  fleet's sessions, which supply the traces, Oracle tables, noise and
+  trace caps (a snapshot holds session state only).  Space caps and
+  policy swaps that applied before the restore point are inside the
+  snapshots, so of those dispatches only the pause state is re-applied,
+  and later ones are replayed at their recorded boundaries — so the
+  completed run's per-device logs and energy totals are **bitwise
+  identical** to an uninterrupted run.
   With journaling off (``journal_dir=None``) the run is bitwise
   identical to a bare :class:`~repro.fleet.engine.FleetEngine` /
   :class:`~repro.fleet.supervisor.FleetSupervisor` run — the control
   plane adds zero overhead to the hot loop.
 
 The deterministic-replay scope matches the supervisor's own invariants:
-digests are pinned for fault-free fleets and for one fault of each type
-with a kill before and after it.  Injected-fault bookkeeping — fired
-faults, in-flight stalls, health and fault counters — lives outside
-session snapshots: a run killed after a fault still completes (with
-the same digests in the pinned cases), but already-fired faults do not
-re-fire and its health and reports can differ.
+digests are pinned for fault-free fleets, for one fault of each type
+with a kill before and after it, and for a capped device restarted by a
+crash or a snapshot-restart with a kill past the fault.  Injected-fault
+bookkeeping — fired faults, in-flight stalls, health and fault counters
+— lives outside session snapshots: a run killed after a fault still
+completes (with the same digests in the pinned cases), but
+already-fired faults do not re-fire and its health and reports can
+differ.
 """
 
 from __future__ import annotations
@@ -48,16 +50,15 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.control.policy import DRMPolicy, GovernorPolicy, StaticPolicy
 from repro.core.session import (PolicySession, SnapshotError, pack_states,
                                 unpack_states, write_durable)
-from repro.fleet.device import DeviceSpec
+from repro.fleet.device import DeviceSpec, device_session
 from repro.fleet.faults import FaultPlan, fault_from_dict
 from repro.fleet.supervisor import DeviceHealth, FleetSupervisor
 from repro.scenarios import available_scenarios, get_scenario
-from repro.scenarios.runtime import make_space_schedule
 from repro.service.journal import (
     Journal,
     JournalError,
@@ -289,34 +290,6 @@ def _check_fleet(registrations: Sequence[DeviceRegistration],
                 )
 
 
-class _CapSchedule:
-    """Space schedule composing dispatched OPP caps with a scenario schedule.
-
-    Installed lazily on a session by the first ``restrict-space``
-    dispatch it receives; from then on it stays installed, returning the
-    unrestricted space once the cap lifts (the log's ``throttled``
-    column reads 0.0 for those steps, as it does for a session that never
-    had a schedule).  ``base`` must be the
-    session's own space object — identity comparisons in
-    :meth:`~repro.core.session.PolicySession.decide` depend on it.
-    :meth:`~repro.soc.configuration.ConfigurationSpace.restrict` memoises
-    per base space, so the per-step call returns a cached object (and the
-    base itself for a non-binding cap).
-    """
-
-    def __init__(self, base: ConfigurationSpace,
-                 inner: Optional[Callable[[int], ConfigurationSpace]]) -> None:
-        self.base = base
-        self.inner = inner
-        self.cap: Optional[int] = None
-
-    def __call__(self, step: int) -> ConfigurationSpace:
-        space = self.base if self.inner is None else self.inner(step)
-        if self.cap is None:
-            return space
-        return space.restrict(max_opp_index=self.cap)
-
-
 class ServiceRun:
     """One journaled (or journal-free) fleet run driven by the control plane.
 
@@ -360,10 +333,6 @@ class ServiceRun:
             self.devices, simulator, space, plan=plan,
             snapshot_every=self.snapshot_every, sessions=sessions,
         )
-        self._device_of = {device.name: device for device in self.devices}
-        self._policy_of = {device.name: device.policy.name
-                           for device in self.devices}
-        self._caps: Dict[str, _CapSchedule] = {}
         self._receipts: Dict[str, DispatchReceipt] = {}
         self._pending_dispatches: List[DispatchCommand] = []
         self._last_health: Dict[str, DeviceHealth] = \
@@ -426,23 +395,25 @@ class ServiceRun:
                       if isinstance(m, DeviceRegistration)], devices)
         manifests = [m for m in messages if isinstance(m, SnapshotManifest)]
         dispatches = [m for m in messages if isinstance(m, DispatchCommand)]
-        sessions: Optional[List[PolicySession]] = None
-        restore_round = 0
+        # The rebuilt fleet at round 0: each session draws its device's
+        # noise once, and restores take their definitions from it.
+        sessions = [device_session(device, simulator, space)
+                    for device in devices]
+        restored: Optional[int] = None
         for manifest in reversed(manifests):
             try:
-                sessions = cls._restore_manifest(
-                    journal_path, manifest, devices, simulator
-                )
+                sessions = cls._restore_manifest(journal_path, manifest,
+                                                 sessions)
             except (SnapshotError, JournalError, OSError):
                 continue
-            restore_round = manifest.round
+            restored = manifest.round
             break
+        restore_round = restored or 0
         journal = Journal(journal_path / JOURNAL_FILE)
         run = cls(config, devices, simulator, space, sessions=sessions,
                   journal=journal, journal_dir=journal_path,
                   rounds=restore_round)
-        if sessions is not None:
-            run._rotated_round = restore_round
+        run._rotated_round = restored
         for command in dispatches:
             receipt = DispatchReceipt(
                 idempotency_key=command.idempotency_key,
@@ -461,18 +432,16 @@ class ServiceRun:
     def _restore_manifest(
         journal_dir: Path,
         manifest: SnapshotManifest,
-        devices: Sequence[DeviceSpec],
-        simulator: SoCSimulator,
+        templates: Sequence[PolicySession],
     ) -> List[PolicySession]:
         """Verify and load every session of one snapshot rotation.
 
         The manifest must name exactly its round's rotation file, and the
-        file must match the manifest sha256 and hold these devices in
-        order; anything else raises :class:`JournalError`, sending
-        recovery to an older manifest.  Each session takes its trace and
-        Oracle table from its rebuilt device, and scenario schedules are
-        rebuilt over each restored session's own space, exactly like
-        :meth:`~repro.core.session.PolicySession.restore` documents.
+        file must match the manifest sha256 and hold the ``templates``'
+        devices in order; anything else raises :class:`JournalError`,
+        sending recovery to an older manifest.  Each session restores onto
+        its device's template (:meth:`~repro.core.session.PolicySession
+        .restore`).
         """
         relative = ROTATION_FILE.format(manifest.round)
         if [e[:2] for e in manifest.files] != [(ROTATION_LABEL, relative)]:
@@ -484,20 +453,10 @@ class ServiceRun:
                 f"snapshot {path} does not match its manifest sha256"
             )
         states = unpack_states(path.read_bytes())
-        if [state["name"] for state in states] != [d.name for d in devices]:
+        if [state["name"] for state in states] != [t.name for t in templates]:
             raise JournalError(f"snapshot {path} holds other devices")
-        sessions: List[PolicySession] = []
-        for device, state in zip(devices, states):
-            session = PolicySession.restore(
-                state, simulator, device.trace,
-                oracle_table=device.oracle_table,
-            )
-            if device.scenario is not None:
-                session.space_schedule = make_space_schedule(
-                    session.space, device.scenario
-                )
-            sessions.append(session)
-        return sessions
+        return [PolicySession.restore(state, template)
+                for state, template in zip(states, templates)]
 
     # ------------------------------------------------------------------ #
     # Stepping and snapshots
@@ -549,11 +508,8 @@ class ServiceRun:
         pruned afterwards; recovery skips manifests whose file is gone.
         """
         assert self.journal is not None and self.journal_dir is not None
-        data = pack_states([
-            session.snapshot_state(
-                rng=self.supervisor.engine.sequential_rng_state(session))
-            for session in self.supervisor.sessions
-        ])
+        data = pack_states([session.snapshot_state()
+                            for session in self.supervisor.sessions])
         relative = ROTATION_FILE.format(self.rounds)
         path = write_durable(self.journal_dir / relative, data)
         manifest = SnapshotManifest(round=self.rounds, files=((
@@ -605,11 +561,13 @@ class ServiceRun:
 
     def _validate_dispatch(self, command: DispatchCommand) -> Optional[str]:
         if command.command in ("restrict-space", "set-policy"):
-            if command.device not in self._device_of:
+            if command.device not in self.supervisor.health_map():
                 return f"unknown device {command.device!r}"
         if command.command == "restrict-space":
-            if command.value is not None and not isinstance(command.value,
-                                                            int):
+            # JSON true/false decode to bools, which subclass int.
+            if command.value is not None and (
+                    isinstance(command.value, bool)
+                    or not isinstance(command.value, int)):
                 return "restrict-space value must be an int cap or null"
             if isinstance(command.value, int) and command.value < 0:
                 return "restrict-space cap must be >= 0"
@@ -636,33 +594,23 @@ class ServiceRun:
         """Apply one dispatch at its round boundary.
 
         ``restored`` marks a dispatch that applied before a recovery's
-        restore point.  Its space cap lives in the (never-snapshotted)
-        space schedule, so it is applied again; its policy swap is already
-        inside the restored snapshots (swapping again would reset
-        learned/governor state), so only the bookkeeping is updated.
+        restore point: its space cap or policy swap is already inside the
+        restored snapshots (swapping again would reset learned/governor
+        state), so only a pause or resume applies again.
         """
         if command.command in ("pause", "resume"):
             self.paused = command.command == "pause"
+        elif restored:
+            return
         elif command.command == "restrict-space":
-            self._set_cap(command.device, command.value)
+            self.supervisor.restrict_space(command.device, command.value)
         elif command.command == "set-policy":
             session = self.supervisor.session_named(command.device)
-            if not restored:
-                policy = build_named_policy(command.value, session.space)
-                previous = getattr(session.policy, "current", None)
-                policy.reset(previous if previous is not None
-                             and session.space.contains(previous) else None)
-                self.supervisor.replace_policy(command.device, policy)
-            self._policy_of[command.device] = session.policy.name
-
-    def _set_cap(self, device: str, cap: Optional[int]) -> None:
-        schedule = self._caps.get(device)
-        if schedule is None:
-            session = self.supervisor.session_named(device)
-            schedule = _CapSchedule(session.space, session.space_schedule)
-            session.space_schedule = schedule
-            self._caps[device] = schedule
-        schedule.cap = cap
+            policy = build_named_policy(command.value, session.space)
+            previous = getattr(session.policy, "current", None)
+            policy.reset(previous if previous is not None
+                         and session.space.contains(previous) else None)
+            self.supervisor.replace_policy(command.device, policy)
 
     # ------------------------------------------------------------------ #
     # Observability
@@ -726,7 +674,7 @@ class ServiceRun:
             "devices": [
                 {
                     "name": device.name,
-                    "policy": self._policy_of[device.name],
+                    "policy": session.policy.name,
                     "health": health[device.name].value,
                     "steps_completed": session.step_index,
                     "trace_steps": len(session),

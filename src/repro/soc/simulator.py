@@ -470,15 +470,14 @@ class SoCSimulator:
         self,
         snippet: Snippet,
         config: SoCConfiguration,
-        rng: Optional[np.random.Generator] = None,
-        deterministic: bool = False,
+        noise: Optional[Sequence[float]] = None,
     ) -> SnippetResult:
         """Execute ``snippet`` at ``config`` and return the full result.
 
-        When ``deterministic`` is True (or ``noise_scale`` is zero) the result
-        contains the expected values with no measurement noise; the Oracle
-        construction uses this mode so that the ground-truth best
-        configuration is well defined.
+        ``noise`` is the execution's (time, power) measurement-noise factor
+        pair, one row of :meth:`draw_noise`.  Without it the result holds
+        the expected values; the Oracle construction uses this mode so
+        that the ground-truth best configuration is well defined.
         """
         chars = snippet.characteristics
         per_cluster = {
@@ -517,17 +516,8 @@ class SoCSimulator:
         power_breakdown["memory"] = memory_power
         total_power += memory_power
 
-        noise_rng = rng if rng is not None else self.rng
-        if deterministic or self.noise_scale == 0.0:
-            time_noise = 1.0
-            power_noise = 1.0
-        else:
-            time_noise = float(
-                np.exp(noise_rng.normal(0.0, self.noise_scale))
-            )
-            power_noise = float(
-                np.exp(noise_rng.normal(0.0, self.noise_scale))
-            )
+        time_noise, power_noise = ((1.0, 1.0) if noise is None
+                                   else map(float, noise))
         measured_time = total_time * time_noise
         measured_power = total_power * power_noise
         energy = measured_power * measured_time
@@ -559,30 +549,36 @@ class SoCSimulator:
 
     def evaluate_expected(self, snippet: Snippet, config: SoCConfiguration) -> SnippetResult:
         """Noise-free evaluation used for Oracle construction and analysis."""
-        return self.run_snippet(snippet, config, deterministic=True)
+        return self.run_snippet(snippet, config)
+
+    def draw_noise(self, steps: int,
+                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
+        """``(steps, 2)`` measurement-noise factors, one row per execution.
+
+        Each row is the (time, power) pair of log-normal
+        ``exp(normal(0, noise_scale))`` factors :meth:`run_snippet` and
+        :meth:`apply_noise` apply.  The normals come from ``rng`` (the
+        simulator's own generator when ``None``), two per row in row
+        order, which is the order of one two-draw call per execution.  A
+        noise-free simulator draws nothing and returns ones.
+        """
+        if self.noise_scale == 0.0:
+            return np.ones((steps, 2))
+        rng = self.rng if rng is None else rng
+        return np.exp(rng.normal(0.0, self.noise_scale, size=(steps, 2)))
 
     def apply_noise(self, expected: SnippetResult,
-                    rng: Optional[np.random.Generator] = None) -> SnippetResult:
+                    noise: Sequence[float]) -> SnippetResult:
         """Re-noise a noise-free result exactly as :meth:`run_snippet` would.
 
         Given the expected (deterministic) result of a snippet/configuration
-        pair — e.g. one rebuilt at an Oracle table's choice — this draws the
-        same two log-normal factors in the same order as :meth:`run_snippet`
-        and applies them with the same arithmetic, so the returned result
-        (and the generator stream consumed) is bitwise identical to a full
-        re-simulation, without re-running the per-cluster performance model.
+        pair — e.g. one rebuilt at an Oracle table's choice — this applies
+        the (time, power) factor pair ``noise`` with :meth:`run_snippet`'s
+        arithmetic, so the returned result is bitwise identical to a full
+        re-simulation fed the same factors, without re-running the
+        per-cluster performance model.
         """
-        noise_rng = rng if rng is not None else self.rng
-        if self.noise_scale == 0.0:
-            time_noise = 1.0
-            power_noise = 1.0
-        else:
-            time_noise = float(
-                np.exp(noise_rng.normal(0.0, self.noise_scale))
-            )
-            power_noise = float(
-                np.exp(noise_rng.normal(0.0, self.noise_scale))
-            )
+        time_noise, power_noise = map(float, noise)
         measured_time = expected.execution_time_s * time_noise
         measured_power = expected.average_power_w * power_noise
         energy = measured_power * measured_time

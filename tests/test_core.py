@@ -171,8 +171,9 @@ class TestRuntimeOracle:
                                        neighborhood_radius=2)
         current = framework.space.default_configuration()
         hits = 0
-        for snippet in short_trace:
-            result = framework.simulator.run_snippet(snippet, current)
+        noise = framework.simulator.draw_noise(len(short_trace))
+        for snippet, factors in zip(short_trace, noise):
+            result = framework.simulator.run_snippet(snippet, current, factors)
             runtime_oracle.update_models(result.counters, current)
             best, estimate = runtime_oracle.best_configuration(result.counters, current)
             achieved = framework.simulator.evaluate_expected(snippet, best).energy_j

@@ -452,9 +452,9 @@ class TestSnippetResultCounts:
         expected = []
         apply_noise = framework.simulator.apply_noise
 
-        def recording_apply_noise(result, rng=None):
+        def recording_apply_noise(result, noise):
             expected.append(result)
-            return apply_noise(result, rng)
+            return apply_noise(result, noise)
 
         monkeypatch.setattr(framework.simulator, "apply_noise",
                             recording_apply_noise)

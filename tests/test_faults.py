@@ -22,9 +22,7 @@ import warnings
 import numpy as np
 import pytest
 
-import repro.fleet.engine as engine_module
 from repro.control.policy import GovernorPolicy
-from repro.core.session import PolicySession, pack_states
 from repro.fleet import (
     CounterDropout,
     DeviceCrash,
@@ -148,7 +146,7 @@ class TestObservationFaults:
         snippet = make_trace(0)[0]
         return noisy_simulator.run_snippet(
             snippet, space.default_configuration(),
-            rng=np.random.default_rng(0),
+            noisy_simulator.draw_noise(1, np.random.default_rng(0))[0],
         )
 
     def test_corrupt_is_pure_and_keeps_physics(self, noisy_simulator, space):
@@ -480,7 +478,7 @@ class TestBuildFleetRefusals:
 
 
 # --------------------------------------------------------------------- #
-# Engine RNG reconstruction (snapshotting batched sessions)
+# Engine rebuilds (what a supervised restart or policy swap does)
 # --------------------------------------------------------------------- #
 def ragged_devices(space):
     """Fresh governor fleet whose traces are 7, 24, 7 and 24 steps."""
@@ -495,107 +493,24 @@ def ragged_devices(space):
     ]
 
 
-class TestSequentialRngState:
-    """A session snapshotted out of an engine, whose private generator was
-    pre-drawn for the whole trace, resumes bitwise equal to the sequential
-    reference: same log, and the same generator state at the end."""
-
-    @staticmethod
-    def _references(devices, simulator, space):
-        return [device_session(device, simulator, space)
-                for device in devices]
-
-    @staticmethod
-    def _assert_resumes(engine, session, simulator, reference):
-        state = engine.sequential_rng_state(session)
-        assert isinstance(state, dict)
-        restored = PolicySession.restore(
-            session.snapshot_bytes(rng=state), simulator, session.snippets)
-        assert restored.step_index == session.step_index
-        resumed = restored.run()
-        if not reference.done:
-            reference.run()
-        assert_logs_equal(reference.result(), resumed)
-        assert (restored.rng.bit_generator.state
-                == reference.rng.bit_generator.state)
-
-    def test_snapshot_of_batched_session_resumes_scalar_bitwise(
-            self, noisy_simulator, space):
-        sequential = device_session(governor_devices(space)[1],
-                                    noisy_simulator, space)
-        engine = build_fleet(governor_devices(space), noisy_simulator, space)
-        for _ in range(3):
-            engine.step()
-        self._assert_resumes(engine, engine.sessions[1], noisy_simulator,
-                             sequential)
-
-    def test_successive_snapshots_of_one_engine(self, noisy_simulator,
-                                                space):
-        """The engine keeps each row's generator between snapshots: one
-        taken at cursors 3, 7, 7 and 12 resumes bitwise every time."""
-        engine = build_fleet(ragged_devices(space), noisy_simulator, space)
-        session = engine.sessions[1]
-        for cursor in (3, 7, 7, 12):
-            while session.step_index < cursor:
-                engine.step()
-            assert session.step_index == cursor
-            reference = device_session(ragged_devices(space)[1],
-                                       noisy_simulator, space)
-            self._assert_resumes(engine, session, noisy_simulator,
-                                 reference)
-
-    def test_row_finished_before_its_engine_was_built(self, noisy_simulator,
-                                                      space):
-        """Rows 0 and 2 finish, the engine is rebuilt around them, and
-        every row of the new engine snapshots and resumes bitwise."""
-        engine = build_fleet(ragged_devices(space), noisy_simulator, space)
+class TestEngineRebuild:
+    @pytest.mark.parametrize("noisy", [True, False],
+                             ids=["noisy", "noise-free"])
+    def test_rebuilt_engine_continues_every_row_bitwise(
+            self, noisy_simulator, simulator, space, noisy):
+        """Rows 0 and 2 finish, a new engine adopts every session (the
+        finished ones included), and each row ends equal to its
+        sequential run: sessions carry their noise."""
+        sim = noisy_simulator if noisy else simulator
+        engine = build_fleet(ragged_devices(space), sim, space)
         while not engine.sessions[0].done:
             engine.step()
         engine.step()
-        rebuilt = FleetEngine(engine.release_sessions())
+        rebuilt = FleetEngine(list(engine.sessions))
         rebuilt.step()
         assert [s.done for s in rebuilt.sessions] == [True, False] * 2
-        references = self._references(ragged_devices(space),
-                                      noisy_simulator, space)
-        for session, reference in zip(rebuilt.sessions, references):
-            self._assert_resumes(rebuilt, session, noisy_simulator,
-                                 reference)
-
-    def test_noise_free_simulator(self, simulator, space):
-        engine = build_fleet(ragged_devices(space), simulator, space)
-        for _ in range(5):
-            engine.step()
-        references = self._references(ragged_devices(space), simulator,
-                                      space)
-        for session, reference in zip(engine.sessions, references):
-            self._assert_resumes(engine, session, simulator, reference)
-
-    def test_snapshot_draws_cover_each_step_once(self, noisy_simulator,
-                                                 space, monkeypatch):
-        """Snapshotting every row every second round, and once more at the
-        end, replays each row's completed steps exactly once in total."""
-        engine = build_fleet(ragged_devices(space), noisy_simulator, space)
-        engine.prepare()
-        replayed = []
-        draw = engine_module._noise_draws
-
-        def counting_draw(rng, noise_scale, steps):
-            replayed.append(steps)
-            return draw(rng, noise_scale, steps)
-
-        monkeypatch.setattr(engine_module, "_noise_draws", counting_draw)
-
-        def snapshot():
-            pack_states([session.snapshot_state(
-                rng=engine.sequential_rng_state(session))
-                for session in engine.sessions])
-
-        rounds = 0
-        while not engine.done:
-            engine.step()
-            rounds += 1
-            if rounds % 2 == 0:
-                snapshot()
-        snapshot()
-        assert rounds == 24
-        assert sum(replayed) == sum(len(s) for s in engine.sessions) == 62
+        rebuilt.run()
+        for device, session in zip(ragged_devices(space), rebuilt.sessions):
+            reference = device_session(device, sim, space).run()
+            assert_logs_equal(reference, session.result())
+            assert reference.total_energy_j == session.total_energy_j

@@ -72,18 +72,15 @@ class TestLockstepKernel:
         pairs = [(snippets[int(rng.integers(len(snippets)))],
                   space.random_configuration(rng)) for _ in range(40)]
 
-        # Scalar reference: one private stream per lane.
+        # One private stream per lane; scalar and kernel read the same rows.
+        noise = np.concatenate([
+            simulator.draw_noise(1, np.random.default_rng(900 + i))
+            for i in range(len(pairs))
+        ])
         scalar = [
-            simulator.run_snippet(snippet, config,
-                                  rng=np.random.default_rng(900 + i))
+            simulator.run_snippet(snippet, config, noise[i])
             for i, (snippet, config) in enumerate(pairs)
         ]
-        # Kernel: the same draws, pre-drawn exactly like FleetEngine does.
-        noise = np.exp(np.stack([
-            np.random.default_rng(900 + i).normal(
-                0.0, simulator.noise_scale, size=2)
-            for i in range(len(pairs))
-        ]))
         chars = characteristics_matrix([snippet for snippet, _ in pairs])
         opp_index = {
             name: np.array([config.opp_index(name) for _, config in pairs],
@@ -118,7 +115,7 @@ class TestLockstepKernel:
         cores = {name: np.full(n, config.cores(name), dtype=np.intp)
                  for name in platform.cluster_names}
         batched = lockstep_execute(simulator, trace, chars, opp_index, cores,
-                                   [config] * n, None)
+                                   [config] * n, simulator.draw_noise(n))
         for ref, out in zip(scalar, batched):
             assert ref.energy_j == out.energy_j
             assert ref.counters.as_dict() == out.counters.as_dict()

@@ -314,7 +314,7 @@ class TestAdoptedPolicyCopies:
 
     @pytest.mark.parametrize("how", ["deepcopy", "pickle", "restore"])
     def test_training_a_copy_leaves_the_original_unchanged(self, fleet, how):
-        framework, engine, trace = fleet
+        _, engine, _ = fleet
         session = engine.sessions[0]
         policy = session.policy
         assert policy.n_policy_updates > 0
@@ -323,8 +323,8 @@ class TestAdoptedPolicyCopies:
         elif how == "pickle":
             duplicate = pickle.loads(pickle.dumps(policy))
         else:
-            duplicate = PolicySession.restore(
-                session.snapshot_bytes(), framework.simulator, trace).policy
+            duplicate = PolicySession.restore(session.snapshot_bytes(),
+                                              session).policy
         original = policy.classifier
         # Adopted: the network's rows are rows of its group's stack.
         assert original._core.flat_w.base.shape[0] == len(engine.sessions)

@@ -102,7 +102,8 @@ class TestPhysicalInvariants:
         for _ in range(4):
             snippet = random_snippet(rng)
             config = space.random_configuration(rng)
-            for result in (simulator.run_snippet(snippet, config, rng=rng),
+            factors = simulator.draw_noise(1, rng)[0]
+            for result in (simulator.run_snippet(snippet, config, factors),
                            simulator.evaluate_expected(snippet, config)):
                 assert np.isfinite(result.energy_j) and result.energy_j > 0.0
                 assert np.isfinite(result.execution_time_s)

@@ -57,7 +57,8 @@ def _decision_states(platform, space, n_states, seed):
     states = []
     current = space.default_configuration()
     for snippet in snippets[:n_states]:
-        result = simulator.run_snippet(snippet, current, rng=rng)
+        result = simulator.run_snippet(snippet, current,
+                                       simulator.draw_noise(1, rng)[0])
         power_model.update(result.counters, current)
         performance_model.update(result.counters, current)
         states.append((result.counters, current))

@@ -17,6 +17,7 @@ import pytest
 from repro.control.policy import GovernorPolicy, StaticPolicy
 from repro.core.objectives import ENERGY
 from repro.core.oracle import OracleCache, build_oracle
+from repro.core.session import PolicySession
 from repro.experiments.robustness import (
     ROBUSTNESS_POLICIES,
     format_robustness,
@@ -40,7 +41,7 @@ from repro.scenarios import (
 )
 from repro.scenarios import base as scenario_base
 from repro.scenarios.base import ScenarioSpec
-from repro.scenarios.runtime import make_space_schedule, restricted_spaces
+from repro.scenarios.runtime import restricted_spaces
 from repro.soc.configuration import ConfigurationSpace
 from repro.soc.governors import PowersaveGovernor
 from repro.workloads.sequences import build_online_sequence
@@ -320,18 +321,32 @@ class TestScenarioRuntime:
         assert set(spaces) == {0}
         assert len(spaces[0]) < len(space)
 
-    def test_schedule_returns_the_base_and_restricted_spaces(
-            self, space, throttle_trace):
-        """Session decides compare the scheduled space by identity."""
-        schedule = make_space_schedule(space, throttle_trace)
+    def test_session_clamps_into_each_steps_restricted_space(
+            self, simulator, space, throttle_trace):
+        """A session resolves the trace's caps against its own space: a
+        capped step runs in the space ``restricted_spaces`` builds."""
+        top = space[len(space) - 1]
+        session = PolicySession(simulator, space, StaticPolicy(space, top),
+                                throttle_trace.snippets,
+                                caps=throttle_trace.caps())
         restricted = restricted_spaces(space, throttle_trace)
-        for step, cap in enumerate(throttle_trace.caps()):
-            expected = space if cap is None else restricted[cap]
-            assert schedule(step) is expected
+        for cap in throttle_trace.caps():
+            step = session.decide()
+            if cap is None:
+                assert (step.configuration, step.throttled) == (top, False)
+            else:
+                assert step.throttled
+                assert step.configuration == restricted[cap].clamp(top)
+            session.observe(step, session.execute(step))
 
-    def test_schedule_none_without_events(self, space, base_trace):
+    def test_trace_without_events_throttles_no_step(self, simulator, space,
+                                                    base_trace):
         trace = CharacteristicDrift().apply(base_trace[:5], 0)
-        assert make_space_schedule(space, trace) is None
+        assert trace.caps() == [None] * 5
+        run = run_policy_on_scenario(
+            simulator, space, StaticPolicy(space, space[len(space) - 1]),
+            trace)
+        assert not run.log.column("throttled").any()
 
     def test_throttle_windows_enforced_on_static_policy(
             self, simulator, space, throttle_trace):

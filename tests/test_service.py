@@ -102,20 +102,33 @@ class TestRecoveryInvariant:
         _drive(recovered)
         assert recovered.digests() == reference.digests()
 
+    @pytest.mark.parametrize("config, capped, swapped, cap", [
+        (CONFIG, "device-00", "device-01", 1),
+        # device-01 runs thermal_throttle, capped at 1 over steps 1-12:
+        # the dispatched cap of 0 binds inside that window until round 6.
+        (dataclasses.replace(CONFIG, scenarios=("thermal_throttle",)),
+         "device-01", "device-00", 0),
+    ], ids=["unthrottled", "thermal_throttle"])
     @pytest.mark.parametrize("kill_at", [2, 4, 7])
-    def test_recovery_replays_dispatches_bitwise(self, tmp_path, kill_at):
+    def test_recovery_replays_dispatches_bitwise(self, tmp_path, kill_at,
+                                                 config, capped, swapped,
+                                                 cap):
         """Dispatches journal-before-apply: caps and policy swaps survive
-        the crash and re-apply at their recorded boundaries."""
+        the crash, inside the snapshots before the restore point and
+        re-applied at their recorded boundaries after it."""
         script = {
-            1: DispatchCommand(command="restrict-space", device="device-00",
-                               value=1, idempotency_key="cap-on"),
-            3: DispatchCommand(command="set-policy", device="device-01",
+            1: DispatchCommand(command="restrict-space", device=capped,
+                               value=cap, idempotency_key="cap-on"),
+            3: DispatchCommand(command="set-policy", device=swapped,
                                value="powersave", idempotency_key="swap"),
-            6: DispatchCommand(command="restrict-space", device="device-00",
+            6: DispatchCommand(command="restrict-space", device=capped,
                                value=None, idempotency_key="cap-off"),
         }
-        reference = _run_reference(script=script)
-        run = ServiceRun.start(config=CONFIG, journal_dir=tmp_path)
+        reference = _run_reference(config=config, script=script)
+        log = reference.supervisor.session_named(capped).log
+        assert log.column("big_opp")[1:6].max() <= cap
+        assert log.column("throttled")[1:6].all()
+        run = ServiceRun.start(config=config, journal_dir=tmp_path)
         _drive(run, script=dict(script), stop_at=kill_at)
         del run
         recovered = ServiceRun.recover(tmp_path)
@@ -227,6 +240,52 @@ class TestFaultedRunRecovery:
             assert len(recovered.alerts) == len(reference.alerts)
 
 
+class TestCapsAcrossRestarts:
+    """A dispatched cap is session state, so a supervised restart keeps it
+    and a later cap applies to the restarted session."""
+
+    SCRIPT = {
+        0: DispatchCommand(command="restrict-space", device="device-00",
+                           value=1, idempotency_key="cap-1"),
+        10: DispatchCommand(command="restrict-space", device="device-00",
+                            value=0, idempotency_key="cap-0"),
+    }
+
+    @staticmethod
+    def _config(fault):
+        return RunConfig(
+            policy="performance", scale="tiny", n_devices=2, seed=7,
+            snapshot_every=5,
+            faults=({"type": fault,
+                     "params": {"device": "device-00", "step": 6}},),
+        )
+
+    @pytest.mark.parametrize("fault", ["DeviceCrash", "SnapshotRestart"])
+    def test_restart_keeps_the_cap_and_takes_a_later_one(self, fault):
+        run = _run_reference(config=self._config(fault), script=self.SCRIPT)
+        report = run.supervisor.reports()[0]
+        assert report.restarts == 1 and report.replayed_steps >= 1
+        big_opp = run.supervisor.session_named("device-00").log.column(
+            "big_opp").tolist()
+        first_zero = big_opp.index(0.0)
+        assert first_zero > 6  # the cap of 1 held through the restart
+        assert big_opp == [1.0] * first_zero + [0.0] * (
+            len(big_opp) - first_zero)
+
+    @pytest.mark.parametrize("stop_at", [8, 12])
+    @pytest.mark.parametrize("fault", ["DeviceCrash", "SnapshotRestart"])
+    def test_kill_past_the_fault_recovers_bitwise(self, tmp_path, fault,
+                                                  stop_at):
+        config = self._config(fault)
+        reference = _run_reference(config=config, script=self.SCRIPT)
+        run = ServiceRun.start(config=config, journal_dir=tmp_path)
+        _drive(run, script=dict(self.SCRIPT), stop_at=stop_at)
+        del run
+        recovered = ServiceRun.recover(tmp_path)
+        _drive(recovered, script=dict(self.SCRIPT))
+        assert recovered.digests() == reference.digests()
+
+
 class TestRecoveryChecksTheFleet:
     """Recovery refuses a rebuilt fleet that is not the one the journal
     registered, as after a code change between crash and restart."""
@@ -307,10 +366,9 @@ class TestDurabilityRules:
         per_device = SnapshotManifest(round=4, files=tuple(
             (name, f"snapshots/round-00000004/{name}.snapshot", "0" * 64)
             for name in ("device-00", "device-01")))
-        devices, simulator, _space = build_config_devices(CONFIG)
+        templates = build_fleet(*build_config_devices(CONFIG)).sessions
         with pytest.raises(JournalError, match="does not name"):
-            ServiceRun._restore_manifest(tmp_path, per_device, devices,
-                                         simulator)
+            ServiceRun._restore_manifest(tmp_path, per_device, templates)
         with Journal(tmp_path / "journal.bin") as journal:
             journal.append(per_device)
         recovered = ServiceRun.recover(tmp_path)
@@ -496,6 +554,13 @@ class TestDispatchSemantics:
             command="set-policy", device="device-00", value="online-il",
         ))
         assert bad_policy.status == "rejected"
+        for value in (True, False):  # JSON booleans are not caps
+            boolean = run.dispatch(DispatchCommand(
+                command="restrict-space", device="device-00", value=value,
+            ))
+            assert boolean.status == "rejected"
+            assert boolean.detail == ("restrict-space value must be an int "
+                                      "cap or null")
         assert run.errors  # surfaced as ErrorReports
 
     def test_pause_resume_and_recovery_while_paused(self, tmp_path):

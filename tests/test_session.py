@@ -27,7 +27,8 @@ from repro.core.session import (
     pack_states,
     unpack_states,
 )
-from repro.scenarios import get_scenario, make_space_schedule
+from repro.fleet import DeviceSpec, FleetEngine, build_fleet
+from repro.scenarios import get_scenario
 from repro.soc.governors import (
     InteractiveGovernor,
     OndemandGovernor,
@@ -178,16 +179,12 @@ class TestResumability:
 
 
 class TestThrottling:
-    def test_space_schedule_throttles_and_flags(self, simulator, space,
-                                                snippet_trace):
-        restricted = space.restrict(max_opp_index=1)
-
-        def schedule(step: int):
-            return restricted if step % 2 == 0 else space
-
+    def test_trace_caps_throttle_and_flag(self, simulator, space,
+                                          snippet_trace):
+        caps = [1 if i % 2 == 0 else None for i in range(len(snippet_trace))]
         policy = StaticPolicy(space, space[len(space) - 1])  # max everything
         session = PolicySession(simulator, space, policy, snippet_trace,
-                                space_schedule=schedule)
+                                caps=caps)
         result = session.run()
         throttled = result.log.column("throttled")
         np.testing.assert_array_equal(
@@ -217,7 +214,7 @@ class TestDurableSnapshots:
         # Poison the original past the snapshot point: restoring must not
         # depend on the live session in any way.
         session.run()
-        restored = PolicySession.restore(data, noisy_simulator, snippet_trace)
+        restored = PolicySession.restore(data, session)
         assert restored.step_index == 3
         resumed = restored.run()
         for key, column in _log_columns(reference).items():
@@ -234,7 +231,7 @@ class TestDurableSnapshots:
         assert session.pending is step
         data = session.snapshot_bytes()
         session.execute(step)  # the original moves on
-        restored = PolicySession.restore(data, noisy_simulator, snippet_trace)
+        restored = PolicySession.restore(data, session)
         assert restored.pending is not None
         assert restored.pending.index == 1
         pending = restored.pending
@@ -252,8 +249,8 @@ class TestDurableSnapshots:
             session.advance()
         path = session.save_snapshot(tmp_path / "nested" / "dev.snapshot")
         assert path.exists()
-        restored = PolicySession.load_snapshot(path, noisy_simulator,
-                                               snippet_trace)
+        restored = PolicySession.load_snapshot(
+            path, self._fresh(noisy_simulator, space, snippet_trace))
         resumed = restored.run()
         for key, column in _log_columns(reference).items():
             np.testing.assert_array_equal(column, resumed.log.column(key))
@@ -278,18 +275,18 @@ class TestDurableSnapshots:
             PolicySession.unpack_snapshot(b"not a snapshot at all")
 
     def test_missing_snapshot_file_raises(self, tmp_path, noisy_simulator,
-                                          snippet_trace):
+                                          space, snippet_trace):
+        template = self._fresh(noisy_simulator, space, snippet_trace)
         with pytest.raises(SnapshotError, match="read"):
             PolicySession.load_snapshot(tmp_path / "absent.snapshot",
-                                        noisy_simulator, snippet_trace)
+                                        template)
 
     def test_restore_preserves_policy_space_identity(
             self, noisy_simulator, space, snippet_trace):
         """The engine's group keys need ``policy.space is session.space``."""
         session = self._fresh(noisy_simulator, space, snippet_trace)
         session.advance()
-        restored = PolicySession.restore(session.snapshot_bytes(),
-                                         noisy_simulator, snippet_trace)
+        restored = PolicySession.restore(session.snapshot_bytes(), session)
         assert restored.policy.space is restored.space
 
     def test_save_snapshot_fsyncs_file_and_directory(
@@ -327,8 +324,7 @@ class TestDurableSnapshots:
         first, second = unpack_states(data)
         assert first["space"] is second["space"]
         assert first["policy"].space is first["space"]
-        restored = PolicySession.restore(second, noisy_simulator,
-                                         snippet_trace)
+        restored = PolicySession.restore(second, sessions[1])
         resumed = restored.run()
         expected = self._fresh(noisy_simulator, space, snippet_trace,
                                seed=2).run()
@@ -351,8 +347,7 @@ class TestStateOnlySnapshots:
         assert trace.throttle_events and len(trace.snippets) > 60
         session = PolicySession(
             noisy_simulator, space, GovernorPolicy(OndemandGovernor(space)),
-            trace.snippets, rng=np.random.default_rng(3),
-            space_schedule=make_space_schedule(space, trace),
+            trace.snippets, rng=np.random.default_rng(3), caps=trace.caps(),
         )
 
         def state_bytes():
@@ -391,15 +386,18 @@ class TestStateOnlySnapshots:
 
     def test_restore_refuses_a_trace_of_another_length(
             self, noisy_simulator, space, snippet_trace):
-        session = PolicySession(noisy_simulator, space, StaticPolicy(space),
-                                snippet_trace, rng=np.random.default_rng(1))
+        def session_over(trace):
+            return PolicySession(noisy_simulator, space, StaticPolicy(space),
+                                 trace, rng=np.random.default_rng(1))
+
+        session = session_over(snippet_trace)
         session.advance()
         data = session.snapshot_bytes()
         with pytest.raises(SnapshotError, match="step trace"):
-            PolicySession.restore(data, noisy_simulator, snippet_trace[:-1])
+            PolicySession.restore(data, session_over(snippet_trace[:-1]))
         with pytest.raises(SnapshotError, match="step trace"):
-            PolicySession.restore(data, noisy_simulator,
-                                  snippet_trace + snippet_trace[:1])
+            PolicySession.restore(
+                data, session_over(snippet_trace + snippet_trace[:1]))
 
     def test_restore_refuses_a_version_5_payload(self, noisy_simulator,
                                                  space, snippet_trace):
@@ -408,9 +406,8 @@ class TestStateOnlySnapshots:
         session.advance()
         state = session.snapshot_state()
         state["version"] = 5
-        with pytest.raises(SnapshotError, match="version 7"):
-            PolicySession.restore(pack_states([state]), noisy_simulator,
-                                  snippet_trace)
+        with pytest.raises(SnapshotError, match="version 8"):
+            PolicySession.restore(pack_states([state]), session)
 
     def test_restore_refuses_a_version_6_payload(self, noisy_simulator,
                                                  space, snippet_trace):
@@ -421,9 +418,34 @@ class TestStateOnlySnapshots:
         state = session.snapshot_state()
         state["version"] = 6
         state["pending"].configuration_index = None
-        with pytest.raises(SnapshotError, match="version 7"):
-            PolicySession.restore(pack_states([state]), noisy_simulator,
-                                  snippet_trace)
+        with pytest.raises(SnapshotError, match="version 8"):
+            PolicySession.restore(pack_states([state]), session)
+
+    def test_restore_refuses_a_version_7_payload(self, noisy_simulator,
+                                                 space, snippet_trace):
+        """A version-7 state holds a noise generator's state and no
+        dispatched cap."""
+        session = PolicySession(noisy_simulator, space, StaticPolicy(space),
+                                snippet_trace, rng=np.random.default_rng(1))
+        session.advance()
+        state = session.snapshot_state()
+        state["version"] = 7
+        state["rng"] = np.random.default_rng(1).bit_generator.state
+        del state["dispatched_cap"]
+        with pytest.raises(SnapshotError, match="version 8"):
+            PolicySession.restore(pack_states([state]), session)
+
+    def test_state_holds_no_noise(self, noisy_simulator, space,
+                                  snippet_trace):
+        """Noise is definition: drawn once when the session is built, and
+        neither a generator nor the factors go into a snapshot."""
+        session = PolicySession(noisy_simulator, space, StaticPolicy(space),
+                                snippet_trace, rng=np.random.default_rng(1))
+        assert session.noise.shape == (len(snippet_trace), 2)
+        assert not hasattr(session, "rng")
+        state = session.snapshot_state()
+        assert "rng" not in state
+        assert not any(value is session.noise for value in state.values())
 
 
 #: Every by-name policy the control plane can build (the governor zoo
@@ -443,13 +465,12 @@ class TestSnapshotEveryPolicy:
 
     The control-plane recovery invariant quantifies over whatever policy
     a device runs, so the property is pinned per policy kind — including
-    under a scenario space schedule (which snapshots deliberately do NOT
-    carry; it must be rebuilt over the restored space) and over a
-    restricted configuration space.
+    under a scenario's caps (definition, which the template supplies) and
+    over a restricted configuration space.  Each restore's template is
+    the original session, run to its end past the snapshot point.
     """
 
-    def _check_roundtrip(self, tmp_path, simulator, build_session,
-                         rebuild_schedule=None, steps=3):
+    def _check_roundtrip(self, tmp_path, simulator, build_session, steps=3):
         """reference vs snapshot-at-``steps``-then-continue, bitwise."""
         reference = build_session().run()
         session = build_session()
@@ -457,10 +478,7 @@ class TestSnapshotEveryPolicy:
             session.advance()
         path = session.save_snapshot(tmp_path / "dev.snapshot")
         session.run()  # poison the original past the snapshot point
-        restored = PolicySession.load_snapshot(path, simulator,
-                                               session.snippets)
-        if rebuild_schedule is not None:
-            restored.space_schedule = rebuild_schedule(restored.space)
+        restored = PolicySession.load_snapshot(path, session)
         resumed = restored.run()
         for key, column in _log_columns(reference).items():
             np.testing.assert_array_equal(column, resumed.log.column(key))
@@ -482,12 +500,11 @@ class TestSnapshotEveryPolicy:
         self._check_roundtrip(tmp_path, noisy_simulator, build_session)
 
     @pytest.mark.parametrize("policy_name", ["ondemand", "static"])
-    def test_roundtrip_under_scenario_schedule(self, tmp_path,
-                                               noisy_simulator, space,
-                                               snippet_trace, policy_name):
-        """The schedule is rebuilt over the restored space, as documented."""
-        # Seed 1 produces a throttle window on this short trace, so the
-        # schedule is real (make_space_schedule returns None otherwise).
+    def test_roundtrip_under_scenario_caps(self, tmp_path, noisy_simulator,
+                                           space, snippet_trace,
+                                           policy_name):
+        """The template's trace caps throttle the restored session."""
+        # Seed 1 produces a throttle window on this short trace.
         trace = get_scenario("thermal_throttle").apply(snippet_trace, 1)
         assert trace.throttle_events
         build = NAMED_POLICY_BUILDERS[policy_name]
@@ -495,18 +512,14 @@ class TestSnapshotEveryPolicy:
         def build_session():
             return PolicySession(
                 noisy_simulator, space, build(space), trace.snippets,
-                rng=np.random.default_rng(13),
-                space_schedule=make_space_schedule(space, trace),
+                rng=np.random.default_rng(13), caps=trace.caps(),
             )
 
-        restored = self._check_roundtrip(
-            tmp_path, noisy_simulator, build_session,
-            rebuild_schedule=lambda restored_space: make_space_schedule(
-                restored_space, trace),
-        )
-        # The schedule was live on the restored session: the throttle
-        # window shows in the throttled column (all 0.0 without one).
-        assert restored.space_schedule is not None
+        restored = self._check_roundtrip(tmp_path, noisy_simulator,
+                                         build_session)
+        # The caps were live on the restored session: the throttle window
+        # shows in the throttled column (all 0.0 without one).
+        assert restored.caps == trace.caps()
         assert restored.log.column("throttled").sum() > 0
 
     def test_roundtrip_over_restricted_space(self, tmp_path, noisy_simulator,
@@ -556,6 +569,118 @@ class TestSnapshotEveryPolicy:
             )
 
         self._check_roundtrip(tmp_path, simulator, build_session, steps=3)
+
+
+class TestCappedSnapshots:
+    """A dispatched cap is session state: a session capped inside one of
+    its scenario's throttle windows snapshots there, restores onto a
+    template and finishes bitwise equal to the uninterrupted run, alone
+    and as a fleet row."""
+
+    #: The dispatched cap from each step on: 2 binds between the throttle
+    #: windows ([5, 17) and [30, 42), capped at 1), 0 binds inside them
+    #: too, and the last steps run under the windows alone.
+    SCRIPT = {2: 2, 24: 0, 36: None}
+
+    @pytest.fixture()
+    def trace(self, trace_generator):
+        base = [snippet for workload in training_workloads()[:2]
+                for snippet in trace_generator.generate(workload)]
+        trace = get_scenario("thermal_throttle").apply(base, 1)
+        assert [(event.start, event.stop, event.max_opp_index)
+                for event in trace.throttle_events] == [(5, 17, 1),
+                                                        (30, 42, 1)]
+        return trace
+
+    @staticmethod
+    def _session(simulator, space, trace):
+        return PolicySession(
+            simulator, space, GovernorPolicy(PerformanceGovernor(space)),
+            trace.snippets, rng=np.random.default_rng(13), caps=trace.caps(),
+        )
+
+    def _dispatch(self, session):
+        """Apply the script's cap due at the session's cursor."""
+        if session.step_index in self.SCRIPT:
+            session.dispatched_cap = self.SCRIPT[session.step_index]
+
+    def _advance(self, session, until=None):
+        until = len(session) if until is None else until
+        while session.step_index < until:
+            self._dispatch(session)
+            session.advance()
+
+    def test_the_tighter_cap_binds(self, noisy_simulator, space, platform,
+                                   trace):
+        session = self._session(noisy_simulator, space, trace)
+        self._advance(session)
+        top = len(platform.cluster("big").opps) - 1
+        dispatched = None
+        expected = []
+        for step, trace_cap in enumerate(trace.caps()):
+            dispatched = self.SCRIPT.get(step, dispatched)
+            caps = [cap for cap in (trace_cap, dispatched) if cap is not None]
+            expected.append(min(caps + [top]))
+        # Step 0 runs the governor's starting (default) configuration.
+        np.testing.assert_array_equal(session.log.column("big_opp")[1:],
+                                      expected[1:])
+        np.testing.assert_array_equal(
+            session.log.column("throttled"),
+            [float(cap < top) for cap in expected])
+
+    @pytest.mark.parametrize("at", [10, 33])
+    def test_lone_session_restores_its_cap(self, noisy_simulator, space,
+                                           trace, at):
+        reference = self._session(noisy_simulator, space, trace)
+        self._advance(reference)
+        session = self._session(noisy_simulator, space, trace)
+        self._advance(session, until=at)
+        assert trace.caps()[at] is not None
+        assert session.dispatched_cap is not None
+        restored = PolicySession.restore(
+            session.snapshot_bytes(),
+            self._session(noisy_simulator, space, trace))
+        assert restored.dispatched_cap == session.dispatched_cap
+        self._advance(restored)
+        assert restored.state_digest() == reference.state_digest()
+
+    @pytest.mark.parametrize("at", [10, 33])
+    def test_fleet_row_restores_its_cap(self, noisy_simulator, space, trace,
+                                        at):
+        """Row 0 is capped; after its snapshot the fleet runs on three
+        rounds, then the row restores onto the session it replaces in a
+        rebuilt engine, as a supervised restart does."""
+        def fleet():
+            return build_fleet([
+                DeviceSpec(name=f"dev{i}",
+                           policy=GovernorPolicy(PerformanceGovernor(space)),
+                           scenario=trace, rng=np.random.default_rng(13 + i))
+                for i in range(2)
+            ], noisy_simulator, space)
+
+        def drive(engine, until=None):
+            capped = engine.sessions[0]
+            while not engine.done and (until is None
+                                       or capped.step_index < until):
+                self._dispatch(capped)
+                engine.step()
+
+        reference = fleet()
+        drive(reference)
+        engine = fleet()
+        drive(engine, until=at)
+        assert engine.sessions[0].dispatched_cap is not None
+        data = engine.sessions[0].snapshot_bytes()
+        for _ in range(3):
+            engine.step()
+        sessions = list(engine.sessions)
+        sessions[0] = PolicySession.restore(data, sessions[0])
+        rebuilt = FleetEngine(sessions)
+        drive(rebuilt)
+        assert rebuilt.batched_decisions > 0
+        assert ([session.state_digest() for session in rebuilt.sessions]
+                == [session.state_digest()
+                    for session in reference.sessions])
 
 
 class TestStateDigest:
@@ -625,7 +750,6 @@ class TestStateDigest:
             self, noisy_simulator, space, snippet_trace):
         full = self._run(noisy_simulator, space, snippet_trace)
         partial = self._run(noisy_simulator, space, snippet_trace, steps=3)
-        restored = PolicySession.restore(partial.snapshot_bytes(),
-                                         noisy_simulator, snippet_trace)
+        restored = PolicySession.restore(partial.snapshot_bytes(), partial)
         restored.run()
         assert restored.state_digest() == full.state_digest()

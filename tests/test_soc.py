@@ -304,25 +304,46 @@ class TestSimulator:
 
     def test_noise_produces_variation(self, noisy_simulator, space, compute_snippet):
         config = space.default_configuration()
-        energies = {noisy_simulator.run_snippet(compute_snippet, config).energy_j
-                    for _ in range(5)}
+        energies = {noisy_simulator.run_snippet(compute_snippet, config,
+                                                factors).energy_j
+                    for factors in noisy_simulator.draw_noise(5)}
         assert len(energies) > 1
+
+    def test_draw_noise_is_the_per_execution_draw_order(self, noisy_simulator):
+        """Row k holds exp(normal) of the (2k)-th and (2k+1)-th normals: the
+        time then power draws of the k-th execution, and nothing more."""
+        rows = noisy_simulator.draw_noise(5, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        scale = noisy_simulator.noise_scale
+        expected = [[float(np.exp(rng.normal(0.0, scale))) for _ in "tp"]
+                    for _ in range(5)]
+        assert rows.shape == (5, 2)
+        assert rows.tolist() == expected
+        drawn = np.random.default_rng(7)
+        noisy_simulator.draw_noise(5, drawn)
+        assert drawn.bit_generator.state == rng.bit_generator.state
+
+    def test_noise_free_draw_is_ones_and_consumes_nothing(self, simulator):
+        rng = np.random.default_rng(7)
+        before = rng.bit_generator.state
+        assert simulator.draw_noise(3, rng).tolist() == [[1.0, 1.0]] * 3
+        assert rng.bit_generator.state == before
 
     def test_apply_noise_matches_full_simulation(self, noisy_simulator, space,
                                                  compute_snippet, memory_snippet):
         """Re-noising a cached expected result == re-running the simulator.
 
-        ``_bootstrap_models`` relies on this: it must consume the same
-        generator stream and produce bitwise-identical noisy results as the
-        full ``run_snippet`` call it replaced.
+        ``_bootstrap_models`` relies on this: fed the same factors, it must
+        produce bitwise-identical noisy results as the full ``run_snippet``
+        call it replaced.
         """
         config = space.default_configuration()
         for snippet in (compute_snippet, memory_snippet):
             expected = noisy_simulator.evaluate_expected(snippet, config)
-            full = noisy_simulator.run_snippet(
-                snippet, config, rng=np.random.default_rng(99))
-            replayed = noisy_simulator.apply_noise(
-                expected, rng=np.random.default_rng(99))
+            factors = noisy_simulator.draw_noise(
+                1, np.random.default_rng(99))[0]
+            full = noisy_simulator.run_snippet(snippet, config, factors)
+            replayed = noisy_simulator.apply_noise(expected, factors)
             assert replayed.execution_time_s == full.execution_time_s
             assert replayed.average_power_w == full.average_power_w
             assert replayed.energy_j == full.energy_j
@@ -335,7 +356,7 @@ class TestSimulator:
             self, simulator, space, compute_snippet):
         config = space.default_configuration()
         expected = simulator.evaluate_expected(compute_snippet, config)
-        replayed = simulator.apply_noise(expected)
+        replayed = simulator.apply_noise(expected, simulator.draw_noise(1)[0])
         assert replayed.energy_j == expected.energy_j
         assert replayed.execution_time_s == expected.execution_time_s
 

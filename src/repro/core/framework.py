@@ -37,7 +37,7 @@ from repro.soc.snippet import Snippet
 from repro.utils.records import RunLog
 from repro.utils.rng import SeedLike, spawn_rngs
 from repro.utils.stats import trailing_nanmean
-from repro.workloads.generator import SnippetTraceGenerator
+from repro.workloads.generator import SnippetTraceGenerator, generate_snippets
 from repro.workloads.spec import WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scenarios -> core)
@@ -191,8 +191,8 @@ class OnlineLearningFramework:
     def generate_trace(self, workload: WorkloadSpec,
                        snippet_factor: float = 1.0) -> List[Snippet]:
         """Generate a snippet trace for one workload."""
-        spec = workload.scaled(snippet_factor) if snippet_factor != 1.0 else workload
-        return self.trace_generator.generate(spec)
+        return generate_snippets([workload], self.trace_generator.rng,
+                                 snippet_factor)[0]
 
     def build_oracle_for(self, snippets: Sequence[Snippet]) -> OracleTable:
         """Exhaustive Oracle for a snippet trace (noise-free, cached sweep)."""
@@ -211,9 +211,9 @@ class OnlineLearningFramework:
         Also bootstraps the online power and performance models from the same
         design-time executions, as the paper's methodology prescribes.
         """
-        snippets: List[Snippet] = []
-        for workload in workloads:
-            snippets.extend(self.generate_trace(workload, snippet_factor))
+        # One call draws what one call per workload would, in order.
+        snippets, _ = generate_snippets(workloads, self.trace_generator.rng,
+                                        snippet_factor)
         self._training_snippets = snippets
         oracle_table = self.build_oracle_for(snippets)
         dataset = collect_il_dataset(

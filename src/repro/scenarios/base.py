@@ -138,8 +138,11 @@ class ScenarioSpec(abc.ABC):
             raise ValueError(
                 f"scenario {self.name!r} produced an empty trace"
             )
-        names = [snippet.name for snippet in trace.snippets]
-        if len(set(names)) != len(names):
+        # A name is f"{application}[{index}]" with an int index, so
+        # unique (application, index) pairs are unique names.
+        keys = {(snippet.application, snippet.index)
+                for snippet in trace.snippets}
+        if len(keys) != len(trace.snippets):
             raise ValueError(
                 f"scenario {self.name!r} produced duplicate snippet names"
             )

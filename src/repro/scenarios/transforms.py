@@ -24,7 +24,7 @@ import time; see :func:`repro.scenarios.base.available_scenarios`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -35,11 +35,15 @@ from repro.scenarios.base import (
     ThrottleEvent,
     register_scenario,
 )
-from repro.soc.snippet import Snippet, SnippetCharacteristics
+from repro.soc.snippet import CHARACTERISTIC_FIELDS, Snippet, make_snippets
+from repro.workloads.generator import (
+    JITTERED_FIELDS,
+    clip_as_python,
+    jitter_characteristics,
+)
 
-
-def _clip(value: float, low: float, high: float) -> float:
-    return float(min(max(value, low), high))
+#: ``BurstyIdle``'s idle-snippet means, in ``JITTERED_FIELDS`` order.
+_IDLE_MEANS = (0.3, 0.10, 0.30, 1.0, 0.6)
 
 
 def _group_by_application(
@@ -130,50 +134,35 @@ class BurstyIdle(ScenarioSpec):
     idle_jitter: float = 0.10
     idle_instruction_fraction: float = 0.25
 
-    def _idle_snippet(self, index: int, n_instructions: float,
-                      rng: np.random.Generator) -> Snippet:
-        def wobble(value: float) -> float:
-            if self.idle_jitter == 0.0:
-                return value
-            return value * float(np.exp(rng.normal(0.0, self.idle_jitter)))
-
-        characteristics = SnippetCharacteristics(
-            memory_intensity=max(0.0, wobble(0.3)),
-            memory_access_rate=_clip(wobble(0.10), 0.0, 1.0),
-            external_request_rate=_clip(wobble(0.30), 0.0, 1.0),
-            branch_misprediction_mpki=max(0.0, wobble(1.0)),
-            ilp_factor=_clip(wobble(0.6), 0.05, 1.0),
-            parallel_fraction=0.0,
-            thread_count=1,
-            big_fraction=0.1,
-        )
-        return Snippet(
-            application="idle",
-            index=index,
-            n_instructions=n_instructions,
-            characteristics=characteristics,
-        )
-
     def _transform(self, snippets: Tuple[Snippet, ...],
                    rng: np.random.Generator) -> ScenarioTrace:
         if self.burst < 1:
             raise ValueError("burst must be >= 1")
         if self.idle_gap < 0:
             raise ValueError("idle_gap must be non-negative")
+        if self.idle_jitter < 0:
+            raise ValueError("idle_jitter must be non-negative")
         idle_instructions = max(
             1.0,
             self.idle_instruction_fraction
             * float(np.median([s.n_instructions for s in snippets])),
         )
+        # A gap follows every `burst`-th snippet except the last one.
+        gaps = (len(snippets) - 1) // self.burst
+        n_idle = gaps * self.idle_gap
+        columns = jitter_characteristics(
+            np.broadcast_to(_IDLE_MEANS, (n_idle, len(_IDLE_MEANS))),
+            np.full(n_idle, self.idle_jitter), rng)
+        idle = make_snippets(
+            "idle", range(n_idle), idle_instructions,
+            **dict(zip(JITTERED_FIELDS, columns.T)),
+            parallel_fraction=0.0, thread_count=1, big_fraction=0.1,
+        )
         out: List[Snippet] = []
-        idle_index = 0
-        for position, snippet in enumerate(snippets, start=1):
-            out.append(snippet)
-            if position % self.burst == 0 and position < len(snippets):
-                for _ in range(self.idle_gap):
-                    out.append(self._idle_snippet(idle_index,
-                                                  idle_instructions, rng))
-                    idle_index += 1
+        for gap in range(gaps):
+            out += snippets[gap * self.burst:(gap + 1) * self.burst]
+            out += idle[gap * self.idle_gap:(gap + 1) * self.idle_gap]
+        out += snippets[gaps * self.burst:]
         return ScenarioTrace(out)
 
 
@@ -241,26 +230,32 @@ class CharacteristicDrift(ScenarioSpec):
         if self.memory_intensity_scale <= 0 or self.ilp_scale <= 0:
             raise ValueError("drift scales must be positive")
         n = len(snippets)
-        out: List[Snippet] = []
-        for i, snippet in enumerate(snippets):
-            progress = i / (n - 1) if n > 1 else 1.0
-            wobble = 1.0
-            if self.jitter > 0.0:
-                wobble = float(np.exp(rng.normal(0.0, self.jitter)))
-            chars = snippet.characteristics
-            drifted = replace(
-                chars,
-                memory_intensity=max(
-                    0.0,
-                    chars.memory_intensity
-                    * self.memory_intensity_scale ** progress * wobble,
-                ),
-                ilp_factor=_clip(
-                    chars.ilp_factor * self.ilp_scale ** progress, 0.05, 1.0
-                ),
-            )
-            out.append(replace(snippet, characteristics=drifted))
-        return ScenarioTrace(out)
+        progress = [i / (n - 1) for i in range(n)] if n > 1 else [1.0]
+        chars = [snippet.characteristics for snippet in snippets]
+        columns = {name: [getattr(c, name) for c in chars]
+                   for name in CHARACTERISTIC_FIELDS}
+        # The ramps keep Python's ``**`` (libm ``pow``): ``np.power``
+        # differs from it in the last bit for some progress values.
+        intensity = (
+            np.array(columns["memory_intensity"], dtype=float)
+            * np.array([self.memory_intensity_scale ** p for p in progress])
+        )
+        if self.jitter > 0.0:
+            # Unit normals as ``jitter_characteristics`` draws them.
+            intensity *= np.exp(
+                0.0 + self.jitter * rng.normal(0.0, 1.0, size=n))
+        columns["memory_intensity"] = np.where(intensity > 0.0, intensity, 0.0)
+        columns["ilp_factor"] = clip_as_python(
+            np.array(columns["ilp_factor"], dtype=float)
+            * np.array([self.ilp_scale ** p for p in progress]),
+            0.05, 1.0,
+        )
+        return ScenarioTrace(make_snippets(
+            [snippet.application for snippet in snippets],
+            [snippet.index for snippet in snippets],
+            [snippet.n_instructions for snippet in snippets],
+            **columns,
+        ))
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,7 @@ class ConfigurationSpace:
         self._content_key: Optional[Tuple] = None
         self._restrictions: Dict[Tuple[Tuple[str, int], ...],
                                  "ConfigurationSpace"] = {}
+        self._cap_restrictions: Dict[int, "ConfigurationSpace"] = {}
         self._soa: Optional[SpaceArrays] = None
         self._opp_lookup: Optional[np.ndarray] = None
         self._default_index: Optional[int] = None
@@ -289,7 +290,15 @@ class ConfigurationSpace:
         effective caps again (each policy run of a throttled scenario does)
         returns the already-enumerated space instead of re-enumerating the
         cross product; a non-binding restriction returns this space itself.
+        The one-cap form (``restrict(max_opp_index=cap)``, which every
+        capped session step asks for) is also memoised by its cap alone.
         """
+        if max_opp_indices is None and max_opp_index is not None:
+            restricted = self._cap_restrictions.get(max_opp_index)
+            if restricted is None:  # ({} caps nothing more: no memo loop)
+                restricted = self.restrict(max_opp_index, {})
+                self._cap_restrictions[max_opp_index] = restricted
+            return restricted
         caps: Dict[str, int] = {}
         for name in self.cluster_order:
             candidates = [self._max_opp_index(name)]

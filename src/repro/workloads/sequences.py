@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.soc.snippet import Snippet
 from repro.utils.rng import SeedLike, make_rng
-from repro.workloads.generator import SnippetTraceGenerator
+from repro.workloads.generator import generate_snippets
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suites import CORTEX_APPS, PARSEC_APPS
 
@@ -50,13 +50,10 @@ def build_online_sequence(
     offline training set — mirroring the paper's setup where the initial
     policies must adapt at runtime.
     """
-    if specs is None:
-        specs = list(CORTEX_APPS.values()) + list(PARSEC_APPS.values())
-    rng = make_rng(seed)
-    generator = SnippetTraceGenerator(seed=rng)
-    sequence = ApplicationSequence()
-    for spec in specs:
-        scaled = spec.scaled(snippet_factor) if snippet_factor != 1.0 else spec
-        sequence.boundaries[spec.name] = len(sequence.snippets)
-        sequence.snippets.extend(generator.generate(scaled, rng=rng))
+    specs = (list(specs) if specs is not None
+             else list(CORTEX_APPS.values()) + list(PARSEC_APPS.values()))
+    snippets, starts = generate_snippets(specs, make_rng(seed), snippet_factor)
+    sequence = ApplicationSequence(snippets)
+    for spec, start in zip(specs, starts):
+        sequence.boundaries[spec.name] = start
     return sequence

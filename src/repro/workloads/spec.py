@@ -9,6 +9,7 @@ concrete list of :class:`~repro.soc.snippet.Snippet` objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import List
 
 from repro.soc.snippet import DEFAULT_SNIPPET_INSTRUCTIONS, SnippetCharacteristics
 
@@ -59,21 +60,27 @@ class WorkloadSpec:
     def n_snippets(self) -> int:
         return sum(phase.n_snippets for phase in self.phases)
 
+    def phase_lengths(self, snippet_factor: float) -> List[int]:
+        """Each phase's snippet count scaled by ``snippet_factor`` (at least 1)."""
+        if snippet_factor <= 0:
+            raise ValueError("snippet_factor must be positive")
+        return [max(1, int(round(phase.n_snippets * snippet_factor)))
+                for phase in self.phases]
+
     def scaled(self, snippet_factor: float) -> "WorkloadSpec":
         """Return a copy with each phase length scaled by ``snippet_factor``.
 
         Used to shorten traces in unit tests and to lengthen them for the
         long-running online sequences of Figure 3.
         """
-        if snippet_factor <= 0:
-            raise ValueError("snippet_factor must be positive")
         new_phases = tuple(
             WorkloadPhase(
                 characteristics=phase.characteristics,
-                n_snippets=max(1, int(round(phase.n_snippets * snippet_factor))),
+                n_snippets=n,
                 jitter=phase.jitter,
             )
-            for phase in self.phases
+            for phase, n in zip(self.phases,
+                                self.phase_lengths(snippet_factor))
         )
         return replace(self, phases=new_phases)
 

@@ -1,21 +1,26 @@
-"""The per-snippet trace generation loop (oracle of ``generate``).
+"""The per-snippet trace generation loop (oracle of the trace generator).
 
-:meth:`~repro.workloads.generator.SnippetTraceGenerator.generate` draws a
-phase's jitter as one ``(n_snippets, 5)`` normal block and exponentiates,
+:func:`~repro.workloads.generator.generate_snippets` (behind
+``SnippetTraceGenerator.generate`` and ``build_online_sequence``) draws
+all of a call's jittered phases as one normal block and exponentiates,
 scales and clips it with NumPy.  :class:`ScalarSnippetTraceGenerator` is
 the loop it replaced: per snippet, five scalar ``rng.normal`` draws (memory
 intensity, access rate, external rate, branch MPKI, ILP), each
 exponentiated on its own, and Python ``max``/``min`` clipping.
+:func:`build_online_sequence` is the per-spec loop over it: each spec
+scaled with ``WorkloadSpec.scaled`` and generated in turn.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.soc.snippet import Snippet, SnippetCharacteristics
+from repro.utils.rng import SeedLike, make_rng
 from repro.workloads.generator import SnippetTraceGenerator
+from repro.workloads.sequences import ApplicationSequence
 from repro.workloads.spec import WorkloadPhase, WorkloadSpec
 
 
@@ -70,3 +75,19 @@ class ScalarSnippetTraceGenerator(SnippetTraceGenerator):
                 )
                 index += 1
         return snippets
+
+
+def build_online_sequence(
+    specs: Sequence[WorkloadSpec],
+    snippet_factor: float = 1.0,
+    seed: SeedLike = 0,
+) -> ApplicationSequence:
+    """The online sequence of ``specs``, one scaled spec at a time."""
+    rng = make_rng(seed)
+    generator = ScalarSnippetTraceGenerator(seed=rng)
+    sequence = ApplicationSequence()
+    for spec in specs:
+        scaled = spec.scaled(snippet_factor) if snippet_factor != 1.0 else spec
+        sequence.boundaries[spec.name] = len(sequence.snippets)
+        sequence.snippets.extend(generator.generate(scaled, rng=rng))
+    return sequence

@@ -13,6 +13,8 @@ import pickle
 
 import numpy as np
 import pytest
+from scalar_reference import trace_generator_loop
+from scalar_reference.scenario_loops import scalar_twin
 
 from repro.control.policy import GovernorPolicy, StaticPolicy
 from repro.core.objectives import ENERGY
@@ -44,6 +46,7 @@ from repro.scenarios.base import ScenarioSpec
 from repro.scenarios.runtime import restricted_spaces
 from repro.soc.configuration import ConfigurationSpace
 from repro.soc.governors import PowersaveGovernor
+from repro.soc.simulator import characteristics_matrix
 from repro.workloads.sequences import build_online_sequence
 from repro.workloads.suites import unseen_workloads
 
@@ -229,6 +232,62 @@ class TestTransformSemantics:
         assert len(trace.throttle_events) > 1
 
 
+def _trace_bits(trace):
+    """Characteristics bytes, names and pickle of a trace's snippets (the
+    pickle adds field types and attribute order), and its caps."""
+    snippets = list(trace.snippets)
+    return (characteristics_matrix(snippets).tobytes(),
+            [s.name for s in snippets], pickle.dumps(snippets), trace.caps())
+
+
+class TestTransformsMatchScalarLoops:
+    """The array transforms equal their per-snippet loops
+    (``tests/scalar_reference/scenario_loops.py``) bit for bit, and leave
+    the generator in the same state, on online sequences that equal the
+    per-spec generator loop's."""
+
+    @pytest.mark.parametrize("factor", [0.15, 0.6, 1.0, 2.0])
+    def test_every_scenario_matches_over_seeds(self, factor):
+        specs = [get_scenario(name) for name in available_scenarios()]
+        # Draw paths no registered scenario takes.
+        specs += [CharacteristicDrift(jitter=0.2), BurstyIdle(idle_jitter=0.0)]
+        workloads = unseen_workloads()
+        for seed in range(6):
+            sequence = build_online_sequence(
+                specs=workloads, snippet_factor=factor, seed=seed)
+            reference = trace_generator_loop.build_online_sequence(
+                workloads, snippet_factor=factor, seed=seed)
+            assert (_trace_bits(ScenarioTrace(sequence.snippets))
+                    == _trace_bits(ScenarioTrace(reference.snippets)))
+            assert sequence.boundaries == reference.boundaries
+            for snippets in (sequence.snippets, sequence.snippets[:1],
+                             sequence.snippets[:2]):
+                for spec in specs:
+                    rng = np.random.default_rng(seed)
+                    reference_rng = np.random.default_rng(seed)
+                    trace = spec.apply(snippets, rng)
+                    expected = scalar_twin(spec).apply(snippets, reference_rng)
+                    assert _trace_bits(trace) == _trace_bits(expected), spec
+                    assert (rng.bit_generator.state
+                            == reference_rng.bit_generator.state), spec
+
+    @pytest.mark.parametrize("factor", [0.15, 1.0])
+    def test_repeated_spec_sequence_matches(self, factor):
+        """Indices restart per spec; a repeated name's boundary is its
+        last start, as the per-spec loop records it."""
+        app = unseen_workloads()[0]
+        for seed in range(6):
+            sequence = build_online_sequence(
+                specs=[app, app], snippet_factor=factor, seed=seed)
+            reference = trace_generator_loop.build_online_sequence(
+                [app, app], snippet_factor=factor, seed=seed)
+            assert (_trace_bits(ScenarioTrace(sequence.snippets))
+                    == _trace_bits(ScenarioTrace(reference.snippets)))
+            length = len(sequence) // 2
+            assert [s.index for s in sequence.snippets] == 2 * list(range(length))
+            assert sequence.boundaries == reference.boundaries == {app.name: length}
+
+
 class TestScenarioTrace:
     def test_caps_take_tightest_active_event(self, base_trace):
         trace = ScenarioTrace(
@@ -273,6 +332,29 @@ class TestSpaceRestriction:
         still = tighter.restrict(max_opp_index=5)
         assert len(still) == len(tighter)
         assert restricted.contains(restricted.default_configuration())
+
+    def test_repeated_one_cap_restrict_is_one_lookup(self, space,
+                                                     monkeypatch):
+        """A capped session step asks for ``restrict(max_opp_index=cap)``;
+        after the first ask per cap no per-cluster cap is recomputed."""
+        fresh = ConfigurationSpace(space.platform)
+        capped = fresh.restrict(max_opp_index=1)
+        loose = fresh.restrict(max_opp_index=10**6)
+        calls = []
+        original = ConfigurationSpace._max_opp_index
+
+        def counted(self, cluster):
+            calls.append(cluster)
+            return original(self, cluster)
+
+        monkeypatch.setattr(ConfigurationSpace, "_max_opp_index", counted)
+        for _ in range(3):
+            assert fresh.restrict(max_opp_index=1) is capped
+            assert fresh.restrict(max_opp_index=10**6) is loose is fresh
+        assert calls == []
+        # The per-cluster form still resolves to the same memoised space.
+        both = {name: 1 for name in fresh.cluster_order}
+        assert fresh.restrict(max_opp_indices=both) is capped
 
     def test_clamp_projects_into_restricted_space(self, space):
         restricted = space.restrict(max_opp_index=1)

@@ -1,6 +1,7 @@
 """Tests for the SoC substrate: OPPs, clusters, configurations, simulator, governors."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.soc import (
     odroid_xu3_like,
     generic_big_little,
 )
+from repro.soc.snippet import CHARACTERISTIC_FIELDS, make_snippets
 
 
 class TestOPP:
@@ -249,6 +251,139 @@ class TestSnippet:
         assert snippet.name == "fft[3]"
         with pytest.raises(ValueError):
             Snippet(application="fft", index=0, n_instructions=0)
+
+
+_EDGE_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 5e-324, -5e-324,
+                float("nan"), float("inf"), float("-inf"), 1 - 2**-53)
+
+
+def _constructed(application, index, n_instructions, **characteristics):
+    """``make_snippets``' result built by the dataclass constructors, or
+    the error the first invalid snippet raises."""
+    columns = {name: value if isinstance(value, list) else [value] * len(index)
+               for name, value in characteristics.items()}
+    instructions = (n_instructions if isinstance(n_instructions, list)
+                    else [n_instructions] * len(index))
+    snippets = []
+    for row, idx in enumerate(index):
+        try:
+            snippets.append(Snippet(
+                application, idx, instructions[row], SnippetCharacteristics(
+                    **{name: values[row] for name, values in columns.items()})))
+        except ValueError as error:
+            return str(error)
+    return snippets
+
+
+class TestMakeSnippets:
+    """``make_snippets`` is the dataclass constructors in bulk."""
+
+    def test_equals_the_dataclass_constructors(self):
+        rng = np.random.default_rng(0)
+        rates = rng.uniform(0.05, 1.0, size=6)
+        kwargs = dict(memory_intensity=rng.uniform(0, 9, size=6).tolist(),
+                      memory_access_rate=rates, external_request_rate=0.6,
+                      branch_misprediction_mpki=(1.0, 2.0, 0, 4.0, 5.0, 6.0),
+                      ilp_factor=0.5, parallel_fraction=0.1,
+                      thread_count=[1, 2, 4, 1, 2, 8], big_fraction=1)
+        snippets = make_snippets("app", range(6), [1e6] * 6, **kwargs)
+        expected = _constructed(
+            "app", list(range(6)), 1e6, **{
+                **kwargs, "memory_access_rate": rates.tolist(),
+                "branch_misprediction_mpki": [1.0, 2.0, 0, 4.0, 5.0, 6.0]})
+        assert snippets == expected
+        for made, built in zip(snippets, expected):
+            assert list(vars(made)) == list(vars(built))
+            assert list(vars(made.characteristics)) == list(
+                vars(built.characteristics))
+            assert pickle.dumps(made) == pickle.dumps(built)
+        assert type(snippets[0].characteristics.memory_access_rate) is float
+        assert type(snippets[2].characteristics.branch_misprediction_mpki) is int
+
+    def test_rejects_unknown_or_missing_fields_and_ragged_columns(self):
+        fields = {name: getattr(SnippetCharacteristics(), name)
+                  for name in CHARACTERISTIC_FIELDS}
+        with pytest.raises(TypeError, match="ipc"):
+            make_snippets("app", [0], 1e6, ipc=1.0, **fields)
+        del fields["ilp_factor"]
+        with pytest.raises(TypeError):
+            make_snippets("app", [0], 1e6, **fields)
+        fields["ilp_factor"] = [0.5]
+        with pytest.raises(ValueError, match="ilp_factor has 1 values"):
+            make_snippets("app", [0, 1], 1e6, **fields)
+
+    def test_raises_what_the_constructors_raise(self):
+        """Random columns with edge values (NaN, ±0.0, ±inf, subnormals,
+        bounds): the same snippets or the first invalid snippet's error."""
+        rng = np.random.default_rng(1)
+        raised = set()
+        for _ in range(400):
+            count = int(rng.integers(1, 5))
+
+            def column(valid):
+                values = [valid] * count
+                for row in range(count):
+                    if rng.random() < 0.08:
+                        values[row] = _EDGE_VALUES[rng.integers(len(_EDGE_VALUES))]
+                return values
+
+            kwargs = {name: column(getattr(SnippetCharacteristics(), name))
+                      for name in CHARACTERISTIC_FIELDS}
+            index = [int(i) if i == i and abs(i) != float("inf") else i
+                     for i in column(3)]
+            instructions = column(1e6)
+            expected = _constructed("app", index, instructions, **kwargs)
+            if isinstance(expected, str):
+                raised.add(expected)
+                with pytest.raises(ValueError) as error:
+                    make_snippets("app", index, instructions, **kwargs)
+                assert str(error.value) == expected
+            else:
+                assert make_snippets("app", index, instructions,
+                                     **kwargs) == expected
+        assert len(raised) == 10  # every check fired
+
+    def test_allocates_no_more_than_the_dataclass_constructors(self):
+        """Fields assigned one by one keep each instance dict
+        key-sharing; a ready ``__dict__`` per object would double this."""
+        count = 2000
+        values = np.random.default_rng(2).uniform(0.1, 0.9, size=(7, count))
+        columns = dict(zip(
+            ("memory_intensity", "memory_access_rate", "external_request_rate",
+             "branch_misprediction_mpki", "ilp_factor", "parallel_fraction",
+             "big_fraction"), values.tolist()))
+        threads, index = [1] * count, list(range(count))
+
+        def by_dataclass():
+            return [Snippet("app", idx, 1e6, SnippetCharacteristics(
+                memory_intensity=mi, memory_access_rate=ar,
+                external_request_rate=er, branch_misprediction_mpki=bm,
+                ilp_factor=ilp, parallel_fraction=pf, thread_count=tc,
+                big_fraction=bf))
+                for idx, mi, ar, er, bm, ilp, pf, tc, bf in zip(
+                    index, *list(columns.values())[:6], threads,
+                    columns["big_fraction"])]
+
+        def freed_with(build):
+            """Bytes that emptying a fresh build releases: its snippets'
+            own memory, with no temporary of the build (nor the list
+            object, which may come from a free list) in the count."""
+            build()  # any first-use growth of the shared instance keys
+            tracemalloc.start()
+            try:
+                snippets = build()
+                alive = tracemalloc.get_traced_memory()[0]
+                snippets.clear()
+                return alive - tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        def made():
+            return make_snippets("app", index, 1e6, thread_count=threads,
+                                 **columns)
+
+        assert made() == by_dataclass()
+        assert freed_with(made) <= freed_with(by_dataclass)
 
 
 class TestSimulator:

@@ -5,9 +5,9 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scalar_reference import trace_generator_loop
 from scalar_reference.trace_generator_loop import ScalarSnippetTraceGenerator
 
-import repro.workloads.sequences as sequences
 from repro.soc.snippet import SnippetCharacteristics
 from repro.workloads import (
     ALL_CPU_APPS,
@@ -148,16 +148,15 @@ class TestGeneratorMatchesScalarLoop:
         for seed in range(50):
             _assert_matches_loop(_generate_each, specs, seed)
 
-    def test_online_sequences_match(self, monkeypatch):
-        def sequence(seed):
-            return build_online_sequence(specs=unseen_workloads(),
-                                         snippet_factor=0.3, seed=seed)
-
-        traces = [sequence(seed).snippets for seed in range(20)]
-        monkeypatch.setattr(sequences, "SnippetTraceGenerator",
-                            ScalarSnippetTraceGenerator)
-        for seed, trace in enumerate(traces):
-            assert _trace_bits(trace) == _trace_bits(sequence(seed).snippets)
+    def test_online_sequences_match(self):
+        for seed in range(20):
+            sequence = build_online_sequence(specs=unseen_workloads(),
+                                             snippet_factor=0.3, seed=seed)
+            reference = trace_generator_loop.build_online_sequence(
+                unseen_workloads(), snippet_factor=0.3, seed=seed)
+            assert _trace_bits(sequence.snippets) == _trace_bits(
+                reference.snippets)
+            assert sequence.boundaries == reference.boundaries
 
     def test_clipping_at_the_bounds_matches(self):
         """Means on the clip bounds clip half the draws, and -0.0 and NaN

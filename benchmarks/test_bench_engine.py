@@ -16,7 +16,6 @@ import time
 
 import pytest
 
-from repro.core.objectives import ENERGY
 from repro.core.oracle import OracleCache, build_oracle
 from repro.experiments.scales import FULL
 from repro.soc.configuration import ConfigurationSpace
@@ -49,7 +48,7 @@ def sweep_setup():
     simulator = SoCSimulator(platform, noise_scale=0.0, seed=0)
     snippets = _full_scale_snippets()
     # Warm the space/simulator lookup tables so timing measures the sweep.
-    build_oracle(simulator, space, snippets[:2], ENERGY)
+    build_oracle(simulator, space, snippets[:2])
     return simulator, space, snippets
 
 
@@ -59,15 +58,15 @@ def test_bench_vectorized_oracle_sweep(benchmark, sweep_setup):
     simulator, space, snippets = sweep_setup
 
     scalar_start = time.perf_counter()
-    scalar_table = oracle_loop.build_oracle(simulator, space, snippets, ENERGY)
+    scalar_table = oracle_loop.build_oracle(simulator, space, snippets)
     scalar_elapsed = time.perf_counter() - scalar_start
 
     batch_table = benchmark.pedantic(
-        build_oracle, args=(simulator, space, snippets, ENERGY),
+        build_oracle, args=(simulator, space, snippets),
         rounds=1, iterations=1,
     )
     batch_elapsed = min(
-        _timed(build_oracle, simulator, space, snippets, ENERGY)
+        _timed(build_oracle, simulator, space, snippets)
         for _ in range(3)
     )
 
@@ -92,15 +91,15 @@ def test_bench_oracle_cache_amortizes_resweeps(benchmark, sweep_setup):
     """A warm OracleCache makes repeated sweeps effectively free."""
     simulator, space, snippets = sweep_setup
     cache = OracleCache()
-    build_oracle(simulator, space, snippets, ENERGY, cache=cache)
+    build_oracle(simulator, space, snippets, cache=cache)
 
-    cold_elapsed = _timed(build_oracle, simulator, space, snippets, ENERGY)
+    cold_elapsed = _timed(build_oracle, simulator, space, snippets)
     warm_table = benchmark.pedantic(
-        build_oracle, args=(simulator, space, snippets, ENERGY),
+        build_oracle, args=(simulator, space, snippets),
         kwargs={"cache": cache}, rounds=1, iterations=1,
     )
     warm_elapsed = min(
-        _timed(build_oracle, simulator, space, snippets, ENERGY, cache=cache)
+        _timed(build_oracle, simulator, space, snippets, cache=cache)
         for _ in range(3)
     )
 

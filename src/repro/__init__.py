@@ -18,7 +18,6 @@ organised as:
 """
 
 from repro.core.framework import OnlineLearningFramework, run_policy_on_snippets
-from repro.core.objectives import ENERGY, EDP, PERFORMANCE, PPW
 from repro.soc.platform import odroid_xu3_like, generic_big_little
 from repro.gpu.gpu import default_integrated_gpu
 
@@ -27,10 +26,6 @@ __version__ = "1.0.0"
 __all__ = [
     "OnlineLearningFramework",
     "run_policy_on_snippets",
-    "ENERGY",
-    "EDP",
-    "PERFORMANCE",
-    "PPW",
     "odroid_xu3_like",
     "generic_big_little",
     "default_integrated_gpu",

@@ -1,8 +1,7 @@
 """Common interface for CPU dynamic-resource-management policies.
 
-Every policy — the Oracle, offline/online IL, RL, and the simple governors —
-implements the same decision loop so the experiment runner can swap them
-freely:
+Every policy — offline/online IL, RL, and the simple governors — implements
+the same decision loop so the experiment runner can swap them freely:
 
 1. ``decide(counters)`` returns the configuration for the *next* snippet
    based on the counters observed for the previous one;

@@ -141,7 +141,7 @@ class QLearningController(DRMPolicy):
 
     @staticmethod
     def reward_from_result(result: SnippetResult) -> float:
-        """Negative energy per instruction (nJ), the optimisation objective."""
+        """Negative energy per instruction (nJ): the agent minimises energy."""
         return -result.energy_per_instruction_nj
 
     def observe(self, result: SnippetResult) -> None:

@@ -7,8 +7,7 @@ ties the analytical models, the policies and the SoC simulator together
 (paper Figure 1).
 """
 
-from repro.core.objectives import Objective, ENERGY, EDP, PERFORMANCE, PPW
-from repro.core.oracle import OracleCache, OraclePolicy, OracleTable, build_oracle
+from repro.core.oracle import OracleCache, OracleTable, build_oracle
 from repro.core.oracle_store import (
     OracleStore,
     get_default_oracle_store,
@@ -29,12 +28,6 @@ __all__ = [
     "OracleStore",
     "get_default_oracle_store",
     "set_default_oracle_store",
-    "Objective",
-    "ENERGY",
-    "EDP",
-    "PERFORMANCE",
-    "PPW",
-    "OraclePolicy",
     "OracleTable",
     "build_oracle",
     "OfflineILPolicy",

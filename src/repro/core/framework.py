@@ -21,11 +21,10 @@ import numpy as np
 
 from repro.control.policy import DRMPolicy
 from repro.control.rl import QLearningController
-from repro.core.objectives import ENERGY, Objective
 from repro.core.offline_il import ILDataset, OfflineILPolicy, collect_il_dataset
 from repro.core.online_il import OnlineILPolicy
-from repro.core.oracle import (OracleCache, OracleTable, build_oracle,
-                               oracle_results)
+from repro.core.oracle import (ENERGY, OracleCache, OracleTable,
+                               build_oracle, oracle_results)
 from repro.core.oracle_store import OracleStore
 from repro.core.runtime_oracle import RuntimeOracle
 from repro.models.performance import CpuPerformanceModel
@@ -146,17 +145,18 @@ class OnlineLearningFramework:
         outcome = framework.evaluate_policy(online_policy, get_workload("kmeans"))
     """
 
+    #: The cost the framework's Oracle tables minimise.
+    objective = ENERGY
+
     def __init__(
         self,
         platform: Optional[PlatformSpec] = None,
-        objective: Objective = ENERGY,
         allow_core_gating: bool = False,
         noise_scale: float = 0.01,
         seed: SeedLike = 0,
         oracle_store: Optional["OracleStore"] = None,
     ) -> None:
         self.platform = platform or odroid_xu3_like()
-        self.objective = objective
         # The default space controls the two cluster frequencies (the knobs of
         # the paper's Figs. 3-4 study).  Setting ``allow_core_gating=True``
         # additionally exposes the number of active big cores (a DyPO-like
@@ -196,7 +196,7 @@ class OnlineLearningFramework:
 
     def build_oracle_for(self, snippets: Sequence[Snippet]) -> OracleTable:
         """Exhaustive Oracle for a snippet trace (noise-free, cached sweep)."""
-        return build_oracle(self.simulator, self.space, snippets, self.objective,
+        return build_oracle(self.simulator, self.space, snippets,
                             cache=self.oracle_cache)
 
     def train_offline(
@@ -217,8 +217,7 @@ class OnlineLearningFramework:
         self._training_snippets = snippets
         oracle_table = self.build_oracle_for(snippets)
         dataset = collect_il_dataset(
-            self.simulator, self.space, snippets, self.objective,
-            oracle_table=oracle_table,
+            self.simulator, self.space, snippets, oracle_table=oracle_table,
         )
         self.offline_dataset = dataset
         policy = OfflineILPolicy(
@@ -380,8 +379,7 @@ class OnlineLearningFramework:
         oracle_table = None
         if with_oracle:
             oracle_table = build_scenario_oracle(
-                self.simulator, self.space, trace, self.objective,
-                cache=self.oracle_cache,
+                self.simulator, self.space, trace, cache=self.oracle_cache,
             )
         return run_policy_on_scenario(
             self.simulator, self.space, policy, trace,

@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.control.policy import DRMPolicy
-from repro.core.objectives import ENERGY, Objective
 from repro.core.oracle import OracleTable, build_oracle
 from repro.ml.mlp import MLPClassifier
 from repro.ml.scaling import StandardScaler
@@ -41,19 +40,11 @@ class ILDataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def merge(self, other: "ILDataset") -> "ILDataset":
-        return ILDataset(
-            features=np.vstack([self.features, other.features]),
-            labels=np.concatenate([self.labels, other.labels]),
-            applications=self.applications + other.applications,
-        )
-
 
 def collect_il_dataset(
     simulator: SoCSimulator,
     space: ConfigurationSpace,
     snippets: Sequence[Snippet],
-    objective: Objective = ENERGY,
     oracle_table: Optional[OracleTable] = None,
 ) -> ILDataset:
     """Execute ``snippets`` under the Oracle and collect (state, action) pairs.
@@ -65,7 +56,7 @@ def collect_il_dataset(
     sequence is skipped because no prior observation exists.  The
     executions' noise factors come from the simulator's own generator.
     """
-    table = oracle_table or build_oracle(simulator, space, snippets, objective)
+    table = oracle_table or build_oracle(simulator, space, snippets)
     features: List[np.ndarray] = []
     labels: List[int] = []
     applications: List[str] = []

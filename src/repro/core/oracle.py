@@ -2,15 +2,14 @@
 
 "Each snippet in the set of target applications is executed at each
 configuration supported by the SoC ... these system states and power
-consumption measurements are used to construct Oracle policies which optimise
-different objectives."
+consumption measurements are used to construct Oracle policies [...]."
 
-The :class:`OraclePolicy` here does exactly that against the SoC simulator:
-for every snippet it sweeps the full configuration space (noise free) and
-records the configuration minimising the objective.  The resulting
-:class:`OracleTable` is the ground truth used (a) to normalise policy energy
-(Table II, Fig. 4), (b) to measure decision accuracy (Fig. 3), and (c) to
-label the offline IL training data.
+:func:`build_oracle` does that against the SoC simulator: for every
+snippet it sweeps the full configuration space (noise free) and records the
+configuration minimising energy, the cost the paper's evaluations compare
+policies by.  The resulting :class:`OracleTable` is the ground truth used
+(a) to normalise policy energy (Table II, Fig. 4), (b) to measure decision
+accuracy (Fig. 3), and (c) to label the offline IL training data.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.control.policy import DRMPolicy
-from repro.core.objectives import ENERGY, Objective
 from repro.core.oracle_store import (
     ORACLE_COLUMNS,
     OracleStore,
@@ -31,10 +28,13 @@ from repro.core.oracle_store import (
     store_stats_snapshot,
 )
 from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
-from repro.soc.counters import PerformanceCounters
 from repro.soc.simulator import (SnippetResult, SoCSimulator,
                                  characteristics_matrix)
 from repro.soc.snippet import Snippet
+
+#: The cost every Oracle table minimises: total energy, which Table II and
+#: Fig. 4 normalise policies to.
+ENERGY = "energy"
 
 
 @dataclass(eq=False)
@@ -43,7 +43,6 @@ class OracleTable:
     (:data:`~repro.core.oracle_store.ORACLE_COLUMNS`; ``best_index``
     indexes :attr:`space`)."""
 
-    objective_name: str
     space: ConfigurationSpace
     rows: Dict[Hashable, int]
     columns: np.ndarray
@@ -51,30 +50,6 @@ class OracleTable:
     def best_configuration(self, snippet: Snippet) -> SoCConfiguration:
         row = self.rows[snippet.name]
         return self.space[int(self.columns["best_index"][row])]
-
-
-class OraclePolicy(DRMPolicy):
-    """Policy that plays back the per-snippet optimal configurations.
-
-    Unlike a deployable policy, the Oracle is told which snippet is about to
-    execute (via :meth:`prepare_for`) — it has perfect knowledge by
-    construction.  The framework runner handles this automatically.
-    """
-
-    def __init__(self, space: ConfigurationSpace, table: OracleTable) -> None:
-        super().__init__(space)
-        self.table = table
-        self._next_snippet: Optional[Snippet] = None
-
-    def prepare_for(self, snippet: Snippet) -> None:
-        """Tell the Oracle which snippet the next decision is for."""
-        self._next_snippet = snippet
-
-    def decide(self, counters: Optional[PerformanceCounters]) -> SoCConfiguration:
-        if self._next_snippet is None:
-            return self.current
-        self.current = self.table.best_configuration(self._next_snippet)
-        return self.current
 
 
 def content_keys(snippets: Sequence[Snippet],
@@ -94,93 +69,15 @@ def content_keys(snippets: Sequence[Snippet],
             for snippet, row in zip(snippets, rows.tolist())]
 
 
-def objective_cache_key(objective: Objective) -> Tuple[str, object]:
-    """Key for an objective: its name plus the cost callable itself, so a
-    custom objective reusing a built-in name never shares entries with it."""
-    return (objective.name, objective.cost)
-
-
-def _state_repr(value) -> str:
-    """Content-faithful repr of digest material.
-
-    ``repr`` of a large ndarray truncates (``...``), which could alias two
-    different captured arrays; digest the full buffer instead.  Everything
-    else uses plain ``repr`` — identity-based reprs digest uniquely per
-    object, so such state never falsely *hits* the store (it merely never
-    shares a table, the safe direction).
-    """
-    if isinstance(value, np.ndarray):
-        return content_digest(str(value.dtype), value.shape, value.tobytes())
-    return repr(value)
-
-
-def _states_repr(values) -> Tuple[str, ...]:
-    if values is None:
-        return ()
-    return tuple(_state_repr(value) for value in values)
-
-
-def persistent_objective_key(objective: Objective) -> Tuple:
-    """Cross-process content key for an objective.
-
-    The in-memory key uses the cost callable's identity, which does not
-    survive pickling to another process.  For the on-disk store the cost
-    function is identified by where it lives plus a digest of its bytecode,
-    default arguments and closure-cell values, so a custom objective
-    reusing a built-in name still gets its own tables, an edited cost
-    function invalidates old ones, and two parameterised closures over
-    different values (same bytecode, different cells) never alias.
-    """
-    cost = objective.cost
-    code = getattr(cost, "__code__", None)
-    if code is not None:
-        closure = getattr(cost, "__closure__", None)
-        cells = (tuple(_state_repr(cell.cell_contents) for cell in closure)
-                 if closure else ())
-        code_digest = content_digest(
-            code.co_code,
-            repr(code.co_consts),
-            _states_repr(getattr(cost, "__defaults__", None)),
-            repr(getattr(cost, "__kwdefaults__", None)),
-            cells,
-        )
-    else:
-        # Callable object (class instance, functools.partial, ...): no
-        # bytecode to identify it by, so digest the instance state and the
-        # object's repr.  A default (identity-based) repr makes the digest
-        # unique per object — such costs never alias a stored table, they
-        # just never share one either, which is the safe direction.
-        state = getattr(cost, "__dict__", None)
-        state_repr = (repr({key: _state_repr(value)
-                            for key, value in sorted(state.items())})
-                      if isinstance(state, dict) else repr(state))
-        code_digest = content_digest(
-            type(cost).__module__,
-            type(cost).__qualname__,
-            state_repr,
-            repr(cost),
-        )
-    return (
-        objective.name,
-        getattr(cost, "__module__", ""),
-        getattr(cost, "__qualname__", type(cost).__qualname__),
-        code_digest,
-    )
-
-
-def persistent_table_digest(space: ConfigurationSpace,
-                            objective: Objective) -> str:
-    """Store name of the Oracle table for ``(space, objective)``.
+def persistent_table_digest(space: ConfigurationSpace) -> str:
+    """Store name of the Oracle table for ``space``.
 
     Includes the :func:`~repro.core.oracle_store.code_fingerprint` of the
     modules the entries' semantics depend on, so a store written by older
     simulator/Oracle code cleanly misses instead of serving stale results.
-    The name is ``content_digest(space.content_key(),
-    persistent_objective_key(objective), code_fingerprint())``.
+    The name is ``content_digest(space.content_key(), code_fingerprint())``.
     """
-    return content_digest(space.content_key(),
-                          persistent_objective_key(objective),
-                          code_fingerprint())
+    return content_digest(space.content_key(), code_fingerprint())
 
 
 #: Process-wide cache-activity counters aggregated over every OracleCache
@@ -207,29 +104,29 @@ def cache_stats_snapshot() -> Dict[str, int]:
 
 
 class OracleCache:
-    """Memo of Oracle rows keyed by (snippet, space, objective).
+    """Memo of Oracle rows keyed by (snippet, space).
 
     Oracle construction is deterministic (noise-free), so a row computed
-    once for a snippet is valid for every later sweep over the same space
-    and objective.  The framework attaches one cache per simulator instance,
-    so its later builds stop re-sweeping snippets already solved.  The
-    cache keeps one :class:`OracleTable` per (space, objective), keyed by
-    :func:`content_keys` rather than names, so regenerated-but-identical
-    snippets still hit.  The space part of the memo key is its
+    once for a snippet is valid for every later sweep over the same space.
+    The framework attaches one cache per simulator instance, so its later
+    builds stop re-sweeping snippets already solved.  The cache keeps one
+    :class:`OracleTable` per space, keyed by :func:`content_keys` rather
+    than names, so regenerated-but-identical snippets still hit.  A space
+    is keyed by its
     :meth:`~repro.soc.configuration.ConfigurationSpace.content_key`, so
     equal-content spaces share tables.
 
     An optional :class:`~repro.core.oracle_store.OracleStore` layers a
     persistent, cross-process tier underneath: a :func:`build_oracle` call
-    whose snippets miss memory consults the store's table for its space and
-    objective once, and publishes the rows it swept as one segment of that
-    table when it ends, so worker processes and later CLI invocations skip
+    whose snippets miss memory consults the store's table for its space
+    once, and publishes the rows it swept as one segment of that table
+    when it ends, so worker processes and later CLI invocations skip
     sweeps any process has ever completed.  ``store=None`` (the default)
     adopts the process-wide default store, if one is installed.
     """
 
     def __init__(self, store: Optional[OracleStore] = None) -> None:
-        self._tables: Dict[Tuple[Tuple, Tuple[str, object]], OracleTable] = {}
+        self._tables: Dict[Tuple, OracleTable] = {}
         self.store_backend = (store if store is not None
                               else get_default_oracle_store())
         self.hits = 0
@@ -246,8 +143,7 @@ class OracleCache:
             _GLOBAL_CACHE_STATS[counter] += n
 
     def _build(self, simulator: SoCSimulator, space: ConfigurationSpace,
-               snippets: Iterable[Snippet],
-               objective: Objective) -> OracleTable:
+               snippets: Iterable[Snippet]) -> OracleTable:
         """:func:`build_oracle` through this cache.
 
         Each snippet's content key is looked up in memory, then in the
@@ -262,8 +158,8 @@ class OracleCache:
         matrix = characteristics_matrix(snippets)
         keys = content_keys(snippets, matrix)
         memo = self._tables.setdefault(
-            (space.content_key(), objective_cache_key(objective)),
-            OracleTable(objective.name, space, {}, np.empty(0, ORACLE_COLUMNS)))
+            space.content_key(),
+            OracleTable(space, {}, np.empty(0, ORACLE_COLUMNS)))
         known = memo.rows
         table_digest: Optional[str] = None
         stored: Dict[bytes, Tuple] = {}
@@ -276,7 +172,7 @@ class OracleCache:
                 continue
             if self.store_backend is not None:
                 if table_digest is None:
-                    table_digest = persistent_table_digest(space, objective)
+                    table_digest = persistent_table_digest(space)
                     stored = self.store_backend.table(table_digest)
                 entry = stored.get(key)
                 if entry is not None:
@@ -289,7 +185,7 @@ class OracleCache:
             self._count(store_hits=len(fetched), store_misses=len(missing))
         rows = list(missing.values())
         swept = _sweep(simulator, space, [snippets[row] for row in rows],
-                       matrix[rows], objective)
+                       matrix[rows])
         if missing and table_digest is not None:
             self.store_backend.publish(table_digest, list(missing), swept)
         if new:
@@ -299,8 +195,7 @@ class OracleCache:
                 memo.columns,
                 np.array(list(fetched.values()), ORACLE_COLUMNS), swept])
         return OracleTable(
-            objective.name, space,
-            {snippet.name: i for i, snippet in enumerate(snippets)},
+            space, {snippet.name: i for i, snippet in enumerate(snippets)},
             memo.columns[[known[key] for key in keys]])
 
 
@@ -313,8 +208,7 @@ SWEEP_PASS_PAIRS = 1 << 14
 
 
 def _sweep(simulator: SoCSimulator, space: ConfigurationSpace,
-           snippets: List[Snippet], matrix: np.ndarray,
-           objective: Objective) -> np.ndarray:
+           snippets: List[Snippet], matrix: np.ndarray) -> np.ndarray:
     """The :data:`~repro.core.oracle_store.ORACLE_COLUMNS` of every snippet.
 
     ``matrix`` holds the snippets'
@@ -322,9 +216,9 @@ def _sweep(simulator: SoCSimulator, space: ConfigurationSpace,
     snippets are swept over the space in passes of at most
     :data:`SWEEP_PASS_PAIRS` pairs, one
     :meth:`~repro.soc.simulator.SoCSimulator.evaluate_expected_batch` call
-    each.  One row-wise ``np.argmin`` over the objective's cost picks each
+    each.  One row-wise ``np.argmin`` over the pass's energy picks each
     snippet's first minimum, matching the per-configuration loop's strict
-    ``cost < best_cost`` tie-breaking, and the cost, energy and time of
+    ``energy < best_energy`` tie-breaking, and the energy and time of
     those pairs are gathered from the pass's arrays.
     """
     per_pass = max(1, SWEEP_PASS_PAIRS // max(1, len(space)))
@@ -333,12 +227,10 @@ def _sweep(simulator: SoCSimulator, space: ConfigurationSpace,
         batch = simulator.evaluate_expected_batch(
             snippets[start:start + per_pass], space,
             matrix[start:start + per_pass])
-        costs = objective.batch_cost(batch)
-        best = np.argmin(costs, axis=1)
+        best = np.argmin(batch.energy_j, axis=1)
         pairs = (np.arange(len(best)), best)
         out = columns[start:start + len(best)]
         out["best_index"] = best
-        out["best_cost"] = costs[pairs]
         out["energy_j"] = batch.energy_j[pairs]
         out["time_s"] = batch.execution_time_s[pairs]
     return columns
@@ -348,13 +240,12 @@ def build_oracle(
     simulator: SoCSimulator,
     space: ConfigurationSpace,
     snippets: Iterable[Snippet],
-    objective: Objective = ENERGY,
     cache: Optional[OracleCache] = None,
 ) -> OracleTable:
     """Exhaustively construct the Oracle table for ``snippets``.
 
     Every snippet is evaluated (noise-free) at every configuration of the
-    space; the minimising configuration is stored.  The sweep scales as
+    space; the energy-minimising configuration is stored.  The sweep scales as
     ``len(snippets) * len(space)`` — this is exactly the "high computational
     complexity" that makes Oracle construction impossible at runtime on real
     hardware, so the snippets are swept together, in array passes of the
@@ -363,16 +254,16 @@ def build_oracle(
     ``tests/scalar_reference/oracle_loop.py``, where the tests and the sweep
     benchmark check that both build bitwise-identical columns.
     Passing an :class:`OracleCache` skips snippets whose rows were
-    already computed for this space/objective, in memory or in its store,
-    and sweeps each content key once per call.
+    already computed for this space, in memory or in its store, and sweeps
+    each content key once per call.
     """
     if cache is not None:
-        return cache._build(simulator, space, snippets, objective)
+        return cache._build(simulator, space, snippets)
     snippets = list(snippets)
-    return OracleTable(objective.name, space,
+    return OracleTable(space,
                        {snippet.name: i for i, snippet in enumerate(snippets)},
                        _sweep(simulator, space, snippets,
-                              characteristics_matrix(snippets), objective))
+                              characteristics_matrix(snippets)))
 
 
 def oracle_results(simulator: SoCSimulator, table: OracleTable,

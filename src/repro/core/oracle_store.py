@@ -7,7 +7,7 @@ Oracle construction a compute-once artifact that any number of processes —
 worker pools, later CLI runs, CI jobs restoring a cache — can share.
 
 Layout: one directory per Oracle table, named by the digest of the table's
-configuration space, objective and :func:`code_fingerprint` (computed by
+configuration space and :func:`code_fingerprint` (computed by
 :func:`repro.core.oracle.persistent_table_digest`).  A table is an
 append-only set of *segments*: each ``build_oracle`` call that computed
 entries publishes them as one fixed-dtype NumPy array (a content key and
@@ -31,8 +31,7 @@ Design points:
 * **Concurrent safety.**  Readers only ever see fully written segments
   (atomic rename); segments are never rewritten, and two writers
   publishing identical bytes publish the same name, so last-writer-wins is
-  harmless.  Differing platforms, spaces, objectives or code never share a
-  table.
+  harmless.  Differing platforms, spaces or code never share a table.
 """
 
 from __future__ import annotations
@@ -52,13 +51,13 @@ _T = TypeVar("_T")
 
 #: Bump when the segment layout changes.  Segments are named with the
 #: version (:data:`SEGMENT_SUFFIX`), so another version's are never opened.
-STORE_FORMAT_VERSION = 3
+STORE_FORMAT_VERSION = 4
 SEGMENT_SUFFIX = f".v{STORE_FORMAT_VERSION}.npy"
 
-#: One entry's Oracle columns: the best configuration (an index into the
-#: table's space) and the objective's cost, noise-free energy and time there.
-ORACLE_COLUMNS = np.dtype([("best_index", "<i8"), ("best_cost", "<f8"),
-                           ("energy_j", "<f8"), ("time_s", "<f8")])
+#: One entry's Oracle columns: the energy-minimising configuration (an index
+#: into the table's space) and the noise-free energy and time there.
+ORACLE_COLUMNS = np.dtype([("best_index", "<i8"), ("energy_j", "<f8"),
+                           ("time_s", "<f8")])
 
 #: Process-wide store-activity counters aggregated over every OracleStore
 #: instance (merged into :func:`repro.core.oracle.cache_stats_snapshot`).
@@ -75,23 +74,20 @@ _CODE_FINGERPRINT: Optional[str] = None
 
 def fingerprint_sources() -> List[Path]:
     """The source files :func:`code_fingerprint` digests, in digest order:
-    ``repro/soc/*.py``, ``repro/core/oracle.py`` and
-    ``repro/core/objectives.py``.  Every function that computes Oracle
-    entries must live in one of them."""
-    import repro.core.objectives
+    ``repro/soc/*.py`` and ``repro/core/oracle.py``.  Every function that
+    computes Oracle entries must live in one of them."""
     import repro.core.oracle
     import repro.soc
 
     sources = sorted(Path(repro.soc.__file__).parent.glob("*.py"))
     sources.append(Path(repro.core.oracle.__file__))
-    sources.append(Path(repro.core.objectives.__file__))
     return sources
 
 
 def code_fingerprint() -> str:
     """Digest of the source of every module Oracle entries depend on.
 
-    Entry *content* keys capture the inputs (snippet, space, objective) but
+    Entry *content* keys capture the inputs (snippet and space) but
     not the simulator/Oracle semantics that turn inputs into entries; a
     code change there would otherwise let an old store silently serve
     entries computed by different physics.  Folding this fingerprint of

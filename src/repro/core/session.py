@@ -58,7 +58,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.control.policy import DRMPolicy
-from repro.core.oracle import OraclePolicy, OracleTable
+from repro.core.oracle import OracleTable
 from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
 from repro.soc.counters import PerformanceCounters
 from repro.soc.simulator import SnippetResult, SoCSimulator
@@ -286,12 +286,11 @@ class PolicySession:
     def decide(self) -> SessionStep:
         """Phase 1+2: ask the policy for a decision and clamp it.
 
-        The Oracle policy is told which snippet is coming (it has perfect
-        knowledge by construction); every other policy decides from the
-        counters of the previous snippet (``None`` on the first step).
-        :meth:`throttle` then clamps the decision into the space an OPP
-        cap leaves reachable.  A configuration outside the session's space
-        raises :class:`KeyError`.
+        The policy decides from the counters of the previous snippet
+        (``None`` on the first step).  :meth:`throttle` then clamps the
+        decision into the space an OPP cap leaves reachable.  A
+        configuration outside the session's space raises
+        :class:`KeyError`.
         """
         if self.done:
             raise RuntimeError(f"session {self.name!r} is already complete")
@@ -300,8 +299,6 @@ class PolicySession:
                 f"session {self.name!r} has an unobserved pending step"
             )
         snippet = self.snippets[self._cursor]
-        if isinstance(self.policy, OraclePolicy):
-            self.policy.prepare_for(snippet)
         proposed = self.policy.decide(self.counters)
         config, throttled = self.throttle(proposed)
         step = SessionStep(
@@ -374,7 +371,7 @@ class PolicySession:
         table = self.oracle_table
         row = None if table is None else table.rows.get(step.snippet.name)
         if row is not None:  # ``item`` gives Python scalars, not NumPy's
-            best, _, oracle_energy, _ = table.columns.item(row)
+            best, oracle_energy, _ = table.columns.item(row)
             oracle_big = float(table.space[best].opp_index("big"))
             oracle_match = float(big_opp == oracle_big)
             self.oracle_energy += oracle_energy

@@ -191,8 +191,7 @@ def run_fault_tolerance(
                 sequence.snippets, derive_seed(seed, (_FT_STREAM, 2, i))
             )
             oracle = build_scenario_oracle(
-                simulator, space, scenario, framework.objective,
-                cache=framework.oracle_cache,
+                simulator, space, scenario, cache=framework.oracle_cache,
             )
             snippets: Sequence = scenario.snippets
         else:

@@ -193,8 +193,7 @@ def run_fleet(
                 sequence.snippets, derive_seed(seed, (_FLEET_STREAM, 2, i))
             )
             oracle = build_scenario_oracle(
-                simulator, space, trace, framework.objective,
-                cache=framework.oracle_cache,
+                simulator, space, trace, cache=framework.oracle_cache,
             )
             devices.append(DeviceSpec(
                 name=name, policy=policy, scenario=trace,

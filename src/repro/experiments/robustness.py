@@ -159,7 +159,7 @@ def run_robustness(
         scenario_rng = make_rng(derive_seed(seed, [stable_name_id(spec.name)]))
         trace = spec.apply(base_sequence.snippets, scenario_rng)
         oracle_table = build_scenario_oracle(
-            framework.simulator, framework.space, trace, framework.objective,
+            framework.simulator, framework.space, trace,
             cache=framework.oracle_cache,
         )
         for policy_name in policies:

@@ -33,7 +33,7 @@ engine exploits that freedom on three phases:
   per-step decisions computed by one batched
   :meth:`~repro.control.policy.DRMPolicy.fleet_decide` call (the policy
   implements the batch as an exact mirror of its scalar rule); policies
-  without a key (RL, offline IL, the Oracle) decide through
+  without a key (RL, offline IL) decide through
   :meth:`~repro.core.session.PolicySession.decide`.
 * **execute** — every session runs through the cross-session vectorized
   kernel (:func:`~repro.fleet.kernels.lockstep_execute`).  The

@@ -9,11 +9,7 @@ mirroring the paper's emphasis on firmware-friendly, low-overhead models.
 
 from repro.ml.base import Regressor, Classifier, OnlineRegressor
 from repro.ml.scaling import StandardScaler
-from repro.ml.metrics import (
-    mean_absolute_percentage_error,
-    r2_score,
-    accuracy_score,
-)
+from repro.ml.metrics import mean_absolute_percentage_error
 from repro.ml.linear import LinearRegressor
 from repro.ml.rls import RecursiveLeastSquares
 from repro.ml.mlp import MLPRegressor, MLPClassifier
@@ -27,8 +23,6 @@ __all__ = [
     "OnlineRegressor",
     "StandardScaler",
     "mean_absolute_percentage_error",
-    "r2_score",
-    "accuracy_score",
     "LinearRegressor",
     "RecursiveLeastSquares",
     "MLPRegressor",

@@ -49,12 +49,6 @@ class Regressor(abc.ABC):
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict targets for ``features`` (n, d); returns shape (n,)."""
 
-    def score(self, features: np.ndarray, targets: np.ndarray) -> float:
-        """Return the coefficient of determination R^2 on the given data."""
-        from repro.ml.metrics import r2_score
-
-        return r2_score(as_1d(targets), self.predict(features))
-
 
 class Classifier(abc.ABC):
     """Batch classification model interface (integer class labels)."""
@@ -66,12 +60,6 @@ class Classifier(abc.ABC):
     @abc.abstractmethod
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict integer labels for ``features`` (n, d)."""
-
-    def score(self, features: np.ndarray, labels: np.ndarray) -> float:
-        """Return classification accuracy on the given data."""
-        from repro.ml.metrics import accuracy_score
-
-        return accuracy_score(np.asarray(labels), self.predict(features))
 
 
 class OnlineRegressor(abc.ABC):

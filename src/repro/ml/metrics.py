@@ -1,8 +1,8 @@
-"""Regression and classification metrics used across the experiments.
+"""Model-error and energy metrics used across the experiments.
 
 The paper reports model quality as percentage error (Fig. 2: "<5% error"),
-policy quality as accuracy w.r.t. the Oracle (Fig. 3), and energy normalised
-to the Oracle (Table II, Fig. 4); the helpers below provide those metrics.
+energy normalised to the Oracle (Table II, Fig. 4) and energy savings
+against a baseline (Fig. 5); the helpers below provide those metrics.
 """
 
 from __future__ import annotations
@@ -26,25 +26,6 @@ def mean_absolute_percentage_error(y_true: np.ndarray, y_pred: np.ndarray,
     a, b = _pair(y_true, y_pred)
     denom = np.maximum(np.abs(a), epsilon)
     return float(np.mean(np.abs(a - b) / denom) * 100.0)
-
-
-def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    a, b = _pair(y_true, y_pred)
-    ss_res = float(np.sum((a - b) ** 2))
-    ss_tot = float(np.sum((a - np.mean(a)) ** 2))
-    if ss_tot == 0.0:
-        return 1.0 if ss_res == 0.0 else 0.0
-    return 1.0 - ss_res / ss_tot
-
-
-def accuracy_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    a = np.asarray(y_true).ravel()
-    b = np.asarray(y_pred).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        raise ValueError("accuracy requires at least one sample")
-    return float(np.mean(a == b))
 
 
 def normalized_energy(energy: float, oracle_energy: float) -> float:

@@ -36,7 +36,3 @@ class Packet:
         if self.ejection_cycle is None:
             return None
         return self.ejection_cycle - self.injection_cycle
-
-    @property
-    def delivered(self) -> bool:
-        return self.ejection_cycle is not None

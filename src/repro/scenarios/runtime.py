@@ -29,8 +29,7 @@ import numpy as np
 
 from repro.control.policy import DRMPolicy
 from repro.core.framework import PolicyRunResult, run_policy_on_snippets
-from repro.core.objectives import ENERGY, Objective
-from repro.core.oracle import OracleCache, OracleTable, build_oracle
+from repro.core.oracle import ENERGY, OracleCache, OracleTable, build_oracle
 from repro.core.oracle_store import ORACLE_COLUMNS
 from repro.scenarios.base import ScenarioTrace
 from repro.soc.configuration import ConfigurationSpace
@@ -49,7 +48,7 @@ def build_scenario_oracle(
     simulator: SoCSimulator,
     base_space: ConfigurationSpace,
     trace: ScenarioTrace,
-    objective: Objective = ENERGY,
+    objective: str = ENERGY,
     cache: Optional[OracleCache] = None,
 ) -> OracleTable:
     """Oracle table for ``trace`` honouring its per-step space restrictions.
@@ -59,8 +58,11 @@ def build_scenario_oracle(
     engine path) against the matching restricted space, and the groups are
     merged into one table over ``base_space``, their best indices mapped to
     the base space's.  Snippet names are unique within a scenario trace, so
-    the merge is collision free.
+    the merge is collision free.  ``objective`` must be
+    :data:`~repro.core.oracle.ENERGY`, the one cost an Oracle minimises.
     """
+    if objective != ENERGY:
+        raise ValueError(f"the Oracle minimises {ENERGY!r}, not {objective!r}")
     spaces = restricted_spaces(base_space, trace)
     by_cap: Dict[Optional[int], List[Snippet]] = {}
     for snippet, cap in zip(trace.snippets, trace.caps()):
@@ -68,14 +70,13 @@ def build_scenario_oracle(
     names, groups = [], [np.empty(0, ORACLE_COLUMNS)]
     for cap, snippets in by_cap.items():
         space = base_space if cap is None else spaces[cap]
-        columns = build_oracle(simulator, space, snippets, objective,
-                               cache=cache).columns
+        columns = build_oracle(simulator, space, snippets, cache=cache).columns
         if space is not base_space:
             base_index = np.array([base_space.index_of(c) for c in space])
             columns["best_index"] = base_index[columns["best_index"]]
         names += [snippet.name for snippet in snippets]
         groups.append(columns)
-    return OracleTable(objective.name, base_space,
+    return OracleTable(base_space,
                        {name: row for row, name in enumerate(names)},
                        np.concatenate(groups))
 

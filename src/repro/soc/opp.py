@@ -77,10 +77,6 @@ class OPPTable:
         return self._points[index]
 
     @property
-    def points(self) -> List[OperatingPoint]:
-        return list(self._points)
-
-    @property
     def max_frequency_hz(self) -> float:
         return self._points[-1].frequency_hz
 

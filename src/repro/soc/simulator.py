@@ -76,19 +76,6 @@ class SnippetResult:
     def energy_per_instruction_nj(self) -> float:
         return self.energy_j / self.snippet.n_instructions * 1e9
 
-    @property
-    def performance_ips(self) -> float:
-        """Instructions per second achieved by this execution."""
-        return self.snippet.n_instructions / self.execution_time_s
-
-    @property
-    def performance_per_watt(self) -> float:
-        return self.performance_ips / max(self.average_power_w, 1e-9)
-
-    @property
-    def energy_delay_product(self) -> float:
-        return self.energy_j * self.execution_time_s
-
 
 #: Column layout of :func:`characteristics_matrix` rows.
 CHARACTERISTIC_COLUMNS = (
@@ -136,12 +123,13 @@ class SoCBatchResult:
     snippet and one column per configuration: the per-pair arrays are
     ``(snippets, configurations)``, the per-snippet counters
     ``(snippets, 1)`` and the static power terms ``(configurations,)``, all
-    broadcasting to :attr:`shape`.  A lane batch (the fleet's lockstep
-    kernel, or :meth:`take` of a sweep) holds one (snippet, configuration)
-    pair per lane, and its arrays are ``(lanes,)``.  Every value is bitwise
-    identical to what the pair's :meth:`SoCSimulator.evaluate_expected`
-    call would produce; :meth:`lane_results` materialises the
-    :class:`SnippetResult` objects of a lane batch.
+    broadcasting to ``(snippets, configurations)``.  A lane batch (the
+    fleet's lockstep kernel, or :func:`~repro.core.oracle.oracle_results`)
+    holds one (snippet, configuration) pair per lane, and its arrays are
+    ``(lanes,)``.  Every value is bitwise identical to what the pair's
+    :meth:`SoCSimulator.evaluate_expected` call would produce;
+    :meth:`lane_results` materialises the :class:`SnippetResult` objects
+    of a lane batch.
     """
 
     snippets: List[Snippet]
@@ -157,46 +145,6 @@ class SoCBatchResult:
     l2_cache_misses: np.ndarray
     data_memory_accesses: np.ndarray
     noncache_external_memory_requests: np.ndarray
-
-    @property
-    def shape(self) -> tuple:
-        return self.execution_time_s.shape
-
-    @property
-    def performance_ips(self) -> np.ndarray:
-        """Instructions per second achieved by each pair."""
-        return self.instructions_retired / self.execution_time_s
-
-    @property
-    def energy_delay_product(self) -> np.ndarray:
-        return self.energy_j * self.execution_time_s
-
-    def take(self, columns: np.ndarray) -> "SoCBatchResult":
-        """Lane batch of each sweep row ``i`` at configuration ``columns[i]``."""
-        rows = np.arange(len(self.snippets))
-        shape = self.shape
-
-        def at(values: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(values, shape)[rows, columns]
-
-        return SoCBatchResult(
-            snippets=self.snippets,
-            configurations=[self.configurations[c] for c in columns.tolist()],
-            execution_time_s=at(self.execution_time_s),
-            energy_j=at(self.energy_j),
-            average_power_w=at(self.average_power_w),
-            cpu_cycles=at(self.cpu_cycles),
-            cluster_utilization={name: at(values) for name, values
-                                 in self.cluster_utilization.items()},
-            power_breakdown_w={key: at(values) for key, values
-                               in self.power_breakdown_w.items()},
-            instructions_retired=at(self.instructions_retired),
-            branch_mispredictions=at(self.branch_mispredictions),
-            l2_cache_misses=at(self.l2_cache_misses),
-            data_memory_accesses=at(self.data_memory_accesses),
-            noncache_external_memory_requests=at(
-                self.noncache_external_memory_requests),
-        )
 
     def lane_results(self) -> List[SnippetResult]:
         """The :class:`SnippetResult` of every lane of a lane batch.

@@ -23,8 +23,8 @@ _ABOVE_ZERO = 5e-324
 
 #: Each checked field's lowest and highest valid value and its error, in
 #: the order the constructors check them (a characteristics object is made
-#: before its snippet).  NaN passes a one-sided check (``v < low``) and
-#: fails a two-sided one (``not low <= v <= high``).
+#: before its snippet).  A value is valid when ``low <= value <= high``,
+#: which NaN never is.
 _CHARACTERISTIC_RANGES = (
     ("memory_intensity", 0.0, np.inf, "memory_intensity must be non-negative"),
     ("memory_access_rate", 0.0, 1.0, "memory_access_rate must be in [0, 1]"),
@@ -44,13 +44,11 @@ _SNIPPET_RANGES = (
 _RANGES = _CHARACTERISTIC_RANGES + _SNIPPET_RANGES
 _LOWEST = np.array([[low] for _, low, _, _ in _RANGES])
 _HIGHEST = np.array([[high] for _, _, high, _ in _RANGES])
-_TWO_SIDED = np.isfinite(_HIGHEST)
 
 
 def _check_ranges(obj: Any, ranges: Sequence[tuple]) -> None:
     for name, low, high, error in ranges:
-        value = getattr(obj, name)
-        if value < low or value > high or (high != np.inf and value != value):
+        if not low <= getattr(obj, name) <= high:
             raise ValueError(error)
 
 
@@ -170,8 +168,7 @@ def make_snippets(
     checked = np.empty((len(_RANGES), count))
     for row, (name, _, _, _) in enumerate(_RANGES):
         checked[row] = columns[name]
-    invalid = ((checked < _LOWEST) | (checked > _HIGHEST)
-               | (_TWO_SIDED & np.isnan(checked)))
+    invalid = ~((checked >= _LOWEST) & (checked <= _HIGHEST))
     if invalid.any():
         first = int(invalid.any(axis=0).argmax())
         raise ValueError(_RANGES[int(invalid[:, first].argmax())][3])

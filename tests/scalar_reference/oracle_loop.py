@@ -5,7 +5,7 @@ together, in array passes of
 :meth:`~repro.soc.simulator.SoCSimulator.evaluate_expected_batch` over
 (snippet, configuration) pairs.  These two functions are the loop it
 replaced: for each snippet, one noise-free ``evaluate_expected`` per
-configuration, keeping the first configuration whose cost is strictly
+configuration, keeping the first configuration whose energy is strictly
 lower than every earlier one.
 """
 
@@ -15,7 +15,6 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.core.objectives import ENERGY, Objective
 from repro.core.oracle import OracleTable
 from repro.core.oracle_store import ORACLE_COLUMNS
 from repro.soc.configuration import ConfigurationSpace
@@ -24,32 +23,28 @@ from repro.soc.snippet import Snippet
 
 
 def sweep_snippet(simulator: SoCSimulator, space: ConfigurationSpace,
-                  snippet: Snippet, objective: Objective
-                  ) -> Tuple[int, float, SnippetResult]:
-    """Sweep one snippet over the space: the index, cost and noise-free
-    result of its minimising configuration."""
+                  snippet: Snippet) -> Tuple[int, SnippetResult]:
+    """Sweep one snippet over the space: the index and noise-free result
+    of its energy-minimising configuration."""
     best: Optional[Tuple[int, SnippetResult]] = None
-    best_cost = float("inf")
+    best_energy = float("inf")
     for index, config in enumerate(space):
         result = simulator.evaluate_expected(snippet, config)
-        cost = objective(result)
-        if cost < best_cost:
-            best_cost = cost
+        if result.energy_j < best_energy:
+            best_energy = result.energy_j
             best = (index, result)
     assert best is not None
-    return best[0], best_cost, best[1]
+    return best
 
 
 def build_oracle(simulator: SoCSimulator, space: ConfigurationSpace,
-                 snippets: Iterable[Snippet],
-                 objective: Objective = ENERGY) -> OracleTable:
+                 snippets: Iterable[Snippet]) -> OracleTable:
     """Exhaustively construct the Oracle table for ``snippets``."""
     snippets = list(snippets)
     rows = []
     for snippet in snippets:
-        index, cost, result = sweep_snippet(simulator, space, snippet,
-                                            objective)
-        rows.append((index, cost, result.energy_j, result.execution_time_s))
-    return OracleTable(objective.name, space,
+        index, result = sweep_snippet(simulator, space, snippet)
+        rows.append((index, result.energy_j, result.execution_time_s))
+    return OracleTable(space,
                        {snippet.name: i for i, snippet in enumerate(snippets)},
                        np.array(rows, dtype=ORACLE_COLUMNS))

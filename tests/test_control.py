@@ -271,7 +271,7 @@ class TestNMPCSweep:
                 != unpenalised.solve_batch(work, memory)[1]).any()
 
     def test_repeated_operating_point_ties_exactly(self):
-        points = default_integrated_gpu(n_opp_levels=4).opps.points
+        points = list(default_integrated_gpu(n_opp_levels=4).opps)
         gpu = GPUSpec(opps=_RepeatingOPPTable(
             [points[0], points[1], points[1], points[2], points[3]]))
         controller = NMPCGpuController(gpu, target_fps=30.0)

@@ -1,17 +1,12 @@
-"""Tests for the core framework: objectives, Oracle, offline IL, online IL, runner."""
+"""Tests for the core framework: Oracle, offline IL, online IL, runner."""
 
 import numpy as np
 import pytest
 
-from repro.control.policy import StaticPolicy
+from repro.control.policy import DRMPolicy, StaticPolicy
 from repro.core import (
-    ENERGY,
-    EDP,
-    PERFORMANCE,
-    PPW,
     AggregationBuffer,
     OfflineILPolicy,
-    OraclePolicy,
     RuntimeOracle,
     build_oracle,
     collect_il_dataset,
@@ -36,18 +31,26 @@ def short_trace():
 @pytest.fixture(scope="module")
 def oracle_table(trained_framework, short_trace):
     return build_oracle(trained_framework.simulator, trained_framework.space,
-                        short_trace, ENERGY)
+                        short_trace)
 
 
-class TestObjectives:
+class _TablePlayback(DRMPolicy):
+    """Decides, step by step, the configurations of a table's rows in
+    trace order: the Oracle's decisions, played back."""
 
-    def test_objective_values(self, simulator, space, compute_snippet):
-        result = simulator.evaluate_expected(compute_snippet,
-                                             space.default_configuration())
-        assert ENERGY(result) == pytest.approx(result.energy_j)
-        assert EDP(result) == pytest.approx(result.energy_delay_product)
-        assert PERFORMANCE(result) == pytest.approx(result.execution_time_s)
-        assert PPW(result) == pytest.approx(-result.performance_per_watt)
+    def __init__(self, table, snippets):
+        super().__init__(table.space)
+        self.decisions = [table.best_configuration(s) for s in snippets]
+        self.step = 0
+
+    def reset(self, configuration=None):
+        super().reset(configuration)
+        self.step = 0
+
+    def decide(self, counters):
+        self.current = self.decisions[self.step]
+        self.step += 1
+        return self.current
 
 
 class TestOracle:
@@ -55,15 +58,15 @@ class TestOracle:
                                           oracle_table):
         framework = trained_framework
         snippet = short_trace[0]
-        best_cost = oracle_table.columns["best_cost"][
+        best_energy = oracle_table.columns["energy_j"][
             oracle_table.rows[snippet.name]]
         energies = [framework.simulator.evaluate_expected(snippet, config).energy_j
                     for config in framework.space]
-        assert best_cost == pytest.approx(min(energies))
+        assert best_energy == pytest.approx(min(energies))
 
     def test_oracle_policy_plays_back_table(self, trained_framework, short_trace,
                                             oracle_table):
-        policy = OraclePolicy(trained_framework.space, oracle_table)
+        policy = _TablePlayback(oracle_table, short_trace)
         run = run_policy_on_snippets(trained_framework.simulator,
                                      trained_framework.space, policy, short_trace,
                                      oracle_table=oracle_table)
@@ -74,8 +77,8 @@ class TestOracle:
     def test_oracle_beats_static_policies(self, trained_framework, short_trace,
                                           oracle_table):
         framework = trained_framework
-        best_cost = oracle_table.columns["best_cost"]
-        oracle_energy = sum(best_cost[oracle_table.rows[s.name]]
+        best_energy = oracle_table.columns["energy_j"]
+        oracle_energy = sum(best_energy[oracle_table.rows[s.name]]
                             for s in short_trace)
         for config in (framework.space[0], framework.space[len(framework.space) - 1]):
             static = StaticPolicy(framework.space, config)
@@ -155,11 +158,6 @@ class TestOfflineIL:
         assert policy.decide(None) == space.default_configuration()
         with pytest.raises(RuntimeError):
             policy.predict_index(None)  # type: ignore[arg-type]
-
-    def test_dataset_merge(self, trained_framework):
-        dataset = trained_framework.offline_dataset
-        merged = dataset.merge(dataset)
-        assert len(merged) == 2 * len(dataset)
 
 
 class TestRuntimeOracle:

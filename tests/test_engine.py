@@ -8,6 +8,7 @@ registry, and the experiment registry / runner / CLI round-trips.
 """
 
 import copy
+import dataclasses
 import pickle
 from collections import Counter
 
@@ -15,7 +16,6 @@ import numpy as np
 import pytest
 
 import repro.core.oracle as oracle_module
-from repro.core.objectives import ALL_OBJECTIVES, ENERGY, Objective
 from repro.core.oracle import (
     OracleCache,
     build_oracle,
@@ -41,7 +41,8 @@ from repro.experiments.scales import (
 from repro.scenarios.base import ScenarioTrace, ThrottleEvent
 from repro.scenarios.runtime import build_scenario_oracle, restricted_spaces
 from repro.soc.configuration import ConfigurationSpace
-from repro.soc.simulator import SnippetResult, characteristics_matrix
+from repro.soc.simulator import (SnippetResult, SoCBatchResult,
+                                 characteristics_matrix)
 from repro.soc.snippet import Snippet, SnippetCharacteristics
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import get_workload
@@ -55,10 +56,17 @@ def sweep_trace():
     return generator.generate(get_workload("kmeans").scaled(0.3))
 
 
-#: An objective without a vector form: the sweep costs it result by result.
-PLAIN_ENERGY = Objective("plain-energy", lambda r: r.energy_j)
+#: Workloads whose energy-minimising configurations lie in different parts
+#: of the space, from the lowest OPPs (memory-bound kmeans) to the big
+#: cluster's higher ones (compute-bound sha), so the sweep paths are
+#: compared on argmins at several columns.
+PARITY_APPS = ("kmeans", "spectral", "dijkstra", "fft", "sha")
 
-PARITY_OBJECTIVES = {**ALL_OBJECTIVES, PLAIN_ENERGY.name: PLAIN_ENERGY}
+
+@pytest.fixture(scope="module", params=PARITY_APPS)
+def parity_trace(request):
+    generator = SnippetTraceGenerator(seed=7)
+    return generator.generate(get_workload(request.param).scaled(0.3))
 
 
 def _keys(snippets):
@@ -78,12 +86,30 @@ def _one_cluster_snippets():
     ]
 
 
+def _column_results(batch, column):
+    """The results of every snippet of a sweep at configuration ``column``:
+    each array broadcast to the sweep's shape and cut to that column, as a
+    lane batch of one snippet per lane."""
+    rows = np.arange(len(batch.snippets))
+
+    def at(values):
+        return np.broadcast_to(values, batch.energy_j.shape)[rows, column]
+
+    arrays = {}
+    for field in dataclasses.fields(SoCBatchResult)[2:]:
+        values = getattr(batch, field.name)
+        arrays[field.name] = ({key: at(value) for key, value in values.items()}
+                              if isinstance(values, dict) else at(values))
+    return SoCBatchResult(batch.snippets,
+                          [batch.configurations[column]] * len(rows),
+                          **arrays).lane_results()
+
+
 def _assert_tables_bitwise_equal(reference, table):
     """Same names in the same order, the same space, and every column's
     bytes equal row by row."""
     assert list(reference.rows) == list(table.rows)
     assert table.space is reference.space
-    assert table.objective_name == reference.objective_name
     reference_rows = list(reference.rows.values())
     table_rows = list(table.rows.values())
     for column in ORACLE_COLUMNS.names:
@@ -94,108 +120,108 @@ def _assert_tables_bitwise_equal(reference, table):
 class TestBatchSweepParity:
     def test_batch_matches_scalar_results_bitwise(self, simulator, space,
                                                   sweep_trace):
+        """Every (snippet, configuration) pair of one sweep, materialised
+        as a lane batch of one snippet per lane, pickles to its
+        ``evaluate_expected`` result."""
         snippets = list(sweep_trace[:3]) + _one_cluster_snippets()
         batch = simulator.evaluate_expected_batch(
             snippets, space, characteristics_matrix(snippets))
-        assert batch.shape == (len(snippets), len(space))
+        assert batch.energy_j.shape == (len(snippets), len(space))
         for column, config in enumerate(space):
-            lanes = batch.take(np.full(len(snippets), column)).lane_results()
+            lanes = _column_results(batch, column)
             for snippet, materialized in zip(snippets, lanes):
                 reference = simulator.evaluate_expected(snippet, config)
                 assert materialized.configuration is config
                 assert pickle.dumps(materialized) == pickle.dumps(reference)
 
-    @pytest.mark.parametrize("objective_name", sorted(PARITY_OBJECTIVES))
     def test_oracle_tables_identical_across_paths(self, simulator, space,
-                                                  sweep_trace, objective_name):
-        objective = PARITY_OBJECTIVES[objective_name]
-        snippets = list(sweep_trace) + _one_cluster_snippets()
-        scalar = oracle_loop.build_oracle(simulator, space, snippets,
-                                          objective)
+                                                  parity_trace):
+        snippets = list(parity_trace) + _one_cluster_snippets()
+        scalar = oracle_loop.build_oracle(simulator, space, snippets)
         _assert_tables_bitwise_equal(
-            scalar, build_oracle(simulator, space, snippets, objective))
+            scalar, build_oracle(simulator, space, snippets))
         _assert_tables_bitwise_equal(
-            scalar, build_oracle(simulator, space, snippets, objective,
+            scalar, build_oracle(simulator, space, snippets,
                                  cache=OracleCache(store=None)))
 
-    @pytest.mark.parametrize("objective_name", sorted(PARITY_OBJECTIVES))
+    def test_parity_traces_reach_several_argmins(self, simulator, space):
+        """The parity workloads' energy argmins fall at four or more
+        configurations, so the paths are not compared at one column."""
+        best = set()
+        for app in PARITY_APPS:
+            trace = SnippetTraceGenerator(seed=7).generate(
+                get_workload(app).scaled(0.3))
+            table = oracle_loop.build_oracle(simulator, space, trace)
+            best.update(table.columns["best_index"].tolist())
+        assert len(best) >= 4
+
     @pytest.mark.parametrize("restriction", ["throttled", "core-gated"])
     def test_restricted_space_tables_identical_across_paths(
-            self, simulator, space, sweep_trace, objective_name, restriction):
-        objective = PARITY_OBJECTIVES[objective_name]
+            self, simulator, space, parity_trace, restriction):
         if restriction == "throttled":
             restricted = space.restrict(max_opp_index=1)
             assert len(restricted) == 4
         else:
             restricted = ConfigurationSpace(space.platform,
                                             allow_core_gating=True)
-        snippets = list(sweep_trace[:12]) + _one_cluster_snippets()
-        scalar = oracle_loop.build_oracle(simulator, restricted, snippets,
-                                          objective)
+        snippets = list(parity_trace[:12]) + _one_cluster_snippets()
+        scalar = oracle_loop.build_oracle(simulator, restricted, snippets)
         _assert_tables_bitwise_equal(
-            scalar, build_oracle(simulator, restricted, snippets, objective))
+            scalar, build_oracle(simulator, restricted, snippets))
 
-    @pytest.mark.parametrize("objective_name", sorted(PARITY_OBJECTIVES))
     def test_trace_crossing_pass_boundaries(self, simulator, space,
-                                            sweep_trace, objective_name,
-                                            monkeypatch):
+                                            parity_trace, monkeypatch):
         """Passes of 3 snippets: the trace spans several, the last partial."""
         monkeypatch.setattr(oracle_module, "SWEEP_PASS_PAIRS",
                             3 * len(space) + 1)
-        objective = PARITY_OBJECTIVES[objective_name]
-        snippets = list(sweep_trace[:10]) + _one_cluster_snippets()
-        scalar = oracle_loop.build_oracle(simulator, space, snippets,
-                                          objective)
+        snippets = list(parity_trace[:10]) + _one_cluster_snippets()
+        scalar = oracle_loop.build_oracle(simulator, space, snippets)
         _assert_tables_bitwise_equal(
-            scalar, build_oracle(simulator, space, snippets, objective))
+            scalar, build_oracle(simulator, space, snippets))
         _assert_tables_bitwise_equal(
-            scalar, build_oracle(simulator, space, snippets, objective,
+            scalar, build_oracle(simulator, space, snippets,
                                  cache=OracleCache(store=None)))
 
-    @pytest.mark.parametrize("objective_name", sorted(PARITY_OBJECTIVES))
     @pytest.mark.parametrize("cached", [False, True])
     def test_scenario_tables_identical_across_paths(
-            self, simulator, space, sweep_trace, objective_name, cached):
+            self, simulator, space, parity_trace, cached):
         """Throttled steps are swept over their restricted space and land
         in the merged table as base-space indices."""
-        objective = PARITY_OBJECTIVES[objective_name]
-        snippets = list(sweep_trace[:14]) + _one_cluster_snippets()
+        snippets = list(parity_trace[:14]) + _one_cluster_snippets()
         trace = ScenarioTrace(snippets, throttle_events=(
             ThrottleEvent(2, 9, max_opp_index=2),
             ThrottleEvent(6, 12, max_opp_index=0)))
         table = build_scenario_oracle(
-            simulator, space, trace, objective,
+            simulator, space, trace,
             cache=OracleCache(store=None) if cached else None)
         assert table.space is space and len(table.rows) == len(snippets)
         spaces = restricted_spaces(space, trace)
         for snippet, cap in zip(snippets, trace.caps()):
             active = space if cap is None else spaces[cap]
-            index, cost, result = oracle_loop.sweep_snippet(
-                simulator, active, snippet, objective)
-            expected = np.array([(space.index_of(active[index]), cost,
+            index, result = oracle_loop.sweep_snippet(simulator, active,
+                                                      snippet)
+            expected = np.array([(space.index_of(active[index]),
                                   result.energy_j, result.execution_time_s)],
                                 dtype=ORACLE_COLUMNS)
             row = table.rows[snippet.name]
             assert table.columns[row:row + 1].tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("objective_name", sorted(ALL_OBJECTIVES))
     @pytest.mark.parametrize("restriction", [None, "throttled", "core-gated"])
     def test_oracle_results_pickle_equal_to_loop(
-            self, simulator, space, sweep_trace, objective_name, restriction):
+            self, simulator, space, parity_trace, restriction):
         """The noise-free results rebuilt from a table's best indices are
         the loop's best results, byte for byte."""
-        objective = ALL_OBJECTIVES[objective_name]
         if restriction == "throttled":
             space = space.restrict(max_opp_index=1)
         elif restriction == "core-gated":
             space = ConfigurationSpace(space.platform, allow_core_gating=True)
-        snippets = list(sweep_trace[:6]) + _one_cluster_snippets()
-        table = build_oracle(simulator, space, snippets, objective)
+        snippets = list(parity_trace[:6]) + _one_cluster_snippets()
+        table = build_oracle(simulator, space, snippets)
         results = oracle_results(simulator, table, snippets)
         assert len(results) == len(snippets)
         for snippet, result in zip(snippets, results):
-            _, _, reference = oracle_loop.sweep_snippet(simulator, space,
-                                                        snippet, objective)
+            _, reference = oracle_loop.sweep_snippet(simulator, space,
+                                                     snippet)
             assert pickle.dumps(result) == pickle.dumps(reference)
 
     def test_oracle_sweeps_each_pass_in_one_batch_call(
@@ -276,23 +302,15 @@ class TestBatchSweepParity:
                 == table.columns[table.rows[original.name]])
         assert len(cache) == 1
 
-    def test_batch_cost_fallback_without_vector_form(self, simulator, space,
-                                                     sweep_trace):
-        batch = simulator.evaluate_expected_batch(
-            sweep_trace[:4], space, characteristics_matrix(sweep_trace[:4]))
-        fallback = PLAIN_ENERGY.batch_cost(batch)
-        assert fallback.shape == (4, len(space))
-        np.testing.assert_array_equal(fallback, ENERGY.batch_cost(batch))
-
 
 class TestOracleCache:
     def test_second_build_hits_for_every_snippet(self, simulator, space,
                                                  sweep_trace):
         cache = OracleCache()
-        first = build_oracle(simulator, space, sweep_trace, ENERGY, cache=cache)
+        first = build_oracle(simulator, space, sweep_trace, cache=cache)
         assert cache.misses == len(sweep_trace)
         assert cache.hits == 0
-        second = build_oracle(simulator, space, sweep_trace, ENERGY, cache=cache)
+        second = build_oracle(simulator, space, sweep_trace, cache=cache)
         assert cache.hits == len(sweep_trace)
         assert cache.misses == len(sweep_trace)
         assert list(first.rows) == list(second.rows)
@@ -306,45 +324,21 @@ class TestOracleCache:
             get_workload("fft").scaled(0.2))
         assert trace_a is not trace_b
         cache = OracleCache()
-        build_oracle(simulator, space, trace_a, ENERGY, cache=cache)
-        build_oracle(simulator, space, trace_b, ENERGY, cache=cache)
+        build_oracle(simulator, space, trace_a, cache=cache)
+        build_oracle(simulator, space, trace_b, cache=cache)
         assert cache.hits == len(trace_b)
 
-    def test_objective_and_space_separate_entries(self, simulator, space,
-                                                  small_platform, small_space,
-                                                  sweep_trace):
-        from repro.core.objectives import EDP
+    def test_spaces_separate_entries(self, simulator, space, small_platform,
+                                     small_space, sweep_trace):
         from repro.soc.simulator import SoCSimulator
         cache = OracleCache()
-        build_oracle(simulator, space, sweep_trace, ENERGY, cache=cache)
-        build_oracle(simulator, space, sweep_trace, EDP, cache=cache)
-        assert cache.hits == 0
-        assert cache.misses == 2 * len(sweep_trace)
-        assert len(cache) == 2 * len(sweep_trace)
-        # A different space (different platform) must also miss everywhere.
+        build_oracle(simulator, space, sweep_trace, cache=cache)
+        assert cache.misses == len(cache) == len(sweep_trace)
+        # A different space (different platform) must miss everywhere.
         small_simulator = SoCSimulator(small_platform, noise_scale=0.0, seed=0)
-        build_oracle(small_simulator, small_space, sweep_trace, ENERGY,
-                     cache=cache)
-        assert cache.hits == 0
-        assert len(cache) == 3 * len(sweep_trace)
-
-    def test_custom_objective_never_shares_builtin_entries(self, simulator,
-                                                           space, sweep_trace):
-        from repro.core.objectives import Objective
-        # Same name as the built-in but a different cost function: the cache
-        # must key on the callable, not just the name.
-        impostor = Objective("energy", lambda r: -r.energy_j)
-        cache = OracleCache()
-        build_oracle(simulator, space, sweep_trace, ENERGY, cache=cache)
-        impostor_table = build_oracle(simulator, space, sweep_trace, impostor,
-                                      cache=cache)
+        build_oracle(small_simulator, small_space, sweep_trace, cache=cache)
         assert cache.hits == 0
         assert len(cache) == 2 * len(sweep_trace)
-        energy_table = build_oracle(simulator, space, sweep_trace, ENERGY,
-                                    cache=cache)
-        snippet = sweep_trace[0]
-        assert (impostor_table.best_configuration(snippet)
-                != energy_table.best_configuration(snippet))
 
     def test_same_named_platform_with_different_opps_misses(self, sweep_trace):
         from repro.soc.configuration import ConfigurationSpace
@@ -355,7 +349,7 @@ class TestOracleCache:
             platform = generic_big_little(big_max_frequency_hz=max_freq)
             space = ConfigurationSpace(platform)
             simulator = SoCSimulator(platform, noise_scale=0.0, seed=0)
-            build_oracle(simulator, space, sweep_trace, ENERGY, cache=cache)
+            build_oracle(simulator, space, sweep_trace, cache=cache)
         # Identical platform names and config index tuples, different OPP
         # tables: nothing may be shared.
         assert cache.hits == 0
@@ -428,15 +422,12 @@ class TestSnippetResultCounts:
                             classmethod(counting_from_values))
         return created
 
-    @pytest.mark.parametrize("objective_name", sorted(ALL_OBJECTIVES))
     def test_cold_build_creates_no_snippet_result(
-            self, simulator, space, sweep_trace, objective_name, created):
-        objective = ALL_OBJECTIVES[objective_name]
+            self, simulator, space, parity_trace, created):
         cache = OracleCache(store=None)
-        table = build_oracle(simulator, space, sweep_trace, objective,
-                             cache=cache)
-        assert cache.misses == len(table.rows) == len(sweep_trace)
-        build_oracle(simulator, space, sweep_trace, objective)
+        table = build_oracle(simulator, space, parity_trace, cache=cache)
+        assert cache.misses == len(table.rows) == len(parity_trace)
+        build_oracle(simulator, space, parity_trace)
         assert created == Counter()
 
     def test_train_offline_creates_one_noise_free_result_per_snippet(
@@ -465,9 +456,8 @@ class TestSnippetResultCounts:
                                   init=2 * len(snippets))
         assert len(expected) == len(snippets)
         for snippet, result in zip(snippets, expected):
-            _, _, reference = oracle_loop.sweep_snippet(
-                framework.simulator, framework.space, snippet,
-                framework.objective)
+            _, reference = oracle_loop.sweep_snippet(
+                framework.simulator, framework.space, snippet)
             assert pickle.dumps(result) == pickle.dumps(reference)
 
 

@@ -9,12 +9,16 @@ from repro.ml import (
     MLPRegressor,
     RecursiveLeastSquares,
     StandardScaler,
-    accuracy_score,
     mean_absolute_percentage_error,
-    r2_score,
 )
 from repro.ml.metrics import energy_savings_percent, normalized_energy
 from repro.models.staff import StabilizedAdaptiveForgettingRLS
+
+
+def r_squared(targets, predictions):
+    """Coefficient of determination of ``predictions``."""
+    residual = np.sum((targets - predictions) ** 2)
+    return 1.0 - residual / np.sum((targets - np.mean(targets)) ** 2)
 
 
 class TestRecursiveLeastSquares:
@@ -123,7 +127,7 @@ class TestMLP:
         model = MLPRegressor(hidden_sizes=(16,), epochs=300, seed=0,
                              learning_rate=5e-3)
         model.fit(x, y)
-        assert r2_score(y, model.predict(x)) > 0.95
+        assert r_squared(y, model.predict(x)) > 0.95
 
     def test_regressor_partial_fit_improves(self, rng):
         x = rng.uniform(-1, 1, size=(100, 2))
@@ -153,7 +157,7 @@ class TestMLP:
         y = np.array([0] * 60 + [1] * 60)
         model = MLPClassifier(hidden_sizes=(16,), epochs=150, seed=0)
         model.fit(x, y)
-        assert model.score(x, y) > 0.9
+        assert np.mean(model.predict(x) == y) > 0.9
 
     def test_classifier_proba_sums_to_one(self, rng):
         x = rng.normal(size=(30, 2))
@@ -224,19 +228,16 @@ class TestMetrics:
 
     def test_perfect_prediction_metrics(self):
         y = np.array([1.0, 2.0, 3.0])
-        assert r2_score(y, y) == 1.0
+        assert r_squared(y, y) == 1.0
         assert mean_absolute_percentage_error(y, y) == 0.0
 
-    def test_accuracy(self):
-        assert accuracy_score([1, 2, 3, 4], [1, 2, 0, 4]) == pytest.approx(0.75)
-
     def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            r2_score(np.zeros(3), np.zeros(4))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            mean_absolute_percentage_error(np.zeros(3), np.zeros(4))
 
     def test_empty_input_raises(self):
-        with pytest.raises(ValueError):
-            accuracy_score([], [])
+        with pytest.raises(ValueError, match="at least one sample"):
+            mean_absolute_percentage_error([], [])
 
     def test_normalized_energy(self):
         assert normalized_energy(2.0, 1.0) == 2.0
@@ -253,4 +254,4 @@ class TestMetrics:
         y = np.array(values)
         assume(float(y.max() - y.min()) > 1e-3)
         mean_prediction = np.full_like(y, y.mean())
-        assert r2_score(y, mean_prediction) == pytest.approx(0.0, abs=1e-9)
+        assert r_squared(y, mean_prediction) == pytest.approx(0.0, abs=1e-9)

@@ -35,7 +35,9 @@ class TestLinearRegressor:
 
     def test_score_near_one_on_clean_data(self, rng):
         x, y, _ = make_linear_data(rng)
-        assert LinearRegressor().fit(x, y).score(x, y) > 0.98
+        predictions = LinearRegressor().fit(x, y).predict(x)
+        # R^2 > 0.98: the residuals keep under 2% of the variance.
+        assert np.mean((y - predictions) ** 2) < 0.02 * np.var(y)
 
     def test_no_intercept(self, rng):
         x = rng.normal(size=(50, 2))

@@ -78,7 +78,7 @@ class TestRouterAndPacket:
     def test_packet_latency(self):
         packet = Packet(packet_id=0, source=0, destination=3, size_flits=4,
                         injection_cycle=10)
-        assert packet.latency_cycles is None and not packet.delivered
+        assert packet.latency_cycles is None
         packet.ejection_cycle = 25
         assert packet.latency_cycles == 15
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ are re-published; (c) never run code from a file in the store directory,
 and never read a segment of another format; (d) tolerate concurrent
 readers; (e) — the property the golden traces rely on — never change any
 experiment result, enabled or not; and (f) cost one segment file and one
-objective digest per ``build_oracle`` call, not one per entry.
+table digest per ``build_oracle`` call, not one per entry.
 """
 
 from __future__ import annotations
@@ -26,12 +26,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.objectives import ALL_OBJECTIVES, EDP, ENERGY, Objective
 from repro.core.oracle import (
     OracleCache,
     build_oracle,
     content_keys,
-    persistent_objective_key,
     persistent_table_digest,
 )
 from repro.core.oracle_store import (
@@ -135,38 +133,35 @@ def _parent_key(snippet):
             tuple(sorted(snippet.characteristics.as_dict().items())))
 
 
+def _version_3_segment(keys) -> bytes:
+    """The bytes of a segment the version-3 store wrote: one stale row per
+    key, its columns carrying ``best_cost`` next to the energy."""
+    columns = np.dtype([("best_index", "<i8"), ("best_cost", "<f8"),
+                        ("energy_j", "<f8"), ("time_s", "<f8")])
+    records = np.zeros(len(keys), [("key", f"V{max(map(len, keys))}"),
+                                   ("key_size", "<i8"), ("columns", columns)])
+    records["key"], records["key_size"] = keys, list(map(len, keys))
+    buffer = io.BytesIO()
+    np.save(buffer, records, allow_pickle=False)
+    return buffer.getvalue()
+
+
 class TestStoreRoundTrip:
     def test_cold_cache_hits_warm_store(self, tmp_path, simulator, space,
                                         sweep_trace):
         store = OracleStore(tmp_path / "store")
         warm_cache = OracleCache(store=store)
-        table = build_oracle(simulator, space, sweep_trace, ENERGY,
-                             cache=warm_cache)
+        table = build_oracle(simulator, space, sweep_trace, cache=warm_cache)
         assert warm_cache.store_misses == len(sweep_trace)
         assert _stored_entries(tmp_path / "store") == len(sweep_trace)
 
         cold_cache = OracleCache(store=OracleStore(tmp_path / "store"))
-        reloaded = build_oracle(simulator, space, sweep_trace, ENERGY,
+        reloaded = build_oracle(simulator, space, sweep_trace,
                                 cache=cold_cache)
         assert cold_cache.store_hits == len(sweep_trace)
         assert cold_cache.hits == 0  # every entry came from disk, not memory
         assert list(table.rows) == list(reloaded.rows)
         assert table.columns.tobytes() == reloaded.columns.tobytes()
-
-    def test_objectives_do_not_alias(self, tmp_path, simulator, space,
-                                     sweep_trace):
-        store = OracleStore(tmp_path / "store")
-        cache = OracleCache(store=store)
-        energy_table = build_oracle(simulator, space, sweep_trace, ENERGY,
-                                    cache=cache)
-        edp_table = build_oracle(simulator, space, sweep_trace, EDP,
-                                 cache=cache)
-        assert _stored_entries(store.root) == 2 * len(sweep_trace)
-        assert len(list(store.root.iterdir())) == 2
-        snippet = sweep_trace[0]
-        assert (persistent_table_digest(space, ENERGY)
-                != persistent_table_digest(space, EDP))
-        assert _row(energy_table, snippet)[1] != _row(edp_table, snippet)[1]
 
     def test_restricted_space_does_not_alias_full_space(self, tmp_path,
                                                         simulator, space,
@@ -174,12 +169,12 @@ class TestStoreRoundTrip:
         store = OracleStore(tmp_path / "store")
         restricted = space.restrict(max_opp_index=1)
         snippet = sweep_trace[0]
-        assert (persistent_table_digest(space, ENERGY)
-                != persistent_table_digest(restricted, ENERGY))
+        assert (persistent_table_digest(space)
+                != persistent_table_digest(restricted))
         full_cache = OracleCache(store=store)
-        build_oracle(simulator, space, [snippet], ENERGY, cache=full_cache)
+        build_oracle(simulator, space, [snippet], cache=full_cache)
         throttled_cache = OracleCache(store=store)
-        table = build_oracle(simulator, restricted, [snippet], ENERGY,
+        table = build_oracle(simulator, restricted, [snippet],
                              cache=throttled_cache)
         # The restricted sweep missed the store (no aliasing) and its entry
         # honours the cap.
@@ -199,39 +194,32 @@ class TestStoreRoundTrip:
         ]
         keys = [variant.content_key() for variant in [space, *variants]]
         assert len(set(keys)) == len(keys)
-        digests = {persistent_table_digest(variant, ENERGY)
+        digests = {persistent_table_digest(variant)
                    for variant in [space, *variants]}
         assert len(digests) == len(keys)
         store = OracleStore(tmp_path / "store")
         snippet = sweep_trace[0]
-        build_oracle(simulator, space, [snippet], ENERGY,
+        build_oracle(simulator, space, [snippet],
                      cache=OracleCache(store=store))
         twin_cache = OracleCache(store=store)
         build_oracle(simulator, ConfigurationSpace(platform), [snippet],
-                     ENERGY, cache=twin_cache)
+                     cache=twin_cache)
         assert twin_cache.store_hits == 1
         gated_cache = OracleCache(store=store)
-        table = build_oracle(simulator, variants[0], [snippet], ENERGY,
+        table = build_oracle(simulator, variants[0], [snippet],
                              cache=gated_cache)
         assert gated_cache.store_hits == 0
         assert variants[0].contains(table.best_configuration(snippet))
-
-    def test_persistent_objective_key_distinguishes_costs(self):
-        impostor_energy = ENERGY.__class__(
-            name="energy", cost=lambda result: -result.energy_j
-        )
-        assert (persistent_objective_key(ENERGY)
-                != persistent_objective_key(impostor_energy))
 
     def test_one_store_serves_every_cache_in_a_process(self, tmp_path,
                                                        simulator, space,
                                                        sweep_trace):
         """An entry another cache published is a store hit, not a sweep."""
         store = OracleStore(tmp_path / "store")
-        build_oracle(simulator, space, sweep_trace, ENERGY,
+        build_oracle(simulator, space, sweep_trace,
                      cache=OracleCache(store=store))
         other = OracleCache(store=store)
-        build_oracle(simulator, space, sweep_trace, ENERGY, cache=other)
+        build_oracle(simulator, space, sweep_trace, cache=other)
         assert other.store_hits == len(sweep_trace)
         assert other.store_misses == 0
         assert len(_segments(store.root)) == 1
@@ -243,11 +231,11 @@ class TestStoreRoundTrip:
         still sees what another store (another process) published later."""
         root = tmp_path / "store"
         early = OracleCache(store=OracleStore(root))
-        build_oracle(simulator, space, sweep_trace[:2], ENERGY, cache=early)
+        build_oracle(simulator, space, sweep_trace[:2], cache=early)
         late = OracleCache(store=OracleStore(root))
-        build_oracle(simulator, space, sweep_trace, ENERGY, cache=late)
+        build_oracle(simulator, space, sweep_trace, cache=late)
         assert (late.store_hits, late.store_misses) == (2, len(sweep_trace) - 2)
-        build_oracle(simulator, space, sweep_trace, ENERGY, cache=early)
+        build_oracle(simulator, space, sweep_trace, cache=early)
         assert early.hits == 2
         assert early.store_hits == len(sweep_trace) - 2
         assert early.store_misses == 2  # its own first call only
@@ -261,8 +249,7 @@ class TestStoreRobustness:
         by_segment = []
         for stop in (2, 4, len(sweep_trace)):
             before = set(_segments(root))
-            build_oracle(simulator, space, sweep_trace[:stop], ENERGY,
-                         cache=cache)
+            build_oracle(simulator, space, sweep_trace[:stop], cache=cache)
             (segment,) = set(_segments(root)) - before
             by_segment.append(segment)
         return by_segment
@@ -277,7 +264,7 @@ class TestStoreRobustness:
         second.write_bytes(second.read_bytes()[:-5])  # torn write
 
         healing_cache = OracleCache(store=OracleStore(root))
-        table = build_oracle(simulator, space, sweep_trace, ENERGY,
+        table = build_oracle(simulator, space, sweep_trace,
                              cache=healing_cache)
         # Exactly the corrupt segments' entries missed and were re-swept.
         assert healing_cache.store_misses == 4
@@ -288,7 +275,7 @@ class TestStoreRobustness:
             _keys(sweep_trace[:4]))
         # The next run hits everything.
         final_cache = OracleCache(store=OracleStore(root))
-        build_oracle(simulator, space, sweep_trace, ENERGY, cache=final_cache)
+        build_oracle(simulator, space, sweep_trace, cache=final_cache)
         assert final_cache.store_hits == len(sweep_trace)
         assert final_cache.store_misses == 0
 
@@ -304,14 +291,14 @@ class TestStoreRobustness:
         first.write_bytes(_encode_segment(
             [key], np.array([entries[key]], ORACLE_COLUMNS)))
         cache = OracleCache(store=OracleStore(root))
-        build_oracle(simulator, space, sweep_trace, ENERGY, cache=cache)
+        build_oracle(simulator, space, sweep_trace, cache=cache)
         assert cache.store_misses == 2
         assert cache.store_hits == len(sweep_trace) - 2
 
     def test_version_mismatch_is_a_miss(self, tmp_path, simulator, space,
                                         sweep_trace):
         root = tmp_path / "store"
-        build_oracle(simulator, space, [sweep_trace[0]], ENERGY,
+        build_oracle(simulator, space, [sweep_trace[0]],
                      cache=OracleCache(store=OracleStore(root)))
         (segment,) = _segments(root)
         payload = segment.read_bytes()
@@ -319,19 +306,19 @@ class TestStoreRobustness:
         other = f".v{STORE_FORMAT_VERSION + 1}.npy"
         segment.unlink()
         (segment.parent / _content_name(payload, other)).write_bytes(payload)
-        digest = persistent_table_digest(space, ENERGY)
+        digest = persistent_table_digest(space)
         assert segment.parent.name == digest
         assert OracleStore(root).table(digest) == {}
         cache = OracleCache(store=OracleStore(root))
-        build_oracle(simulator, space, [sweep_trace[0]], ENERGY, cache=cache)
+        build_oracle(simulator, space, [sweep_trace[0]], cache=cache)
         assert (cache.store_hits, cache.store_misses) == (0, 1)
 
     def test_concurrent_readers_agree(self, tmp_path, simulator, space,
                                       sweep_trace):
         store_root = tmp_path / "store"
-        build_oracle(simulator, space, sweep_trace, ENERGY,
+        build_oracle(simulator, space, sweep_trace,
                      cache=OracleCache(store=OracleStore(store_root)))
-        digest = persistent_table_digest(space, ENERGY)
+        digest = persistent_table_digest(space)
         keys = _keys(sweep_trace)
 
         def read_all(worker: int):
@@ -355,14 +342,14 @@ class TestStoreRobustness:
 
         def sweep(worker: int):
             simulator = SoCSimulator(platform, seed=worker)
-            return build_oracle(simulator, space, sweep_trace, ENERGY,
+            return build_oracle(simulator, space, sweep_trace,
                                 cache=OracleCache(store=OracleStore(store_root)))
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             tables = list(pool.map(sweep, range(8)))
         assert not list(store_root.glob("*/.*"))
         reader = OracleStore(store_root)
-        stored = reader.table(persistent_table_digest(space, ENERGY))
+        stored = reader.table(persistent_table_digest(space))
         assert len(stored) == len(sweep_trace)
         for snippet, key in zip(sweep_trace, _keys(sweep_trace)):
             for table in tables:
@@ -373,7 +360,7 @@ class TestStoreRobustness:
         store = OracleStore(tmp_path / "store")
         assert store.table("0" * 64) == {}
         cache = OracleCache(store=store)
-        build_oracle(simulator, space, sweep_trace[:1], ENERGY, cache=cache)
+        build_oracle(simulator, space, sweep_trace[:1], cache=cache)
         assert cache.store_misses == 1 and cache.store_hits == 0
 
     def test_unwritable_store_degrades_instead_of_raising(self, tmp_path,
@@ -385,14 +372,14 @@ class TestStoreRobustness:
         snippet = sweep_trace[0]
         # Occupy the table's directory path with a plain file so listing
         # it, mkdir and mkstemp inside publish() raise OSError.
-        blocker = store.root / persistent_table_digest(space, ENERGY)
+        blocker = store.root / persistent_table_digest(space)
         blocker.write_text("not a directory")
         cache = OracleCache(store=store)
-        table = build_oracle(simulator, space, [snippet], ENERGY, cache=cache)
+        table = build_oracle(simulator, space, [snippet], cache=cache)
         assert snippet.name in table.rows
         assert store.write_errors == 1
         # The entry still landed in the memory tier.
-        build_oracle(simulator, space, [snippet], ENERGY, cache=cache)
+        build_oracle(simulator, space, [snippet], cache=cache)
         assert (cache.hits, cache.misses) == (1, 1)
 
 
@@ -406,14 +393,13 @@ class TestStoreReadsDataOnly:
         root = tmp_path / "store"
         marker = tmp_path / "marker"
         payload = pickle.dumps(_CreatesMarker(marker))
-        directory = root / persistent_table_digest(space, ENERGY)
+        directory = root / persistent_table_digest(space)
         directory.mkdir(parents=True)
         hostile = directory / _content_name(payload, suffix)
         hostile.write_bytes(payload)
 
         cache = OracleCache(store=OracleStore(root))
-        table = build_oracle(simulator, space, sweep_trace, ENERGY,
-                             cache=cache)
+        table = build_oracle(simulator, space, sweep_trace, cache=cache)
         assert not marker.exists()
         # Its entries missed, were swept and published as a real segment.
         assert (cache.store_hits, cache.store_misses) == (0, len(sweep_trace))
@@ -422,29 +408,44 @@ class TestStoreReadsDataOnly:
         assert len(_segment_entries(segment)) == len(sweep_trace)
 
     def test_version_2_table_directory_is_ignored(self, tmp_path, simulator,
-                                                  space, sweep_trace):
-        """A table directory holding what the pickled-segment store wrote
-        (``{sha256}.pkl`` files of ``(2, {key: entry})``) is never read;
-        the first run re-sweeps, and a warm rerun then hits everything."""
+                                                  space, sweep_trace,
+                                                  monkeypatch):
+        """A table directory holding what older stores wrote is never
+        opened: the pickled-segment store's ``{sha256}.pkl`` files of
+        ``(2, {key: entry})``, and a version-3 ``.v3.npy`` segment whose
+        columns still carry ``best_cost``, with a stale row for every key.
+        The first run re-sweeps every row, and a warm rerun then hits
+        everything."""
+        import repro.core.oracle_store as store_module
+
         root = tmp_path / "store"
-        directory = root / persistent_table_digest(space, ENERGY)
+        directory = root / persistent_table_digest(space)
         directory.mkdir(parents=True)
         payload = pickle.dumps(
             (2, {_parent_key(snippet): ("stale", snippet.name)
                  for snippet in sweep_trace}),
             protocol=pickle.HIGHEST_PROTOCOL)
         (directory / _content_name(payload, ".pkl")).write_bytes(payload)
+        version_3 = _version_3_segment(_keys(sweep_trace))
+        (directory / _content_name(version_3, ".v3.npy")).write_bytes(
+            version_3)
+        read = []
+        read_segment = store_module._read_segment
+        monkeypatch.setattr(store_module, "_read_segment",
+                            lambda path: read.append(path.name)
+                            or read_segment(path))
 
         cold = OracleCache(store=OracleStore(root))
-        table = build_oracle(simulator, space, sweep_trace, ENERGY,
-                             cache=cold)
+        table = build_oracle(simulator, space, sweep_trace, cache=cold)
+        assert read == []
         assert (cold.store_hits, cold.store_misses) == (0, len(sweep_trace))
-        reference = build_oracle(simulator, space, sweep_trace, ENERGY)
+        reference = build_oracle(simulator, space, sweep_trace)
         assert table.columns.tobytes() == reference.columns.tobytes()
 
         warm = OracleCache(store=OracleStore(root))
-        build_oracle(simulator, space, sweep_trace, ENERGY, cache=warm)
+        build_oracle(simulator, space, sweep_trace, cache=warm)
         assert (warm.store_hits, warm.store_misses) == (len(sweep_trace), 0)
+        assert len(read) == 1 and read[0].endswith(SEGMENT_SUFFIX)
 
     def test_key_ending_in_nul_bytes_round_trips(self, tmp_path, simulator,
                                                  space):
@@ -457,14 +458,13 @@ class TestStoreReadsDataOnly:
         keys = _keys(snippets)
         assert all(key.endswith(b"\0" * 8) for key in keys)
         root = tmp_path / "store"
-        table = build_oracle(simulator, space, snippets, ENERGY,
+        table = build_oracle(simulator, space, snippets,
                              cache=OracleCache(store=OracleStore(root)))
-        stored = OracleStore(root).table(persistent_table_digest(space,
-                                                                 ENERGY))
+        stored = OracleStore(root).table(persistent_table_digest(space))
         assert stored == {key: _row(table, snippet)
                           for snippet, key in zip(snippets, keys)}
         warm = OracleCache(store=OracleStore(root))
-        build_oracle(simulator, space, snippets, ENERGY, cache=warm)
+        build_oracle(simulator, space, snippets, cache=warm)
         assert (warm.store_hits, warm.store_misses) == (3, 0)
 
 
@@ -504,9 +504,9 @@ class TestDefaultStoreAndDigests:
     def test_table_digest_embeds_code_fingerprint(self, space, monkeypatch):
         """Old-code stores must miss cleanly after a semantic code change."""
         import repro.core.oracle_store as store_module
-        before = persistent_table_digest(space, ENERGY)
+        before = persistent_table_digest(space)
         monkeypatch.setattr(store_module, "_CODE_FINGERPRINT", "different-code")
-        after = persistent_table_digest(space, ENERGY)
+        after = persistent_table_digest(space)
         assert before != after
 
     def test_fingerprint_covers_every_function_computing_entries(
@@ -522,76 +522,28 @@ class TestDefaultStoreAndDigests:
         snippets = SnippetTraceGenerator(seed=3).generate(
             training_workloads()[0].scaled(0.2))[:5]
         gated = ConfigurationSpace(platform, allow_core_gating=True)
-        plain = Objective("plain-energy", lambda result: result.energy_j)
         ran = set()
 
         def record(frame, event, arg):
             if event == "call":
                 ran.add(frame.f_code.co_filename)
 
-        builds = [(sweep_space, objective, OracleCache(store=None))
+        builds = [(sweep_space, OracleCache(store=None))
                   for sweep_space in (space, gated,
-                                      space.restrict(max_opp_index=1))
-                  for objective in (*ALL_OBJECTIVES.values(), plain)]
+                                      space.restrict(max_opp_index=1))]
         sys.setprofile(record)
         try:
-            for sweep_space, objective, cache in builds:
-                build_oracle(simulator, sweep_space, snippets, objective)
-                build_oracle(simulator, sweep_space, snippets, objective,
-                             cache=cache)
+            for sweep_space, cache in builds:
+                build_oracle(simulator, sweep_space, snippets)
+                build_oracle(simulator, sweep_space, snippets, cache=cache)
         finally:
             sys.setprofile(None)
         files = {Path(name).resolve() for name in ran}
         in_package = {path for path in files if package in path.parents}
-        assert {path.name for path in in_package} >= {
-            "oracle.py", "objectives.py", "simulator.py"}
+        assert {path.name for path in in_package} >= {"oracle.py",
+                                                      "simulator.py"}
         assert in_package <= sources, sorted(
             str(path.relative_to(package)) for path in in_package - sources)
-
-    def test_parameterised_closures_do_not_alias(self):
-        """Same bytecode, different closure cells -> different store keys."""
-        def make(alpha):
-            return ENERGY.__class__(
-                name="weighted",
-                cost=lambda result: result.energy_j + alpha * result.execution_time_s,
-            )
-        light = make(0.1)
-        heavy = make(10.0)
-        assert (persistent_objective_key(light)
-                != persistent_objective_key(heavy))
-        assert (persistent_objective_key(light)
-                == persistent_objective_key(make(0.1)))
-
-    def test_callable_object_costs_digest_instance_state(self):
-        """Class-instance costs must not alias across parameterisations.
-
-        There is no bytecode to identify an instance cost by, so the key
-        digests the instance state (`__dict__`) and repr; two instances
-        with different state can never share a shard digest.
-        """
-        class Weighted:
-            def __init__(self, weight):
-                self.weight = weight
-
-            def __call__(self, result):
-                return result.energy_j * self.weight
-
-        light = ENERGY.__class__("weighted", Weighted(1.0))
-        heavy = ENERGY.__class__("weighted", Weighted(2.0))
-        assert (persistent_objective_key(light)
-                != persistent_objective_key(heavy))
-
-    def test_different_defaults_do_not_alias(self):
-        def cost_a(result, weight=1.0):
-            return result.energy_j * weight
-
-        def cost_b(result, weight=2.0):
-            return result.energy_j * weight
-        cost_b.__qualname__ = cost_a.__qualname__
-        cost_b.__name__ = cost_a.__name__
-        key_a = persistent_objective_key(ENERGY.__class__("w", cost_a))
-        key_b = persistent_objective_key(ENERGY.__class__("w", cost_b))
-        assert key_a != key_b
 
 
 class TestSpaceKeyMemo:
@@ -615,19 +567,17 @@ class TestSpaceKeyMemo:
         assert 0 < len(throttled) < len(default)
         digests = set()
         for space in (default, throttled, gated):
-            for objective in (ENERGY, EDP):
-                digest = persistent_table_digest(space, objective)
-                assert digest == content_digest(
-                    space.content_key(), persistent_objective_key(objective),
-                    code_fingerprint())
-                digests.add(digest)
-        assert len(digests) == 6
+            digest = persistent_table_digest(space)
+            assert digest == content_digest(space.content_key(),
+                                            code_fingerprint())
+            digests.add(digest)
+        assert len(digests) == 3
         # Inside a table, an entry is keyed by its snippet's content key.
         snippets = long_trace[:40]
-        table = build_oracle(simulator, default, snippets, ENERGY,
+        table = build_oracle(simulator, default, snippets,
                              cache=OracleCache(store=OracleStore(tmp_path)))
         (segment,) = _segments(tmp_path)
-        assert segment.parent.name == persistent_table_digest(default, ENERGY)
+        assert segment.parent.name == persistent_table_digest(default)
         entries = _segment_entries(segment)
         assert len(entries) == 40
         for snippet, key in zip(snippets, _keys(snippets)):
@@ -652,19 +602,19 @@ class TestSpaceKeyMemo:
         snippets = long_trace[:20]
         monkeypatch.setattr(SoCConfiguration, "__repr__", counting_repr)
         cold = OracleCache(store=OracleStore(tmp_path / "store"))
-        build_oracle(simulator, space, snippets, ENERGY, cache=cold)
+        build_oracle(simulator, space, snippets, cache=cold)
         assert cold.store_misses == 20
         assert calls["n"] == 0
         warm = OracleCache(store=OracleStore(tmp_path / "store"))
-        build_oracle(simulator, space, snippets, ENERGY, cache=warm)
+        build_oracle(simulator, space, snippets, cache=warm)
         assert warm.store_hits == 20
         assert calls["n"] == 0
 
-    def test_one_segment_and_one_objective_digest_per_build(
+    def test_one_segment_and_one_table_digest_per_build(
             self, tmp_path, platform, simulator, long_trace, monkeypatch):
         """A cold build of 20 snippets publishes one file and digests the
-        objective once; a warm build through a new store opens one file,
-        digests the objective once and creates no temp file."""
+        table's name once; a warm build through a new store opens one file,
+        digests the name once and creates no temp file."""
         import repro.core.oracle as oracle_module
 
         root = tmp_path / "store"
@@ -677,9 +627,9 @@ class TestSpaceKeyMemo:
                 return original(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(oracle_module, "persistent_objective_key",
-                            counting("objective_key",
-                                     persistent_objective_key))
+        monkeypatch.setattr(oracle_module, "persistent_table_digest",
+                            counting("table_digest",
+                                     persistent_table_digest))
         monkeypatch.setattr(os, "replace", counting("replace", os.replace))
         monkeypatch.setattr(tempfile, "mkstemp",
                             counting("mkstemp", tempfile.mkstemp))
@@ -691,16 +641,16 @@ class TestSpaceKeyMemo:
         space = ConfigurationSpace(platform)
         snippets = long_trace[:20]
         cold = OracleCache(store=OracleStore(root))
-        build_oracle(simulator, space, snippets, ENERGY, cache=cold)
+        build_oracle(simulator, space, snippets, cache=cold)
         assert cold.store_misses == 20
-        assert counts == Counter(objective_key=1, replace=1, mkstemp=1)
+        assert counts == Counter(table_digest=1, replace=1, mkstemp=1)
         assert len(_segments(root)) == 1
 
         counts.clear()
         warm = OracleCache(store=OracleStore(root))
-        build_oracle(simulator, space, snippets, ENERGY, cache=warm)
+        build_oracle(simulator, space, snippets, cache=warm)
         assert warm.store_hits == 20
-        assert counts == Counter(objective_key=1, open=1)
+        assert counts == Counter(table_digest=1, open=1)
 
     def test_memo_adds_no_state_and_keeps_no_space_alive(self, tmp_path,
                                                          platform, simulator,
@@ -710,7 +660,7 @@ class TestSpaceKeyMemo:
 
         space = ConfigurationSpace(platform)
         attributes = set(vars(space))
-        build_oracle(simulator, space, sweep_trace, ENERGY,
+        build_oracle(simulator, space, sweep_trace,
                      cache=OracleCache(store=OracleStore(tmp_path / "store")))
         assert set(vars(space)) == attributes
         alive = weakref.ref(space)
@@ -757,10 +707,10 @@ class TestStoreRetries:
 
     def _store_with_table(self, tmp_path, simulator, space, sweep_trace,
                           **kwargs):
-        build_oracle(simulator, space, sweep_trace[:1], ENERGY,
+        build_oracle(simulator, space, sweep_trace[:1],
                      cache=OracleCache(store=OracleStore(tmp_path / "store")))
         return (OracleStore(tmp_path / "store", **kwargs),
-                persistent_table_digest(space, ENERGY))
+                persistent_table_digest(space))
 
     @pytest.mark.parametrize("op", ["list", "read"])
     def test_transient_failure_heals(self, tmp_path, simulator, space,
@@ -777,8 +727,7 @@ class TestStoreRetries:
             max_retries=2, backoff_s=0.0, io_failure_hook=flaky,
         )
         cache = OracleCache(store=store)
-        table = build_oracle(simulator, space, sweep_trace[:1], ENERGY,
-                             cache=cache)
+        table = build_oracle(simulator, space, sweep_trace[:1], cache=cache)
         assert sweep_trace[0].name in table.rows
         assert store.retries == 2
         assert cache.store_hits == 1 and cache.store_misses == 0
@@ -797,7 +746,7 @@ class TestStoreRetries:
         assert store.table(digest) == {}
         assert store.retries == 2  # bounded: never spins forever
         cache = OracleCache(store=store)
-        build_oracle(simulator, space, sweep_trace[:1], ENERGY, cache=cache)
+        build_oracle(simulator, space, sweep_trace[:1], cache=cache)
         assert cache.store_misses == 1 and cache.store_hits == 0
 
     def test_exhausted_write_retries_degrade_to_memory_only(self, tmp_path,
@@ -824,7 +773,7 @@ class TestStoreRetries:
         store = OracleStore(tmp_path / "store", max_retries=3)
         assert store.table("0" * 64) == {}
         cache = OracleCache(store=store)
-        build_oracle(simulator, space, sweep_trace[:1], ENERGY, cache=cache)
+        build_oracle(simulator, space, sweep_trace[:1], cache=cache)
         assert store.retries == 0  # FileNotFoundError never retries
         assert cache.store_misses == 1
 

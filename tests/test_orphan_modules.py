@@ -16,8 +16,9 @@ as a word of a string constant in any file under ``src/``,
 workflow; functions and classes also count as a bare ``Name``.  A method
 (a ``def`` directly in a class body) does not: a parameter or local
 variable spelled like it is no call of it.  Strings in a package's
-``__all__`` do not count (a re-export is not a use), and neither do the
-tests.  Dunder methods are exempt: Python calls them.
+``__all__`` do not count (a re-export is not a use), and neither do
+docstrings (a mention is not a use) or the tests.  Dunder methods are
+exempt: Python calls them.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ ALLOWED_UNREFERENCED = {
         "tests check per-frame busy times with it"),
     "repro.noc.simulator:NoCSimulator.zero_load_latency": (
         "tests bound every simulated packet's latency from below with it"),
+    "repro.soc.platform:generic_big_little": (
+        "tests build their small and random platforms with it"),
 }
 
 
@@ -155,16 +158,28 @@ def _definitions(tree: ast.AST, prefix: str = "", in_class: bool = False
             yield from _definitions(node, prefix, in_class)
 
 
+def _docstrings(tree: ast.AST) -> Set[int]:
+    """``id``s of the docstring constants of every module, class and
+    function under ``tree``."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None}
+
+
 def _references(tree: ast.AST) -> Tuple[Counter, Counter]:
-    """(bare names, attributes and string-constant words) under ``tree``."""
+    """(bare names, attributes and string-constant words) under ``tree``;
+    docstrings hold no words that count."""
     names: Counter = Counter()
     words: Counter = Counter()
+    docstrings = _docstrings(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
             words[node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
             words.update(_WORD.findall(node.value))
         elif isinstance(node, ast.Assign) and any(
                 isinstance(target, ast.Name) and target.id == "__all__"
@@ -338,3 +353,28 @@ def test_a_method_counts_by_attribute_or_string_not_by_bare_name(tmp_path):
             "CALLED = 'label'\n"
         ),
     })) == ["repro.a:Box.depth"]
+
+
+def test_a_docstring_mention_is_no_use(tmp_path):
+    """A name only module, class and function docstrings mention, in
+    ``src/`` or elsewhere, is unreferenced; the same word in any other
+    string still counts."""
+    assert _unreferenced(_tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/a.py": (
+            '"""Module text naming merge."""\n'
+            "class Box:\n"
+            '    """Class text naming score."""\n'
+            "    def merge(self): pass\n"
+            "    def score(self): pass\n"
+            "    def label(self): pass\n"
+            "def grow():\n"
+            '    """Function text naming points."""\n'
+            "    return 'label'\n"
+            "def points(): pass\n"
+            "def shown(): pass\n"
+            "grow(Box)\n"
+        ),
+        "examples/demo.py": '"""Run shown."""\n',
+    })) == ["repro.a:Box.merge", "repro.a:Box.score", "repro.a:points",
+            "repro.a:shown"]

@@ -33,7 +33,6 @@ import pytest
 
 from repro.control.policy import RandomPolicy, StaticPolicy
 from repro.core.framework import run_policy_on_snippets
-from repro.core.objectives import ENERGY
 from repro.core.oracle import build_oracle
 from repro.gpu.frames import generate_frame_trace
 from repro.gpu.gpu import GPUConfiguration, default_integrated_gpu
@@ -344,7 +343,7 @@ class TestOracleOptimality:
         space = ConfigurationSpace(platform)
         simulator = SoCSimulator(platform, noise_scale=0.0, seed=seed)
         snippets = self._random_trace(rng, int(rng.integers(3, 8)))
-        table = build_oracle(simulator, space, snippets, ENERGY)
+        table = build_oracle(simulator, space, snippets)
         policies = [
             StaticPolicy(space, space.random_configuration(rng)),
             RandomPolicy(space, seed=seed),
@@ -352,14 +351,15 @@ class TestOracleOptimality:
         for policy in policies:
             run = run_policy_on_snippets(simulator, space, policy, snippets,
                                          oracle_table=table)
-            best_cost = table.columns["best_cost"]
-            oracle_energy = sum(best_cost[table.rows[s.name]] for s in snippets)
+            best_energy = table.columns["energy_j"]
+            oracle_energy = sum(best_energy[table.rows[s.name]]
+                                for s in snippets)
             assert oracle_energy <= run.total_energy_j * (1.0 + 1e-12)
             # Per snippet too: the entry is the minimum over the space.
             energies = run.log.column("energy_j")
             assert len(energies) == len(snippets)
             for snippet, energy in zip(snippets, energies):
-                assert (best_cost[table.rows[snippet.name]]
+                assert (best_energy[table.rows[snippet.name]]
                         <= energy * (1.0 + 1e-12))
 
     def test_restricted_oracle_never_beats_full(self, seed):
@@ -370,11 +370,11 @@ class TestOracleOptimality:
         restricted = space.restrict(max_opp_index=cap)
         simulator = SoCSimulator(platform, noise_scale=0.0, seed=seed)
         snippets = self._random_trace(rng, 4)
-        full = build_oracle(simulator, space, snippets, ENERGY)
-        part = build_oracle(simulator, restricted, snippets, ENERGY)
+        full = build_oracle(simulator, space, snippets)
+        part = build_oracle(simulator, restricted, snippets)
         for snippet in snippets:
-            assert (full.columns["best_cost"][full.rows[snippet.name]]
-                    <= part.columns["best_cost"][part.rows[snippet.name]]
+            assert (full.columns["energy_j"][full.rows[snippet.name]]
+                    <= part.columns["energy_j"][part.rows[snippet.name]]
                     * (1.0 + 1e-12))
             assert restricted.contains(part.best_configuration(snippet))
 

@@ -17,8 +17,7 @@ from scalar_reference import trace_generator_loop
 from scalar_reference.scenario_loops import scalar_twin
 
 from repro.control.policy import GovernorPolicy, StaticPolicy
-from repro.core.objectives import ENERGY
-from repro.core.oracle import OracleCache, build_oracle
+from repro.core.oracle import ENERGY, OracleCache, build_oracle
 from repro.core.session import PolicySession
 from repro.experiments.robustness import (
     ROBUSTNESS_POLICIES,
@@ -377,10 +376,10 @@ class TestSpaceRestriction:
             self, simulator, space, compute_snippet):
         """Satellite regression: throttled sweeps must miss the cache."""
         cache = OracleCache()
-        build_oracle(simulator, space, [compute_snippet], ENERGY, cache=cache)
+        build_oracle(simulator, space, [compute_snippet], cache=cache)
         assert cache.misses == 1
         restricted = space.restrict(max_opp_index=0)
-        table = build_oracle(simulator, restricted, [compute_snippet], ENERGY,
+        table = build_oracle(simulator, restricted, [compute_snippet],
                              cache=cache)
         assert cache.hits == 0 and cache.misses == 2
         assert restricted.contains(
@@ -388,7 +387,7 @@ class TestSpaceRestriction:
         )
         # Same restriction again: now it hits its own entry.
         build_oracle(simulator, space.restrict(max_opp_index=0),
-                     [compute_snippet], ENERGY, cache=cache)
+                     [compute_snippet], cache=cache)
         assert cache.hits == 1
 
 
@@ -449,7 +448,7 @@ class TestScenarioRuntime:
             self, simulator, space, throttle_trace):
         cache = OracleCache()
         table = build_scenario_oracle(simulator, space, throttle_trace,
-                                      ENERGY, cache=cache)
+                                      cache=cache)
         assert len(table.rows) == len(throttle_trace)
         restricted = space.restrict(max_opp_index=0)
         for snippet, cap in zip(throttle_trace.snippets,
@@ -458,6 +457,18 @@ class TestScenarioRuntime:
             if cap is not None:
                 assert restricted.contains(best)
             assert space.contains(best)
+
+    def test_scenario_oracle_minimises_energy_only(
+            self, simulator, space, throttle_trace):
+        """The fourth parameter names the Oracle's cost: energy, the only
+        one there is, is the same table as leaving it out; any other name
+        raises."""
+        table = build_scenario_oracle(simulator, space, throttle_trace)
+        named = build_scenario_oracle(simulator, space, throttle_trace,
+                                      ENERGY)
+        assert named.columns.tobytes() == table.columns.tobytes()
+        with pytest.raises(ValueError, match="minimises 'energy', not 'edp'"):
+            build_scenario_oracle(simulator, space, throttle_trace, "edp")
 
     def test_framework_scenario_evaluation(self, trained_framework, base_trace):
         trace = ThermalThrottle(period=8, duty=0.5, max_opp_index=1).apply(

@@ -343,6 +343,31 @@ class TestMakeSnippets:
                                      **kwargs) == expected
         assert len(raised) == 10  # every check fired
 
+    @pytest.mark.parametrize("field, message", [
+        ("memory_intensity", "memory_intensity must be non-negative"),
+        ("branch_misprediction_mpki",
+         "branch_misprediction_mpki must be non-negative"),
+        ("thread_count", "thread_count must be >= 1"),
+        ("n_instructions", "n_instructions must be positive"),
+        ("index", "index must be non-negative"),
+    ])
+    def test_nan_fails_the_checks_bounded_only_below(self, field, message):
+        """NaN is below no bound, yet a field checked only from below
+        refuses it: in the constructors, and in a second row in bulk."""
+        row = {"index": 0, "n_instructions": 1e6,
+               **{name: getattr(SnippetCharacteristics(), name)
+                  for name in CHARACTERISTIC_FIELDS}}
+        bad = {**row, field: float("nan")}
+        with pytest.raises(ValueError) as error:
+            Snippet("app", bad["index"], bad["n_instructions"],
+                    SnippetCharacteristics(**{
+                        name: bad[name] for name in CHARACTERISTIC_FIELDS}))
+        assert str(error.value) == message
+        with pytest.raises(ValueError) as error:
+            make_snippets("app", **{name: [row[name], bad[name]]
+                                    for name in row})
+        assert str(error.value) == message
+
     def test_allocates_no_more_than_the_dataclass_constructors(self):
         """Fields assigned one by one keep each instance dict
         key-sharing; a ready ``__dict__`` per object would double this."""
@@ -510,11 +535,8 @@ class TestSimulator:
 
     def test_result_derived_metrics(self, simulator, space, compute_snippet):
         result = simulator.evaluate_expected(compute_snippet, space.default_configuration())
-        assert result.energy_per_instruction_nj > 0
-        assert result.performance_ips > 0
-        assert result.performance_per_watt > 0
-        assert result.energy_delay_product == pytest.approx(
-            result.energy_j * result.execution_time_s)
+        assert result.energy_per_instruction_nj == pytest.approx(
+            result.energy_j / compute_snippet.n_instructions * 1e9)
 
     def test_fewer_cores_slow_down_parallel_snippet(self, platform, parallel_snippet):
         space = ConfigurationSpace(platform, allow_core_gating=True,

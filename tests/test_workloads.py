@@ -167,10 +167,10 @@ class TestGeneratorMatchesScalarLoop:
             external_request_rate=-0.0, branch_misprediction_mpki=0.0,
             ilp_factor=0.05, parallel_fraction=1.0, big_fraction=-0.0,
         )
-        unknown = SnippetCharacteristics(
-            memory_intensity=float("nan"),
-            branch_misprediction_mpki=float("nan"),
-        )
+        # The constructor refuses NaN; a mean set after it still clips.
+        unknown = SnippetCharacteristics()
+        unknown.memory_intensity = float("nan")
+        unknown.branch_misprediction_mpki = float("nan")
         spec = WorkloadSpec(name="edge", suite="test", phases=(
             WorkloadPhase(edge, n_snippets=40, jitter=0.3),
             WorkloadPhase(unknown, n_snippets=5, jitter=0.3),

@@ -67,7 +67,7 @@ from repro.utils.records import RunLog
 
 #: Bump when the snapshot payload layout changes; old snapshots then fail
 #: to restore with a clear :class:`SnapshotError` instead of misbehaving.
-SNAPSHOT_FORMAT_VERSION = 8
+SNAPSHOT_FORMAT_VERSION = 9
 
 #: Leading magic of serialized snapshots (identifies the container format).
 _SNAPSHOT_MAGIC = b"RPSESNAP"
@@ -106,6 +106,15 @@ def unpack_states(data: bytes) -> List[Dict[str, Any]]:
         raise SnapshotError(
             "snapshot checksum mismatch (truncated or corrupted)"
         )
+    return load_states(payload)
+
+
+def load_states(payload: bytes) -> List[Dict[str, Any]]:
+    """Unpickle a list of session states and check their version.
+
+    Raises :class:`SnapshotError` on an unpicklable payload or anything
+    but a list of :data:`SNAPSHOT_FORMAT_VERSION` state dicts.
+    """
     try:
         states = pickle.loads(payload)
     except Exception as exc:

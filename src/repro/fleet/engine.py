@@ -61,8 +61,9 @@ restricted-space windows stay bitwise faithful.
 Per-round inputs
 ----------------
 :meth:`FleetEngine.step` takes two optional inputs, keyed by fleet row (a
-session's position in ``sessions``, stable across engine rebuilds), through
-which :class:`~repro.fleet.supervisor.FleetSupervisor` injects faults:
+session's position in ``sessions``, which :meth:`FleetEngine.replace`
+keeps), through which :class:`~repro.fleet.supervisor.FleetSupervisor`
+injects faults:
 
 * ``held`` — rows that sit the round out.  A held row leaves every cached
   active list and batched group until it is released.
@@ -165,13 +166,13 @@ class FleetEngine:
     # ------------------------------------------------------------------ #
     # Preparation
     # ------------------------------------------------------------------ #
-    def _check_input_shape(self) -> None:
-        """Raise :class:`ValueError` for a fleet outside the one input shape.
+    def _check_input_shape(self, sessions: Sequence[PolicySession]) -> None:
+        """Raise :class:`ValueError` unless ``sessions`` fit the fleet's
+        one input shape, that of its first session.
 
         See the module's "Input shape"; each error names the devices.
         """
-        sessions = self.sessions
-        first = sessions[0]
+        first = self.sessions[0]
         simulator = first.simulator
         names = [session.name for session in sessions
                  if session.simulator is not simulator]
@@ -211,7 +212,24 @@ class FleetEngine:
         """
         if self._prepared:
             return
-        self._check_input_shape()
+        self._check_input_shape(self.sessions)
+        self._group()
+        sessions = self.sessions
+        self._soa = sessions[0].space.soa_view()
+        t_max = max(len(session) for session in sessions)
+        self._chars = np.zeros((len(sessions), t_max,
+                                len(CHARACTERISTIC_COLUMNS)))
+        self._noise = np.ones((len(sessions), t_max, 2))
+        for row, session in enumerate(sessions):
+            self._chars[row, :len(session)] = characteristics_matrix(
+                session.snippets)
+            self._noise[row, :len(session)] = session.noise
+        self._prepared = True
+
+    def _group(self) -> None:
+        """Group the sessions by their policies' batching keys, in row
+        order, each group with a fresh scratch ``state``."""
+        self._scalar_decide = []
         decide_groups: Dict[Tuple, List[PolicySession]] = {}
         observe_groups: Dict[Tuple, List[PolicySession]] = {}
         for session in self.sessions:
@@ -230,17 +248,30 @@ class FleetEngine:
             _ObserveGroup(members) for members in observe_groups.values()
             if len(members) >= 2
         ]
-        sessions = self.sessions
-        self._soa = sessions[0].space.soa_view()
-        t_max = max(len(session) for session in sessions)
-        self._chars = np.zeros((len(sessions), t_max,
-                                len(CHARACTERISTIC_COLUMNS)))
-        self._noise = np.ones((len(sessions), t_max, 2))
-        for row, session in enumerate(sessions):
-            self._chars[row, :len(session)] = characteristics_matrix(
-                session.snippets)
-            self._noise[row, :len(session)] = session.noise
-        self._prepared = True
+
+    def replace(self, row: int, session: PolicySession) -> None:
+        """Put ``session`` at fleet ``row`` and regroup (a policy swap or a
+        restored session, at a round boundary).
+
+        ``session`` must carry the row's definition — the same trace and
+        noise objects, as :meth:`~repro.core.session.PolicySession
+        .restore` onto the row's session gives — so the step tensors stay
+        as they are; it gets :meth:`prepare`'s input-shape checks.  Other
+        rows are not read again.
+        """
+        self.prepare()
+        old = self.sessions[row]
+        if (session.snippets is not old.snippets
+                or session.noise is not old.noise):
+            raise ValueError(f"fleet device {session.name!r} does not carry "
+                             f"the trace and noise of row {row} "
+                             f"({old.name!r})")
+        self._check_input_shape([session])
+        self.sessions[row] = session
+        del self._fleet_row[old]
+        self._fleet_row[session] = row
+        self._group()
+        self._active_dirty = True
 
     # ------------------------------------------------------------------ #
     # Lockstep stepping

@@ -40,8 +40,9 @@ flatline detection, snapshot/restart):
   bytes (:meth:`~repro.core.session.PolicySession.snapshot_bytes`).  A
   snapshot holds the session's state only (the dispatched cap included);
   a restart restores it onto the session it replaces, which supplies the
-  definition — trace, Oracle table, noise, trace caps — and the engine is
-  rebuilt around the restored session.
+  definition — trace, Oracle table, noise, trace caps — and the restored
+  session takes its row of the engine in place
+  (:meth:`~repro.fleet.engine.FleetEngine.replace`).
 """
 
 from __future__ import annotations
@@ -222,26 +223,10 @@ class FleetSupervisor:
             self._take_snapshot(record)
 
     # ------------------------------------------------------------------ #
-    # Snapshots and engine rebuilds
+    # Snapshots and restarts
     # ------------------------------------------------------------------ #
     def _take_snapshot(self, record: _DeviceRecord) -> None:
         record.snapshot = self.engine.sessions[record.row].snapshot_bytes()
-
-    def _rebuild_engine(self, row: int, session: PolicySession) -> None:
-        """Hand every session to a new engine, with ``session`` at ``row``.
-
-        Sessions carry their noise, so the other devices continue bitwise
-        unchanged in the new engine.
-        """
-        old = self.engine
-        sessions = list(old.sessions)
-        sessions[row] = session
-        self.engine = FleetEngine(sessions)
-        # Keep cumulative batching counters meaningful across rebuilds.
-        self.engine.steps_executed = old.steps_executed
-        self.engine.batched_decisions = old.batched_decisions
-        self.engine.batched_executions = old.batched_executions
-        self.engine.batched_observes = old.batched_observes
 
     def _restart(self, record: _DeviceRecord) -> None:
         """Replace the live session with its last snapshot (``RECOVERED``)."""
@@ -250,7 +235,7 @@ class FleetSupervisor:
         session = PolicySession.restore(record.snapshot, old)
         record.replayed_steps += old.step_index - session.step_index
         record.wasted_energy_j += old.total_energy_j - session.total_energy_j
-        self._rebuild_engine(record.row, session)
+        self.engine.replace(record.row, session)
         record.stall_remaining = 0
         record.no_progress_rounds = 0
         record.last_cursor = session.step_index
@@ -404,10 +389,11 @@ class FleetSupervisor:
 
         ``policy`` must be built over the target session's own space
         (``policy.space is session.space``), or the engine's batched
-        decide would reason over the wrong configuration set.  The engine
-        is rebuilt around the same session objects (see
-        :meth:`_rebuild_engine`), and a supervised device's snapshot is
-        refreshed, so a later restore resumes under the new policy.
+        decide would reason over the wrong configuration set.  The
+        engine regroups the session in place
+        (:meth:`~repro.fleet.engine.FleetEngine.replace`), and a supervised
+        device's snapshot is refreshed, so a later restore resumes under
+        the new policy.
         """
         record = self._record(name)
         session = self.engine.sessions[record.row]
@@ -422,7 +408,7 @@ class FleetSupervisor:
                 "session's own configuration space"
             )
         session.policy = policy
-        self._rebuild_engine(record.row, session)
+        self.engine.replace(record.row, session)
         if record.faults:
             self._take_snapshot(record)
 

@@ -36,6 +36,7 @@ from repro.scenarios.base import (
     register_scenario,
 )
 from repro.soc.snippet import CHARACTERISTIC_FIELDS, Snippet, make_snippets
+from repro.utils.stats import median
 from repro.workloads.generator import (
     JITTERED_FIELDS,
     clip_as_python,
@@ -145,7 +146,7 @@ class BurstyIdle(ScenarioSpec):
         idle_instructions = max(
             1.0,
             self.idle_instruction_fraction
-            * float(np.median([s.n_instructions for s in snippets])),
+            * median([s.n_instructions for s in snippets]),
         )
         # A gap follows every `burst`-th snippet except the last one.
         gaps = (len(snippets) - 1) // self.burst

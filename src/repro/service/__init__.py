@@ -9,8 +9,8 @@ watchdogs):
 * :mod:`repro.service.protocol` — versioned frozen-dataclass messages
   with strict JSON round-trip serialization.
 * :mod:`repro.service.journal` — append-only, fsync'd, sha256-framed
-  record log plus atomic snapshot rotation; the durability substrate of
-  the ``kill -9`` recovery invariant.
+  record log, whose framing the snapshot rotation file shares; the
+  durability substrate of the ``kill -9`` recovery invariant.
 * :mod:`repro.service.run` — :class:`~repro.service.run.ServiceRun`, the
   journaled fleet run: every accepted dispatch and every fleet round
   boundary is journaled before it is applied, so recovery replays to a

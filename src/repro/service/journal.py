@@ -10,6 +10,10 @@ are ``write + flush``, plus an ``fsync`` for :data:`SYNCED_RECORDS`, which
 then survive power loss together with every record before them.  The
 file opens with an 8-byte magic header identifying the format version.
 
+The framing itself — :class:`FramedFile` writes it, :func:`walk_frames`
+reads it — is shared with the run's snapshot rotation file
+(:mod:`repro.service.run`), whose frames hold session states.
+
 Read semantics distinguish the two corruption classes a recovery must
 treat differently:
 
@@ -30,7 +34,7 @@ import hashlib
 import os
 import struct
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import BinaryIO, List, NamedTuple, Tuple, Union
 
 from repro.core.session import fsync_directory
 from repro.service.protocol import (
@@ -56,8 +60,122 @@ _DIGEST_SIZE = 32
 _FRAME_HEADER = _LEN.size + _DIGEST_SIZE
 
 
+class Frame(NamedTuple):
+    """One intact frame: where it starts, its stored sha256 digest (raw
+    bytes) and its payload."""
+
+    offset: int
+    digest: bytes
+    payload: bytes
+
+    @property
+    def end(self) -> int:
+        """Where the next frame starts."""
+        return self.offset + _FRAME_HEADER + len(self.payload)
+
+
 class JournalError(RuntimeError):
     """A journal file failed verification (unrecoverable corruption)."""
+
+
+def walk_frames(data: bytes, start: int) -> Tuple[List[Frame], int]:
+    """The intact frames of ``data`` from offset ``start`` on.
+
+    Walks frame by frame up to the first one that is torn (runs past the
+    end of ``data``) or fails its checksum.  Returns ``(frames, end)``
+    with ``end`` where that frame starts, or ``len(data)`` when every
+    frame is intact.
+    """
+    frames: List[Frame] = []
+    offset = start
+    size = len(data)
+    while offset + _FRAME_HEADER <= size:
+        (length,) = _LEN.unpack_from(data, offset)
+        begin = offset + _FRAME_HEADER
+        end = begin + length
+        if end > size:
+            break
+        payload = data[begin:end]
+        digest = data[offset + _LEN.size:begin]
+        if hashlib.sha256(payload).digest() != digest:
+            break
+        frames.append(Frame(offset, digest, payload))
+        offset = end
+    return frames, offset
+
+
+class FramedFile:
+    """An append-only file of sha256 frames after a magic header.
+
+    Use :meth:`create` for a new file and :meth:`open` to append to an
+    existing one.  :meth:`append` frames, writes and flushes one payload,
+    and fsyncs it when asked to; the first fsync of a created file also
+    fsyncs its directory, so the new entry survives a crash too.  After
+    an append fails the file refuses appends: a frame written after torn
+    bytes would bury them mid-file.
+    """
+
+    def __init__(self, path: Path, handle: BinaryIO, created: bool) -> None:
+        self.path = path
+        self._handle = handle
+        self._unsynced_entry = created
+        self._failed = False
+
+    @classmethod
+    def create(cls, path: Union[str, Path], magic: bytes) -> "FramedFile":
+        """A new file holding ``magic`` (written, not yet fsync'd)."""
+        path = Path(path)
+        if path.exists():
+            raise JournalError(f"{path} already exists")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle = open(path, "xb")
+        handle.write(magic)
+        return cls(path, handle, created=True)
+
+    @classmethod
+    def open(cls, path: Union[str, Path], end: int) -> "FramedFile":
+        """Append to ``path`` from ``end`` on, where its kept frames end.
+
+        Bytes past ``end`` (a torn tail, frames a crashed process wrote
+        that recovery does not keep) are truncated and the truncation is
+        fsync'd before anything is appended.
+        """
+        path = Path(path)
+        handle = open(path, "r+b")
+        if handle.seek(0, os.SEEK_END) > end:
+            handle.truncate(end)
+            os.fsync(handle.fileno())
+        handle.seek(end)
+        return cls(path, handle, created=False)
+
+    def append(self, payload: bytes, sync: bool) -> Tuple[int, str]:
+        """Frame, write and flush ``payload`` (fsync'd when ``sync``).
+
+        Returns the frame's offset and its payload's hex sha256.
+        """
+        if self._failed:
+            raise JournalError(f"{self.path} failed an append")
+        digest = hashlib.sha256(payload).digest()
+        self._failed = True  # until the append completes
+        offset = self._handle.tell()
+        self._handle.write(_LEN.pack(len(payload)) + digest + payload)
+        self._handle.flush()
+        if sync:
+            self.sync()
+        self._failed = False
+        return offset, digest.hex()
+
+    def sync(self) -> None:
+        """fsync what was written (and, once, a created file's entry)."""
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+        if self._unsynced_entry:
+            fsync_directory(self.path.parent)
+            self._unsynced_entry = False
+
+    def close(self) -> None:
+        if not self._handle.closed:
+            self._handle.close()
 
 
 class Journal:
@@ -73,49 +191,27 @@ class Journal:
 
     def __init__(self, path: Union[str, Path], create: bool = False) -> None:
         self.path = Path(path)
-        self._failed = False
         if create:
-            if self.path.exists():
-                raise JournalError(f"journal {self.path} already exists")
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "xb")
-            self._handle.write(JOURNAL_MAGIC)
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            fsync_directory(self.path.parent)
+            self._file = FramedFile.create(self.path, JOURNAL_MAGIC)
+            self._file.sync()
         else:
             if not self.path.exists():
                 raise JournalError(f"journal {self.path} does not exist")
-            data = self.path.read_bytes()
             # Truncate any torn tail before appending: a record written
             # after torn bytes would turn a recoverable crash artefact
             # into mid-file corruption on the next read.  Raises on
             # mid-file corruption — such a journal must not be extended.
-            _frames, valid_end = _walk_frames(self.path, data)
-            self._handle = open(self.path, "r+b")
-            self._handle.seek(valid_end)
-            if valid_end < len(data):
-                self._handle.truncate()
-                os.fsync(self._handle.fileno())
+            _frames, end = _journal_frames(self.path,
+                                           self.path.read_bytes())
+            self._file = FramedFile.open(self.path, end)
 
     def append(self, message: Message) -> None:
         """Frame, write and flush one record (fsync'd if it is synced)."""
-        if self._failed:
-            raise JournalError(f"journal {self.path} failed an append")
-        payload = dumps_message(message).encode("utf-8")
-        frame = (_LEN.pack(len(payload))
-                 + hashlib.sha256(payload).digest()
-                 + payload)
-        self._failed = True  # until the append completes
-        self._handle.write(frame)
-        self._handle.flush()
-        if isinstance(message, SYNCED_RECORDS):
-            os.fsync(self._handle.fileno())
-        self._failed = False
+        self._file.append(dumps_message(message).encode("utf-8"),
+                          sync=isinstance(message, SYNCED_RECORDS))
 
     def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
+        self._file.close()
 
     def __enter__(self) -> "Journal":
         return self
@@ -124,37 +220,24 @@ class Journal:
         self.close()
 
 
-def _walk_frames(path: Path,
-                 data: bytes) -> Tuple[List[Tuple[int, bytes]], int]:
+def _journal_frames(path: Path, data: bytes) -> Tuple[List[Frame], int]:
     """Every intact frame of journal bytes ``data``, and where they end.
 
-    Returns ``([(offset, payload), ...], valid_end)``; a torn tail is
-    left out and ``valid_end`` is where it starts (so callers can
-    truncate it).  A bad magic or mid-file corruption raises
+    A torn tail is left out and ``end`` is where it starts (so callers
+    can truncate it).  A bad magic or mid-file corruption raises
     :class:`JournalError`.
     """
     if data[:len(JOURNAL_MAGIC)] != JOURNAL_MAGIC:
         raise JournalError(f"{path} is not a journal (bad magic)")
-    frames: List[Tuple[int, bytes]] = []
-    offset = len(JOURNAL_MAGIC)
-    size = len(data)
-    while offset + _FRAME_HEADER <= size:
-        (length,) = _LEN.unpack_from(data, offset)
-        start = offset + _FRAME_HEADER
-        end = start + length
-        if end > size:
-            break  # torn payload at EOF
-        payload = data[start:end]
-        if hashlib.sha256(payload).digest() != data[offset + _LEN.size:start]:
-            if end == size:
-                break  # checksum-failed final frame: torn
+    frames, end = walk_frames(data, len(JOURNAL_MAGIC))
+    if end + _FRAME_HEADER <= len(data):
+        (length,) = _LEN.unpack_from(data, end)
+        if end + _FRAME_HEADER + length < len(data):
             raise JournalError(
-                f"journal {path}: record at offset {offset} failed its "
+                f"journal {path}: record at offset {end} failed its "
                 "checksum with records following it (mid-file corruption)"
             )
-        frames.append((offset, payload))
-        offset = end
-    return frames, offset
+    return frames, end
 
 
 def read_journal(path: Union[str, Path]) -> Tuple[List[Message], bool]:
@@ -171,20 +254,20 @@ def read_journal(path: Union[str, Path]) -> Tuple[List[Message], bool]:
         data = path.read_bytes()
     except OSError as exc:
         raise JournalError(f"journal {path} unreadable: {exc}") from exc
-    frames, valid_end = _walk_frames(path, data)
+    frames, end = _journal_frames(path, data)
     messages: List[Message] = []
-    for offset, payload in frames:
+    for frame in frames:
         try:
-            messages.append(loads_message(payload.decode("utf-8")))
+            messages.append(loads_message(frame.payload.decode("utf-8")))
         except (ProtocolError, UnicodeDecodeError) as exc:
             raise JournalError(
-                f"journal {path}: record at offset {offset} is "
+                f"journal {path}: record at offset {frame.offset} is "
                 f"checksum-valid but undecodable: {exc}"
             ) from exc
-    return messages, valid_end < len(data)
+    return messages, end < len(data)
 
 
 def file_sha256(path: Union[str, Path]) -> str:
-    """Hex sha256 of a file's bytes (snapshot manifest entries)."""
+    """Hex sha256 of a file's bytes."""
     with open(path, "rb") as handle:
         return hashlib.file_digest(handle, "sha256").hexdigest()

@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Optional, Tuple, Type
+from typing import Any, ClassVar, Dict, Optional, Type
 
 #: Commands :class:`DispatchCommand` accepts (validated at decode time
 #: so a bad dispatch is rejected before it is journaled).
@@ -88,16 +88,19 @@ class TelemetryReport(Message):
 class SnapshotManifest(Message):
     """Journal record naming one completed snapshot rotation.
 
-    ``files`` holds one ``(label, relative_path, sha256_hex)`` entry: the
-    rotation file that holds every session at ``round``.  The manifest is
-    appended (and fsync'd) only *after* that file was durably published,
-    so a manifest in the journal is a recovery point whose file either
+    The rotation is one frame of the run's rotation file, holding every
+    session at ``round``: the frame starts at byte ``offset`` of the file
+    and its payload's sha256 is ``sha256`` (hex).  The manifest is
+    appended (and fsync'd) only *after* that frame was fsync'd, so a
+    manifest in the journal is a recovery point whose frame either
     verifies or (bit-rot) fails loudly.
     """
 
     TYPE_NAME: ClassVar[str] = "snapshot.manifest"
+    VERSION: ClassVar[int] = 2
     round: int = 0
-    files: Tuple[Tuple[str, str, str], ...] = ()
+    offset: int = 0
+    sha256: str = ""
 
 
 @_register

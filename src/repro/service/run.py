@@ -10,21 +10,25 @@ with the durability and dispatch semantics of the control-plane service:
   .StepBoundary` record that is flushed but not fsync'd: recovery never
   reads one, because deterministic replay recomputes every round.
 * **Snapshot rotation.**  Every ``snapshot_every`` rounds (and at round
-  0), every session's state (policy, dispatched OPP cap, log, totals,
-  cursor) goes into one checksummed file,
-  ``snapshots/round-NNNNNNNN.snapshot``, published with
-  :func:`~repro.core.session.write_durable`; only then is a
-  :class:`~repro.service.protocol.SnapshotManifest` naming the file and
-  its sha256 journaled.
+  0), every session's state (policy, dispatched OPP cap, totals, cursor)
+  goes into one frame appended to the run's rotation file,
+  ``rotations.bin``, framed like the journal
+  (:class:`~repro.service.journal.FramedFile`).  A frame carries each
+  session's log as the rows logged since the previous frame, and the
+  row they start at (the whole log of a session a restart replaced), so
+  a rotation writes what changed since the last one.  The frame is
+  fsync'd, and only then is a :class:`~repro.service.protocol
+  .SnapshotManifest` naming its round, offset and sha256 journaled.
 * **Recovery invariant.**  ``kill -9`` at any instant, then
   :meth:`ServiceRun.recover`: the fleet is rebuilt deterministically
   from the genesis config and must match the journal's
   :class:`~repro.service.protocol.DeviceRegistration` records; sessions
-  restore from the newest manifest whose file verifies onto the rebuilt
-  fleet's sessions, which supply the traces, Oracle tables, noise and
-  trace caps (a snapshot holds session state only).  Space caps and
-  policy swaps that applied before the restore point are inside the
-  snapshots, so of those dispatches only the pause state is re-applied,
+  restore from the newest manifest whose frame, and every frame before
+  it, verifies, onto the rebuilt fleet's sessions, which supply the
+  traces, Oracle tables, noise and trace caps (a snapshot holds session
+  state only); each log is rebuilt from the rows of those frames.  Space
+  caps and policy swaps that applied before the restore point are inside
+  the snapshots, so of those dispatches only the pause state is re-applied,
   and later ones are replayed at their recorded boundaries — so the
   completed run's per-device logs and energy totals are **bitwise
   identical** to an uninterrupted run.
@@ -47,23 +51,28 @@ differ.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
+import pickle
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.control.policy import DRMPolicy, GovernorPolicy, StaticPolicy
-from repro.core.session import (PolicySession, SnapshotError, pack_states,
-                                unpack_states, write_durable)
+from repro.core.session import PolicySession, SnapshotError, load_states
 from repro.fleet.device import DeviceSpec, device_session
 from repro.fleet.faults import FaultPlan, fault_from_dict
 from repro.fleet.supervisor import DeviceHealth, FleetSupervisor
 from repro.scenarios import available_scenarios, get_scenario
 from repro.service.journal import (
+    Frame,
+    FramedFile,
     Journal,
     JournalError,
-    file_sha256,
+    file_sha256,  # noqa: F401 - perfbench traces it as a journal layer
     read_journal,
+    walk_frames,
 )
 from repro.service.protocol import (
     DeviceRegistration,
@@ -87,6 +96,7 @@ from repro.soc.governors import (
 )
 from repro.soc.platform import odroid_xu3_like
 from repro.soc.simulator import SoCSimulator
+from repro.utils.records import COLUMNS, RunLog
 from repro.utils.rng import derive_seed, make_rng, stable_name_id
 from repro.workloads.sequences import build_online_sequence
 from repro.workloads.suites import unseen_workloads
@@ -94,14 +104,13 @@ from repro.workloads.suites import unseen_workloads
 #: Journal file name inside a run directory.
 JOURNAL_FILE = "journal.bin"
 
-#: Snapshot rotations kept on disk (older ones are pruned).
-SNAPSHOT_ROTATIONS_KEPT = 2
+#: Rotation file inside a run directory: one frame per snapshot rotation.
+ROTATIONS_FILE = "rotations.bin"
 
-#: Journal-relative path of the snapshot rotation taken at a round.
-ROTATION_FILE = "snapshots/round-{:08d}.snapshot"
+#: Leading magic of rotation files (identifies the frame layout).
+ROTATIONS_MAGIC = b"RPROTS01"
 
-#: Label of the one :class:`SnapshotManifest` entry (the rotation file).
-ROTATION_LABEL = "fleet"
+_COUNT = struct.Struct("<q")
 
 #: Seed-stream key of every generator the service derives per device.
 _SERVICE_STREAM = stable_name_id("service-fleet")
@@ -290,6 +299,54 @@ def _check_fleet(registrations: Sequence[DeviceRegistration],
                 )
 
 
+def _pack_frame(states: Sequence[Dict[str, Any]],
+                chunks: Sequence[Tuple[int, np.ndarray]]) -> bytes:
+    """One rotation frame's payload: session states and new log rows.
+
+    ``chunks`` holds, per session, the row its new log rows start at and
+    those rows.  The layout is the session count (int64), a ``(start,
+    count)`` int64 pair per session, every session's rows back to back
+    (float64, :data:`~repro.utils.records.COLUMNS` wide), then one pickle
+    of the ``states`` (which leave the log out).  One pickle keeps the
+    objects the states share shared, as in :func:`~repro.core.session
+    .pack_states`.
+    """
+    spans = np.array([(start, len(rows)) for start, rows in chunks],
+                     dtype="<i8")
+    return b"".join((
+        _COUNT.pack(len(chunks)), spans.tobytes(),
+        *(rows.tobytes() for _start, rows in chunks),
+        pickle.dumps(list(states), protocol=pickle.HIGHEST_PROTOCOL),
+    ))
+
+
+def _frame_rows(payload: bytes) -> Tuple[np.ndarray, np.ndarray, int]:
+    """A :func:`_pack_frame` payload's ``(start, count)`` pairs, its rows
+    and where its pickled states start; :class:`ValueError` if the
+    payload is too short for them."""
+    (count,) = _COUNT.unpack_from(payload)
+    spans = np.frombuffer(payload, "<i8", 2 * count,
+                          _COUNT.size).reshape(count, 2)
+    begin = _COUNT.size + spans.nbytes
+    rows = np.frombuffer(payload, "<f8",
+                         int(spans[:, 1].sum()) * len(COLUMNS),
+                         begin).reshape(-1, len(COLUMNS))
+    return spans, rows, begin + rows.nbytes
+
+
+def _read_rotations(path: Path) -> List[Frame]:
+    """The intact frames of a rotation file, up to the first torn or
+    corrupt one (none when the file is missing or not a rotation file)."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return []
+    if data[:len(ROTATIONS_MAGIC)] != ROTATIONS_MAGIC:
+        return []
+    frames, _end = walk_frames(data, len(ROTATIONS_MAGIC))
+    return frames
+
+
 class ServiceRun:
     """One journaled (or journal-free) fleet run driven by the control plane.
 
@@ -337,6 +394,14 @@ class ServiceRun:
         self._pending_dispatches: List[DispatchCommand] = []
         self._last_health: Dict[str, DeviceHealth] = \
             self.supervisor.health_map()
+        #: The rotation file, once a rotation created or recovery opened it.
+        self._rotations: Optional[FramedFile] = None
+        #: Per fleet row: the log the rotation file holds rows of, and how
+        #: many (the sessions a run starts or recovers with are held).
+        self._framed: List[Tuple[RunLog, int]] = [
+            (session.log, len(session.log))
+            for session in self.supervisor.sessions
+        ]
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -377,11 +442,15 @@ class ServiceRun:
         journal's device registrations — names in order, policy, trace
         length and scenario — or :class:`JournalError` names the first
         mismatch.
-        Sessions restore from the newest snapshot manifest whose file
-        verifies (falling back to older manifests, and to a replay from
-        round 0 when none survive), and journaled dispatches are
-        re-applied/queued so the continued run is bitwise identical to
-        an uninterrupted one.
+        Sessions restore from the newest snapshot manifest whose frame
+        verifies, with every frame before it (falling back to older
+        manifests, and to a replay from round 0 when none survive), and
+        journaled dispatches are re-applied/queued so the continued run is
+        bitwise identical to an uninterrupted one.  Frames past the
+        restored one (written by the crashed process without a manifest,
+        or torn) are truncated before the run appends; after a replay from
+        round 0 the rotation file is deleted and the next rotation starts
+        a new one.
         """
         journal_path = Path(journal_dir)
         messages, _truncated = read_journal(journal_path / JOURNAL_FILE)
@@ -399,14 +468,20 @@ class ServiceRun:
         # noise once, and restores take their definitions from it.
         sessions = [device_session(device, simulator, space)
                     for device in devices]
+        rotations = journal_path / ROTATIONS_FILE
+        frames = _read_rotations(rotations)
+        position = {frame.offset: index for index, frame in enumerate(frames)}
         restored: Optional[int] = None
+        kept: Optional[Frame] = None  # the frame restored from
         for manifest in reversed(manifests):
-            try:
-                sessions = cls._restore_manifest(journal_path, manifest,
-                                                 sessions)
-            except (SnapshotError, JournalError, OSError):
+            index = position.get(manifest.offset)
+            if index is None or frames[index].digest.hex() != manifest.sha256:
                 continue
-            restored = manifest.round
+            try:
+                sessions = cls._restore_frames(frames[:index + 1], sessions)
+            except (SnapshotError, JournalError):
+                continue
+            restored, kept = manifest.round, frames[index]
             break
         restore_round = restored or 0
         journal = Journal(journal_path / JOURNAL_FILE)
@@ -414,6 +489,10 @@ class ServiceRun:
                   journal=journal, journal_dir=journal_path,
                   rounds=restore_round)
         run._rotated_round = restored
+        if kept is None:
+            rotations.unlink(missing_ok=True)
+        else:
+            run._rotations = FramedFile.open(rotations, kept.end)
         for command in dispatches:
             receipt = DispatchReceipt(
                 idempotency_key=command.idempotency_key,
@@ -429,34 +508,49 @@ class ServiceRun:
         return run
 
     @staticmethod
-    def _restore_manifest(
-        journal_dir: Path,
-        manifest: SnapshotManifest,
+    def _restore_frames(
+        frames: Sequence[Frame],
         templates: Sequence[PolicySession],
     ) -> List[PolicySession]:
-        """Verify and load every session of one snapshot rotation.
+        """Restore every session from the last of ``frames``.
 
-        The manifest must name exactly its round's rotation file, and the
-        file must match the manifest sha256 and hold the ``templates``'
-        devices in order; anything else raises :class:`JournalError`,
-        sending recovery to an older manifest.  Each session restores onto
-        its device's template (:meth:`~repro.core.session.PolicySession
-        .restore`).
+        Each log is rebuilt from the rows of all ``frames``, in order; the
+        last one's states must hold the ``templates``' devices in order,
+        each with as many steps as its rebuilt log.  Anything else raises
+        :class:`JournalError` (or :class:`~repro.core.session
+        .SnapshotError`), sending recovery to an older manifest.  Each
+        session restores onto its device's template
+        (:meth:`~repro.core.session.PolicySession.restore`).
         """
-        relative = ROTATION_FILE.format(manifest.round)
-        if [e[:2] for e in manifest.files] != [(ROTATION_LABEL, relative)]:
-            raise JournalError(f"snapshot manifest for round "
-                               f"{manifest.round} does not name {relative}")
-        path = journal_dir / relative
-        if file_sha256(path) != manifest.files[0][2]:
-            raise JournalError(
-                f"snapshot {path} does not match its manifest sha256"
-            )
-        states = unpack_states(path.read_bytes())
+        logs = [RunLog(len(template)) for template in templates]
+        for frame in frames:
+            try:
+                spans, rows, states_at = _frame_rows(frame.payload)
+                if len(spans) != len(logs):
+                    raise ValueError(f"it holds {len(spans)} devices, "
+                                     f"not {len(logs)}")
+                at = 0
+                for log, (start, count) in zip(logs, spans.tolist()):
+                    log.splice(start, rows[at:at + count])
+                    at += count
+            except (ValueError, struct.error) as exc:
+                raise JournalError(f"rotation frame at offset "
+                                   f"{frame.offset}: {exc}") from exc
+        states = load_states(frames[-1].payload[states_at:])
         if [state["name"] for state in states] != [t.name for t in templates]:
-            raise JournalError(f"snapshot {path} holds other devices")
-        return [PolicySession.restore(state, template)
-                for state, template in zip(states, templates)]
+            raise JournalError(f"rotation frame at offset {frames[-1].offset} "
+                               "holds other devices")
+        sessions = []
+        for state, log, template in zip(states, logs, templates):
+            if state["cursor"] != len(log):
+                raise JournalError(
+                    f"rotation frame at offset {frames[-1].offset}: "
+                    f"{state['name']!r} is at step {state['cursor']}, its "
+                    f"rebuilt log at {len(log)}"
+                )
+            state["log"] = log
+            sessions.append(PolicySession.restore(state, template))
+        return sessions
 
     # ------------------------------------------------------------------ #
     # Stepping and snapshots
@@ -498,32 +592,37 @@ class ServiceRun:
                 self._rotate_snapshots()
             self.journal.append(ShutdownNotice(round=self.rounds,
                                                reason=reason))
-            self.journal.close()
+        self.close()
 
     def _rotate_snapshots(self) -> SnapshotManifest:
-        """Write every session into one durable file, then journal it.
+        """Append every session to the rotation file, then journal it.
 
-        The file is published *before* its manifest is appended, so a
-        manifest always names a complete rotation.  Older rotations are
-        pruned afterwards; recovery skips manifests whose file is gone.
+        The frame holds each session's state, its log left out, and the
+        log rows added since the previous frame (the whole log of a
+        session whose log object changed, as a restart's does).  It is
+        fsync'd *before* its manifest is appended, so a manifest always
+        names a durable frame.
         """
         assert self.journal is not None and self.journal_dir is not None
-        data = pack_states([session.snapshot_state()
-                            for session in self.supervisor.sessions])
-        relative = ROTATION_FILE.format(self.rounds)
-        path = write_durable(self.journal_dir / relative, data)
-        manifest = SnapshotManifest(round=self.rounds, files=((
-            ROTATION_LABEL, relative, hashlib.sha256(data).hexdigest(),
-        ),))
+        states, chunks, framed = [], [], []
+        for session, (framed_log, framed_rows) in zip(
+                self.supervisor.sessions, self._framed):
+            state = session.snapshot_state()
+            log = state.pop("log")
+            start = framed_rows if log is framed_log else 0
+            chunks.append((start, log.table()[start:]))
+            framed.append((log, len(log)))
+            states.append(state)
+        if self._rotations is None:
+            self._rotations = FramedFile.create(
+                self.journal_dir / ROTATIONS_FILE, ROTATIONS_MAGIC)
+        offset, digest = self._rotations.append(_pack_frame(states, chunks),
+                                                sync=True)
+        manifest = SnapshotManifest(round=self.rounds, offset=offset,
+                                    sha256=digest)
         self.journal.append(manifest)
+        self._framed = framed
         self._rotated_round = self.rounds
-        # Rotations past this round were published by a crashed process
-        # that never journaled them, and .tmp files are its torn writes.
-        kept = sorted(other.name for other in path.parent.glob("*.snapshot")
-                      if other.name <= path.name)[-SNAPSHOT_ROTATIONS_KEPT:]
-        for other in path.parent.iterdir():
-            if other.is_file() and other.name not in kept:
-                other.unlink(missing_ok=True)
         return manifest
 
     # ------------------------------------------------------------------ #
@@ -688,3 +787,5 @@ class ServiceRun:
     def close(self) -> None:
         if self.journal is not None:
             self.journal.close()
+        if self._rotations is not None:
+            self._rotations.close()

@@ -65,11 +65,27 @@ class RunLog:
             out[name] = values
         return out
 
+    def splice(self, start: int, rows: np.ndarray) -> None:
+        """Replace the rows from ``start`` on with ``rows``.
+
+        ``start`` may be at most the current length, and the result must
+        fit the capacity; otherwise :class:`ValueError` is raised.  A
+        recovery rebuilds a log from its snapshot rotations' rows this
+        way.
+        """
+        end = start + len(rows)
+        if not 0 <= start <= self._length or end > len(self._rows):
+            raise ValueError(
+                f"rows {start}..{end} do not continue a {self._length}-row "
+                f"log of capacity {len(self._rows)}"
+            )
+        self._rows[start:end] = rows
+        self._length = end
+
     def __getstate__(self):
         return len(self._rows), self.table()
 
     def __setstate__(self, state) -> None:
         capacity, table = state
         self.__init__(capacity)
-        self._rows[:len(table)] = table
-        self._length = len(table)
+        self.splice(0, table)

@@ -1,4 +1,4 @@
-"""Vectorized streaming-statistics helpers.
+"""Statistics helpers: a median and a vectorized trailing mean.
 
 The experiments smooth several 0/1 decision series with a trailing moving
 average (Fig. 3 accuracy curves, near-optimal rates).  The naive
@@ -9,7 +9,31 @@ with two cumulative sums in O(n).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
+
+
+def median(values: Sequence[float]) -> float:
+    """``float(np.median(values))`` of a flat sequence, bitwise.
+
+    ``np.median`` imports ``numpy.ma`` on its first call, which costs a
+    process ~16 ms and ~1 MiB; this sorts instead.  It averages the
+    middle value (or two) the way ``np.mean`` does: their sum starting
+    from ``0.0`` (so a median of ``-0.0`` is ``0.0``), divided by their
+    count.  A NaN sorts last and makes the median NaN.  An empty sequence
+    raises :class:`ValueError`.
+    """
+    ordered = np.sort(np.asarray(values, dtype=float), axis=None).tolist()
+    count = len(ordered)
+    if count == 0:
+        raise ValueError("median of an empty sequence")
+    if ordered[-1] != ordered[-1]:  # NaN
+        return ordered[-1]
+    half = count // 2
+    if count % 2:
+        return 0.0 + ordered[half]
+    return (0.0 + ordered[half - 1] + ordered[half]) / 2.0
 
 
 def trailing_nanmean(values: np.ndarray, window: int) -> np.ndarray:

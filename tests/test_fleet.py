@@ -12,6 +12,8 @@ it and the refusal of every input outside the engine's one shape.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,9 @@ from repro.control.policy import GovernorPolicy, StaticPolicy
 from repro.core.framework import run_policy_on_snippets
 from repro.core.session import PolicySession
 from repro.fleet import DeviceSpec, FleetEngine, build_fleet
+from repro.fleet import engine as engine_module
 from repro.fleet.kernels import lockstep_execute
+from repro.fleet.supervisor import FleetSupervisor
 from repro.scenarios import get_scenario
 from repro.scenarios.runtime import run_policy_on_scenario
 from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
@@ -539,6 +543,91 @@ class TestRefusedInputs:
              for name in space.cluster_order})
         with pytest.raises(KeyError, match="configuration not in space"):
             engine.step()
+
+
+class TestRowReplacement:
+    """``FleetEngine.replace`` swaps one row at a round boundary, as a
+    ``set-policy`` dispatch and a supervised restart do: the step tensors
+    stay as they are, the policies regroup, and every row stays bitwise
+    identical to a sequential run that swaps the same policy."""
+
+    SWAP_AT = 5
+
+    @staticmethod
+    def _fleet(simulator, space):
+        devices = [
+            DeviceSpec(name=f"d{i}",
+                       policy=GovernorPolicy(OndemandGovernor(space)),
+                       snippets=make_trace(i, extra=i % 2),
+                       rng=np.random.default_rng(700 + i))
+            for i in range(4)
+        ]
+        return build_fleet(devices, simulator, space)
+
+    def test_policy_swap_keeps_the_tensors_and_matches_sequential(
+            self, noisy_simulator, space, monkeypatch):
+        engine = self._fleet(noisy_simulator, space)
+        references = []
+        for row, session in enumerate(engine.sessions):
+            reference = PolicySession(
+                noisy_simulator, space, GovernorPolicy(OndemandGovernor(space)),
+                session.snippets, rng=np.random.default_rng(700 + row))
+            for _ in range(self.SWAP_AT):
+                reference.advance()
+            references.append(reference)
+        references[1].policy = GovernorPolicy(PowersaveGovernor(space))
+        for _ in range(self.SWAP_AT):
+            engine.step()
+        tensors = (engine._chars, engine._noise)
+        read = []
+        monkeypatch.setattr(engine_module, "characteristics_matrix",
+                            read.append)
+        session = engine.sessions[1]
+        session.policy = GovernorPolicy(PowersaveGovernor(space))
+        engine.replace(1, session)
+        assert engine._chars is tensors[0] and engine._noise is tensors[1]
+        assert read == []
+        assert [[engine.sessions.index(member) for member in group.sessions]
+                for group in engine._decide_groups] == [[0, 2, 3], [1]]
+        fleet = engine.run()
+        for reference, actual in zip(references, fleet):
+            assert_runs_bitwise_equal(reference.run(), actual)
+
+    def test_policy_over_another_space_object_is_refused(
+            self, noisy_simulator, platform, space):
+        """The row gets prepare()'s input-shape checks, and a set-policy
+        through the supervisor is refused before the session changes;
+        both name the device."""
+        engine = self._fleet(noisy_simulator, space)
+        twin = ConfigurationSpace(platform)
+        session = copy.copy(engine.sessions[2])
+        session.policy = GovernorPolicy(PowersaveGovernor(twin))
+        with pytest.raises(ValueError, match=r"\['d2'\] have a policy over "
+                                             "another space object"):
+            engine.replace(2, session)
+        assert engine.sessions[2] is not session
+        supervisor = FleetSupervisor(
+            [DeviceSpec(name=s.name, policy=s.policy, snippets=s.snippets,
+                        rng=np.random.default_rng(row))
+             for row, s in enumerate(engine.sessions)],
+            noisy_simulator, space)
+        policy = supervisor.session_named("d2").policy
+        with pytest.raises(ValueError, match="'d2' must be built over the "
+                                             "session's own configuration"):
+            supervisor.replace_policy(
+                "d2", GovernorPolicy(PowersaveGovernor(twin)))
+        assert supervisor.session_named("d2").policy is policy
+
+    def test_a_session_over_another_trace_is_refused(self, noisy_simulator,
+                                                     space):
+        engine = self._fleet(noisy_simulator, space)
+        other = PolicySession(noisy_simulator, space,
+                              GovernorPolicy(OndemandGovernor(space)),
+                              engine.sessions[1].snippets,
+                              rng=np.random.default_rng(701), name="d1")
+        with pytest.raises(ValueError, match="'d1' does not carry the trace "
+                                             "and noise of row 1"):
+            engine.replace(1, other)
 
 
 class TestBatchingEligibility:

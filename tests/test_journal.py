@@ -175,7 +175,7 @@ class TestDurability:
 
     @pytest.mark.parametrize("message, synced", [
         (RunGenesis(config={"policy": "ondemand"}), 1),
-        (SnapshotManifest(round=3, files=(("fleet", "s", "0" * 64),)), 1),
+        (SnapshotManifest(round=3, offset=8, sha256="0" * 64), 1),
         (DispatchCommand(command="pause", idempotency_key="k"), 1),
         (StepBoundary(round=1, advanced=2), 0),
         (DeviceRegistration(device="device-00", policy="ondemand"), 0),

@@ -42,10 +42,7 @@ SAMPLES = [
                     trace_steps=84, health="degraded",
                     total_energy_j=12.5, total_time_s=0.33,
                     state_digest="ab" * 32),
-    SnapshotManifest(round=5, files=(
-        ("device-00", "snapshots/round-00000005/device-00.snapshot", "0" * 64),
-        ("device-01", "snapshots/round-00000005/device-01.snapshot", "f" * 64),
-    )),
+    SnapshotManifest(round=5, offset=4096, sha256="0f" * 32),
     DispatchCommand(command="restrict-space", device="device-00", value=2,
                     idempotency_key="k-1", apply_round=4),
     DispatchCommand(command="set-policy", device="device-01",
@@ -83,10 +80,19 @@ class TestRoundTrip:
         assert payload["type"] == "step.boundary"
         assert payload["version"] == StepBoundary.VERSION
 
-    def test_manifest_files_round_trip_as_tuples(self):
-        manifest = loads_message(dumps_message(SAMPLES[2]))
-        assert isinstance(manifest.files, tuple)
-        assert all(isinstance(entry, tuple) for entry in manifest.files)
+    def test_sequence_values_round_trip_as_tuples(self):
+        command = DispatchCommand(command="restrict-space", device="d",
+                                  value=[1, [2, 3]])
+        assert loads_message(dumps_message(command)).value == (1, (2, 3))
+
+    def test_manifest_of_older_code_is_refused(self):
+        """A version-1 manifest named a snapshot file per rotation; it does
+        not decode as a rotation frame's manifest."""
+        older = {"type": "snapshot.manifest", "version": 1, "round": 5,
+                 "files": [["fleet", "snapshots/round-00000005.snapshot",
+                            "0" * 64]]}
+        with pytest.raises(ProtocolError, match="schema version 1 is not 2"):
+            decode_message(older)
 
     def test_genesis_config_round_trips_as_dict(self):
         genesis = loads_message(dumps_message(SAMPLES[-3]))

@@ -26,9 +26,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.session import unpack_states
+from repro.core.session import SNAPSHOT_FORMAT_VERSION, load_states
 from repro.fleet.device import build_fleet
-from repro.service.journal import Journal, JournalError, read_journal
+from repro.scenarios import available_scenarios
+from repro.service.journal import (
+    Journal,
+    JournalError,
+    read_journal,
+    walk_frames,
+)
 from repro.service.protocol import (
     DispatchCommand,
     RunGenesis,
@@ -39,7 +45,8 @@ from repro.service.protocol import (
 )
 from repro.service import run as run_module
 from repro.service.run import (
-    ROTATION_FILE,
+    ROTATIONS_FILE,
+    ROTATIONS_MAGIC,
     RunConfig,
     ServiceRun,
     build_config_devices,
@@ -136,33 +143,53 @@ class TestRecoveryInvariant:
         assert recovered.digests() == reference.digests()
 
     def test_recovery_survives_corrupt_newest_snapshot(self, tmp_path):
-        """A bit-rotted snapshot fails its manifest sha256 and recovery
-        falls back to the previous rotation — still bitwise identical."""
+        """A bit-rotted newest frame fails its checksum and recovery falls
+        back to the previous manifest — still bitwise identical."""
         reference = _run_reference()
         run = ServiceRun.start(config=CONFIG, journal_dir=tmp_path)
         _drive(run, stop_at=2 * CONFIG.snapshot_every)
         del run
-        manifests = [m for m in read_journal(tmp_path / "journal.bin")[0]
-                     if isinstance(m, SnapshotManifest)]
-        newest = manifests[-1]
-        victim = tmp_path / newest.files[0][1]
-        data = bytearray(victim.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        victim.write_bytes(bytes(data))
+        newest = _manifests(tmp_path)[-1]
+        assert newest.round == 2 * CONFIG.snapshot_every
+        _flip_byte(tmp_path, newest)
         recovered = ServiceRun.recover(tmp_path)
-        assert recovered.rounds < newest.round  # fell back
+        assert recovered.rounds == CONFIG.snapshot_every  # fell back
         _drive(recovered)
         assert recovered.digests() == reference.digests()
 
-    def test_recovery_with_no_usable_snapshots_rebuilds_fresh(self, tmp_path):
-        """All rotations destroyed: recovery replays from round 0."""
-        import shutil
+    @pytest.mark.parametrize("older", [0, CONFIG.snapshot_every])
+    def test_corrupt_older_frame_rebuilds_from_round_0(self, tmp_path,
+                                                       older):
+        """Every later frame needs an older frame's log rows: with an
+        older frame bit-rotted no manifest after it verifies, though the
+        newest frame is intact, and recovery replays from round 0 —
+        still bitwise identical."""
+        reference = _run_reference()
+        run = ServiceRun.start(config=CONFIG, journal_dir=tmp_path)
+        _drive(run, stop_at=2 * CONFIG.snapshot_every + 1)
+        del run
+        victim, = [m for m in _manifests(tmp_path) if m.round == older]
+        _flip_byte(tmp_path, victim)
+        recovered = ServiceRun.recover(tmp_path)
+        assert recovered.rounds == 0
+        # The round-0 frame stays when intact, and the next rotation
+        # follows it; otherwise the rotation file starts anew.
+        if older:
+            assert len(_frames(tmp_path)) == 1
+        else:
+            assert not (tmp_path / ROTATIONS_FILE).exists()
+        _drive(recovered)
+        recovered.close()
+        assert recovered.digests() == reference.digests()
+        assert _frame_rounds(tmp_path)[-1] == recovered.rounds
 
+    def test_recovery_with_no_usable_snapshots_rebuilds_fresh(self, tmp_path):
+        """The rotation file destroyed: recovery replays from round 0."""
         reference = _run_reference()
         run = ServiceRun.start(config=CONFIG, journal_dir=tmp_path)
         _drive(run, stop_at=4)
         del run
-        shutil.rmtree(tmp_path / "snapshots")
+        (tmp_path / ROTATIONS_FILE).unlink()
         recovered = ServiceRun.recover(tmp_path)
         assert recovered.rounds == 0
         _drive(recovered)
@@ -321,61 +348,86 @@ class _Killed(Exception):
 
 class TestDurabilityRules:
     """Only genesis, manifests and dispatches are fsync'd, and a rotation
-    is one file published before its manifest is journaled."""
+    is one frame, fsync'd before its manifest is journaled."""
 
-    def test_unjournaled_rotation_is_ignored_then_pruned(self, tmp_path,
-                                                         monkeypatch):
-        """Killed after publishing round 6's file, before its manifest:
-        recovery restores round 3, and the next rotation deletes the
-        orphan (and any torn temp file) instead of keeping it."""
+    def test_unjournaled_frame_is_ignored_then_truncated(self, tmp_path,
+                                                        monkeypatch):
+        """Killed after appending round 6's frame, before its manifest:
+        recovery restores round 3, and the orphan frame is truncated
+        before the recovered run appends, so a forced rotation lands
+        right after round 3's frame."""
         reference = _run_reference()
-        run = ServiceRun.start(config=CONFIG, journal_dir=tmp_path)
-        real_append = Journal.append
-
-        def killed_before_manifest(journal, message):
-            if isinstance(message, SnapshotManifest) and message.round == 6:
-                raise _Killed
-            real_append(journal, message)
-
-        monkeypatch.setattr(Journal, "append", killed_before_manifest)
-        with pytest.raises(_Killed):
-            _drive(run)
-        monkeypatch.undo()
-        del run
-        orphan = tmp_path / ROTATION_FILE.format(6)
-        torn = orphan.parent / f".{orphan.name}-torn.tmp"
-        torn.write_bytes(b"half a snapshot")
-        assert orphan.exists()
+        _kill_before_manifest(tmp_path, monkeypatch, 6)
+        rotations = tmp_path / ROTATIONS_FILE
+        assert len(_frames(tmp_path)) == 3  # rounds 0, 3 and the orphan 6
         recovered = ServiceRun.recover(tmp_path)
         assert recovered.rounds == 3
+        kept = _frames(tmp_path)
+        assert len(kept) == 2 and rotations.stat().st_size == kept[-1].end
         recovered.step_round()
-        recovered._rotate_snapshots()  # a forced rotation (POST /snapshot)
-        assert sorted(p.name for p in orphan.parent.iterdir()) == [
-            Path(ROTATION_FILE.format(r)).name for r in (3, 4)]
+        recovered._rotate_snapshots()
+        assert [frame.offset for frame in _frames(tmp_path)] == [
+            kept[0].offset, kept[1].offset, kept[1].end]
+        assert [m.round for m in _manifests(tmp_path)] == [0, 3, 4]
         _drive(recovered)
         recovered.close()
         assert recovered.digests() == reference.digests()
 
-    def test_manifest_naming_other_files_is_skipped(self, tmp_path):
-        """A per-device manifest (the layout of older journals) names no
-        rotation file: recovery falls back to the newest one that does."""
+    def test_torn_final_frame_is_truncated(self, tmp_path, monkeypatch):
+        """Killed half-way through writing round 6's frame: its torn
+        bytes end the frame walk, recovery restores round 3 and truncates
+        them before the recovered run appends."""
+        reference = _run_reference()
+        _kill_before_manifest(tmp_path, monkeypatch, 6)
+        rotations = tmp_path / ROTATIONS_FILE
+        kept, torn = _frames(tmp_path)[:2], _frames(tmp_path)[2]
+        rotations.write_bytes(
+            rotations.read_bytes()[:(torn.offset + torn.end) // 2])
+        assert _frames(tmp_path) == kept
+        recovered = ServiceRun.recover(tmp_path)
+        assert recovered.rounds == 3
+        assert rotations.stat().st_size == kept[-1].end
+        _drive(recovered)
+        recovered.close()
+        assert recovered.digests() == reference.digests()
+        assert _frame_rounds(tmp_path)[:3] == [0, 3, 6]
+
+    def test_manifest_naming_no_frame_is_skipped(self, tmp_path):
+        """A manifest whose offset or sha256 names no intact frame (a
+        frame lost with a replaced file) is skipped: recovery falls back
+        to the newest one that verifies."""
         reference = _run_reference()
         run = ServiceRun.start(config=CONFIG, journal_dir=tmp_path)
         _drive(run, stop_at=CONFIG.snapshot_every + 1)
         del run
-        per_device = SnapshotManifest(round=4, files=tuple(
-            (name, f"snapshots/round-00000004/{name}.snapshot", "0" * 64)
-            for name in ("device-00", "device-01")))
-        templates = build_fleet(*build_config_devices(CONFIG)).sessions
-        with pytest.raises(JournalError, match="does not name"):
-            ServiceRun._restore_manifest(tmp_path, per_device, templates)
+        newest = _manifests(tmp_path)[-1]
         with Journal(tmp_path / "journal.bin") as journal:
-            journal.append(per_device)
+            journal.append(SnapshotManifest(round=4, offset=newest.offset,
+                                            sha256="0" * 64))
+            journal.append(SnapshotManifest(round=4, offset=newest.offset + 1,
+                                            sha256=newest.sha256))
         recovered = ServiceRun.recover(tmp_path)
         assert recovered.rounds == CONFIG.snapshot_every
         _drive(recovered)
         recovered.close()
         assert recovered.digests() == reference.digests()
+
+    def test_journal_of_older_code_is_refused(self, tmp_path):
+        """Older code journaled version-1 manifests naming snapshot
+        files; recovery refuses that journal loudly."""
+        run = ServiceRun.start(config=CONFIG, journal_dir=tmp_path)
+        _drive(run, stop_at=CONFIG.snapshot_every + 1)
+        run.close()
+        older = dict(encode_message(_manifests(tmp_path)[-1]))
+        del older["offset"], older["sha256"]
+        older.update(version=1, files=[["fleet", "snapshots/x.snapshot",
+                                        "0" * 64]])
+        with open(tmp_path / "journal.bin", "ab") as handle:
+            payload = json.dumps(older, sort_keys=True).encode("utf-8")
+            handle.write(len(payload).to_bytes(4, "big")
+                         + hashlib.sha256(payload).digest() + payload)
+        with pytest.raises(JournalError, match="schema version 1 is not 2"):
+            ServiceRun.recover(tmp_path)
 
     def test_torn_unsynced_step_boundary_recovers(self, tmp_path):
         """A crash mid-way through an unsynced trailing StepBoundary
@@ -411,8 +463,8 @@ class TestDurabilityRules:
         monkeypatch.setattr(os, "fsync", counting_fsync)
         run = ServiceRun.start(config=CONFIG, journal_dir=tmp_path)
         # Journal header and its directory entry, genesis, round-0
-        # rotation (file, directory and manifest); the device
-        # registrations are not synced.
+        # rotation (the new rotation file, its directory entry and the
+        # manifest); the device registrations are not synced.
         assert len(synced) == 6
         while not run.done:
             before = len(synced)
@@ -422,26 +474,97 @@ class TestDurabilityRules:
                 assert len(synced) == before + 1
                 before += 1
             run.step_round()
+            # A rotation: its frame, then its manifest.
             rotated = run.rounds % CONFIG.snapshot_every == 0 or run.done
-            assert len(synced) == before + (3 if rotated else 0)
+            assert len(synced) == before + (2 if rotated else 0)
         run.close()
+
+    def test_bytes_per_rotation_stay_flat(self, tmp_path):
+        """A frame carries the log rows added since the previous one, so
+        on perfbench's 64-device fleet two cadence rotations 70 rounds
+        apart, both while every device runs, write the same bytes to
+        within 1%."""
+        config = RunConfig(policy="ondemand", scale="tiny", n_devices=64,
+                           seed=0, scenarios=tuple(available_scenarios()))
+        run = ServiceRun.start(config=config, journal_dir=tmp_path)
+        _drive(run, stop_at=80)
+        assert not any(session.done for session in run.supervisor.sessions)
+        run.close()
+        frames = dict(zip(_frame_rounds(tmp_path), _frames(tmp_path)))
+        sizes = {r: len(frames[r].payload) for r in (10, 80)}
+        assert abs(sizes[80] - sizes[10]) < 0.01 * sizes[10]
+        spans, _rows, _at = run_module._frame_rows(frames[80].payload)
+        every = config.snapshot_every
+        assert spans.tolist() == [[80 - every, every]] * 64
+
+
+def _kill_before_manifest(journal_dir, monkeypatch, rotation_round):
+    """Run ``CONFIG`` journaled, killed after appending the frame of
+    ``rotation_round`` and before journaling its manifest."""
+    run = ServiceRun.start(config=CONFIG, journal_dir=journal_dir)
+    real_append = Journal.append
+
+    def killed_before_manifest(journal, message):
+        if (isinstance(message, SnapshotManifest)
+                and message.round == rotation_round):
+            raise _Killed
+        real_append(journal, message)
+
+    monkeypatch.setattr(Journal, "append", killed_before_manifest)
+    with pytest.raises(_Killed):
+        _drive(run)
+    monkeypatch.undo()
+
+
+def _manifests(journal_dir):
+    messages, _ = read_journal(journal_dir / "journal.bin")
+    return [m for m in messages if isinstance(m, SnapshotManifest)]
 
 
 def _manifest_rounds(journal_dir):
-    messages, _ = read_journal(journal_dir / "journal.bin")
-    return [m.round for m in messages if isinstance(m, SnapshotManifest)]
+    return [m.round for m in _manifests(journal_dir)]
+
+
+def _frames(journal_dir):
+    """The intact frames of a run's rotation file."""
+    data = (journal_dir / ROTATIONS_FILE).read_bytes()
+    assert data[:len(ROTATIONS_MAGIC)] == ROTATIONS_MAGIC
+    return walk_frames(data, len(ROTATIONS_MAGIC))[0]
+
+
+def _frame_rounds(journal_dir):
+    """The round of each frame, from the newest manifest naming it."""
+    rounds = {m.offset: m.round for m in _manifests(journal_dir)}
+    return [rounds[frame.offset] for frame in _frames(journal_dir)]
+
+
+def _flip_byte(journal_dir, manifest):
+    """Bit-rot the middle of the frame ``manifest`` names."""
+    frame, = [f for f in _frames(journal_dir) if f.offset == manifest.offset]
+    path = journal_dir / ROTATIONS_FILE
+    data = bytearray(path.read_bytes())
+    data[(frame.offset + frame.end) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
 
 
 class TestRotationPayload:
     def test_rotation_holds_no_trace_or_step_results(self, tmp_path):
-        """A rotation pickles session state only: no snippet of the trace
-        and no per-step result comes back when it is loaded."""
+        """A frame pickles session state only — no snippet of the trace
+        and no per-step result comes back when it is loaded — and carries
+        each log as the rows added since the previous frame."""
         config = dataclasses.replace(CONFIG, scenarios=("thermal_throttle",))
         run = ServiceRun.start(config=config, journal_dir=tmp_path)
         _drive(run, stop_at=config.snapshot_every + 1)
-        path = tmp_path / ROTATION_FILE.format(config.snapshot_every)
-        data = path.read_bytes()
-        unpack_states(data)  # magic, sha256 and version all verify
+        _start, frame = _frames(tmp_path)
+        spans, rows, states_at = run_module._frame_rows(frame.payload)
+        every = config.snapshot_every
+        assert spans.tolist() == [[0, every], [0, every]]
+        for session, first in zip(run.supervisor.sessions, (0, every)):
+            assert (rows[first:first + every].tobytes()
+                    == session.log.table()[:every].tobytes())
+        states = load_states(frame.payload[states_at:])  # version verifies
+        assert {state["version"] for state in states} == {
+            SNAPSHOT_FORMAT_VERSION}
         loaded = set()
 
         class Recorder(pickle.Unpickler):
@@ -449,13 +572,34 @@ class TestRotationPayload:
                 loaded.add(name)
                 return super().find_class(module, name)
 
-        header = len(b"RPSESNAP") + hashlib.sha256().digest_size
-        states = Recorder(io.BytesIO(data[header:])).load()
+        states = Recorder(io.BytesIO(frame.payload[states_at:])).load()
         assert [state["name"] for state in states] == ["device-00",
                                                        "device-01"]
+        assert all("log" not in state for state in states)
         assert "ConfigurationSpace" in loaded
-        assert not loaded & {"Snippet", "SnippetResult", "EnergyAccount"}
+        assert not loaded & {"Snippet", "SnippetResult", "EnergyAccount",
+                             "RunLog"}
+        run.close()
 
+    @pytest.mark.parametrize("fault", ["DeviceCrash", "SnapshotRestart"])
+    def test_a_restarted_device_is_carried_whole(self, tmp_path, fault):
+        """A restart rolls a device's log back past rows an earlier frame
+        holds, so the next frame carries its whole log; the others carry
+        their new rows only."""
+        config = RunConfig(
+            policy="ondemand", scale="tiny", n_devices=2, seed=7,
+            snapshot_every=3,
+            faults=({"type": fault,
+                     "params": {"device": "device-01", "step": 7}},),
+        )
+        run = ServiceRun.start(config=config, journal_dir=tmp_path)
+        _drive(run, stop_at=9)
+        assert run.supervisor.reports()[1].restarts == 1
+        run.close()
+        spans = [run_module._frame_rows(frame.payload)[0].tolist()
+                 for frame in _frames(tmp_path)]
+        logged = [len(s.log) for s in run.supervisor.sessions]
+        assert spans[-1] == [[6, 3], [0, logged[1]]]
 
 class TestRotationCadence:
     """The cadence a run starts with survives recovery, and a round is
@@ -655,11 +799,23 @@ async def _raw_request(request: bytes):
 class TestServerFailures:
     def test_failed_rotation_stops_serving_with_an_error(self, tmp_path,
                                                          monkeypatch):
-        _no_space_after_round_0(monkeypatch)
+        """The first cadence frame's fsync fails with ENOSPC: serving
+        stops with the error journaled, the rotation file refuses
+        appends, and recovery drops the frame no manifest names."""
         run = ServiceRun.start(config=CONFIG, journal_dir=tmp_path)
+        rotations = (tmp_path / ROTATIONS_FILE).stat().st_ino
+        real_fsync = os.fsync
+
+        def no_space_for_frames(fd):
+            if os.fstat(fd).st_ino == rotations:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", no_space_for_frames)
         server = ServiceServer(run)
         asyncio.run(asyncio.wait_for(
             server.serve(install_signal_handlers=False), timeout=60))
+        monkeypatch.undo()
         assert server.failure is not None
         assert "No space left" in server.failure.message
         assert run.rounds == CONFIG.snapshot_every
@@ -667,6 +823,34 @@ class TestServerFailures:
         messages, truncated = read_journal(tmp_path / "journal.bin")
         assert truncated is False
         assert messages[-1] == server.failure
+        assert _manifest_rounds(tmp_path) == [0]
+        with pytest.raises(JournalError, match="failed an append"):
+            run._rotate_snapshots()
+        recovered = ServiceRun.recover(tmp_path)
+        assert recovered.rounds == 0
+        assert ((tmp_path / ROTATIONS_FILE).stat().st_size
+                == _frames(tmp_path)[0].end)
+        _drive(recovered)
+        recovered.close()
+        assert recovered.digests() == _run_reference().digests()
+
+    def test_forced_rotation_mid_cadence_recovers_there(self, tmp_path):
+        """``POST /snapshot`` appends a frame between cadence rotations;
+        a kill after it recovers from that frame, bitwise."""
+        reference = _run_reference()
+        run = ServiceRun.start(config=CONFIG, journal_dir=tmp_path)
+        _drive(run, stop_at=4)
+        status, manifest = ServiceServer(run)._route("POST", "/snapshot",
+                                                     b"")
+        assert status == 200 and manifest["round"] == 4
+        _drive(run, stop_at=5)
+        del run
+        assert _manifest_rounds(tmp_path) == [0, 3, 4]
+        recovered = ServiceRun.recover(tmp_path)
+        assert recovered.rounds == 4
+        _drive(recovered)
+        recovered.close()
+        assert recovered.digests() == reference.digests()
 
     def test_serve_cli_exits_nonzero_when_a_round_fails(self, tmp_path,
                                                         monkeypatch, capsys):
@@ -760,3 +944,24 @@ class TestServerSubprocess:
         )
         assert result.returncode == 0, result.stderr
         assert "bitwise identical" in result.stderr
+
+
+class TestStartImports:
+    def test_start_over_every_scenario_loads_no_numpy_ma(self):
+        """``np.median`` imports ``numpy.ma`` on its first call (~16 ms and
+        ~1 MiB per process); a start that applies every scenario loads no
+        ``numpy.ma``."""
+        code = (
+            "import sys\n"
+            "from repro.scenarios import available_scenarios\n"
+            "from repro.service.run import RunConfig, ServiceRun\n"
+            "scenarios = tuple(available_scenarios())\n"
+            "ServiceRun.start(RunConfig(n_devices=len(scenarios) + 1,\n"
+            "                           scenarios=scenarios))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code],
+                                env=_service_env(), capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

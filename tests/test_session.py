@@ -406,7 +406,7 @@ class TestStateOnlySnapshots:
         session.advance()
         state = session.snapshot_state()
         state["version"] = 5
-        with pytest.raises(SnapshotError, match="version 8"):
+        with pytest.raises(SnapshotError, match="version 9"):
             PolicySession.restore(pack_states([state]), session)
 
     def test_restore_refuses_a_version_6_payload(self, noisy_simulator,
@@ -418,7 +418,7 @@ class TestStateOnlySnapshots:
         state = session.snapshot_state()
         state["version"] = 6
         state["pending"].configuration_index = None
-        with pytest.raises(SnapshotError, match="version 8"):
+        with pytest.raises(SnapshotError, match="version 9"):
             PolicySession.restore(pack_states([state]), session)
 
     def test_restore_refuses_a_version_7_payload(self, noisy_simulator,
@@ -432,7 +432,19 @@ class TestStateOnlySnapshots:
         state["version"] = 7
         state["rng"] = np.random.default_rng(1).bit_generator.state
         del state["dispatched_cap"]
-        with pytest.raises(SnapshotError, match="version 8"):
+        with pytest.raises(SnapshotError, match="version 9"):
+            PolicySession.restore(pack_states([state]), session)
+
+    def test_restore_refuses_a_version_8_payload(self, noisy_simulator,
+                                                 space, snippet_trace):
+        """Version-8 states went to one snapshot file per rotation, each
+        with its whole log."""
+        session = PolicySession(noisy_simulator, space, StaticPolicy(space),
+                                snippet_trace, rng=np.random.default_rng(1))
+        session.advance()
+        state = session.snapshot_state()
+        state["version"] = 8
+        with pytest.raises(SnapshotError, match="version 9"):
             PolicySession.restore(pack_states([state]), session)
 
     def test_state_holds_no_noise(self, noisy_simulator, space,

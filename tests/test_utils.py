@@ -1,12 +1,14 @@
 """Tests for repro.utils (rng, records, tables)."""
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.utils.records import COLUMNS, RunLog
 from repro.utils.rng import derive_seed, make_rng, spawn_rngs
+from repro.utils.stats import median
 from repro.utils.tables import format_mapping, format_table
 
 
@@ -80,6 +82,59 @@ class TestRunLog:
         assert restored.column("time_s").tolist()[1:] == [1.0, 5.0]
         with pytest.raises(IndexError):
             restored.append([5.0] * len(COLUMNS))
+
+
+    def test_splice_continues_or_rolls_back_the_log(self):
+        """Rows may start anywhere up to the current length; the log ends
+        after them (a recovery replaying a restarted device's rows)."""
+        log = RunLog(4)
+        rows = np.arange(3 * len(COLUMNS), dtype=float).reshape(3, -1)
+        log.splice(0, rows[:2])
+        log.splice(1, rows[2:])
+        assert log.table().tobytes() == rows[[0, 2]].tobytes()
+        for start, count in ((3, 1), (1, 4), (-1, 1)):
+            with pytest.raises(ValueError, match="do not continue"):
+                log.splice(start, rows[:count] if count <= 3
+                           else np.zeros((count, len(COLUMNS))))
+        assert len(log) == 2
+
+
+def _median_cases():
+    """Seeded sequences of every length from 1 to 14: random values,
+    large integers, values from small pools (ties, signed zeros) and
+    values with NaN and infinities mixed in."""
+    rng = np.random.default_rng(35)
+    pools = (
+        np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
+        np.array([-np.inf, -1.0, -0.0, 0.0, 1.5, np.inf, np.nan]),
+        np.array([-0.0, 0.0]),
+    )
+    for length in range(1, 15):
+        for _ in range(100):
+            yield rng.normal(scale=1e3, size=length)
+            yield rng.integers(1, 2**40, size=length).astype(float)
+            for pool in pools:
+                yield rng.choice(pool, size=length)
+
+
+class TestMedian:
+    def test_equals_numpy_median_bitwise(self):
+        cases = 0
+        for values in _median_cases():
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore", RuntimeWarning)
+                expected = np.float64(np.median(values))
+            assert np.float64(median(values.tolist())).tobytes() \
+                == expected.tobytes(), values
+            cases += 1
+        assert cases == 14 * 100 * 5
+
+    def test_sign_of_zero_types_and_empty(self):
+        assert str(median([-0.0])) == "0.0"
+        assert str(median([-0.0, -0.0])) == "0.0"
+        assert median([3, 1, 2, 8]) == 2.5 and type(median([1])) is float
+        with pytest.raises(ValueError, match="empty"):
+            median([])
 
 
 class TestTables:

@@ -192,7 +192,7 @@ class OnlineLearningFramework:
                        snippet_factor: float = 1.0) -> List[Snippet]:
         """Generate a snippet trace for one workload."""
         return generate_snippets([workload], self.trace_generator.rng,
-                                 snippet_factor)[0]
+                                 snippet_factor)
 
     def build_oracle_for(self, snippets: Sequence[Snippet]) -> OracleTable:
         """Exhaustive Oracle for a snippet trace (noise-free, cached sweep)."""
@@ -212,8 +212,8 @@ class OnlineLearningFramework:
         design-time executions, as the paper's methodology prescribes.
         """
         # One call draws what one call per workload would, in order.
-        snippets, _ = generate_snippets(workloads, self.trace_generator.rng,
-                                        snippet_factor)
+        snippets = generate_snippets(workloads, self.trace_generator.rng,
+                                     snippet_factor)
         self._training_snippets = snippets
         oracle_table = self.build_oracle_for(snippets)
         dataset = collect_il_dataset(

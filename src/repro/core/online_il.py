@@ -68,7 +68,6 @@ class OnlineILPolicy(DRMPolicy):
         self.n_supervision_labels = 0
         self.n_rejected_decisions = 0
         self.n_rejected_updates = 0
-        self._last_runtime_label: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -98,7 +97,6 @@ class OnlineILPolicy(DRMPolicy):
                 counters, self.current
             )
             label = self.space.index_of(best_config)
-            self._last_runtime_label = label
             self.n_supervision_labels += 1
             became_full = self.buffer.insert(scaled.ravel(), label)
             if became_full:
@@ -217,7 +215,7 @@ class OnlineILPolicy(DRMPolicy):
         only updates those rows in place, so a row that decides scalar
         (invalid telemetry) still trains on the stack.  Cheap identity
         revalidation runs every step (networks replaced by ``fit()``,
-        scaler statistics rebound by ``partial_fit``); a mismatch triggers
+        scaler statistics rebound by ``fit``); a mismatch triggers
         full re-adoption.
 
         Ownership is computed over the member objects themselves (dict
@@ -406,7 +404,6 @@ class OnlineILPolicy(DRMPolicy):
             flush_rows: List[int] = []
             for k, label in zip(supervised, labels.tolist()):
                 policy = policies[live[k]]
-                policy._last_runtime_label = label  # type: ignore[attr-defined]
                 policy.n_supervision_labels += 1  # type: ignore[attr-defined]
                 if policy.buffer.insert(scaled[k], label):  # type: ignore[attr-defined]
                     flush_rows.append(live[k])

@@ -232,14 +232,6 @@ class ExperimentRun:
     scale: ExperimentScale
     seed_runs: List[SeedRun] = field(default_factory=list)
 
-    @property
-    def results(self) -> List[Any]:
-        return [run.result for run in self.seed_runs]
-
-    @property
-    def seeds(self) -> List[SeedLike]:
-        return [run.seed for run in self.seed_runs]
-
     def format(self) -> str:
         """Human-readable report: one formatted block per seed."""
         blocks = [
@@ -295,12 +287,12 @@ class ExperimentRunner:
             raise ValueError("ExperimentRunner needs at least one seed")
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = int(jobs)
+        # A worker per seed at most: more would idle.
+        self.jobs = min(int(jobs), len(self.seeds))
         self.context = ExperimentContext(scenario_filter=scenario_filter,
                                          fleet_devices=fleet_devices,
                                          fleet_shards=fleet_shards)
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._executor_workers = 0
         # Installing the store as the process default makes every framework
         # the drivers construct (in this process) layer its OracleCache over
         # it; worker processes receive the path with each task.
@@ -309,20 +301,14 @@ class ExperimentRunner:
             if oracle_store is not None else None
         )
 
-    def _ensure_executor(self, workers: int) -> ProcessPoolExecutor:
-        """Return the runner's worker pool, (re)created lazily.
+    def _ensure_executor(self) -> ProcessPoolExecutor:
+        """Return the runner's worker pool, created lazily.
 
         The pool persists across :meth:`run` calls so worker processes are
-        started once per runner, not once per experiment.  It only grows:
-        a request for more workers replaces the pool, a smaller one reuses
-        it.
+        started once per runner, not once per experiment.
         """
-        if self._executor is not None and self._executor_workers < workers:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=workers)
-            self._executor_workers = workers
+            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
         return self._executor
 
     def close(self) -> None:
@@ -335,7 +321,6 @@ class ExperimentRunner:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-            self._executor_workers = 0
         if (self.oracle_store is not None
                 and get_default_oracle_store() is self.oracle_store):
             set_default_oracle_store(None)
@@ -350,7 +335,6 @@ class ExperimentRunner:
         """
         if self._executor is not None:
             executor, self._executor = self._executor, None
-            self._executor_workers = 0
             # Killing the workers breaks the pool; the executor's manager
             # thread then fails every pending future — including ones the
             # interrupted ``pool.map`` already cancelled, which on Python
@@ -390,28 +374,18 @@ class ExperimentRunner:
         except Exception:
             pass
 
-    def run(self, name: str, scale: Optional[ScaleLike] = None,
-            seeds: Optional[Sequence[SeedLike]] = None,
-            jobs: Optional[int] = None) -> ExperimentRun:
+    def run(self, name: str) -> ExperimentRun:
         """Run one registered experiment across the seed fan-out."""
         spec = get_experiment(name)
-        run_scale = get_scale(scale) if scale is not None else self.scale
-        run_seeds = list(seeds) if seeds is not None else self.seeds
-        if not run_seeds:
-            raise ValueError("run() needs at least one seed")
-        run_jobs = self.jobs if jobs is None else int(jobs)
-        if run_jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {run_jobs}")
-        out = ExperimentRun(spec=spec, scale=run_scale)
-        run_jobs = min(run_jobs, len(run_seeds))
-        if run_jobs > 1:
+        out = ExperimentRun(spec=spec, scale=self.scale)
+        if self.jobs > 1:
             # A shared Generator object would thread state from one seed's
             # run into the next in-process, which worker processes (each
             # getting a pickled snapshot) cannot reproduce — so the
             # "identical for any job count" invariant is only promised, and
             # only accepted, for stateless int/None seeds.
             if any(not (seed is None or isinstance(seed, int))
-                   for seed in run_seeds):
+                   for seed in self.seeds):
                 raise ValueError(
                     "parallel fan-out (jobs > 1) requires int or None seeds; "
                     "stateful Generator seeds must run sequentially (jobs=1)"
@@ -420,21 +394,21 @@ class ExperimentRunner:
             # close() clears the process default; a reused runner
             # re-installs its store for the drivers it is about to run.
             set_default_oracle_store(self.oracle_store)
-        if run_jobs > 1:
+        if self.jobs > 1:
             store_path = (str(self.oracle_store.root)
                           if self.oracle_store is not None else None)
-            tasks = [(spec.name, run_scale, seed,
+            tasks = [(spec.name, self.scale, seed,
                       self.context.scenario_filter, store_path,
                       self.context.fleet_devices,
                       self.context.fleet_shards)
-                     for seed in run_seeds]
-            pool = self._ensure_executor(run_jobs)
-            out.seed_runs = list(pool.map(_pooled_seed_run, tasks))
+                     for seed in self.seeds]
+            out.seed_runs = list(self._ensure_executor().map(
+                _pooled_seed_run, tasks))
             return out
-        for seed in run_seeds:
+        for seed in self.seeds:
             stats_before = cache_stats_snapshot()
             start = time.perf_counter()
-            result = spec.runner(run_scale, seed, self.context)
+            result = spec.runner(self.scale, seed, self.context)
             out.seed_runs.append(
                 SeedRun(seed=seed, result=result,
                         elapsed_s=time.perf_counter() - start,

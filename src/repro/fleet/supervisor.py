@@ -185,8 +185,6 @@ class FleetSupervisor:
             raise ValueError(
                 f"fault plan names devices not in the fleet: {sorted(unknown)}"
             )
-        self.simulator = simulator
-        self.base_space = base_space
         self.snapshot_every = int(snapshot_every)
         self.watchdog_rounds = int(watchdog_rounds)
         self.max_restarts = int(max_restarts)

@@ -84,9 +84,6 @@ class FrameTrace:
     def deadline_s(self) -> float:
         return 1.0 / self.target_fps
 
-    def mean_work_cycles(self) -> float:
-        return float(np.mean([f.work_cycles for f in self.frames]))
-
 
 def generate_frame_trace(
     name: str,

@@ -72,9 +72,6 @@ class GPURunSummary:
         misses = sum(1 for r in self.frame_results if not r.met_deadline)
         return misses / self.n_frames
 
-    def busy_time_series_s(self) -> np.ndarray:
-        return np.array([r.busy_time_s for r in self.frame_results])
-
 
 class GPUSimulator:
     """Renders frame traces under a pluggable power-management controller."""
@@ -130,16 +127,5 @@ class GPUSimulator:
             result = self.render_frame(frame, config, deadline,
                                        deterministic=deterministic)
             controller.observe(result)
-            summary.frame_results.append(result)
-        return summary
-
-    def run_fixed(self, trace: FrameTrace, config: GPUConfiguration,
-                  deterministic: bool = True) -> GPURunSummary:
-        """Run the whole trace at one fixed configuration (for sweeps/oracles)."""
-        summary = GPURunSummary(benchmark=trace.name)
-        deadline = trace.deadline_s
-        for frame in trace.frames:
-            result = self.render_frame(frame, config, deadline,
-                                       deterministic=deterministic)
             summary.frame_results.append(result)
         return summary

@@ -1,8 +1,8 @@
 """Model-error and energy metrics used across the experiments.
 
-The paper reports model quality as percentage error (Fig. 2: "<5% error"),
-energy normalised to the Oracle (Table II, Fig. 4) and energy savings
-against a baseline (Fig. 5); the helpers below provide those metrics.
+The paper reports model quality as percentage error (Fig. 2: "<5% error")
+and energy savings against a baseline (Fig. 5); the helpers below provide
+those metrics.
 """
 
 from __future__ import annotations
@@ -26,13 +26,6 @@ def mean_absolute_percentage_error(y_true: np.ndarray, y_pred: np.ndarray,
     a, b = _pair(y_true, y_pred)
     denom = np.maximum(np.abs(a), epsilon)
     return float(np.mean(np.abs(a - b) / denom) * 100.0)
-
-
-def normalized_energy(energy: float, oracle_energy: float) -> float:
-    """Energy normalised to the Oracle policy (Table II / Fig. 4 metric)."""
-    if oracle_energy <= 0:
-        raise ValueError(f"oracle energy must be positive, got {oracle_energy}")
-    return float(energy) / float(oracle_energy)
 
 
 def energy_savings_percent(baseline_energy: float, improved_energy: float) -> float:

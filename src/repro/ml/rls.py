@@ -70,8 +70,6 @@ class RecursiveLeastSquares(OnlineRegressor):
                 )
             self.weights = init.copy()
         self.n_updates = 0
-        self.last_error = 0.0
-        self.last_gain: Optional[np.ndarray] = None
 
     def _augment(self, features: np.ndarray) -> np.ndarray:
         row = np.asarray(features, dtype=float).ravel()
@@ -105,8 +103,6 @@ class RecursiveLeastSquares(OnlineRegressor):
         # Keep the covariance symmetric in the presence of round-off.
         self.covariance = 0.5 * (self.covariance + self.covariance.T)
         self.n_updates += 1
-        self.last_error = error
-        self.last_gain = gain
         return error
 
     @property
@@ -115,10 +111,6 @@ class RecursiveLeastSquares(OnlineRegressor):
         if self.fit_intercept:
             return self.weights[:-1].copy()
         return self.weights.copy()
-
-    @property
-    def intercept_(self) -> float:
-        return float(self.weights[-1]) if self.fit_intercept else 0.0
 
 
 def rls_update_fleet(
@@ -214,15 +206,12 @@ def rls_update_fleet(
     )
     # Keep the covariance symmetric in the presence of round-off.
     new_precision = 0.5 * (new_precision + new_precision.transpose(0, 2, 1))
-    error_floats = error.tolist()
     new_w_views = list(new_weights)
     new_p_views = list(new_precision)
     for row, model in enumerate(models):
         model.weights = new_w_views[row]
         model.covariance = new_p_views[row]
         model.n_updates += 1
-        model.last_error = error_floats[row]
-        model.last_gain = gain[row]
     if state is not None:
         state["models"] = list(models)
         state["lam"] = lam

@@ -1,4 +1,4 @@
-"""Support vector regression (epsilon-SVR) with RBF / linear kernels.
+"""Support vector regression (epsilon-SVR) with an RBF kernel.
 
 Section III-C cites an SVR-based NoC latency model [34]: channel and source
 waiting times from an analytical model plus simulator observations are used
@@ -24,14 +24,6 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * dist_sq)
 
 
-def linear_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """Linear kernel (gamma unused, kept for a uniform signature)."""
-    return a @ b.T
-
-
-_KERNELS = {"rbf": rbf_kernel, "linear": linear_kernel}
-
-
 class SupportVectorRegressor(Regressor):
     """Epsilon-SVR solved in the dual by projected gradient ascent.
 
@@ -45,7 +37,6 @@ class SupportVectorRegressor(Regressor):
         self,
         c: float = 10.0,
         epsilon: float = 0.1,
-        kernel: str = "rbf",
         gamma: Optional[float] = None,
         max_iterations: int = 2000,
         learning_rate: float = 1e-3,
@@ -55,11 +46,8 @@ class SupportVectorRegressor(Regressor):
             raise ValueError(f"c must be positive, got {c}")
         if epsilon < 0:
             raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-        if kernel not in _KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}")
         self.c = float(c)
         self.epsilon = float(epsilon)
-        self.kernel = kernel
         self.gamma = gamma
         self.max_iterations = int(max_iterations)
         self.learning_rate = float(learning_rate)
@@ -80,8 +68,7 @@ class SupportVectorRegressor(Regressor):
             self._gamma_value = 1.0 / (n_features * variance)
         else:
             self._gamma_value = float(self.gamma)
-        kernel_fn = _KERNELS[self.kernel]
-        gram = kernel_fn(x, x, self._gamma_value)
+        gram = rbf_kernel(x, x, self._gamma_value)
         beta = np.zeros(n_samples)
         # Projected gradient ascent on the dual objective:
         #   maximise  -0.5 b'Kb + y'b - eps*|b|_1   s.t.  |b_i| <= C
@@ -113,6 +100,5 @@ class SupportVectorRegressor(Regressor):
         if self.support_vectors_ is None or self.beta_ is None:
             raise RuntimeError("SupportVectorRegressor has not been fitted yet")
         x = as_2d(features)
-        kernel_fn = _KERNELS[self.kernel]
-        gram = kernel_fn(x, self.support_vectors_, self._gamma_value)
+        gram = rbf_kernel(x, self.support_vectors_, self._gamma_value)
         return gram @ self.beta_ + self.bias_

@@ -47,10 +47,6 @@ class PerformanceModelFeatures:
     def __init__(self, platform: PlatformSpec) -> None:
         self.platform = platform
 
-    @property
-    def n_features(self) -> int:
-        return len(self.FEATURE_NAMES)
-
     def frequency_ghz(self, config: SoCConfiguration, cluster: str) -> float:
         """Frequency (GHz) of ``cluster``'s OPP in ``config``."""
         spec = self.platform.cluster(cluster)
@@ -282,7 +278,3 @@ class FrameTimeModel:
         features = self._features(prev_busy_cycles, prev_memory_bytes,
                                   frequency_hz, active_slices)
         return self.rls.update(features, float(measured_frame_time_s))
-
-    @property
-    def n_updates(self) -> int:
-        return self.rls.n_updates

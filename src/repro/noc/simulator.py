@@ -142,10 +142,3 @@ class NoCSimulator:
             undelivered_count=n_packets - len(delivered),
             simulated_cycles=max(n_cycles, last_cycle),
         )
-
-    def zero_load_latency(self, source: int, destination: int,
-                          size_flits: int = 4) -> int:
-        """Latency of a packet on an empty network (no queueing)."""
-        hops = self.topology.hop_count(source, destination)
-        per_hop = self.router.per_hop_latency(size_flits)
-        return hops * per_hop

@@ -97,8 +97,8 @@ class SVRNoCLatencyModel:
     def __init__(self, c: float = 50.0, epsilon: float = 0.05,
                  gamma: Optional[float] = None) -> None:
         self.scaler = StandardScaler()
-        self.svr = SupportVectorRegressor(c=c, epsilon=epsilon, kernel="rbf",
-                                          gamma=gamma, max_iterations=4000)
+        self.svr = SupportVectorRegressor(c=c, epsilon=epsilon, gamma=gamma,
+                                          max_iterations=4000)
         self._trained = False
 
     def fit(self, samples: Sequence[NoCSample]) -> "SVRNoCLatencyModel":

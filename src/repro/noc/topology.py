@@ -72,11 +72,6 @@ class MeshTopology:
         path = self.xy_route(source, destination)
         return list(zip(path[:-1], path[1:]))
 
-    def hop_count(self, source: int, destination: int) -> int:
-        sx, sy = self.coordinates(source)
-        dx, dy = self.coordinates(destination)
-        return abs(sx - dx) + abs(sy - dy)
-
     def link_usage(self, traffic_matrix: Dict[Tuple[int, int], float]) -> Dict[Link, float]:
         """Aggregate per-link load from a (src, dst) -> rate traffic matrix."""
         usage: Dict[Link, float] = {link: 0.0 for link in self.links()}

@@ -89,14 +89,6 @@ class ScenarioTrace:
         """Number of steps with at least one active throttle window."""
         return sum(cap is not None for cap in self.caps())
 
-    def applications(self) -> List[str]:
-        """Application names in first-appearance order."""
-        seen: List[str] = []
-        for snippet in self.snippets:
-            if snippet.application not in seen:
-                seen.append(snippet.application)
-        return seen
-
 
 class ScenarioSpec(abc.ABC):
     """One named, seedable trace perturbation.

@@ -16,8 +16,8 @@ watchdogs):
   boundary is journaled before it is applied, so recovery replays to a
   state bitwise identical to an uninterrupted run.
 * :mod:`repro.service.server` / :mod:`repro.service.client` — a stdlib
-  asyncio JSON-over-HTTP server (start/pause/snapshot/resume/dispatch/
-  status/report, graceful SIGTERM drain) and a bounded-retry client with
+  asyncio JSON-over-HTTP server (dispatch/snapshot/status/report/alerts,
+  graceful SIGTERM drain) and a bounded-retry client with
   seeded-jitter backoff and exactly-once idempotency keys.
 
 ``python -m repro.service`` exposes serve/status/dispatch plus a

@@ -32,6 +32,10 @@ from repro.service.run import RunConfig, ServiceRun
 from repro.service.server import PORT_FILE, ServiceServer, read_port_file
 
 
+class CLIError(Exception):
+    """Bad command-line input; ``main`` prints it and exits 2."""
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
@@ -96,8 +100,13 @@ def _resolve_port(args: argparse.Namespace) -> int:
     if args.port:
         return args.port
     if args.journal is not None:
-        return read_port_file(args.journal)
-    raise SystemExit("need --port or --journal to locate the server")
+        try:
+            return read_port_file(args.journal)
+        except FileNotFoundError:
+            raise CLIError(
+                f"no {PORT_FILE} in {args.journal}: is a server serving it?"
+            ) from None
+    raise CLIError("need --port or --journal to locate the server")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -134,10 +143,14 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_dispatch(args: argparse.Namespace) -> int:
-    client = ServiceClient(host=args.host, port=_resolve_port(args))
     value: Optional[object] = args.value
     if args.action == "restrict-space":
-        value = None if value in (None, "none", "None") else int(value)
+        try:
+            value = None if value in (None, "none", "None") else int(value)
+        except ValueError:
+            raise CLIError(f"restrict-space --value takes an OPP cap index "
+                           f"or 'none', got {value!r}") from None
+    client = ServiceClient(host=args.host, port=_resolve_port(args))
     receipt = client.dispatch(DispatchCommand(
         command=args.action, device=args.device, value=value,
     ))
@@ -205,7 +218,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     server = _spawn_server(journal, args, resume=False)
     try:
         port = _wait_for_port(journal, server)
-        client = ServiceClient(port=port, key_prefix="demo")
+        client = ServiceClient(port=port)
         client.wait_rounds(2)
         receipt = client.dispatch(DispatchCommand(
             command="restrict-space", device="device-00", value=1,
@@ -229,7 +242,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     server = _spawn_server(journal, args, resume=True)
     try:
         port = _wait_for_port(journal, server)
-        client = ServiceClient(port=port, key_prefix="demo2")
+        client = ServiceClient(port=port)
         status = client.wait_done(timeout=300.0)
         digests = {device["name"]: device["digest"]
                    for device in status["devices"]}
@@ -277,7 +290,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "dispatch": _cmd_dispatch, "demo": _cmd_demo}
     try:
         return handlers[args.command](args)
-    except ServiceUnavailable as exc:
+    except (CLIError, ServiceUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

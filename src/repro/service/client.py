@@ -5,10 +5,11 @@
 per-attempt deadline and a bounded retry budget with seeded-jitter
 exponential backoff (``random.Random(seed)`` — reproducible like
 everything else in this repo).  Mutating calls carry idempotency keys
-minted from a per-client counter and **reused across retries**, so a
-dispatch whose response was lost on the wire applies exactly once when
-redelivered — the server answers the retry with the original receipt,
-marked ``duplicate``.
+minted from a per-client counter under a random prefix unique to the
+client, so two clients — two CLI invocations, say — never mint the same
+key.  A key is **reused across retries**, so a dispatch whose response
+was lost on the wire applies exactly once when redelivered — the server
+answers the retry with the original receipt, marked ``duplicate``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import secrets
 import time
 from typing import Any, Dict, Optional
 
@@ -44,7 +46,6 @@ class ServiceClient:
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
         seed: int = 0,
-        key_prefix: str = "client",
     ) -> None:
         self.host = host
         self.port = int(port)
@@ -53,7 +54,7 @@ class ServiceClient:
         self.backoff_base = float(backoff_base)
         self.backoff_cap = float(backoff_cap)
         self._jitter = random.Random(seed)
-        self._key_prefix = key_prefix
+        self._key_prefix = secrets.token_hex(8)
         self._key_counter = 0
 
     # ------------------------------------------------------------------ #
@@ -134,12 +135,6 @@ class ServiceClient:
         receipt = decode_message(payload)
         assert isinstance(receipt, DispatchReceipt)
         return receipt
-
-    def pause(self) -> DispatchReceipt:
-        return self.dispatch(DispatchCommand(command="pause"))
-
-    def resume(self) -> DispatchReceipt:
-        return self.dispatch(DispatchCommand(command="resume"))
 
     def snapshot(self) -> Message:
         return decode_message(self._request("POST", "/snapshot"))

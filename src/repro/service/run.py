@@ -369,8 +369,6 @@ class ServiceRun:
     ) -> None:
         self.config = config
         self.devices = list(devices)
-        self.simulator = simulator
-        self.space = space
         self.journal = journal
         self.journal_dir = journal_dir
         self.snapshot_every = config.snapshot_every

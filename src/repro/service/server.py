@@ -10,8 +10,6 @@ GET     /status       Run status (rounds, devices, health, digests)
 GET     /report       Per-device :class:`TelemetryReport` records
 GET     /alerts       :class:`FlatlineAlert` records emitted so far
 POST    /dispatch     Apply one :class:`DispatchCommand` (body = message)
-POST    /pause        Sugar for a ``pause`` dispatch
-POST    /resume       Sugar for a ``resume`` dispatch
 POST    /snapshot     Force a snapshot rotation now
 POST    /shutdown     Graceful drain (same as SIGTERM)
 ======  ============  ====================================================
@@ -244,17 +242,6 @@ class ServiceServer:
             if not isinstance(message, DispatchCommand):
                 return 400, {"error": "body must be a DispatchCommand"}
             receipt = self.run.dispatch(message)
-            return 200, encode_message(receipt)
-        if path in ("/pause", "/resume"):
-            key = ""
-            if body:
-                try:
-                    key = str(json.loads(body).get("idempotency_key", ""))
-                except (ValueError, AttributeError):
-                    return 400, {"error": "bad pause/resume body"}
-            receipt = self.run.dispatch(DispatchCommand(
-                command=path[1:], idempotency_key=key,
-            ))
             return 200, encode_message(receipt)
         if path == "/snapshot":
             if self.run.journal is None:

@@ -126,18 +126,6 @@ class SoCConfiguration:
     def as_dicts(self) -> Tuple[Dict[str, int], Dict[str, int]]:
         return dict(self.opp_indices), dict(self.active_cores)
 
-    def describe(self, platform: Optional[PlatformSpec] = None) -> str:
-        parts = []
-        for name, idx in self.opp_indices:
-            if platform is not None and name in platform.clusters:
-                freq = platform.clusters[name].opps[idx].frequency_mhz
-                parts.append(f"{name}:{freq:.0f}MHz")
-            else:
-                parts.append(f"{name}:opp{idx}")
-        for name, count in self.active_cores:
-            parts.append(f"{name}x{count}")
-        return " ".join(parts)
-
 
 class ConfigurationSpace:
     """Enumerable set of valid configurations of a platform."""

@@ -142,7 +142,3 @@ class PerformanceCounters:
             ],
             dtype=float,
         )
-
-    @staticmethod
-    def n_features() -> int:
-        return len(FEATURE_NAMES)

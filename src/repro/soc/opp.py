@@ -24,14 +24,6 @@ class OperatingPoint:
         if self.voltage_v <= 0:
             raise ValueError(f"voltage must be positive, got {self.voltage_v}")
 
-    @property
-    def frequency_ghz(self) -> float:
-        return self.frequency_hz / 1e9
-
-    @property
-    def frequency_mhz(self) -> float:
-        return self.frequency_hz / 1e6
-
 
 class OPPTable:
     """Ordered table of operating points (lowest frequency first)."""

@@ -55,14 +55,6 @@ class PlatformSpec:
             raise KeyError(f"unknown cluster {name!r}; have {self.cluster_names}")
         return self.clusters[name]
 
-    @property
-    def big(self) -> ClusterSpec:
-        return self.cluster("big")
-
-    @property
-    def little(self) -> ClusterSpec:
-        return self.cluster("little")
-
     def content_key(self) -> tuple:
         """Content-derived, process-stable identity of this platform.
 

@@ -29,7 +29,7 @@ from counters, which makes the learning problem realistic but solvable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -57,7 +57,6 @@ class SnippetResult:
     energy_j: float
     average_power_w: float
     counters: PerformanceCounters
-    power_breakdown_w: Dict[str, float] = field(default_factory=dict)
 
     @classmethod
     def _from_values(cls, values: Dict) -> "SnippetResult":
@@ -139,8 +138,6 @@ class SoCBatchResult:
     average_power_w: np.ndarray
     cpu_cycles: np.ndarray
     cluster_utilization: Dict[str, np.ndarray]
-    power_breakdown_w: Dict[str, np.ndarray]
-    instructions_retired: np.ndarray
     branch_mispredictions: np.ndarray
     l2_cache_misses: np.ndarray
     data_memory_accesses: np.ndarray
@@ -160,15 +157,12 @@ class SoCBatchResult:
         zero = [0.0] * n
         utilization = {name: values.tolist() for name, values
                        in self.cluster_utilization.items()}
-        breakdown_keys = list(self.power_breakdown_w)
-        breakdown_rows = zip(*(self.power_breakdown_w[key].tolist()
-                               for key in breakdown_keys))
         counters_from_values = PerformanceCounters._from_values
         result_from_values = SnippetResult._from_values
         results: List[SnippetResult] = []
         append = results.append
         for (snippet, config, time_s, power_w, energy_j, cycles, branch,
-             l2, dma, external, u_little, u_big, breakdown) in zip(
+             l2, dma, external, u_little, u_big) in zip(
                 self.snippets, self.configurations,
                 self.execution_time_s.tolist(),
                 self.average_power_w.tolist(), self.energy_j.tolist(),
@@ -177,8 +171,7 @@ class SoCBatchResult:
                 self.l2_cache_misses.tolist(),
                 self.data_memory_accesses.tolist(),
                 self.noncache_external_memory_requests.tolist(),
-                utilization.get("little", zero), utilization.get("big", zero),
-                breakdown_rows):
+                utilization.get("little", zero), utilization.get("big", zero)):
             counters = counters_from_values({
                 "instructions_retired": snippet.n_instructions,
                 "cpu_cycles": cycles,
@@ -198,7 +191,6 @@ class SoCBatchResult:
                 "energy_j": energy_j,
                 "average_power_w": power_w,
                 "counters": counters,
-                "power_breakdown_w": dict(zip(breakdown_keys, breakdown)),
             }))
         return results
 
@@ -363,9 +355,7 @@ class SoCSimulator:
             raise ValueError("snippet produced zero execution time")
 
         utilizations: Dict[str, np.ndarray] = {}
-        power_breakdown: Dict[str, np.ndarray] = {}
         total_power = np.full(total_time.shape, platform.base_power_w)
-        power_breakdown["base"] = total_power
         for name in cluster_names:
             spec = platform.cluster(name)
             _, _, dynamic_coeff, static_coeff = self._cluster_sweep_tables(name)
@@ -382,8 +372,6 @@ class SoCSimulator:
                 * np.minimum(np.maximum(utilization, 0.0), 1.0)
             )
             static = static_coeff[opp_index[name]] * active
-            power_breakdown[f"{name}_dynamic"] = dynamic
-            power_breakdown[f"{name}_static"] = static
             total_power = total_power + (dynamic + static)
 
         l2_misses = n_instr * memory_intensity / 1000.0
@@ -392,7 +380,6 @@ class SoCSimulator:
             external_requests * BYTES_PER_EXTERNAL_REQUEST / total_time / 1e9
         )
         memory_power = platform.memory_power_w_per_gbps * memory_traffic_gbps
-        power_breakdown["memory"] = memory_power
         total_power = total_power + memory_power
 
         return SoCBatchResult(
@@ -403,8 +390,6 @@ class SoCSimulator:
             average_power_w=total_power,
             cpu_cycles=sum(cycles.values()),
             cluster_utilization=utilizations,
-            power_breakdown_w=power_breakdown,
-            instructions_retired=n_instr,
             branch_mispredictions=n_instr * branch_mpki / 1000.0,
             l2_cache_misses=l2_misses,
             data_memory_accesses=n_instr * memory_access_rate,
@@ -437,9 +422,7 @@ class SoCSimulator:
             raise ValueError("snippet produced zero execution time")
 
         utilizations: Dict[str, float] = {}
-        power_breakdown: Dict[str, float] = {}
         total_power = self.platform.base_power_w
-        power_breakdown["base"] = self.platform.base_power_w
         for name, info in per_cluster.items():
             spec = self.platform.cluster(name)
             opp_index = config.opp_index(name)
@@ -451,8 +434,6 @@ class SoCSimulator:
             utilizations[name] = utilization
             dynamic = spec.dynamic_power_w(opp_index, active, utilization)
             static = spec.static_power_w(opp_index, active)
-            power_breakdown[f"{name}_dynamic"] = dynamic
-            power_breakdown[f"{name}_static"] = static
             total_power += dynamic + static
 
         l2_misses = snippet.n_instructions * chars.memory_intensity / 1000.0
@@ -461,7 +442,6 @@ class SoCSimulator:
             external_requests * BYTES_PER_EXTERNAL_REQUEST / total_time / 1e9
         )
         memory_power = self.platform.memory_power_w_per_gbps * memory_traffic_gbps
-        power_breakdown["memory"] = memory_power
         total_power += memory_power
 
         time_noise, power_noise = ((1.0, 1.0) if noise is None
@@ -492,7 +472,6 @@ class SoCSimulator:
             energy_j=energy,
             average_power_w=measured_power,
             counters=counters,
-            power_breakdown_w=power_breakdown,
         )
 
     def evaluate_expected(self, snippet: Snippet, config: SoCConfiguration) -> SnippetResult:
@@ -550,7 +529,6 @@ class SoCSimulator:
             energy_j=energy,
             average_power_w=measured_power,
             counters=counters,
-            power_breakdown_w=dict(expected.power_breakdown_w),
         )
 
     def evaluate_expected_batch(

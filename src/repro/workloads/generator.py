@@ -12,7 +12,7 @@ are made in one :func:`~repro.soc.snippet.make_snippets` call.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -75,8 +75,8 @@ def generate_snippets(
     specs: Sequence[WorkloadSpec],
     rng: np.random.Generator,
     snippet_factor: float = 1.0,
-) -> Tuple[List[Snippet], List[int]]:
-    """The traces of ``specs``, back to back, and where each one starts.
+) -> List[Snippet]:
+    """The traces of ``specs``, back to back.
 
     Each spec's phases are ``snippet_factor`` times as long
     (:meth:`~repro.workloads.spec.WorkloadSpec.phase_lengths`), and its
@@ -88,11 +88,9 @@ def generate_snippets(
     parallel: List[float] = []
     threads: List[int] = []
     big: List[float] = []
-    starts: List[int] = []
     lengths: List[int] = []
     means, jitters = [], []
     for spec in specs:
-        starts.append(len(indices))
         spec_lengths = spec.phase_lengths(snippet_factor)
         total = sum(spec_lengths)
         applications += [spec.name] * total
@@ -109,7 +107,7 @@ def generate_snippets(
             threads += [base.thread_count] * n
             big += [_clip(base.big_fraction, 0.0, 1.0)] * n
     if not lengths:
-        return [], starts
+        return []
     columns = jitter_characteristics(
         np.repeat(np.array(means, dtype=float), lengths, axis=0),
         np.repeat(np.array(jitters, dtype=float), lengths), rng)
@@ -118,7 +116,7 @@ def generate_snippets(
         **dict(zip(JITTERED_FIELDS, columns.T)),
         parallel_fraction=parallel, thread_count=threads, big_fraction=big,
     )
-    return snippets, starts
+    return snippets
 
 
 class SnippetTraceGenerator:
@@ -133,4 +131,4 @@ class SnippetTraceGenerator:
         rng: Optional[np.random.Generator] = None,
     ) -> List[Snippet]:
         """Generate the snippet trace for one application run."""
-        return generate_snippets([spec], rng if rng is not None else self.rng)[0]
+        return generate_snippets([spec], rng if rng is not None else self.rng)

@@ -110,3 +110,27 @@ def trained_framework():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+class PinnedGPUController:
+    """A GPU controller that always picks one configuration."""
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self.observed = []
+
+    def reset(self) -> None:
+        self.observed = []
+
+    def decide(self, upcoming_frame=None):
+        return self.config
+
+    def observe(self, result) -> None:
+        self.observed.append(result)
+
+
+@pytest.fixture(scope="session")
+def pinned_gpu_controller():
+    """The class of a GPU controller pinned to one configuration: a
+    ``GPUSimulator.run`` under it runs a trace at that configuration."""
+    return PinnedGPUController

@@ -88,6 +88,5 @@ def build_online_sequence(
     sequence = ApplicationSequence()
     for spec in specs:
         scaled = spec.scaled(snippet_factor) if snippet_factor != 1.0 else spec
-        sequence.boundaries[spec.name] = len(sequence.snippets)
         sequence.snippets.extend(generator.generate(scaled, rng=rng))
     return sequence

@@ -133,13 +133,15 @@ class TestWorkloadPredictor:
 
 
 class TestNMPC:
-    def test_meets_deadline_and_beats_max_config(self, gpu):
+    def test_meets_deadline_and_beats_max_config(self, gpu,
+                                                 pinned_gpu_controller):
         simulator = GPUSimulator(gpu, noise_scale=0.01, seed=0)
         trace = get_graphics_workload("fruitninja", gpu=gpu, n_frames=150, seed=0)
         controller = NMPCGpuController(gpu, target_fps=trace.target_fps)
         run = simulator.run(trace, controller)
-        fixed_max = simulator.run_fixed(
-            trace, GPUConfiguration(len(gpu.opps) - 1, gpu.n_slices))
+        fixed_max = simulator.run(trace, pinned_gpu_controller(
+            GPUConfiguration(len(gpu.opps) - 1, gpu.n_slices)),
+            deterministic=True)
         assert run.deadline_miss_rate < 0.08
         assert run.gpu_energy_j < fixed_max.gpu_energy_j
 

@@ -13,6 +13,7 @@ it and the refusal of every input outside the engine's one shape.
 from __future__ import annotations
 
 import copy
+import struct
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.fleet.supervisor import FleetSupervisor
 from repro.scenarios import get_scenario
 from repro.scenarios.runtime import run_policy_on_scenario
 from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
+from repro.soc.counters import PerformanceCounters
 from repro.soc.governors import (
     InteractiveGovernor,
     OndemandGovernor,
@@ -37,6 +39,8 @@ from repro.soc.simulator import SoCSimulator, characteristics_matrix
 from repro.utils.rng import make_rng
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import training_workloads
+
+from test_properties import PROPERTY_SEEDS, random_platform
 
 LOG_KEYS = ("energy_j", "time_s", "power_w", "big_opp", "little_opp",
             "config_index")
@@ -63,12 +67,40 @@ def assert_runs_bitwise_equal(reference, actual, keys=LOG_KEYS):
     assert reference.total_time_s == actual.total_time_s
 
 
+def assert_fields_bitwise_equal(reference, actual) -> None:
+    """Same attribute names and types, every float equal bit for bit.
+
+    A :class:`SnippetResult` compares field by field, its counters
+    included, so a field that only one execution form sets fails here.
+    """
+    assert vars(reference).keys() == vars(actual).keys()
+    for name, expected in vars(reference).items():
+        value = getattr(actual, name)
+        assert type(value) is type(expected), name
+        if isinstance(expected, PerformanceCounters):
+            assert_fields_bitwise_equal(expected, value)
+        elif isinstance(expected, float):
+            assert struct.pack("<d", value) == struct.pack("<d", expected), \
+                name
+        else:
+            assert value == expected, name
+
+
 # --------------------------------------------------------------------- #
 # Kernel-level equivalence
 # --------------------------------------------------------------------- #
 class TestLockstepKernel:
-    def test_lockstep_execute_matches_run_snippet(self, platform, space):
-        """Random (snippet, config) pairs: kernel == scalar, bitwise."""
+    @pytest.mark.parametrize(
+        "platform_seed", [None, *PROPERTY_SEEDS],
+        ids=["odroid", *(f"core-gated-{seed}" for seed in PROPERTY_SEEDS)])
+    def test_lockstep_execute_matches_run_snippet(self, platform, space,
+                                                  platform_seed):
+        """Random (snippet, config) pairs: kernel == scalar, bitwise, on
+        the default space and on seeded random platforms' core-gated
+        spaces."""
+        if platform_seed is not None:
+            platform = random_platform(np.random.default_rng(platform_seed))
+            space = ConfigurationSpace(platform, allow_core_gating=True)
         simulator = SoCSimulator(platform, noise_scale=0.02, seed=0)
         rng = np.random.default_rng(42)
         snippets = [s for w in training_workloads()
@@ -101,11 +133,7 @@ class TestLockstepKernel:
             [c for _, c in pairs], noise,
         )
         for ref, out in zip(scalar, batched):
-            assert ref.execution_time_s == out.execution_time_s
-            assert ref.energy_j == out.energy_j
-            assert ref.average_power_w == out.average_power_w
-            assert ref.power_breakdown_w == out.power_breakdown_w
-            assert ref.counters.as_dict() == out.counters.as_dict()
+            assert_fields_bitwise_equal(ref, out)
 
     def test_noise_free_kernel_matches_deterministic_run(self, platform, space):
         simulator = SoCSimulator(platform, noise_scale=0.0, seed=0)

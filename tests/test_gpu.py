@@ -88,7 +88,8 @@ class TestFrames:
                                      seed=0, target_fps=30.0)
         assert len(trace) == 100
         assert trace.deadline_s == pytest.approx(1 / 30.0)
-        assert trace.mean_work_cycles() == pytest.approx(1e7, rel=0.2)
+        assert np.mean([frame.work_cycles for frame in trace.frames]) == (
+            pytest.approx(1e7, rel=0.2))
 
     def test_trace_validation(self):
         with pytest.raises(ValueError):
@@ -117,41 +118,55 @@ class TestGPUSimulator:
         assert not result.met_deadline
         assert result.frame_time_s > 1 / 30.0
 
-    def test_run_fixed_summary(self, gpu, gpu_simulator):
+    def test_fixed_configuration_summary(self, gpu, gpu_simulator,
+                                         pinned_gpu_controller):
         trace = get_graphics_workload("angrybirds", gpu=gpu, n_frames=60, seed=0)
         config = GPUConfiguration(len(gpu.opps) - 1, gpu.n_slices)
-        summary = gpu_simulator.run_fixed(trace, config)
+        summary = gpu_simulator.run(trace, pinned_gpu_controller(config),
+                                    deterministic=True)
         assert summary.n_frames == 60
         assert summary.deadline_miss_rate == 0.0
         assert summary.achieved_fps == pytest.approx(trace.target_fps, rel=0.01)
         assert summary.gpu_energy_j > 0
 
-    def test_deterministic_run_ignores_configured_noise(self, gpu):
+    def test_deterministic_run_ignores_configured_noise(
+            self, gpu, pinned_gpu_controller):
         trace = get_graphics_workload("nenamark2", gpu=gpu, n_frames=30, seed=3)
         config = GPUConfiguration(len(gpu.opps) // 2, gpu.n_slices)
         noisy = GPUSimulator(gpu, noise_scale=0.05, seed=0)
         quiet = GPUSimulator(gpu, noise_scale=0.0, seed=1)
-        reference = quiet.run_fixed(trace, config)
-        assert noisy.run_fixed(trace, config).frame_results == (
-            reference.frame_results)
-        sampled = noisy.run_fixed(trace, config, deterministic=False)
-        assert sampled.busy_time_series_s().tolist() != (
-            reference.busy_time_series_s().tolist())
 
-    def test_higher_frequency_burns_more_gpu_energy(self, gpu, gpu_simulator):
+        def run(simulator, deterministic):
+            return simulator.run(trace, pinned_gpu_controller(config),
+                                 deterministic=deterministic).frame_results
+
+        reference = run(quiet, True)
+        assert run(noisy, True) == reference
+        sampled = run(noisy, False)
+        assert [r.busy_time_s for r in sampled] != (
+            [r.busy_time_s for r in reference])
+
+    def test_higher_frequency_burns_more_gpu_energy(self, gpu, gpu_simulator,
+                                                    pinned_gpu_controller):
         trace = get_graphics_workload("nenamark2", gpu=gpu, n_frames=20, seed=0)
         energies = [
-            gpu_simulator.run_fixed(
-                trace, GPUConfiguration(opp, gpu.n_slices)).gpu_energy_j
+            gpu_simulator.run(
+                trace, pinned_gpu_controller(GPUConfiguration(opp, gpu.n_slices)),
+                deterministic=True).gpu_energy_j
             for opp in range(len(gpu.opps))
         ]
         assert energies[-1] > energies[0]
 
-    def test_lower_frequency_saves_energy_for_light_load(self, gpu, gpu_simulator):
+    def test_lower_frequency_saves_energy_for_light_load(
+            self, gpu, gpu_simulator, pinned_gpu_controller):
         trace = get_graphics_workload("angrybirds", gpu=gpu, n_frames=60, seed=0)
-        high = gpu_simulator.run_fixed(trace, GPUConfiguration(len(gpu.opps) - 1,
-                                                               gpu.n_slices))
-        low = gpu_simulator.run_fixed(trace, GPUConfiguration(2, 1))
+
+        def run(config):
+            return gpu_simulator.run(trace, pinned_gpu_controller(config),
+                                     deterministic=True)
+
+        high = run(GPUConfiguration(len(gpu.opps) - 1, gpu.n_slices))
+        low = run(GPUConfiguration(2, 1))
         if low.deadline_miss_rate == 0.0:
             assert low.gpu_energy_j < high.gpu_energy_j
 

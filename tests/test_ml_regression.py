@@ -103,26 +103,30 @@ class TestDecisionTree:
 
 class TestSVR:
     def test_fits_linear_function(self, rng):
+        """The default gamma (1 / (features * variance)), which the NoC
+        latency model uses, fits a linear trend over the sampled box."""
         x = rng.uniform(-1, 1, size=(60, 2))
         y = 2.0 * x[:, 0] - x[:, 1] + 0.5
-        model = SupportVectorRegressor(kernel="linear", c=50.0, epsilon=0.01)
-        model.fit(x, y)
+        model = SupportVectorRegressor(c=50.0, epsilon=0.01).fit(x, y)
         assert np.mean(np.abs(y - model.predict(x))) < 0.2
 
     def test_rbf_fits_smooth_nonlinear_function(self, rng):
         x = rng.uniform(-2, 2, size=(80, 1))
         y = np.sin(x[:, 0])
-        model = SupportVectorRegressor(kernel="rbf", c=50.0, epsilon=0.02,
+        model = SupportVectorRegressor(c=50.0, epsilon=0.02,
                                        gamma=1.0).fit(x, y)
         assert np.mean(np.abs(y - model.predict(x))) < 0.25
-
-    def test_invalid_kernel(self):
-        with pytest.raises(ValueError):
-            SupportVectorRegressor(kernel="poly")
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             SupportVectorRegressor().predict(np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("kwargs", [{"c": 0.0}, {"c": -1.0},
+                                        {"epsilon": -0.01}],
+                             ids=["zero-c", "negative-c", "negative-epsilon"])
+    def test_invalid_hyperparameters(self, kwargs):
+        with pytest.raises(ValueError):
+            SupportVectorRegressor(**kwargs)
 
 
 class TestKNN:

@@ -227,19 +227,20 @@ class TestParallelRunnerEquivalence:
         sequential = ExperimentRunner(scale="tiny", seeds=(0, 1)).run("figure2")
         with ExperimentRunner(scale="tiny", seeds=(0, 1), jobs=2) as runner:
             parallel = runner.run("figure2")
-        assert sequential.seeds == parallel.seeds
         for seq_run, par_run in zip(sequential.seed_runs, parallel.seed_runs):
             assert seq_run.seed == par_run.seed
             np.testing.assert_array_equal(seq_run.result.measured_ms,
                                           par_run.result.measured_ms)
             np.testing.assert_array_equal(seq_run.result.predicted_ms,
                                           par_run.result.predicted_ms)
-        assert (sequential.spec.format_result(sequential.results[0])
-                == parallel.spec.format_result(parallel.results[0]))
+        assert (sequential.spec.format_result(sequential.seed_runs[0].result)
+                == parallel.spec.format_result(parallel.seed_runs[0].result))
 
     def test_jobs_clamped_to_seed_count(self):
-        run = ExperimentRunner(scale="tiny", seeds=(0,), jobs=8).run("table1")
-        assert run.seeds == [0]
+        with ExperimentRunner(scale="tiny", seeds=(0,), jobs=8) as runner:
+            run = runner.run("table1")
+            assert runner._executor is None  # one seed runs in-process
+        assert [seed_run.seed for seed_run in run.seed_runs] == [0]
 
     def test_pool_persists_across_experiments(self):
         """Successive run() calls reuse one pool and stay correct."""
@@ -250,7 +251,8 @@ class TestParallelRunnerEquivalence:
             second = runner.run("figure2")
             assert runner._executor is pool
         assert runner._executor is None
-        assert first.seeds == second.seeds == [0, 1]
+        assert ([r.seed for r in first.seed_runs]
+                == [r.seed for r in second.seed_runs] == [0, 1])
         reference = ExperimentRunner(scale="tiny", seeds=(0, 1)).run("figure2")
         for par, seq in zip(second.seed_runs, reference.seed_runs):
             np.testing.assert_array_equal(par.result.measured_ms,
@@ -259,9 +261,6 @@ class TestParallelRunnerEquivalence:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             ExperimentRunner(scale="tiny", seeds=(0,), jobs=0)
-        runner = ExperimentRunner(scale="tiny", seeds=(0,))
-        with pytest.raises(ValueError):
-            runner.run("table1", jobs=-1)
 
     def test_generator_seeds_rejected_in_parallel(self):
         """A shared stateful Generator cannot honour the any-job-count
@@ -271,4 +270,5 @@ class TestParallelRunnerEquivalence:
         with pytest.raises(ValueError, match="int or None seeds"):
             runner.run("table1")
         # The same seeds run fine sequentially.
-        assert len(runner.run("table1", jobs=1).seed_runs) == 2
+        sequential = ExperimentRunner(scale="tiny", seeds=(rng, rng))
+        assert len(sequential.run("table1").seed_runs) == 2

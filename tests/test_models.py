@@ -92,7 +92,7 @@ class TestCpuPowerModel:
         opps, cores = reference.as_dicts()
         low = SoCConfiguration.from_dicts({**opps, "big": 0}, cores)
         high = SoCConfiguration.from_dicts(
-            {**opps, "big": len(simulator.platform.big.opps) - 1}, cores)
+            {**opps, "big": len(simulator.platform.cluster("big").opps) - 1}, cores)
         assert (predict_power(model, counters, reference, one_row(space, high))
                 > predict_power(model, counters, reference, one_row(space, low)))
 
@@ -113,7 +113,7 @@ class TestCpuPerformanceModel:
         reference = space.default_configuration()
         counters = simulator.evaluate_expected(memory_snippet, reference).counters
         opps, cores = reference.as_dicts()
-        for big_index in (0, len(simulator.platform.big.opps) - 1):
+        for big_index in (0, len(simulator.platform.cluster("big").opps) - 1):
             candidate = SoCConfiguration.from_dicts({**opps, "big": big_index}, cores)
             truth = simulator.evaluate_expected(memory_snippet, candidate).execution_time_s
             predicted = predict_time(model, counters, reference,
@@ -149,7 +149,7 @@ class TestFrameTimeModel:
     def test_adaptive_variant_constructs(self):
         model = FrameTimeModel(adaptive=True)
         model.update(1e7, 1e6, 5e8, 1, 0.02)
-        assert model.n_updates == 1
+        assert model.rls.n_updates == 1
 
     def test_invalid_frequency_rejected(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,8 @@ from repro.noc import (
     build_noc_training_set,
 )
 
+from scalar_reference.noc_latency import manhattan_hops, zero_load_latency
+
 
 @pytest.fixture(scope="module")
 def mesh():
@@ -32,7 +34,7 @@ class TestTopology:
     def test_xy_route_properties(self, mesh):
         route = mesh.xy_route(0, 15)
         assert route[0] == 0 and route[-1] == 15
-        assert len(route) == mesh.hop_count(0, 15) + 1
+        assert len(route) == manhattan_hops(mesh, 0, 15) + 1
         # XY routing: x changes first, then y.
         xs = [mesh.coordinates(n)[0] for n in route]
         ys = [mesh.coordinates(n)[1] for n in route]
@@ -63,7 +65,8 @@ class TestTopology:
     @given(src=st.integers(0, 15), dst=st.integers(0, 15))
     def test_hop_count_matches_route_length(self, src, dst):
         mesh = MeshTopology(4, 4)
-        assert len(mesh.xy_route(src, dst)) - 1 == mesh.hop_count(src, dst)
+        assert len(mesh.xy_route(src, dst)) - 1 == manhattan_hops(mesh, src,
+                                                                  dst)
 
 
 class TestRouterAndPacket:
@@ -127,7 +130,7 @@ class TestNoCSimulator:
         packet = Packet(packet_id=0, source=0, destination=15, size_flits=4,
                         injection_cycle=0)
         result = simulator.run_packets([packet], n_cycles=1)
-        expected = simulator.zero_load_latency(0, 15, size_flits=4)
+        expected = zero_load_latency(simulator, 0, 15, size_flits=4)
         # The final-hop ejection does not pay the last router+link stage.
         assert abs(result.average_latency_cycles - expected) <= (
             simulator.router.router_delay_cycles + simulator.router.link_delay_cycles)

@@ -19,6 +19,16 @@ variable spelled like it is no call of it.  Strings in a package's
 ``__all__`` do not count (a re-export is not a use), and neither do
 docstrings (a mention is not a use) or the tests.  Dunder methods are
 exempt: Python calls them.
+
+A method is counted by its name alone, not by its class: a dead method
+that shares its name with a live one (a ``describe`` or ``run_fixed``
+beside a called one of the same name, a ``partial_fit`` on one class
+while another class's is called) passes this guard.  A call trace of
+every entry point finds those: a ``sitecustomize`` hook on
+``PYTHONPATH`` records each first-called ``src/repro`` code object per
+process (forked and spawned children included), and every ``def``
+under ``src/repro`` that no run records is unreached.  CHANGES.md lists
+the entry points the trace runs and what it found.
 """
 
 from __future__ import annotations
@@ -58,12 +68,6 @@ ALLOWED_UNREFERENCED = {
         "extend to recovery (ROADMAP item 6)"),
     "repro.service.run:ServiceRun.run_to_completion": (
         "tests drive service runs to the end with it"),
-    "repro.gpu.simulator:GPUSimulator.run_fixed": (
-        "tests check the GPU model at a fixed configuration with it"),
-    "repro.gpu.simulator:GPURunSummary.busy_time_series_s": (
-        "tests check per-frame busy times with it"),
-    "repro.noc.simulator:NoCSimulator.zero_load_latency": (
-        "tests bound every simulated packet's latency from below with it"),
     "repro.soc.platform:generic_big_little": (
         "tests build their small and random platforms with it"),
 }

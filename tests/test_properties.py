@@ -8,14 +8,14 @@ seed.  The invariants:
 * physics: energy/time/power of any execution are positive and finite;
 * batch == scalar parity of the vectorized SoC configuration sweep on
   randomized inputs;
-* GPU frame loop: a controller pinned to one configuration reproduces
-  ``run_fixed`` bitwise, and a faster operating point or more slices never
-  lengthen a frame;
+* GPU frame loop: a controller pinned to one configuration sees every
+  frame it rendered, a deterministic run draws no noise, and a faster
+  operating point or more slices never lengthen a frame;
 * NoC packet loop: every packet is delivered along its XY route no sooner
   than its zero-load latency (exactly that when alone), and a run cut at
   its injection window is a prefix of the drained run;
-* online estimators: chunked ``StandardScaler.partial_fit`` equals one
-  ``fit``, and RLS without forgetting converges to the least-squares fit;
+* online estimators: RLS without forgetting converges to the
+  least-squares fit;
 * Oracle optimality: no policy can beat the Oracle table on the same
   snippets under noise-free execution, full or restricted space;
 * regression trees, grown by the vectorized split search and by the
@@ -39,7 +39,6 @@ from repro.gpu.gpu import GPUConfiguration, default_integrated_gpu
 from repro.gpu.simulator import GPUSimulator
 from repro.ml.linear import LinearRegressor
 from repro.ml.rls import RecursiveLeastSquares
-from repro.ml.scaling import StandardScaler
 from repro.ml.tree import DecisionTreeRegressor
 from repro.noc.packet import Packet
 from repro.noc.router import RouterConfig
@@ -51,6 +50,7 @@ from repro.soc.platform import generic_big_little
 from repro.soc.simulator import SoCSimulator, characteristics_matrix
 from repro.soc.snippet import Snippet, SnippetCharacteristics
 
+from scalar_reference.noc_latency import manhattan_hops, zero_load_latency
 from scalar_reference.tree_scalar import (ScalarDecisionTreeRegressor,
                                           predict_row)
 
@@ -148,26 +148,9 @@ def random_gpu_and_trace(rng: np.random.Generator, seed: int):
     return gpu_spec, trace
 
 
-class _PinnedGPUController:
-    """A GPU controller that always picks one configuration."""
-
-    def __init__(self, config: GPUConfiguration) -> None:
-        self.config = config
-        self.observed = []
-
-    def reset(self) -> None:
-        self.observed = []
-
-    def decide(self, upcoming_frame=None) -> GPUConfiguration:
-        return self.config
-
-    def observe(self, result) -> None:
-        self.observed.append(result)
-
-
 @pytest.mark.parametrize("seed", PROPERTY_SEEDS)
 class TestGPUFrameLoop:
-    def test_pinned_controller_matches_run_fixed(self, seed):
+    def test_pinned_controller_run(self, seed, pinned_gpu_controller):
         rng = np.random.default_rng(seed)
         gpu_spec, trace = random_gpu_and_trace(rng, seed)
         config = GPUConfiguration(
@@ -176,11 +159,12 @@ class TestGPUFrameLoop:
         )
         # Noise is configured but a deterministic run must not draw it.
         simulator = GPUSimulator(gpu_spec, noise_scale=0.05, seed=seed)
-        controller = _PinnedGPUController(config)
-        looped = simulator.run(trace, controller, deterministic=True)
-        fixed = simulator.run_fixed(trace, config, deterministic=True)
-        assert looped.frame_results == fixed.frame_results
-        assert controller.observed == looped.frame_results
+        quiet = GPUSimulator(gpu_spec, noise_scale=0.0, seed=seed + 1)
+        controller = pinned_gpu_controller(config)
+        fixed = simulator.run(trace, controller, deterministic=True)
+        assert fixed.frame_results == quiet.run(
+            trace, pinned_gpu_controller(config)).frame_results
+        assert controller.observed == fixed.frame_results
         assert fixed.n_frames == len(trace)
         for result in fixed.frame_results:
             assert result.frame_time_s == max(result.busy_time_s,
@@ -190,15 +174,20 @@ class TestGPUFrameLoop:
         assert fixed.gpu_energy_j == float(
             sum(r.gpu_energy_j for r in fixed.frame_results))
 
-    def test_faster_knobs_never_lengthen_a_frame(self, seed):
+    def test_faster_knobs_never_lengthen_a_frame(self, seed,
+                                                 pinned_gpu_controller):
         rng = np.random.default_rng(seed)
         gpu_spec, trace = random_gpu_and_trace(rng, seed)
         simulator = GPUSimulator(gpu_spec, seed=seed)
+
+        def busy_times(opp, slices):
+            controller = pinned_gpu_controller(GPUConfiguration(opp, slices))
+            run = simulator.run(trace, controller, deterministic=True)
+            return [result.busy_time_s for result in run.frame_results]
+
         # busy[slices - 1, opp, frame]
         busy = np.array([
-            [simulator.run_fixed(
-                trace, GPUConfiguration(opp, slices)).busy_time_series_s()
-             for opp in range(len(gpu_spec.opps))]
+            [busy_times(opp, slices) for opp in range(len(gpu_spec.opps))]
             for slices in range(1, gpu_spec.n_slices + 1)
         ])
         assert np.all(np.diff(busy, axis=1) < 0.0)
@@ -242,10 +231,11 @@ class TestNoCPacketLoop:
         for packet in packets:
             assert packet.route == topology.xy_route(packet.source,
                                                      packet.destination)
-            assert packet.hops == topology.hop_count(packet.source,
-                                                     packet.destination)
-            assert packet.latency_cycles >= simulator.zero_load_latency(
-                packet.source, packet.destination, packet.size_flits)
+            assert packet.hops == manhattan_hops(topology, packet.source,
+                                                 packet.destination)
+            assert packet.latency_cycles >= zero_load_latency(
+                simulator, packet.source, packet.destination,
+                packet.size_flits)
         assert result.simulated_cycles == max(
             [n_cycles] + [p.ejection_cycle for p in packets])
 
@@ -260,8 +250,8 @@ class TestNoCPacketLoop:
                         size_flits=size, injection_cycle=injection)
         simulator = NoCSimulator(topology, router)
         simulator.run_packets([packet], n_cycles=injection + 1)
-        assert packet.latency_cycles == simulator.zero_load_latency(
-            source, destination, size)
+        assert packet.latency_cycles == zero_load_latency(
+            simulator, source, destination, size)
 
     def test_truncated_run_is_a_prefix_of_the_drained_run(self, seed):
         rng = np.random.default_rng(seed)
@@ -286,35 +276,14 @@ class TestNoCPacketLoop:
                 for p in truncated.delivered_packets} == {
             packet_id: cycle for packet_id, cycle in ejections.items()
             if cycle <= n_cycles}
-        late = [p for p in sent if p.injection_cycle + simulator.zero_load_latency(
-            p.source, p.destination, p.size_flits) > n_cycles]
+        late = [p for p in sent if p.injection_cycle + zero_load_latency(
+            simulator, p.source, p.destination, p.size_flits) > n_cycles]
         assert all(p.ejection_cycle is None for p in late)
         assert truncated.undelivered_count >= len(late)
 
 
 @pytest.mark.parametrize("seed", PROPERTY_SEEDS)
 class TestOnlineEstimators:
-    def test_chunked_scaler_partial_fit_matches_fit(self, seed):
-        rng = np.random.default_rng(seed)
-        n_features = int(rng.integers(1, 7))
-        # Counter-like columns spanning many orders of magnitude.
-        scales = 10.0 ** rng.uniform(-3.0, 6.0, size=n_features)
-        offsets = rng.uniform(-5.0, 5.0, size=n_features) * scales
-        chunks = [offsets + scales * rng.normal(size=(int(rng.integers(1, 20)),
-                                                      n_features))
-                  for _ in range(int(rng.integers(2, 9)))]
-        online = StandardScaler()
-        for chunk in chunks:
-            online.partial_fit(chunk)
-        batch = StandardScaler().fit(np.vstack(chunks))
-        assert online.count_ == batch.count_
-        # Compared in each column's own units.
-        np.testing.assert_allclose(online.mean_ / scales, batch.mean_ / scales,
-                                   rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(online.var_ / scales**2,
-                                   batch.var_ / scales**2,
-                                   rtol=1e-9, atol=1e-12)
-
     def test_rls_without_forgetting_converges_to_least_squares(self, seed):
         rng = np.random.default_rng(seed)
         n_features = int(rng.integers(1, 6))
@@ -328,8 +297,8 @@ class TestOnlineEstimators:
             rls.update(row, float(target))
         ols = LinearRegressor().fit(features, targets)
         np.testing.assert_allclose(rls.coef_, ols.coef_, rtol=1e-5, atol=1e-6)
-        assert rls.intercept_ == pytest.approx(ols.intercept_, rel=1e-5,
-                                               abs=1e-6)
+        assert rls.weights[-1] == pytest.approx(ols.intercept_, rel=1e-5,
+                                                abs=1e-6)
 
 
 @pytest.mark.parametrize("seed", PROPERTY_SEEDS)

@@ -21,6 +21,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -52,6 +53,7 @@ from repro.service.run import (
     build_config_devices,
 )
 from repro.service.server import MAX_BODY_BYTES, ServiceServer
+from repro.soc.governors import PowersaveGovernor
 
 CONFIG = RunConfig(policy="ondemand", scale="tiny", n_devices=2, seed=7,
                    snapshot_every=3)
@@ -871,11 +873,77 @@ class TestServerFailures:
         ("0", 200),
     ])
     def test_content_length_is_validated(self, content_length, status):
-        request = (f"POST /pause HTTP/1.1\r\n"
+        request = (f"GET /status HTTP/1.1\r\n"
                    f"Content-Length: {content_length}\r\n\r\n")
         answer, payload = asyncio.run(asyncio.wait_for(
             _raw_request(request.encode("latin-1")), timeout=60))
         assert answer == status, payload
+
+
+class TestServiceCLI:
+    """``python -m repro.service`` status/dispatch against a live server."""
+
+    def test_each_cli_dispatch_applies(self, capsys):
+        """Two CLI invocations mint distinct idempotency keys: both
+        dispatches are accepted and both apply."""
+        from repro.service.__main__ import main
+
+        run = ServiceRun.start(config=CONFIG)
+        server = ServiceServer(run, step_delay=0.05)
+        serving = threading.Thread(target=asyncio.run, args=(
+            server.serve(install_signal_handlers=False),))
+        serving.start()
+        try:
+            deadline = time.monotonic() + 60
+            while server.bound_port is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.bound_port is not None
+            port = str(server.bound_port)
+            receipts = []
+            for argv in (["restrict-space", "--device", "device-00",
+                          "--value", "1"],
+                         ["set-policy", "--device", "device-01",
+                          "--value", "powersave"]):
+                assert main(["dispatch", "--port", port, *argv]) == 0
+                receipts.append(json.loads(capsys.readouterr().out))
+            assert [r["status"] for r in receipts] == ["accepted"] * 2
+            last = max(r["apply_round"] for r in receipts)
+            while (run.rounds <= last and not run.done
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+        finally:
+            server.request_drain()
+            serving.join(timeout=60)
+        assert not serving.is_alive()
+        assert run.rounds > last, "the run ended before the dispatches"
+        assert run.supervisor.session_named("device-00").dispatched_cap == 1
+        policy = run.supervisor.session_named("device-01").policy
+        assert isinstance(policy.governor, PowersaveGovernor)
+
+    def test_clients_mint_distinct_keys(self):
+        """Each client draws its own key prefix."""
+        from repro.service.client import ServiceClient
+
+        first, second = ServiceClient(port=1), ServiceClient(port=1)
+        assert first.next_idempotency_key() != second.next_idempotency_key()
+
+    def test_dispatch_rejects_a_non_integer_cap(self, capsys):
+        from repro.service.__main__ import main
+
+        code = main(["dispatch", "--port", "1", "restrict-space",
+                     "--device", "device-00", "--value", "abc"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'abc'" in err
+
+    def test_status_without_a_port_file(self, tmp_path, capsys):
+        from repro.service.__main__ import main
+
+        assert main(["status", "--journal", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "server.port" in err
+        assert main(["status"]) == 2
+        assert capsys.readouterr().err.startswith("error: need --port")
 
 
 # --------------------------------------------------------------------- #

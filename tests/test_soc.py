@@ -23,6 +23,8 @@ from repro.soc import (
     odroid_xu3_like,
     generic_big_little,
 )
+from repro.soc.counters import FEATURE_NAMES
+from repro.soc.simulator import BYTES_PER_EXTERNAL_REQUEST
 from repro.soc.snippet import CHARACTERISTIC_FIELDS, make_snippets
 
 
@@ -59,15 +61,9 @@ class TestOPP:
         assert table.clamp_index(-3) == 0
         assert table.clamp_index(99) == 4
 
-    def test_frequency_unit_helpers(self):
-        point = OperatingPoint(1.5e9, 1.0)
-        assert point.frequency_ghz == pytest.approx(1.5)
-        assert point.frequency_mhz == pytest.approx(1500.0)
-
-
 class TestClusterAndPlatform:
     def test_cluster_power_models(self, platform):
-        big = platform.big
+        big = platform.cluster("big")
         top = len(big.opps) - 1
         dynamic_low = big.dynamic_power_w(0, 4, 1.0)
         dynamic_high = big.dynamic_power_w(top, 4, 1.0)
@@ -77,7 +73,7 @@ class TestClusterAndPlatform:
 
     def test_cluster_index_validation(self, platform):
         with pytest.raises(IndexError):
-            platform.big.dynamic_power_w(99, 4, 1.0)
+            platform.cluster("big").dynamic_power_w(99, 4, 1.0)
 
     def test_platform_lookup(self, platform):
         assert platform.cluster("big").name == "big"
@@ -86,20 +82,21 @@ class TestClusterAndPlatform:
 
     def test_generic_platform_parameters(self):
         platform = generic_big_little(n_big_cores=2, n_little_cores=6)
-        assert platform.big.n_cores == 2
-        assert platform.little.n_cores == 6
+        assert platform.cluster("big").n_cores == 2
+        assert platform.cluster("little").n_cores == 6
 
 
 class TestConfigurationSpace:
     def test_size_without_gating(self, platform):
         space = ConfigurationSpace(platform)
-        assert len(space) == len(platform.big.opps) * len(platform.little.opps)
+        big, little = platform.cluster("big"), platform.cluster("little")
+        assert len(space) == len(big.opps) * len(little.opps)
 
     def test_size_with_big_gating_only(self, platform):
         space = ConfigurationSpace(platform, allow_core_gating=True,
                                    gated_clusters=("big",))
-        expected = (len(platform.big.opps) * len(platform.little.opps)
-                    * platform.big.n_cores)
+        big, little = platform.cluster("big"), platform.cluster("little")
+        expected = len(big.opps) * len(little.opps) * big.n_cores
         assert len(space) == expected
 
     def test_unknown_gated_cluster_rejected(self, platform):
@@ -113,7 +110,7 @@ class TestConfigurationSpace:
 
     def test_default_configuration_all_cores(self, space, platform):
         default = space.default_configuration()
-        assert default.cores("big") == platform.big.n_cores
+        assert default.cores("big") == platform.cluster("big").n_cores
         assert space.contains(default)
 
     def test_neighbors_radius_zero_is_self(self, space):
@@ -146,12 +143,11 @@ class TestConfigurationSpace:
         for _ in range(10):
             assert space.contains(space.random_configuration(rng))
 
-    def test_configuration_accessors(self, space, platform):
+    def test_configuration_accessors(self, space):
         config = space.default_configuration()
         opps, cores = config.as_dicts()
         rebuilt = SoCConfiguration.from_dicts(opps, cores)
         assert rebuilt == config
-        assert "big" in config.describe(platform)
         with pytest.raises(KeyError):
             config.opp_index("gpu")
 
@@ -231,7 +227,7 @@ class TestCounters:
     def test_feature_vector_shape_and_names(self, simulator, space, compute_snippet):
         result = simulator.run_snippet(compute_snippet, space.default_configuration())
         counters = result.counters
-        assert counters.feature_vector().shape == (PerformanceCounters.n_features(),)
+        assert counters.feature_vector().shape == (len(FEATURE_NAMES),)
         assert set(counters.as_dict()) >= {"cpu_cycles", "total_chip_power_w"}
 
 
@@ -416,7 +412,7 @@ class TestSimulator:
         slow = SoCConfiguration.from_dicts({"big": 0, "little": 0},
                                            {"big": 4, "little": 4})
         fast = SoCConfiguration.from_dicts(
-            {"big": len(simulator.platform.big.opps) - 1, "little": 0},
+            {"big": len(simulator.platform.cluster("big").opps) - 1, "little": 0},
             {"big": 4, "little": 4})
         t_slow = simulator.evaluate_expected(compute_snippet, slow).execution_time_s
         t_fast = simulator.evaluate_expected(compute_snippet, fast).execution_time_s
@@ -427,7 +423,7 @@ class TestSimulator:
         platform = simulator.platform
         low = SoCConfiguration.from_dicts({"big": 0, "little": 0}, {"big": 4, "little": 4})
         high = SoCConfiguration.from_dicts(
-            {"big": len(platform.big.opps) - 1, "little": 0}, {"big": 4, "little": 4})
+            {"big": len(platform.cluster("big").opps) - 1, "little": 0}, {"big": 4, "little": 4})
         speedup_compute = (simulator.evaluate_expected(compute_snippet, low).execution_time_s
                            / simulator.evaluate_expected(compute_snippet, high).execution_time_s)
         speedup_memory = (simulator.evaluate_expected(memory_snippet, low).execution_time_s
@@ -447,7 +443,7 @@ class TestSimulator:
         platform = simulator.platform
         low = SoCConfiguration.from_dicts({"big": 0, "little": 0}, {"big": 4, "little": 4})
         high = SoCConfiguration.from_dicts(
-            {"big": len(platform.big.opps) - 1, "little": 0}, {"big": 4, "little": 4})
+            {"big": len(platform.cluster("big").opps) - 1, "little": 0}, {"big": 4, "little": 4})
         assert (simulator.evaluate_expected(compute_snippet, high).average_power_w
                 > simulator.evaluate_expected(compute_snippet, low).average_power_w)
 
@@ -510,7 +506,6 @@ class TestSimulator:
             assert replayed.counters.as_dict() == full.counters.as_dict()
             assert replayed.counters.execution_time_s == \
                 full.counters.execution_time_s
-            assert replayed.power_breakdown_w == full.power_breakdown_w
 
     def test_apply_noise_without_noise_returns_expected_values(
             self, simulator, space, compute_snippet):
@@ -528,10 +523,30 @@ class TestSimulator:
         assert counters.l2_cache_misses == pytest.approx(expected_misses)
         assert counters.instructions_retired == memory_snippet.n_instructions
 
-    def test_power_breakdown_sums_to_total(self, simulator, space, compute_snippet):
-        result = simulator.evaluate_expected(compute_snippet, space.default_configuration())
-        assert sum(result.power_breakdown_w.values()) == pytest.approx(
-            result.average_power_w, rel=1e-6)
+    def test_total_power_sums_its_components(self, simulator, space,
+                                             compute_snippet, memory_snippet):
+        """Chip power is the base power, plus each cluster's dynamic and
+        static power at the utilization its counters report, plus DRAM
+        power at the external-request bandwidth."""
+        platform = simulator.platform
+        config = space.default_configuration()
+        for snippet in (compute_snippet, memory_snippet):
+            result = simulator.evaluate_expected(snippet, config)
+            counters = result.counters
+            utilization = {"big": counters.big_cluster_utilization,
+                           "little": counters.little_cluster_utilization}
+            expected = platform.base_power_w
+            for name in platform.cluster_names:
+                spec = platform.cluster(name)
+                opp, active = config.opp_index(name), config.cores(name)
+                expected += (spec.dynamic_power_w(opp, active, utilization[name])
+                             + spec.static_power_w(opp, active))
+            traffic_gbps = (counters.noncache_external_memory_requests
+                            * BYTES_PER_EXTERNAL_REQUEST
+                            / result.execution_time_s / 1e9)
+            expected += platform.memory_power_w_per_gbps * traffic_gbps
+            assert result.average_power_w == pytest.approx(expected, rel=1e-12)
+            assert counters.total_chip_power_w == result.average_power_w
 
     def test_result_derived_metrics(self, simulator, space, compute_snippet):
         result = simulator.evaluate_expected(compute_snippet, space.default_configuration())
@@ -577,7 +592,7 @@ class TestGovernors:
         governor = PerformanceGovernor(space)
         counters = self._counters_with_util(simulator, space, compute_snippet)
         config = governor.decide(counters)
-        assert config.opp_index("big") == len(space.platform.big.opps) - 1
+        assert config.opp_index("big") == len(space.platform.cluster("big").opps) - 1
 
     def test_powersave_governor_min_frequency(self, space, simulator, compute_snippet):
         governor = PowersaveGovernor(space)
@@ -590,7 +605,7 @@ class TestGovernors:
         governor = OndemandGovernor(space, up_threshold=0.7)
         counters = self._counters_with_util(simulator, space, parallel_snippet)
         config = governor.decide(counters)
-        assert config.opp_index("big") == len(space.platform.big.opps) - 1
+        assert config.opp_index("big") == len(space.platform.cluster("big").opps) - 1
 
     def test_ondemand_steps_down_when_idle(self, space, simulator, compute_snippet):
         governor = OndemandGovernor(space, down_threshold=0.3)

@@ -156,7 +156,6 @@ class TestGeneratorMatchesScalarLoop:
                 unseen_workloads(), snippet_factor=0.3, seed=seed)
             assert _trace_bits(sequence.snippets) == _trace_bits(
                 reference.snippets)
-            assert sequence.boundaries == reference.boundaries
 
     def test_clipping_at_the_bounds_matches(self):
         """Means on the clip bounds clip half the draws, and -0.0 and NaN
@@ -234,14 +233,23 @@ class TestSuites:
 class TestSequences:
     def test_default_sequence_covers_unseen_apps(self):
         sequence = build_online_sequence(snippet_factor=0.5, seed=0)
-        apps = sequence.applications()
-        assert set(apps) == {w.name for w in unseen_workloads()}
+        apps = {snippet.application for snippet in sequence.snippets}
+        assert apps == {w.name for w in unseen_workloads()}
         assert len(sequence) == sum(
             w.scaled(0.5).n_snippets for w in unseen_workloads())
 
-    def test_boundaries_recorded(self):
+    def test_applications_run_back_to_back_in_suite_order(self):
+        """Each application's snippets form one contiguous run, indexed
+        from 0, in suite order."""
         sequence = build_online_sequence(snippet_factor=0.5, seed=0)
-        assert sequence.boundaries[sequence.applications()[0]] == 0
+        start = 0
+        for workload in unseen_workloads():
+            n = workload.scaled(0.5).n_snippets
+            run = sequence.snippets[start:start + n]
+            assert [s.application for s in run] == [workload.name] * n
+            assert [s.index for s in run] == list(range(n))
+            start += n
+        assert start == len(sequence)
 
 
 class TestGraphicsWorkloads:
@@ -251,7 +259,10 @@ class TestGraphicsWorkloads:
     def test_trace_generation_scales_with_load(self):
         light = get_graphics_workload("angrybirds", n_frames=100, seed=0)
         heavy = get_graphics_workload("gfxbench-trex", n_frames=100, seed=0)
-        assert heavy.mean_work_cycles() > 2.0 * light.mean_work_cycles()
+        light_work, heavy_work = (
+            np.mean([frame.work_cycles for frame in trace.frames])
+            for trace in (light, heavy))
+        assert heavy_work > 2.0 * light_work
         assert len(light) == 100
 
     def test_unknown_benchmark_rejected(self):

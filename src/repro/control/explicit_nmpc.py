@@ -12,7 +12,7 @@ fraction of the cost — the property Figure 5 quantifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -57,12 +57,9 @@ def halton_sequence(n_points: int, n_dims: int) -> np.ndarray:
 class NMPCSurfaceDataset:
     """Samples of the NMPC control surface used to train the explicit models."""
 
-    states: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
-    opp_indices: np.ndarray = field(default_factory=lambda: np.empty(0))
-    slice_counts: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
+    states: np.ndarray
+    opp_indices: np.ndarray
+    slice_counts: np.ndarray
 
 
 class ExplicitNMPCGpuController:
@@ -72,7 +69,6 @@ class ExplicitNMPCGpuController:
         self,
         gpu: GPUSpec,
         target_fps: float,
-        predictor: Optional[WorkloadPredictor] = None,
         deadline_margin: float = 0.05,
         n_surface_samples: int = 400,
         opp_model: Optional[Regressor] = None,
@@ -82,7 +78,7 @@ class ExplicitNMPCGpuController:
             raise ValueError("n_surface_samples must be >= 10")
         self.gpu = gpu
         self.target_fps = float(target_fps)
-        self.predictor = predictor or WorkloadPredictor()
+        self.predictor = WorkloadPredictor()
         self.deadline_margin = float(deadline_margin)
         self.n_surface_samples = int(n_surface_samples)
         self.opp_model = opp_model or DecisionTreeRegressor(max_depth=10,
@@ -91,7 +87,6 @@ class ExplicitNMPCGpuController:
         self.slice_model = slice_model or DecisionTreeRegressor(max_depth=10,
                                                                 min_samples_leaf=1,
                                                                 min_samples_split=2)
-        self.dataset: Optional[NMPCSurfaceDataset] = None
         self._trained = False
         self.current = GPUConfiguration(opp_index=len(gpu.opps) - 1,
                                         active_slices=gpu.n_slices)
@@ -123,16 +118,14 @@ class ExplicitNMPCGpuController:
         states = low + unit * (high - low)
         opp_indices, slice_counts = self._nmpc.solve_batch(states[:, 0],
                                                            states[:, 1])
-        self.dataset = NMPCSurfaceDataset(
+        return NMPCSurfaceDataset(
             states=states, opp_indices=opp_indices.astype(float),
             slice_counts=slice_counts.astype(float),
         )
-        return self.dataset
 
-    def fit(self, dataset: Optional[NMPCSurfaceDataset] = None) -> "ExplicitNMPCGpuController":
+    def fit(self) -> "ExplicitNMPCGpuController":
         """Fit the explicit regression models to the NMPC surface."""
-        data = dataset or self.dataset or self.build_surface()
-        self.dataset = data
+        data = self.build_surface()
         self.opp_model.fit(data.states, data.opp_indices)
         self.slice_model.fit(data.states, data.slice_counts)
         self._trained = True

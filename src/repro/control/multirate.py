@@ -38,21 +38,18 @@ class MultiRateGPUController:
         target_fps: float,
         slow_period: int = 16,
         deadline_margin: float = DEADLINE_MARGIN,
-        predictor: Optional[WorkloadPredictor] = None,
         explicit_controller: Optional[ExplicitNMPCGpuController] = None,
-        fast_controller: Optional[FastRateFrequencyController] = None,
     ) -> None:
         if slow_period < 1:
             raise ValueError("slow_period must be >= 1")
         self.gpu = gpu
         self.target_fps = float(target_fps)
         self.slow_period = int(slow_period)
-        self.predictor = predictor or WorkloadPredictor()
+        self.predictor = WorkloadPredictor()
         self.explicit = explicit_controller or ExplicitNMPCGpuController(
             gpu, target_fps, deadline_margin=deadline_margin,
-            predictor=self.predictor,
         )
-        self.fast = fast_controller or FastRateFrequencyController(
+        self.fast = FastRateFrequencyController(
             gpu, target_fps, utilization_setpoint=1.0 - deadline_margin - 0.05,
         )
         self.current = GPUConfiguration(opp_index=len(gpu.opps) - 1,

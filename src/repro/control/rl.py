@@ -12,7 +12,7 @@ reward.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -34,27 +34,21 @@ class CounterStateDiscretizer:
 
     #: Indices into PerformanceCounters.feature_vector(): CPI, L2 MPKI, big util.
     DEFAULT_FEATURE_INDICES = (0, 2, 6)
+    #: Generous value ranges of the CPI, MPKI and utilisation features; any
+    #: other feature spans ``(0, 10)``.
+    FEATURE_RANGES = {0: (0.3, 6.0), 2: (0.0, 25.0), 6: (0.0, 1.0)}
 
     def __init__(
         self,
         n_bins: int = 4,
         feature_indices: Tuple[int, ...] = DEFAULT_FEATURE_INDICES,
-        feature_ranges: Optional[List[Tuple[float, float]]] = None,
     ) -> None:
         if n_bins < 2:
             raise ValueError("n_bins must be >= 2")
         self.n_bins = int(n_bins)
         self.feature_indices = tuple(feature_indices)
-        if feature_ranges is None:
-            # Generous default ranges for CPI, MPKI and utilisation features.
-            defaults = {0: (0.3, 6.0), 2: (0.0, 25.0), 6: (0.0, 1.0)}
-            feature_ranges = [defaults.get(i, (0.0, 10.0)) for i in self.feature_indices]
-        if len(feature_ranges) != len(self.feature_indices):
-            raise ValueError("feature_ranges length must match feature_indices")
-        self.feature_ranges = [(float(lo), float(hi)) for lo, hi in feature_ranges]
-        for lo, hi in self.feature_ranges:
-            if hi <= lo:
-                raise ValueError("each feature range must have hi > lo")
+        self.feature_ranges = [self.FEATURE_RANGES.get(i, (0.0, 10.0))
+                               for i in self.feature_indices]
 
     @property
     def n_states(self) -> int:
@@ -81,7 +75,6 @@ class QLearningController(DRMPolicy):
     def __init__(
         self,
         space: ConfigurationSpace,
-        discretizer: Optional[CounterStateDiscretizer] = None,
         learning_rate: float = 0.1,
         discount: float = 0.6,
         epsilon: float = 0.15,
@@ -97,7 +90,7 @@ class QLearningController(DRMPolicy):
             raise ValueError("discount must be in [0, 1)")
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
-        self.discretizer = discretizer or CounterStateDiscretizer()
+        self.discretizer = CounterStateDiscretizer()
         self.learning_rate = float(learning_rate)
         self.discount = float(discount)
         self.epsilon = float(epsilon)

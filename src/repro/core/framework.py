@@ -25,7 +25,6 @@ from repro.core.offline_il import ILDataset, OfflineILPolicy, collect_il_dataset
 from repro.core.online_il import OnlineILPolicy
 from repro.core.oracle import (ENERGY, OracleCache, OracleTable,
                                build_oracle, oracle_results)
-from repro.core.oracle_store import OracleStore
 from repro.core.runtime_oracle import RuntimeOracle
 from repro.models.performance import CpuPerformanceModel
 from repro.models.power import CpuPowerModel
@@ -154,7 +153,6 @@ class OnlineLearningFramework:
         allow_core_gating: bool = False,
         noise_scale: float = 0.01,
         seed: SeedLike = 0,
-        oracle_store: Optional["OracleStore"] = None,
     ) -> None:
         self.platform = platform or odroid_xu3_like()
         # The default space controls the two cluster frequencies (the knobs of
@@ -163,9 +161,7 @@ class OnlineLearningFramework:
         # richer space), which widens the offline-IL generalisation gap at the
         # cost of a larger Oracle sweep; the ablation benchmarks exercise it.
         self.space = ConfigurationSpace(
-            self.platform,
-            allow_core_gating=allow_core_gating,
-            gated_clusters=("big",) if allow_core_gating else None,
+            self.platform, gated_clusters=("big",) if allow_core_gating else (),
         )
         rngs = spawn_rngs(seed, 4)
         self._sim_rng, self._workload_rng, self._policy_rng, self._misc_rng = rngs
@@ -173,11 +169,10 @@ class OnlineLearningFramework:
                                       seed=self._sim_rng)
         # Oracle construction is deterministic, so entries computed during
         # offline training are reused verbatim by every later evaluation
-        # instead of re-sweeping the configuration space per call.  When an
-        # on-disk store is available (passed explicitly or installed as the
-        # process default), the cache also shares entries across processes
-        # and invocations.
-        self.oracle_cache = OracleCache(store=oracle_store)
+        # instead of re-sweeping the configuration space per call.  When the
+        # runner installed a process-default on-disk store, the cache also
+        # shares entries across processes and invocations.
+        self.oracle_cache = OracleCache()
         self.trace_generator = SnippetTraceGenerator(seed=self._workload_rng)
         self.offline_policy: Optional[OfflineILPolicy] = None
         self.offline_dataset: Optional[ILDataset] = None
@@ -188,11 +183,9 @@ class OnlineLearningFramework:
     # ------------------------------------------------------------------ #
     # Offline (design-time) phase
     # ------------------------------------------------------------------ #
-    def generate_trace(self, workload: WorkloadSpec,
-                       snippet_factor: float = 1.0) -> List[Snippet]:
+    def generate_trace(self, workload: WorkloadSpec) -> List[Snippet]:
         """Generate a snippet trace for one workload."""
-        return generate_snippets([workload], self.trace_generator.rng,
-                                 snippet_factor)
+        return generate_snippets([workload], self.trace_generator.rng)
 
     def build_oracle_for(self, snippets: Sequence[Snippet]) -> OracleTable:
         """Exhaustive Oracle for a snippet trace (noise-free, cached sweep)."""
@@ -202,7 +195,6 @@ class OnlineLearningFramework:
     def train_offline(
         self,
         workloads: Sequence[WorkloadSpec],
-        snippet_factor: float = 1.0,
         hidden_sizes: Sequence[int] = (24, 24),
         epochs: int = 150,
     ) -> OfflineILPolicy:
@@ -212,8 +204,7 @@ class OnlineLearningFramework:
         design-time executions, as the paper's methodology prescribes.
         """
         # One call draws what one call per workload would, in order.
-        snippets = generate_snippets(workloads, self.trace_generator.rng,
-                                     snippet_factor)
+        snippets = generate_snippets(workloads, self.trace_generator.rng)
         self._training_snippets = snippets
         oracle_table = self.build_oracle_for(snippets)
         dataset = collect_il_dataset(
@@ -307,7 +298,6 @@ class OnlineLearningFramework:
 
     def train_rl_offline(self, policy: QLearningController,
                          workloads: Sequence[WorkloadSpec],
-                         snippet_factor: float = 1.0,
                          episodes: int = 3) -> QLearningController:
         """Offline RL pre-training on the design-time workloads.
 
@@ -317,7 +307,7 @@ class OnlineLearningFramework:
         """
         for _ in range(max(1, int(episodes))):
             for workload in workloads:
-                snippets = self.generate_trace(workload, snippet_factor)
+                snippets = self.generate_trace(workload)
                 run_policy_on_snippets(
                     self.simulator, self.space, policy, snippets,
                     reset_policy=False,
@@ -331,12 +321,11 @@ class OnlineLearningFramework:
         self,
         policy: DRMPolicy,
         workload: WorkloadSpec,
-        snippet_factor: float = 1.0,
         with_oracle: bool = True,
         reset_policy: bool = True,
     ) -> PolicyRunResult:
         """Run ``policy`` over one workload and (optionally) its Oracle."""
-        snippets = self.generate_trace(workload, snippet_factor)
+        snippets = self.generate_trace(workload)
         return self.evaluate_policy_on_snippets(
             policy, snippets, with_oracle=with_oracle, reset_policy=reset_policy
         )

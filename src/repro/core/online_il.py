@@ -146,7 +146,7 @@ class OnlineILPolicy(DRMPolicy):
         if type(oracle.performance_model) is not CpuPerformanceModel:
             return False
         for rls in (oracle.power_model.rls, oracle.performance_model.rls):
-            if type(rls) is not RecursiveLeastSquares or not rls.fit_intercept:
+            if type(rls) is not RecursiveLeastSquares:
                 return False
         if set(self.space.cluster_order) != {"big", "little"}:
             return False

@@ -194,9 +194,8 @@ class RuntimeOracle:
 
         Preconditions (the online-IL decide key guarantees them): every
         oracle has the same space content and radius, uses plain
-        :class:`~repro.ml.rls.RecursiveLeastSquares` models
-        (``fit_intercept=True``), and every model reads its space's
-        platform object.  ``current_indices[d]``
+        :class:`~repro.ml.rls.RecursiveLeastSquares` models, and every
+        model reads its space's platform object.  ``current_indices[d]``
         must be device ``d``'s current configuration index (so
         ``space.contains(current)`` holds for every device).  Every
         neighbourhood then includes the current configuration, so no row

@@ -108,7 +108,6 @@ class ForgettingAblationRow:
 
 def run_forgetting_factor_ablation(
     factors: Sequence[float] = (0.85, 0.92, 0.95, 0.99, 1.0),
-    include_adaptive: bool = True,
     scale: ExperimentScale = QUICK,
     seed: SeedLike = 0,
 ) -> List[ForgettingAblationRow]:
@@ -123,13 +122,12 @@ def run_forgetting_factor_ablation(
                 error_percent=result,
             )
         )
-    if include_adaptive:
-        adaptive_error = _figure2_with_factor(scale, seed, adaptive=True)
-        rows.append(
-            ForgettingAblationRow(
-                forgetting_factor=None, adaptive=True, error_percent=adaptive_error
-            )
+    adaptive_error = _figure2_with_factor(scale, seed, adaptive=True)
+    rows.append(
+        ForgettingAblationRow(
+            forgetting_factor=None, adaptive=True, error_percent=adaptive_error
         )
+    )
     return rows
 
 

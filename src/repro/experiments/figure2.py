@@ -17,7 +17,7 @@ from typing import List
 import numpy as np
 
 from repro.experiments.common import ExperimentScale, QUICK
-from repro.gpu.gpu import GPUConfiguration, GPUSpec, default_integrated_gpu
+from repro.gpu.gpu import GPUConfiguration, default_integrated_gpu
 from repro.gpu.simulator import GPUSimulator
 from repro.ml.metrics import mean_absolute_percentage_error
 from repro.models.performance import FrameTimeModel
@@ -53,17 +53,14 @@ class Figure2Result:
 def run_figure2(
     scale: ExperimentScale = QUICK,
     seed: SeedLike = 0,
-    gpu: GPUSpec = None,
-    adaptive_forgetting: bool = False,
     dvfs_period_frames: int = 60,
 ) -> Figure2Result:
     """Predict Nenamark2 frame times online while DVFS changes the frequency."""
-    if gpu is None:
-        gpu = default_integrated_gpu()
+    gpu = default_integrated_gpu()
     trace = get_graphics_workload("nenamark2", gpu=gpu, n_frames=scale.gpu_frames,
                                   seed=seed)
     simulator = GPUSimulator(gpu, noise_scale=0.01, seed=seed)
-    model = FrameTimeModel(forgetting_factor=0.98, adaptive=adaptive_forgetting,
+    model = FrameTimeModel(forgetting_factor=0.98,
                            slice_scaling_alpha=gpu.slice_scaling_alpha)
     # Periodic DVFS schedule sweeping a few operating points, as in the paper's
     # frequency-step experiment.

@@ -17,10 +17,9 @@ import numpy as np
 
 from repro.control.explicit_nmpc import ExplicitNMPCGpuController
 from repro.control.multirate import DEADLINE_MARGIN, MultiRateGPUController
-from repro.control.nmpc import NMPCGpuController
 from repro.experiments.common import ExperimentScale, QUICK
 from repro.gpu.baseline_governor import BaselineGPUGovernor
-from repro.gpu.gpu import GPUSpec, default_integrated_gpu
+from repro.gpu.gpu import default_integrated_gpu
 from repro.gpu.simulator import GPURunSummary, GPUSimulator
 from repro.ml.metrics import energy_savings_percent
 from repro.utils.rng import SeedLike, derive_seed
@@ -67,30 +66,10 @@ class Figure5Result:
         return float(np.mean(values)) if values else float("nan")
 
 
-def _controller_for(gpu: GPUSpec, target_fps: float, kind: str,
-                    explicit_by_fps: Dict[float, ExplicitNMPCGpuController]):
-    if kind == "baseline":
-        return BaselineGPUGovernor(gpu, target_fps=target_fps)
-    if kind == "enmpc":
-        explicit = explicit_by_fps.get(target_fps)
-        if explicit is None:
-            explicit = ExplicitNMPCGpuController(
-                gpu, target_fps, deadline_margin=DEADLINE_MARGIN,
-            ).fit()
-            explicit_by_fps[target_fps] = explicit
-        return MultiRateGPUController(gpu, target_fps=target_fps,
-                                      explicit_controller=explicit)
-    if kind == "nmpc":
-        return NMPCGpuController(gpu, target_fps=target_fps)
-    raise ValueError(f"unknown controller kind {kind!r}")
-
-
 def run_figure5(
     scale: ExperimentScale = QUICK,
     seed: SeedLike = 0,
-    gpu: Optional[GPUSpec] = None,
     benchmarks: Optional[List[str]] = None,
-    improved_controller: str = "enmpc",
 ) -> Figure5Result:
     """Compare the multi-rate explicit-NMPC controller against the baseline.
 
@@ -101,8 +80,7 @@ def run_figure5(
     a multi-rate controller uses only its control law, which reads neither
     the shared controller's predictor nor its current configuration.
     """
-    if gpu is None:
-        gpu = default_integrated_gpu()
+    gpu = default_integrated_gpu()
     names = benchmarks if benchmarks is not None else figure5_benchmark_order()
     result = Figure5Result()
     explicit_by_fps: Dict[float, ExplicitNMPCGpuController] = {}
@@ -111,10 +89,15 @@ def run_figure5(
                                       seed=seed)
         simulator = GPUSimulator(gpu, noise_scale=0.01,
                                  seed=derive_seed(seed, [len(name)]))
-        baseline = _controller_for(gpu, trace.target_fps, "baseline",
-                                   explicit_by_fps)
-        improved = _controller_for(gpu, trace.target_fps, improved_controller,
-                                   explicit_by_fps)
+        explicit = explicit_by_fps.get(trace.target_fps)
+        if explicit is None:
+            explicit = ExplicitNMPCGpuController(
+                gpu, trace.target_fps, deadline_margin=DEADLINE_MARGIN,
+            ).fit()
+            explicit_by_fps[trace.target_fps] = explicit
+        baseline = BaselineGPUGovernor(gpu, target_fps=trace.target_fps)
+        improved = MultiRateGPUController(gpu, target_fps=trace.target_fps,
+                                          explicit_controller=explicit)
         baseline_run: GPURunSummary = simulator.run(trace, baseline)
         improved_run: GPURunSummary = simulator.run(trace, improved)
         fps_overhead = 100.0 * (

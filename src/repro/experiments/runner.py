@@ -43,6 +43,7 @@ from repro.experiments.scales import (
     available_scales,
     get_scale,
 )
+from repro.utils.cli import exit_status
 from repro.utils.rng import SeedLike
 
 #: Signature of a registered experiment driver.
@@ -631,6 +632,11 @@ def _registry_payload() -> Dict[str, Any]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of ``python -m repro.experiments``."""
     args = _build_parser().parse_args(argv)
+    return exit_status(lambda: _run_cli(args))
+
+
+def _run_cli(args: argparse.Namespace) -> int:
+    """Run the experiments ``args`` name; returns the exit status."""
     if args.list_json and not args.list_experiments:
         print("error: --json requires --list", file=sys.stderr)
         return 2

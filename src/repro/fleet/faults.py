@@ -68,7 +68,8 @@ class FaultSpec(abc.ABC):
     * ``"stall"`` — the device hangs for a number of lockstep rounds
       without making progress (flatlined log).
     * ``"restart"`` — the device reboots unexpectedly and resumes from its
-      last durable snapshot.
+      last snapshot (checksummed bytes the supervisor keeps in memory;
+      only a control-plane service persists them, in its rotation file).
     """
 
     #: Injection category (class attribute on each subclass).

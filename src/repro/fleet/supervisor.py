@@ -188,7 +188,6 @@ class FleetSupervisor:
         self.snapshot_every = int(snapshot_every)
         self.watchdog_rounds = int(watchdog_rounds)
         self.max_restarts = int(max_restarts)
-        self.rounds = 0
 
         if sessions is None:
             self.engine = build_fleet(self.devices, simulator, base_space)
@@ -347,7 +346,6 @@ class FleetSupervisor:
                     and session.step_index % self.snapshot_every == 0):
                 self._take_snapshot(record)
         self._watchdog_scan()
-        self.rounds += 1
         return advanced
 
     def run(self) -> List["PolicyRunResult"]:

@@ -85,7 +85,7 @@ class GPUSimulator:
         self.rng = make_rng(seed)
 
     def render_frame(self, frame: Frame, config: GPUConfiguration,
-                     deadline_s: float, deterministic: bool = False) -> FrameResult:
+                     deadline_s: float) -> FrameResult:
         """Render one frame at ``config`` and account its energy.
 
         A frame occupies at least the vsync period: if the GPU finishes early
@@ -93,7 +93,7 @@ class GPUSimulator:
         time extends beyond the deadline (a deadline miss / dropped frame).
         """
         busy = self.gpu.busy_time_s(config, frame.work_cycles, frame.memory_bytes)
-        if not deterministic and self.noise_scale > 0.0:
+        if self.noise_scale > 0.0:
             busy *= float(np.exp(self.rng.normal(0.0, self.noise_scale)))
         frame_time = max(busy, deadline_s)
         idle = frame_time - busy
@@ -116,16 +116,14 @@ class GPUSimulator:
             deadline_s=deadline_s,
         )
 
-    def run(self, trace: FrameTrace, controller: GPUController,
-            deterministic: bool = False) -> GPURunSummary:
+    def run(self, trace: FrameTrace, controller: GPUController) -> GPURunSummary:
         """Run the whole trace under ``controller`` and return the summary."""
         controller.reset()
         summary = GPURunSummary(benchmark=trace.name)
         deadline = trace.deadline_s
         for frame in trace.frames:
             config = controller.decide(upcoming_frame=frame)
-            result = self.render_frame(frame, config, deadline,
-                                       deterministic=deterministic)
+            result = self.render_frame(frame, config, deadline)
             controller.observe(result)
             summary.frame_results.append(result)
         return summary

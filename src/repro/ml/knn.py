@@ -18,13 +18,10 @@ from repro.ml.base import Regressor, as_1d, as_2d
 class KNeighborsRegressor(Regressor):
     """Distance-weighted k-NN regression with Euclidean distance."""
 
-    def __init__(self, n_neighbors: int = 5, weights: str = "distance") -> None:
+    def __init__(self, n_neighbors: int = 5) -> None:
         if n_neighbors < 1:
             raise ValueError(f"n_neighbors must be >= 1, got {n_neighbors}")
-        if weights not in ("uniform", "distance"):
-            raise ValueError(f"weights must be 'uniform' or 'distance', got {weights!r}")
         self.n_neighbors = int(n_neighbors)
-        self.weights = weights
         self._x: Optional[np.ndarray] = None
         self._y: Optional[np.ndarray] = None
 
@@ -51,13 +48,10 @@ class KNeighborsRegressor(Regressor):
             neighbor_idx = np.argsort(distances, kind="stable")[: self.n_neighbors]
             neighbor_dist = distances[neighbor_idx]
             neighbor_y = self._y[neighbor_idx]
-            if self.weights == "uniform":
-                predictions[i] = float(np.mean(neighbor_y))
+            if np.any(neighbor_dist < 1e-12):
+                # Exact match: return the matching target(s).
+                predictions[i] = float(np.mean(neighbor_y[neighbor_dist < 1e-12]))
             else:
-                if np.any(neighbor_dist < 1e-12):
-                    # Exact match: return the matching target(s).
-                    predictions[i] = float(np.mean(neighbor_y[neighbor_dist < 1e-12]))
-                else:
-                    w = 1.0 / neighbor_dist
-                    predictions[i] = float(np.sum(w * neighbor_y) / np.sum(w))
+                w = 1.0 / neighbor_dist
+                predictions[i] = float(np.sum(w * neighbor_y) / np.sum(w))
         return predictions

@@ -16,12 +16,13 @@ from repro.ml.base import OnlineRegressor, as_2d
 
 
 class RecursiveLeastSquares(OnlineRegressor):
-    """RLS estimator ``y ≈ w.x (+ b)`` with exponential forgetting.
+    """RLS estimator ``y ≈ w.x + b`` with exponential forgetting.
 
     Parameters
     ----------
     n_features:
-        Dimensionality of the input feature vector (excluding intercept).
+        Dimensionality of the input feature vector (the intercept is
+        appended internally as the last weight).
     forgetting_factor:
         λ in (0, 1]; smaller values forget old samples faster.  The paper's
         GPU model [12] uses an exponential forgetting factor; λ=1 recovers
@@ -29,12 +30,10 @@ class RecursiveLeastSquares(OnlineRegressor):
     delta:
         Initial covariance scale (P = delta * I).  Larger values mean less
         confidence in the initial weights.
-    fit_intercept:
-        If True an intercept term is appended internally.
     initial_weights:
-        Optional initial weight vector (length ``n_features`` or
-        ``n_features + 1`` when an intercept is fitted), used when a model
-        trained offline bootstraps the online estimator.
+        Optional initial weight vector (length ``n_features``, intercept 0,
+        or ``n_features + 1``, intercept last), used when a model trained
+        offline bootstraps the online estimator.
     """
 
     def __init__(
@@ -42,7 +41,6 @@ class RecursiveLeastSquares(OnlineRegressor):
         n_features: int,
         forgetting_factor: float = 0.98,
         delta: float = 100.0,
-        fit_intercept: bool = True,
         initial_weights: Optional[np.ndarray] = None,
     ) -> None:
         if n_features <= 0:
@@ -55,14 +53,13 @@ class RecursiveLeastSquares(OnlineRegressor):
             raise ValueError(f"delta must be positive, got {delta}")
         self.n_features = int(n_features)
         self.forgetting_factor = float(forgetting_factor)
-        self.fit_intercept = bool(fit_intercept)
-        self._dim = self.n_features + (1 if self.fit_intercept else 0)
+        self._dim = self.n_features + 1
         self.covariance = np.eye(self._dim) * float(delta)
         if initial_weights is None:
             self.weights = np.zeros(self._dim)
         else:
             init = np.asarray(initial_weights, dtype=float).ravel()
-            if init.shape[0] == self.n_features and self.fit_intercept:
+            if init.shape[0] == self.n_features:
                 init = np.append(init, 0.0)
             if init.shape[0] != self._dim:
                 raise ValueError(
@@ -77,9 +74,7 @@ class RecursiveLeastSquares(OnlineRegressor):
             raise ValueError(
                 f"expected {self.n_features} features, got {row.shape[0]}"
             )
-        if self.fit_intercept:
-            row = np.append(row, 1.0)
-        return row
+        return np.append(row, 1.0)
 
     def predict_one(self, features: np.ndarray) -> float:
         """Predict the target for a single feature vector."""
@@ -108,9 +103,7 @@ class RecursiveLeastSquares(OnlineRegressor):
     @property
     def coef_(self) -> np.ndarray:
         """Weight vector excluding the intercept term."""
-        if self.fit_intercept:
-            return self.weights[:-1].copy()
-        return self.weights.copy()
+        return self.weights[:-1].copy()
 
 
 def rls_update_fleet(
@@ -131,8 +124,8 @@ def rls_update_fleet(
     summation kernels round differently).  The scalar :meth:`update` stays
     the equivalence reference.
 
-    Models must be distinct objects sharing ``n_features``/``fit_intercept``
-    (forgetting factors may differ).  Returns the per-model a-priori errors.
+    Models must be distinct objects sharing ``n_features`` (forgetting
+    factors may differ).  Returns the per-model a-priori errors.
 
     ``state`` (an initially empty dict the caller keeps between steps)
     carries the stacked weight/precision tensors across calls: each call's
@@ -145,8 +138,7 @@ def rls_update_fleet(
         raise ValueError("rls_update_fleet needs at least one model")
     n_models = len(models)
     first = models[0]
-    n_features, dim = first.n_features, first._dim
-    fit_intercept = first.fit_intercept
+    n_features = first.n_features
     cached = (
         state is not None
         and state.get("models") is not None
@@ -159,8 +151,7 @@ def rls_update_fleet(
         # they really are shared; id() values can alias after GC.
         seen = set()
         for model in models:
-            if (model.n_features != n_features
-                    or model.fit_intercept != fit_intercept):
+            if model.n_features != n_features:
                 raise ValueError("fleet RLS update requires homogeneous models")
             if model in seen:
                 raise ValueError(
@@ -174,10 +165,7 @@ def rls_update_fleet(
             f"expected features of shape {(n_models, n_features)}, "
             f"got {data.shape}"
         )
-    if fit_intercept:
-        x = np.concatenate([data, np.ones((n_models, 1))], axis=1)
-    else:
-        x = data
+    x = np.concatenate([data, np.ones((n_models, 1))], axis=1)
     if cached:
         lam = state["lam"]
         weights = state["weights"]

@@ -99,7 +99,6 @@ class CpuPerformanceModel:
             n_features=1,
             forgetting_factor=forgetting_factor,
             delta=delta,
-            fit_intercept=True,
             initial_weights=np.array([initial_latency_ns, 0.5]),
         )
         self.initial_latency_ns = float(initial_latency_ns)

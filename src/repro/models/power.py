@@ -168,7 +168,6 @@ class CpuPowerModel:
         platform: PlatformSpec,
         forgetting_factor: float = 0.997,
         delta: float = 100.0,
-        initial_weights: Optional[np.ndarray] = None,
     ) -> None:
         self.platform = platform
         self.features = PowerModelFeatures(platform)
@@ -176,24 +175,18 @@ class CpuPowerModel:
             n_features=self.features.n_features,
             forgetting_factor=forgetting_factor,
             delta=delta,
-            fit_intercept=True,
-            initial_weights=initial_weights,
         )
 
-    def update(self, counters: PerformanceCounters, config: SoCConfiguration,
-               measured_power_w: Optional[float] = None) -> float:
+    def update(self, counters: PerformanceCounters,
+               config: SoCConfiguration) -> float:
         """Consume one observation; returns the a-priori prediction error.
 
-        ``measured_power_w`` defaults to the power recorded in the counters
-        (Table I includes total chip power), matching the runtime data flow.
+        The target is the total chip power the counters record (Table I
+        includes it), matching the runtime data flow.
         """
-        target = (
-            measured_power_w
-            if measured_power_w is not None
-            else counters.total_chip_power_w
-        )
         feature_vector = self.features.build(counters, config)
-        return self.rls.update(feature_vector, float(target))
+        return self.rls.update(feature_vector,
+                               float(counters.total_chip_power_w))
 
     @property
     def n_updates(self) -> int:

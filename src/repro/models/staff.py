@@ -10,7 +10,7 @@ prediction error, clamped to a stability interval.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -35,8 +35,6 @@ class StabilizedAdaptiveForgettingRLS(RecursiveLeastSquares):
         adaptation_gain: float = 0.05,
         error_smoothing: float = 0.9,
         delta: float = 100.0,
-        fit_intercept: bool = True,
-        initial_weights: Optional[np.ndarray] = None,
     ) -> None:
         if not 0.0 < min_forgetting < max_forgetting <= 1.0:
             raise ValueError("require 0 < min_forgetting < max_forgetting <= 1")
@@ -46,8 +44,6 @@ class StabilizedAdaptiveForgettingRLS(RecursiveLeastSquares):
             n_features=n_features,
             forgetting_factor=initial_forgetting_factor,
             delta=delta,
-            fit_intercept=fit_intercept,
-            initial_weights=initial_weights,
         )
         self.min_forgetting = float(min_forgetting)
         self.max_forgetting = float(max_forgetting)

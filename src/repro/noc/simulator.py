@@ -58,16 +58,19 @@ class NoCSimulator:
         self.router = router or RouterConfig()
 
     def run(self, traffic: TrafficPattern, n_cycles: int,
-            drain: bool = True, max_drain_cycles: int = 100000) -> NoCSimulationResult:
+            max_drain_cycles: int = 100000) -> NoCSimulationResult:
         """Inject traffic for ``n_cycles`` cycles and simulate until drained."""
         packets = traffic.generate(n_cycles)
-        return self.run_packets(packets, n_cycles, drain=drain,
+        return self.run_packets(packets, n_cycles,
                                 max_drain_cycles=max_drain_cycles)
 
     def run_packets(self, packets: List[Packet], n_cycles: int,
-                    drain: bool = True,
                     max_drain_cycles: int = 100000) -> NoCSimulationResult:
         """Simulate an explicit packet list (events sorted by injection time).
+
+        Every packet injected in the first ``n_cycles`` cycles is followed
+        until it ejects or ``max_drain_cycles`` more cycles pass; a packet
+        still in flight then counts as undelivered.
 
         The input packets are mutated in place (``route``, ``hops`` and — for
         delivered packets — ``ejection_cycle``) and the delivered list holds
@@ -110,7 +113,7 @@ class NoCSimulator:
         ]
         sequence = n_packets
         delivered_indices: List[int] = []
-        horizon = n_cycles + max_drain_cycles if drain else n_cycles
+        horizon = n_cycles + max_drain_cycles
         last_cycle = 0
         while events:
             time, _, index = heapq.heappop(events)

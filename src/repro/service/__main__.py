@@ -30,6 +30,7 @@ from repro.service.client import ServiceClient, ServiceUnavailable
 from repro.service.protocol import DispatchCommand
 from repro.service.run import RunConfig, ServiceRun
 from repro.service.server import PORT_FILE, ServiceServer, read_port_file
+from repro.utils.cli import exit_status
 
 
 class CLIError(Exception):
@@ -286,6 +287,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    return exit_status(lambda: _run_command(args))
+
+
+def _run_command(args: argparse.Namespace) -> int:
     handlers = {"serve": _cmd_serve, "status": _cmd_status,
                 "dispatch": _cmd_dispatch, "demo": _cmd_demo}
     try:

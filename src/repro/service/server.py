@@ -54,6 +54,9 @@ PORT_FILE = "server.port"
 #: Largest request body read (a dispatch encodes to well under 1 KiB).
 MAX_BODY_BYTES = 64 * 1024
 
+#: Seconds a finished or paused run waits between round boundaries.
+IDLE_POLL_S = 0.05
+
 _LOG = logging.getLogger(__name__)
 
 
@@ -126,17 +129,17 @@ class ServiceServer:
 
         A finished fleet keeps the server up (clients still need the
         final status/digests); only a drain request or a failed round
-        stops serving.
+        stops serving.  A finished or paused run still steps: due
+        dispatches (a resume, a cap sent after the last round) apply at
+        round boundaries.  It waits between those turns, not spinning.
         """
         try:
             while not self._draining:
-                if self.run.done:
-                    await asyncio.sleep(0.05)
-                    continue
                 self.run.step_round()
                 # Yield to the event loop (and pace the run for demos) so
                 # requests interleave at round boundaries.
-                await asyncio.sleep(self.step_delay)
+                idle = self.run.done or self.run.paused
+                await asyncio.sleep(IDLE_POLL_S if idle else self.step_delay)
         except Exception as exc:  # noqa: BLE001 - report, then stop serving
             self._record_failure(exc)
         assert self._stopped is not None

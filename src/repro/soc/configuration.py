@@ -127,50 +127,36 @@ class SoCConfiguration:
         return dict(self.opp_indices), dict(self.active_cores)
 
 
+#: Fewest cores a gated cluster keeps active (gating never powers it off).
+MIN_ACTIVE_CORES = 1
+
+
 class ConfigurationSpace:
-    """Enumerable set of valid configurations of a platform."""
+    """Enumerable set of valid configurations of a platform.
+
+    Each cluster in ``gated_clusters`` runs 1 to all of its cores, every
+    other cluster all of them; ``max_opp_index`` caps every cluster's OPP.
+    """
 
     def __init__(
         self,
         platform: PlatformSpec,
-        allow_core_gating: bool = False,
-        min_active_cores: int = 1,
-        gated_clusters: Optional[Sequence[str]] = None,
-        max_opp_indices: Optional[Dict[str, int]] = None,
+        gated_clusters: Sequence[str] = (),
+        max_opp_index: Optional[int] = None,
     ) -> None:
         self.platform = platform
-        self.allow_core_gating = bool(allow_core_gating)
-        self.min_active_cores = max(1, int(min_active_cores))
-        if gated_clusters is None:
-            self.gated_clusters = set(platform.clusters) if self.allow_core_gating else set()
-        else:
-            unknown = set(gated_clusters) - set(platform.clusters)
-            if unknown:
-                raise KeyError(f"unknown clusters in gated_clusters: {sorted(unknown)}")
-            self.gated_clusters = set(gated_clusters) if self.allow_core_gating else set()
-        # Per-cluster OPP-index caps (thermal-throttling scenarios shrink the
-        # space by capping the highest reachable OPP).  Caps are clamped to
-        # the platform's OPP table and only stored when they actually bind.
-        self.max_opp_indices: Dict[str, int] = {}
-        if max_opp_indices:
-            unknown = set(max_opp_indices) - set(platform.clusters)
-            if unknown:
-                raise KeyError(f"unknown clusters in max_opp_indices: {sorted(unknown)}")
-            for name, cap in max_opp_indices.items():
-                if int(cap) < 0:
-                    raise ValueError(f"max_opp_indices[{name!r}] must be >= 0")
-                top = len(platform.clusters[name].opps) - 1
-                if int(cap) < top:
-                    self.max_opp_indices[name] = int(cap)
+        unknown = set(gated_clusters) - set(platform.clusters)
+        if unknown:
+            raise KeyError(f"unknown clusters in gated_clusters: {sorted(unknown)}")
+        self.gated_clusters = set(gated_clusters)
         self.cluster_order: List[str] = sorted(platform.clusters.keys())
+        self.max_opp_index = self._binding_cap(max_opp_index)
         self._configs: List[SoCConfiguration] = self._enumerate()
         self._index: Dict[SoCConfiguration, int] = {
             cfg: i for i, cfg in enumerate(self._configs)
         }
         self._content_key: Optional[Tuple] = None
-        self._restrictions: Dict[Tuple[Tuple[str, int], ...],
-                                 "ConfigurationSpace"] = {}
-        self._cap_restrictions: Dict[int, "ConfigurationSpace"] = {}
+        self._restrictions: Dict[int, "ConfigurationSpace"] = {}
         self._soa: Optional[SpaceArrays] = None
         self._opp_lookup: Optional[np.ndarray] = None
         self._default_index: Optional[int] = None
@@ -188,15 +174,23 @@ class ConfigurationSpace:
         memos rebuild on first use, so a used space pickles to the same
         bytes as a fresh one.
         """
-        return (type(self), (self.platform, self.allow_core_gating,
-                             self.min_active_cores,
-                             sorted(self.gated_clusters),
-                             dict(self.max_opp_indices)))
+        return (type(self), (self.platform, sorted(self.gated_clusters),
+                             self.max_opp_index))
+
+    def _binding_cap(self, cap: Optional[int]) -> Optional[int]:
+        """``cap`` if it binds some cluster of the platform, else ``None``."""
+        if cap is None:
+            return None
+        if int(cap) < 0:
+            raise ValueError(f"max_opp_index must be >= 0, got {cap}")
+        top = max(len(self.platform.clusters[name].opps) - 1
+                  for name in self.cluster_order)
+        return int(cap) if int(cap) < top else None
 
     def _max_opp_index(self, cluster: str) -> int:
-        """Highest reachable OPP index of ``cluster`` under the active caps."""
+        """Highest reachable OPP index of ``cluster`` under the cap."""
         top = len(self.platform.clusters[cluster].opps) - 1
-        return min(top, self.max_opp_indices.get(cluster, top))
+        return top if self.max_opp_index is None else min(top, self.max_opp_index)
 
     def _enumerate(self) -> List[SoCConfiguration]:
         opp_ranges = []
@@ -205,7 +199,7 @@ class ConfigurationSpace:
             spec = self.platform.clusters[name]
             opp_ranges.append(range(self._max_opp_index(name) + 1))
             if name in self.gated_clusters:
-                core_ranges.append(range(self.min_active_cores, spec.n_cores + 1))
+                core_ranges.append(range(MIN_ACTIVE_CORES, spec.n_cores + 1))
             else:
                 core_ranges.append([spec.n_cores])
         configs: List[SoCConfiguration] = []
@@ -258,59 +252,35 @@ class ConfigurationSpace:
             self._default_index = self.index_of(self.default_configuration())
         return self._default_index
 
-    def restrict(
-        self,
-        max_opp_index: Optional[int] = None,
-        max_opp_indices: Optional[Dict[str, int]] = None,
-    ) -> "ConfigurationSpace":
-        """Return a copy of this space with the OPP range capped per cluster.
+    def restrict(self, max_opp_index: int) -> "ConfigurationSpace":
+        """This space with every cluster's OPP index capped at ``max_opp_index``.
 
-        ``max_opp_index`` applies one cap to every cluster; ``max_opp_indices``
-        sets per-cluster caps (both may be given — the tighter bound wins, and
-        caps already active on this space are also kept).  This is how thermal
-        throttling events shrink the reachable configuration space: the
-        restricted space is a genuine :class:`ConfigurationSpace` (subset of
-        this one's configurations), with its own :meth:`content_key`, so
-        Oracle entries computed against the full space are never reused for
-        it.
+        This is how thermal throttling events shrink the reachable
+        configuration space: the restricted space is a genuine
+        :class:`ConfigurationSpace` (a subset of this one's configurations,
+        in the same order), with its own :meth:`content_key`, so Oracle
+        entries computed against the full space are never reused for it.
+        A cap already active on this space is kept (the tighter bound
+        wins), and a non-binding cap returns this space itself.
 
-        Restrictions are memoised per base space: asking for the same
-        effective caps again (each policy run of a throttled scenario does)
-        returns the already-enumerated space instead of re-enumerating the
-        cross product; a non-binding restriction returns this space itself.
-        The one-cap form (``restrict(max_opp_index=cap)``, which every
-        capped session step asks for) is also memoised by its cap alone.
+        Restrictions are memoised per base space by the asked cap: every
+        capped session step asks again, and after the first ask per cap
+        the answer is one dict lookup.
         """
-        if max_opp_indices is None and max_opp_index is not None:
-            restricted = self._cap_restrictions.get(max_opp_index)
-            if restricted is None:  # ({} caps nothing more: no memo loop)
-                restricted = self.restrict(max_opp_index, {})
-                self._cap_restrictions[max_opp_index] = restricted
-            return restricted
-        caps: Dict[str, int] = {}
-        for name in self.cluster_order:
-            candidates = [self._max_opp_index(name)]
-            if max_opp_index is not None:
-                candidates.append(int(max_opp_index))
-            if max_opp_indices and name in max_opp_indices:
-                candidates.append(int(max_opp_indices[name]))
-            caps[name] = min(candidates)
-        binding = tuple(sorted(
-            (name, cap) for name, cap in caps.items()
-            if cap < len(self.platform.clusters[name].opps) - 1
-        ))
-        if binding == tuple(sorted(self.max_opp_indices.items())):
-            return self
-        if binding not in self._restrictions:
-            self._restrictions[binding] = ConfigurationSpace(
-                self.platform,
-                allow_core_gating=self.allow_core_gating,
-                min_active_cores=self.min_active_cores,
-                gated_clusters=(sorted(self.gated_clusters)
-                                if self.allow_core_gating else None),
-                max_opp_indices=caps,
-            )
-        return self._restrictions[binding]
+        restricted = self._restrictions.get(max_opp_index)
+        if restricted is None:
+            cap = int(max_opp_index)
+            if self.max_opp_index is not None:
+                cap = min(cap, self.max_opp_index)
+            if self._binding_cap(cap) == self.max_opp_index:
+                restricted = self
+            else:
+                restricted = ConfigurationSpace(
+                    self.platform, gated_clusters=sorted(self.gated_clusters),
+                    max_opp_index=cap,
+                )
+            self._restrictions[max_opp_index] = restricted
+        return restricted
 
     def clamp(self, config: SoCConfiguration) -> SoCConfiguration:
         """Project ``config`` onto this space (per-knob clamping).
@@ -334,7 +304,7 @@ class ConfigurationSpace:
             opp_map[name] = max(0, min(opp_map.get(name, 0),
                                        self._max_opp_index(name)))
             if name in self.gated_clusters:
-                core_map[name] = max(self.min_active_cores,
+                core_map[name] = max(MIN_ACTIVE_CORES,
                                      min(core_map.get(name, spec.n_cores),
                                          spec.n_cores))
             else:
@@ -361,7 +331,7 @@ class ConfigurationSpace:
             opp_options.append(options)
             current_cores = core_map[name]
             if name in self.gated_clusters:
-                low = max(self.min_active_cores, current_cores - radius)
+                low = max(MIN_ACTIVE_CORES, current_cores - radius)
                 high = min(spec.n_cores, current_cores + radius)
                 core_options.append(list(range(low, high + 1)))
             else:
@@ -526,20 +496,18 @@ class ConfigurationSpace:
         survives pickling into another process and cannot alias a
         garbage-collected space.  It holds the platform's
         :meth:`~repro.soc.platform.PlatformSpec.content_key` (every
-        parameter of the power and performance models), the gating
-        settings and the binding OPP-index caps.  The configurations,
+        parameter of the power and performance models), the gated
+        clusters and the binding OPP-index cap.  The configurations,
         ``soa_view`` and every other derived structure are a pure function
         of exactly this state, so the configuration list need not be
-        embedded.  Non-binding caps are dropped at construction, so a
+        embedded.  A non-binding cap is dropped at construction, so a
         restriction that keeps every configuration shares the unrestricted
         space's key, and a binding one never does.
         """
         if self._content_key is None:
             self._content_key = (
                 self.platform.content_key(),
-                self.allow_core_gating,
-                self.min_active_cores,
                 tuple(sorted(self.gated_clusters)),
-                tuple(sorted(self.max_opp_indices.items())),
+                self.max_opp_index,
             )
         return self._content_key

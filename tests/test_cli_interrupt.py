@@ -1,9 +1,13 @@
-"""Graceful SIGINT handling of the experiments CLI.
+"""Graceful interruption of the CLIs: SIGINT, and a reader closing stdout.
 
 ``python -m repro.experiments`` owns a process pool; Ctrl-C must not
 leave orphaned workers or die with a stack trace.  The contract: drain
 the pool, print a partial-results notice naming how many experiments
 completed, and exit with the conventional interrupted status (130).
+
+A reader that closes the pipe early (``| head -1``) ends either CLI
+(``repro.experiments`` here, ``repro.service`` in ``test_service.py``)
+with exit status 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+
+import pytest
 
 
 def _env():
@@ -35,6 +41,31 @@ def _first_line(stream, timeout: float) -> str:
         return lines.get(timeout=timeout)
     except queue.Empty:
         return ""
+
+
+def run_into_closed_pipe(argv, env) -> subprocess.CompletedProcess:
+    """Run ``python argv`` with a stdout whose reader already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True,
+                              timeout=300)
+    finally:
+        os.close(write_end)
+
+
+class TestExperimentsClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["--list", "--json"],
+        ["table1", "--scale", "tiny"],
+    ], ids=["list-json", "table1"])
+    def test_closed_stdout_exits_quietly(self, argv):
+        result = run_into_closed_pipe(["-m", "repro.experiments", *argv],
+                                      _env())
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr, result.stderr
+        assert "Exception ignored" not in result.stderr, result.stderr
 
 
 class TestExperimentsSigint:

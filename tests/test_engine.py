@@ -163,7 +163,7 @@ class TestBatchSweepParity:
             assert len(restricted) == 4
         else:
             restricted = ConfigurationSpace(space.platform,
-                                            allow_core_gating=True)
+                                            gated_clusters=("big", "little"))
         snippets = list(parity_trace[:12]) + _one_cluster_snippets()
         scalar = oracle_loop.build_oracle(simulator, restricted, snippets)
         _assert_tables_bitwise_equal(
@@ -214,7 +214,8 @@ class TestBatchSweepParity:
         if restriction == "throttled":
             space = space.restrict(max_opp_index=1)
         elif restriction == "core-gated":
-            space = ConfigurationSpace(space.platform, allow_core_gating=True)
+            space = ConfigurationSpace(space.platform,
+                                       gated_clusters=("big", "little"))
         snippets = list(parity_trace[:6]) + _one_cluster_snippets()
         table = build_oracle(simulator, space, snippets)
         results = oracle_results(simulator, table, snippets)

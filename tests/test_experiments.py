@@ -165,8 +165,9 @@ class TestAblations:
 
     def test_forgetting_factor_ablation(self):
         rows = run_forgetting_factor_ablation(factors=(0.9, 0.99), scale=TINY,
-                                              seed=0, include_adaptive=True)
+                                              seed=0)
         assert len(rows) == 3
+        assert [r.adaptive for r in rows] == [False, False, True]
         assert all(r.error_percent > 0 for r in rows)
 
     def test_explicit_nmpc_ablation(self):

@@ -100,7 +100,7 @@ class TestLockstepKernel:
         spaces."""
         if platform_seed is not None:
             platform = random_platform(np.random.default_rng(platform_seed))
-            space = ConfigurationSpace(platform, allow_core_gating=True)
+            space = ConfigurationSpace(platform, gated_clusters=("big", "little"))
         simulator = SoCSimulator(platform, noise_scale=0.02, seed=0)
         rng = np.random.default_rng(42)
         snippets = [s for w in training_workloads()
@@ -695,8 +695,7 @@ class TestBatchingEligibility:
         assert fleet[0].log.column("throttled").sum() > 0
 
     def test_gated_space_governor_not_batchable(self, platform):
-        gated = ConfigurationSpace(platform, allow_core_gating=True,
-                                   gated_clusters=("big",))
+        gated = ConfigurationSpace(platform, gated_clusters=("big",))
         policy = GovernorPolicy(OndemandGovernor(gated))
         assert policy.fleet_decide_key() is None
 
@@ -764,7 +763,7 @@ class TestOppLookupTable:
         assert (table == -1).any()
 
     def test_gated_space_has_no_lookup(self, platform):
-        gated = ConfigurationSpace(platform, allow_core_gating=True)
+        gated = ConfigurationSpace(platform, gated_clusters=("big", "little"))
         assert gated.opp_lookup_table() is None
 
 

@@ -102,8 +102,7 @@ class TestGPUSimulator:
     def test_frame_result_energy_accounting(self, gpu, gpu_simulator):
         frame = Frame(index=0, work_cycles=2e7, memory_bytes=5e6)
         config = GPUConfiguration(len(gpu.opps) - 1, gpu.n_slices)
-        result = gpu_simulator.render_frame(frame, config, deadline_s=1 / 30.0,
-                                            deterministic=True)
+        result = gpu_simulator.render_frame(frame, config, deadline_s=1 / 30.0)
         assert result.gpu_energy_j > 0
         assert result.package_energy_j > result.gpu_energy_j
         assert result.package_dram_energy_j > result.package_energy_j
@@ -113,8 +112,7 @@ class TestGPUSimulator:
     def test_overloaded_frame_misses_deadline(self, gpu, gpu_simulator):
         heavy = Frame(index=0, work_cycles=1e10, memory_bytes=0.0)
         config = GPUConfiguration(0, 1)
-        result = gpu_simulator.render_frame(heavy, config, deadline_s=1 / 30.0,
-                                            deterministic=True)
+        result = gpu_simulator.render_frame(heavy, config, deadline_s=1 / 30.0)
         assert not result.met_deadline
         assert result.frame_time_s > 1 / 30.0
 
@@ -122,27 +120,25 @@ class TestGPUSimulator:
                                          pinned_gpu_controller):
         trace = get_graphics_workload("angrybirds", gpu=gpu, n_frames=60, seed=0)
         config = GPUConfiguration(len(gpu.opps) - 1, gpu.n_slices)
-        summary = gpu_simulator.run(trace, pinned_gpu_controller(config),
-                                    deterministic=True)
+        summary = gpu_simulator.run(trace, pinned_gpu_controller(config))
         assert summary.n_frames == 60
         assert summary.deadline_miss_rate == 0.0
         assert summary.achieved_fps == pytest.approx(trace.target_fps, rel=0.01)
         assert summary.gpu_energy_j > 0
 
-    def test_deterministic_run_ignores_configured_noise(
-            self, gpu, pinned_gpu_controller):
+    def test_noise_free_run_ignores_the_seed(self, gpu,
+                                             pinned_gpu_controller):
         trace = get_graphics_workload("nenamark2", gpu=gpu, n_frames=30, seed=3)
         config = GPUConfiguration(len(gpu.opps) // 2, gpu.n_slices)
-        noisy = GPUSimulator(gpu, noise_scale=0.05, seed=0)
-        quiet = GPUSimulator(gpu, noise_scale=0.0, seed=1)
 
-        def run(simulator, deterministic):
-            return simulator.run(trace, pinned_gpu_controller(config),
-                                 deterministic=deterministic).frame_results
+        def run(noise_scale, seed):
+            simulator = GPUSimulator(gpu, noise_scale=noise_scale, seed=seed)
+            return simulator.run(trace,
+                                 pinned_gpu_controller(config)).frame_results
 
-        reference = run(quiet, True)
-        assert run(noisy, True) == reference
-        sampled = run(noisy, False)
+        reference = run(0.0, 1)
+        assert run(0.0, 0) == reference
+        sampled = run(0.05, 0)
         assert [r.busy_time_s for r in sampled] != (
             [r.busy_time_s for r in reference])
 
@@ -152,7 +148,7 @@ class TestGPUSimulator:
         energies = [
             gpu_simulator.run(
                 trace, pinned_gpu_controller(GPUConfiguration(opp, gpu.n_slices)),
-                deterministic=True).gpu_energy_j
+            ).gpu_energy_j
             for opp in range(len(gpu.opps))
         ]
         assert energies[-1] > energies[0]
@@ -162,8 +158,7 @@ class TestGPUSimulator:
         trace = get_graphics_workload("angrybirds", gpu=gpu, n_frames=60, seed=0)
 
         def run(config):
-            return gpu_simulator.run(trace, pinned_gpu_controller(config),
-                                     deterministic=True)
+            return gpu_simulator.run(trace, pinned_gpu_controller(config))
 
         high = run(GPUConfiguration(len(gpu.opps) - 1, gpu.n_slices))
         low = run(GPUConfiguration(2, 1))

@@ -39,13 +39,6 @@ class TestLinearRegressor:
         # R^2 > 0.98: the residuals keep under 2% of the variance.
         assert np.mean((y - predictions) ** 2) < 0.02 * np.var(y)
 
-    def test_no_intercept(self, rng):
-        x = rng.normal(size=(50, 2))
-        y = x @ np.array([1.0, -2.0])
-        model = LinearRegressor(fit_intercept=False).fit(x, y)
-        assert model.intercept_ == 0.0
-        assert np.allclose(model.coef_, [1.0, -2.0], atol=1e-8)
-
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             LinearRegressor().predict(np.zeros((1, 2)))
@@ -136,16 +129,15 @@ class TestKNN:
         model = KNeighborsRegressor(n_neighbors=3).fit(x, y)
         assert model.predict(x[[4]])[0] == pytest.approx(y[4])
 
-    def test_uniform_weights_average(self):
+    def test_inverse_distance_weighted_average(self):
         x = np.array([[0.0], [1.0], [2.0], [10.0]])
         y = np.array([0.0, 1.0, 2.0, 10.0])
-        model = KNeighborsRegressor(n_neighbors=3, weights="uniform").fit(x, y)
-        assert model.predict(np.array([[1.0]]))[0] == pytest.approx(1.0)
+        model = KNeighborsRegressor(n_neighbors=3).fit(x, y)
+        # Neighbours 0, 1 and 2 at distances 0.5, 0.5 and 1.5.
+        weights = np.array([2.0, 2.0, 2.0 / 3.0])
+        expected = np.sum(weights * y[:3]) / np.sum(weights)
+        assert model.predict(np.array([[0.5]]))[0] == pytest.approx(expected)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             KNeighborsRegressor(n_neighbors=5).fit(np.zeros((3, 1)), np.zeros(3))
-
-    def test_invalid_weights(self):
-        with pytest.raises(ValueError):
-            KNeighborsRegressor(weights="gaussian")

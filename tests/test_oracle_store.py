@@ -183,14 +183,12 @@ class TestStoreRoundTrip:
 
     def test_gating_settings_do_not_alias(self, tmp_path, simulator,
                                           platform, space, sweep_trace):
-        """Spaces differing only in their gating settings get distinct keys
+        """Spaces differing only in their gated clusters get distinct keys
         and tables; an equal space built anew shares the full space's."""
         variants = [
-            ConfigurationSpace(platform, allow_core_gating=True,
-                               gated_clusters=("big",)),
-            ConfigurationSpace(platform, allow_core_gating=True),
-            ConfigurationSpace(platform, allow_core_gating=True,
-                               gated_clusters=("big",), min_active_cores=2),
+            ConfigurationSpace(platform, gated_clusters=("big",)),
+            ConfigurationSpace(platform, gated_clusters=("big", "little")),
+            ConfigurationSpace(platform, gated_clusters=("little",)),
         ]
         keys = [variant.content_key() for variant in [space, *variants]]
         assert len(set(keys)) == len(keys)
@@ -521,7 +519,7 @@ class TestDefaultStoreAndDigests:
         sources = {path.resolve() for path in fingerprint_sources()}
         snippets = SnippetTraceGenerator(seed=3).generate(
             training_workloads()[0].scaled(0.2))[:5]
-        gated = ConfigurationSpace(platform, allow_core_gating=True)
+        gated = ConfigurationSpace(platform, gated_clusters=("big", "little"))
         ran = set()
 
         def record(frame, event, arg):
@@ -561,8 +559,8 @@ class TestSpaceKeyMemo:
                                                           platform, simulator,
                                                           long_trace):
         default = ConfigurationSpace(platform)
-        throttled = default.restrict(max_opp_indices={"big": 3, "little": 2})
-        gated = ConfigurationSpace(platform, allow_core_gating=True)
+        throttled = default.restrict(max_opp_index=2)
+        gated = ConfigurationSpace(platform, gated_clusters=("big", "little"))
         assert (len(default), len(gated)) == (48, 768)
         assert 0 < len(throttled) < len(default)
         digests = set()

@@ -9,11 +9,11 @@ seed.  The invariants:
 * batch == scalar parity of the vectorized SoC configuration sweep on
   randomized inputs;
 * GPU frame loop: a controller pinned to one configuration sees every
-  frame it rendered, a deterministic run draws no noise, and a faster
-  operating point or more slices never lengthen a frame;
+  frame it rendered, a noise-free run does not depend on the seed, and a
+  faster operating point or more slices never lengthen a frame;
 * NoC packet loop: every packet is delivered along its XY route no sooner
   than its zero-load latency (exactly that when alone), and a run cut at
-  its injection window is a prefix of the drained run;
+  its injection window (no drain cycles) is a prefix of the drained run;
 * online estimators: RLS without forgetting converges to the
   least-squares fit;
 * Oracle optimality: no policy can beat the Oracle table on the same
@@ -157,11 +157,11 @@ class TestGPUFrameLoop:
             opp_index=int(rng.integers(0, len(gpu_spec.opps))),
             active_slices=int(rng.integers(1, gpu_spec.n_slices + 1)),
         )
-        # Noise is configured but a deterministic run must not draw it.
-        simulator = GPUSimulator(gpu_spec, noise_scale=0.05, seed=seed)
+        # A noise-free run draws nothing from its generator.
+        simulator = GPUSimulator(gpu_spec, noise_scale=0.0, seed=seed)
         quiet = GPUSimulator(gpu_spec, noise_scale=0.0, seed=seed + 1)
         controller = pinned_gpu_controller(config)
-        fixed = simulator.run(trace, controller, deterministic=True)
+        fixed = simulator.run(trace, controller)
         assert fixed.frame_results == quiet.run(
             trace, pinned_gpu_controller(config)).frame_results
         assert controller.observed == fixed.frame_results
@@ -178,11 +178,11 @@ class TestGPUFrameLoop:
                                                  pinned_gpu_controller):
         rng = np.random.default_rng(seed)
         gpu_spec, trace = random_gpu_and_trace(rng, seed)
-        simulator = GPUSimulator(gpu_spec, seed=seed)
+        simulator = GPUSimulator(gpu_spec, noise_scale=0.0, seed=seed)
 
         def busy_times(opp, slices):
             controller = pinned_gpu_controller(GPUConfiguration(opp, slices))
-            run = simulator.run(trace, controller, deterministic=True)
+            run = simulator.run(trace, controller)
             return [result.busy_time_s for result in run.frame_results]
 
         # busy[slices - 1, opp, frame]
@@ -267,7 +267,7 @@ class TestNoCPacketLoop:
         simulator = NoCSimulator(topology, router)
         drained = simulator.run_packets(packets(), n_cycles)
         sent = packets()
-        truncated = simulator.run_packets(sent, n_cycles, drain=False)
+        truncated = simulator.run_packets(sent, n_cycles, max_drain_cycles=0)
         assert truncated.simulated_cycles == n_cycles
         assert truncated.n_delivered + truncated.undelivered_count == len(sent)
         ejections = {p.packet_id: p.ejection_cycle

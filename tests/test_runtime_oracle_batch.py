@@ -38,8 +38,7 @@ def space(platform):
 
 @pytest.fixture(scope="module")
 def gated_space(platform):
-    return ConfigurationSpace(platform, allow_core_gating=True,
-                              gated_clusters=("big",))
+    return ConfigurationSpace(platform, gated_clusters=("big",))
 
 
 def _decision_states(platform, space, n_states, seed):

@@ -348,9 +348,6 @@ class TestSpaceRestriction:
             assert fresh.restrict(max_opp_index=1) is capped
             assert fresh.restrict(max_opp_index=10**6) is loose is fresh
         assert calls == []
-        # The per-cluster form still resolves to the same memoised space.
-        both = {name: 1 for name in fresh.cluster_order}
-        assert fresh.restrict(max_opp_indices=both) is capped
 
     def test_clamp_projects_into_restricted_space(self, space):
         restricted = space.restrict(max_opp_index=1)

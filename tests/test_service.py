@@ -920,6 +920,70 @@ class TestServiceCLI:
         policy = run.supervisor.session_named("device-01").policy
         assert isinstance(policy.governor, PowersaveGovernor)
 
+    def test_dispatch_after_the_last_round_applies(self):
+        """A cap dispatched once ``status`` reports the run done still
+        applies at the next round boundary the server steps."""
+        from repro.service.client import ServiceClient
+
+        run = ServiceRun.start(config=CONFIG)
+        server = ServiceServer(run)
+        serving = threading.Thread(target=asyncio.run, args=(
+            server.serve(install_signal_handlers=False),))
+        serving.start()
+        try:
+            deadline = time.monotonic() + 60
+            while server.bound_port is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.bound_port is not None
+            client = ServiceClient(port=server.bound_port)
+            while (not client.status()["done"]
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            receipt = client.dispatch(DispatchCommand(
+                command="restrict-space", device="device-00", value=1))
+            assert receipt.status == "accepted"
+            while (client.status()["pending_dispatches"]
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            status = client.status()
+        finally:
+            server.request_drain()
+            serving.join(timeout=60)
+        assert not serving.is_alive()
+        assert status["done"] and status["pending_dispatches"] == 0
+        assert run.supervisor.session_named("device-00").dispatched_cap == 1
+
+    def test_closed_stdout_exits_quietly(self):
+        """``status`` and ``dispatch`` into a pipe whose reader closed
+        exit 1 with nothing on stderr."""
+        from test_cli_interrupt import run_into_closed_pipe
+
+        server = ServiceServer(ServiceRun.start(config=CONFIG))
+        serving = threading.Thread(target=asyncio.run, args=(
+            server.serve(install_signal_handlers=False),))
+        serving.start()
+        try:
+            deadline = time.monotonic() + 60
+            while server.bound_port is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.bound_port is not None
+            port = str(server.bound_port)
+            results = [
+                run_into_closed_pipe(
+                    ["-m", "repro.service", *argv, "--port", port],
+                    _service_env())
+                for argv in (["status"],
+                             ["dispatch", "pause", "--device", "device-00"])
+            ]
+        finally:
+            server.request_drain()
+            serving.join(timeout=60)
+        assert not serving.is_alive()
+        for result in results:
+            assert result.returncode == 1
+            assert "Traceback" not in result.stderr, result.stderr
+            assert "Exception ignored" not in result.stderr, result.stderr
+
     def test_clients_mint_distinct_keys(self):
         """Each client draws its own key prefix."""
         from repro.service.client import ServiceClient

@@ -93,16 +93,38 @@ class TestConfigurationSpace:
         assert len(space) == len(big.opps) * len(little.opps)
 
     def test_size_with_big_gating_only(self, platform):
-        space = ConfigurationSpace(platform, allow_core_gating=True,
-                                   gated_clusters=("big",))
+        space = ConfigurationSpace(platform, gated_clusters=("big",))
         big, little = platform.cluster("big"), platform.cluster("little")
         expected = len(big.opps) * len(little.opps) * big.n_cores
         assert len(space) == expected
 
     def test_unknown_gated_cluster_rejected(self, platform):
         with pytest.raises(KeyError):
-            ConfigurationSpace(platform, allow_core_gating=True,
-                               gated_clusters=("gpu",))
+            ConfigurationSpace(platform, gated_clusters=("gpu",))
+
+    @pytest.mark.parametrize("gated_clusters", [(), ("big",)],
+                             ids=["default", "big-gated"])
+    def test_restrict_by_one_cap(self, platform, gated_clusters):
+        """``restrict(cap)`` keeps exactly the configurations whose every
+        cluster OPP is at most ``cap``, in base order; a cap that binds
+        nothing is the space itself; two restrictions share a key exactly
+        when they hold the same configurations."""
+        base = ConfigurationSpace(platform, gated_clusters=gated_clusters)
+        top = max(len(platform.cluster(name).opps) - 1
+                  for name in base.cluster_order)
+        restricted = {}
+        for cap in range(top + 2):
+            space = base.restrict(cap)
+            expected = [config for config in base
+                        if all(index <= cap for _, index in config.opp_indices)]
+            assert space.configurations == expected
+            assert (space is base) == (len(expected) == len(base))
+            restricted[cap] = space
+        assert restricted[top] is base and restricted[top + 1] is base
+        for first in restricted.values():
+            for second in restricted.values():
+                assert ((first.content_key() == second.content_key())
+                        == (first.configurations == second.configurations))
 
     def test_index_round_trip(self, space):
         for i in [0, len(space) // 2, len(space) - 1]:
@@ -122,8 +144,7 @@ class TestConfigurationSpace:
         """Each row of the padded neighbour table holds its own index once,
         so the fleet sweep never meets a row without a candidate."""
         for space in (ConfigurationSpace(platform),
-                      ConfigurationSpace(platform, allow_core_gating=True,
-                                         gated_clusters=("big",))):
+                      ConfigurationSpace(platform, gated_clusters=("big",))):
             for radius in (1, 2, 3):
                 table, lengths = space.neighborhood_table(radius=radius)
                 assert (lengths >= 1).all()
@@ -176,9 +197,8 @@ class TestConfigurationSpacePickling:
 
     @pytest.mark.parametrize("options", [
         {},
-        {"max_opp_indices": {"big": 4}},
-        {"allow_core_gating": True, "gated_clusters": ("big",),
-         "min_active_cores": 2},
+        {"max_opp_index": 4},
+        {"gated_clusters": ("big",)},
     ], ids=["full", "restricted", "core-gated"])
     def test_used_space_pickles_like_a_fresh_one(self, platform, options):
         fresh = ConfigurationSpace(platform, **options)
@@ -190,15 +210,15 @@ class TestConfigurationSpacePickling:
         assert copy.content_key() == used.content_key()
         assert copy.configurations == used.configurations
         assert copy.gated_clusters == used.gated_clusters
-        assert copy.max_opp_indices == used.max_opp_indices
+        assert copy.max_opp_index == used.max_opp_index
         self._use(copy)
 
     def test_restricted_space_round_trips(self, space):
-        restricted = space.restrict(max_opp_indices={"big": 3, "little": 2})
+        restricted = space.restrict(max_opp_index=2)
         copy = pickle.loads(pickle.dumps(restricted))
         assert copy.content_key() == restricted.content_key()
         assert copy.configurations == restricted.configurations
-        assert copy.restrict(max_opp_indices={"big": 3, "little": 2}) is copy
+        assert copy.restrict(max_opp_index=2) is copy
 
     def test_shared_space_stays_shared(self, space):
         first, second = pickle.loads(pickle.dumps([space, space]))
@@ -554,8 +574,7 @@ class TestSimulator:
             result.energy_j / compute_snippet.n_instructions * 1e9)
 
     def test_fewer_cores_slow_down_parallel_snippet(self, platform, parallel_snippet):
-        space = ConfigurationSpace(platform, allow_core_gating=True,
-                                   gated_clusters=("big",))
+        space = ConfigurationSpace(platform, gated_clusters=("big",))
         simulator = SoCSimulator(platform, noise_scale=0.0)
         opps, _ = space.default_configuration().as_dicts()
         four = SoCConfiguration.from_dicts(opps, {"big": 4, "little": 4})

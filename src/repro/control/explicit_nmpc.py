@@ -18,7 +18,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.control.nmpc import NMPCGpuController, WorkloadPredictor
-from repro.gpu.frames import Frame, FrameResult
 from repro.gpu.gpu import GPUConfiguration, GPUSpec
 from repro.ml.base import Regressor
 from repro.ml.tree import DecisionTreeRegressor
@@ -78,7 +77,6 @@ class ExplicitNMPCGpuController:
             raise ValueError("n_surface_samples must be >= 10")
         self.gpu = gpu
         self.target_fps = float(target_fps)
-        self.predictor = WorkloadPredictor()
         self.deadline_margin = float(deadline_margin)
         self.n_surface_samples = int(n_surface_samples)
         self.opp_model = opp_model or DecisionTreeRegressor(max_depth=10,
@@ -88,8 +86,6 @@ class ExplicitNMPCGpuController:
                                                                 min_samples_leaf=1,
                                                                 min_samples_split=2)
         self._trained = False
-        self.current = GPUConfiguration(opp_index=len(gpu.opps) - 1,
-                                        active_slices=gpu.n_slices)
         self._nmpc = NMPCGpuController(
             gpu, target_fps, predictor=WorkloadPredictor(),
             deadline_margin=deadline_margin,
@@ -157,27 +153,6 @@ class ExplicitNMPCGpuController:
                                       active_slices=self.gpu.n_slices)
         return config
 
-    # ------------------------------------------------------------------ #
-    # GPUController protocol
-    # ------------------------------------------------------------------ #
-    def reset(self) -> None:
-        self.predictor.reset()
-        self.current = GPUConfiguration(opp_index=len(self.gpu.opps) - 1,
-                                        active_slices=self.gpu.n_slices)
-        if not self._trained:
-            self.fit()
-
-    def decide(self, upcoming_frame: Optional[Frame] = None) -> GPUConfiguration:
-        if not self.predictor.has_observations:
-            return self.current
-        work, memory = self.predictor.predict()
-        self.current = self.control_law(work, memory)
-        return self.current
-
-    def observe(self, result: FrameResult) -> None:
-        self.predictor.observe(result.frame.work_cycles, result.frame.memory_bytes)
-
-    # ------------------------------------------------------------------ #
     def surface_disagreement(self, n_probe: int = 200) -> float:
         """Fraction of probe states where the explicit law differs from NMPC.
 

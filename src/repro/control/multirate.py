@@ -60,7 +60,6 @@ class MultiRateGPUController:
     def reset(self) -> None:
         self.predictor.reset()
         self.fast.reset()
-        self.explicit.reset()
         self.current = GPUConfiguration(opp_index=len(self.gpu.opps) - 1,
                                         active_slices=self.gpu.n_slices)
         self._frame_counter = 0

@@ -12,7 +12,7 @@ reward.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -27,45 +27,34 @@ class CounterStateDiscretizer:
     """Discretises counter feature vectors into small integer state tuples.
 
     Only a subset of the Table-I features is used (CPI, L2 MPKI and the big
-    cluster utilisation by default) so that the Q-table stays a realistic
-    size — the paper notes the storage problem of table-based RL, and this
+    cluster utilisation) so that the Q-table stays a realistic size — the
+    paper notes the storage problem of table-based RL, and this
     reproduction keeps the table small rather than unmanageably exact.
     """
 
+    #: Bins per feature.
+    N_BINS = 4
     #: Indices into PerformanceCounters.feature_vector(): CPI, L2 MPKI, big util.
-    DEFAULT_FEATURE_INDICES = (0, 2, 6)
-    #: Generous value ranges of the CPI, MPKI and utilisation features; any
-    #: other feature spans ``(0, 10)``.
-    FEATURE_RANGES = {0: (0.3, 6.0), 2: (0.0, 25.0), 6: (0.0, 1.0)}
-
-    def __init__(
-        self,
-        n_bins: int = 4,
-        feature_indices: Tuple[int, ...] = DEFAULT_FEATURE_INDICES,
-    ) -> None:
-        if n_bins < 2:
-            raise ValueError("n_bins must be >= 2")
-        self.n_bins = int(n_bins)
-        self.feature_indices = tuple(feature_indices)
-        self.feature_ranges = [self.FEATURE_RANGES.get(i, (0.0, 10.0))
-                               for i in self.feature_indices]
+    FEATURE_INDICES = (0, 2, 6)
+    #: Generous value ranges of those features, in the same order.
+    FEATURE_RANGES = ((0.3, 6.0), (0.0, 25.0), (0.0, 1.0))
 
     @property
     def n_states(self) -> int:
-        return self.n_bins ** len(self.feature_indices)
+        return self.N_BINS ** len(self.FEATURE_INDICES)
 
     def discretize(self, counters: PerformanceCounters) -> int:
         """Return the integer state index for a counter observation."""
         features = counters.feature_vector()
         state = 0
         for position, (index, (lo, hi)) in enumerate(
-            zip(self.feature_indices, self.feature_ranges)
+            zip(self.FEATURE_INDICES, self.FEATURE_RANGES)
         ):
             value = float(features[index])
             fraction = (value - lo) / (hi - lo)
-            bin_index = int(np.clip(np.floor(fraction * self.n_bins), 0,
-                                    self.n_bins - 1))
-            state += bin_index * (self.n_bins**position)
+            bin_index = int(np.clip(np.floor(fraction * self.N_BINS), 0,
+                                    self.N_BINS - 1))
+            state += bin_index * (self.N_BINS**position)
         return state
 
 

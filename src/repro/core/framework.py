@@ -224,18 +224,17 @@ class OnlineLearningFramework:
                           oracle_table: OracleTable) -> None:
         """Warm-start the online models from design-time executions.
 
-        Each training snippet's noise-free result at its Oracle
-        configuration (:func:`~repro.core.oracle.oracle_results`) is
-        re-noised via :meth:`~repro.soc.simulator.SoCSimulator.apply_noise`
-        with a row of factors drawn from the simulator's generator:
-        bitwise the observations and generator stream of a re-simulation.
+        Each training snippet executes at its Oracle configuration
+        (:func:`~repro.core.oracle.oracle_results`, one lane call) with a
+        row of factors drawn from the simulator's generator, and the
+        models observe the results in trace order.
         """
-        results = oracle_results(self.simulator, oracle_table, snippets)
-        noise = self.simulator.draw_noise(len(results))
-        for expected, factors in zip(results, noise):
-            counters = self.simulator.apply_noise(expected, factors).counters
-            self.power_model.update(counters, expected.configuration)
-            self.performance_model.update(counters, expected.configuration)
+        noise = self.simulator.draw_noise(len(snippets))
+        for result in oracle_results(self.simulator, oracle_table, snippets,
+                                     noise):
+            self.power_model.update(result.counters, result.configuration)
+            self.performance_model.update(result.counters,
+                                          result.configuration)
 
     # ------------------------------------------------------------------ #
     # Policy constructors

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.control.policy import DRMPolicy
-from repro.core.oracle import OracleTable, build_oracle
+from repro.core.oracle import OracleTable, build_oracle, oracle_results
 from repro.ml.mlp import MLPClassifier
 from repro.ml.scaling import StandardScaler
 from repro.soc.configuration import ConfigurationSpace, SoCConfiguration
@@ -54,22 +54,16 @@ def collect_il_dataset(
     deployed policy would have when making the decision); the label is the
     Oracle configuration index for snippet ``k``.  The first snippet of the
     sequence is skipped because no prior observation exists.  The
-    executions' noise factors come from the simulator's own generator.
+    executions are one lane call
+    (:func:`~repro.core.oracle.oracle_results`), whose noise factors come
+    from the simulator's own generator.
     """
     table = oracle_table or build_oracle(simulator, space, snippets)
-    features: List[np.ndarray] = []
-    labels: List[int] = []
-    applications: List[str] = []
-    previous_counters: Optional[PerformanceCounters] = None
-    noise = simulator.draw_noise(len(snippets))
-    for snippet, factors in zip(snippets, noise):
-        best_config = table.best_configuration(snippet)
-        if previous_counters is not None:
-            features.append(previous_counters.feature_vector())
-            labels.append(space.index_of(best_config))
-            applications.append(snippet.application)
-        result = simulator.run_snippet(snippet, best_config, factors)
-        previous_counters = result.counters
+    results = oracle_results(simulator, table, snippets,
+                             simulator.draw_noise(len(snippets)))
+    features = [result.counters.feature_vector() for result in results[:-1]]
+    labels = [space.index_of(result.configuration) for result in results[1:]]
+    applications = [snippet.application for snippet in snippets[1:]]
     if not features:
         raise ValueError("need at least two snippets to build an IL dataset")
     return ILDataset(

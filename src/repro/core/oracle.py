@@ -267,17 +267,14 @@ def build_oracle(
 
 
 def oracle_results(simulator: SoCSimulator, table: OracleTable,
-                   snippets: Sequence[Snippet]) -> List[SnippetResult]:
-    """The noise-free result of each snippet at its Oracle configuration:
-    one lane per snippet in one
-    :meth:`~repro.soc.simulator.SoCSimulator.expected_arrays` call, the
-    kernel the sweep ran, so every value is bitwise the sweep's."""
+                   snippets: Sequence[Snippet],
+                   noise: np.ndarray) -> List[SnippetResult]:
+    """Each snippet executed at its Oracle configuration: one lane per
+    snippet in one
+    :meth:`~repro.soc.simulator.SoCSimulator.execute_in_space` call, on
+    the array model the sweep ran.  ``noise`` holds one
+    :meth:`~repro.soc.simulator.SoCSimulator.draw_noise` row per snippet;
+    rows of ones give the noise-free results, bitwise the sweep's."""
     best = table.columns["best_index"][[table.rows[snippet.name]
                                         for snippet in snippets]]
-    knobs = table.space.soa_view().clusters
-    return simulator.expected_arrays(
-        list(snippets), [table.space[i] for i in best.tolist()],
-        characteristics_matrix(snippets).T,
-        {name: arrays.opp_index[best] for name, arrays in knobs.items()},
-        {name: arrays.active_cores[best] for name, arrays in knobs.items()},
-    ).lane_results()
+    return simulator.execute_in_space(snippets, table.space, best, noise)

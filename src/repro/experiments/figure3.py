@@ -46,18 +46,19 @@ class Figure3Result:
 
 def _near_optimal_series(study: OnlineAdaptationStudy, run, window: int,
                          tolerance: float = 0.02) -> np.ndarray:
-    """Moving-average rate of decisions within ``tolerance`` of Oracle energy."""
+    """Moving-average rate of decisions within ``tolerance`` of Oracle energy.
+
+    The run's executed configurations are evaluated noise free in one lane
+    call."""
     framework = study.framework
     snippets = study.sequence.snippets
-    flags = []
-    for snippet, index, oracle_energy in zip(
-            snippets, run.log.column("config_index").tolist(),
-            run.log.column("oracle_energy_j").tolist()):
-        achieved = framework.simulator.evaluate_expected(
-            snippet, framework.space[int(index)],
-        ).energy_j
-        flags.append(1.0 if achieved <= oracle_energy * (1.0 + tolerance) else 0.0)
-    return trailing_nanmean(np.array(flags), window) * 100.0
+    results = framework.simulator.execute_in_space(
+        snippets, framework.space,
+        run.log.column("config_index").astype(np.intp),
+        np.ones((len(snippets), 2)))
+    achieved = np.array([result.energy_j for result in results])
+    near = achieved <= run.log.column("oracle_energy_j") * (1.0 + tolerance)
+    return trailing_nanmean(near.astype(float), window) * 100.0
 
 
 def run_figure3(scale: ExperimentScale = QUICK, seed: SeedLike = 0,

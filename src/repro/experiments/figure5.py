@@ -76,9 +76,8 @@ def run_figure5(
     An explicit-NMPC surface depends only on the GPU, the target frame
     rate, the deadline margin and the sample count, so one controller is
     fitted per distinct target frame rate and shared by every benchmark's
-    multi-rate controller.  Its fitted trees are read-only afterwards, and
-    a multi-rate controller uses only its control law, which reads neither
-    the shared controller's predictor nor its current configuration.
+    multi-rate controller.  Its fitted trees are read-only afterwards,
+    and a multi-rate controller calls only its control law.
     """
     gpu = default_integrated_gpu()
     names = benchmarks if benchmarks is not None else figure5_benchmark_order()

@@ -77,10 +77,9 @@ def register_experiment(
     runner: ExperimentRunnerFn,
     formatter: Optional[Callable[[Any], str]] = None,
     tags: Sequence[str] = (),
-    overwrite: bool = False,
 ) -> ExperimentSpec:
     """Add an experiment to the registry (resolvable by name)."""
-    if name in _EXPERIMENT_REGISTRY and not overwrite:
+    if name in _EXPERIMENT_REGISTRY:
         raise ValueError(f"experiment {name!r} is already registered")
     spec = ExperimentSpec(
         name=name,

@@ -14,8 +14,6 @@ Public surface:
   identical to N independent sequential runs.  It refuses, naming the
   devices, a fleet outside its one input shape: one stock simulator and
   one space content with each policy over its session's space.
-* :func:`~repro.fleet.kernels.lockstep_execute` — the vectorized
-  many-device execution kernel.
 * :class:`~repro.fleet.faults.FaultPlan` and the
   :class:`~repro.fleet.faults.FaultSpec` family — deterministic,
   seedable fault injection (counter dropout, telemetry corruption,
@@ -47,7 +45,6 @@ from repro.fleet.faults import (
     TelemetryCorruption,
     fault_from_dict,
 )
-from repro.fleet.kernels import lockstep_execute
 from repro.fleet.sharding import (
     ShardDeviceSummary,
     ShardedFleetEngine,
@@ -79,5 +76,4 @@ __all__ = [
     "build_fleet",
     "device_session",
     "fault_from_dict",
-    "lockstep_execute",
 ]

@@ -12,7 +12,8 @@ Input shape
 :class:`ValueError`, naming the devices, for anything else:
 
 * every session runs on the same :class:`~repro.soc.simulator.SoCSimulator`
-  object, whose class does not override ``run_snippet``;
+  object, whose class overrides neither ``run_snippet`` nor
+  ``execute_lanes``;
 * every session's space has the same
   :meth:`~repro.soc.configuration.ConfigurationSpace.content_key`, and
   each policy reasons over its session's space object.
@@ -35,8 +36,10 @@ engine exploits that freedom on three phases:
   implements the batch as an exact mirror of its scalar rule); policies
   without a key (RL, offline IL) decide through
   :meth:`~repro.core.session.PolicySession.decide`.
-* **execute** — every session runs through the cross-session vectorized
-  kernel (:func:`~repro.fleet.kernels.lockstep_execute`).  The
+* **execute** — every session runs as one lane of a
+  :meth:`~repro.soc.simulator.SoCSimulator.execute_lanes` call, the lane
+  executor a lone session's
+  :meth:`~repro.soc.simulator.SoCSimulator.run_snippet` runs too.  The
   configuration-independent snippet characteristics and each session's
   noise factors (its :attr:`~repro.core.session.PolicySession.noise`,
   drawn when the session was built) live in fleet-wide padded tensors
@@ -80,7 +83,6 @@ from typing import (TYPE_CHECKING, AbstractSet, Callable, Dict, List,
 import numpy as np
 
 from repro.core.session import PolicySession, SessionStep
-from repro.fleet.kernels import lockstep_execute
 from repro.soc.simulator import (CHARACTERISTIC_COLUMNS, SnippetResult,
                                  SoCSimulator, characteristics_matrix)
 
@@ -89,6 +91,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet -> core)
 
 #: A per-row rewrite of an executed result (see :meth:`FleetEngine.step`).
 ResultTransform = Callable[[SnippetResult], SnippetResult]
+
+#: The fleet's execution kernel: the stock simulator's lane executor,
+#: bound to a module-level name so that a tracer can wrap the fleet's
+#: calls apart from a lone session's.
+lockstep_execute = SoCSimulator.execute_lanes
 
 
 class _DecideGroup:
@@ -179,11 +186,15 @@ class FleetEngine:
         if names:
             raise ValueError(f"fleet devices {names} run on another "
                              f"simulator object than {first.name!r}")
-        if type(simulator).run_snippet is not SoCSimulator.run_snippet:
+        overridden = [name for name in ("run_snippet", "execute_lanes")
+                      if getattr(type(simulator), name)
+                      is not getattr(SoCSimulator, name)]
+        if overridden:
             raise ValueError(
                 f"fleet devices {[session.name for session in sessions]} "
                 f"run on {type(simulator).__name__}, which overrides "
-                "run_snippet: the lockstep kernel replays SoCSimulator's"
+                f"{' and '.join(overridden)}: a fleet runs SoCSimulator's "
+                "lane executor"
             )
         content = first.space.content_key()
         names = [session.name for session in sessions
@@ -441,9 +452,9 @@ class FleetEngine:
         return lockstep_execute(
             simulator,
             [step.snippet for step in steps],
+            [step.configuration for step in steps],
             self._chars[rows, cursors],
             opp_index,
             cores,
-            [step.configuration for step in steps],
             self._noise[rows, cursors],
         )

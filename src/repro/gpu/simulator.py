@@ -78,8 +78,9 @@ class GPUSimulator:
 
     def __init__(self, gpu: GPUSpec, noise_scale: float = 0.01,
                  seed: SeedLike = None) -> None:
-        if noise_scale < 0:
-            raise ValueError("noise_scale must be non-negative")
+        if not 0.0 <= noise_scale < np.inf:
+            raise ValueError(
+                f"noise_scale must be finite and non-negative, got {noise_scale}")
         self.gpu = gpu
         self.noise_scale = float(noise_scale)
         self.rng = make_rng(seed)

@@ -154,10 +154,9 @@ class ScenarioSpec(abc.ABC):
 _SCENARIO_REGISTRY: Dict[str, ScenarioSpec] = {}
 
 
-def register_scenario(spec: ScenarioSpec,
-                      overwrite: bool = False) -> ScenarioSpec:
+def register_scenario(spec: ScenarioSpec) -> ScenarioSpec:
     """Add a scenario to the registry (resolvable by ``spec.name``)."""
-    if spec.name in _SCENARIO_REGISTRY and not overwrite:
+    if spec.name in _SCENARIO_REGISTRY:
         raise ValueError(f"scenario {spec.name!r} is already registered")
     _SCENARIO_REGISTRY[spec.name] = spec
     return spec

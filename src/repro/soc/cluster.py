@@ -64,21 +64,3 @@ class ClusterSpec:
             raise ValueError("leakage_w_per_v must be non-negative")
         if self.base_cpi <= 0:
             self.base_cpi = 1.0 / self.ipc_peak
-
-    def dynamic_power_w(self, opp_index: int, active_cores: int,
-                        utilization: float) -> float:
-        """Dynamic power for ``active_cores`` cores at ``opp_index``."""
-        if not 0 <= opp_index < len(self.opps):
-            raise IndexError(f"opp_index {opp_index} out of range")
-        active = max(0, min(self.n_cores, int(active_cores)))
-        util = float(min(max(utilization, 0.0), 1.0))
-        opp = self.opps[opp_index]
-        return self.capacitance_eff_f * opp.voltage_v**2 * opp.frequency_hz * active * util
-
-    def static_power_w(self, opp_index: int, powered_cores: int) -> float:
-        """Leakage power for ``powered_cores`` powered-on cores."""
-        if not 0 <= opp_index < len(self.opps):
-            raise IndexError(f"opp_index {opp_index} out of range")
-        powered = max(0, min(self.n_cores, int(powered_cores)))
-        opp = self.opps[opp_index]
-        return self.leakage_w_per_v * opp.voltage_v * powered

@@ -25,6 +25,15 @@ external-request bandwidth and a constant base (uncore) power.
 
 These analytic forms are the same ones the paper's online models try to learn
 from counters, which makes the learning problem realistic but solvable.
+
+:meth:`SoCSimulator.expected_arrays` is the one implementation of the model:
+it evaluates (snippet, configuration) pairs as arrays, and every execution is
+a lane of it.  The Oracle sweep
+(:meth:`SoCSimulator.evaluate_expected_batch`) broadcasts snippet rows
+against a space's configuration knobs; :meth:`SoCSimulator.execute_lanes`
+runs one pair per lane and applies each lane's measurement noise, for a
+fleet step, a batch of offline executions, or the one lane of
+:meth:`SoCSimulator.run_snippet`.
 """
 
 from __future__ import annotations
@@ -64,8 +73,8 @@ class SnippetResult:
 
         Bypasses the generated ``__init__`` (and any future validation
         added to it) — callers guarantee a complete, valid field dict.
-        Used by the fleet lockstep kernel, where per-device dataclass
-        construction dominates the step cost.
+        Used by :meth:`SoCBatchResult.lane_results`, where per-lane
+        dataclass construction dominates a fleet step's cost.
         """
         result = cls.__new__(cls)
         result.__dict__ = values
@@ -122,11 +131,9 @@ class SoCBatchResult:
     snippet and one column per configuration: the per-pair arrays are
     ``(snippets, configurations)``, the per-snippet counters
     ``(snippets, 1)`` and the static power terms ``(configurations,)``, all
-    broadcasting to ``(snippets, configurations)``.  A lane batch (the
-    fleet's lockstep kernel, or :func:`~repro.core.oracle.oracle_results`)
-    holds one (snippet, configuration) pair per lane, and its arrays are
-    ``(lanes,)``.  Every value is bitwise identical to what the pair's
-    :meth:`SoCSimulator.evaluate_expected` call would produce;
+    broadcasting to ``(snippets, configurations)``.  A lane batch
+    (:meth:`SoCSimulator.execute_lanes`) holds one (snippet,
+    configuration) pair per lane, and its arrays are ``(lanes,)``.
     :meth:`lane_results` materialises the :class:`SnippetResult` objects
     of a lane batch.
     """
@@ -148,10 +155,10 @@ class SoCBatchResult:
 
         Each array is converted once (``tolist`` is far cheaper than one
         ``float()`` cast per lane), and the dataclasses are built through
-        their ``_from_values`` constructors: the values mirror the scalar
-        path, whose identical numbers pass the dataclass validation, and
-        skipping ``__init__`` is measurably cheaper on the per-device hot
-        path of a fleet step.
+        their ``_from_values`` constructors: the values of an in-range
+        configuration pass the dataclass validation, and skipping
+        ``__init__`` is measurably cheaper on the per-device hot path of a
+        fleet step.
         """
         n = len(self.snippets)
         zero = [0.0] * n
@@ -204,8 +211,9 @@ class SoCSimulator:
         noise_scale: float = 0.01,
         seed: Optional[int] = None,
     ) -> None:
-        if noise_scale < 0:
-            raise ValueError(f"noise_scale must be non-negative, got {noise_scale}")
+        if not 0.0 <= noise_scale < np.inf:
+            raise ValueError(
+                f"noise_scale must be finite and non-negative, got {noise_scale}")
         self.platform = platform
         self.noise_scale = float(noise_scale)
         self.rng = make_rng(seed)
@@ -213,62 +221,13 @@ class SoCSimulator:
         # lazily per cluster (the platform is fixed at construction).
         self._sweep_tables: Dict[str, tuple] = {}
 
-    # ------------------------------------------------------------------ #
-    # Cluster-level helpers
-    # ------------------------------------------------------------------ #
-    def _cluster_cpi(self, cluster_name: str, snippet: Snippet, opp_index: int) -> float:
-        spec = self.platform.cluster(cluster_name)
-        opp = spec.opps[opp_index]
-        chars = snippet.characteristics
-        frequency_ghz = opp.frequency_hz / 1e9
-        cpi = spec.base_cpi / chars.ilp_factor
-        cpi += chars.branch_misprediction_mpki / 1000.0 * spec.branch_penalty_cycles
-        cpi += chars.memory_intensity / 1000.0 * spec.l2_miss_penalty_ns * frequency_ghz
-        return cpi
-
-    def _cluster_time_and_work(
-        self, cluster_name: str, snippet: Snippet, config: SoCConfiguration
-    ) -> Dict[str, float]:
-        """Return elapsed time, busy core-seconds and cycles for one cluster."""
-        spec = self.platform.cluster(cluster_name)
-        chars = snippet.characteristics
-        opp_index = config.opp_index(cluster_name)
-        active_cores = config.cores(cluster_name)
-        opp = spec.opps[opp_index]
-        if cluster_name == "big":
-            instructions = snippet.n_instructions * chars.big_fraction
-        else:
-            instructions = snippet.n_instructions * (1.0 - chars.big_fraction)
-        if instructions <= 0.0:
-            return {
-                "elapsed_s": 0.0,
-                "busy_core_s": 0.0,
-                "cycles": 0.0,
-                "instructions": 0.0,
-            }
-        cpi = self._cluster_cpi(cluster_name, snippet, opp_index)
-        cycles = instructions * cpi
-        serial_time = cycles / opp.frequency_hz
-        usable_cores = max(1, min(active_cores, chars.thread_count))
-        amdahl_speedup = 1.0 / (
-            (1.0 - chars.parallel_fraction) + chars.parallel_fraction / usable_cores
-        )
-        elapsed = serial_time / amdahl_speedup
-        busy_core_seconds = serial_time  # total work is conserved across cores
-        return {
-            "elapsed_s": elapsed,
-            "busy_core_s": busy_core_seconds,
-            "cycles": cycles,
-            "instructions": instructions,
-        }
-
     def _cluster_sweep_tables(self, cluster_name: str) -> tuple:
         """Cached per-OPP arrays for one cluster (:meth:`expected_arrays` inputs).
 
         Returns ``(frequency_hz, frequency_ghz, dynamic_coeff, static_coeff)``
-        where the power coefficients are the snippet-independent prefixes of
-        :meth:`ClusterSpec.dynamic_power_w` / ``static_power_w``, computed
-        with the same scalar arithmetic (and therefore the same rounding).
+        where ``dynamic_coeff`` is ``C_eff V^2 f`` (a core's dynamic power
+        at full utilisation) and ``static_coeff`` is ``k_leak V`` (a
+        powered core's leakage), each computed per OPP in Python floats.
         """
         tables = self._sweep_tables.get(cluster_name)
         if tables is None:
@@ -294,7 +253,7 @@ class SoCSimulator:
         opp_index: Dict[str, np.ndarray],
         cores: Dict[str, np.ndarray],
     ) -> SoCBatchResult:
-        """Noise-free :meth:`run_snippet` over arrays: the one array model.
+        """Noise-free execution over arrays: the SoC model's one form.
 
         ``columns`` is a transposed :func:`characteristics_matrix`: one
         array per :data:`CHARACTERISTIC_COLUMNS` entry along its first
@@ -303,17 +262,17 @@ class SoCSimulator:
         ``(k, S, 1)`` columns against ``(C,)`` knobs sweep ``S`` snippets
         over ``C`` configurations (:meth:`evaluate_expected_batch`), and
         ``(k, S)`` columns against ``(S,)`` knobs evaluate ``S`` (snippet,
-        configuration) lanes (the fleet's
-        :func:`~repro.fleet.kernels.lockstep_execute`).  ``snippets`` and
+        configuration) lanes (:meth:`execute_lanes`).  ``snippets`` and
         ``configurations`` are the snippet and configuration objects.
 
-        Each operation is the scalar path's, in its order: IEEE-754
+        Each operation is that of the per-cluster scalar model in
+        ``tests/scalar_reference/soc_scalar.py``, in its order: IEEE-754
         elementwise arithmetic rounds exactly like the same Python-float
-        arithmetic, so every element is bitwise equal to its
-        :meth:`evaluate_expected` value.  A zero-instruction cluster flows
-        through as exact zeros, which is what the scalar early return
-        produces.  The per-OPP frequency and power-coefficient tables come
-        from :meth:`_cluster_sweep_tables`.
+        arithmetic, so every element is bitwise equal to the reference's
+        value for an in-range configuration.  A zero-instruction cluster
+        flows through as exact zeros, which is what the reference's early
+        return produces.  The per-OPP frequency and power-coefficient
+        tables come from :meth:`_cluster_sweep_tables`.
         """
         (n_instr, memory_intensity, memory_access_rate, external_request_rate,
          branch_mpki, ilp_factor, parallel_fraction, thread_count,
@@ -332,7 +291,7 @@ class SoCSimulator:
                 instructions = n_instr * big_fraction
             else:
                 instructions = n_instr * (1.0 - big_fraction)
-            # Term grouping mirrors _cluster_cpi / _cluster_time_and_work.
+            # Term grouping mirrors the reference's per-cluster CPI.
             cpi = spec.base_cpi / ilp_factor
             cpi = cpi + branch_mpki / 1000.0 * spec.branch_penalty_cycles
             cpi = cpi + (memory_intensity / 1000.0 * spec.l2_miss_penalty_ns
@@ -396,140 +355,105 @@ class SoCSimulator:
             noncache_external_memory_requests=external_requests,
         )
 
-    # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
+    def execute_lanes(
+        self,
+        snippets: Sequence[Snippet],
+        configurations: Sequence[SoCConfiguration],
+        char_rows: np.ndarray,
+        opp_index: Dict[str, np.ndarray],
+        cores: Dict[str, np.ndarray],
+        noise: np.ndarray,
+    ) -> List[SnippetResult]:
+        """Execute one (snippet, configuration) pair per lane, with noise.
+
+        ``char_rows`` holds each lane's :func:`characteristics_matrix`
+        row, ``opp_index`` and ``cores`` each cluster's ``(lanes,)``
+        integer knob arrays, and ``snippets`` and ``configurations`` the
+        lanes' objects (result metadata).  ``noise`` is ``(lanes, 2)``,
+        one :meth:`draw_noise` row of (time, power) factors per lane.
+        This is where every execution applies its measurement noise: a
+        fleet step, a lone :meth:`run_snippet` and the offline
+        executions at Oracle configurations all come here.
+        """
+        lanes = self.expected_arrays(
+            snippets, configurations, char_rows.T, opp_index, cores
+        )
+        lanes.execution_time_s = lanes.execution_time_s * noise[:, 0]
+        lanes.average_power_w = lanes.average_power_w * noise[:, 1]
+        lanes.energy_j = lanes.average_power_w * lanes.execution_time_s
+        return lanes.lane_results()
+
+    def execute_in_space(
+        self,
+        snippets: Sequence[Snippet],
+        space: ConfigurationSpace,
+        indices: np.ndarray,
+        noise: np.ndarray,
+    ) -> List[SnippetResult]:
+        """Execute ``snippets[k]`` at ``space[indices[k]]`` with noise row
+        ``noise[k]``: one :meth:`execute_lanes` call, its knobs gathered
+        from the space's array view."""
+        knobs = space.soa_view().clusters
+        return self.execute_lanes(
+            snippets, [space[i] for i in indices.tolist()],
+            characteristics_matrix(snippets),
+            {name: arrays.opp_index[indices] for name, arrays in knobs.items()},
+            {name: arrays.active_cores[indices]
+             for name, arrays in knobs.items()},
+            noise,
+        )
+
     def run_snippet(
         self,
         snippet: Snippet,
         config: SoCConfiguration,
         noise: Optional[Sequence[float]] = None,
     ) -> SnippetResult:
-        """Execute ``snippet`` at ``config`` and return the full result.
+        """Execute ``snippet`` at ``config``: one lane of :meth:`execute_lanes`.
 
         ``noise`` is the execution's (time, power) measurement-noise factor
         pair, one row of :meth:`draw_noise`.  Without it the result holds
-        the expected values; the Oracle construction uses this mode so
-        that the ground-truth best configuration is well defined.
+        the expected values.  A configuration whose OPP index lies outside
+        its cluster's OPP table, or whose active cores lie outside
+        ``[1, n_cores]``, raises :class:`ValueError` naming the cluster:
+        the array model would wrap or clamp such a knob silently.
         """
-        chars = snippet.characteristics
-        per_cluster = {
-            name: self._cluster_time_and_work(name, snippet, config)
-            for name in self.platform.cluster_names
-        }
-        total_time = max(info["elapsed_s"] for info in per_cluster.values())
-        if total_time <= 0.0:
-            raise ValueError("snippet produced zero execution time")
-
-        utilizations: Dict[str, float] = {}
-        total_power = self.platform.base_power_w
-        for name, info in per_cluster.items():
+        opp_index: Dict[str, np.ndarray] = {}
+        cores: Dict[str, np.ndarray] = {}
+        for name in self.platform.cluster_names:
             spec = self.platform.cluster(name)
-            opp_index = config.opp_index(name)
-            active = config.cores(name)
-            utilization = info["busy_core_s"] / (active * total_time)
-            if name == "little":
-                utilization = min(1.0, utilization + LITTLE_BACKGROUND_UTILIZATION)
-            utilization = min(1.0, utilization)
-            utilizations[name] = utilization
-            dynamic = spec.dynamic_power_w(opp_index, active, utilization)
-            static = spec.static_power_w(opp_index, active)
-            total_power += dynamic + static
-
-        l2_misses = snippet.n_instructions * chars.memory_intensity / 1000.0
-        external_requests = l2_misses * chars.external_request_rate
-        memory_traffic_gbps = (
-            external_requests * BYTES_PER_EXTERNAL_REQUEST / total_time / 1e9
-        )
-        memory_power = self.platform.memory_power_w_per_gbps * memory_traffic_gbps
-        total_power += memory_power
-
-        time_noise, power_noise = ((1.0, 1.0) if noise is None
-                                   else map(float, noise))
-        measured_time = total_time * time_noise
-        measured_power = total_power * power_noise
-        energy = measured_power * measured_time
-
-        total_cycles = sum(info["cycles"] for info in per_cluster.values())
-        counters = PerformanceCounters(
-            instructions_retired=snippet.n_instructions,
-            cpu_cycles=total_cycles,
-            branch_mispredictions=(
-                snippet.n_instructions * chars.branch_misprediction_mpki / 1000.0
-            ),
-            l2_cache_misses=l2_misses,
-            data_memory_accesses=snippet.n_instructions * chars.memory_access_rate,
-            noncache_external_memory_requests=external_requests,
-            little_cluster_utilization=utilizations.get("little", 0.0),
-            big_cluster_utilization=utilizations.get("big", 0.0),
-            total_chip_power_w=measured_power,
-            execution_time_s=measured_time,
-        )
-        return SnippetResult(
-            snippet=snippet,
-            configuration=config,
-            execution_time_s=measured_time,
-            energy_j=energy,
-            average_power_w=measured_power,
-            counters=counters,
-        )
-
-    def evaluate_expected(self, snippet: Snippet, config: SoCConfiguration) -> SnippetResult:
-        """Noise-free evaluation used for Oracle construction and analysis."""
-        return self.run_snippet(snippet, config)
+            opp, active = config.opp_index(name), config.cores(name)
+            if not 0 <= opp < len(spec.opps):
+                raise ValueError(
+                    f"cluster {name!r} has OPP indices 0..{len(spec.opps) - 1}, "
+                    f"got {opp}")
+            if not 1 <= active <= spec.n_cores:
+                raise ValueError(
+                    f"cluster {name!r} has 1..{spec.n_cores} active cores, "
+                    f"got {active}")
+            opp_index[name] = np.array([opp])
+            cores[name] = np.array([active])
+        factors = np.ones((1, 2)) if noise is None else np.array([noise], float)
+        return self.execute_lanes(
+            [snippet], [config], characteristics_matrix([snippet]),
+            opp_index, cores, factors,
+        )[0]
 
     def draw_noise(self, steps: int,
                    rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """``(steps, 2)`` measurement-noise factors, one row per execution.
 
         Each row is the (time, power) pair of log-normal
-        ``exp(normal(0, noise_scale))`` factors :meth:`run_snippet` and
-        :meth:`apply_noise` apply.  The normals come from ``rng`` (the
-        simulator's own generator when ``None``), two per row in row
-        order, which is the order of one two-draw call per execution.  A
-        noise-free simulator draws nothing and returns ones.
+        ``exp(normal(0, noise_scale))`` factors :meth:`execute_lanes`
+        applies.  The normals come from ``rng`` (the simulator's own
+        generator when ``None``), two per row in row order, which is the
+        order of one two-draw call per execution.  A noise-free simulator
+        draws nothing and returns ones.
         """
         if self.noise_scale == 0.0:
             return np.ones((steps, 2))
         rng = self.rng if rng is None else rng
         return np.exp(rng.normal(0.0, self.noise_scale, size=(steps, 2)))
-
-    def apply_noise(self, expected: SnippetResult,
-                    noise: Sequence[float]) -> SnippetResult:
-        """Re-noise a noise-free result exactly as :meth:`run_snippet` would.
-
-        Given the expected (deterministic) result of a snippet/configuration
-        pair — e.g. one rebuilt at an Oracle table's choice — this applies
-        the (time, power) factor pair ``noise`` with :meth:`run_snippet`'s
-        arithmetic, so the returned result is bitwise identical to a full
-        re-simulation fed the same factors, without re-running the
-        per-cluster performance model.
-        """
-        time_noise, power_noise = map(float, noise)
-        measured_time = expected.execution_time_s * time_noise
-        measured_power = expected.average_power_w * power_noise
-        energy = measured_power * measured_time
-        base = expected.counters
-        counters = PerformanceCounters(
-            instructions_retired=base.instructions_retired,
-            cpu_cycles=base.cpu_cycles,
-            branch_mispredictions=base.branch_mispredictions,
-            l2_cache_misses=base.l2_cache_misses,
-            data_memory_accesses=base.data_memory_accesses,
-            noncache_external_memory_requests=base.noncache_external_memory_requests,
-            little_cluster_utilization=base.little_cluster_utilization,
-            big_cluster_utilization=base.big_cluster_utilization,
-            total_chip_power_w=measured_power,
-            execution_time_s=measured_time,
-        )
-        return SnippetResult(
-            snippet=expected.snippet,
-            configuration=expected.configuration,
-            execution_time_s=measured_time,
-            energy_j=energy,
-            average_power_w=measured_power,
-            counters=counters,
-        )
 
     def evaluate_expected_batch(
         self, snippets: Sequence[Snippet], space: ConfigurationSpace,
@@ -537,9 +461,9 @@ class SoCSimulator:
     ) -> SoCBatchResult:
         """Noise-free evaluation of every snippet at every configuration.
 
-        The array twin of one :meth:`evaluate_expected` call per (snippet,
-        configuration) pair: a single :meth:`expected_arrays` pass over
-        the space's cached knob arrays, whose result arrays are
+        One noise-free :meth:`run_snippet` per (snippet, configuration)
+        pair, as a single :meth:`expected_arrays` pass over the space's
+        cached knob arrays, whose result arrays are
         ``(len(snippets), len(space))``, which is what makes exhaustive
         Oracle construction fast.  ``characteristics`` holds the snippets'
         :func:`characteristics_matrix` rows.

@@ -4,9 +4,10 @@
 together, in array passes of
 :meth:`~repro.soc.simulator.SoCSimulator.evaluate_expected_batch` over
 (snippet, configuration) pairs.  These two functions are the loop it
-replaced: for each snippet, one noise-free ``evaluate_expected`` per
-configuration, keeping the first configuration whose energy is strictly
-lower than every earlier one.
+replaced: for each snippet, one noise-free evaluation per configuration
+(the scalar model's :func:`~scalar_reference.soc_scalar.evaluate_expected`),
+keeping the first configuration whose energy is strictly lower than every
+earlier one.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from repro.soc.configuration import ConfigurationSpace
 from repro.soc.simulator import SnippetResult, SoCSimulator
 from repro.soc.snippet import Snippet
 
+from scalar_reference.soc_scalar import evaluate_expected
+
 
 def sweep_snippet(simulator: SoCSimulator, space: ConfigurationSpace,
                   snippet: Snippet) -> Tuple[int, SnippetResult]:
@@ -29,7 +32,7 @@ def sweep_snippet(simulator: SoCSimulator, space: ConfigurationSpace,
     best: Optional[Tuple[int, SnippetResult]] = None
     best_energy = float("inf")
     for index, config in enumerate(space):
-        result = simulator.evaluate_expected(snippet, config)
+        result = evaluate_expected(simulator, snippet, config)
         if result.energy_j < best_energy:
             best_energy = result.energy_j
             best = (index, result)

@@ -32,38 +32,34 @@ def gpu():
 class TestBasicPolicies:
     def test_static_policy_always_same(self, space, simulator, compute_snippet):
         policy = StaticPolicy(space)
-        counters = simulator.evaluate_expected(compute_snippet,
-                                               space.default_configuration()).counters
+        counters = simulator.run_snippet(compute_snippet,
+                                         space.default_configuration()).counters
         assert policy.decide(counters) == policy.decide(None)
 
     def test_random_policy_in_space(self, space, simulator, compute_snippet):
         policy = RandomPolicy(space, seed=0)
-        counters = simulator.evaluate_expected(compute_snippet,
-                                               space.default_configuration()).counters
+        counters = simulator.run_snippet(compute_snippet,
+                                         space.default_configuration()).counters
         for _ in range(5):
             assert space.contains(policy.decide(counters))
 
 
 class TestDiscretizer:
     def test_state_range(self, simulator, space, compute_snippet, memory_snippet):
-        discretizer = CounterStateDiscretizer(n_bins=4)
+        discretizer = CounterStateDiscretizer()
         for snippet in (compute_snippet, memory_snippet):
-            counters = simulator.evaluate_expected(snippet,
-                                                   space.default_configuration()).counters
+            counters = simulator.run_snippet(snippet,
+                                             space.default_configuration()).counters
             state = discretizer.discretize(counters)
             assert 0 <= state < discretizer.n_states
 
     def test_distinguishes_memory_bound_from_compute_bound(self, simulator, space,
                                                            compute_snippet, memory_snippet):
-        discretizer = CounterStateDiscretizer(n_bins=4)
+        discretizer = CounterStateDiscretizer()
         config = space.default_configuration()
-        s1 = discretizer.discretize(simulator.evaluate_expected(compute_snippet, config).counters)
-        s2 = discretizer.discretize(simulator.evaluate_expected(memory_snippet, config).counters)
+        s1 = discretizer.discretize(simulator.run_snippet(compute_snippet, config).counters)
+        s2 = discretizer.discretize(simulator.run_snippet(memory_snippet, config).counters)
         assert s1 != s2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CounterStateDiscretizer(n_bins=1)
 
 
 class TestQLearning:
@@ -332,14 +328,6 @@ class TestExplicitNMPC:
         work = gpu.max_throughput_cycles_per_s() / 30.0 * 0.8
         config = controller.control_law(work, work * 0.5)
         assert gpu.busy_time_s(config, work, work * 0.5) <= deadline * 1.02
-
-    def test_runs_whole_benchmark_meeting_fps(self, gpu):
-        simulator = GPUSimulator(gpu, noise_scale=0.01, seed=0)
-        trace = get_graphics_workload("epiccitadel", gpu=gpu, n_frames=120, seed=0)
-        controller = ExplicitNMPCGpuController(gpu, target_fps=trace.target_fps,
-                                               n_surface_samples=150)
-        run = simulator.run(trace, controller)
-        assert run.achieved_fps >= trace.target_fps * 0.93
 
 
 class TestMultiRate:

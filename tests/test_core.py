@@ -60,7 +60,7 @@ class TestOracle:
         snippet = short_trace[0]
         best_energy = oracle_table.columns["energy_j"][
             oracle_table.rows[snippet.name]]
-        energies = [framework.simulator.evaluate_expected(snippet, config).energy_j
+        energies = [framework.simulator.run_snippet(snippet, config).energy_j
                     for config in framework.space]
         assert best_energy == pytest.approx(min(energies))
 
@@ -174,11 +174,11 @@ class TestRuntimeOracle:
             result = framework.simulator.run_snippet(snippet, current, factors)
             runtime_oracle.update_models(result.counters, current)
             best, estimate = runtime_oracle.best_configuration(result.counters, current)
-            achieved = framework.simulator.evaluate_expected(snippet, best).energy_j
+            achieved = framework.simulator.run_snippet(snippet, best).energy_j
             neighborhood = runtime_oracle_loop.neighbors(
                 framework.space, current, radius=2)
             neighborhood_best = min(
-                framework.simulator.evaluate_expected(snippet, c).energy_j
+                framework.simulator.run_snippet(snippet, c).energy_j
                 for c in neighborhood)
             if achieved <= neighborhood_best * 1.05:
                 hits += 1

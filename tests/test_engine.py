@@ -2,7 +2,8 @@
 
 Covers batch-vs-scalar Oracle sweep parity (bitwise, column by column),
 the noise-free results rebuilt from a table, the exact number of
-simulator results an Oracle build and offline training create, the
+simulator results an Oracle build and offline training create (and the
+offline executions against the scalar SoC model), the
 :class:`~repro.core.oracle.OracleCache` hit/miss behaviour, the scale
 registry, and the experiment registry / runner / CLI round-trips.
 """
@@ -47,7 +48,7 @@ from repro.soc.snippet import Snippet, SnippetCharacteristics
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import get_workload
 
-from scalar_reference import oracle_loop
+from scalar_reference import oracle_loop, soc_scalar
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +122,8 @@ class TestBatchSweepParity:
     def test_batch_matches_scalar_results_bitwise(self, simulator, space,
                                                   sweep_trace):
         """Every (snippet, configuration) pair of one sweep, materialised
-        as a lane batch of one snippet per lane, pickles to its
-        ``evaluate_expected`` result."""
+        as a lane batch of one snippet per lane, pickles to the scalar
+        model's noise-free result."""
         snippets = list(sweep_trace[:3]) + _one_cluster_snippets()
         batch = simulator.evaluate_expected_batch(
             snippets, space, characteristics_matrix(snippets))
@@ -130,7 +131,8 @@ class TestBatchSweepParity:
         for column, config in enumerate(space):
             lanes = _column_results(batch, column)
             for snippet, materialized in zip(snippets, lanes):
-                reference = simulator.evaluate_expected(snippet, config)
+                reference = soc_scalar.evaluate_expected(simulator, snippet,
+                                                         config)
                 assert materialized.configuration is config
                 assert pickle.dumps(materialized) == pickle.dumps(reference)
 
@@ -218,7 +220,8 @@ class TestBatchSweepParity:
                                        gated_clusters=("big", "little"))
         snippets = list(parity_trace[:6]) + _one_cluster_snippets()
         table = build_oracle(simulator, space, snippets)
-        results = oracle_results(simulator, table, snippets)
+        results = oracle_results(simulator, table, snippets,
+                                 np.ones((len(snippets), 2)))
         assert len(results) == len(snippets)
         for snippet, result in zip(snippets, results):
             _, reference = oracle_loop.sweep_snippet(simulator, space,
@@ -229,7 +232,7 @@ class TestBatchSweepParity:
             self, simulator, space, sweep_trace, monkeypatch):
         """Each pass of consecutive missing snippets costs one
         ``evaluate_expected_batch`` over the whole space, and no
-        per-configuration ``evaluate_expected`` call is made."""
+        per-configuration ``run_snippet`` call is made."""
         # Patched on the class so that undoing the patch leaves nothing in
         # the session-wide simulator's instance dict.
         simulator_cls = type(simulator)
@@ -242,12 +245,12 @@ class TestBatchSweepParity:
             swept.append(([s.name for s in snippets], space))
             return real_batch(self, snippets, space, characteristics)
 
-        def refuse_scalar(self, snippet, config):
+        def refuse_scalar(self, snippet, config, noise=None):
             raise AssertionError("build_oracle evaluated one configuration")
 
         monkeypatch.setattr(simulator_cls, "evaluate_expected_batch",
                             counting_batch)
-        monkeypatch.setattr(simulator_cls, "evaluate_expected", refuse_scalar)
+        monkeypatch.setattr(simulator_cls, "run_snippet", refuse_scalar)
         names = [s.name for s in sweep_trace]
         assert len(names) > 4
         table = build_oracle(simulator, space, sweep_trace)
@@ -401,8 +404,9 @@ class TestOracleCache:
 
 class TestSnippetResultCounts:
     """A table keeps no simulator results: a cold build materialises none,
-    and offline training rebuilds exactly one noise-free result per
-    training snippet (for the model bootstrap)."""
+    and offline training executes each training snippet twice at its
+    Oracle configuration (the IL dataset's execution, then the model
+    bootstrap's)."""
 
     @pytest.fixture()
     def created(self, monkeypatch):
@@ -431,35 +435,61 @@ class TestSnippetResultCounts:
         build_oracle(simulator, space, parity_trace)
         assert created == Counter()
 
-    def test_train_offline_creates_one_noise_free_result_per_snippet(
+    def test_train_offline_executions_match_scalar_loop(
             self, created, monkeypatch):
-        """Per training snippet: one noise-free result from the table's
-        best index, and two noisy ones (the dataset's execution and the
-        model bootstrap's re-noised copy).  Each rebuilt noise-free result
-        is the per-configuration loop's, byte for byte."""
+        """The IL dataset and the model bootstrap are one lane call each,
+        so training creates two results per snippet and no other.  The
+        dataset's features and labels and the bootstrapped RLS state
+        equal a scalar loop over the reference model at the scalar
+        sweep's Oracle configurations, fed the same ``draw_noise`` rows,
+        bit for bit."""
         from repro.core.framework import OnlineLearningFramework
+        from repro.models.performance import CpuPerformanceModel
+        from repro.models.power import CpuPowerModel
         from repro.workloads.suites import training_workloads
 
         framework = OnlineLearningFramework(seed=3)
-        expected = []
-        apply_noise = framework.simulator.apply_noise
+        simulator, space = framework.simulator, framework.space
+        drawn = []
+        draw_noise = simulator.draw_noise
 
-        def recording_apply_noise(result, noise):
-            expected.append(result)
-            return apply_noise(result, noise)
+        def recording_draw_noise(steps, rng=None):
+            drawn.append(draw_noise(steps, rng))
+            return drawn[-1]
 
-        monkeypatch.setattr(framework.simulator, "apply_noise",
-                            recording_apply_noise)
+        monkeypatch.setattr(simulator, "draw_noise", recording_draw_noise)
         framework.train_offline(
             [w.scaled(0.1) for w in training_workloads()[:3]], epochs=2)
         snippets = framework._training_snippets
-        assert created == Counter(from_values=len(snippets),
-                                  init=2 * len(snippets))
-        assert len(expected) == len(snippets)
-        for snippet, result in zip(snippets, expected):
-            _, reference = oracle_loop.sweep_snippet(
-                framework.simulator, framework.space, snippet)
-            assert pickle.dumps(result) == pickle.dumps(reference)
+        assert created == Counter(from_values=2 * len(snippets))
+        dataset_noise, bootstrap_noise = drawn
+
+        best = [space[oracle_loop.sweep_snippet(simulator, space, snippet)[0]]
+                for snippet in snippets]
+        executed = [soc_scalar.run_snippet(simulator, snippet, config, factors)
+                    for snippet, config, factors
+                    in zip(snippets, best, dataset_noise)]
+        features = np.vstack([result.counters.feature_vector()
+                              for result in executed[:-1]])
+        dataset = framework.offline_dataset
+        assert dataset.features.tobytes() == features.tobytes()
+        assert dataset.labels.tolist() == [space.index_of(config)
+                                           for config in best[1:]]
+
+        power_model = CpuPowerModel(framework.platform)
+        performance_model = CpuPerformanceModel(framework.platform)
+        for snippet, config, factors in zip(snippets, best, bootstrap_noise):
+            counters = soc_scalar.run_snippet(simulator, snippet, config,
+                                              factors).counters
+            power_model.update(counters, config)
+            performance_model.update(counters, config)
+        for model, reference in ((framework.power_model, power_model),
+                                 (framework.performance_model,
+                                  performance_model)):
+            assert model.rls.n_updates == len(snippets)
+            assert model.rls.weights.tobytes() == reference.rls.weights.tobytes()
+            assert (model.rls.covariance.tobytes()
+                    == reference.rls.covariance.tobytes())
 
 
 class TestScaleRegistry:

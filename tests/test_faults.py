@@ -428,6 +428,14 @@ class _OverridingSimulator(SoCSimulator):
         return super().run_snippet(*args, **kwargs)
 
 
+class _OverridingLanesSimulator(SoCSimulator):
+    """Overrides ``execute_lanes``: a lone session would run the override
+    and a fleet SoCSimulator's."""
+
+    def execute_lanes(self, *args, **kwargs):
+        return super().execute_lanes(*args, **kwargs)
+
+
 class TestBuildFleetRefusals:
     def test_shared_rng_raises_with_device_names(self, noisy_simulator,
                                                  space):
@@ -456,11 +464,17 @@ class TestBuildFleetRefusals:
             warnings.simplefilter("error")
             build_fleet(governor_devices(space), noisy_simulator, space)
 
-    def test_simulator_overriding_run_snippet_raises(self, platform, space):
-        simulator = _OverridingSimulator(platform, noise_scale=0.02, seed=0)
+    @pytest.mark.parametrize("simulator_cls, method", [
+        (_OverridingSimulator, "run_snippet"),
+        (_OverridingLanesSimulator, "execute_lanes"),
+    ], ids=["run_snippet", "execute_lanes"])
+    def test_simulator_overriding_an_execution_method_raises(
+            self, platform, space, simulator_cls, method):
+        simulator = simulator_cls(platform, noise_scale=0.02, seed=0)
         with pytest.raises(ValueError,
                            match=r"\['dev0', 'dev1'\] run on "
-                                 "_OverridingSimulator"):
+                                 f"{simulator_cls.__name__}, which overrides "
+                                 f"{method}:"):
             build_fleet(governor_devices(space, n=2), simulator, space)
 
     def test_session_on_another_simulator_raises(self, noisy_simulator,

@@ -23,7 +23,6 @@ from repro.core.framework import run_policy_on_snippets
 from repro.core.session import PolicySession
 from repro.fleet import DeviceSpec, FleetEngine, build_fleet
 from repro.fleet import engine as engine_module
-from repro.fleet.kernels import lockstep_execute
 from repro.fleet.supervisor import FleetSupervisor
 from repro.scenarios import get_scenario
 from repro.scenarios.runtime import run_policy_on_scenario
@@ -40,6 +39,7 @@ from repro.utils.rng import make_rng
 from repro.workloads.generator import SnippetTraceGenerator
 from repro.workloads.suites import training_workloads
 
+from scalar_reference import soc_scalar
 from test_properties import PROPERTY_SEEDS, random_platform
 
 LOG_KEYS = ("energy_j", "time_s", "power_w", "big_opp", "little_opp",
@@ -95,8 +95,9 @@ class TestLockstepKernel:
         ids=["odroid", *(f"core-gated-{seed}" for seed in PROPERTY_SEEDS)])
     def test_lockstep_execute_matches_run_snippet(self, platform, space,
                                                   platform_seed):
-        """Random (snippet, config) pairs: kernel == scalar, bitwise, on
-        the default space and on seeded random platforms' core-gated
+        """Random (snippet, config) pairs: the fleet's lane kernel and the
+        one-lane ``run_snippet`` == the scalar reference, bitwise, on the
+        default space and on seeded random platforms' core-gated
         spaces."""
         if platform_seed is not None:
             platform = random_platform(np.random.default_rng(platform_seed))
@@ -114,7 +115,7 @@ class TestLockstepKernel:
             for i in range(len(pairs))
         ])
         scalar = [
-            simulator.run_snippet(snippet, config, noise[i])
+            soc_scalar.run_snippet(simulator, snippet, config, noise[i])
             for i, (snippet, config) in enumerate(pairs)
         ]
         chars = characteristics_matrix([snippet for snippet, _ in pairs])
@@ -128,26 +129,34 @@ class TestLockstepKernel:
                            dtype=np.intp)
             for name in platform.cluster_names
         }
-        batched = lockstep_execute(
-            simulator, [s for s, _ in pairs], chars, opp_index, cores,
-            [c for _, c in pairs], noise,
+        batched = engine_module.lockstep_execute(
+            simulator, [s for s, _ in pairs], [c for _, c in pairs], chars,
+            opp_index, cores, noise,
         )
-        for ref, out in zip(scalar, batched):
+        one_lane = [
+            simulator.run_snippet(snippet, config, noise[i])
+            for i, (snippet, config) in enumerate(pairs)
+        ]
+        assert len(batched) == len(one_lane) == len(scalar)
+        for ref, out, lone in zip(scalar, batched, one_lane):
             assert_fields_bitwise_equal(ref, out)
+            assert_fields_bitwise_equal(ref, lone)
 
     def test_noise_free_kernel_matches_deterministic_run(self, platform, space):
         simulator = SoCSimulator(platform, noise_scale=0.0, seed=0)
         trace = make_trace(0)
         config = space.default_configuration()
-        scalar = [simulator.run_snippet(s, config) for s in trace]
+        scalar = [soc_scalar.evaluate_expected(simulator, s, config)
+                  for s in trace]
         chars = characteristics_matrix(trace)
         n = len(trace)
         opp_index = {name: np.full(n, config.opp_index(name), dtype=np.intp)
                      for name in platform.cluster_names}
         cores = {name: np.full(n, config.cores(name), dtype=np.intp)
                  for name in platform.cluster_names}
-        batched = lockstep_execute(simulator, trace, chars, opp_index, cores,
-                                   [config] * n, simulator.draw_noise(n))
+        batched = engine_module.lockstep_execute(
+            simulator, trace, [config] * n, chars, opp_index, cores,
+            simulator.draw_noise(n))
         for ref, out in zip(scalar, batched):
             assert ref.energy_j == out.energy_j
             assert ref.counters.as_dict() == out.counters.as_dict()

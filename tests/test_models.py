@@ -75,7 +75,7 @@ class TestCpuPowerModel:
         perf = CpuPerformanceModel(simulator.platform)
         run_and_update(simulator, space, model, perf, compute_snippet, configs * 2)
         for config in configs[:5]:
-            result = simulator.evaluate_expected(compute_snippet, config)
+            result = simulator.run_snippet(compute_snippet, config)
             predicted = predict_power(model, result.counters, config,
                                       one_row(space, config))
             assert predicted == pytest.approx(result.average_power_w, rel=0.10)
@@ -88,7 +88,7 @@ class TestCpuPowerModel:
         configs = list(space)[:: max(1, len(space) // 25)]
         run_and_update(simulator, space, model, perf, compute_snippet, configs * 2)
         reference = space.default_configuration()
-        counters = simulator.evaluate_expected(compute_snippet, reference).counters
+        counters = simulator.run_snippet(compute_snippet, reference).counters
         opps, cores = reference.as_dicts()
         low = SoCConfiguration.from_dicts({**opps, "big": 0}, cores)
         high = SoCConfiguration.from_dicts(
@@ -98,7 +98,7 @@ class TestCpuPowerModel:
 
     def test_n_updates_tracked(self, simulator, space, compute_snippet):
         model = CpuPowerModel(simulator.platform)
-        result = simulator.evaluate_expected(compute_snippet, space.default_configuration())
+        result = simulator.run_snippet(compute_snippet, space.default_configuration())
         model.update(result.counters, result.configuration)
         assert model.n_updates == 1
 
@@ -111,11 +111,11 @@ class TestCpuPerformanceModel:
         configs = list(space)[:: max(1, len(space) // 20)]
         run_and_update(simulator, space, power, model, memory_snippet, configs * 2)
         reference = space.default_configuration()
-        counters = simulator.evaluate_expected(memory_snippet, reference).counters
+        counters = simulator.run_snippet(memory_snippet, reference).counters
         opps, cores = reference.as_dicts()
         for big_index in (0, len(simulator.platform.cluster("big").opps) - 1):
             candidate = SoCConfiguration.from_dicts({**opps, "big": big_index}, cores)
-            truth = simulator.evaluate_expected(memory_snippet, candidate).execution_time_s
+            truth = simulator.run_snippet(memory_snippet, candidate).execution_time_s
             predicted = predict_time(model, counters, reference,
                                      one_row(space, candidate))
             assert predicted == pytest.approx(truth, rel=0.15)

@@ -7,7 +7,7 @@ seed.  The invariants:
 
 * physics: energy/time/power of any execution are positive and finite;
 * batch == scalar parity of the vectorized SoC configuration sweep on
-  randomized inputs;
+  randomized inputs, against the scalar model of ``tests/scalar_reference``;
 * GPU frame loop: a controller pinned to one configuration sees every
   frame it rendered, a noise-free run does not depend on the seed, and a
   faster operating point or more slices never lengthen a frame;
@@ -50,6 +50,7 @@ from repro.soc.platform import generic_big_little
 from repro.soc.simulator import SoCSimulator, characteristics_matrix
 from repro.soc.snippet import Snippet, SnippetCharacteristics
 
+from scalar_reference import soc_scalar
 from scalar_reference.noc_latency import manhattan_hops, zero_load_latency
 from scalar_reference.tree_scalar import (ScalarDecisionTreeRegressor,
                                           predict_row)
@@ -103,7 +104,7 @@ class TestPhysicalInvariants:
             config = space.random_configuration(rng)
             factors = simulator.draw_noise(1, rng)[0]
             for result in (simulator.run_snippet(snippet, config, factors),
-                           simulator.evaluate_expected(snippet, config)):
+                           simulator.run_snippet(snippet, config)):
                 assert np.isfinite(result.energy_j) and result.energy_j > 0.0
                 assert np.isfinite(result.execution_time_s)
                 assert result.execution_time_s > 0.0
@@ -126,7 +127,8 @@ class TestBatchScalarParity:
             snippets, space, characteristics_matrix(snippets))
         for row, snippet in enumerate(snippets):
             for column, config in enumerate(space):
-                reference = simulator.evaluate_expected(snippet, config)
+                reference = soc_scalar.evaluate_expected(simulator, snippet,
+                                                         config)
                 assert batch.energy_j[row, column] == reference.energy_j
                 assert (batch.execution_time_s[row, column]
                         == reference.execution_time_s)

@@ -86,9 +86,7 @@ class TestRegistry:
         try:
             with pytest.raises(ValueError):
                 register_scenario(PhaseChurn(name="test-duplicate"))
-            register_scenario(PhaseChurn(name="test-duplicate", block=4),
-                              overwrite=True)
-            assert get_scenario("test-duplicate").block == 4
+            assert get_scenario("test-duplicate") is spec
         finally:
             scenario_base._SCENARIO_REGISTRY.pop("test-duplicate", None)
 

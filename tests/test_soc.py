@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.gpu.gpu import default_integrated_gpu
+from repro.gpu.simulator import GPUSimulator
 from repro.soc import (
     ConfigurationSpace,
     InteractiveGovernor,
@@ -26,6 +28,8 @@ from repro.soc import (
 from repro.soc.counters import FEATURE_NAMES
 from repro.soc.simulator import BYTES_PER_EXTERNAL_REQUEST
 from repro.soc.snippet import CHARACTERISTIC_FIELDS, make_snippets
+
+from scalar_reference import soc_scalar
 
 
 class TestOPP:
@@ -62,18 +66,28 @@ class TestOPP:
         assert table.clamp_index(99) == 4
 
 class TestClusterAndPlatform:
-    def test_cluster_power_models(self, platform):
-        big = platform.cluster("big")
+    def test_cluster_power_follows_opp_cores_and_utilization(
+            self, simulator, compute_snippet):
+        """Chip power rises with the big cluster's OPP and with its
+        powered cores, and a cluster that runs no instruction adds its
+        leakage only: no dynamic power at zero utilisation."""
+        big = simulator.platform.cluster("big")
         top = len(big.opps) - 1
-        dynamic_low = big.dynamic_power_w(0, 4, 1.0)
-        dynamic_high = big.dynamic_power_w(top, 4, 1.0)
-        assert dynamic_high > dynamic_low > 0
-        assert big.static_power_w(top, 4) > big.static_power_w(top, 1)
-        assert big.dynamic_power_w(top, 4, 0.0) == 0.0
 
-    def test_cluster_index_validation(self, platform):
-        with pytest.raises(IndexError):
-            platform.cluster("big").dynamic_power_w(99, 4, 1.0)
+        def power(snippet, big_opp, big_cores):
+            config = SoCConfiguration.from_dicts(
+                {"big": big_opp, "little": 0}, {"big": big_cores, "little": 4})
+            return simulator.run_snippet(snippet, config).average_power_w
+
+        assert power(compute_snippet, top, 4) > power(compute_snippet, 0, 4)
+        assert power(compute_snippet, top, 4) > power(compute_snippet, top, 1)
+        little_only = Snippet("little-only", 0,
+                              characteristics=SnippetCharacteristics(
+                                  big_fraction=0.0))
+        leakage = (big.leakage_w_per_v * big.n_cores
+                   * (big.opps[top].voltage_v - big.opps[0].voltage_v))
+        assert (power(little_only, top, 4) - power(little_only, 0, 4)
+                == pytest.approx(leakage, rel=1e-9))
 
     def test_platform_lookup(self, platform):
         assert platform.cluster("big").name == "big"
@@ -434,8 +448,8 @@ class TestSimulator:
         fast = SoCConfiguration.from_dicts(
             {"big": len(simulator.platform.cluster("big").opps) - 1, "little": 0},
             {"big": 4, "little": 4})
-        t_slow = simulator.evaluate_expected(compute_snippet, slow).execution_time_s
-        t_fast = simulator.evaluate_expected(compute_snippet, fast).execution_time_s
+        t_slow = simulator.run_snippet(compute_snippet, slow).execution_time_s
+        t_fast = simulator.run_snippet(compute_snippet, fast).execution_time_s
         assert t_fast < t_slow
 
     def test_memory_bound_gains_less_from_frequency(self, simulator, compute_snippet,
@@ -444,18 +458,18 @@ class TestSimulator:
         low = SoCConfiguration.from_dicts({"big": 0, "little": 0}, {"big": 4, "little": 4})
         high = SoCConfiguration.from_dicts(
             {"big": len(platform.cluster("big").opps) - 1, "little": 0}, {"big": 4, "little": 4})
-        speedup_compute = (simulator.evaluate_expected(compute_snippet, low).execution_time_s
-                           / simulator.evaluate_expected(compute_snippet, high).execution_time_s)
-        speedup_memory = (simulator.evaluate_expected(memory_snippet, low).execution_time_s
-                          / simulator.evaluate_expected(memory_snippet, high).execution_time_s)
+        speedup_compute = (simulator.run_snippet(compute_snippet, low).execution_time_s
+                           / simulator.run_snippet(compute_snippet, high).execution_time_s)
+        speedup_memory = (simulator.run_snippet(memory_snippet, low).execution_time_s
+                          / simulator.run_snippet(memory_snippet, high).execution_time_s)
         assert speedup_compute > speedup_memory
 
     def test_parallel_snippet_uses_big_cluster_fully(self, simulator, space,
                                                      parallel_snippet, compute_snippet):
         config = space.default_configuration()
-        parallel_util = simulator.evaluate_expected(
+        parallel_util = simulator.run_snippet(
             parallel_snippet, config).counters.big_cluster_utilization
-        serial_util = simulator.evaluate_expected(
+        serial_util = simulator.run_snippet(
             compute_snippet, config).counters.big_cluster_utilization
         assert parallel_util > serial_util
 
@@ -464,18 +478,18 @@ class TestSimulator:
         low = SoCConfiguration.from_dicts({"big": 0, "little": 0}, {"big": 4, "little": 4})
         high = SoCConfiguration.from_dicts(
             {"big": len(platform.cluster("big").opps) - 1, "little": 0}, {"big": 4, "little": 4})
-        assert (simulator.evaluate_expected(compute_snippet, high).average_power_w
-                > simulator.evaluate_expected(compute_snippet, low).average_power_w)
+        assert (simulator.run_snippet(compute_snippet, high).average_power_w
+                > simulator.run_snippet(compute_snippet, low).average_power_w)
 
     def test_energy_equals_power_times_time(self, simulator, space, compute_snippet):
-        result = simulator.evaluate_expected(compute_snippet, space.default_configuration())
+        result = simulator.run_snippet(compute_snippet, space.default_configuration())
         assert result.energy_j == pytest.approx(
             result.average_power_w * result.execution_time_s)
 
     def test_deterministic_evaluation_repeatable(self, simulator, space, memory_snippet):
         config = space.default_configuration()
-        a = simulator.evaluate_expected(memory_snippet, config)
-        b = simulator.evaluate_expected(memory_snippet, config)
+        a = simulator.run_snippet(memory_snippet, config)
+        b = simulator.run_snippet(memory_snippet, config)
         assert a.energy_j == b.energy_j
 
     def test_noise_produces_variation(self, noisy_simulator, space, compute_snippet):
@@ -505,38 +519,36 @@ class TestSimulator:
         assert simulator.draw_noise(3, rng).tolist() == [[1.0, 1.0]] * 3
         assert rng.bit_generator.state == before
 
-    def test_apply_noise_matches_full_simulation(self, noisy_simulator, space,
-                                                 compute_snippet, memory_snippet):
-        """Re-noising a cached expected result == re-running the simulator.
+    @pytest.mark.parametrize("cluster", ["big", "little"])
+    @pytest.mark.parametrize("knob", ["opp -1", "opp past table",
+                                      "0 cores", "n_cores + 1"])
+    def test_run_snippet_refuses_out_of_range_knobs(self, simulator, space,
+                                                    compute_snippet, cluster,
+                                                    knob):
+        """The array model would wrap a negative OPP index, divide by zero
+        cores and clamp extra cores; ``run_snippet`` refuses each, naming
+        the cluster."""
+        spec = simulator.platform.cluster(cluster)
+        opps, cores = space.default_configuration().as_dicts()
+        if knob.startswith("opp"):
+            opps[cluster] = -1 if knob == "opp -1" else len(spec.opps)
+        else:
+            cores[cluster] = 0 if knob == "0 cores" else spec.n_cores + 1
+        config = SoCConfiguration.from_dicts(opps, cores)
+        with pytest.raises(ValueError, match=f"cluster '{cluster}'"):
+            simulator.run_snippet(compute_snippet, config)
 
-        ``_bootstrap_models`` relies on this: fed the same factors, it must
-        produce bitwise-identical noisy results as the full ``run_snippet``
-        call it replaced.
-        """
-        config = space.default_configuration()
-        for snippet in (compute_snippet, memory_snippet):
-            expected = noisy_simulator.evaluate_expected(snippet, config)
-            factors = noisy_simulator.draw_noise(
-                1, np.random.default_rng(99))[0]
-            full = noisy_simulator.run_snippet(snippet, config, factors)
-            replayed = noisy_simulator.apply_noise(expected, factors)
-            assert replayed.execution_time_s == full.execution_time_s
-            assert replayed.average_power_w == full.average_power_w
-            assert replayed.energy_j == full.energy_j
-            assert replayed.counters.as_dict() == full.counters.as_dict()
-            assert replayed.counters.execution_time_s == \
-                full.counters.execution_time_s
-
-    def test_apply_noise_without_noise_returns_expected_values(
-            self, simulator, space, compute_snippet):
-        config = space.default_configuration()
-        expected = simulator.evaluate_expected(compute_snippet, config)
-        replayed = simulator.apply_noise(expected, simulator.draw_noise(1)[0])
-        assert replayed.energy_j == expected.energy_j
-        assert replayed.execution_time_s == expected.execution_time_s
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -0.01])
+    @pytest.mark.parametrize("make", [
+        lambda scale: SoCSimulator(odroid_xu3_like(), noise_scale=scale),
+        lambda scale: GPUSimulator(default_integrated_gpu(), noise_scale=scale),
+    ], ids=["soc", "gpu"])
+    def test_noise_scale_must_be_finite_and_non_negative(self, make, scale):
+        with pytest.raises(ValueError, match="noise_scale"):
+            make(scale)
 
     def test_counters_reflect_characteristics(self, simulator, space, memory_snippet):
-        result = simulator.evaluate_expected(memory_snippet, space.default_configuration())
+        result = simulator.run_snippet(memory_snippet, space.default_configuration())
         counters = result.counters
         expected_misses = (memory_snippet.n_instructions
                            * memory_snippet.characteristics.memory_intensity / 1000.0)
@@ -551,7 +563,7 @@ class TestSimulator:
         platform = simulator.platform
         config = space.default_configuration()
         for snippet in (compute_snippet, memory_snippet):
-            result = simulator.evaluate_expected(snippet, config)
+            result = simulator.run_snippet(snippet, config)
             counters = result.counters
             utilization = {"big": counters.big_cluster_utilization,
                            "little": counters.little_cluster_utilization}
@@ -559,8 +571,9 @@ class TestSimulator:
             for name in platform.cluster_names:
                 spec = platform.cluster(name)
                 opp, active = config.opp_index(name), config.cores(name)
-                expected += (spec.dynamic_power_w(opp, active, utilization[name])
-                             + spec.static_power_w(opp, active))
+                expected += (soc_scalar.dynamic_power_w(
+                    spec, opp, active, utilization[name])
+                    + soc_scalar.static_power_w(spec, opp, active))
             traffic_gbps = (counters.noncache_external_memory_requests
                             * BYTES_PER_EXTERNAL_REQUEST
                             / result.execution_time_s / 1e9)
@@ -569,7 +582,7 @@ class TestSimulator:
             assert counters.total_chip_power_w == result.average_power_w
 
     def test_result_derived_metrics(self, simulator, space, compute_snippet):
-        result = simulator.evaluate_expected(compute_snippet, space.default_configuration())
+        result = simulator.run_snippet(compute_snippet, space.default_configuration())
         assert result.energy_per_instruction_nj == pytest.approx(
             result.energy_j / compute_snippet.n_instructions * 1e9)
 
@@ -579,8 +592,8 @@ class TestSimulator:
         opps, _ = space.default_configuration().as_dicts()
         four = SoCConfiguration.from_dicts(opps, {"big": 4, "little": 4})
         one = SoCConfiguration.from_dicts(opps, {"big": 1, "little": 4})
-        assert (simulator.evaluate_expected(parallel_snippet, one).execution_time_s
-                > simulator.evaluate_expected(parallel_snippet, four).execution_time_s * 2)
+        assert (simulator.run_snippet(parallel_snippet, one).execution_time_s
+                > simulator.run_snippet(parallel_snippet, four).execution_time_s * 2)
 
     @settings(max_examples=20, deadline=None)
     @given(mpki=st.floats(min_value=0.0, max_value=30.0),
@@ -597,7 +610,7 @@ class TestSimulator:
                 parallel_fraction=0.5 if threads > 1 else 0.0,
             ),
         )
-        result = simulator.evaluate_expected(snippet, space.default_configuration())
+        result = simulator.run_snippet(snippet, space.default_configuration())
         assert result.execution_time_s > 0
         assert result.energy_j > 0
         assert 0.0 <= result.counters.big_cluster_utilization <= 1.0
@@ -605,7 +618,7 @@ class TestSimulator:
 
 class TestGovernors:
     def _counters_with_util(self, simulator, space, snippet):
-        return simulator.evaluate_expected(snippet, space.default_configuration()).counters
+        return simulator.run_snippet(snippet, space.default_configuration()).counters
 
     def test_performance_governor_max_frequency(self, space, simulator, compute_snippet):
         governor = PerformanceGovernor(space)
